@@ -17,8 +17,8 @@ from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
                       sobolev_scaling_experiment)
 from .profiles import (VelocityProfile, compatibility_alpha, eval_df, eval_f,
                        make_bump_on_tail, maxwellian, moment, profile_sum)
-from .quadrature import (Branch, QuadratureConfig, classify_branch, pv_integral,
-                         resonance_asymptotic, resonance_integral,
+from .quadrature import (Branch, QuadratureConfig, cauchy_transform, classify_branch,
+                         pv_integral, resonance_asymptotic, resonance_integral,
                          singular_integral)
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "VelocityProfile", "maxwellian", "make_bump_on_tail", "profile_sum",
     "eval_f", "eval_df", "moment", "compatibility_alpha",
     "QuadratureConfig", "Branch", "classify_branch", "singular_integral",
-    "pv_integral", "resonance_integral", "resonance_asymptotic",
+    "pv_integral", "cauchy_transform", "resonance_integral", "resonance_asymptotic",
     "SprayParams", "SearchRegion", "RootReport", "make_params",
     "dispersion_value", "dispersion_parts", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",

@@ -7,7 +7,6 @@ Machine-readable error JSON goes to stderr in both failure cases.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -173,31 +172,29 @@ def _write_columns(path: Path, comment: str, columns: list[np.ndarray]) -> None:
             fh.write(" ".join(_fmt(float(v)) for v in values) + "\n")
 
 
-def emit_plotdata(result, kind: str, out_dir: Path) -> list[str]:
-    """Write gnuplot-friendly whitespace-column files for a command result."""
-    files: list[str] = []
-    if kind == "scan-heatmap":
-        path = out_dir / "scan_heatmap.dat"
-        cols = list(zip(*result))
-        _write_columns(path, "re_sigma im_sigma re_D im_D abs_D",
-                       [np.array(c) for c in cols])
+def _write_heatmap(out_dir: Path, rows: list[list]) -> str:
+    path = out_dir / "scan_heatmap.dat"
+    _write_columns(path, "re_sigma im_sigma re_D im_D abs_D",
+                   [np.array(c) for c in zip(*rows)])
+    return path.name
+
+
+def _write_root_locus(out_dir: Path, locus: dict[str, list[tuple]]) -> list[str]:
+    files = []
+    for name, branch_rows in locus.items():
+        path = out_dir / f"root_locus_{name}.dat"
+        _write_columns(path, "kappa re_sigma im_sigma",
+                       [np.array(c) for c in zip(*branch_rows)])
         files.append(path.name)
-    elif kind == "root-locus":
-        for name, branch_rows in result.items():
-            path = out_dir / f"root_locus_{name}.dat"
-            _write_columns(path, "kappa re_sigma im_sigma",
-                           [np.array([r[0] for r in branch_rows]),
-                            np.array([r[1] for r in branch_rows]),
-                            np.array([r[2] for r in branch_rows])])
-            files.append(path.name)
-    elif kind == "growth-curves":
-        for traj in result:
-            path = out_dir / f"growth_k{traj.k:g}.dat"
-            _write_columns(path, "t abs_tau",
-                           [traj.times, np.abs(traj.tau_hat)])
-            files.append(path.name)
-    else:
-        raise ConfigError(f"unknown plotdata kind {kind!r}")
+    return files
+
+
+def _write_growth_curves(out_dir: Path, trajectories) -> list[str]:
+    files = []
+    for traj in trajectories:
+        path = out_dir / f"growth_k{traj.k:g}.dat"
+        _write_columns(path, "t abs_tau", [traj.times, np.abs(traj.tau_hat)])
+        files.append(path.name)
     return files
 
 
@@ -206,11 +203,17 @@ def emit_plotdata(result, kind: str, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _grid_axis(spec, default) -> np.ndarray:
-    lo, hi, n = spec if spec is not None else default
-    return np.linspace(float(lo), float(hi), int(n))
+    if spec is None:
+        spec = default
+    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
+        raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
+    try:
+        return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid grid axis {spec!r}: {err}") from err
 
 
-def run_dispersion_scan(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
@@ -219,8 +222,8 @@ def run_dispersion_scan(cfg: dict, out_dir: Path, workers: int) -> dict:
     im_axis = _grid_axis(scan.get("im"), (-0.4 * profile.strip_halfwidth,
                                           0.4 * profile.strip_halfwidth, 21))
 
-    def eval_row(im_val: float) -> list[list]:
-        rows = []
+    rows = []
+    for im_val in im_axis:
         for re_val in re_axis:
             sigma = complex(re_val, im_val)
             branch = quadrature.classify_branch(sigma, qconfig)
@@ -229,25 +232,14 @@ def run_dispersion_scan(cfg: dict, out_dir: Path, workers: int) -> dict:
                 rows.append([re_val, im_val, val.real, val.imag, branch.value])
             except ZeroSigma:
                 rows.append([re_val, im_val, "nan", "nan", branch.value])
-        return rows
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(eval_row, im_axis))
-    else:
-        chunks = [eval_row(im_val) for im_val in im_axis]
-    rows = [row for chunk in chunks for row in chunk]
     _write_csv(out_dir / "dispersion_scan.csv",
                ["re_sigma", "im_sigma", "re_D", "im_D", "branch"], rows)
-    heat = [[r[0], r[1], r[2], r[3],
-             math.hypot(r[2], r[3]) if not isinstance(r[2], str) else float("nan")]
-            for r in rows if not isinstance(r[2], str)]
-    plot_files = emit_plotdata(heat, "scan-heatmap", out_dir)
-    return {"outputs": ["dispersion_scan.csv", *plot_files],
+    heat = [[*r[:4], math.hypot(r[2], r[3])] for r in rows if not isinstance(r[2], str)]
+    return {"outputs": ["dispersion_scan.csv", _write_heatmap(out_dir, heat)],
             "summary": {"n_points": len(rows)}}
 
 
-def run_roots(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_roots(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
@@ -275,7 +267,7 @@ def _root_near(params, profile, center: float, qconfig, halfwidth: float = 0.5,
     return min(reports, key=lambda r: abs(r.sigma - center))
 
 
-def run_thin_spray(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     qconfig = build_qconfig(cfg.get("quadrature"))
     sweep = cfg.get("sweep", {}).get("kappa_values")
@@ -300,18 +292,13 @@ def run_thin_spray(cfg: dict, out_dir: Path, workers: int) -> dict:
         return entry, locus
 
     if sweep:
-        kappas = [float(k) for k in sweep]
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(analyze, kappas))
-        else:
-            results = [analyze(k) for k in kappas]
+        results = [analyze(float(k)) for k in sweep]
         payload = {"sweep": [entry for entry, _ in results]}
         locus = {"plus": [], "minus": []}
         for _, points in results:
             for name, row in points.items():
                 locus[name].append(row)
-        outputs += emit_plotdata(locus, "root-locus", out_dir)
+        outputs += _write_root_locus(out_dir, locus)
     else:
         payload, _ = analyze(float(base_params.get("kappa", 0.0)))
     _write_json(out_dir / "thin_spray.json", payload)
@@ -320,7 +307,7 @@ def run_thin_spray(cfg: dict, out_dir: Path, workers: int) -> dict:
             {"n_kappa": len(payload["sweep"])}}
 
 
-def run_landau_compare(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
@@ -379,12 +366,15 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
     else:
         periods = float(sim.get("periods", 10.0))
         t_final = float(sim.get("t_final", periods * 2.0 * math.pi / (k * params.c0)))
-    config = modesim.default_sim_config(params, profile, k, t_final=t_final,
-                                        nv=int(sim.get("nv", 2048)))
-    if "dt" in sim:
-        config = modesim.SimConfig(nv=config.nv, v_bounds=config.v_bounds,
-                                   dt=float(sim["dt"]), t_final=config.t_final,
-                                   fit_window=config.fit_window)
+    try:
+        config = modesim.default_sim_config(params, profile, k, t_final=t_final,
+                                            nv=int(sim.get("nv", 2048)))
+        if "dt" in sim:
+            config = modesim.SimConfig(nv=config.nv, v_bounds=config.v_bounds,
+                                       dt=float(sim["dt"]), t_final=config.t_final,
+                                       fit_window=config.fit_window)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid sim config: {err}") from err
     if init_type == "eigenmode":
         state = modesim.init_eigenmode(params, profile, sigma, k, config, qconfig)
     elif init_type == "acoustic":
@@ -395,7 +385,7 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
     return config, state, sigma
 
 
-def run_simulate(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_simulate(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
@@ -418,25 +408,29 @@ def run_simulate(cfg: dict, out_dir: Path, workers: int) -> dict:
     return {"outputs": ["simulate.csv"], "summary": summary}
 
 
-def run_illposed_demo(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
     spec = cfg.get("illposed", {})
     region = build_region(cfg.get("region"), params, profile) \
         if cfg.get("region") else None
+    try:
+        s = float(spec.get("s", 1.0))
+        n_exponent = float(spec.get("n_exponent", 2.0))
+        k_list = [float(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
+        nv = int(spec.get("nv", 2048))
+        modesim.check_scaling_inputs(s, n_exponent, k_list, nv)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid illposed config: {err}") from err
     report = modesim.sobolev_scaling_experiment(
-        params, profile,
-        s=float(spec.get("s", 1.0)),
-        n_exponent=float(spec.get("n_exponent", 2.0)),
-        k_list=[float(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])],
-        nv=int(spec.get("nv", 2048)), qconfig=qconfig, region=region,
-        workers=workers)
+        params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv,
+        qconfig=qconfig, region=region)
     rows = [[r.k, r.t_k, r.init_hs_norm, r.final_l2_norm, r.fitted_rate]
             for r in report.rows]
     _write_csv(out_dir / "illposed_demo.csv",
                ["k", "t_k", "init_hs_norm", "final_l2_norm", "fitted_rate"], rows)
-    plot_files = emit_plotdata(report.trajectories, "growth-curves", out_dir)
+    plot_files = _write_growth_curves(out_dir, report.trajectories)
     summary = {"theta0": report.theta0,
                "final_norm_nondecreasing": report.final_norm_nondecreasing,
                "sigma": [report.sigma.real, report.sigma.imag]}
@@ -445,9 +439,10 @@ def run_illposed_demo(cfg: dict, out_dir: Path, workers: int) -> dict:
             "summary": summary}
 
 
-def run_stability_check(cfg: dict, out_dir: Path, workers: int) -> dict:
+def run_stability_check(cfg: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"]) if "profile" in cfg else None
     qconfig = build_qconfig(cfg.get("quadrature"))
+    scalar = None
     if "system" in cfg:
         system = build_system(cfg["system"], profile)
     elif "scalar" in cfg:
@@ -474,9 +469,7 @@ def run_stability_check(cfg: dict, out_dir: Path, workers: int) -> dict:
                "fails_necessary_condition":
                    hyperbolic.fails_necessary_condition(verdicts),
                "kappa": system.kappa}
-    if "scalar" in cfg and "system" not in cfg:
-        scalar = ScalarCoupling(lambda0=float(cfg["scalar"]["lambda0"]),
-                                kappa=float(cfg["scalar"]["kappa"]), profile=profile)
+    if scalar is not None:
         root = hyperbolic.scalar_root(scalar, config=qconfig)
         payload["scalar"] = {
             "lambda0": scalar.lambda0, "kappa": scalar.kappa,
@@ -556,7 +549,7 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
     return cfg
 
 
-def run(cfg: dict, workers: int = 1, quiet: bool = False) -> int:
+def run(cfg: dict, quiet: bool = False) -> int:
     """Execute one command described by a merged config; returns the exit code."""
     command = cfg.get("command")
     if command not in _HANDLERS:
@@ -566,7 +559,7 @@ def run(cfg: dict, workers: int = 1, quiet: bool = False) -> int:
     captured: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        result = _HANDLERS[command](cfg, out_dir, workers)
+        result = _HANDLERS[command](cfg, out_dir)
         captured = [str(w.message) for w in wlist]
     manifest = {
         "command": command,
@@ -610,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"bundled scenario, one of {sorted(SCENARIOS)}")
         cmd.add_argument("--out", metavar="DIR", default=None,
                          help="output directory (default: 'out')")
-        cmd.add_argument("--workers", type=int, default=1, metavar="N")
         cmd.add_argument("--quiet", action="store_true")
     return parser
 
@@ -624,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
         _error_json(2, err)
         return 2
     try:
-        return run(cfg, workers=max(1, args.workers), quiet=args.quiet)
+        return run(cfg, quiet=args.quiet)
     except ConfigError as err:
         _error_json(2, err)
         return 2

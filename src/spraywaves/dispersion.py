@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profiles, quadrature
-from .errors import (BoundaryRoot, DegenerateDerivative, LaplaceDomain,
-                     NonConvergence, StripViolation, ZeroSigma)
+from .errors import (BoundaryRoot, DegenerateDerivative, NonConvergence,
+                     StripViolation, ZeroSigma)
 from .profiles import VelocityProfile
 from .quadrature import Branch, QuadratureConfig
 
@@ -144,89 +144,34 @@ def dispersion_parts(params: SprayParams, profile: VelocityProfile, sigma: float
                      ) -> tuple[float, float]:
     """(real, imaginary) split of the on-axis dispersion function.
 
-    The real part uses the principal value; the imaginary part is the residue
-    term -pi * pref * f'(sigma).
+    On the axis the continuation is the principal value plus the residue
+    i pi sigma f'(sigma), so the imaginary part is -pi * pref * f'(sigma).
     """
     sig = complex(sigma)
     if abs(sig.imag) > config.axis_tolerance:
         raise ValueError("dispersion_parts requires a real sigma")
-    x0 = sig.real
-    if abs(x0) < 1e-14 * params.c0:
-        raise ZeroSigma("dispersion function has a pole at sigma = 0")
-    d_real = 1.0 - params.c0**2 / x0**2
-    d_imag = 0.0
-    if params.kappa != 0.0:
-        check_compatibility(params, profile)
-        pref = params.coupling_prefactor
-        g = lambda v: np.asarray(v) * profiles._eval_df_raw(profile, np.asarray(v, dtype=complex))
-        pv = quadrature.pv_integral(
-            g, x0, config,
-            bounds=quadrature.profile_bounds(profile, x0, config),
-            scale=profiles.resolution_scale(profile),
-            envelope=quadrature._weighted_envelope(profile),
-            breakpoints=profiles.analyticity_breakpoints(profile))
-        d_real -= pref * float(np.real(pv)) / x0
-        d_imag = -math.pi * pref * float(np.real(profiles.eval_df(profile, x0)))
-    return d_real, d_imag
+    val = dispersion_value(params, profile, sig.real, config)
+    return float(val.real), float(val.imag)
 
 
 def landau_dispersion(profile: VelocityProfile, k: float, omega: complex,
                       config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """Electrostatic-analogue dispersion value, depending on both omega/k and k.
+    """Electrostatic-analogue dispersion value 1 - C/k^2, a function of omega/k and k.
 
-    Continuation from Im omega > 0; the residue term carries the same
-    -1/|k|^2 prefactor as the integral term and flips orientation with the
-    sign of k.
+    C continues int f'(v)/(v - omega/k) dv from Im omega > 0, which is the upper
+    half of the sigma = omega/k plane for k > 0 and the lower half for k < 0.
+    The continuation from below is conj(C(conj sigma)), because f' is real on
+    the axis.
     """
     if k == 0.0:
         raise ZeroSigma("landau dispersion undefined at k = 0")
     sigma = complex(omega) / k
-    g = lambda v: profiles._eval_df_raw(profile, quadrature._guard_strip(profile, v))
-    bounds = quadrature.profile_bounds(profile, sigma, config)
-    scale = profiles.resolution_scale(profile)
-    breaks = profiles.analyticity_breakpoints(profile)
-    im_omega = complex(omega).imag
-    if abs(im_omega) <= config.axis_tolerance:
-        x0 = float(sigma.real)
-        line = quadrature.pv_integral(g, x0, config, bounds=bounds, scale=scale,
-                                      breakpoints=breaks)
-        residue_mult = 1.0
+    if k > 0.0:
+        cont = quadrature.cauchy_transform(profile, (1.0,), sigma, config)
     else:
-        try:
-            g_sigma = quadrature._eval_at(g, sigma)
-        except StripViolation:
-            g_sigma = None
-        line = quadrature._line_integral(g, sigma, config, bounds=bounds,
-                                         scale=scale, g_sigma=g_sigma,
-                                         breakpoints=breaks)
-        residue_mult = 2.0 if im_omega < 0.0 else 0.0
-    residue = 0.0j
-    if residue_mult:
-        residue = (residue_mult * 1j * math.pi * math.copysign(1.0, k)
-                   * quadrature._eval_at(g, sigma))
-    return 1.0 - (line + residue) / k**2
-
-
-def forcing_functional(params: SprayParams, profile: VelocityProfile,
-                       init: tuple[complex, complex, object], k: float, omega: complex,
-                       config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """Laplace-domain forcing assembled from the initial data (Im omega > 0)."""
-    omega = complex(omega)
-    if omega.imag <= 0.0:
-        raise LaplaceDomain("forcing functional defined for Im omega > 0 only")
-    if k == 0.0:
-        raise ZeroSigma("forcing functional undefined at k = 0")
-    tau0, u0, f0 = init
-    total = params.rho0 * complex(tau0) - k * complex(u0) / omega
-    if f0 is not None and params.kappa != 0.0:
-        sigma = omega / k
-        g = lambda v: np.asarray(f0(v)) * np.asarray(v)
-        kin = quadrature._line_integral(
-            g, sigma, config,
-            bounds=quadrature.profile_bounds(profile, sigma, config),
-            scale=profiles.resolution_scale(profile), g_sigma=None)
-        total += params.kappa / params.alpha0 * kin
-    return total / params.rho0
+        cont = quadrature.cauchy_transform(profile, (1.0,), sigma.conjugate(),
+                                           config).conjugate()
+    return 1.0 - cont / k**2
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +407,9 @@ def thin_spray_expansion(params: SprayParams, profile: VelocityProfile,
         warnings.warn("thin-spray expansion requested at kappa > 0.1",
                       stacklevel=2)
     check_compatibility(params, profile)
-    g = lambda v: profiles._eval_df_raw(profile, np.asarray(v, dtype=complex))
-    pv = quadrature.pv_integral(
-        g, params.c0, config,
-        bounds=quadrature.profile_bounds(profile, params.c0, config),
-        scale=profiles.resolution_scale(profile),
-        breakpoints=profiles.analyticity_breakpoints(profile))
-    c_star = params.c0 * (1.0 + 0.5 * params.coupling_prefactor * float(np.real(pv)))
+    # on the axis the continuation is P.V. + i pi f'(c0); keep the P.V.
+    pv = quadrature.cauchy_transform(profile, (1.0,), params.c0, config).real
+    c_star = params.c0 * (1.0 + 0.5 * params.coupling_prefactor * pv)
     gamma = damping_rate_at(params, profile, c_star, config)
     return c_star, gamma
 

@@ -25,10 +25,6 @@ class QuadratureDivergence(SprayWaveError):
     """Truncated-tail estimate exceeds the allowed fraction of the result."""
 
 
-class LaplaceDomain(SprayWaveError):
-    """Forcing functional requested outside the Laplace half-plane Im omega > 0."""
-
-
 class BoundaryRoot(SprayWaveError):
     """A zero sits too close to a winding-count contour even after dilation."""
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class SystemCoupling:
     def dim(self) -> int:
         return self.a_matrix.shape[0]
 
+    @cached_property
+    def eigenpairs(self) -> list[tuple[float, np.ndarray]]:
+        """symmetric_eigen(a_matrix), solved once per system."""
+        return symmetric_eigen(self.a_matrix)
+
     def phi(self, v):
         """phi(v) evaluated component-wise; returns shape (N,) + shape(v)."""
         v = np.asarray(v, dtype=complex)
@@ -122,19 +128,6 @@ def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
 # scalar coupling
 # ---------------------------------------------------------------------------
 
-def _resonance_kernel(profile: VelocityProfile, sigma: complex,
-                      config: QuadratureConfig) -> complex:
-    """Branch-correct continuation of int v f'(v)/(v - sigma) dv."""
-    g = lambda v: np.asarray(v) * profiles._eval_df_raw(
-        profile, quadrature._guard_strip(profile, v))
-    return quadrature.singular_integral(
-        g, sigma, quadrature.classify_branch(sigma, config), config,
-        bounds=quadrature.profile_bounds(profile, sigma, config),
-        scale=profiles.resolution_scale(profile),
-        envelope=quadrature._weighted_envelope(profile),
-        breakpoints=profiles.analyticity_breakpoints(profile))
-
-
 def scalar_dispersion(c: ScalarCoupling, omega: complex,
                       config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
     """G(omega) = omega - lambda0 + kappa * C[v f'/(v - omega)]; roots solve the
@@ -142,7 +135,8 @@ def scalar_dispersion(c: ScalarCoupling, omega: complex,
     omega = complex(omega)
     if c.kappa == 0.0:
         return omega - c.lambda0
-    return omega - c.lambda0 + c.kappa * _resonance_kernel(c.profile, omega, config)
+    return omega - c.lambda0 + c.kappa * quadrature.cauchy_transform(
+        c.profile, (0.0, 1.0), omega, config)
 
 
 def scalar_root(c: ScalarCoupling, tol: float = 1e-12,
@@ -179,13 +173,13 @@ def scalar_imag_leading(c: ScalarCoupling) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenproblem (cyclic Jacobi)
+# symmetric eigenproblem
 # ---------------------------------------------------------------------------
 
 def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
     """Deterministic eigen-decomposition of a symmetric matrix.
 
-    Cyclic Jacobi rotations; eigenvalues ascending, eigenvector sign fixed so
+    LAPACK symmetric solver; eigenvalues ascending, eigenvector sign fixed so
     the first component above 1e-12 is positive. Rejects spectra with gaps
     below 1e-8 (strict hyperbolicity is assumed throughout).
     """
@@ -194,41 +188,19 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
     scale = max(1.0, float(np.max(np.abs(a))))
     if a.shape != (n, n) or np.max(np.abs(a - a.T)) > 1e-12 * scale:
         raise ValueError("symmetric_eigen requires a symmetric square matrix")
-    vecs = np.eye(n)
-    for _ in range(60):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = cth
-                rot[p, q] = sth
-                rot[q, p] = -sth
-                a = rot.T @ a @ rot
-                vecs = vecs @ rot
-    order = np.argsort(np.diag(a))
-    eigvals = np.diag(a)[order]
-    vecs = vecs[:, order]
+    eigvals, vecs = np.linalg.eigh(a)
     gaps = np.diff(eigvals)
     if n > 1 and np.min(gaps) <= _GAP_TOL:
         raise DegenerateSpectrum(f"eigenvalue gap {np.min(gaps):.3g} <= {_GAP_TOL:g}")
     out = []
-    a_in = np.array(np.atleast_2d(a_matrix), dtype=float)
     for j in range(n):
-        r = vecs[:, j] / np.linalg.norm(vecs[:, j])
+        r = vecs[:, j]
         lead = np.flatnonzero(np.abs(r) > 1e-12)[0]
         if r[lead] < 0:
             r = -r
-        resid = np.linalg.norm(a_in @ r - eigvals[j] * r)
+        resid = np.linalg.norm(a @ r - eigvals[j] * r)
         if resid > 1e-10 * scale:
-            raise NonConvergence(f"Jacobi residual {resid:.3g} too large")
+            raise NonConvergence(f"eigenvector residual {resid:.3g} too large")
         out.append((float(eigvals[j]), r))
     return out
 
@@ -240,20 +212,11 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 def _kinetic_vector(s: SystemCoupling, sigma: complex,
                     config: QuadratureConfig) -> np.ndarray:
     """I(sigma): continued integral of phi(v) f'(v)/(v - sigma), component-wise."""
-    branch = quadrature.classify_branch(sigma, config)
-    bounds = quadrature.profile_bounds(s.profile, sigma, config)
-    scale = profiles.resolution_scale(s.profile)
-    breaks = profiles.analyticity_breakpoints(s.profile)
-    env = quadrature._weighted_envelope(s.profile)
     out = np.zeros(s.dim, dtype=complex)
     for i in range(s.dim):
-        if all(abs(coeff[i]) == 0.0 for coeff in s.phi_coeffs):
-            continue
-        g = lambda v, _i=i: s.phi(quadrature._guard_strip(s.profile, v))[_i] \
-            * profiles._eval_df_raw(s.profile, np.asarray(v, dtype=complex))
-        out[i] = quadrature.singular_integral(
-            g, sigma, branch, config, bounds=bounds, scale=scale,
-            envelope=env, breakpoints=breaks)
+        weight = tuple(coeff[i] for coeff in s.phi_coeffs)
+        if any(weight):
+            out[i] = quadrature.cauchy_transform(s.profile, weight, sigma, config)
     return out
 
 
@@ -263,8 +226,7 @@ def secular_function(s: SystemCoupling, sigma: complex,
     sigma = complex(sigma)
     if s.kappa == 0.0:
         return 1.0 + 0.0j
-    eigvals = np.array([ev for ev, _ in symmetric_eigen(s.a_matrix)])
-    if np.min(np.abs(eigvals - sigma)) < 1e-10:
+    if min(abs(ev - sigma) for ev, _ in s.eigenpairs) < 1e-10:
         raise ResolventSingularity(
             "secular function evaluated on an eigenvalue of the uncoupled matrix")
     ivec = _kinetic_vector(s, sigma, config)
@@ -275,7 +237,7 @@ def secular_function(s: SystemCoupling, sigma: complex,
 def imag_derivative_at_zero(s: SystemCoupling, j: int,
                             config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> float:
     """(Im sigma_j)'(0) = -pi (grad_psi . r_j)(phi(sigma_j) . r_j) f'(sigma_j)."""
-    sigma_j, r_j = symmetric_eigen(s.a_matrix)[j]
+    sigma_j, r_j = s.eigenpairs[j]
     psi_proj = float(np.dot(s.grad_psi, r_j))
     phi_proj = float(np.real(np.dot(s.phi(sigma_j), r_j)))
     slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
@@ -287,7 +249,7 @@ def stability_necessary_condition(s: SystemCoupling,
                                   ) -> list[ModeVerdict]:
     """Per-mode sign check of q_j; any q_j < 0 fails the necessary condition."""
     verdicts = []
-    for j, (sigma_j, r_j) in enumerate(symmetric_eigen(s.a_matrix)):
+    for j, (sigma_j, r_j) in enumerate(s.eigenpairs):
         psi_proj = float(np.dot(s.grad_psi, r_j))
         phi_proj = float(np.real(np.dot(s.phi(sigma_j), r_j)))
         slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
@@ -315,7 +277,7 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     Seeds each kappa increment with the first-order shift
     sigma'(0) = -(grad_psi . r_j) (I(sigma_j) . r_j).
     """
-    sigma_j, r_j = symmetric_eigen(s.a_matrix)[j]
+    sigma_j, r_j = s.eigenpairs[j]
     ivec0 = _kinetic_vector(s, complex(sigma_j), config)
     shift = -float(np.dot(s.grad_psi, r_j)) * complex(np.dot(ivec0, r_j))
     dk = kappa_target / steps

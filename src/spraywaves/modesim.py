@@ -14,7 +14,6 @@ runs demonstrate loss of Sobolev control when an amplified root exists.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +29,7 @@ from .quadrature import QuadratureConfig
 
 _CFL_FRACTION = 0.1
 _OVERFLOW_LIMIT = 1e150
+MIN_NV = 256
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class SimConfig:
     fit_window: tuple[float, float]
 
     def __post_init__(self):
-        if self.nv < 256:
-            raise ValueError("nv must be >= 256")
+        if self.nv < MIN_NV:
+            raise ValueError(f"nv must be >= {MIN_NV}")
         if self.v_bounds[0] >= self.v_bounds[1]:
             raise ValueError("empty velocity interval")
         if self.dt <= 0 or self.t_final <= 0:
@@ -132,7 +132,7 @@ def rhs(params: SprayParams, profile: VelocityProfile, state: ModeState,
     """Time derivative of the mode amplitudes (same container, time preserved)."""
     grid = velocity_grid(config)
     weights = _simpson_weights(config.nv, config.dv)
-    dfdv = np.real(profiles._eval_df_raw(profile, grid.astype(complex)))
+    dfdv = np.real(profiles.eval_df(profile, grid))
     ik = 1j * state.k
     kinetic_flux = float(params.kappa) * np.sum(weights * state.f_hat * grid)
     dtau = ik / (params.alpha0 * params.rho0) * (params.alpha0 * state.u_hat
@@ -191,7 +191,7 @@ def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex
             f"|Im sigma| = {abs(sigma.imag):.3g} below 3 dv = {3 * config.dv:.3g}; "
             "the grid cannot resolve the resonant denominator")
     grid = velocity_grid(config)
-    dfdv = np.real(profiles._eval_df_raw(profile, grid.astype(complex)))
+    dfdv = np.real(profiles.eval_df(profile, grid))
     denom = grid - sigma
     # kappa = 0 seeds may sit on the axis; the kinetic part is then passive and
     # grid-coincident singular entries are clipped
@@ -218,7 +218,7 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
 
     grid = velocity_grid(config)
     weights = _simpson_weights(config.nv, config.dv)
-    dfdv = np.real(profiles._eval_df_raw(profile, grid.astype(complex)))
+    dfdv = np.real(profiles.eval_df(profile, grid))
     ik = 1j * k
     pref_tau_u = ik / params.rho0
     pref_tau_f = ik * params.kappa / (params.alpha0 * params.rho0)
@@ -318,23 +318,29 @@ class ScalingReport:
     trajectories: tuple[Trajectory, ...] = ()
 
 
-def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
-                               s: float, n_exponent: float, k_list: list[float],
-                               nv: int = 2048,
-                               qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
-                               region: SearchRegion | None = None,
-                               workers: int = 1) -> ScalingReport:
-    """Initial H^s shrinkage vs final L^2 size for mode data scaled by k^(-N).
-
-    Each mode is the unstable eigenmode scaled by k^(-N) and run to
-    t_k = (N+1) log(k)/k; columns use the single-mode norm proxies
-    (1+k^2)^(s/2) amp for H^s and amp for L^2. The per-k runs are independent
-    and may execute on a bounded worker pool.
-    """
+def check_scaling_inputs(s: float, n_exponent: float, k_list: list[float],
+                         nv: int) -> None:
+    """ValueError unless the scaling experiment can run on these inputs."""
     if s < 0 or n_exponent <= s:
         raise ValueError("need 0 <= s < n_exponent")
     if len(k_list) < 3 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing with at least 3 entries")
+    if nv < MIN_NV:
+        raise ValueError(f"nv must be >= {MIN_NV}")
+
+
+def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
+                               s: float, n_exponent: float, k_list: list[float],
+                               nv: int = 2048,
+                               qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
+                               region: SearchRegion | None = None) -> ScalingReport:
+    """Initial H^s shrinkage vs final L^2 size for mode data scaled by k^(-N).
+
+    Each mode is the unstable eigenmode scaled by k^(-N) and run to
+    t_k = (N+1) log(k)/k; columns use the single-mode norm proxies
+    (1+k^2)^(s/2) amp for H^s and amp for L^2.
+    """
+    check_scaling_inputs(s, n_exponent, k_list, nv)
     if region is None:
         base = dispersion.default_region(params, profile)
         region = SearchRegion(base.re_min, base.re_max, 1e-6, base.im_max)
@@ -359,11 +365,7 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
             fitted_rate=fit.rate)
         return row, traj
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, k_list))
-    else:
-        results = [run_one(k) for k in k_list]
+    results = [run_one(k) for k in k_list]
     rows = [row for row, _ in results]
     trajectories = [traj for _, traj in results]
     finals = [r.final_l2_norm for r in rows]

@@ -10,8 +10,7 @@ Three kinds are supported:
   preserved.
 - ``sum``: plain superposition of component profiles (two-stream style setups).
 
-Profiles are frozen dataclasses; every operation here is a pure function, so
-instances can be shared freely across worker threads.
+Profiles are frozen dataclasses and every operation here is a pure function.
 """
 
 from __future__ import annotations

@@ -214,6 +214,34 @@ def singular_integral(g, sigma: complex, branch: Branch,
     return _check_tail(complex(val), g, a, b, sigma, scale, envelope, floor=floor)
 
 
+def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],
+                     sigma: complex,
+                     config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+    """Branch-correct continuation of int p(v) f'(v)/(v - sigma) dv from above.
+
+    ``weight`` holds the coefficients of the real polynomial p in ascending
+    powers of v. Truncation, panel sizing, bump-edge breakpoints and the tail
+    check all come from the profile; complex points inside the bump edge margin
+    raise StripViolation, which singular_integral turns into its axis or
+    direct-quadrature fallback.
+    """
+    def g(v):
+        v = np.asarray(v, dtype=complex)
+        if np.any(np.imag(v) != 0.0):
+            profiles._check_strip(profile, v)
+        p = weight[-1]
+        for c in reversed(weight[:-1]):
+            p = p * v + c
+        return p * profiles._eval_df_raw(profile, v)
+
+    return singular_integral(
+        g, sigma, classify_branch(sigma, config), config,
+        bounds=profile_bounds(profile, sigma, config),
+        scale=profiles.resolution_scale(profile),
+        envelope=_weighted_envelope(profile),
+        breakpoints=profiles.analyticity_breakpoints(profile))
+
+
 def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,
                        config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
     """(1/sigma) * continued integral of v f'(v)/(v - sigma) dv.
@@ -224,28 +252,11 @@ def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,
     sigma = complex(sigma)
     if abs(sigma) < 1e-14:
         raise ZeroSigma("resonance integral undefined at sigma = 0")
-    g = lambda v: np.asarray(v) * profiles._eval_df_raw(profile, _guard_strip(profile, v))
-    branch = classify_branch(sigma, config)
-    val = singular_integral(
-        g, sigma, branch, config,
-        bounds=profile_bounds(profile, sigma, config),
-        scale=profiles.resolution_scale(profile),
-        envelope=_weighted_envelope(profile),
-        breakpoints=profiles.analyticity_breakpoints(profile))
-    return val / sigma
-
-
-def _guard_strip(profile: profiles.VelocityProfile, v):
-    # integrand wrapper: real nodes pass through, single complex points are
-    # strip-checked so singular_integral can fall back gracefully
-    v = np.asarray(v, dtype=complex)
-    if np.any(np.imag(v) != 0.0):
-        profiles._check_strip(profile, v)
-    return v
+    return cauchy_transform(profile, (0.0, 1.0), sigma, config) / sigma
 
 
 def _weighted_envelope(profile: profiles.VelocityProfile) -> tuple[float, float]:
-    # envelope for v f'(v): Gaussian decay beats the polynomial weight; widen
+    # envelope for p(v) f'(v): Gaussian decay beats the polynomial weight; widen
     # C0 by a generous velocity factor and soften C1
     c0, c1 = profiles.decay_envelope(profile)
     return (c0 * 50.0 * (1.0 + abs(profile.drift) + profile.width), 0.5 * c1)

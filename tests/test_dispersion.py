@@ -5,11 +5,10 @@ from conftest import profile_integrand, dense_line_integral
 from spraywaves import profiles, quadrature
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    damping_rate_at, dispersion_parts,
-                                   dispersion_value, find_roots,
-                                   forcing_functional, landau_dispersion,
+                                   dispersion_value, find_roots, landau_dispersion,
                                    make_params, spectral_verdict,
                                    thin_spray_expansion)
-from spraywaves.errors import LaplaceDomain, StripViolation, ZeroSigma
+from spraywaves.errors import StripViolation, ZeroSigma
 from spraywaves.quadrature import Branch
 
 CFG = quadrature.DEFAULT_CONFIG
@@ -94,41 +93,18 @@ class TestLandauDispersion:
         assert abs(val.imag) < 1e-12
         assert val == pytest.approx(oracle, abs=1e-10)
 
+    def test_negative_k_is_plain_integral_below_axis(self, std_maxwellian):
+        # for k < 0, Im omega > 0 puts sigma = omega/k in the lower half-plane,
+        # where the continuation from Im omega > 0 is the plain line integral
+        k, omega = -1.5, 0.3 + 0.7j
+        val = landau_dispersion(std_maxwellian, k, omega)
+        g = profile_integrand(std_maxwellian, "df")
+        oracle = 1.0 - dense_line_integral(g, omega / k) / k**2
+        assert val == pytest.approx(oracle, abs=1e-10)
+
     def test_zero_k_rejected(self, std_maxwellian):
         with pytest.raises(ZeroSigma):
             landau_dispersion(std_maxwellian, 0.0, 1.0j)
-
-
-class TestForcing:
-    def test_zero_data(self, maxwellian_params, std_maxwellian):
-        val = forcing_functional(maxwellian_params, std_maxwellian,
-                                 (0.0, 0.0, None), 1.0, 2.0j)
-        assert val == 0.0
-
-    def test_tau_only(self, maxwellian_params, std_maxwellian):
-        val = forcing_functional(maxwellian_params, std_maxwellian,
-                                 (1.0, 0.0, None), 1.0, 2.0j)
-        assert val == pytest.approx(1.0)
-
-    def test_u_only_arithmetic(self, maxwellian_params, std_maxwellian):
-        val = forcing_functional(maxwellian_params, std_maxwellian,
-                                 (0.0, 1.0, None), 1.0, 2.0j)
-        assert val == pytest.approx(-1.0 / (2.0j * maxwellian_params.rho0))
-
-    def test_kinetic_term(self, maxwellian_params, std_maxwellian):
-        f_init = lambda v: profiles._eval_f_raw(std_maxwellian,
-                                                np.asarray(v, dtype=complex))
-        val = forcing_functional(maxwellian_params, std_maxwellian,
-                                 (0.0, 0.0, f_init), 1.0, 2.0j)
-        g = lambda v: f_init(v) * np.asarray(v)
-        oracle = dense_line_integral(g, 2.0j) * maxwellian_params.kappa \
-            / (maxwellian_params.alpha0 * maxwellian_params.rho0)
-        assert val == pytest.approx(oracle, abs=1e-10)
-
-    def test_laplace_domain_enforced(self, maxwellian_params, std_maxwellian):
-        with pytest.raises(LaplaceDomain):
-            forcing_functional(maxwellian_params, std_maxwellian,
-                               (1.0, 0.0, None), 1.0, 1.0 - 0.1j)
 
 
 class TestRootCounting:

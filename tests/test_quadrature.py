@@ -6,8 +6,8 @@ import pytest
 from conftest import (contour_deformed_integral, dawson_series,
                       dense_line_integral, profile_integrand)
 from spraywaves.errors import QuadratureDivergence, ZeroSigma
-from spraywaves.quadrature import (Branch, QuadratureConfig, classify_branch,
-                                   pv_integral, resonance_asymptotic,
+from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
+                                   classify_branch, pv_integral, resonance_asymptotic,
                                    resonance_integral, singular_integral)
 
 CFG = QuadratureConfig()
@@ -139,6 +139,24 @@ class TestSingularIntegral:
         with pytest.raises(QuadratureDivergence):
             singular_integral(wide, 0.5j, Branch.UPPER, CFG, bounds=(-2.0, 2.0),
                               scale=1.0, envelope=(1.0, 1.0 / 36.0))
+
+
+class TestCauchyTransform:
+    @pytest.mark.parametrize("profile_name,weight,sigma", [
+        ("std_maxwellian", (0.5, 0.0, -1.0), -0.4 + 0.3j),
+        ("bump_profile", (1.0, -0.5, 0.25), 4.8 + 0.1j),
+    ])
+    def test_upper_branch_against_dense_oracle(self, request, profile_name,
+                                               weight, sigma):
+        profile = request.getfixturevalue(profile_name)
+        df = profile_integrand(profile, "df")
+        g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
+        # split at the bump support edges so the adaptive oracle sees them
+        edges = [-np.inf, 4.5, 5.5, np.inf]
+        oracle = sum(dense_line_integral(g, sigma, lo, hi)
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+        val = cauchy_transform(profile, weight, sigma, CFG)
+        assert val == pytest.approx(oracle, abs=1e-9)
 
 
 class TestResonanceIntegral:
