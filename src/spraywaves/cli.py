@@ -244,7 +244,10 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
     region = build_region(cfg.get("region"), params, profile)
-    tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
+    try:
+        tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid root_tolerance: {err}") from err
     reports = dispersion.find_roots(params, profile, region, tol=tol, config=qconfig)
     _write_json(out_dir / "roots.json", [r.as_dict() for r in reports])
     return {"outputs": ["roots.json"],
@@ -272,6 +275,10 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
     qconfig = build_qconfig(cfg.get("quadrature"))
     sweep = cfg.get("sweep", {}).get("kappa_values")
     base_params = cfg["params"]
+    try:
+        kappas = [float(k) for k in sweep or [base_params.get("kappa", 0.0)]]
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid kappa value: {err}") from err
     outputs = []
 
     def analyze(kappa: float) -> tuple[dict, dict]:
@@ -292,7 +299,7 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
         return entry, locus
 
     if sweep:
-        results = [analyze(float(k)) for k in sweep]
+        results = [analyze(k) for k in kappas]
         payload = {"sweep": [entry for entry, _ in results]}
         locus = {"plus": [], "minus": []}
         for _, points in results:
@@ -300,7 +307,7 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
                 locus[name].append(row)
         outputs += _write_root_locus(out_dir, locus)
     else:
-        payload, _ = analyze(float(base_params.get("kappa", 0.0)))
+        payload, _ = analyze(kappas[0])
     _write_json(out_dir / "thin_spray.json", payload)
     outputs.insert(0, "thin_spray.json")
     return {"outputs": outputs, "summary": payload if not sweep else
@@ -312,10 +319,13 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     params = build_params(cfg["params"], profile)
     qconfig = build_qconfig(cfg.get("quadrature"))
     spec = cfg.get("landau", {})
-    k_values = [float(k) for k in spec.get("k_values", [1.0, 2.0])]
+    try:
+        k_values = [float(k) for k in spec.get("k_values", [1.0, 2.0])]
+        im_sigma = float(spec.get("im_sigma", 0.05))
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid landau config: {err}") from err
     if len(k_values) != 2:
         raise ConfigError("landau.k_values must hold exactly two wavenumbers")
-    im_sigma = float(spec.get("im_sigma", 0.05))
     re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
     rows = []
     contrast = 0.0
@@ -343,14 +353,20 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
 def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
                qconfig: QuadratureConfig):
     sim = cfg.get("sim", {})
-    k = float(sim.get("k", 1.0))
     init_spec = sim.get("init", {"type": "acoustic"})
     init_type = init_spec.get("type", "acoustic")
     sigma = None
+    try:
+        k = float(sim.get("k", 1.0))
+        if k == 0.0 or not math.isfinite(k):
+            raise ValueError(f"k must be a nonzero finite number, got {k}")
+        if init_type == "eigenmode" and "sigma" in init_spec:
+            re_sigma, im_sigma = init_spec["sigma"]
+            sigma = complex(float(re_sigma), float(im_sigma))
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"invalid sim config: {err}") from err
     if init_type == "eigenmode":
-        if "sigma" in init_spec:
-            sigma = complex(init_spec["sigma"][0], init_spec["sigma"][1])
-        else:
+        if sigma is None:
             region = build_region(cfg.get("region"), params, profile)
             reports = dispersion.find_roots(params, profile, region,
                                             tol=1e-10, config=qconfig)

@@ -415,7 +415,11 @@ def thin_spray_expansion(params: SprayParams, profile: VelocityProfile,
 
 
 def default_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
-    """Rectangle wide enough to hold every root permitted by the large-sigma bound."""
+    """Heuristic search box: |Re sigma| <= |drift| + 5 (c0 + width), |Im sigma| <=
+    half the analyticity strip. The cap keeps the box inside the strip that
+    count_roots requires but bounds no root, so spectral_verdict misses unstable
+    roots above it: bump eps=0.3, eta=0.5, c_star=c0=5, kappa=0.05 has a root near
+    4.567+0.756i and is reported 'stable'."""
     re_span = abs(profile.drift) + 5.0 * (params.c0 + profile.width)
     return SearchRegion(-re_span, re_span, -0.5 * profile.strip_halfwidth,
                         0.5 * profile.strip_halfwidth)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class VelocityProfile:
     drift: float = 0.0
     width: float = 1.0
     strip_halfwidth: float = 0.0         # filled in __post_init__ when 0
-    bound_consts: tuple[float, float] = (0.0, 0.0)
+    bound_consts: tuple[float, float] = (0.0, 0.0)  # |f| <= C0 exp(-C1 (Re v)^2)
     eps: float | None = None
     eta: float | None = None
     c_star: float | None = None
@@ -88,6 +88,17 @@ class VelocityProfile:
                 xs = np.concatenate([xs, xs[safe]])
         c0 = float(np.max(vals * np.exp(c1 * np.real(xs) ** 2))) * 1.25
         return (c0, c1)
+
+    @cached_property
+    def quadrature_hints(self) -> tuple:
+        """(support bounds, resolution scale, analyticity breakpoints, decay
+        envelope of p(v) f'(v)), computed once per profile object."""
+        # Gaussian decay beats any polynomial weight p: widen C0 by a generous
+        # velocity factor and soften C1
+        c0, c1 = self.bound_consts
+        return (support_bounds(self), resolution_scale(self),
+                analyticity_breakpoints(self),
+                (c0 * 50.0 * (1.0 + abs(self.drift) + self.width), 0.5 * c1))
 
 
 def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
@@ -284,11 +295,6 @@ def analyticity_breakpoints(profile: VelocityProfile, depth: int = 8) -> tuple[f
     return out
 
 
-def decay_envelope(profile: VelocityProfile) -> tuple[float, float]:
-    """(C0, C1) with |f| <= C0 exp(-C1 (Re v)^2) on the strip."""
-    return profile.bound_consts
-
-
 @lru_cache(maxsize=512)
 def moment(profile: VelocityProfile, order: int) -> float:
     """Numerical velocity moment of f (order 0 or 2)."""
@@ -303,9 +309,8 @@ def moment(profile: VelocityProfile, order: int) -> float:
     for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
         npanels, gauss_order = _gauss.layout(
             seg_hi - seg_lo, scale, max(64, 512 * (seg_hi - seg_lo) / (hi - lo)))
-        total += np.real(_gauss.integrate(
-            lambda v: np.real(_eval_f_raw(profile, v)) * np.real(v) ** order,
-            seg_lo, seg_hi, npanels, gauss_order))
+        v, w = _gauss.panel_nodes(seg_lo, seg_hi, npanels, gauss_order)
+        total += np.sum(np.real(_eval_f_raw(profile, v)) * v ** order * w)
     return float(total)
 
 

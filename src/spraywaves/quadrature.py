@@ -76,38 +76,22 @@ def _default_bounds(sigma: complex, config: QuadratureConfig) -> tuple[float, fl
     return (-span, span)
 
 
-def profile_bounds(profile: profiles.VelocityProfile, sigma: complex,
-                   config: QuadratureConfig) -> tuple[float, float]:
-    """Truncation interval covering the profile support and the resonance point."""
-    lo, hi = profiles.support_bounds(profile)
-    span = max(config.truncation_halfwidth,
-               8.0 * profile.width + abs(profile.drift) + abs(np.real(sigma)))
-    return (min(lo, -span), max(hi, span))
-
-
-def _tail_estimate(g, a: float, b: float, sigma: complex, scale: float,
-                   envelope: tuple[float, float] | None) -> float:
-    dist = max(min(abs(a - np.real(sigma)), abs(b - np.real(sigma))), scale)
-    ga, gb = np.abs(g(np.array([a]))[0]), np.abs(g(np.array([b]))[0])
-    sample = float((ga + gb) * 100.0 * scale / dist)
+def _check_tail(value: complex, g_ends, a, b, sigma, scale, envelope,
+                floor: float = 0.0):
+    # The divergence check is armed only when the caller supplies a decay
+    # envelope (profile-backed integrands always do); raw callables on a
+    # finite truncation interval are taken at face value. `g_ends` holds
+    # g(a), g(b); `floor` guards symmetric near-zero results (odd integrands).
     if envelope is None:
-        return sample
+        return value
+    dist = max(min(abs(a - np.real(sigma)), abs(b - np.real(sigma))), scale)
+    sample = float(np.sum(np.abs(g_ends)) * 100.0 * scale / dist)
     c0, c1 = envelope
     edge = min(abs(a), abs(b))
     env = 2.0 * c0 * np.exp(-c1 * edge * edge) / max(2.0 * c1 * edge, 1e-12) / dist
     # the global Gaussian envelope can grossly overestimate compact bumps;
     # trust the endpoint samples (with margin) when they are smaller
-    return float(min(env, sample))
-
-
-def _check_tail(value: complex, g, a, b, sigma, scale, envelope, floor: float = 0.0):
-    # The divergence check is armed only when the caller supplies a decay
-    # envelope (profile-backed integrands always do); raw callables on a
-    # finite truncation interval are taken at face value. `floor` guards
-    # symmetric near-zero results (odd integrands) against spurious reports.
-    if envelope is None:
-        return value
-    tail = _tail_estimate(g, a, b, sigma, scale, envelope)
+    tail = float(min(env, sample))
     if tail > _TAIL_FRACTION * max(abs(value), floor, 1e-300):
         raise QuadratureDivergence(
             f"truncation tail estimate {tail:.3g} exceeds {_TAIL_FRACTION:g} "
@@ -119,16 +103,27 @@ def _eval_at(g, s: complex) -> complex:
     return complex(np.asarray(g(np.array([s], dtype=complex)))[0])
 
 
+def _panel_sum(g, panels, a: float, b: float, integrand):
+    """(sum of integrand(g(v), v) * w over the (nodes, weights) panels, g(a), g(b)),
+    calling g once on all nodes and a, b; each panel is summed alone, in order."""
+    vs = np.concatenate([v for v, _ in panels])
+    gv = g(np.concatenate([vs, (a, b)]))
+    terms = integrand(gv[:-2], vs) * np.concatenate([w for _, w in panels])
+    total, start = 0.0 + 0.0j, 0
+    for v, _ in panels:
+        total += np.add.reduce(terms[start:start + v.size])
+        start += v.size
+    return total, gv[-2:]
+
+
 def _subtracted_panels(g, g_at_s: complex, s: complex, a: float, b: float,
-                       breakpoints: tuple[float, ...], scale: float, nodes: int) -> complex:
-    """Quadrature of (g(v) - g(s))/(v - s) over [a, b] split at breakpoints."""
+                       breakpoints: tuple[float, ...], scale: float, nodes: int):
+    """(int of (g(v) - g(s))/(v - s) over [a, b] split at breakpoints, g(a), g(b))."""
     edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        npanels, order = _gauss.layout(hi - lo, scale, max(64, nodes * (hi - lo) / (b - a)))
-        vs, ws = _gauss.panel_nodes(lo, hi, npanels, order)
-        total += np.sum((g(vs) - g_at_s) / (vs - s) * ws)
-    return total
+    panels = [_gauss.panel_nodes(lo, hi, *_gauss.layout(
+        hi - lo, scale, max(64, nodes * (hi - lo) / (b - a))))
+        for lo, hi in zip(edges[:-1], edges[1:])]
+    return _panel_sum(g, panels, a, b, lambda gv, vs: (gv - g_at_s) / (vs - s))
 
 
 def pv_integral(g, x0: float, config: QuadratureConfig = DEFAULT_CONFIG, *,
@@ -146,35 +141,37 @@ def pv_integral(g, x0: float, config: QuadratureConfig = DEFAULT_CONFIG, *,
     g0 = _eval_at(g, complex(x0))
     w = min(config.subtraction_window, 0.5 * (b - x0), 0.5 * (x0 - a))
     breaks = (x0 - w, x0, x0 + w) + breakpoints
-    val = _subtracted_panels(g, g0, complex(x0), a, b, breaks, scale, config.nodes)
+    val, g_ends = _subtracted_panels(g, g0, complex(x0), a, b, breaks, scale,
+                                     config.nodes)
     val += g0 * np.log((b - x0) / (x0 - a))
-    return _check_tail(complex(val), g, a, b, x0, scale, envelope, floor=abs(g0))
+    return _check_tail(complex(val), g_ends, a, b, x0, scale, envelope, floor=abs(g0))
 
 
 def _line_integral(g, sigma: complex, config: QuadratureConfig, *,
                    bounds: tuple[float, float], scale: float,
                    g_sigma: complex | None,
-                   breakpoints: tuple[float, ...] = ()) -> complex:
-    """int_a^b g(v)/(v - sigma) dv for Im sigma != 0 (plain real-line integral)."""
+                   breakpoints: tuple[float, ...] = ()):
+    """(plain line integral int_a^b g(v)/(v - sigma) dv, Im sigma != 0; g(a), g(b))."""
     a, b = bounds
     x0 = float(np.real(sigma))
     if g_sigma is None:
         # no usable value of g at sigma: direct quadrature, panels refined
-        # down to the pole distance
+        # down to the pole distance. They can hold many times the nodes of the
+        # subtracted path, so g is called per segment to keep temporaries small.
         eff = min(scale, max(abs(np.imag(sigma)), scale / 64.0))
-        interior = [x for x in (x0, *breakpoints) if a < x < b]
-        edges = sorted({a, b, *interior})
+        edges = sorted({a, b, *(x for x in (x0, *breakpoints) if a < x < b)})
         total = 0.0 + 0.0j
         for lo, hi in zip(edges[:-1], edges[1:]):
-            npanels, order = _gauss.layout(hi - lo, eff, config.nodes)
-            vs, ws = _gauss.panel_nodes(lo, hi, npanels, order)
-            total += np.sum(g(vs) / (vs - sigma) * ws)
-        return complex(total)
+            panel = _gauss.panel_nodes(lo, hi, *_gauss.layout(hi - lo, eff, config.nodes))
+            part, g_ends = _panel_sum(g, [panel], a, b, lambda gv, vs: gv / (vs - sigma))
+            total += part
+        return complex(total), g_ends
     w = min(config.subtraction_window, 0.25 * (b - a))
     breaks = tuple(x for x in (x0 - w, x0, x0 + w) if a < x < b) + breakpoints
-    val = _subtracted_panels(g, g_sigma, sigma, a, b, breaks, scale, config.nodes)
+    val, g_ends = _subtracted_panels(g, g_sigma, sigma, a, b, breaks, scale,
+                                     config.nodes)
     val += g_sigma * (np.log(b - sigma) - np.log(a - sigma))
-    return complex(val)
+    return complex(val), g_ends
 
 
 def singular_integral(g, sigma: complex, branch: Branch,
@@ -206,12 +203,12 @@ def singular_integral(g, sigma: complex, branch: Branch,
             g_sigma = _eval_at(g, complex(np.real(sigma)))
         elif branch is Branch.LOWER:
             raise
-    val = _line_integral(g, sigma, config, bounds=(a, b), scale=scale,
-                         g_sigma=g_sigma, breakpoints=breakpoints)
+    val, g_ends = _line_integral(g, sigma, config, bounds=(a, b), scale=scale,
+                                 g_sigma=g_sigma, breakpoints=breakpoints)
     if branch is Branch.LOWER:
         val += 2j * np.pi * g_sigma
     floor = abs(g_sigma) if g_sigma is not None else 0.0
-    return _check_tail(complex(val), g, a, b, sigma, scale, envelope, floor=floor)
+    return _check_tail(complex(val), g_ends, a, b, sigma, scale, envelope, floor=floor)
 
 
 def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],
@@ -234,12 +231,14 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
             p = p * v + c
         return p * profiles._eval_df_raw(profile, v)
 
+    # the truncation interval covers the profile support and the resonance point
+    (lo, hi), scale, breakpoints, envelope = profile.quadrature_hints
+    span = max(config.truncation_halfwidth,
+               8.0 * profile.width + abs(profile.drift) + abs(np.real(sigma)))
     return singular_integral(
         g, sigma, classify_branch(sigma, config), config,
-        bounds=profile_bounds(profile, sigma, config),
-        scale=profiles.resolution_scale(profile),
-        envelope=_weighted_envelope(profile),
-        breakpoints=profiles.analyticity_breakpoints(profile))
+        bounds=(min(lo, -span), max(hi, span)), scale=scale,
+        envelope=envelope, breakpoints=breakpoints)
 
 
 def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,
@@ -253,13 +252,6 @@ def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,
     if abs(sigma) < 1e-14:
         raise ZeroSigma("resonance integral undefined at sigma = 0")
     return cauchy_transform(profile, (0.0, 1.0), sigma, config) / sigma
-
-
-def _weighted_envelope(profile: profiles.VelocityProfile) -> tuple[float, float]:
-    # envelope for p(v) f'(v): Gaussian decay beats the polynomial weight; widen
-    # C0 by a generous velocity factor and soften C1
-    c0, c1 = profiles.decay_envelope(profile)
-    return (c0 * 50.0 * (1.0 + abs(profile.drift) + profile.width), 0.5 * c1)
 
 
 def resonance_asymptotic(profile: profiles.VelocityProfile, sigma: complex,

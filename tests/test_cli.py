@@ -77,6 +77,11 @@ class TestExitCodes:
         ("simulate", "maxwellian-stable", {"sim": {"nv": 128}}),
         ("illposed-demo", "bump-unstable", {"illposed": {"k_list": [8.0, 16.0]}}),
         ("illposed-demo", "bump-unstable", {"illposed": {"nv": 128}}),
+        ("thin-spray", "thin-spray-sweep", {"sweep": {"kappa_values": [4e-3, "x"]}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"im_sigma": "x"}}),
+        ("roots", "maxwellian-stable", {"root_tolerance": "x"}),
+        ("simulate", "maxwellian-stable", {"sim": {"k": 0}}),
+        ("simulate", "bump-unstable", {"sim": {"init": {"sigma": [4.5]}}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

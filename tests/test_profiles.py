@@ -55,7 +55,7 @@ class TestMaxwellian:
             eval_df(std_maxwellian, 2.0 - 0.7j)
 
     def test_envelope_bound_on_strip(self, std_maxwellian):
-        c0, c1 = profiles.decay_envelope(std_maxwellian)
+        c0, c1 = std_maxwellian.bound_consts
         delta = std_maxwellian.strip_halfwidth
         for y in (0.0, 0.5 * delta, delta):
             x = np.linspace(5.0, 11.0, 31)
@@ -126,7 +126,7 @@ class TestBumpOnTail:
         assert np.isfinite(eval_f(bump_profile, 4.5))
 
     def test_envelope_dominates_bump(self, bump_profile):
-        c0, c1 = profiles.decay_envelope(bump_profile)
+        c0, c1 = bump_profile.bound_consts
         x = np.linspace(5.0, 12.0, 141)
         vals = np.abs(eval_f(bump_profile, x))
         assert np.all(vals <= c0 * np.exp(-c1 * x**2) * (1 + 1e-12))

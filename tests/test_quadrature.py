@@ -5,6 +5,9 @@ import pytest
 
 from conftest import (contour_deformed_integral, dawson_series,
                       dense_line_integral, profile_integrand)
+from scipy.special import wofz
+
+from spraywaves import _gauss, profiles
 from spraywaves.errors import QuadratureDivergence, ZeroSigma
 from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
                                    classify_branch, pv_integral, resonance_asymptotic,
@@ -18,6 +21,19 @@ DAWSON = {0.5: 0.42443638350202244, 1.0: 0.5380795069127684, 2.0: 0.301340388923
 
 def unit_gaussian(v):
     return np.exp(-np.asarray(v, dtype=complex) ** 2) / math.sqrt(math.pi)
+
+
+def maxwellian_closed_form(sigma, mass=1.0, drift=0.0, width=1.0):
+    """Continued int v f'(v)/(v - sigma) dv of a Maxwellian via the Faddeeva function.
+
+    With zeta = (sigma - drift)/width and Z(z) = i sqrt(pi) w(z) this is
+    -sigma (mass/width^2) (1 + zeta Z(zeta/sqrt 2)/sqrt 2); for the unit
+    Maxwellian, -sigma - sigma^2 Z(sigma/sqrt 2)/sqrt 2. w is entire, so the
+    same expression holds on all three branches.
+    """
+    zeta = (sigma - drift) / width
+    z = 1j * math.sqrt(math.pi) * wofz(zeta / math.sqrt(2.0))
+    return -sigma * mass / width**2 * (1.0 + zeta * z / math.sqrt(2.0))
 
 
 class TestConfig:
@@ -157,6 +173,60 @@ class TestCauchyTransform:
                      for lo, hi in zip(edges[:-1], edges[1:]))
         val = cauchy_transform(profile, weight, sigma, CFG)
         assert val == pytest.approx(oracle, abs=1e-9)
+
+
+class TestFaddeevaOracle:
+    SIGMAS = [0.5 + 0.3j, -1.7 + 1.0j, 2.2 + 0.05j,            # upper branch
+              0.2, 1.3, -0.7, 3.1,                            # real axis
+              0.9 - 0.1j, -1.4 - 0.3j, 1.1 - 0.49j, -2.5 - 0.49j]  # lower branch
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_unit_maxwellian(self, std_maxwellian, sigma):
+        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+        expected = complex(-sigma - sigma**2 * 1j * math.sqrt(math.pi)
+                           * wofz(sigma / math.sqrt(2.0)) / math.sqrt(2.0))
+        assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert expected == pytest.approx(maxwellian_closed_form(sigma), abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_two_maxwellian_sum(self, sigma):
+        parts = [(0.4, -1.5, 1.0), (0.6, 2.0, 1.2)]
+        profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
+        val = cauchy_transform(profile, (0.0, 1.0), sigma, CFG)
+        expected = sum(maxwellian_closed_form(sigma, *p) for p in parts)
+        assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestNodeCache:
+    def test_values_independent_of_evaluation_order(self, std_maxwellian):
+        # two bumps that differ only in eps share every breakpoint, bound and
+        # panel; alternating them and the weights must not leak values
+        def bump(eps):
+            return profiles.make_bump_on_tail(std_maxwellian, eps=eps, eta=0.5,
+                                              c_star=5.0)
+
+        sigmas = (4.8 + 0.1j, 5.3, 4.2 - 0.05j, 5.6 + 0.02j)
+        combos = [(eps, weight) for eps in (0.05, 0.2) for weight in ((1.0,), (0.0, 1.0))]
+        alone = {}
+        for eps, weight in combos:
+            _gauss._cached_panels.cache_clear()
+            profile = bump(eps)
+            alone[eps, weight] = [cauchy_transform(profile, weight, s, CFG)
+                                  for s in sigmas]
+        shared = {eps: bump(eps) for eps in (0.05, 0.2)}
+        for _ in range(2):
+            for i, sigma in enumerate(sigmas):
+                for eps, weight in combos:
+                    val = cauchy_transform(shared[eps], weight, sigma, CFG)
+                    assert val == alone[eps, weight][i]
+
+    def test_cached_nodes_are_read_only(self):
+        nodes, weights = _gauss.panel_nodes(-1.0, 2.0, 4, 12)
+        assert nodes is _gauss.panel_nodes(-1.0, 2.0, 4, 12)[0]
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestResonanceIntegral:
