@@ -363,6 +363,9 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
         if init_type == "eigenmode" and "sigma" in init_spec:
             re_sigma, im_sigma = init_spec["sigma"]
             sigma = complex(float(re_sigma), float(im_sigma))
+        t_final = float(sim["t_final"]) if "t_final" in sim else None
+        growth_spans = float(sim.get("growth_spans", 6.0))
+        periods = float(sim.get("periods", 10.0))
     except (ValueError, TypeError) as err:
         raise ConfigError(f"invalid sim config: {err}") from err
     if init_type == "eigenmode":
@@ -373,15 +376,11 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
             if not reports:
                 raise SprayWaveError("no dispersion root found to seed the eigenmode")
             sigma = max(reports, key=lambda r: r.sigma.imag).sigma
-        if "t_final" in sim:
-            t_final = float(sim["t_final"])
-        elif sigma.imag > 0:
-            t_final = float(sim.get("growth_spans", 6.0)) / (k * sigma.imag)
-        else:
-            t_final = 10.0 * 2.0 * math.pi / (k * params.c0)
-    else:
-        periods = float(sim.get("periods", 10.0))
-        t_final = float(sim.get("t_final", periods * 2.0 * math.pi / (k * params.c0)))
+        if t_final is None:
+            t_final = (growth_spans / (k * sigma.imag) if sigma.imag > 0
+                       else 10.0 * 2.0 * math.pi / (k * params.c0))
+    elif t_final is None:
+        t_final = periods * 2.0 * math.pi / (k * params.c0)
     try:
         config = modesim.default_sim_config(params, profile, k, t_final=t_final,
                                             nv=int(sim.get("nv", 2048)))
@@ -389,14 +388,14 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
             config = modesim.SimConfig(nv=config.nv, v_bounds=config.v_bounds,
                                        dt=float(sim["dt"]), t_final=config.t_final,
                                        fit_window=config.fit_window)
+        if init_type == "acoustic":
+            state = modesim.acoustic_state(params, k, config,
+                                           direction=init_spec.get("direction", 1))
     except (ValueError, TypeError) as err:
         raise ConfigError(f"invalid sim config: {err}") from err
     if init_type == "eigenmode":
         state = modesim.init_eigenmode(params, profile, sigma, k, config, qconfig)
-    elif init_type == "acoustic":
-        state = modesim.acoustic_state(params, k, config,
-                                       direction=int(init_spec.get("direction", 1)))
-    else:
+    elif init_type != "acoustic":
         raise ConfigError(f"unknown sim init type {init_type!r}")
     return config, state, sigma
 

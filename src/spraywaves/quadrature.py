@@ -76,12 +76,13 @@ def _default_bounds(sigma: complex, config: QuadratureConfig) -> tuple[float, fl
     return (-span, span)
 
 
-def _check_tail(value: complex, g_ends, a, b, sigma, scale, envelope,
+def _check_tail(value: complex, g_ends, terms, a, b, sigma, scale, envelope,
                 floor: float = 0.0):
     # The divergence check is armed only when the caller supplies a decay
     # envelope (profile-backed integrands always do); raw callables on a
     # finite truncation interval are taken at face value. `g_ends` holds
     # g(a), g(b); `floor` guards symmetric near-zero results (odd integrands).
+    # a result inside the rounding noise of the summed `terms` counts as 0.
     if envelope is None:
         return value
     dist = max(min(abs(a - np.real(sigma)), abs(b - np.real(sigma))), scale)
@@ -92,7 +93,8 @@ def _check_tail(value: complex, g_ends, a, b, sigma, scale, envelope,
     # the global Gaussian envelope can grossly overestimate compact bumps;
     # trust the endpoint samples (with margin) when they are smaller
     tail = float(min(env, sample))
-    if tail > _TAIL_FRACTION * max(abs(value), floor, 1e-300):
+    if tail > _TAIL_FRACTION * max(abs(value), floor, 1e-300) and \
+            tail > _TAIL_FRACTION * np.finfo(float).eps * float(np.sum(np.abs(terms))):
         raise QuadratureDivergence(
             f"truncation tail estimate {tail:.3g} exceeds {_TAIL_FRACTION:g} "
             f"of result magnitude {abs(value):.3g}")
@@ -104,8 +106,8 @@ def _eval_at(g, s: complex) -> complex:
 
 
 def _panel_sum(g, panels, a: float, b: float, integrand):
-    """(sum of integrand(g(v), v) * w over the (nodes, weights) panels, g(a), g(b)),
-    calling g once on all nodes and a, b; each panel is summed alone, in order."""
+    """(sum of integrand(g(v), v) * w over the (nodes, weights) panels, g(a), g(b),
+    terms), with one g call on all nodes and a, b; panels are summed alone, in order."""
     vs = np.concatenate([v for v, _ in panels])
     gv = g(np.concatenate([vs, (a, b)]))
     terms = integrand(gv[:-2], vs) * np.concatenate([w for _, w in panels])
@@ -113,12 +115,12 @@ def _panel_sum(g, panels, a: float, b: float, integrand):
     for v, _ in panels:
         total += np.add.reduce(terms[start:start + v.size])
         start += v.size
-    return total, gv[-2:]
+    return total, gv[-2:], terms
 
 
 def _subtracted_panels(g, g_at_s: complex, s: complex, a: float, b: float,
                        breakpoints: tuple[float, ...], scale: float, nodes: int):
-    """(int of (g(v) - g(s))/(v - s) over [a, b] split at breakpoints, g(a), g(b))."""
+    """(int of (g(v) - g(s))/(v - s) on [a, b] cut at breakpoints, g(a), g(b), terms)."""
     edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
     panels = [_gauss.panel_nodes(lo, hi, *_gauss.layout(
         hi - lo, scale, max(64, nodes * (hi - lo) / (b - a))))
@@ -141,17 +143,18 @@ def pv_integral(g, x0: float, config: QuadratureConfig = DEFAULT_CONFIG, *,
     g0 = _eval_at(g, complex(x0))
     w = min(config.subtraction_window, 0.5 * (b - x0), 0.5 * (x0 - a))
     breaks = (x0 - w, x0, x0 + w) + breakpoints
-    val, g_ends = _subtracted_panels(g, g0, complex(x0), a, b, breaks, scale,
-                                     config.nodes)
+    val, g_ends, terms = _subtracted_panels(g, g0, complex(x0), a, b, breaks, scale,
+                                            config.nodes)
     val += g0 * np.log((b - x0) / (x0 - a))
-    return _check_tail(complex(val), g_ends, a, b, x0, scale, envelope, floor=abs(g0))
+    return _check_tail(complex(val), g_ends, terms, a, b, x0, scale, envelope,
+                       floor=abs(g0))
 
 
 def _line_integral(g, sigma: complex, config: QuadratureConfig, *,
                    bounds: tuple[float, float], scale: float,
                    g_sigma: complex | None,
                    breakpoints: tuple[float, ...] = ()):
-    """(plain line integral int_a^b g(v)/(v - sigma) dv, Im sigma != 0; g(a), g(b))."""
+    """(int_a^b g(v)/(v - sigma) dv, Im sigma != 0; g(a), g(b); terms or sum |terms|)."""
     a, b = bounds
     x0 = float(np.real(sigma))
     if g_sigma is None:
@@ -160,18 +163,20 @@ def _line_integral(g, sigma: complex, config: QuadratureConfig, *,
         # subtracted path, so g is called per segment to keep temporaries small.
         eff = min(scale, max(abs(np.imag(sigma)), scale / 64.0))
         edges = sorted({a, b, *(x for x in (x0, *breakpoints) if a < x < b)})
-        total = 0.0 + 0.0j
+        total, mass = 0.0 + 0.0j, 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             panel = _gauss.panel_nodes(lo, hi, *_gauss.layout(hi - lo, eff, config.nodes))
-            part, g_ends = _panel_sum(g, [panel], a, b, lambda gv, vs: gv / (vs - sigma))
+            part, g_ends, terms = _panel_sum(g, [panel], a, b,
+                                             lambda gv, vs: gv / (vs - sigma))
             total += part
-        return complex(total), g_ends
+            mass += float(np.sum(np.abs(terms)))
+        return complex(total), g_ends, (mass,)
     w = min(config.subtraction_window, 0.25 * (b - a))
     breaks = tuple(x for x in (x0 - w, x0, x0 + w) if a < x < b) + breakpoints
-    val, g_ends = _subtracted_panels(g, g_sigma, sigma, a, b, breaks, scale,
-                                     config.nodes)
+    val, g_ends, terms = _subtracted_panels(g, g_sigma, sigma, a, b, breaks, scale,
+                                            config.nodes)
     val += g_sigma * (np.log(b - sigma) - np.log(a - sigma))
-    return complex(val), g_ends
+    return complex(val), g_ends, terms
 
 
 def singular_integral(g, sigma: complex, branch: Branch,
@@ -203,12 +208,13 @@ def singular_integral(g, sigma: complex, branch: Branch,
             g_sigma = _eval_at(g, complex(np.real(sigma)))
         elif branch is Branch.LOWER:
             raise
-    val, g_ends = _line_integral(g, sigma, config, bounds=(a, b), scale=scale,
-                                 g_sigma=g_sigma, breakpoints=breakpoints)
+    val, g_ends, terms = _line_integral(g, sigma, config, bounds=(a, b), scale=scale,
+                                        g_sigma=g_sigma, breakpoints=breakpoints)
     if branch is Branch.LOWER:
         val += 2j * np.pi * g_sigma
     floor = abs(g_sigma) if g_sigma is not None else 0.0
-    return _check_tail(complex(val), g_ends, a, b, sigma, scale, envelope, floor=floor)
+    return _check_tail(complex(val), g_ends, terms, a, b, sigma, scale, envelope,
+                       floor=floor)
 
 
 def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],

@@ -82,6 +82,12 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"root_tolerance": "x"}),
         ("simulate", "maxwellian-stable", {"sim": {"k": 0}}),
         ("simulate", "bump-unstable", {"sim": {"init": {"sigma": [4.5]}}}),
+        ("simulate", "maxwellian-stable", {"sim": {"periods": "x"}}),
+        ("simulate", "maxwellian-stable", {"sim": {"t_final": "x"}}),
+        ("simulate", "bump-unstable", {"sim": {"growth_spans": "x"}}),
+        ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": "x"}}}),
+        ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 0}}}),
+        ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 1.5}}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

@@ -95,6 +95,62 @@ class TestRhs:
         assert np.max(np.abs(d.f_hat - lam * state.f_hat)) <= 1e-8
 
 
+def textbook_rk4(params, profile, state, cfg):
+    """Four classical stages of rhs per step, at the step integrate() uses."""
+    nsteps = max(1, math.ceil(cfg.t_final / cfg.dt))
+    dt = cfg.t_final / nsteps
+
+    def axpy(s, h, d):
+        return ModeState(k=s.k, tau_hat=s.tau_hat + h * d.tau_hat,
+                         u_hat=s.u_hat + h * d.u_hat, f_hat=s.f_hat + h * d.f_hat)
+
+    taus, us = [state.tau_hat], [state.u_hat]
+    for _ in range(nsteps):
+        k1 = rhs(params, profile, state, cfg)
+        k2 = rhs(params, profile, axpy(state, dt / 2, k1), cfg)
+        k3 = rhs(params, profile, axpy(state, dt / 2, k2), cfg)
+        k4 = rhs(params, profile, axpy(state, dt, k3), cfg)
+        for stage, weight in ((k1, 1.0), (k2, 2.0), (k3, 2.0), (k4, 1.0)):
+            state = axpy(state, weight * dt / 6.0, stage)
+        taus.append(state.tau_hat)
+        us.append(state.u_hat)
+    return np.array(taus), np.array(us), state.f_hat
+
+
+class TestClosedFormStep:
+    """integrate() applies each RK4 step in closed form; rhs is the reference L."""
+
+    @staticmethod
+    def assert_matches_textbook(params, profile, state, cfg):
+        traj = integrate(params, profile, state, cfg)
+        taus, us, f = textbook_rk4(params, profile, state, cfg)
+        assert len(traj.times) == len(taus) >= 200
+        rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
+        assert rel(traj.tau_hat, taus) <= 1e-12
+        assert rel(traj.u_hat, us) <= 1e-12
+        assert rel(traj.final_state.f_hat, f) <= 1e-12
+
+    def test_bump_eigenmode(self, bump_params, bump_profile, bump_root):
+        # a narrow window around the bump resolves Im sigma at nv = 256
+        k = 4.0
+        base = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=1.0, t_final=1.0,
+                         fit_window=(0.2, 0.8))
+        dt = 0.9 * modesim.cfl_limit(bump_params, base, k)
+        cfg = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=dt, t_final=200 * dt,
+                        fit_window=(0.0, 200 * dt))
+        state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
+        self.assert_matches_textbook(bump_params, bump_profile, state, cfg)
+
+    def test_acoustic_without_coupling(self, acoustic_params, std_maxwellian):
+        k = 1.0
+        base = default_sim_config(acoustic_params, std_maxwellian, k, t_final=1.0,
+                                  nv=256)
+        cfg = default_sim_config(acoustic_params, std_maxwellian, k,
+                                 t_final=200 * base.dt, nv=256)
+        state = acoustic_state(acoustic_params, k, cfg)
+        self.assert_matches_textbook(acoustic_params, std_maxwellian, state, cfg)
+
+
 class TestInitEigenmode:
     def test_not_a_root_rejected(self, bump_params, bump_profile):
         cfg = default_sim_config(bump_params, bump_profile, 8.0, t_final=1.0, nv=2048)

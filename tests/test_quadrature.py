@@ -9,6 +9,7 @@ from scipy.special import wofz
 
 from spraywaves import _gauss, profiles
 from spraywaves.errors import QuadratureDivergence, ZeroSigma
+from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
 from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
                                    classify_branch, pv_integral, resonance_asymptotic,
                                    resonance_integral, singular_integral)
@@ -195,6 +196,18 @@ class TestFaddeevaOracle:
         val = cauchy_transform(profile, (0.0, 1.0), sigma, CFG)
         expected = sum(maxwellian_closed_form(sigma, *p) for p in parts)
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestTailCheck:
+    def test_exact_zero_by_symmetry_is_not_divergence(self):
+        # v f'(v)/(v - 0) = f'(v) is odd for a symmetric profile, so the
+        # principal value at 0 cancels to rounding level while g(0) = 0; a
+        # tail of 1e-72 must not count as divergence against that zero
+        profile = profiles.profile_sum(profiles.maxwellian(0.4, -1.5, 1.0),
+                                       profiles.maxwellian(0.4, 1.5, 1.0))
+        assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0, CFG)) <= 1e-15
+        coupling = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=profile)
+        assert scalar_dispersion(coupling, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestNodeCache:
