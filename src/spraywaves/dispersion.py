@@ -46,10 +46,10 @@ class SprayParams:
     u0: float = 0.0
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.rho0 <= 0:
-            raise ValueError("c0 and rho0 must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if not (0 < self.c0 < math.inf and 0 < self.rho0 < math.inf):
+            raise ValueError("c0 and rho0 must be positive and finite")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be >= 0 and finite")
         if not (0.0 < self.alpha0 <= 1.0):
             raise ValueError("alpha0 must lie in (0, 1]")
 

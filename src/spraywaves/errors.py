@@ -21,8 +21,8 @@ class ZeroSigma(SprayWaveError):
     """Phase velocity too close to the sigma = 0 pole."""
 
 
-class QuadratureDivergence(SprayWaveError):
-    """Truncated-tail estimate exceeds the allowed fraction of the result."""
+class FaddeevaOverflow(SprayWaveError):
+    """exp(-z^2) in the Faddeeva function overflows deep in the lower half-plane."""
 
 
 class BoundaryRoot(SprayWaveError):

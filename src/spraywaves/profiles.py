@@ -45,7 +45,6 @@ class VelocityProfile:
     drift: float = 0.0
     width: float = 1.0
     strip_halfwidth: float = 0.0         # filled in __post_init__ when 0
-    bound_consts: tuple[float, float] = (0.0, 0.0)  # |f| <= C0 exp(-C1 (Re v)^2)
     eps: float | None = None
     eta: float | None = None
     c_star: float | None = None
@@ -61,8 +60,6 @@ class VelocityProfile:
             object.__setattr__(self, "strip_halfwidth", self._default_strip())
         if self.strip_halfwidth <= 0:
             raise ValueError("strip_halfwidth must be positive")
-        if self.bound_consts == (0.0, 0.0):
-            object.__setattr__(self, "bound_consts", self._fit_envelope())
 
     def _default_strip(self) -> float:
         if self.kind == "maxwellian":
@@ -72,33 +69,26 @@ class VelocityProfile:
             return min(self.base.strip_halfwidth, 0.5 * self.eta)
         return min(p.strip_halfwidth for p in self.parts)
 
-    def _fit_envelope(self) -> tuple[float, float]:
-        # Gaussian envelope |f| <= C0 exp(-C1 x^2) on the strip, fitted on a
-        # sample grid (used for truncation-tail estimates, not for physics).
-        c1 = 1.0 / (4.0 * self.width**2)
-        lo, hi = support_bounds(self)
-        xs = np.linspace(lo, hi, 241)
-        vals = np.abs(_eval_f_raw(self, xs))
-        for level in (0.5, 1.0):
-            y = level * self.strip_halfwidth
-            safe = _strip_safe_mask(self, xs, y)
-            if np.any(safe):
-                zs = xs[safe] + 1j * y
-                vals = np.concatenate([vals, np.abs(_eval_f_raw(self, zs))])
-                xs = np.concatenate([xs, xs[safe]])
-        c0 = float(np.max(vals * np.exp(c1 * np.real(xs) ** 2))) * 1.25
-        return (c0, c1)
-
     @cached_property
     def quadrature_hints(self) -> tuple:
-        """(support bounds, resolution scale, analyticity breakpoints, decay
-        envelope of p(v) f'(v)), computed once per profile object."""
-        # Gaussian decay beats any polynomial weight p: widen C0 by a generous
-        # velocity factor and soften C1
-        c0, c1 = self.bound_consts
-        return (support_bounds(self), resolution_scale(self),
-                analyticity_breakpoints(self),
-                (c0 * 50.0 * (1.0 + abs(self.drift) + self.width), 0.5 * c1))
+        """f split into Maxwellians (mass with mixture weight, drift, width,
+        strip) and bump terms (bump-on-tail profile, weight, support,
+        breakpoints), plus the resolution scale; computed once per object."""
+        gaussians, bumps = [], []
+
+        def walk(p: VelocityProfile, coef: float) -> None:
+            if p.kind == "maxwellian":
+                gaussians.append((coef * p.mass, p.drift, p.width, p.strip_halfwidth))
+            elif p.kind == "bump_on_tail":
+                walk(p.base, coef * (1.0 - p.eps))
+                bumps.append((p, coef, (p.c_star - p.eta, p.c_star + p.eta),
+                              analyticity_breakpoints(p)))
+            else:
+                for part in p.parts:
+                    walk(part, coef)
+
+        walk(self, 1.0)
+        return tuple(gaussians), tuple(bumps), resolution_scale(self)
 
 
 def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
@@ -169,19 +159,6 @@ def _bump_constants() -> tuple[float, float, float]:
     return 1.0 / i0, m1, m2
 
 
-def _strip_safe_mask(profile: VelocityProfile, re_v, im_v) -> np.ndarray:
-    """Points where complex evaluation at re_v + i*im_v is well defined."""
-    re_v = np.atleast_1d(np.asarray(re_v, dtype=float))
-    ok = np.full(re_v.shape, abs(im_v) <= profile.strip_halfwidth)
-    if profile.kind == "bump_on_tail" and im_v != 0.0:
-        w = (re_v - profile.c_star) / profile.eta
-        ok &= np.abs(np.abs(w) - 1.0) >= BUMP_EDGE_MARGIN
-    if profile.kind == "sum":
-        for p in profile.parts:
-            ok &= _strip_safe_mask(p, re_v, im_v)
-    return ok
-
-
 def _check_strip(profile: VelocityProfile, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     im = np.imag(v)
@@ -220,12 +197,15 @@ def _eval_df_raw(profile: VelocityProfile, v) -> np.ndarray:
     if profile.kind == "maxwellian":
         return -(v - profile.drift) / profile.width**2 * _eval_f_raw(profile, v)
     if profile.kind == "bump_on_tail":
-        c, _, _ = _bump_constants()
-        w = (v - profile.c_star) / profile.eta
-        amp = profile.eps * _base_mass(profile.base) / profile.eta**2
-        return ((1.0 - profile.eps) * _eval_df_raw(profile.base, v)
-                + amp * c * _bump_raw_deriv(w))
+        return (1.0 - profile.eps) * _eval_df_raw(profile.base, v) + _bump_df(profile, v)
     return sum(_eval_df_raw(p, v) for p in profile.parts)
+
+
+def _bump_df(profile: VelocityProfile, v) -> np.ndarray:
+    """Velocity derivative of the bump term alone of a bump-on-tail profile."""
+    c, _, _ = _bump_constants()
+    amp = profile.eps * _base_mass(profile.base) / profile.eta**2
+    return amp * c * _bump_raw_deriv((np.asarray(v) - profile.c_star) / profile.eta)
 
 
 @lru_cache(maxsize=256)

@@ -62,16 +62,18 @@ def dawson_series(x: float, terms: int = 200) -> float:
 
 
 def dense_line_integral(g, sigma: complex, lo: float = -np.inf,
-                        hi: float = np.inf) -> complex:
-    """Adaptive scipy quadrature of g(v)/(v - sigma) over the real line."""
+                        hi: float = np.inf, **tolerances) -> complex:
+    """Adaptive scipy quadrature of g(v)/(v - sigma) over the real line;
+    ``tolerances`` (epsabs, epsrel, limit) go to scipy.integrate.quad."""
     def real_part(v):
         return np.real(g(np.array([v]))[0] / (v - sigma))
 
     def imag_part(v):
         return np.imag(g(np.array([v]))[0] / (v - sigma))
 
-    re, _ = scipy_integrate.quad(real_part, lo, hi, limit=400)
-    im, _ = scipy_integrate.quad(imag_part, lo, hi, limit=400)
+    tolerances = {"limit": 400, **tolerances}
+    re, _ = scipy_integrate.quad(real_part, lo, hi, **tolerances)
+    im, _ = scipy_integrate.quad(imag_part, lo, hi, **tolerances)
     return complex(re, im)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,11 @@ class TestExitCodes:
         ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": "x"}}}),
         ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 0}}}),
         ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 1.5}}}),
+        ("roots", "maxwellian-stable", {"quadrature": {"nodes": 1e308}}),
+        ("roots", "maxwellian-stable", {"quadrature": {"L": math.nan}}),
+        ("roots", "maxwellian-stable", {"quadrature": {"window": math.nan}}),
+        ("roots", "maxwellian-stable",
+         {"params": {"c0": math.nan, "rho0": 1.0, "kappa": 0.01}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

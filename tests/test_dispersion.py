@@ -35,6 +35,13 @@ class TestDispersionValue:
         with pytest.raises(ValueError):
             dispersion_value(bad, std_maxwellian, 1.0)
 
+    @pytest.mark.parametrize("field", ["c0", "rho0", "kappa"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_params_reject_non_finite(self, field, value):
+        fields = {"c0": 1.0, "rho0": 1.0, "kappa": 0.01, "alpha0": 0.99}
+        with pytest.raises(ValueError):
+            SprayParams(**{**fields, field: value})
+
     def test_reflection_symmetry(self, maxwellian_params, std_maxwellian):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -262,10 +262,22 @@ class TestIntegrate:
         k = 8.0
         cfg = default_sim_config(bump_params, bump_profile, k, t_final=4.0, nv=2048)
         state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
-        # seeded so the kinetic amplitude crosses 1e150 mid-run
+        # the 3e148-scaled seed already has max|f| above 1e150 at t = 0, so
+        # the check stops the run at its first step
         huge = state.scaled(3e148)
         traj = integrate(bump_params, bump_profile, huge, cfg)
         assert traj.overflow
+        assert len(traj.times) - 1 == 1
+
+    def test_overflow_flag_mid_run(self, bump_params, bump_profile, bump_root):
+        # max|f| starts at 1e150 / 3 and the growing mode crosses 1e150 late
+        k = 8.0
+        cfg = default_sim_config(bump_params, bump_profile, k, t_final=4.0, nv=2048)
+        state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
+        seed = state.scaled(1e150 / (3.0 * np.max(np.abs(state.f_hat))))
+        traj = integrate(bump_params, bump_profile, seed, cfg)
+        assert traj.overflow
+        assert len(traj.times) - 1 == 3042
         assert 0.0 < traj.times[-1] < 4.0
 
 

@@ -8,7 +8,8 @@ from conftest import (contour_deformed_integral, dawson_series,
 from scipy.special import wofz
 
 from spraywaves import _gauss, profiles
-from spraywaves.errors import QuadratureDivergence, ZeroSigma
+from spraywaves._faddeeva import _L, _coefficients, faddeeva
+from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
 from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
                                    classify_branch, pv_integral, resonance_asymptotic,
@@ -47,6 +48,14 @@ class TestConfig:
             QuadratureConfig(axis_tolerance=1e-9)
         with pytest.raises(ValueError):
             QuadratureConfig(truncation_halfwidth=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("truncation_halfwidth", math.nan), ("truncation_halfwidth", math.inf),
+        ("subtraction_window", math.nan), ("subtraction_window", math.inf),
+        ("axis_tolerance", math.nan), ("nodes", 65538), ("nodes", 10**308)])
+    def test_rejects_non_finite_and_oversized(self, field, value):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**{field: value})
 
 
 class TestClassifyBranch:
@@ -151,12 +160,6 @@ class TestSingularIntegral:
                                QuadratureConfig(nodes=512), scale=1.0)
         assert abs(v1 - v2) < 1e-9
 
-    def test_divergence_on_abusive_truncation(self):
-        wide = lambda v: np.exp(-(np.asarray(v, dtype=complex) / 6.0) ** 2)
-        with pytest.raises(QuadratureDivergence):
-            singular_integral(wide, 0.5j, Branch.UPPER, CFG, bounds=(-2.0, 2.0),
-                              scale=1.0, envelope=(1.0, 1.0 / 36.0))
-
 
 class TestCauchyTransform:
     @pytest.mark.parametrize("profile_name,weight,sigma", [
@@ -174,6 +177,60 @@ class TestCauchyTransform:
                      for lo, hi in zip(edges[:-1], edges[1:]))
         val = cauchy_transform(profile, weight, sigma, CFG)
         assert val == pytest.approx(oracle, abs=1e-9)
+
+
+    @pytest.mark.parametrize("sigma", [0.4 + 0.3j, 2.0 + 1.5j, 1.1 - 0.2j])
+    def test_drifted_maxwellian_quartic_weight(self, sigma):
+        # the Gaussian moments of the closed form enter from degree 3 on
+        profile = profiles.maxwellian(0.7, 1.3, 0.8)
+        weight = (1.0, 0.2, -0.3, 0.1, -0.05)
+        df = profile_integrand(profile, "df")
+        g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
+        upper = complex(sigma.real, abs(sigma.imag))
+        oracle = dense_line_integral(g, upper, epsabs=0.0, epsrel=1e-12)
+        if sigma.imag < 0:
+            # lower branch: the conjugate of the upper value plus the residue
+            oracle = oracle.conjugate() + 2j * math.pi * g(np.array([sigma]))[0]
+        val = cauchy_transform(profile, weight, sigma, CFG)
+        assert val == pytest.approx(oracle, rel=1e-12)
+
+
+class TestStripContract:
+    """Only the lower branch needs the strip: beyond it StripViolation, above
+    the axis a value at any height."""
+
+    @pytest.mark.parametrize("sigma", [1.0 - 0.6j, -2.0 - 3.0j])
+    def test_maxwellian_lower_branch_beyond_strip_raises(self, std_maxwellian, sigma):
+        with pytest.raises(StripViolation):
+            cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+
+    @pytest.mark.parametrize("sigma", [1.0 + 0.6j, -2.0 + 3.0j])
+    def test_maxwellian_upper_branch_beyond_strip_returns(self, std_maxwellian, sigma):
+        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+        assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12)
+
+    def test_sum_uses_the_narrowest_strip(self):
+        profile = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),  # strip 0.3
+                                       profiles.maxwellian(0.5, 2.0, 1.0))   # strip 0.5
+        cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.29j, CFG)
+        with pytest.raises(StripViolation):
+            cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.31j, CFG)
+
+    @pytest.mark.parametrize("sigma", [4.0 - 0.3j, 4.49 - 0.1j, 5.5 - 0.02j])
+    def test_bump_lower_branch_raises(self, bump_profile, sigma):
+        # beyond the bump strip (0.25), or in the edge margin away from the axis
+        with pytest.raises(StripViolation):
+            cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+
+    @pytest.mark.parametrize("sigma", [4.0 + 0.3j, 4.49 + 0.1j, 5.5 + 0.02j])
+    def test_bump_upper_branch_returns(self, bump_profile, sigma):
+        g = profile_integrand(bump_profile, "v_df")
+        edges = sorted({-np.inf, 4.5, 5.5, sigma.real, np.inf})
+        oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
+                                         limit=2000)
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+        assert cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG) == \
+            pytest.approx(oracle, rel=1e-12)
 
 
 class TestFaddeevaOracle:
@@ -198,11 +255,54 @@ class TestFaddeevaOracle:
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+class TestFaddeevaKernel:
+    def test_against_scipy_wofz(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-4.0, 20.0, 2000),
+            rng.uniform(-6.0, 6.0, 1000) + 1j * rng.uniform(-4.0, 4.0, 1000),
+            rng.uniform(-50.0, 50.0, 400) + 0j,                      # real axis
+            [0j, 1.0, -1.0, 1e-8, 1e-8j, -1e-8j]])
+        expected = wofz(z)
+        ours = np.array([faddeeva(x) for x in z])
+        assert np.max(np.abs(ours - expected) / np.abs(expected)) <= 5e-14
+
+    def test_overflow_deep_in_lower_half_plane(self):
+        with pytest.raises(FaddeevaOverflow):
+            faddeeva(0.5 - 30j)
+
+    def test_coefficients_follow_weideman_recipe(self):
+        # Weideman (1994): N = 36, M = 2N, L = sqrt(N / sqrt 2), a_n from the FFT
+        # of exp(-t^2) (L^2 + t^2) sampled at t = L tan(k pi / 2M)
+        n = 36
+        m = 2 * n
+        scale = math.sqrt(n / math.sqrt(2.0))
+        t = scale * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+        f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+        a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+        assert _L == pytest.approx(scale, rel=1e-15)
+        np.testing.assert_allclose(_coefficients(), a[n:0:-1], rtol=1e-15, atol=5e-15)
+
+
+class TestBumpEdgeMargin:
+    @pytest.mark.parametrize("sigma", [4.5 + 0.01j, 5.5 + 1e-4j, 5.52 + 0.01j])
+    def test_upper_branch_against_split_oracle(self, bump_profile, sigma):
+        # sigma inside the edge margin, where the bump refuses complex
+        # evaluation and the subtraction falls back to the real-axis value
+        g = profile_integrand(bump_profile, "v_df")
+        edges = sorted({-np.inf, 4.5, 5.5, sigma.real, np.inf})
+        oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
+                                         limit=2000)
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+        val = cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+
 class TestTailCheck:
     def test_exact_zero_by_symmetry_is_not_divergence(self):
         # v f'(v)/(v - 0) = f'(v) is odd for a symmetric profile, so the
-        # principal value at 0 cancels to rounding level while g(0) = 0; a
-        # tail of 1e-72 must not count as divergence against that zero
+        # principal value at 0 cancels to rounding level while g(0) = 0; that
+        # zero must come back as a value, not as an error
         profile = profiles.profile_sum(profiles.maxwellian(0.4, -1.5, 1.0),
                                        profiles.maxwellian(0.4, 1.5, 1.0))
         assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0, CFG)) <= 1e-15
