@@ -48,3 +48,13 @@ def layout(length: float, scale: float, min_nodes: int) -> tuple[int, int]:
     npanels = min(max(by_scale, by_nodes, 4), 4096)
     order = max(10, math.ceil(min_nodes / npanels))
     return npanels, order + (order % 2)
+
+
+def segment_panels(a: float, b: float, breakpoints: tuple[float, ...], scale: float,
+                   nodes: int) -> list:
+    """(nodes, weights) of each segment of [a, b] cut at the breakpoints inside
+    it; a segment gets its length's share of `nodes`, at least 64."""
+    edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    return [panel_nodes(lo, hi, *layout(hi - lo, scale,
+                                        max(64, nodes * (hi - lo) / (b - a))))
+            for lo, hi in zip(edges[:-1], edges[1:])]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, dispersion, hyperbolic, modesim, profiles, quadrature
 from .dispersion import SearchRegion, SprayParams
-from .errors import SprayWaveError, ZeroSigma
+from .errors import InvalidBump, SprayWaveError, ZeroSigma
 from .hyperbolic import ScalarCoupling, SystemCoupling
 from .profiles import VelocityProfile
 from .quadrature import QuadratureConfig
@@ -83,7 +83,7 @@ def build_profile(d: dict) -> VelocityProfile:
                 c_star=float(d["c_star"]))
         if kind == "sum":
             return profiles.profile_sum(*(build_profile(p) for p in d["parts"]))
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, InvalidBump) as err:
         raise ConfigError(f"invalid profile config: {err}") from err
     raise ConfigError(f"unknown profile kind {kind!r}")
 
@@ -136,13 +136,17 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
     if profile is None:
         raise ConfigError("system config needs a profile (embedded or top-level)")
     try:
-        return SystemCoupling(
+        system = SystemCoupling(
             a_matrix=np.array(d["A"], dtype=float),
             grad_psi=np.array(d["grad_psi"], dtype=float),
             phi_coeffs=tuple(tuple(float(x) for x in row) for row in d["phi_coeffs"]),
             kappa=float(d["kappa"]), profile=profile)
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"invalid system config: {err}") from err
+    if not all(np.isfinite(x).all() for x in (system.a_matrix, system.grad_psi,
+                                               system.phi_coeffs)):
+        raise ConfigError("system A, grad_psi and phi_coeffs must be finite")
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +206,22 @@ def _write_growth_curves(out_dir: Path, trajectories) -> list[str]:
 # command handlers
 # ---------------------------------------------------------------------------
 
+_GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
+
+
 def _grid_axis(spec, default) -> np.ndarray:
     if spec is None:
         spec = default
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
     try:
-        return np.linspace(float(spec[0]), float(spec[1]), int(spec[2]))
-    except (ValueError, TypeError) as err:
+        lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
+    except (ValueError, TypeError, OverflowError) as err:
         raise ConfigError(f"invalid grid axis {spec!r}: {err}") from err
+    if not (math.isfinite(lo) and math.isfinite(hi) and 1 <= n <= _GRID_MAX_POINTS):
+        raise ConfigError(f"grid axis {spec!r} needs finite bounds and 1 to "
+                          f"{_GRID_MAX_POINTS} points")
+    return np.linspace(lo, hi, n)
 
 
 def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
@@ -467,6 +478,9 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
                                     kappa=float(spec["kappa"]), profile=profile)
         except (KeyError, ValueError, TypeError) as err:
             raise ConfigError(f"invalid scalar config: {err}") from err
+        if abs(scalar.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
+            raise ConfigError(f"scalar.kappa must satisfy |kappa| <= "
+                              f"{hyperbolic.SCALAR_KAPPA_MAX} for the root continuation")
         system = hyperbolic.scalar_as_system(scalar)
     else:
         raise ConfigError("stability-check needs a 'system' or 'scalar' config block")

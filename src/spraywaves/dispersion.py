@@ -66,7 +66,7 @@ def make_params(profile: VelocityProfile, c0: float, rho0: float,
 
 
 def check_compatibility(params: SprayParams, profile: VelocityProfile) -> None:
-    expected = 1.0 - params.kappa * profiles.moment(profile, 0)
+    expected = 1.0 - params.kappa * profile.m0
     if abs(params.alpha0 - expected) > _COMPAT_TOL:
         raise ValueError(
             f"alpha0={params.alpha0} inconsistent with 1 - kappa*m0 = {expected}")

@@ -35,6 +35,8 @@ DECOUPLED = "decoupled"
 
 _DECOUPLE_TOL = 1e-12
 _GAP_TOL = 1e-8
+# largest |kappa| from which the scalar root continuation is guaranteed to start
+SCALAR_KAPPA_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class ScalarCoupling:
     profile: VelocityProfile
 
     def __post_init__(self):
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.kappa)):
+            raise ValueError("lambda0 and kappa must be finite")
         if self.lambda0 == 0.0:
             raise ValueError("small-coupling analysis requires lambda0 != 0")
 
@@ -78,6 +82,8 @@ class SystemCoupling:
             raise ValueError("grad_psi must have length N")
         if any(len(c) != n for c in self.phi_coeffs):
             raise ValueError("each phi coefficient must have length N")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
 
     @property
     def dim(self) -> int:
@@ -142,8 +148,9 @@ def scalar_dispersion(c: ScalarCoupling, omega: complex,
 def scalar_root(c: ScalarCoupling, tol: float = 1e-12,
                 config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> RootReport:
     """Coupled root continued from omega = lambda0, stepping kappa in 8 increments."""
-    if abs(c.kappa) > 0.1:
-        raise ValueError("continuation start guaranteed only for |kappa| <= 0.1")
+    if abs(c.kappa) > SCALAR_KAPPA_MAX:
+        raise ValueError(f"continuation start guaranteed only for |kappa| <= "
+                         f"{SCALAR_KAPPA_MAX}")
     omega = complex(c.lambda0)
     iters_total = 0
     if c.kappa != 0.0:

@@ -54,12 +54,18 @@ class VelocityProfile:
     def __post_init__(self):
         if self.kind not in ("maxwellian", "bump_on_tail", "sum"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        for name in ("mass", "drift", "width", "strip_halfwidth", "eps", "eta", "c_star"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite")
         if self.mass <= 0 or self.width <= 0:
             raise ValueError("mass and width must be positive")
         if self.strip_halfwidth == 0.0:
             object.__setattr__(self, "strip_halfwidth", self._default_strip())
         if self.strip_halfwidth <= 0:
             raise ValueError("strip_halfwidth must be positive")
+        lo, hi = support_bounds(self)
+        if not math.isfinite(hi - lo + 4.0 * self.width):
+            raise ValueError("profile support overflows")
 
     def _default_strip(self) -> float:
         if self.kind == "maxwellian":
@@ -89,6 +95,16 @@ class VelocityProfile:
 
         walk(self, 1.0)
         return tuple(gaussians), tuple(bumps), resolution_scale(self)
+
+    @cached_property
+    def m0(self) -> float:
+        """Total mass moment(self, 0), computed once per object."""
+        return moment(self, 0)
+
+    @cached_property
+    def node_sets(self) -> dict:
+        """Quadrature nodes per (weight, node count), filled by `quadrature`."""
+        return {}
 
 
 def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
@@ -137,15 +153,24 @@ def _bump_raw(w):
     return out
 
 
+def _bump_shape_deriv(w, exp):
+    """g'(w) inside (-1, 1), for numpy arrays or (with a scalar exp) numbers."""
+    q = 1.0 - w * w
+    return exp(-1.0 / q) * (1.0 + w) * (2.0 - 2.0 * w * (1.0 + w) / (q * q))
+
+
 def _bump_raw_deriv(w):
     w = np.asarray(w)
     out = np.zeros_like(w, dtype=complex)
     inside = np.abs(np.real(w)) < 1.0
     if np.any(inside):
-        wi = w[inside]
-        q = 1.0 - wi * wi
-        out[inside] = np.exp(-1.0 / q) * (1.0 + wi) * (2.0 - 2.0 * wi * (1.0 + wi) / q**2)
+        out[inside] = _bump_shape_deriv(w[inside], np.exp)
     return out
+
+
+def _exp(z: complex) -> complex:
+    r = math.exp(z.real)
+    return complex(r * math.cos(z.imag), r * math.sin(z.imag))
 
 
 @lru_cache(maxsize=1)
@@ -187,7 +212,7 @@ def _eval_f_raw(profile: VelocityProfile, v) -> np.ndarray:
     if profile.kind == "bump_on_tail":
         c, _, _ = _bump_constants()
         w = (v - profile.c_star) / profile.eta
-        amp = profile.eps * _base_mass(profile.base) / profile.eta
+        amp = profile.eps * profile.base.m0 / profile.eta
         return (1.0 - profile.eps) * _eval_f_raw(profile.base, v) + amp * c * _bump_raw(w)
     return sum(_eval_f_raw(p, v) for p in profile.parts)
 
@@ -201,16 +226,27 @@ def _eval_df_raw(profile: VelocityProfile, v) -> np.ndarray:
     return sum(_eval_df_raw(p, v) for p in profile.parts)
 
 
+def _bump_df_scale(profile: VelocityProfile) -> float:
+    c, _, _ = _bump_constants()
+    return profile.eps * profile.base.m0 / profile.eta**2 * c
+
+
 def _bump_df(profile: VelocityProfile, v) -> np.ndarray:
     """Velocity derivative of the bump term alone of a bump-on-tail profile."""
-    c, _, _ = _bump_constants()
-    amp = profile.eps * _base_mass(profile.base) / profile.eta**2
-    return amp * c * _bump_raw_deriv((np.asarray(v) - profile.c_star) / profile.eta)
+    return _bump_df_scale(profile) * _bump_raw_deriv(
+        (np.asarray(v) - profile.c_star) / profile.eta)
 
 
-@lru_cache(maxsize=256)
-def _base_mass(base: VelocityProfile) -> float:
-    return moment(base, 0)
+def _bump_df_at(profile: VelocityProfile, s: complex) -> complex:
+    """`_bump_df` at one complex point in plain Python, with the refusals that
+    `_check_strip` makes for the bump-on-tail profile."""
+    w = (s - profile.c_star) / profile.eta
+    if s.imag != 0.0 and (abs(s.imag) > profile.strip_halfwidth * (1.0 + 1e-12)
+                          or abs(abs(w.real) - 1.0) < BUMP_EDGE_MARGIN):
+        raise StripViolation(f"complex evaluation of the bump term refused at {s}")
+    if not abs(w.real) < 1.0:
+        return 0j
+    return _bump_df_scale(profile) * _bump_shape_deriv(w, _exp)
 
 
 def eval_f(profile: VelocityProfile, v):
@@ -298,8 +334,8 @@ def compatibility_alpha(profile: VelocityProfile, kappa: float) -> float:
     """Background volume fraction alpha0 = 1 - kappa * m0, required positive."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    alpha0 = 1.0 - kappa * moment(profile, 0)
+    alpha0 = 1.0 - kappa * profile.m0
     if alpha0 <= 0.0:
         raise VacuumViolation(
-            f"kappa * m0 = {kappa * moment(profile, 0):.6g} >= 1 leaves no fluid volume")
+            f"kappa * m0 = {kappa * profile.m0:.6g} >= 1 leaves no fluid volume")
     return alpha0

@@ -10,11 +10,18 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   where zeta = (sigma - u)/(sqrt(2) w), Z(zeta) = i sqrt(pi) w(zeta) is the
   plasma dispersion function (Fried & Conte 1961) and E a Gaussian moment;
   the Faddeeva function w is entire, so this holds on every branch.
-- The compact bump term of a bump-on-tail part is integrated by Gauss panels
-  over its support only, by singularity subtraction: int_a^b g/(v - s) dv =
-  int_a^b (g(v) - g(s))/(v - s) dv + g(s) (log(b - s) - log(a - s)), whose
-  first term is analytic across the axis, so branch continuity holds to
-  quadrature accuracy. `singular_integral` and `pv_integral` expose it.
+- The compact bump term of a bump-on-tail part is integrated over its support
+  [a, b] only, by singularity subtraction: int_a^b g/(v - s) dv =
+  int_a^b (g(v) - g(s))/(v - s) dv + g(s) (log(b - s) - log(a - s)). The
+  first term is analytic in v wherever g is, so it needs no panel edge at
+  Re s: Gauss nodes over the support (cut only at the bump's breakpoints) and
+  g on them are built once per profile, weight and node count, and each s
+  costs one scalar g(s) and one fused sum. Branch continuity holds to
+  quadrature accuracy. Points where that sum would lose digits (within
+  1e-2 of a node weight of a node) or where g(s) is refused (the support-edge
+  margin, beyond the strip) go through `singular_integral`, which pins panel
+  edges at Re s and has the axis and direct-quadrature fallbacks;
+  `pv_integral` is its on-axis part.
 """
 
 from __future__ import annotations
@@ -88,11 +95,8 @@ def _panel_sum(g, panels, integrand) -> complex:
 def _subtracted_panels(g, g_at_s: complex, s: complex, a: float, b: float,
                        breakpoints: tuple[float, ...], scale: float, nodes: int) -> complex:
     """int of (g(v) - g(s))/(v - s) on [a, b] cut at breakpoints."""
-    edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    panels = [_gauss.panel_nodes(lo, hi, *_gauss.layout(
-        hi - lo, scale, max(64, nodes * (hi - lo) / (b - a))))
-        for lo, hi in zip(edges[:-1], edges[1:])]
-    return _panel_sum(g, panels, lambda gv, vs: (gv - g_at_s) / (vs - s))
+    return _panel_sum(g, _gauss.segment_panels(a, b, breakpoints, scale, nodes),
+                      lambda gv, vs: (gv - g_at_s) / (vs - s))
 
 
 def pv_integral(g, x0: float, config: QuadratureConfig = DEFAULT_CONFIG, *,
@@ -195,29 +199,91 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
 
     ``weight`` holds the coefficients of the real polynomial p in ascending
     powers of v. Maxwellian parts are summed in closed form; on the lower branch
-    beyond a part's strip halfwidth they raise StripViolation. Bump terms go
-    through `singular_integral` over the bump support, where complex points in
-    the edge margin raise StripViolation for its axis or direct fallback.
+    beyond a part's strip halfwidth they raise StripViolation. Bump terms are
+    fused sums over nodes cached in ``profile.node_sets`` (`_bump_part`).
     """
-    sigma = complex(sigma)
+    sigma, weight = complex(sigma), tuple(weight)
     branch = classify_branch(sigma, config)
     if branch is Branch.REAL_AXIS:
         sigma = complex(sigma.real)
     gaussians, bumps, scale = profile.quadrature_hints
     total = sum(_maxwellian_part(weight, sigma, branch, *part) for part in gaussians)
-    for bump, coef, support, breakpoints in bumps:
-        def g(v, bump=bump, coef=coef):
+    if bumps:
+        node_sets = profile.node_sets.get((weight, config.nodes))
+        if node_sets is None:
+            node_sets = profile.node_sets[weight, config.nodes] = tuple(
+                _bump_nodes(weight, config.nodes, scale, *hint) for hint in bumps)
+        for hint, node_set in zip(bumps, node_sets):
+            total += _bump_part(weight, sigma, branch, config, scale, *hint, *node_set)
+    return complex(total)
+
+
+def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
+                bump: profiles.VelocityProfile, coef: float,
+                support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
+    """Gauss nodes vs and weights ws over one bump support cut at its
+    breakpoints, g(vs) = coef p(vs) f_bump'(vs), and the near-node radius."""
+    vs, ws = (np.concatenate(arrs) for arrs in zip(*_gauss.segment_panels(
+        *support, breakpoints, scale, nodes)))
+    return (vs, ws, coef * _poly(weight, vs) * np.real(profiles._bump_df(bump, vs)),
+            1e-2 * ws.max())
+
+
+def _poly(weight: tuple[float, ...], v):
+    p = weight[-1]
+    for c in reversed(weight[:-1]):
+        p = p * v + c
+    return p
+
+
+def _log(z: complex) -> complex:
+    return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
+
+
+def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
+               config: QuadratureConfig, scale: float, bump: profiles.VelocityProfile,
+               coef: float, support: tuple[float, float], breakpoints: tuple[float, ...],
+               vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray, near: float) -> complex:
+    """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
+
+    The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
+    one fused sum over the fixed support nodes vs (with g(vs) = gvs) serves
+    every sigma; sigma in the edge margin, beyond the strip or within 1e-2 of
+    a node weight of a node goes through `singular_integral` instead.
+    """
+    try:
+        g_sigma = coef * _poly(weight, sigma) * profiles._bump_df_at(bump, sigma)
+    except StripViolation:
+        g_sigma = None
+    if g_sigma is None or (abs(sigma.imag) < near and _near_node(vs, ws, sigma)):
+        def g(v):
             # panel nodes stay real, so the bump kernel runs in real arithmetic
             if np.iscomplexobj(v) and np.any(v.imag != 0.0):
                 profiles._check_strip(bump, v)
-            p = weight[-1]
-            for c in reversed(weight[:-1]):
-                p = p * v + c
-            return coef * p * profiles._bump_df(bump, v)
+            return coef * _poly(weight, v) * profiles._bump_df(bump, v)
 
-        total += singular_integral(g, sigma, branch, config, bounds=support,
-                                   scale=scale, breakpoints=breakpoints)
-    return complex(total)
+        return singular_integral(g, sigma, branch, config, bounds=support,
+                                 scale=scale, breakpoints=breakpoints)
+    val = complex(np.sum((gvs - g_sigma) / (vs - sigma) * ws))
+    if g_sigma:
+        # g vanishes outside (a, b) and near its edges, so no log meets zero
+        a, b = support
+        if branch is Branch.REAL_AXIS:
+            log_term = complex(math.log((b - sigma.real) / (sigma.real - a)), math.pi)
+        else:
+            log_term = _log(b - sigma) - _log(a - sigma)
+        val += g_sigma * log_term
+        if branch is Branch.LOWER:
+            val += 2j * math.pi * g_sigma
+    return val
+
+
+def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: complex) -> bool:
+    """Whether sigma lies within 1e-2 w_j of a node v_j, where the fused sum
+    would lose digits to cancellation."""
+    i = int(vs.searchsorted(sigma.real))
+    return any(abs(vs.item(j) - sigma) < 1e-2 * ws.item(j)
+               for j in (i - 1, i) if 0 <= j < vs.size)
 
 
 def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,

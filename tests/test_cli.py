@@ -94,6 +94,20 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"quadrature": {"window": math.nan}}),
         ("roots", "maxwellian-stable",
          {"params": {"c0": math.nan, "rho0": 1.0, "kappa": 0.01}}),
+        ("roots", "maxwellian-stable", {"profile": {"width": 1e308}}),
+        ("roots", "bump-unstable", {"profile": {"eta": 1e308}}),
+        ("roots", "bump-unstable", {"profile": {"c_star": math.nan}}),
+        ("roots", "bump-unstable", {"profile": {"eps": 1.5}}),
+        ("stability-check", "scalar-coupling", {"scalar": {"kappa": -1}}),
+        ("stability-check", "system-prop1", {"system": {"kappa": math.nan}}),
+        ("stability-check", "system-prop1", {"system": {"A": [[1.0, math.nan],
+                                                              [math.nan, 2.0]]}}),
+        ("stability-check", "system-prop1", {"system": {"grad_psi": [1.0, math.inf]}}),
+        ("stability-check", "system-prop1", {"system": {"phi_coeffs": [[math.nan, 0.4]]}}),
+        ("stability-check", "scalar-coupling", {"scalar": {"lambda0": math.nan}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 3, 1e9]}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"im": [-0.2, math.inf, 5]}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"re": [-3, 3, 0]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

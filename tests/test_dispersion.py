@@ -32,7 +32,7 @@ class TestDispersionValue:
 
     def test_compatibility_enforced(self, std_maxwellian):
         bad = SprayParams(c0=1.0, rho0=1.0, kappa=0.01, alpha0=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha0=0.5 inconsistent with 1 - kappa\*m0"):
             dispersion_value(bad, std_maxwellian, 1.0)
 
     @pytest.mark.parametrize("field", ["c0", "rho0", "kappa"])

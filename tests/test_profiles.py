@@ -117,6 +117,24 @@ class TestBumpOnTail:
         # on the real axis the same point is fine
         assert np.isfinite(eval_f(bump_profile, 4.5))
 
+    def test_scalar_kernel_matches_array_kernel(self, bump_profile):
+        # the pure-Python bump derivative at one point, against the numpy
+        # kernel, with the same refusals as the strip check
+        rng = np.random.default_rng(5)
+        pts = [complex(x, y) for x, y in zip(rng.uniform(4.0, 6.0, 400),
+                                             rng.uniform(-0.3, 0.3, 400))]
+        pts += [4.5, 5.5, 4.5 + 0.01j, 5.0, complex(5.0, 0.25), complex(5.0, -0.26)]
+        for s in pts:
+            try:
+                profiles._check_strip(bump_profile, np.array([s]))
+            except StripViolation:
+                with pytest.raises(StripViolation):
+                    profiles._bump_df_at(bump_profile, complex(s))
+                continue
+            ref = profiles._bump_df(bump_profile, np.array([s], dtype=complex))[0]
+            val = profiles._bump_df_at(bump_profile, complex(s))
+            assert abs(val - ref) <= 1e-14 * max(abs(ref), 1e-300)
+
     def test_bump_shape_constants(self):
         # normalization frozen against a 30-digit mpmath evaluation
         c, m1g, m2g = profiles._bump_constants()
@@ -144,6 +162,31 @@ class TestSumProfile:
         v = np.linspace(-5.0, 5.0, 21)
         np.testing.assert_allclose(
             eval_f(two, v), eval_f(left, v) + eval_f(right, v), rtol=1e-14)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", ["mass", "drift", "width", "strip_halfwidth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_maxwellian_field(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            maxwellian(**{field: value})
+
+    @pytest.mark.parametrize("field", ["eta", "c_star"])
+    def test_non_finite_bump_field(self, std_maxwellian, field):
+        kwargs = {"eps": 0.05, "eta": 0.5, "c_star": 5.0, field: math.nan}
+        with pytest.raises(ValueError, match="finite"):
+            make_bump_on_tail(std_maxwellian, **kwargs)
+
+    def test_overflowing_support(self, std_maxwellian):
+        with pytest.raises(ValueError, match="overflows"):
+            maxwellian(width=1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            make_bump_on_tail(std_maxwellian, eps=0.05, eta=1e308, c_star=5.0)
+        with pytest.raises(ValueError, match="overflows"):
+            profile_sum(maxwellian(drift=-1e308), maxwellian(drift=1e308))
+
+    def test_cached_mass(self, bump_profile):
+        assert bump_profile.m0 == moment(bump_profile, 0)
 
 
 class TestCompatibility:

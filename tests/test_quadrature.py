@@ -5,9 +5,10 @@ import pytest
 
 from conftest import (contour_deformed_integral, dawson_series,
                       dense_line_integral, profile_integrand)
+from scipy import integrate as scipy_integrate
 from scipy.special import wofz
 
-from spraywaves import _gauss, profiles
+from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
@@ -296,6 +297,125 @@ class TestBumpEdgeMargin:
                      for lo, hi in zip(edges[:-1], edges[1:]))
         val = cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+
+BUMP_WEIGHTS = [(1.0,), (0.0, 1.0), (0.3, -1.0, 0.5, 0.2, -0.05)]
+_TIGHT = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 2000}
+
+
+def bump_oracle(profile, weight, sigma, edges=(4.5, 5.5), reach=0.1):
+    """Continued int p(v) f'(v)/(v - sigma) dv by adaptive scipy quadrature,
+    split at the bump support edges, with no subtraction at sigma.
+
+    On the axis: the principal value folded about x0, int_0^r (g(x0 + t) -
+    g(x0 - t))/t dt, plus plain integrals outside [x0 - r, x0 + r] and the
+    residue i pi g(x0). Within 1e-6 of the axis: the real line with
+    [x0 - reach, x0 + reach] replaced by a box dipping reach below sigma
+    (`contour_deformed_integral`). Elsewhere: the real line split at Re sigma,
+    plus 2 pi i g(sigma) below the axis.
+    """
+    df = profile_integrand(profile, "df")
+    g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
+    x0 = sigma.real
+
+    def line(cuts):
+        return sum(dense_line_integral(g, sigma, lo, hi, **_TIGHT)
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    if sigma.imag == 0.0:
+        r = 0.3
+        cuts = sorted({-np.inf, *(e for e in edges if abs(e - x0) > r), x0 - r, np.inf})
+        left = [c for c in cuts if c <= x0 - r]
+        right = [x0 + r, *(c for c in cuts if c > x0 + r)]
+        folded = lambda t: np.real(g(np.array([x0 + t]))[0] - g(np.array([x0 - t]))[0]) / t
+        tcuts = sorted({0.0, *(abs(e - x0) for e in edges if 0.0 < abs(e - x0) < r), r})
+        pv = line(left) + line(right) + sum(
+            scipy_integrate.quad(folded, lo, hi, **_TIGHT)[0]
+            for lo, hi in zip(tcuts[:-1], tcuts[1:]))
+        return pv + 1j * math.pi * g(np.array([complex(x0)]))[0]
+    if abs(sigma.imag) < 1e-6:
+        lo, hi = x0 - reach, x0 + reach
+        return (line([-np.inf, *(e for e in edges if e < lo), lo])
+                + line([hi, *(e for e in edges if e > hi), np.inf])
+                + contour_deformed_integral(g, sigma, lo, hi, reach))
+    val = line(sorted({-np.inf, *edges, x0, np.inf}))
+    if sigma.imag < 0.0:
+        val += 2j * math.pi * g(np.array([sigma]))[0]
+    return val
+
+
+def bump_node(profile, weight, near):
+    """The support node of the fused bump sum nearest to `near`, its weight."""
+    cauchy_transform(profile, weight, near, CFG)
+    vs, ws = profile.node_sets[weight, CFG.nodes][0][:2]
+    j = int(np.argmin(np.abs(vs - near)))
+    return float(vs[j]), float(ws[j])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestFusedBumpSum:
+    """The bump term as one sum over support nodes fixed per profile; scipy's
+    roundoff notes at epsrel 1e-13 are silenced, the bounds decide."""
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-10, 1e-6, "2e-2 w", "0.3 w"])
+    @pytest.mark.parametrize("im", [0.0, 1e-8, -1e-8])
+    def test_near_a_node(self, bump_profile, weight, offset, im):
+        # within 1e-2 w of a node the sum cancels; past it the sum must hold
+        node, w = bump_node(bump_profile, weight, 5.2)
+        if isinstance(offset, str):
+            offset = float(offset.split()[0]) * w
+        sigma = complex(node + offset, im)
+        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        oracle = bump_oracle(bump_profile, weight, sigma)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    @pytest.mark.parametrize("sigma", [4.5, 5.5, 4.8, 5.3 + 0.05j, 4.8 - 0.05j,
+                                       5.2 - 0.1j, 4.2 - 0.05j, 6.0 + 0.01j])
+    def test_against_oracle(self, bump_profile, weight, sigma):
+        # support edges on the axis (g = 0 there, no log term), the lower
+        # branch, and points outside the support
+        sigma = complex(sigma)
+        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        oracle = bump_oracle(bump_profile, weight, sigma)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    def test_grid_parity_with_pinned_panels(self, bump_profile, weight, monkeypatch):
+        # the same g through `singular_integral`, whose panels are pinned at
+        # Re sigma, by refusing the scalar g(sigma); the edge margin takes
+        # that path on both sides
+        sigmas = [complex(re, im) for re in (*np.linspace(4.0, 6.0, 41), 4.5, 5.5)
+                  for im in (0.2, 0.05, 1e-3, 1e-6, 0.0, -1e-6, -1e-3, -0.05, -0.2)]
+        fused = []
+        for sigma in sigmas:
+            try:
+                fused.append(cauchy_transform(bump_profile, weight, sigma, CFG))
+            except StripViolation:
+                fused.append(None)
+
+        def refuse(profile, s):
+            raise StripViolation("pinned panels requested")
+
+        monkeypatch.setattr(profiles, "_bump_df_at", refuse)
+        for sigma, val in zip(sigmas, fused):
+            if val is None:
+                with pytest.raises(StripViolation):
+                    cauchy_transform(bump_profile, weight, sigma, CFG)
+                continue
+            pinned = cauchy_transform(bump_profile, weight, sigma, CFG)
+            assert abs(val - pinned) <= 1e-13 * max(1.0, abs(pinned))
+
+    def test_ordinary_points_skip_singular_integral(self, bump_profile, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("singular_integral called")
+
+        monkeypatch.setattr(quadrature, "singular_integral", refuse)
+        for sigma in (4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j):
+            cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+        with pytest.raises(AssertionError):
+            cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j, CFG)
 
 
 class TestTailCheck:
