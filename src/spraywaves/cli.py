@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, dispersion, hyperbolic, modesim, profiles, quadrature
 from .dispersion import SearchRegion, SprayParams
-from .errors import InvalidBump, SprayWaveError, ZeroSigma
+from .errors import InvalidBump, SprayWaveError, VacuumViolation, ZeroSigma
 from .hyperbolic import ScalarCoupling, SystemCoupling
 from .profiles import VelocityProfile
 from .quadrature import QuadratureConfig
@@ -29,16 +29,16 @@ COMMANDS = ("dispersion-scan", "roots", "thin-spray", "landau-compare",
             "simulate", "illposed-demo", "stability-check")
 
 DEFAULTS_TABLE = {
-    "root_tolerance": 1e-10,
-    "axis_tolerance": 1e-12,
-    "winding_defect_max": 0.25,
-    "boundary_min_modulus": 1e-9,
-    "eigen_gap_min": 1e-8,
-    "eigen_residual_max": 1e-10,
-    "compatibility_tolerance": 1e-10,
-    "cfl_fraction": 0.1,
-    "eigenmode_residual_max": 1e-8,
-    "grid_resolution_multiple": 3.0,
+    "root_tolerance": dispersion._ROOT_TOL,
+    "axis_tolerance": quadrature.DEFAULT_CONFIG.axis_tolerance,
+    "winding_defect_max": dispersion._MAX_WINDING_DEFECT,
+    "boundary_min_modulus": dispersion._MIN_BOUNDARY_MOD,
+    "eigen_gap_min": hyperbolic._GAP_TOL,
+    "eigen_residual_max": hyperbolic._EIGEN_RESIDUAL,
+    "compatibility_tolerance": dispersion._COMPAT_TOL,
+    "cfl_fraction": modesim._CFL_FRACTION,
+    "eigenmode_residual_max": modesim._EIGENMODE_RESIDUAL,
+    "grid_resolution_multiple": modesim._GRID_MULTIPLE,
 }
 
 
@@ -102,7 +102,7 @@ def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
         return dispersion.make_params(profile, c0=float(d["c0"]),
                                       rho0=float(d["rho0"]), kappa=kappa,
                                       u0=float(d.get("u0", 0.0)))
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, VacuumViolation) as err:
         raise ConfigError(f"invalid params config: {err}") from err
 
 
@@ -124,10 +124,14 @@ def build_region(d: dict | None, params: SprayParams,
     if not d:
         return dispersion.default_region(params, profile)
     try:
-        return SearchRegion(re_min=float(d["re_min"]), re_max=float(d["re_max"]),
-                            im_min=float(d["im_min"]), im_max=float(d["im_max"]))
+        region = SearchRegion(re_min=float(d["re_min"]), re_max=float(d["re_max"]),
+                              im_min=float(d["im_min"]), im_max=float(d["im_max"]))
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"invalid region config: {err}") from err
+    if region.im_reach > profile.strip_halfwidth:
+        raise ConfigError(f"region reaches |Im sigma| = {region.im_reach:.3g}, beyond "
+                          f"the profile analyticity strip {profile.strip_halfwidth:.3g}")
+    return region
 
 
 def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
@@ -136,17 +140,13 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
     if profile is None:
         raise ConfigError("system config needs a profile (embedded or top-level)")
     try:
-        system = SystemCoupling(
+        return SystemCoupling(
             a_matrix=np.array(d["A"], dtype=float),
             grad_psi=np.array(d["grad_psi"], dtype=float),
             phi_coeffs=tuple(tuple(float(x) for x in row) for row in d["phi_coeffs"]),
             kappa=float(d["kappa"]), profile=profile)
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"invalid system config: {err}") from err
-    if not all(np.isfinite(x).all() for x in (system.a_matrix, system.grad_psi,
-                                               system.phi_coeffs)):
-        raise ConfigError("system A, grad_psi and phi_coeffs must be finite")
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +382,7 @@ def _build_sim(cfg: dict, params: SprayParams, profile: VelocityProfile,
     if init_type == "eigenmode":
         if sigma is None:
             region = build_region(cfg.get("region"), params, profile)
-            reports = dispersion.find_roots(params, profile, region,
-                                            tol=1e-10, config=qconfig)
+            reports = dispersion.find_roots(params, profile, region, config=qconfig)
             if not reports:
                 raise SprayWaveError("no dispersion root found to seed the eigenmode")
             sigma = max(reports, key=lambda r: r.sigma.imag).sigma
@@ -480,7 +479,7 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
             raise ConfigError(f"invalid scalar config: {err}") from err
         if abs(scalar.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
             raise ConfigError(f"scalar.kappa must satisfy |kappa| <= "
-                              f"{hyperbolic.SCALAR_KAPPA_MAX} for the root continuation")
+                              f"{hyperbolic.SCALAR_KAPPA_MAX} for the first-order seed")
         system = hyperbolic.scalar_as_system(scalar)
     else:
         raise ConfigError("stability-check needs a 'system' or 'scalar' config block")
@@ -649,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         _error_json(2, err)
         return 2
-    except SprayWaveError as err:
+    except (SprayWaveError, ArithmeticError) as err:
         _error_json(3, err)
         return 3
 

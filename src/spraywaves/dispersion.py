@@ -33,6 +33,7 @@ UNSTABLE = "unstable"
 NEUTRAL = "neutral"
 
 _COMPAT_TOL = 1e-10
+_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,10 @@ class SearchRegion:
         hw = 0.5 * (self.re_max - self.re_min) * factor
         hh = 0.5 * (self.im_max - self.im_min) * factor
         return SearchRegion(cx - hw, cx + hw, cy - hh, cy + hh)
+
+    @property
+    def im_reach(self) -> float:
+        return max(abs(self.im_min), abs(self.im_max))
 
     def contains(self, sigma: complex, pad: float = 0.0) -> bool:
         return (self.re_min - pad <= sigma.real <= self.re_max + pad
@@ -179,6 +184,7 @@ def landau_dispersion(profile: VelocityProfile, k: float, omega: complex,
 # ---------------------------------------------------------------------------
 
 _MIN_BOUNDARY_MOD = 1e-9
+_MAX_WINDING_DEFECT = 0.25   # |winding - round(winding)| must stay below
 _PHASE_STEP = 1.0           # max phase increment per boundary step (radians)
 _MAX_BOUNDARY_EVALS = 60000
 
@@ -226,8 +232,9 @@ def _winding_number(func, region: SearchRegion, n0: int = 48,
             seg.append((zm, vm, z2, v2))
             seg.append((z1, v1, zm, vm))
     winding = total / (2.0 * math.pi)
-    if abs(winding - round(winding)) >= 0.25:
-        raise BoundaryRoot(f"winding defect {abs(winding - round(winding)):.3f} >= 0.25")
+    defect = abs(winding - round(winding))
+    if defect >= _MAX_WINDING_DEFECT:
+        raise BoundaryRoot(f"winding defect {defect:.3f} >= {_MAX_WINDING_DEFECT}")
     return int(round(winding))
 
 
@@ -255,7 +262,7 @@ def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchReg
     attached to exact rectangles).
     """
     strip = profile.strip_halfwidth
-    if max(abs(region.im_min), abs(region.im_max)) > strip:
+    if region.im_reach > strip:
         raise StripViolation("search region exceeds the profile analyticity strip")
     func = lambda z: dispersion_value(params, profile, z, config)
     scale = 0.5 * min(params.c0, profile.width, strip)
@@ -270,7 +277,7 @@ def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchReg
             if attempt == max_dilations:
                 raise
             current = current.dilated(1.01)
-            if max(abs(current.im_min), abs(current.im_max)) > strip:
+            if current.im_reach > strip:
                 raise
     raise AssertionError("unreachable")
 
@@ -299,7 +306,7 @@ def _newton(func, z0: complex, tol: float, max_iter: int = 80,
 
 
 def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
-               tol: float = 1e-10,
+               tol: float = _ROOT_TOL,
                config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> list[RootReport]:
     """All dispersion zeros in the region, certified by winding counts.
 

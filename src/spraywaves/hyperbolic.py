@@ -35,7 +35,8 @@ DECOUPLED = "decoupled"
 
 _DECOUPLE_TOL = 1e-12
 _GAP_TOL = 1e-8
-# largest |kappa| from which the scalar root continuation is guaranteed to start
+_EIGEN_RESIDUAL = 1e-10        # relative to max(1, max|A|)
+# largest |kappa| for which scalar_root trusts its first-order seed
 SCALAR_KAPPA_MAX = 0.1
 
 
@@ -82,8 +83,9 @@ class SystemCoupling:
             raise ValueError("grad_psi must have length N")
         if any(len(c) != n for c in self.phi_coeffs):
             raise ValueError("each phi coefficient must have length N")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
+        if not (math.isfinite(self.kappa) and all(
+                np.isfinite(x).all() for x in (a, self.grad_psi, self.phi_coeffs))):
+            raise ValueError("kappa, a_matrix, grad_psi and phi_coeffs must be finite")
 
     @property
     def dim(self) -> int:
@@ -147,30 +149,20 @@ def scalar_dispersion(c: ScalarCoupling, omega: complex,
 
 def scalar_root(c: ScalarCoupling, tol: float = 1e-12,
                 config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> RootReport:
-    """Coupled root continued from omega = lambda0, stepping kappa in 8 increments."""
+    """Coupled root by one Newton solve on G from the first-order seed
+    lambda0 - G(lambda0); G is -P_0 of track_secular_root for N = 1."""
     if abs(c.kappa) > SCALAR_KAPPA_MAX:
-        raise ValueError(f"continuation start guaranteed only for |kappa| <= "
+        raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
-    omega = complex(c.lambda0)
-    iters_total = 0
-    if c.kappa != 0.0:
-        for step in range(1, 9):
-            kap = c.kappa * step / 8.0
-            ci = ScalarCoupling(lambda0=c.lambda0, kappa=kap, profile=c.profile)
-            func = lambda z: scalar_dispersion(ci, z, config)
-            omega, iters = _newton(func, omega, tol,
-                                   trust_radius=max(1.0, abs(c.lambda0)))
-            iters_total += iters
     func = lambda z: scalar_dispersion(c, z, config)
-    residual = abs(func(omega))
-    if residual > tol:
-        raise NonConvergence(f"scalar continuation residual {residual:.3g} > {tol:.3g}")
+    omega, iters = _newton(func, c.lambda0 - func(c.lambda0), tol,
+                           trust_radius=max(1.0, abs(c.lambda0)))
     half = max(1e-3 * max(1.0, abs(c.lambda0)), 4.0 * abs(omega.imag))
     evidence = _winding_number(func, SearchRegion(
         omega.real - half, omega.real + half, omega.imag - half, omega.imag + half))
-    return RootReport(sigma=omega, residual=residual,
+    return RootReport(sigma=omega, residual=abs(func(omega)),
                       branch=quadrature.classify_branch(omega, config),
-                      winding_evidence=evidence, newton_iters=iters_total)
+                      winding_evidence=evidence, newton_iters=iters)
 
 
 def scalar_imag_leading(c: ScalarCoupling) -> float:
@@ -206,7 +198,7 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
         if r[lead] < 0:
             r = -r
         resid = np.linalg.norm(a @ r - eigvals[j] * r)
-        if resid > 1e-10 * scale:
+        if resid > _EIGEN_RESIDUAL * scale:
             raise NonConvergence(f"eigenvector residual {resid:.3g} too large")
         out.append((float(eigvals[j]), r))
     return out
@@ -216,39 +208,34 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 # secular function and perturbation checks
 # ---------------------------------------------------------------------------
 
-def _kinetic_vector(s: SystemCoupling, sigma: complex,
-                    config: QuadratureConfig) -> np.ndarray:
-    """I(sigma): continued integral of phi(v) f'(v)/(v - sigma), component-wise."""
-    out = np.zeros(s.dim, dtype=complex)
-    for i in range(s.dim):
-        weight = tuple(coeff[i] for coeff in s.phi_coeffs)
-        if any(weight):
-            out[i] = quadrature.cauchy_transform(s.profile, weight, sigma, config)
-    return out
+def _modal_projections(s: SystemCoupling, sigma: complex,
+                       config: QuadratureConfig) -> np.ndarray:
+    """(grad_psi . r_i)(r_i . I(sigma)) for each eigenpair i of A, where I(sigma) is
+    the continued integral of phi(v) f'(v)/(v - sigma), component-wise."""
+    ivec = np.array([quadrature.cauchy_transform(s.profile, w, sigma, config)
+                     if any(w) else 0.0 for w in zip(*s.phi_coeffs)])
+    return np.array([float(np.dot(s.grad_psi, r)) * complex(np.dot(r, ivec))
+                     for _, r in s.eigenpairs])
 
 
 def secular_function(s: SystemCoupling, sigma: complex,
                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)>."""
+    """S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)>, summed over the
+    eigenpairs as 1 - kappa sum_i (grad_psi . r_i)(r_i . I) / (sigma_i - sigma)."""
     sigma = complex(sigma)
     if s.kappa == 0.0:
         return 1.0 + 0.0j
-    if min(abs(ev - sigma) for ev, _ in s.eigenpairs) < 1e-10:
+    poles = np.array([ev for ev, _ in s.eigenpairs]) - sigma
+    if np.min(np.abs(poles)) < 1e-10:
         raise ResolventSingularity(
             "secular function evaluated on an eigenvalue of the uncoupled matrix")
-    ivec = _kinetic_vector(s, sigma, config)
-    x = np.linalg.solve(s.a_matrix - sigma * np.eye(s.dim), ivec)
-    return 1.0 - s.kappa * complex(np.dot(s.grad_psi, x))
+    return 1.0 - s.kappa * complex(np.sum(_modal_projections(s, sigma, config) / poles))
 
 
 def imag_derivative_at_zero(s: SystemCoupling, j: int,
                             config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> float:
     """(Im sigma_j)'(0) = -pi (grad_psi . r_j)(phi(sigma_j) . r_j) f'(sigma_j)."""
-    sigma_j, r_j = s.eigenpairs[j]
-    psi_proj = float(np.dot(s.grad_psi, r_j))
-    phi_proj = float(np.real(np.dot(s.phi(sigma_j), r_j)))
-    slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
-    return -math.pi * psi_proj * phi_proj * slope
+    return stability_necessary_condition(s, config)[j].imag_rate
 
 
 def stability_necessary_condition(s: SystemCoupling,
@@ -277,23 +264,27 @@ def fails_necessary_condition(verdicts: list[ModeVerdict]) -> bool:
 
 
 def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
-                       steps: int = 8, tol: float = 1e-9,
+                       tol: float = 1e-9,
                        config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """Zero of the secular function continued from eigenvalue j up to kappa_target.
+    """Zero of the secular function at kappa_target that leaves eigenvalue j.
 
-    Seeds each kappa increment with the first-order shift
-    sigma'(0) = -(grad_psi . r_j) (I(sigma_j) . r_j).
+    One Newton solve from the first-order seed sigma_j + kappa sigma'(0),
+    sigma'(0) = -(grad_psi . r_j)(r_j . I(sigma_j)), on the pole-free
+    P_j(sigma) = (sigma_j - sigma) S(sigma), written out term by term so that
+    Newton never meets the pole at sigma_j (Bunch, Nielsen & Sorensen 1978).
+    Newton stops at |P_j| <= tol |kappa sigma'(0)|; the root is returned only if
+    |S| = |P_j| / |sigma - sigma_j| <= tol.
     """
-    sigma_j, r_j = s.eigenpairs[j]
-    ivec0 = _kinetic_vector(s, complex(sigma_j), config)
-    shift = -float(np.dot(s.grad_psi, r_j)) * complex(np.dot(ivec0, r_j))
-    dk = kappa_target / steps
-    sigma = complex(sigma_j)
-    for step in range(1, steps + 1):
-        kap = kappa_target * step / steps
-        si = SystemCoupling(a_matrix=s.a_matrix, grad_psi=s.grad_psi,
-                            phi_coeffs=s.phi_coeffs, kappa=kap, profile=s.profile)
-        func = lambda z: secular_function(si, z, config)
-        sigma, _ = _newton(func, sigma + shift * dk, tol,
-                           trust_radius=10.0 * abs(shift) * abs(kappa_target) + 1e-6)
+    sigma_j = s.eigenpairs[j][0]
+
+    def pole_free(z: complex) -> complex:
+        m = _modal_projections(s, z, config)
+        rest = sum(m[i] / (ev - z) for i, (ev, _) in enumerate(s.eigenpairs) if i != j)
+        return (sigma_j - z) * (1.0 - kappa_target * rest) - kappa_target * m[j]
+
+    step = -kappa_target * _modal_projections(s, complex(sigma_j), config)[j]
+    sigma, _ = _newton(pole_free, sigma_j + step, tol * abs(step),
+                       trust_radius=10.0 * abs(step) + 1e-6)
+    if abs(pole_free(sigma)) > tol * abs(sigma - sigma_j):
+        raise NonConvergence(f"|S| > {tol:.3g} at the secular root of mode {j}")
     return sigma

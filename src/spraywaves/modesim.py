@@ -28,6 +28,8 @@ from .profiles import VelocityProfile
 from .quadrature import QuadratureConfig
 
 _CFL_FRACTION = 0.1
+_EIGENMODE_RESIDUAL = 1e-8     # |D(sigma)| accepted for an eigenmode seed
+_GRID_MULTIPLE = 3.0           # |Im sigma| must exceed this many grid spacings
 _OVERFLOW_LIMIT = 1e150
 MIN_NV = 256
 
@@ -179,7 +181,7 @@ def acoustic_state(params: SprayParams, k: float, config: SimConfig,
 def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex,
                    k: float, config: SimConfig,
                    qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
-                   residual_tol: float = 1e-8) -> ModeState:
+                   residual_tol: float = _EIGENMODE_RESIDUAL) -> ModeState:
     """Mode amplitudes of the plane-wave solution attached to a dispersion root.
 
     tau = 1, u = -rho0 c0^2 / sigma, f(v) = -rho0^2 c0^2 f0'(v)/(v - sigma).
@@ -188,10 +190,10 @@ def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex
     residual = abs(dispersion.dispersion_value(params, profile, sigma, qconfig))
     if residual > residual_tol:
         raise NotARoot(f"|D(sigma)| = {residual:.3g} > {residual_tol:.3g}")
-    if params.kappa != 0.0 and abs(sigma.imag) < 3.0 * config.dv:
+    if params.kappa != 0.0 and abs(sigma.imag) < _GRID_MULTIPLE * config.dv:
         raise RefineGrid(
-            f"|Im sigma| = {abs(sigma.imag):.3g} below 3 dv = {3 * config.dv:.3g}; "
-            "the grid cannot resolve the resonant denominator")
+            f"|Im sigma| = {abs(sigma.imag):.3g} below {_GRID_MULTIPLE * config.dv:.3g} "
+            f"({_GRID_MULTIPLE:g} dv); the grid cannot resolve the resonant denominator")
     grid = velocity_grid(config)
     dfdv = np.real(profiles.eval_df(profile, grid))
     denom = grid - sigma
@@ -361,8 +363,7 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
     if region is None:
         base = dispersion.default_region(params, profile)
         region = SearchRegion(base.re_min, base.re_max, 1e-6, base.im_max)
-    roots = [r for r in dispersion.find_roots(params, profile, region,
-                                              tol=1e-10, config=qconfig)
+    roots = [r for r in dispersion.find_roots(params, profile, region, config=qconfig)
              if r.sigma.imag > 0]
     if not roots:
         raise NoUnstableRoot("no dispersion root with Im sigma > 0 in the region")

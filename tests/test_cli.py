@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from spraywaves.cli import ConfigError, build_profile, build_qconfig, main
+from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, build_profile, build_qconfig,
+                            main)
+from spraywaves.scenarios import SCENARIOS
 
 
 def read_json(path):
@@ -108,6 +110,12 @@ class TestExitCodes:
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 3, 1e9]}}),
         ("dispersion-scan", "maxwellian-stable", {"scan": {"im": [-0.2, math.inf, 5]}}),
         ("landau-compare", "maxwellian-stable", {"landau": {"re": [-3, 3, 0]}}),
+        ("roots", "maxwellian-stable", {"profile": {"mass": 1e300}}),
+        ("roots", "maxwellian-stable", {"profile": {"width": 1e-300}}),
+        ("roots", "maxwellian-stable",
+         {"profile": {"kind": "bump_on_tail", "eps": 0.05, "eta": 1e-300,
+                      "c_star": 1.5, "base": {"kind": "maxwellian"}}}),
+        ("roots", "maxwellian-stable", {"region": {"im_max": 0.6}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -118,6 +126,91 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["exit_code"] == 2
         assert err["error"]["type"] == "ConfigError"
+
+
+    @pytest.mark.parametrize("command,scenario,override", [
+        ("roots", "maxwellian-stable", {"region": {"re_max": 1e308}}),
+        ("thin-spray", "maxwellian-stable", {"params": {"c0": 1e308}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 1e308, 5]}}),
+        ("simulate", "maxwellian-stable", {"params": {"rho0": 1e308}}),
+        ("roots", "bump-unstable", {"profile": {"c_star": 1e308}}),
+    ])
+    def test_overflow_exits_3(self, tmp_path, capsys, command, scenario, override):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        code = main([command, "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["exit_code"] == 3
+
+
+def _leaves(node, path=()):
+    """Key paths of the scalar leaves of a nested config (list entries included)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = list(node) if isinstance(node, list) else dict(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+class TestExitCodeSweep:
+    """Every single-leaf corruption of a bundled scenario exits 0, 2 or 3, and
+    a failed run leaves one JSON error object on stderr.
+
+    Only the blocks the command reads are swept; the whole sweep runs in-process
+    in a few seconds.
+    """
+
+    SWEEPS = [("roots", "maxwellian-stable", ("profile", "params", "quadrature",
+                                               "region")),
+              ("stability-check", "scalar-coupling", ("profile", "quadrature",
+                                                      "scalar")),
+              ("stability-check", "system-prop1", ("profile", "quadrature",
+                                                   "system"))]
+    VALUES = ["x", math.nan, 1e308, -1]
+
+    @pytest.mark.parametrize("command,scenario,blocks", SWEEPS)
+    def test_single_leaf_replacements(self, tmp_path, capsys, command, scenario,
+                                      blocks):
+        base = {key: SCENARIOS[scenario][key] for key in blocks}
+        cfgfile = tmp_path / "c.json"
+        runs = 0
+        for path in _leaves(base):
+            for value in self.VALUES:
+                cfgfile.write_text(json.dumps(_replaced(base, path, value)))
+                capsys.readouterr()
+                code = main([command, "--config", str(cfgfile),
+                             "--out", str(tmp_path / "out"), "--quiet"])
+                where = f"{'.'.join(map(str, path))} = {value!r}: exit {code}"
+                assert code in (0, 2, 3), where
+                if code:
+                    err = json.loads(capsys.readouterr().err)
+                    assert err["error"]["exit_code"] == code, where
+                runs += 1
+        assert runs >= 4 * 9
+
+
+def test_defaults_table_is_unchanged():
+    # the manifest's defaults block is read from library constants; pin its bytes
+    assert json.dumps(DEFAULTS_TABLE, sort_keys=True) == json.dumps({
+        "root_tolerance": 1e-10, "axis_tolerance": 1e-12, "winding_defect_max": 0.25,
+        "boundary_min_modulus": 1e-9, "eigen_gap_min": 1e-8,
+        "eigen_residual_max": 1e-10, "compatibility_tolerance": 1e-10,
+        "cfl_fraction": 0.1, "eigenmode_residual_max": 1e-8,
+        "grid_resolution_multiple": 3.0}, sort_keys=True)
 
 
 class TestRootsCommand:
@@ -272,6 +365,20 @@ class TestStabilityCheckCommand:
         for mode in payload["modes"]:
             assert mode["tracked_imag_per_kappa"] == pytest.approx(
                 mode["imag_rate"], rel=0.1)
+
+    def test_weak_mode_tracks(self, tmp_path):
+        # the second mode's root lies 1.3e-6 from its eigenvalue
+        cfg = {"profile": {"kind": "maxwellian"},
+               "system": {"A": [[1.0, 0.0], [0.0, 2.0]], "grad_psi": [1.0, 0.03],
+                          "phi_coeffs": [[1.0, 1.0]], "kappa": 1e-4}}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = tmp_path / "weak"
+        assert main(["stability-check", "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        modes = read_json(out / "stability_check.json")["modes"]
+        assert modes[1]["tracked_sigma"] == pytest.approx([1.99999916006, 1.0176e-6],
+                                                          abs=1e-10)
 
     def test_requires_block(self, tmp_path, capsys):
         cfg = {"profile": {"kind": "maxwellian"}}

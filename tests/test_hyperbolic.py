@@ -173,6 +173,59 @@ class TestSecularFunction:
         assert abs(sec_plus - disp_root.sigma) <= 1e-8
 
 
+class TestSystemCoupling:
+    @pytest.mark.parametrize("field", ["a_matrix", "grad_psi", "phi_coeffs", "kappa"])
+    def test_non_finite_rejected(self, std_maxwellian, field):
+        args = {"a_matrix": np.diag([1.0, 2.0]), "grad_psi": np.array([1.0, 0.5]),
+                "phi_coeffs": ((1.0, 1.0),), "kappa": 1e-4, "profile": std_maxwellian}
+        args[field] = {"a_matrix": np.diag([1.0, math.nan]),
+                       "grad_psi": np.array([1.0, math.inf]),
+                       "phi_coeffs": ((math.nan, 1.0),), "kappa": math.nan}[field]
+        with pytest.raises(ValueError, match="finite"):
+            SystemCoupling(**args)
+
+
+class TestTrackSecularRoot:
+    def test_modal_sum_matches_resolvent_solve(self, fixture_systems):
+        # oracle: S = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)> by a dense solve
+        for system in fixture_systems:
+            for sigma in (0.7 + 0.01j, 1.5 - 0.02j, 2.5 + 0.0j, 1.0001 + 1e-9j):
+                ivec = np.array([quadrature.cauchy_transform(
+                    system.profile, tuple(c[i] for c in system.phi_coeffs), sigma, CFG)
+                    for i in range(system.dim)])
+                x = np.linalg.solve(system.a_matrix - sigma * np.eye(system.dim), ivec)
+                expected = 1.0 - system.kappa * complex(np.dot(system.grad_psi, x))
+                assert abs(secular_function(system, sigma) - expected) <= \
+                    1e-13 * max(1.0, abs(expected))
+
+    def test_weak_mode(self, std_maxwellian):
+        # the root sits kappa |sigma'(0)| ~ 1.3e-6 from the pole at sigma_1 = 2
+        weak = SystemCoupling(np.diag([1.0, 2.0]), np.array([1.0, 0.03]),
+                              ((1.0, 1.0),), 1e-4, std_maxwellian)
+        tracked = track_secular_root(weak, 1, 1e-4)
+        assert tracked == pytest.approx(complex(1.99999916006, 1.0176e-6), abs=1e-10)
+        assert abs(secular_function(weak, tracked)) <= 1e-9
+
+    def test_uncoupled_target_returns_eigenvalue(self, fixture_systems):
+        passing, _, _ = fixture_systems
+        for j, (sigma_j, _) in enumerate(passing.eigenpairs):
+            assert track_secular_root(passing, j, 0.0) == sigma_j
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_systems_track_every_mode(self, std_maxwellian, n):
+        rng = np.random.default_rng(20 + n)
+        worst = 0.0
+        for _ in range(25):
+            raw = rng.normal(size=(n, n))
+            system = SystemCoupling(0.75 * (raw + raw.T), rng.normal(size=n),
+                                    tuple(map(tuple, rng.normal(size=(2, n)))),
+                                    float(rng.uniform(1e-4, 1e-3)), std_maxwellian)
+            for j in range(n):
+                tracked = track_secular_root(system, j, system.kappa)
+                worst = max(worst, abs(secular_function(system, tracked)))
+        assert worst <= 1e-9
+
+
 class TestImagDerivative:
     def test_zero_at_profile_peak(self, std_maxwellian):
         system = SystemCoupling(np.diag([0.0, 2.0]) + np.array([[0, 1e-3], [1e-3, 0]]),
