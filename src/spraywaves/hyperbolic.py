@@ -38,6 +38,9 @@ _GAP_TOL = 1e-8
 _EIGEN_RESIDUAL = 1e-10        # relative to max(1, max|A|)
 # largest |kappa| for which scalar_root trusts its first-order seed
 SCALAR_KAPPA_MAX = 0.1
+# |P_j| accepted by track_secular_root regardless of tol, per unit max(1, |sigma_j|):
+# a few rounding units of sigma_j - sigma
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,12 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     sigma'(0) = -(grad_psi . r_j)(r_j . I(sigma_j)), on the pole-free
     P_j(sigma) = (sigma_j - sigma) S(sigma), written out term by term so that
     Newton never meets the pole at sigma_j (Bunch, Nielsen & Sorensen 1978).
-    Newton stops at |P_j| <= tol |kappa sigma'(0)|; the root is returned only if
-    |S| = |P_j| / |sigma - sigma_j| <= tol.
+    Newton stops at |P_j| <= max(tol |kappa sigma'(0)|, floor), and the root is
+    returned only if |P_j| <= max(tol |sigma - sigma_j|, floor), where
+    floor = 8 eps max(1, |sigma_j|) is the rounding of sigma_j - sigma. So
+    |S| = |P_j| / |sigma - sigma_j| <= tol holds wherever tol |sigma - sigma_j|
+    exceeds the floor; for a root closer to sigma_j than floor / tol (about 3.6e-6
+    at sigma_j = 2) only |P_j| <= floor is guaranteed.
     """
     sigma_j = s.eigenpairs[j][0]
 
@@ -283,8 +290,9 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
         return (sigma_j - z) * (1.0 - kappa_target * rest) - kappa_target * m[j]
 
     step = -kappa_target * _modal_projections(s, complex(sigma_j), config)[j]
-    sigma, _ = _newton(pole_free, sigma_j + step, tol * abs(step),
+    floor = _ROUNDING_FLOOR * max(1.0, abs(sigma_j))
+    sigma, _ = _newton(pole_free, sigma_j + step, max(tol * abs(step), floor),
                        trust_radius=10.0 * abs(step) + 1e-6)
-    if abs(pole_free(sigma)) > tol * abs(sigma - sigma_j):
+    if abs(pole_free(sigma)) > max(tol * abs(sigma - sigma_j), floor):
         raise NonConvergence(f"|S| > {tol:.3g} at the secular root of mode {j}")
     return sigma

@@ -32,6 +32,7 @@ _EIGENMODE_RESIDUAL = 1e-8     # |D(sigma)| accepted for an eigenmode seed
 _GRID_MULTIPLE = 3.0           # |Im sigma| must exceed this many grid spacings
 _OVERFLOW_LIMIT = 1e150
 MIN_NV = 256
+DEFAULT_NV = 2048
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
 
 
 def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
-                       t_final: float, nv: int = 2048,
+                       t_final: float, nv: int = DEFAULT_NV,
                        fit_fractions: tuple[float, float] = (0.2, 0.8)) -> SimConfig:
     lo, hi = profiles.support_bounds(profile)
     cfg = SimConfig(nv=nv, v_bounds=(lo, hi),
@@ -350,7 +351,7 @@ def check_scaling_inputs(s: float, n_exponent: float, k_list: list[float],
 
 def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
                                s: float, n_exponent: float, k_list: list[float],
-                               nv: int = 2048,
+                               nv: int = DEFAULT_NV,
                                qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
                                region: SearchRegion | None = None) -> ScalingReport:
     """Initial H^s shrinkage vs final L^2 size for mode data scaled by k^(-N).

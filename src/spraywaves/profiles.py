@@ -66,6 +66,12 @@ class VelocityProfile:
         lo, hi = support_bounds(self)
         if not math.isfinite(hi - lo + 4.0 * self.width):
             raise ValueError("profile support overflows")
+        # f' scales like mass / width**2, and a bump term's like eps * mass / eta**2
+        slope = self.mass / self.width / self.width
+        if self.kind == "bump_on_tail":
+            slope = max(slope, self.eps * self.mass / self.eta / self.eta)
+        if not math.isfinite(slope):
+            raise ValueError("profile derivative scale overflows")
 
     def _default_strip(self) -> float:
         if self.kind == "maxwellian":

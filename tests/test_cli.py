@@ -3,10 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, build_profile, build_qconfig,
-                            main)
+from spraywaves import modesim
+from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _write_table, build_profile,
+                            build_qconfig, main)
 from spraywaves.scenarios import SCENARIOS
 
 
@@ -116,6 +118,8 @@ class TestExitCodes:
          {"profile": {"kind": "bump_on_tail", "eps": 0.05, "eta": 1e-300,
                       "c_star": 1.5, "base": {"kind": "maxwellian"}}}),
         ("roots", "maxwellian-stable", {"region": {"im_max": 0.6}}),
+        ("simulate", "maxwellian-stable", {"profile": {"width": 1e-300}}),
+        ("simulate", "maxwellian-stable", {"params": {"c0": 1e-300}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -167,8 +171,9 @@ def _replaced(node, path, value):
 
 
 class TestExitCodeSweep:
-    """Every single-leaf corruption of a bundled scenario exits 0, 2 or 3, and
-    a failed run leaves one JSON error object on stderr.
+    """Every single-leaf corruption of a bundled scenario, every replacement of a
+    whole block and every bad output_dir exits 0, 2 or 3, and a failed run leaves
+    one JSON error object on stderr.
 
     Only the blocks the command reads are swept; the whole sweep runs in-process
     in a few seconds.
@@ -179,28 +184,33 @@ class TestExitCodeSweep:
               ("stability-check", "scalar-coupling", ("profile", "quadrature",
                                                       "scalar")),
               ("stability-check", "system-prop1", ("profile", "quadrature",
-                                                   "system"))]
-    VALUES = ["x", math.nan, 1e308, -1]
+                                                   "system")),
+              ("simulate", "maxwellian-stable", ("profile", "params", "sim")),
+              ("dispersion-scan", "maxwellian-stable", ("scan",)),
+              ("landau-compare", "maxwellian-stable", ("landau",))]
+    VALUES = ["x", math.nan, 1e308, -1, None, 0, [], {}, [1, 2], True, 1e-300]
 
     @pytest.mark.parametrize("command,scenario,blocks", SWEEPS)
-    def test_single_leaf_replacements(self, tmp_path, capsys, command, scenario,
-                                      blocks):
-        base = {key: SCENARIOS[scenario][key] for key in blocks}
+    def test_single_leaf_replacements(self, tmp_path, capsys, monkeypatch, command,
+                                      scenario, blocks):
+        monkeypatch.chdir(tmp_path)      # output_dir = "x" writes to ./x
+        base = {**SCENARIOS[scenario], "output_dir": str(tmp_path / "out")}
         cfgfile = tmp_path / "c.json"
         runs = 0
-        for path in _leaves(base):
+        # the leaves of the swept blocks, each whole block, then output_dir
+        for path in [*_leaves({key: base[key] for key in blocks}),
+                     *((key,) for key in blocks), ("output_dir",)]:
             for value in self.VALUES:
                 cfgfile.write_text(json.dumps(_replaced(base, path, value)))
                 capsys.readouterr()
-                code = main([command, "--config", str(cfgfile),
-                             "--out", str(tmp_path / "out"), "--quiet"])
+                code = main([command, "--config", str(cfgfile), "--quiet"])
                 where = f"{'.'.join(map(str, path))} = {value!r}: exit {code}"
                 assert code in (0, 2, 3), where
                 if code:
                     err = json.loads(capsys.readouterr().err)
                     assert err["error"]["exit_code"] == code, where
                 runs += 1
-        assert runs >= 4 * 9
+        assert runs >= 4 * len(blocks)
 
 
 def test_defaults_table_is_unchanged():
@@ -211,6 +221,98 @@ def test_defaults_table_is_unchanged():
         "eigen_residual_max": 1e-10, "compatibility_tolerance": 1e-10,
         "cfl_fraction": 0.1, "eigenmode_residual_max": 1e-8,
         "grid_resolution_multiple": 3.0}, sort_keys=True)
+
+
+TABLES = {
+    "dispersion_scan.csv": (["re_sigma", "im_sigma", "re_D", "im_D", "branch"], ","),
+    "scan_heatmap.dat": (["#", "re_sigma", "im_sigma", "re_D", "im_D", "abs_D"], " "),
+    "landau_compare.csv": (["re_sigma", "im_sigma", "re_D", "im_D", "re_DL_k1",
+                            "im_DL_k1", "re_DL_k2", "im_DL_k2"], ","),
+    "root_locus_plus.dat": (["#", "kappa", "re_sigma", "im_sigma"], " "),
+    "root_locus_minus.dat": (["#", "kappa", "re_sigma", "im_sigma"], " "),
+    "simulate.csv": (["t", "re_tau", "im_tau", "abs_tau", "abs_u", "kinetic_l2"], ","),
+    "illposed_demo.csv": (["k", "t_k", "init_hs_norm", "final_l2_norm",
+                           "fitted_rate"], ","),
+    "growth_k8.dat": (["#", "t", "abs_tau"], " "),
+    "growth_k16.dat": (["#", "t", "abs_tau"], " "),
+}
+
+
+def _read_table(path, head, sep):
+    """Rows of a written table after checking its header, separator, column
+    count and that every number is printed as %.17g of the double it parses to."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == sep.join(head)
+    rows = [line.split(sep) for line in lines[1:]]
+    for cells in rows:
+        assert len(cells) == len(head) - (head[0] == "#"), (path.name, cells)
+        for cell in cells:
+            if cell not in ("upper", "real_axis", "lower"):
+                assert "%.17g" % float(cell) == cell, (path.name, cell)
+    return rows
+
+
+def _fake_scaling_experiment(params, profile, **kwargs):
+    trajectories = tuple(modesim.Trajectory(
+        k=k, times=np.linspace(0.0, 1.0, 7), tau_hat=np.exp((0.3 + 1j) * k * np.arange(7)),
+        u_hat=np.zeros(7, complex), kinetic_l2=np.zeros(7), overflow=False,
+        snapshots=()) for k in kwargs["k_list"][:2])
+    rows = tuple(modesim.ScalingRow(k=t.k, t_k=1.0, init_hs_norm=1.0 / 3.0,
+                                    final_l2_norm=abs(t.tau_hat[-1]), fitted_rate=0.1)
+                 for t in trajectories)
+    return modesim.ScalingReport(rows=rows, sigma=4.9 + 0.01j, theta0=1.0,
+                                 final_norm_nondecreasing=True,
+                                 trajectories=trajectories)
+
+
+class TestTableWriter:
+    def test_values_round_trip(self, tmp_path):
+        values = [0.1, -0.0, 2.0 / 3.0, 1e-300, 5e-324, 1.7976931348623157e308,
+                  np.float64(-1e-17), np.float64(math.pi), 7]
+        for sep, head in ((",", [f"c{i}" for i in range(10)]),
+                          (" ", ["#", *(f"c{i}" for i in range(10))])):
+            path = tmp_path / "t.txt"
+            assert _write_table(path, head, [[*values, "nan"], [*values[::-1], "x"]],
+                                sep) == "t.txt"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == sep.join(head) and len(lines) == 3
+            for line, expected, text in zip(lines[1:], (values, values[::-1]),
+                                            ("nan", "x")):
+                cells = line.split(sep)
+                assert len(cells) == 10 and cells[-1] == text
+                assert [float(c) for c in cells[:-1]] == expected
+                assert [math.copysign(1.0, float(c)) for c in cells[:-1]] == \
+                    [math.copysign(1.0, v) for v in expected]
+
+    @pytest.mark.parametrize("command,scenario,override", [
+        ("dispersion-scan", "maxwellian-stable",
+         {"scan": {"re": [-1.0, 1.0, 11], "im": [-0.1, 0.1, 3]}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"re": [-1.0, 1.0, 9]}}),
+        ("thin-spray", "thin-spray-sweep", {"sweep": {"kappa_values": [2e-3, 1e-3]}}),
+        ("simulate", "maxwellian-stable", {"sim": {"periods": 2.0}}),
+        ("illposed-demo", "bump-unstable", {}),
+    ])
+    def test_every_table_artifact(self, tmp_path, monkeypatch, command, scenario,
+                                  override):
+        monkeypatch.setattr(modesim, "sobolev_scaling_experiment",
+                            _fake_scaling_experiment)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        tables = [name for name in read_json(out / "manifest.json")["outputs"]
+                  if not name.endswith(".json")]
+        assert tables and set(tables) <= set(TABLES)
+        for name in tables:
+            rows = _read_table(out / name, *TABLES[name])
+            assert rows or name == "root_locus_minus.dat"
+        if command == "illposed-demo":
+            rows = _read_table(out / "growth_k16.dat", *TABLES["growth_k16.dat"])
+            traj = _fake_scaling_experiment(None, None, k_list=[8.0, 16.0])
+            assert [[float(c) for c in row] for row in rows] == [
+                [t, a] for t, a in zip(traj.trajectories[1].times,
+                                       np.abs(traj.trajectories[1].tau_hat))]
 
 
 class TestRootsCommand:
@@ -379,6 +481,21 @@ class TestStabilityCheckCommand:
         modes = read_json(out / "stability_check.json")["modes"]
         assert modes[1]["tracked_sigma"] == pytest.approx([1.99999916006, 1.0176e-6],
                                                           abs=1e-10)
+
+    def test_mode_within_rounding_of_eigenvalue_tracks(self, tmp_path):
+        # the second mode's root lies 4.4e-8 from its eigenvalue (exit 3 before
+        # track_secular_root had a rounding floor)
+        cfg = {"profile": {"kind": "maxwellian"},
+               "system": {"A": [[1.0, 0.0], [0.0, 2.0]], "grad_psi": [1.0, 1e-3],
+                          "phi_coeffs": [[1.0, 1.0]], "kappa": 1e-4}}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = tmp_path / "near"
+        assert main(["stability-check", "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        modes = read_json(out / "stability_check.json")["modes"]
+        assert modes[1]["tracked_sigma"] == pytest.approx([1.99999997200202,
+                                                           3.3921626e-8], abs=1e-13)
 
     def test_requires_block(self, tmp_path, capsys):
         cfg = {"profile": {"kind": "maxwellian"}}

@@ -206,6 +206,29 @@ class TestTrackSecularRoot:
         assert tracked == pytest.approx(complex(1.99999916006, 1.0176e-6), abs=1e-10)
         assert abs(secular_function(weak, tracked)) <= 1e-9
 
+    @pytest.mark.parametrize("grad_psi_2", [1e-3, 3e-4, 1e-4])
+    def test_root_within_rounding_of_eigenvalue(self, std_maxwellian, grad_psi_2):
+        # the root lies 4.4e-8 to 4.4e-9 from sigma_1 = 2, where |S| <= 1e-9 would
+        # need |P_1| below the rounding of sigma_1 - sigma; the floor accepts it
+        system = SystemCoupling(np.diag([1.0, 2.0]), np.array([1.0, grad_psi_2]),
+                                ((1.0, 1.0),), 1e-4, std_maxwellian)
+        tracked = track_secular_root(system, 1, 1e-4)
+
+        def pole_free(z):    # (sigma_1 - z) S(z) from a dense resolvent solve
+            ivec = np.array([quadrature.cauchy_transform(
+                system.profile, tuple(c[i] for c in system.phi_coeffs), z, CFG)
+                for i in range(system.dim)])
+            x = np.linalg.solve(system.a_matrix - z * np.eye(system.dim), ivec)
+            return (2.0 - z) * (1.0 - system.kappa * complex(np.dot(system.grad_psi, x)))
+
+        floor = 8.0 * np.finfo(float).eps * 2.0
+        assert abs(pole_free(tracked)) <= 2.0 * floor
+        z, h = complex(tracked) + 1e-9, 1e-7
+        for _ in range(8):
+            z -= pole_free(z) / ((pole_free(z + h) - pole_free(z - h)) / (2.0 * h))
+        assert abs(tracked - z) <= 1e-13
+        assert 0.0 < abs(tracked - 2.0) < 1e-7 and tracked.imag > 0.0
+
     def test_uncoupled_target_returns_eigenvalue(self, fixture_systems):
         passing, _, _ = fixture_systems
         for j, (sigma_j, _) in enumerate(passing.eigenpairs):

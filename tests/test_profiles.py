@@ -184,6 +184,12 @@ class TestValidation:
             make_bump_on_tail(std_maxwellian, eps=0.05, eta=1e308, c_star=5.0)
         with pytest.raises(ValueError, match="overflows"):
             profile_sum(maxwellian(drift=-1e308), maxwellian(drift=1e308))
+        # derivative scales mass / width**2 and eps * mass / eta**2
+        for kwargs in ({"width": 1e-300}, {"mass": 1e300, "width": 1e-5}):
+            with pytest.raises(ValueError, match="overflows"):
+                maxwellian(**kwargs)
+        with pytest.raises(ValueError, match="overflows"):
+            make_bump_on_tail(std_maxwellian, eps=0.05, eta=1e-300, c_star=5.0)
 
     def test_cached_mass(self, bump_profile):
         assert bump_profile.m0 == moment(bump_profile, 0)
