@@ -1,14 +1,14 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts + manifest out.
 
-`load_config` merges the scenario and the config file and checks the shape of
-the result: every block (and `sim.init`) is a JSON object, `null` stands for
-an absent `quadrature` or `region` only, and `output_dir` is a string. Each
-handler then reads its whole config inside one `_reading` block before it
-evaluates anything. `_reading` turns the validation errors of the library
-constructors (KeyError, IndexError, TypeError, ValueError, InvalidBump,
-VacuumViolation) into `ConfigError`; the value rules themselves live in those
-constructors, not in a schema table here. An error raised while computing is
-therefore never reported as a config error.
+`load_config` merges the scenario and the config file (whose integers must fit
+a double) and checks the shape of the result: every block (and `sim.init`) is
+a JSON object, `null` stands for an absent `quadrature` or `region` only, and
+`output_dir` is a string. Each handler then reads its whole config inside one
+`_reading` block before it evaluates anything. `_reading` turns the validation
+errors of the library constructors (KeyError, IndexError, TypeError,
+ValueError, InvalidBump, VacuumViolation) into `ConfigError`; the value rules
+themselves live in those constructors, not in a schema table here. An error
+raised while computing is therefore never reported as a config error.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 Machine-readable error JSON goes to stderr in both failure cases.
@@ -76,6 +76,14 @@ def _reading(what: str):
         raise ConfigError(f"invalid {what}: {detail}") from err
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer that fits a double, since config numbers are read as floats."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits does not fit a double")
+    return value
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -105,7 +113,6 @@ def build_profile(d: dict) -> VelocityProfile:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
-@_reading("params config")
 def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
     c0, rho0 = float(d["c0"]), float(d["rho0"])
     kappa, u0 = float(d.get("kappa", 0.0)), float(d.get("u0", 0.0))
@@ -117,7 +124,6 @@ def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
     return params
 
 
-@_reading("quadrature config")
 def build_qconfig(d: dict | None) -> QuadratureConfig:
     q = quadrature.DEFAULT_CONFIG
     if not d:
@@ -129,7 +135,6 @@ def build_qconfig(d: dict | None) -> QuadratureConfig:
         subtraction_window=float(d.get("window", q.subtraction_window)))
 
 
-@_reading("region config")
 def build_region(d: dict | None, params: SprayParams,
                  profile: VelocityProfile) -> SearchRegion:
     if not d:
@@ -142,7 +147,6 @@ def build_region(d: dict | None, params: SprayParams,
     return region
 
 
-@_reading("system config")
 def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
     if "profile" in d:
         profile = build_profile(d["profile"])
@@ -357,10 +361,6 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         config = modesim.default_sim_config(params, profile, k, t_final=t_final, nv=nv)
         if dt is not None:
             config = dataclasses.replace(config, dt=dt)
-        horizon = modesim.recurrence_time(config, k)
-        if config.t_final >= horizon:
-            raise ConfigError(f"t_final = {config.t_final:.6g} reaches the velocity-grid "
-                              f"recurrence time {horizon:.6g}")
         state = None if eigenmode else modesim.acoustic_state(
             params, k, config, direction=init.get("direction", 1))
     if eigenmode:
@@ -495,10 +495,12 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
         cfg["seed_scenario"] = scenario
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
+        if not path.exists():
             raise ConfigError(f"config file {config_path} does not exist")
+        if path.is_dir():
+            raise ConfigError(f"config file {config_path} is a directory")
         with _reading("config file"):
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
+            file_cfg = json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         if "command" in file_cfg and file_cfg["command"] != command:

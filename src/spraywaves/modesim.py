@@ -151,6 +151,13 @@ def recurrence_time(config: SimConfig, k: float) -> float:
     return 2.0 * math.pi / (abs(k) * config.dv)
 
 
+def _check_recurrence(config: SimConfig, k: float) -> None:
+    horizon = recurrence_time(config, k)
+    if config.t_final >= horizon:
+        raise ValueError(f"t_final = {config.t_final:.6g} reaches the velocity-grid "
+                         f"recurrence time {horizon:.6g}")
+
+
 def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
     vmax = max(abs(config.v_bounds[0]), abs(config.v_bounds[1]))
     return _CFL_FRACTION / (abs(k) * vmax + abs(k) * params.c0)
@@ -159,10 +166,13 @@ def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
 def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
                        t_final: float, nv: int = DEFAULT_NV,
                        fit_fractions: tuple[float, float] = (0.2, 0.8)) -> SimConfig:
+    """Grid on the profile support, dt at 0.9 of the CFL bound; ValueError when
+    t_final reaches the velocity-grid recurrence time."""
     lo, hi = profiles.support_bounds(profile)
     cfg = SimConfig(nv=nv, v_bounds=(lo, hi),
                     dt=1.0, t_final=t_final,
                     fit_window=(fit_fractions[0] * t_final, fit_fractions[1] * t_final))
+    _check_recurrence(cfg, k)
     dt = 0.9 * cfl_limit(params, cfg, k)
     return SimConfig(nv=nv, v_bounds=(lo, hi), dt=dt, t_final=t_final,
                      fit_window=cfg.fit_window)
@@ -244,8 +254,7 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
         raise CflViolation(
             f"dt = {config.dt:.3g} exceeds the stability bound "
             f"{cfl_limit(params, config, k):.3g}")
-    if config.t_final >= recurrence_time(config, k):
-        raise ValueError("t_final reaches the velocity-grid recurrence time")
+    _check_recurrence(config, k)
     if len(state0.f_hat) != config.nv:
         raise ValueError("state f_hat length does not match config.nv")
 

@@ -55,6 +55,11 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["roots", "--config", str(bad)]) == 2
 
+    def test_directory_config_exits_2(self, tmp_path, capsys):
+        assert main(["roots", "--config", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "is a directory" in err["error"]["message"]
+
     def test_command_mismatch_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"command": "simulate"}))
@@ -120,6 +125,9 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"region": {"im_max": 0.6}}),
         ("simulate", "maxwellian-stable", {"profile": {"width": 1e-300}}),
         ("simulate", "maxwellian-stable", {"params": {"c0": 1e-300}}),
+        ("roots", "maxwellian-stable", {"params": {"c0": 10**400}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 10**400, 5]}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"re": [-3, 3, 10**400]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -189,6 +197,11 @@ class TestExitCodeSweep:
               ("dispersion-scan", "maxwellian-stable", ("scan",)),
               ("landau-compare", "maxwellian-stable", ("landau",))]
     VALUES = ["x", math.nan, 1e308, -1, None, 0, [], {}, [1, 2], True, 1e-300]
+    # scalar leaves each sweep must reach (the bundled scenarios have 10 to 17
+    # in the swept blocks of roots, simulate and stability-check, 6 in scan and
+    # landau)
+    MIN_LEAVES = {"roots": 9, "stability-check": 9, "simulate": 9,
+                  "dispersion-scan": 6, "landau-compare": 6}
 
     @pytest.mark.parametrize("command,scenario,blocks", SWEEPS)
     def test_single_leaf_replacements(self, tmp_path, capsys, monkeypatch, command,
@@ -196,10 +209,11 @@ class TestExitCodeSweep:
         monkeypatch.chdir(tmp_path)      # output_dir = "x" writes to ./x
         base = {**SCENARIOS[scenario], "output_dir": str(tmp_path / "out")}
         cfgfile = tmp_path / "c.json"
+        leaves = list(_leaves({key: base[key] for key in blocks}))
+        assert len(leaves) >= self.MIN_LEAVES[command]
         runs = 0
         # the leaves of the swept blocks, each whole block, then output_dir
-        for path in [*_leaves({key: base[key] for key in blocks}),
-                     *((key,) for key in blocks), ("output_dir",)]:
+        for path in [*leaves, *((key,) for key in blocks), ("output_dir",)]:
             for value in self.VALUES:
                 cfgfile.write_text(json.dumps(_replaced(base, path, value)))
                 capsys.readouterr()
@@ -210,7 +224,7 @@ class TestExitCodeSweep:
                     err = json.loads(capsys.readouterr().err)
                     assert err["error"]["exit_code"] == code, where
                 runs += 1
-        assert runs >= 4 * len(blocks)
+        assert runs == len(self.VALUES) * (len(leaves) + len(blocks) + 1)
 
 
 def test_defaults_table_is_unchanged():

@@ -258,6 +258,10 @@ class TestIntegrate:
             integrate(acoustic_params, std_maxwellian,
                       acoustic_state(acoustic_params, 1.0, cfg), cfg)
 
+    def test_default_config_refuses_recurrence(self, acoustic_params, std_maxwellian):
+        with pytest.raises(ValueError, match="recurrence time"):
+            default_sim_config(acoustic_params, std_maxwellian, 1.0, t_final=1e6, nv=256)
+
     def test_overflow_flag(self, bump_params, bump_profile, bump_root):
         k = 8.0
         cfg = default_sim_config(bump_params, bump_profile, k, t_final=4.0, nv=2048)
