@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, dispersion, hyperbolic, modesim, profiles, quadrature
 from .dispersion import SearchRegion, SprayParams
-from .errors import InvalidBump, SprayWaveError, VacuumViolation, ZeroSigma
+from .errors import InvalidBump, SprayWaveError, VacuumViolation
 from .hyperbolic import ScalarCoupling, SystemCoupling
 from .profiles import VelocityProfile
 from .quadrature import QuadratureConfig
@@ -216,16 +216,16 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
         re_axis = _grid_axis(scan.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
         im_axis = _grid_axis(scan.get("im"), (-0.4 * profile.strip_halfwidth,
                                               0.4 * profile.strip_halfwidth, 21))
-    rows = []
-    for im_val in im_axis:
-        for re_val in re_axis:
-            sigma = complex(re_val, im_val)
-            branch = quadrature.classify_branch(sigma, qconfig)
-            try:
-                val = dispersion.dispersion_value(params, profile, sigma, qconfig)
-                rows.append([re_val, im_val, val.real, val.imag, branch.value])
-            except ZeroSigma:
-                rows.append([re_val, im_val, "nan", "nan", branch.value])
+    grid = np.empty((im_axis.size, re_axis.size), dtype=complex)
+    grid.real, grid.imag = re_axis, im_axis[:, None]
+    sigma = grid.ravel()
+    # points at the sigma = 0 pole get "nan" rows
+    live = np.abs(sigma) >= dispersion.POLE_RADIUS * params.c0
+    values = np.zeros(sigma.size, dtype=complex)
+    values[live] = dispersion.dispersion_value(params, profile, sigma[live], qconfig)
+    rows = [[s.real, s.imag, *((v.real, v.imag) if ok else ("nan", "nan")), branch.value]
+            for s, v, ok, branch in zip(sigma.tolist(), values.tolist(), live,
+                                        quadrature.classify_branch(sigma, qconfig))]
     heat = [[*r[:4], math.hypot(r[2], r[3])] for r in rows if not isinstance(r[2], str)]
     return {"outputs": [
         _write_table(out_dir / "dispersion_scan.csv",
@@ -306,19 +306,16 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
         k1, k2 = (float(k) for k in spec.get("k_values", [1.0, 2.0]))
         im_sigma = float(spec.get("im_sigma", 0.05))
         re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
-    rows = []
-    contrast = 0.0
-    for re_val in re_axis:
-        sigma = complex(re_val, im_sigma)
-        try:
-            d_spray = dispersion.dispersion_value(params, profile, sigma, qconfig)
-        except ZeroSigma:
-            continue
-        d1 = dispersion.landau_dispersion(profile, k1, sigma * k1, qconfig)
-        d2 = dispersion.landau_dispersion(profile, k2, sigma * k2, qconfig)
-        contrast = max(contrast, abs(d1 - d2))
-        rows.append([re_val, im_sigma, d_spray.real, d_spray.imag,
-                     d1.real, d1.imag, d2.real, d2.imag])
+    sigma = np.empty(re_axis.size, dtype=complex)
+    sigma.real, sigma.imag = re_axis, im_sigma
+    # points at the sigma = 0 pole are left out
+    sigma = sigma[np.abs(sigma) >= dispersion.POLE_RADIUS * params.c0]
+    d_spray = dispersion.dispersion_value(params, profile, sigma, qconfig)
+    d1 = dispersion.landau_dispersion(profile, k1, sigma * k1, qconfig)
+    d2 = dispersion.landau_dispersion(profile, k2, sigma * k2, qconfig)
+    contrast = float(np.abs(d1 - d2).max(initial=0.0))
+    rows = [[s.real, s.imag, d.real, d.imag, a.real, a.imag, b.real, b.imag]
+            for s, d, a, b in zip(*(x.tolist() for x in (sigma, d_spray, d1, d2)))]
     head = ["re_sigma", "im_sigma", "re_D", "im_D"]
     head += [f"{part}_DL_k{k:g}" for k in (k1, k2) for part in ("re", "im")]
     return {"outputs": [_write_table(out_dir / "landau_compare.csv", head, rows, ",")],
@@ -394,7 +391,7 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         n_exponent = float(spec.get("n_exponent", 2.0))
         k_list = [float(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
         nv = int(spec.get("nv", modesim.DEFAULT_NV))
-        modesim.check_scaling_inputs(s, n_exponent, k_list, nv)
+        modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     report = modesim.sobolev_scaling_experiment(
         params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv,
         qconfig=qconfig, region=region)

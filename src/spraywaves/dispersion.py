@@ -34,6 +34,8 @@ NEUTRAL = "neutral"
 
 _COMPAT_TOL = 1e-10
 _ROOT_TOL = 1e-10
+# |sigma| / c0 below which the sigma = 0 pole refuses evaluation (ZeroSigma)
+POLE_RADIUS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -126,17 +128,29 @@ class RootReport:
                                    else "eigenvalue")}
 
 
-def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma: complex,
-                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """Branch-correct dispersion function at complex sigma.
+def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma,
+                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+    """Branch-correct dispersion function at complex sigma, or elementwise over
+    an ndarray of sigma (ZeroSigma if any point is within the pole radius).
 
     The continuation term carries the same kappa rho0 c0^2 / alpha0 prefactor
     as the principal-value term (exact holomorphic continuation).
     """
-    sigma = complex(sigma)
-    if abs(sigma) < 1e-14 * params.c0:
+    array = isinstance(sigma, np.ndarray)
+    if array:
+        sigma = sigma.astype(complex, copy=False)
+        nearest = np.abs(sigma).min(initial=math.inf)
+    else:
+        sigma = complex(sigma)
+        nearest = abs(sigma)
+    if nearest < POLE_RADIUS * params.c0:
         raise ZeroSigma("dispersion function has a pole at sigma = 0")
-    base = 1.0 - params.c0**2 / sigma**2
+    if array:
+        # complex ** raises OverflowError where the square overflows; so must this
+        with np.errstate(over="raise"):
+            base = 1.0 - params.c0**2 / sigma**2
+    else:
+        base = 1.0 - params.c0**2 / sigma**2
     if params.kappa == 0.0:
         return base
     check_compatibility(params, profile)
@@ -159,9 +173,10 @@ def dispersion_parts(params: SprayParams, profile: VelocityProfile, sigma: float
     return float(val.real), float(val.imag)
 
 
-def landau_dispersion(profile: VelocityProfile, k: float, omega: complex,
-                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """Electrostatic-analogue dispersion value 1 - C/k^2, a function of omega/k and k.
+def landau_dispersion(profile: VelocityProfile, k: float, omega,
+                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+    """Electrostatic-analogue dispersion value 1 - C/k^2, a function of omega/k and k,
+    at a point or elementwise over an ndarray of omega.
 
     C continues int f'(v)/(v - omega/k) dv from Im omega > 0, which is the upper
     half of the sigma = omega/k plane for k > 0 and the lower half for k < 0.
@@ -170,7 +185,7 @@ def landau_dispersion(profile: VelocityProfile, k: float, omega: complex,
     """
     if k == 0.0:
         raise ZeroSigma("landau dispersion undefined at k = 0")
-    sigma = complex(omega) / k
+    sigma = (omega if isinstance(omega, np.ndarray) else complex(omega)) / k
     if k > 0.0:
         cont = quadrature.cauchy_transform(profile, (1.0,), sigma, config)
     else:
@@ -197,40 +212,44 @@ def _winding_number(func, region: SearchRegion, n0: int = 48,
     than _PHASE_STEP *and* the value magnitude changes by less than a factor
     of e, so a full 2 pi swing between samples cannot alias to a small
     principal-value step. The accumulated phase is then an exact multiple of
-    2 pi up to float noise. Raises BoundaryRoot when a zero (or a resolution
-    limit) sits on the contour.
+    2 pi up to float noise. ``func`` takes an ndarray of points: it is called
+    once on the initial edge samples and then once per refinement level, on
+    the midpoints of every unresolved segment. Whether a segment is resolved
+    depends on its end values only, so the samples are those of a depth-first
+    walk. Raises BoundaryRoot when a zero (or a resolution limit) sits on the
+    contour.
     """
-    corners = list(region.corners) + [region.corners[0]]
-    pts: list[complex] = []
-    for a, b in zip(corners[:-1], corners[1:]):
+    corners = region.corners
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
         n_edge = n0
         if feature_scale is not None and feature_scale > 0:
             n_edge = max(n0, min(1024, int(math.ceil(abs(b - a) / feature_scale))))
-        ts = np.linspace(0.0, 1.0, n_edge, endpoint=False)
-        pts.extend(a + (b - a) * ts)
-    pts.append(pts[0])
-    vals = [func(z) for z in pts]
-    evals = len(vals)
+        edges.append(a + (b - a) * np.linspace(0.0, 1.0, n_edge, endpoint=False))
+    pts = np.concatenate(edges + [edges[0][:1]])
+    vals = func(pts)
+    evals = pts.size
+    # open segments as (start, start value, end, end value) arrays
+    z1, v1, z2, v2 = pts[:-1], vals[:-1], pts[1:], vals[1:]
     total = 0.0
-    for i in range(len(pts) - 1):
-        seg = [(pts[i], vals[i], pts[i + 1], vals[i + 1])]
-        while seg:
-            z1, v1, z2, v2 = seg.pop()
-            if min(abs(v1), abs(v2)) < _MIN_BOUNDARY_MOD:
-                raise BoundaryRoot("dispersion value vanishes on the contour")
-            dphi = np.angle(v2 / v1)
-            ratio = abs(v2) / abs(v1)
-            resolved = abs(dphi) <= _PHASE_STEP and (1.0 / math.e) <= ratio <= math.e
-            if resolved or abs(z2 - z1) < 1e-13 * (1.0 + abs(z1)):
-                total += dphi
-                continue
-            evals += 1
-            if evals > _MAX_BOUNDARY_EVALS:
-                raise BoundaryRoot("phase walk did not resolve the contour")
-            zm = 0.5 * (z1 + z2)
-            vm = func(zm)
-            seg.append((zm, vm, z2, v2))
-            seg.append((z1, v1, zm, vm))
+    while z1.size:
+        if min(np.abs(v1).min(), np.abs(v2).min()) < _MIN_BOUNDARY_MOD:
+            raise BoundaryRoot("dispersion value vanishes on the contour")
+        dphi = np.angle(v2 / v1)
+        ratio = np.abs(v2) / np.abs(v1)
+        done = ((np.abs(dphi) <= _PHASE_STEP) & (1.0 / math.e <= ratio)
+                & (ratio <= math.e)) | (np.abs(z2 - z1) < 1e-13 * (1.0 + np.abs(z1)))
+        total += float(dphi[done].sum())
+        z1, v1, z2, v2 = (arr[~done] for arr in (z1, v1, z2, v2))
+        if not z1.size:
+            break
+        evals += z1.size
+        if evals > _MAX_BOUNDARY_EVALS:
+            raise BoundaryRoot("phase walk did not resolve the contour")
+        zm = 0.5 * (z1 + z2)
+        vm = func(zm)
+        z1, v1, z2, v2 = (np.concatenate(pair) for pair in
+                          ((z1, zm), (v1, vm), (zm, z2), (vm, v2)))
     winding = total / (2.0 * math.pi)
     defect = abs(winding - round(winding))
     if defect >= _MAX_WINDING_DEFECT:

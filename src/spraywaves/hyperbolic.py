@@ -139,11 +139,13 @@ def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
 # scalar coupling
 # ---------------------------------------------------------------------------
 
-def scalar_dispersion(c: ScalarCoupling, omega: complex,
-                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
-    """G(omega) = omega - lambda0 + kappa * C[v f'/(v - omega)]; roots solve the
-    coupled scalar dispersion relation."""
-    omega = complex(omega)
+def scalar_dispersion(c: ScalarCoupling, omega,
+                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+    """G(omega) = omega - lambda0 + kappa * C[v f'/(v - omega)], at a point or
+    elementwise over an ndarray; roots solve the coupled scalar dispersion
+    relation."""
+    if not isinstance(omega, np.ndarray):
+        omega = complex(omega)
     if c.kappa == 0.0:
         return omega - c.lambda0
     return omega - c.lambda0 + c.kappa * quadrature.cauchy_transform(

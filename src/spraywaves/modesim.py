@@ -272,6 +272,13 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     snap_stride = max(1, nsteps // 16)
     tau, u = complex(state0.tau_hat), complex(state0.u_hat)
     f = state0.f_hat.astype(complex)
+    # sum_j w_j |f_j|^2 = w2 . (fr * fr) over the float view fr of f, squared
+    # into a preallocated buffer; the square root is taken once, at the end
+    fr, w2 = f.view(float), np.repeat(weights, 2)
+    square, feed = np.empty(fr.size), np.empty_like(f)
+    # max|f| > _OVERFLOW_LIMIT forces sum w|f|^2 > min(w) _OVERFLOW_LIMIT^2, so
+    # below half that max|f| needs no look
+    norm_alarm = 0.5 * float(weights.min()) * _OVERFLOW_LIMIT**2
     snapshots: list[ModeState] = []
     overflow = False
     n_done = nsteps
@@ -283,17 +290,16 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
             t3, u3 = a * u2 + s2 + q1 * tau + q0 * t1, b * t2
             t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
             f *= stream
-            f += np.array((tau, t1, t2, t3)) @ gains
+            f += np.dot(np.array((tau, t1, t2, t3)), gains, out=feed)
             tau += t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0
             u += u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0
-        mag = np.abs(f)
         taus[i], us[i] = tau, u
-        kin[i] = math.sqrt(abs(float(weights @ (mag * mag))))
+        kin[i] = norm2 = float(w2 @ np.multiply(fr, fr, out=square))
         if i % snap_stride == 0:
             snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u,
                                        f_hat=f.copy(), time=i * dt))
         if i and (max(abs(tau), abs(u)) > _OVERFLOW_LIMIT
-                  or mag.max() > _OVERFLOW_LIMIT):
+                  or (norm2 > norm_alarm and np.abs(f).max() > _OVERFLOW_LIMIT)):
             overflow = True
             n_done = i
             break
@@ -302,7 +308,7 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
         snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=f.copy(),
                                    time=times[end - 1]))
     return Trajectory(k=k, times=times[:end], tau_hat=taus[:end], u_hat=us[:end],
-                      kinetic_l2=kin[:end], overflow=overflow,
+                      kinetic_l2=np.sqrt(kin[:end]), overflow=overflow,
                       snapshots=tuple(snapshots))
 
 
@@ -347,15 +353,21 @@ class ScalingReport:
     trajectories: tuple[Trajectory, ...] = ()
 
 
-def check_scaling_inputs(s: float, n_exponent: float, k_list: list[float],
-                         nv: int) -> None:
-    """ValueError unless the scaling experiment can run on these inputs."""
+def check_scaling_inputs(params: SprayParams, profile: VelocityProfile, s: float,
+                         n_exponent: float, k_list: list[float],
+                         nv: int) -> list[SimConfig]:
+    """The default grid of each k in k_list, run to t_k = (N+1) log(k)/k;
+    ValueError unless the scaling experiment can run on these inputs (each
+    t_k positive and inside its grid's recurrence time)."""
     if s < 0 or n_exponent <= s:
         raise ValueError("need 0 <= s < n_exponent")
     if len(k_list) < 3 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing with at least 3 entries")
     if nv < MIN_NV:
         raise ValueError(f"nv must be >= {MIN_NV}")
+    return [default_sim_config(params, profile, k, nv=nv,
+                               t_final=(n_exponent + 1.0) * math.log(k) / k)
+            for k in k_list]
 
 
 def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
@@ -369,7 +381,7 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
     t_k = (N+1) log(k)/k; columns use the single-mode norm proxies
     (1+k^2)^(s/2) amp for H^s and amp for L^2.
     """
-    check_scaling_inputs(s, n_exponent, k_list, nv)
+    configs = check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     if region is None:
         base = dispersion.default_region(params, profile)
         region = SearchRegion(base.re_min, base.re_max, 1e-6, base.im_max)
@@ -379,21 +391,19 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
         raise NoUnstableRoot("no dispersion root with Im sigma > 0 in the region")
     sigma = max(roots, key=lambda r: r.sigma.imag).sigma
 
-    def run_one(k: float) -> tuple[ScalingRow, Trajectory]:
-        t_k = (n_exponent + 1.0) * math.log(k) / k
-        config = default_sim_config(params, profile, k, t_final=t_k, nv=nv)
+    def run_one(k: float, config: SimConfig) -> tuple[ScalingRow, Trajectory]:
         seed = init_eigenmode(params, profile, sigma, k, config, qconfig)
         seed = seed.scaled(k ** (-n_exponent))
         traj = integrate(params, profile, seed, config)
         fit = growth_rate(traj, config.fit_window)
         row = ScalingRow(
-            k=k, t_k=t_k,
+            k=k, t_k=config.t_final,
             init_hs_norm=(1.0 + k * k) ** (0.5 * s) * abs(traj.tau_hat[0]),
             final_l2_norm=abs(traj.tau_hat[-1]),
             fitted_rate=fit.rate)
         return row, traj
 
-    results = [run_one(k) for k in k_list]
+    results = [run_one(k, config) for k, config in zip(k_list, configs)]
     rows = [row for row, _ in results]
     trajectories = [traj for _, traj in results]
     finals = [r.final_l2_norm for r in rows]

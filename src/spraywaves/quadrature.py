@@ -9,7 +9,8 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   int p f'/(v - sigma) dv = -(m/w^2) p(sigma) (1 + zeta Z(zeta)) - m E[t'(v)],
   where zeta = (sigma - u)/(sqrt(2) w), Z(zeta) = i sqrt(pi) w(zeta) is the
   plasma dispersion function (Fried & Conte 1961) and E a Gaussian moment;
-  the Faddeeva function w is entire, so this holds on every branch.
+  the Faddeeva function w is entire, so this holds on every branch. For an
+  ndarray of sigma the same expression runs once over the whole array.
 - The compact bump term of a bump-on-tail part is integrated over its support
   [a, b] only, by singularity subtraction: int_a^b g/(v - s) dv =
   int_a^b (g(v) - g(s))/(v - s) dv + g(s) (log(b - s) - log(a - s)). The
@@ -21,7 +22,7 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   1e-2 of a node weight of a node) or where g(s) is refused (the support-edge
   margin, beyond the strip) go through `singular_integral`, which pins panel
   edges at Re s and has the axis and direct-quadrature fallbacks;
-  `pv_integral` is its on-axis part.
+  `pv_integral` is its on-axis part. Bump terms take an array point by point.
 """
 
 from __future__ import annotations
@@ -72,8 +73,13 @@ class Branch(enum.Enum):
     LOWER = "lower"
 
 
-def classify_branch(sigma: complex, config: QuadratureConfig = DEFAULT_CONFIG) -> Branch:
-    im = np.imag(sigma)
+def classify_branch(sigma, config: QuadratureConfig = DEFAULT_CONFIG):
+    """Branch of sigma; an object array of branches for an ndarray sigma."""
+    if isinstance(sigma, np.ndarray):
+        im, tol = sigma.imag, config.axis_tolerance
+        return np.where(im > tol, Branch.UPPER,
+                        np.where(im < -tol, Branch.LOWER, Branch.REAL_AXIS))
+    im = complex(sigma).imag
     if im > config.axis_tolerance:
         return Branch.UPPER
     if im < -config.axis_tolerance:
@@ -169,11 +175,13 @@ def singular_integral(g, sigma: complex, branch: Branch,
     return complex(val)
 
 
-def _maxwellian_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
-                     mass: float, drift: float, width: float, strip: float) -> complex:
-    """Continued int p(v) f'(v)/(v - sigma) dv for one Maxwellian, in closed form."""
-    if branch is Branch.LOWER and -sigma.imag > strip * (1.0 + 1e-12):
-        raise StripViolation(f"|Im sigma| = {-sigma.imag:.3g} exceeds strip "
+def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float, mass: float,
+                     drift: float, width: float, strip: float):
+    """Continued int p(v) f'(v)/(v - sigma) dv for one Maxwellian, in closed form,
+    at a point or elementwise over an array; ``depth`` is the largest -Im sigma
+    on the lower branch (0 if none), refused beyond the strip halfwidth."""
+    if depth > strip * (1.0 + 1e-12):
+        raise StripViolation(f"|Im sigma| = {depth:.3g} exceeds strip "
                              f"halfwidth {strip:.3g} on the lower branch")
     # p(v) = p(sigma) + (v - sigma) t(v); ts = [0, t_(d-1), ..., t_0]
     p_sigma, ts = 0.0, []
@@ -193,29 +201,65 @@ def _maxwellian_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
 
 
 def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-                     sigma: complex,
-                     config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+                     sigma, config: QuadratureConfig = DEFAULT_CONFIG):
     """Branch-correct continuation of int p(v) f'(v)/(v - sigma) dv from above.
 
     ``weight`` holds the coefficients of the real polynomial p in ascending
-    powers of v. Maxwellian parts are summed in closed form; on the lower branch
-    beyond a part's strip halfwidth they raise StripViolation. Bump terms are
-    fused sums over nodes cached in ``profile.node_sets`` (`_bump_part`).
+    powers of v. ``sigma`` is a point or an ndarray of points; an array gives
+    the values elementwise, in its shape, and raises where any point would.
+    Maxwellian parts are summed in closed form (over the whole array at once);
+    on the lower branch beyond a part's strip halfwidth they raise
+    StripViolation. Bump terms are fused sums over nodes cached in
+    ``profile.node_sets``, one point at a time (`_bump_part`).
     """
+    if isinstance(sigma, np.ndarray):
+        return _cauchy_array(profile, tuple(weight), sigma, config)
     sigma, weight = complex(sigma), tuple(weight)
     branch = classify_branch(sigma, config)
     if branch is Branch.REAL_AXIS:
         sigma = complex(sigma.real)
+    depth = -sigma.imag if branch is Branch.LOWER else 0.0
     gaussians, bumps, scale = profile.quadrature_hints
-    total = sum(_maxwellian_part(weight, sigma, branch, *part) for part in gaussians)
+    total = 0.0
+    for part in gaussians:
+        total += _maxwellian_part(weight, sigma, depth, *part)
     if bumps:
-        node_sets = profile.node_sets.get((weight, config.nodes))
-        if node_sets is None:
-            node_sets = profile.node_sets[weight, config.nodes] = tuple(
-                _bump_nodes(weight, config.nodes, scale, *hint) for hint in bumps)
-        for hint, node_set in zip(bumps, node_sets):
+        for hint, node_set in zip(bumps, _node_sets(profile, weight, config.nodes)):
             total += _bump_part(weight, sigma, branch, config, scale, *hint, *node_set)
     return complex(total)
+
+
+def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
+                  sigma: np.ndarray, config: QuadratureConfig) -> np.ndarray:
+    """`cauchy_transform` elementwise over an ndarray of sigma."""
+    im = sigma.imag
+    sigma = np.where((im <= config.axis_tolerance) & (im >= -config.axis_tolerance),
+                     sigma.real, sigma).astype(complex, copy=False)
+    depth = -float(sigma.imag.min(initial=0.0))
+    gaussians, bumps, scale = profile.quadrature_hints
+    total = np.zeros(sigma.shape, dtype=complex)
+    for part in gaussians:
+        total += _maxwellian_part(weight, sigma, depth, *part)
+    if bumps:
+        points = sigma.ravel()
+        branches = classify_branch(points, config)
+        for hint, node_set in zip(bumps, _node_sets(profile, weight, config.nodes)):
+            total += np.reshape([
+                _bump_part(weight, s, branch, config, scale, *hint, *node_set)
+                for s, branch in zip(points.tolist(), branches)], sigma.shape)
+    return total
+
+
+def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...],
+               nodes: int) -> tuple:
+    """`_bump_nodes` of each bump term, built once per profile, weight and
+    node count."""
+    node_sets = profile.node_sets.get((weight, nodes))
+    if node_sets is None:
+        _, bumps, scale = profile.quadrature_hints
+        node_sets = profile.node_sets[weight, nodes] = tuple(
+            _bump_nodes(weight, nodes, scale, *hint) for hint in bumps)
+    return node_sets
 
 
 def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
@@ -286,15 +330,21 @@ def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: complex) -> bool:
                for j in (i - 1, i) if 0 <= j < vs.size)
 
 
-def resonance_integral(profile: profiles.VelocityProfile, sigma: complex,
-                       config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """(1/sigma) * continued integral of v f'(v)/(v - sigma) dv.
+def resonance_integral(profile: profiles.VelocityProfile, sigma,
+                       config: QuadratureConfig = DEFAULT_CONFIG):
+    """(1/sigma) * continued integral of v f'(v)/(v - sigma) dv, at a point or
+    elementwise over an ndarray.
 
     This is the velocity-resonance functional entering the dispersion
     function; for large |sigma| it behaves like m0/sigma^2 + 3 m2/sigma^4.
     """
-    sigma = complex(sigma)
-    if abs(sigma) < 1e-14:
+    if isinstance(sigma, np.ndarray):
+        sigma = sigma.astype(complex, copy=False)
+        nearest = np.abs(sigma).min(initial=math.inf)
+    else:
+        sigma = complex(sigma)
+        nearest = abs(sigma)
+    if nearest < 1e-14:
         raise ZeroSigma("resonance integral undefined at sigma = 0")
     return cauchy_transform(profile, (0.0, 1.0), sigma, config) / sigma
 

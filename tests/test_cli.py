@@ -128,6 +128,8 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"params": {"c0": 10**400}}),
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 10**400, 5]}}),
         ("landau-compare", "maxwellian-stable", {"landau": {"re": [-3, 3, 10**400]}}),
+        ("illposed-demo", "bump-unstable", {"illposed": {"k_list": [8, 16, 1e300]}}),
+        ("illposed-demo", "bump-unstable", {"illposed": {"k_list": [1, 16, 32]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -413,6 +415,28 @@ class TestScanCommand:
         branches = {line.split(",")[-1] for line in lines[1:]}
         assert branches <= {"upper", "real_axis", "lower"}
         assert (out / "scan_heatmap.dat").exists()
+
+    def test_pole_points_write_nan_rows(self, tmp_path):
+        # the grid passes through sigma = 0; landau-compare leaves that point out
+        cfg = {"scan": {"re": [-1.0, 1.0, 5], "im": [-0.1, 0.1, 3]},
+               "landau": {"re": [-1.0, 1.0, 5], "im_sigma": 0.0}}
+        cfgfile = tmp_path / "grid.json"
+        cfgfile.write_text(json.dumps(cfg))
+        for command in ("dispersion-scan", "landau-compare"):
+            assert main([command, "--scenario", "maxwellian-stable", "--config",
+                         str(cfgfile), "--out", str(tmp_path / command),
+                         "--quiet"]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "dispersion-scan" / "dispersion_scan.csv").read_text()
+                .strip().splitlines()[1:]]
+        assert [r[2:] for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0] == \
+            [["nan", "nan", "real_axis"]]
+        assert sum(r[2] == "nan" for r in rows) == 1
+        heat = (tmp_path / "dispersion-scan" / "scan_heatmap.dat").read_text()
+        assert len(heat.strip().splitlines()) == 1 + 14
+        landau = (tmp_path / "landau-compare" / "landau_compare.csv").read_text()
+        assert [float(line.split(",")[0]) for line in landau.strip().splitlines()[1:]] \
+            == [-1.0, -0.5, 0.5, 1.0]
 
 
 class TestThinSprayCommand:

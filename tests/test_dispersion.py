@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import profile_integrand, dense_line_integral
-from spraywaves import profiles, quadrature
+from spraywaves import dispersion, profiles, quadrature
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    damping_rate_at, dispersion_parts,
                                    dispersion_value, find_roots, landau_dispersion,
                                    make_params, spectral_verdict,
                                    thin_spray_expansion)
-from spraywaves.errors import StripViolation, ZeroSigma
+from spraywaves.errors import BoundaryRoot, StripViolation, ZeroSigma
 from spraywaves.quadrature import Branch
 
 CFG = quadrature.DEFAULT_CONFIG
@@ -232,3 +234,120 @@ class TestSpectralVerdict:
 
     def test_decoupled_neutral(self, acoustic_params, std_maxwellian):
         assert spectral_verdict(acoustic_params, std_maxwellian) == "neutral"
+
+
+class TestArrayDispersion:
+    def test_matches_scalar_on_all_branches(self, bump_params, bump_profile,
+                                            maxwellian_params, std_maxwellian):
+        for params, profile in ((maxwellian_params, std_maxwellian),
+                                (bump_params, bump_profile)):
+            sigma = np.array([complex(re, im) for re in np.linspace(-7.0, 7.0, 56)
+                              for im in (0.1, 1e-3, 0.0, -1e-3, -0.1)])
+            got = dispersion_value(params, profile, sigma)
+            want = np.array([dispersion_value(params, profile, z) for z in sigma])
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_pole_and_overflow_refused_like_scalar(self, maxwellian_params,
+                                                   std_maxwellian):
+        sigma = np.array([0.5 + 0.01j, 1e-15, 2.0])
+        with pytest.raises(ZeroSigma):
+            dispersion_value(maxwellian_params, std_maxwellian, sigma)
+        for huge in (np.array([1.0, 2.5e307]), 2.5e307):
+            with pytest.raises(ArithmeticError):
+                dispersion_value(maxwellian_params, std_maxwellian, huge)
+
+    @pytest.mark.parametrize("k", [1.5, -1.5])
+    def test_landau_matches_scalar(self, std_maxwellian, k):
+        omega = k * np.array([0.4 + 0.05j, -1.2 + 0.05j, 2.0, 0.3 - 0.1j])
+        got = landau_dispersion(std_maxwellian, k, omega)
+        want = [landau_dispersion(std_maxwellian, k, z) for z in omega]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def depth_first_winding(func, region, n0=48, feature_scale=None):
+    """The one-point-at-a-time depth-first phase walk that `_winding_number`
+    evaluates by levels: (winding number, every point sampled)."""
+    corners = list(region.corners) + [region.corners[0]]
+    pts = []
+    for a, b in zip(corners[:-1], corners[1:]):
+        n_edge = n0
+        if feature_scale is not None and feature_scale > 0:
+            n_edge = max(n0, min(1024, int(math.ceil(abs(b - a) / feature_scale))))
+        pts.extend(a + (b - a) * np.linspace(0.0, 1.0, n_edge, endpoint=False))
+    pts.append(pts[0])
+    vals = [func(z) for z in pts]
+    sampled = list(pts)
+    total = 0.0
+    for i in range(len(pts) - 1):
+        seg = [(pts[i], vals[i], pts[i + 1], vals[i + 1])]
+        while seg:
+            z1, v1, z2, v2 = seg.pop()
+            dphi = np.angle(v2 / v1)
+            ratio = abs(v2) / abs(v1)
+            if (abs(dphi) <= 1.0 and 1.0 / math.e <= ratio <= math.e) \
+                    or abs(z2 - z1) < 1e-13 * (1.0 + abs(z1)):
+                total += dphi
+                continue
+            zm = 0.5 * (z1 + z2)
+            vm = func(zm)
+            sampled.append(zm)
+            seg.append((zm, vm, z2, v2))
+            seg.append((z1, v1, zm, vm))
+    return round(total / (2.0 * math.pi)), sampled
+
+
+class Recorder:
+    """func wrapped to record each call and every point it is given."""
+
+    def __init__(self, func):
+        self.func, self.calls, self.points = func, 0, []
+
+    def __call__(self, z):
+        self.calls += 1
+        self.points.extend(np.ravel(z).tolist())
+        return self.func(z)
+
+
+class TestWindingWalk:
+    REGION = SearchRegion(0.0, 2.0, 0.0, 1.0)
+    # one zero inside, two just outside the top and bottom edges
+    ZEROS = (1.0 + 0.5j, 1.3 + 1.002j, 0.7 - 0.003j)
+
+    def func(self, z):
+        out = 1.0
+        for r in self.ZEROS:
+            out = out * (z - r)
+        return out
+
+    def test_refinement_near_edge_zeros_gives_known_count(self):
+        walk = Recorder(self.func)
+        assert dispersion._winding_number(walk, self.REGION) == 1
+        # the edge samples, then one call per refinement level
+        assert walk.calls > 3
+        assert len(walk.points) > 4 * 48 + 1
+        count, sampled = depth_first_winding(self.func, self.REGION)
+        assert count == 1
+        assert sorted(walk.points, key=lambda z: (z.real, z.imag)) == \
+            sorted(sampled, key=lambda z: (z.real, z.imag))
+
+    def test_same_samples_as_depth_first_on_a_dispersion_function(self, bump_params,
+                                                                  bump_profile):
+        region = SearchRegion(-7.0, 7.0, 1e-6, 0.12)
+        func = lambda z: dispersion_value(bump_params, bump_profile, z)
+        walk = Recorder(func)
+        assert dispersion._winding_number(walk, region, feature_scale=0.06) == 1
+        count, sampled = depth_first_winding(func, region, feature_scale=0.06)
+        assert count == 1
+        assert walk.calls > 1
+        assert len(walk.points) == len(sampled)
+        assert set(walk.points) == set(sampled)
+
+    def test_zero_on_the_contour_and_eval_cap(self, monkeypatch):
+        on_edge = lambda z: (z - 1.0) * (z - (1.0 + 0.5j))
+        with pytest.raises(BoundaryRoot):
+            dispersion._winding_number(on_edge, self.REGION)
+        walk = Recorder(self.func)
+        dispersion._winding_number(walk, self.REGION)
+        monkeypatch.setattr(dispersion, "_MAX_BOUNDARY_EVALS", len(walk.points) - 1)
+        with pytest.raises(BoundaryRoot, match="did not resolve"):
+            dispersion._winding_number(self.func, self.REGION)

@@ -284,6 +284,18 @@ class TestIntegrate:
         assert len(traj.times) - 1 == 3042
         assert 0.0 < traj.times[-1] < 4.0
 
+    def test_kinetic_norm_of_snapshots(self, bump_params, bump_profile, bump_root):
+        # kinetic_l2 is sqrt(sum w |f|^2) at every recorded state
+        k = 8.0
+        cfg = default_sim_config(bump_params, bump_profile, k, t_final=4.0, nv=2048)
+        state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
+        traj = integrate(bump_params, bump_profile, state, cfg)
+        weights = modesim._simpson_weights(cfg.nv, cfg.dv)
+        for snap in traj.snapshots:
+            i = int(round(snap.time / traj.times[1]))
+            want = math.sqrt(weights @ np.abs(snap.f_hat) ** 2)
+            assert traj.kinetic_l2[i] == pytest.approx(want, rel=1e-14)
+
 
 class TestGrowthRate:
     def test_neutral_mode_rate(self, acoustic_params, std_maxwellian):
@@ -386,6 +398,17 @@ class TestScalingExperiment:
         assert rates[1] == pytest.approx(2.0 * rates[0], rel=0.05)
         assert rates[2] == pytest.approx(2.0 * rates[1], rel=0.05)
         assert report.sigma.imag > 0.0
+
+    def test_recurrence_refused_before_the_root_search(self, bump_params, bump_profile,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("root search started")
+
+        monkeypatch.setattr(dispersion, "find_roots", refuse)
+        for k_list in ([8.0, 16.0, 1e300], [1.0, 16.0, 32.0]):
+            with pytest.raises(ValueError):
+                sobolev_scaling_experiment(bump_params, bump_profile, s=1.0,
+                                           n_exponent=2.0, k_list=k_list)
 
     def test_argument_validation(self, bump_params, bump_profile):
         with pytest.raises(ValueError):

@@ -510,3 +510,124 @@ class TestResonanceIntegral:
     def test_asymptotic_order_validation(self, std_maxwellian):
         with pytest.raises(ValueError):
             resonance_asymptotic(std_maxwellian, 10.0, 3)
+
+
+TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                                  profiles.maxwellian(0.5, 2.0, 0.6))
+ARRAY_WEIGHTS = [(1.0,), (0.0, 1.0), (1.0, 0.0, 1.0)]
+
+
+def branch_points(profile, weight):
+    """Points on all three branches: a grid over Re sigma in [-8, 8] at nine
+    heights within the strip (the axis and 1e-13 off it among them), the bump
+    edge margin above the axis, and points near a node of the fused bump sum."""
+    strip = profile.strip_halfwidth
+    heights = [0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
+               -0.3 * strip, -0.99 * strip]
+    pts = [complex(re, im) for im in heights for re in np.linspace(-8.0, 8.0, 97)]
+    if profile.kind == "bump_on_tail":
+        node, w = bump_node(profile, weight, 5.2)
+        pts += [4.5 + 0.01j, 5.5 + 1e-4j, 5.52 + 0.01j, 4.48 + 0.2j]
+        pts += [complex(node + off, im) for off in (0.0, 1e-14, 1e-10, 0.02 * w, 0.3 * w)
+                for im in (0.0, 1e-8, -1e-8)]
+    return pts
+
+
+def scalar_values(func, pts):
+    """func at each point on its own, None where it raises StripViolation."""
+    out = []
+    for z in pts:
+        try:
+            out.append(func(z))
+        except StripViolation:
+            out.append(None)
+    return out
+
+
+class TestArrayPath:
+    """An ndarray sigma gives the scalar values elementwise. Values are
+    compared relative to max(1, |value|): below 1 the Maxwellian closed form
+    cancels in 1 + zeta Z(zeta) at large |zeta|, so a one-ulp difference of w
+    between the array and the scalar arithmetic shows in the terms, not the sum."""
+
+    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
+    @pytest.mark.parametrize("name", ["std_maxwellian", "two_stream", "bump_profile"])
+    def test_cauchy_transform_matches_scalar(self, request, name, weight):
+        profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
+        pts = branch_points(profile, weight)
+        scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z, CFG), pts)
+        kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
+        assert len(kept) >= 0.9 * len(pts)
+        sigma = np.array([z for z, _ in kept]).reshape(-1, 1)
+        want = np.array([s for _, s in kept]).reshape(-1, 1)
+        got = cauchy_transform(profile, weight, sigma, CFG)
+        assert got.shape == sigma.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
+    @pytest.mark.parametrize("sigma", [0.5 - 0.6j, 1.0 - 0.26j])
+    def test_strip_refusal_matches_scalar(self, std_maxwellian, weight, sigma):
+        # beyond the strip on the lower branch, for one Maxwellian and for a
+        # sum whose narrowest strip decides
+        for profile in (std_maxwellian, TWO_STREAM):
+            fine = np.array([0.5 + 0.1j, 0.7, 0.5 - 0.1j])
+            cauchy_transform(profile, weight, fine, CFG)
+            scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z, CFG),
+                                   [sigma])
+            if scalar[0] is None:
+                with pytest.raises(StripViolation):
+                    cauchy_transform(profile, weight, np.append(fine, sigma), CFG)
+
+    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
+    def test_bump_refusals_match_scalar(self, bump_profile, weight):
+        # the edge margin and beyond the strip below the axis refuse; one such
+        # point among ordinary ones refuses the whole array
+        pts = branch_points(bump_profile, weight) + [4.52 - 0.1j, 5.49 - 0.2j, 4.8 - 0.3j]
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z, CFG),
+                               pts)
+        refused = [z for z, s in zip(pts, scalar) if s is None]
+        assert refused
+        fine = np.array([z for z, s in zip(pts, scalar) if s is not None][:5])
+        for z in refused:
+            with pytest.raises(StripViolation):
+                cauchy_transform(bump_profile, weight, np.append(fine, z), CFG)
+
+    def test_faddeeva_against_scipy_wofz(self):
+        rng = np.random.default_rng(12)
+        z = np.concatenate([
+            rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-4.0, 20.0, 2000),
+            rng.uniform(-6.0, 6.0, 1000) + 1j * rng.uniform(-4.0, 4.0, 1000),
+            rng.uniform(-50.0, 50.0, 400) + 0j,
+            [0j, 1.0, -1.0, 1e-8, -1e-8, 1e-8j, -1e-8j, 30.0 - 29.9j]]).reshape(2, -1)
+        got = faddeeva(z)
+        want = wofz(z)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-14
+        scalar = np.array([faddeeva(x) for x in z.ravel()]).reshape(z.shape)
+        assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-15
+
+    def test_faddeeva_overflow_refused(self):
+        z = np.array([1.0 + 1j, 0.5 - 30j, 2.0 - 1j])
+        with pytest.raises(FaddeevaOverflow):
+            faddeeva(z)
+        faddeeva(z[[0, 2]])
+
+    def test_resonance_integral_and_zero_sigma(self, std_maxwellian):
+        sigma = np.array([0.5 + 0.1j, -2.0, 1.5 - 0.2j])
+        got = resonance_integral(std_maxwellian, sigma, CFG)
+        want = [resonance_integral(std_maxwellian, z, CFG) for z in sigma]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        with pytest.raises(ZeroSigma):
+            resonance_integral(std_maxwellian, np.append(sigma, 0.0), CFG)
+
+    def test_classify_branch_elementwise(self):
+        sigma = np.array([1.0 + 0.1j, 1.0, 1.0 - 1e-3j, 1.0 + 5e-13j])
+        assert list(classify_branch(sigma, CFG)) == [
+            classify_branch(z, CFG) for z in sigma]
+
+    def test_scalar_dispersion_matches_scalar(self, bump_profile):
+        coupling = ScalarCoupling(lambda0=4.8, kappa=1e-3, profile=bump_profile)
+        omega = np.array([4.8 + 0.05j, 4.8, 5.2 - 0.05j, 3.0 + 1j])
+        got = scalar_dispersion(coupling, omega)
+        want = [scalar_dispersion(coupling, z) for z in omega]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
