@@ -18,15 +18,14 @@ from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
 from .profiles import (VelocityProfile, compatibility_alpha, eval_df, eval_f,
                        make_bump_on_tail, maxwellian, moment, profile_sum)
 from .quadrature import (Branch, QuadratureConfig, cauchy_transform, classify_branch,
-                         pv_integral, resonance_asymptotic, resonance_integral,
-                         singular_integral)
+                         resonance_asymptotic, resonance_integral)
 
 __all__ = [
     "__version__", "errors",
     "VelocityProfile", "maxwellian", "make_bump_on_tail", "profile_sum",
     "eval_f", "eval_df", "moment", "compatibility_alpha",
-    "QuadratureConfig", "Branch", "classify_branch", "singular_integral",
-    "pv_integral", "cauchy_transform", "resonance_integral", "resonance_asymptotic",
+    "QuadratureConfig", "Branch", "classify_branch", "cauchy_transform",
+    "resonance_integral", "resonance_asymptotic",
     "SprayParams", "SearchRegion", "RootReport", "make_params",
     "dispersion_value", "dispersion_parts", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",

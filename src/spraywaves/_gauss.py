@@ -51,10 +51,11 @@ def layout(length: float, scale: float, min_nodes: int) -> tuple[int, int]:
 
 
 def segment_panels(a: float, b: float, breakpoints: tuple[float, ...], scale: float,
-                   nodes: int) -> list:
-    """(nodes, weights) of each segment of [a, b] cut at the breakpoints inside
-    it; a segment gets its length's share of `nodes`, at least 64."""
+                   nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights over [a, b] cut at the breakpoints inside it; a
+    segment gets its length's share of `nodes`, at least 64."""
     edges = sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    return [panel_nodes(lo, hi, *layout(hi - lo, scale,
-                                        max(64, nodes * (hi - lo) / (b - a))))
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    vs, ws = zip(*(panel_nodes(lo, hi, *layout(hi - lo, scale,
+                                               max(64, nodes * (hi - lo) / (b - a))))
+                   for lo, hi in zip(edges[:-1], edges[1:])))
+    return np.concatenate(vs), np.concatenate(ws)

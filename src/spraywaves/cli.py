@@ -128,11 +128,12 @@ def build_qconfig(d: dict | None) -> QuadratureConfig:
     q = quadrature.DEFAULT_CONFIG
     if not d:
         return q
-    return QuadratureConfig(
-        truncation_halfwidth=float(d.get("L", q.truncation_halfwidth)),
-        nodes=int(d.get("nodes", q.nodes)),
-        axis_tolerance=float(d.get("axis_tolerance", q.axis_tolerance)),
-        subtraction_window=float(d.get("window", q.subtraction_window)))
+    for key in ("L", "window"):          # keys of older configs: checked, then ignored
+        if not 0.0 < float(d.get(key, 1.0)) < math.inf:
+            raise ValueError(f"quadrature.{key} must be positive and finite")
+    return QuadratureConfig(nodes=int(d.get("nodes", q.nodes)),
+                            axis_tolerance=float(d.get("axis_tolerance",
+                                                       q.axis_tolerance)))
 
 
 def build_region(d: dict | None, params: SprayParams,
@@ -304,6 +305,9 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
         profile, params, qconfig = _read_spray(cfg)
         spec = cfg.get("landau", {})
         k1, k2 = (float(k) for k in spec.get("k_values", [1.0, 2.0]))
+        if not all(k != 0.0 and math.isfinite(k) for k in (k1, k2)):
+            raise ConfigError(f"landau.k_values must be nonzero finite numbers, "
+                              f"got {[k1, k2]}")
         im_sigma = float(spec.get("im_sigma", 0.05))
         re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
     sigma = np.empty(re_axis.size, dtype=complex)
@@ -478,6 +482,10 @@ def _config_notes(cfg: dict) -> list[str]:
         notes.append("bump profile: off-axis values use the closed form inside the "
                      "support interior; an edge margin raises StripViolation and "
                      "near-axis evaluations fall back to real-axis values")
+    ignored = [key for key in ("L", "window") if key in (cfg.get("quadrature") or {})]
+    if ignored:
+        notes.append(f"quadrature keys {', '.join(ignored)} are ignored: bump terms are "
+                     f"integrated over their own support with a fixed pinned window")
     return notes
 
 

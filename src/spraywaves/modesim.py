@@ -32,7 +32,9 @@ _EIGENMODE_RESIDUAL = 1e-8     # |D(sigma)| accepted for an eigenmode seed
 _GRID_MULTIPLE = 3.0           # |Im sigma| must exceed this many grid spacings
 _OVERFLOW_LIMIT = 1e150
 MIN_NV = 256
+MAX_NV = 65536
 DEFAULT_NV = 2048
+MAX_WORK = 2**31               # RK4 steps x velocity nodes of one run
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,16 @@ class SimConfig:
     fit_window: tuple[float, float]
 
     def __post_init__(self):
-        if self.nv < MIN_NV:
-            raise ValueError(f"nv must be >= {MIN_NV}")
+        if not MIN_NV <= self.nv <= MAX_NV:
+            raise ValueError(f"nv must lie in [{MIN_NV}, {MAX_NV}]")
         if self.v_bounds[0] >= self.v_bounds[1]:
             raise ValueError("empty velocity interval")
-        if self.dt <= 0 or self.t_final <= 0:
+        if not (self.dt > 0 and self.t_final > 0):
             raise ValueError("dt and t_final must be positive")
+        steps = self.t_final / self.dt
+        if steps > MAX_WORK or math.ceil(steps) * self.nv > MAX_WORK:
+            raise ValueError(f"t_final/dt = {steps:.3g} steps on {self.nv} velocity "
+                             f"nodes exceeds the {MAX_WORK} node-step cap")
         lo, hi = self.fit_window
         if not (0.0 <= lo < hi <= self.t_final):
             raise ValueError("fit_window must lie inside [0, t_final]")
@@ -363,8 +369,6 @@ def check_scaling_inputs(params: SprayParams, profile: VelocityProfile, s: float
         raise ValueError("need 0 <= s < n_exponent")
     if len(k_list) < 3 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing with at least 3 entries")
-    if nv < MIN_NV:
-        raise ValueError(f"nv must be >= {MIN_NV}")
     return [default_sim_config(params, profile, k, nv=nv,
                                t_final=(n_exponent + 1.0) * math.log(k) / k)
             for k in k_list]

@@ -72,6 +72,11 @@ class VelocityProfile:
             slope = max(slope, self.eps * self.mass / self.eta / self.eta)
         if not math.isfinite(slope):
             raise ValueError("profile derivative scale overflows")
+        if self.kind == "bump_on_tail":
+            pts = _bump_breakpoints(self)
+            if any(x >= y for x, y in zip(pts, pts[1:])):
+                raise ValueError("bump support too narrow to resolve at c_star: "
+                                 "its panel breakpoints coincide in floating point")
 
     def _default_strip(self) -> float:
         if self.kind == "maxwellian":
@@ -294,7 +299,7 @@ def resolution_scale(profile: VelocityProfile) -> float:
     return min(resolution_scale(p) for p in profile.parts)
 
 
-def analyticity_breakpoints(profile: VelocityProfile, depth: int = 8) -> tuple[float, ...]:
+def analyticity_breakpoints(profile: VelocityProfile) -> tuple[float, ...]:
     """Panel edges that must be honored when integrating across this profile.
 
     The compact bump is smooth but not analytic at its support edges; panels
@@ -304,36 +309,32 @@ def analyticity_breakpoints(profile: VelocityProfile, depth: int = 8) -> tuple[f
     if profile.kind == "maxwellian":
         return ()
     if profile.kind == "bump_on_tail":
-        lo = profile.c_star - profile.eta
-        hi = profile.c_star + profile.eta
-        pts = [lo, hi]
-        for j in range(1, depth + 1):
-            h = profile.eta * 2.0 ** (-j)
-            pts += [lo + h, hi - h]
-        return tuple(sorted(pts)) + analyticity_breakpoints(profile.base, depth)
-    out: tuple[float, ...] = ()
-    for p in profile.parts:
-        out += analyticity_breakpoints(p, depth)
-    return out
+        return _bump_breakpoints(profile) + analyticity_breakpoints(profile.base)
+    return sum((analyticity_breakpoints(p) for p in profile.parts), ())
 
 
-@lru_cache(maxsize=512)
+def _bump_breakpoints(profile: VelocityProfile) -> tuple[float, ...]:
+    """The bump's support edges and 8 panel edges graded geometrically into each."""
+    lo, hi = profile.c_star - profile.eta, profile.c_star + profile.eta
+    hs = [profile.eta * 2.0 ** (-j) for j in range(1, 9)]
+    return tuple(sorted([lo, hi, *(lo + h for h in hs), *(hi - h for h in hs)]))
+
+
 def moment(profile: VelocityProfile, order: int) -> float:
-    """Numerical velocity moment of f (order 0 or 2)."""
+    """Velocity moment of f of order 0 or 2, in closed form: the Gaussian
+    moments, and for the bump term those of its shape from `_bump_constants`."""
     if order not in (0, 2):
         raise ValueError("moment order must be 0 or 2")
-    lo, hi = support_bounds(profile)
-    lo, hi = lo - 2.0 * profile.width, hi + 2.0 * profile.width
-    scale = resolution_scale(profile)
-    breaks = [x for x in analyticity_breakpoints(profile, depth=14) if lo < x < hi]
-    edges = sorted({lo, hi, *breaks})
-    total = 0.0
-    for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
-        npanels, gauss_order = _gauss.layout(
-            seg_hi - seg_lo, scale, max(64, 512 * (seg_hi - seg_lo) / (hi - lo)))
-        v, w = _gauss.panel_nodes(seg_lo, seg_hi, npanels, gauss_order)
-        total += np.sum(np.real(_eval_f_raw(profile, v)) * v ** order * w)
-    return float(total)
+    if profile.kind == "maxwellian":
+        return profile.mass * (1.0 if order == 0
+                               else profile.width**2 + profile.drift**2)
+    if profile.kind == "bump_on_tail":
+        _, m1, m2 = _bump_constants()
+        c, eta = profile.c_star, profile.eta
+        bump = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
+        return ((1.0 - profile.eps) * moment(profile.base, order)
+                + profile.eps * profile.base.m0 * bump)
+    return sum(moment(p, order) for p in profile.parts)
 
 
 def compatibility_alpha(profile: VelocityProfile, kappa: float) -> float:

@@ -13,16 +13,15 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   ndarray of sigma the same expression runs once over the whole array.
 - The compact bump term of a bump-on-tail part is integrated over its support
   [a, b] only, by singularity subtraction: int_a^b g/(v - s) dv =
-  int_a^b (g(v) - g(s))/(v - s) dv + g(s) (log(b - s) - log(a - s)). The
-  first term is analytic in v wherever g is, so it needs no panel edge at
-  Re s: Gauss nodes over the support (cut only at the bump's breakpoints) and
-  g on them are built once per profile, weight and node count, and each s
-  costs one scalar g(s) and one fused sum. Branch continuity holds to
-  quadrature accuracy. Points where that sum would lose digits (within
-  1e-2 of a node weight of a node) or where g(s) is refused (the support-edge
-  margin, beyond the strip) go through `singular_integral`, which pins panel
-  edges at Re s and has the axis and direct-quadrature fallbacks;
-  `pv_integral` is its on-axis part. Bump terms take an array point by point.
+  int_a^b (g(v) - c)/(v - s) dv + c (log(b - s) - log(a - s)), c = g(s). The
+  first term is analytic in v wherever g is, so Gauss nodes over the support
+  (cut only at the bump's breakpoints) and g on them are built once per
+  profile, weight and node count, and each s costs one scalar g(s) and one
+  fused sum. Points within 1e-2 of a node weight of a node, where that sum
+  would lose digits, and points where g(s) is refused (the edge margin, beyond
+  the strip) go through `_pinned_part`: panel edges pinned at Re s and
+  Re s +- w, and c = g(Re s) where g(s) is refused, which is exact above the
+  axis, within O(Im s) just below it and refused farther down.
 """
 
 from __future__ import annotations
@@ -40,24 +39,20 @@ from .errors import StripViolation, ZeroSigma
 # |Im sigma| below which a real-axis g value may stand in for g(sigma) when
 # the true complex value is unavailable (bump support edges)
 _AXIS_FALLBACK_FRACTION = 0.05
+# halfwidth of the panels pinned around Re sigma by the subtraction fallback
+_PIN_WINDOW = 1.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution knobs for the velocity integrals. ``truncation_halfwidth``
-    only sets the default interval of raw-callable integrals; ``nodes`` sizes
-    the Gauss panels (for profiles, over the bump support)."""
+    """Resolution knobs for the velocity integrals: ``nodes`` sizes the Gauss
+    panels over a bump support, ``axis_tolerance`` the real-axis band."""
 
-    truncation_halfwidth: float = 12.0
     nodes: int = 256
     axis_tolerance: float = 1e-12
-    subtraction_window: float = 1.0
 
     def __post_init__(self):
-        for name in ("truncation_halfwidth", "subtraction_window"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
         if not 64 <= self.nodes <= 65536 or self.nodes % 2:
             raise ValueError("nodes must be an even integer in [64, 65536]")
         if not (0.0 < self.axis_tolerance <= 1e-10):
@@ -79,100 +74,8 @@ def classify_branch(sigma, config: QuadratureConfig = DEFAULT_CONFIG):
         im, tol = sigma.imag, config.axis_tolerance
         return np.where(im > tol, Branch.UPPER,
                         np.where(im < -tol, Branch.LOWER, Branch.REAL_AXIS))
-    im = complex(sigma).imag
-    if im > config.axis_tolerance:
-        return Branch.UPPER
-    if im < -config.axis_tolerance:
-        return Branch.LOWER
-    return Branch.REAL_AXIS
-
-
-def _eval_at(g, s: complex) -> complex:
-    return complex(np.asarray(g(np.array([s], dtype=complex)))[0])
-
-
-def _panel_sum(g, panels, integrand) -> complex:
-    """Sum of integrand(g(v), v) * w over the (nodes, weights) panels, one g call."""
-    vs = np.concatenate([v for v, _ in panels])
-    terms = integrand(g(vs), vs) * np.concatenate([w for _, w in panels])
-    return complex(np.sum(terms))
-
-
-def _subtracted_panels(g, g_at_s: complex, s: complex, a: float, b: float,
-                       breakpoints: tuple[float, ...], scale: float, nodes: int) -> complex:
-    """int of (g(v) - g(s))/(v - s) on [a, b] cut at breakpoints."""
-    return _panel_sum(g, _gauss.segment_panels(a, b, breakpoints, scale, nodes),
-                      lambda gv, vs: (gv - g_at_s) / (vs - s))
-
-
-def pv_integral(g, x0: float, config: QuadratureConfig = DEFAULT_CONFIG, *,
-                bounds: tuple[float, float] | None = None, scale: float = 1.0,
-                breakpoints: tuple[float, ...] = ()) -> complex:
-    """Principal value of int g(v)/(v - x0) dv over the truncated line.
-
-    Singularity subtraction with panel edges pinned at x0 and at the
-    subtraction window, plus the exact log term for the asymmetric remainder.
-    """
-    span = config.truncation_halfwidth + abs(x0)
-    a, b = bounds if bounds is not None else (-span, span)
-    if not a < x0 < b:
-        raise ValueError(f"x0={x0} outside truncation interval [{a}, {b}]")
-    g0 = _eval_at(g, complex(x0))
-    w = min(config.subtraction_window, 0.5 * (b - x0), 0.5 * (x0 - a))
-    breaks = (x0 - w, x0, x0 + w) + breakpoints
-    val = _subtracted_panels(g, g0, complex(x0), a, b, breaks, scale, config.nodes)
-    return complex(val + g0 * np.log((b - x0) / (x0 - a)))
-
-
-def singular_integral(g, sigma: complex, branch: Branch,
-                      config: QuadratureConfig = DEFAULT_CONFIG, *,
-                      bounds: tuple[float, float] | None = None, scale: float = 1.0,
-                      breakpoints: tuple[float, ...] = ()) -> complex:
-    """Branch-correct continuation of int_a^b g(v)/(v - sigma) dv from above.
-
-    ``g`` must accept complex ndarrays; if it raises StripViolation at sigma
-    itself, the subtraction falls back to the nearest real-axis value (close
-    to the axis) or to direct quadrature (far from it). On the axis outside
-    [a, b] the integral is plain.
-    """
-    sigma = complex(sigma)
-    x0 = sigma.real
-    span = config.truncation_halfwidth + abs(x0)
-    a, b = bounds if bounds is not None else (-span, span)
-    if branch is Branch.REAL_AXIS:
-        if not a < x0 < b:
-            return _subtracted_panels(g, 0.0, complex(x0), a, b, breakpoints, scale,
-                                      config.nodes)
-        val = pv_integral(g, x0, config, bounds=(a, b), scale=scale,
-                          breakpoints=breakpoints)
-        return val + 1j * np.pi * _eval_at(g, complex(x0))
-    g_sigma = None
-    try:
-        g_sigma = _eval_at(g, sigma)
-    except StripViolation:
-        # close to the axis the real-axis value stands in for the analytic
-        # continuation (exact up to O(Im sigma)); farther away the lower-branch
-        # residue genuinely needs the strip value
-        if abs(sigma.imag) <= _AXIS_FALLBACK_FRACTION * scale:
-            g_sigma = _eval_at(g, complex(x0))
-        elif branch is Branch.LOWER:
-            raise
-    if g_sigma is None:
-        # no usable value of g at sigma: direct quadrature, panels refined
-        # down to the pole distance; each segment holds at least `nodes`, so
-        # g is called per segment to keep temporaries small
-        eff = min(scale, max(abs(sigma.imag), scale / 64.0))
-        edges = sorted({a, b, *(x for x in (x0, *breakpoints) if a < x < b)})
-        return complex(sum(_panel_sum(g, [_gauss.panel_nodes(lo, hi, *_gauss.layout(
-            hi - lo, eff, config.nodes))], lambda gv, vs: gv / (vs - sigma))
-            for lo, hi in zip(edges[:-1], edges[1:])))
-    w = min(config.subtraction_window, 0.25 * (b - a))
-    breaks = tuple(x for x in (x0 - w, x0, x0 + w) if a < x < b) + breakpoints
-    val = _subtracted_panels(g, g_sigma, sigma, a, b, breaks, scale, config.nodes)
-    val += g_sigma * (np.log(b - sigma) - np.log(a - sigma))
-    if branch is Branch.LOWER:
-        val += 2j * np.pi * g_sigma
-    return complex(val)
+    im, tol = complex(sigma).imag, config.axis_tolerance
+    return Branch.UPPER if im > tol else Branch.LOWER if im < -tol else Branch.REAL_AXIS
 
 
 def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float, mass: float,
@@ -266,11 +169,11 @@ def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
                 bump: profiles.VelocityProfile, coef: float,
                 support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
-    breakpoints, g(vs) = coef p(vs) f_bump'(vs), and the near-node radius."""
-    vs, ws = (np.concatenate(arrs) for arrs in zip(*_gauss.segment_panels(
-        *support, breakpoints, scale, nodes)))
-    return (vs, ws, coef * _poly(weight, vs) * np.real(profiles._bump_df(bump, vs)),
-            1e-2 * ws.max())
+    breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
+    arithmetic), g(vs) and the near-node radius."""
+    vs, ws = _gauss.segment_panels(*support, breakpoints, scale, nodes)
+    g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
+    return vs, ws, g, g(vs), 1e-2 * ws.max()
 
 
 def _poly(weight: tuple[float, ...], v):
@@ -287,44 +190,67 @@ def _log(z: complex) -> complex:
 def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
                config: QuadratureConfig, scale: float, bump: profiles.VelocityProfile,
                coef: float, support: tuple[float, float], breakpoints: tuple[float, ...],
-               vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray, near: float) -> complex:
+               vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
+               near: float) -> complex:
     """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
     one fused sum over the fixed support nodes vs (with g(vs) = gvs) serves
-    every sigma; sigma in the edge margin, beyond the strip or within 1e-2 of
-    a node weight of a node goes through `singular_integral` instead.
+    every sigma; sigma within 1e-2 of a node weight of a node, or where g(sigma)
+    is refused (the edge margin, beyond the strip), goes through `_pinned_part`.
     """
+    def g_at(s: complex) -> complex:
+        return coef * _poly(weight, s) * profiles._bump_df_at(bump, s)
+
     try:
-        g_sigma = coef * _poly(weight, sigma) * profiles._bump_df_at(bump, sigma)
+        c, refused = g_at(sigma), False
     except StripViolation:
-        g_sigma = None
-    if g_sigma is None or (abs(sigma.imag) < near and _near_node(vs, ws, sigma)):
-        def g(v):
-            # panel nodes stay real, so the bump kernel runs in real arithmetic
-            if np.iscomplexobj(v) and np.any(v.imag != 0.0):
-                profiles._check_strip(bump, v)
-            return coef * _poly(weight, v) * profiles._bump_df(bump, v)
+        # above the axis any constant subtracts exactly, and close below it
+        # g(Re sigma) stands in for the continuation (exact up to O(Im sigma));
+        # farther down the residue 2 i pi g(sigma) genuinely needs the strip value
+        if branch is Branch.LOWER and -sigma.imag > _AXIS_FALLBACK_FRACTION * scale:
+            raise
+        c, refused = g_at(complex(sigma.real)), True
+    if refused or _near_node(vs, ws, sigma, near):
+        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale,
+                            config.nodes)
+    return _plus_log_part(complex(np.sum((gvs - c) / (vs - sigma) * ws)), c, sigma,
+                          branch, *support)
 
-        return singular_integral(g, sigma, branch, config, bounds=support,
-                                 scale=scale, breakpoints=breakpoints)
-    val = complex(np.sum((gvs - g_sigma) / (vs - sigma) * ws))
-    if g_sigma:
+
+def _pinned_part(g, c: complex, sigma: complex, branch: Branch,
+                 support: tuple[float, float], breakpoints: tuple[float, ...],
+                 scale: float, nodes: int) -> complex:
+    """Continued int_a^b g(v)/(v - sigma) dv as int_a^b (g(v) - c)/(v - sigma) dv,
+    on panels pinned at Re sigma and Re sigma +- _PIN_WINDOW (at most (b - a)/4)
+    with one g call, plus the `_plus_log_part` of c. Exact for any c above the
+    axis; on and below it c must be g(sigma) (or within O(Im sigma) of it), and
+    Re sigma inside (a, b) unless c = 0."""
+    a, b = support
+    x0, w = sigma.real, min(_PIN_WINDOW, 0.25 * (b - a))
+    vs, ws = _gauss.segment_panels(a, b, (x0 - w, x0, x0 + w) + breakpoints, scale, nodes)
+    return _plus_log_part(complex(np.sum((g(vs) - c) / (vs - sigma) * ws)), c, sigma,
+                          branch, a, b)
+
+
+def _plus_log_part(val: complex, c: complex, sigma: complex, branch: Branch, a: float,
+                   b: float) -> complex:
+    """val + c int_a^b dv/(v - sigma) continued from above: c log((b - sigma)/(a -
+    sigma)), the real log plus i pi on the axis, plus 2 i pi c below it."""
+    if not c:
         # g vanishes outside (a, b) and near its edges, so no log meets zero
-        a, b = support
-        if branch is Branch.REAL_AXIS:
-            log_term = complex(math.log((b - sigma.real) / (sigma.real - a)), math.pi)
-        else:
-            log_term = _log(b - sigma) - _log(a - sigma)
-        val += g_sigma * log_term
-        if branch is Branch.LOWER:
-            val += 2j * math.pi * g_sigma
-    return val
+        return val
+    if branch is Branch.REAL_AXIS:
+        return val + c * complex(math.log((b - sigma.real) / (sigma.real - a)), math.pi)
+    val += c * (_log(b - sigma) - _log(a - sigma))
+    return val + 2j * math.pi * c if branch is Branch.LOWER else val
 
 
-def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: complex) -> bool:
-    """Whether sigma lies within 1e-2 w_j of a node v_j, where the fused sum
-    would lose digits to cancellation."""
+def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: complex, near: float) -> bool:
+    """Whether sigma lies within `near` of the axis and within 1e-2 w_j of a
+    node v_j, where the fused sum would lose digits to cancellation."""
+    if abs(sigma.imag) >= near:
+        return False
     i = int(vs.searchsorted(sigma.real))
     return any(abs(vs.item(j) - sigma) < 1e-2 * ws.item(j)
                for j in (i - 1, i) if 0 <= j < vs.size)
@@ -355,8 +281,7 @@ def resonance_asymptotic(profile: profiles.VelocityProfile, sigma: complex,
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     sigma = complex(sigma)
-    m0 = profiles.moment(profile, 0)
-    out = m0 / sigma**2
+    out = profiles.moment(profile, 0) / sigma**2
     if order == 4:
         out += 3.0 * profiles.moment(profile, 2) / sigma**4
     return out

@@ -7,7 +7,7 @@ _BUMP_PROFILE = {
     "base": _STD_MAXWELLIAN,
 }
 
-_DEFAULT_QUADRATURE = {"L": 12.0, "nodes": 256, "axis_tolerance": 1e-12, "window": 1.0}
+_DEFAULT_QUADRATURE = {"nodes": 256, "axis_tolerance": 1e-12}
 
 SCENARIOS: dict[str, dict] = {
     "maxwellian-stable": {

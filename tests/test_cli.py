@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from spraywaves import modesim
-from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _write_table, build_profile,
-                            build_qconfig, main)
+from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_table,
+                            build_profile, build_qconfig, main)
+from spraywaves.quadrature import QuadratureConfig
 from spraywaves.scenarios import SCENARIOS
 
 
@@ -34,11 +35,15 @@ class TestConfigBuilders:
             build_profile({"kind": "maxwellian", "width": -1.0})
 
     def test_quadrature_keys(self):
-        q = build_qconfig({"L": 14.0, "nodes": 128, "axis_tolerance": 1e-13,
-                           "window": 0.5})
-        assert q.truncation_halfwidth == 14.0
-        assert q.nodes == 128
-        assert q.subtraction_window == 0.5
+        # L and window of older configs are checked, noted, then ignored
+        quad = {"L": 14.0, "nodes": 128, "axis_tolerance": 1e-13, "window": 0.5}
+        assert build_qconfig(quad) == QuadratureConfig(nodes=128, axis_tolerance=1e-13)
+        for key in ("L", "window"):
+            with pytest.raises(ValueError):
+                build_qconfig({key: -1.0})
+        note = "quadrature keys L, window are ignored"
+        assert any(n.startswith(note) for n in _config_notes({"quadrature": quad}))
+        assert not any("ignored" in n for n in _config_notes(SCENARIOS["bump-unstable"]))
 
 
 class TestExitCodes:
@@ -130,6 +135,11 @@ class TestExitCodes:
         ("landau-compare", "maxwellian-stable", {"landau": {"re": [-3, 3, 10**400]}}),
         ("illposed-demo", "bump-unstable", {"illposed": {"k_list": [8, 16, 1e300]}}),
         ("illposed-demo", "bump-unstable", {"illposed": {"k_list": [1, 16, 32]}}),
+        # bump breakpoints c* +- eta 2^-j that round together are refused
+        ("roots", "bump-unstable", {"profile": {"c_star": 1e308}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"k_values": [0, 1]}}),
+        ("roots", "bump-unstable", {"profile": {"c_star": 1e16}}),   # the same
+        ("simulate", "maxwellian-stable", {"sim": {"dt": math.nan}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -143,11 +153,35 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command,scenario,override", [
+        ("simulate", "maxwellian-stable", {"sim": {"nv": modesim.MAX_NV + 2}}),
+        ("simulate", "maxwellian-stable", {"sim": {"nv": 10**12}}),
+        ("simulate", "maxwellian-stable", {"sim": {"dt": 1e-9}}),
+        ("simulate", "bump-unstable", {"sim": {"t_final": 1e12}}),
+        ("illposed-demo", "bump-unstable", {"illposed": {"nv": 10**9}}),
+    ])
+    def test_work_cap_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                command, scenario, override):
+        # the refusal must come at the config read, before any state or
+        # trajectory array is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocating call reached")
+
+        monkeypatch.setattr(modesim, "integrate", refuse)
+        monkeypatch.setattr(modesim, "init_eigenmode", refuse)
+        monkeypatch.setattr(modesim, "acoustic_state", refuse)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        code = main([command, "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("command,scenario,override", [
         ("roots", "maxwellian-stable", {"region": {"re_max": 1e308}}),
         ("thin-spray", "maxwellian-stable", {"params": {"c0": 1e308}}),
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 1e308, 5]}}),
         ("simulate", "maxwellian-stable", {"params": {"rho0": 1e308}}),
-        ("roots", "bump-unstable", {"profile": {"c_star": 1e308}}),
     ])
     def test_overflow_exits_3(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -210,6 +244,9 @@ class TestExitCodeSweep:
                                       scenario, blocks):
         monkeypatch.chdir(tmp_path)      # output_dir = "x" writes to ./x
         base = {**SCENARIOS[scenario], "output_dir": str(tmp_path / "out")}
+        if "quadrature" in blocks:
+            # the keys of older configs, still checked before they are ignored
+            base["quadrature"] = {**base["quadrature"], "L": 12.0, "window": 1.0}
         cfgfile = tmp_path / "c.json"
         leaves = list(_leaves({key: base[key] for key in blocks}))
         assert len(leaves) >= self.MIN_LEAVES[command]

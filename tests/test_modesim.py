@@ -31,6 +31,22 @@ class TestSimConfig:
             SimConfig(nv=256, v_bounds=(-10, 10), dt=1e-3, t_final=1.0,
                       fit_window=(0.8, 0.2))
 
+    def test_work_caps(self):
+        # nv up to MAX_NV and ceil(t_final/dt) * nv up to MAX_WORK; the arrays
+        # come later, in integrate, so constructing these allocates nothing
+        def config(nv, steps, dt=1e-3):
+            return SimConfig(nv=nv, v_bounds=(-10.0, 10.0), dt=dt, t_final=steps * dt,
+                             fit_window=(0.0, 0.5 * steps * dt))
+
+        config(modesim.MAX_NV, 2)
+        config(2**14, 2**17, dt=0.5)
+        for nv, steps in ((modesim.MAX_NV + 2, 2), (2**14, 2**17 + 0.5),
+                          (256, 1e300), (256, math.inf)):
+            with pytest.raises(ValueError):
+                config(nv, steps, dt=0.5)
+        with pytest.raises(ValueError):
+            config(256, 10, dt=math.nan)
+
     def test_recurrence_arithmetic(self):
         cfg = SimConfig(nv=2001, v_bounds=(-10.0, 10.0), dt=1e-3, t_final=1.0,
                         fit_window=(0.2, 0.8))

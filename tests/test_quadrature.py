@@ -8,13 +8,14 @@ from conftest import (contour_deformed_integral, dawson_series,
 from scipy import integrate as scipy_integrate
 from scipy.special import wofz
 
+import spraywaves
 from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
 from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
-                                   classify_branch, pv_integral, resonance_asymptotic,
-                                   resonance_integral, singular_integral)
+                                   classify_branch, resonance_asymptotic,
+                                   resonance_integral)
 
 CFG = QuadratureConfig()
 
@@ -24,6 +25,25 @@ DAWSON = {0.5: 0.42443638350202244, 1.0: 0.5380795069127684, 2.0: 0.301340388923
 
 def unit_gaussian(v):
     return np.exp(-np.asarray(v, dtype=complex) ** 2) / math.sqrt(math.pi)
+
+
+def g_at(g, sigma):
+    return complex(g(np.array([complex(sigma)]))[0])
+
+
+def pinned(g, sigma, config=CFG, scale=1.0, bounds=None, c=None):
+    """Continued int g(v)/(v - sigma) dv over ``bounds`` (default +-(12 + |x0|))
+    by the pinned-panel subtraction of c (default g(sigma))."""
+    sigma = complex(sigma)
+    span = 12.0 + abs(sigma.real)
+    return quadrature._pinned_part(
+        g, g_at(g, sigma) if c is None else c, sigma, classify_branch(sigma, config),
+        (-span, span) if bounds is None else bounds, (), scale, config.nodes)
+
+
+def pv(g, x0, **kwargs):
+    """Principal value of int g(v)/(v - x0) dv: the axis value less i pi g(x0)."""
+    return pinned(g, x0, **kwargs) - 1j * math.pi * g_at(g, x0)
 
 
 def maxwellian_closed_form(sigma, mass=1.0, drift=0.0, width=1.0):
@@ -47,16 +67,17 @@ class TestConfig:
             QuadratureConfig(nodes=65)
         with pytest.raises(ValueError):
             QuadratureConfig(axis_tolerance=1e-9)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_halfwidth=-1.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("truncation_halfwidth", math.nan), ("truncation_halfwidth", math.inf),
-        ("subtraction_window", math.nan), ("subtraction_window", math.inf),
         ("axis_tolerance", math.nan), ("nodes", 65538), ("nodes", 10**308)])
     def test_rejects_non_finite_and_oversized(self, field, value):
         with pytest.raises(ValueError):
             QuadratureConfig(**{field: value})
+
+
+def test_public_names_resolve():
+    for name in spraywaves.__all__:
+        assert getattr(spraywaves, name) is not None, name
 
 
 class TestClassifyBranch:
@@ -78,12 +99,14 @@ class TestDawsonOracle:
     @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
     def test_pv_of_unit_gaussian(self, x0):
         # P.V. int (e^{-v^2}/sqrt(pi)) / (v - x0) dv = -2 * Dawson(x0)
-        val = pv_integral(unit_gaussian, x0, CFG, scale=0.7)
+        val = pv(unit_gaussian, x0, scale=0.7)
         assert val.real == pytest.approx(-2.0 * dawson_series(x0), rel=1e-8)
         assert abs(val.imag) < 1e-12
 
 
 class TestPvIntegral:
+    """The axis value of the pinned-panel subtraction less its i pi g(x0)."""
+
     @pytest.mark.parametrize("even_g", [
         lambda v: np.exp(-np.asarray(v, dtype=complex) ** 2),
         lambda v: np.asarray(v) ** 2 * np.exp(-0.5 * np.asarray(v, dtype=complex) ** 2),
@@ -92,73 +115,72 @@ class TestPvIntegral:
     ])
     def test_even_g_makes_odd_integrand(self, even_g):
         # even g about x0 = 0 gives an odd g(v)/v: principal value vanishes
-        val = pv_integral(even_g, 0.0, CFG, scale=0.7)
+        val = pv(even_g, 0.0, scale=0.7)
         assert abs(val) < 1e-10
 
     def test_constant_on_symmetric_truncation(self):
         g = lambda v: np.ones_like(np.asarray(v, dtype=complex))
-        val = pv_integral(g, 0.0, CFG, bounds=(-12.0, 12.0))
+        val = pv(g, 0.0, bounds=(-12.0, 12.0))
         assert abs(val) < 1e-12
 
     def test_x0_outside_interval(self):
-        with pytest.raises(ValueError):
-            pv_integral(unit_gaussian, 20.0, CFG, bounds=(-5.0, 5.0))
+        # outside [a, b] with c = 0 nothing is subtracted: the plain integral
+        val = pinned(unit_gaussian, 20.0, bounds=(-5.0, 5.0), c=0.0)
+        oracle = dense_line_integral(unit_gaussian, 20.0, -5.0, 5.0)
+        assert val == pytest.approx(oracle, abs=1e-15, rel=1e-12)
 
 
 class TestSingularIntegral:
+    """The pinned-panel subtraction on a raw callable, on all three branches."""
+
     def test_upper_branch_against_dense_oracle(self, std_maxwellian):
         g = profile_integrand(std_maxwellian, "f")
-        val = singular_integral(g, 1j, Branch.UPPER, CFG, scale=1.0)
+        val = pinned(g, 1j)
         oracle = dense_line_integral(g, 1j)
         assert val == pytest.approx(oracle, abs=1e-10)
 
     def test_real_axis_even_integrand(self, std_maxwellian):
         # odd P.V. part vanishes; only the residue i pi f(0) survives
         g = profile_integrand(std_maxwellian, "f")
-        val = singular_integral(g, 0.0, Branch.REAL_AXIS, CFG, scale=1.0)
+        val = pinned(g, 0.0)
         assert abs(val.real) < 1e-12
         assert val.imag == pytest.approx(math.pi / math.sqrt(2 * math.pi), rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_plemelj_continuity_from_above(self, std_maxwellian, eps):
         g = profile_integrand(std_maxwellian, "v_df")
-        up = singular_integral(g, 1.0 + 1j * eps, Branch.UPPER, CFG, scale=1.0)
-        ax = singular_integral(g, 1.0, Branch.REAL_AXIS, CFG, scale=1.0)
+        up = pinned(g, 1.0 + 1j * eps)
+        ax = pinned(g, 1.0)
         assert abs(up - ax) <= 10.0 * eps
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_plemelj_continuity_from_below(self, std_maxwellian, eps):
         g = profile_integrand(std_maxwellian, "v_df")
-        lo = singular_integral(g, 1.0 - 1j * eps, Branch.LOWER, CFG, scale=1.0)
-        ax = singular_integral(g, 1.0, Branch.REAL_AXIS, CFG, scale=1.0)
+        lo = pinned(g, 1.0 - 1j * eps)
+        ax = pinned(g, 1.0)
         assert abs(lo - ax) <= 10.0 * eps
 
     def test_plemelj_linear_rate(self, std_maxwellian):
         rng = np.random.default_rng(3)
         g = profile_integrand(std_maxwellian, "v_df")
         for x0 in rng.uniform(-2.0, 2.0, 10):
-            ax = singular_integral(g, complex(x0), Branch.REAL_AXIS, CFG, scale=1.0)
-            diffs = []
-            for eps in (1e-2, 1e-3, 1e-4):
-                up = singular_integral(g, complex(x0, eps), Branch.UPPER, CFG,
-                                       scale=1.0)
-                diffs.append(abs(up - ax))
+            ax = pinned(g, x0)
+            diffs = [abs(pinned(g, complex(x0, eps)) - ax) for eps in (1e-2, 1e-3, 1e-4)]
             slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(diffs), 1)[0]
             assert slope >= 0.9
 
     def test_lower_branch_against_contour_oracle(self, std_maxwellian):
         g = profile_integrand(std_maxwellian, "v_df")
         sigma = 0.8 - 0.1j
-        val = singular_integral(g, sigma, Branch.LOWER, CFG, scale=1.0)
+        val = pinned(g, sigma)
         # the residue form must equal the contour dipping below sigma
         oracle = contour_deformed_integral(g, sigma, -12.0, 12.0, dip=0.1)
         assert val == pytest.approx(oracle, abs=1e-8)
 
     def test_node_doubling_convergence(self, std_maxwellian):
         g = profile_integrand(std_maxwellian, "v_df")
-        v1 = singular_integral(g, 0.7 + 0.2j, Branch.UPPER, CFG, scale=1.0)
-        v2 = singular_integral(g, 0.7 + 0.2j, Branch.UPPER,
-                               QuadratureConfig(nodes=512), scale=1.0)
+        v1 = pinned(g, 0.7 + 0.2j)
+        v2 = pinned(g, 0.7 + 0.2j, config=QuadratureConfig(nodes=512))
         assert abs(v1 - v2) < 1e-9
 
 
@@ -298,6 +320,19 @@ class TestBumpEdgeMargin:
         val = cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("eta,sigma", [
+        (0.5, 4.515 + 0.2j), (0.5, 5.495 + 0.1j), (0.5, 5.0 + 0.26j), (0.5, 5.0 + 0.6j),
+        (0.5, 5.1 + 1.0j), (5.0, 9.8 + 0.013j), (5.0, 9.95 + 0.1j)])
+    def test_refused_upper_points_against_split_oracle(self, bump_profile, eta, sigma):
+        # g(sigma) refused (edge margin, beyond the strip) above the axis:
+        # g(Re sigma) is subtracted, which is exact there
+        profile = bump_profile if eta == 0.5 else profiles.make_bump_on_tail(
+            profiles.maxwellian(), eps=0.05, eta=eta, c_star=5.0)
+        val = cauchy_transform(profile, (0.0, 1.0), sigma, CFG)
+        oracle = bump_oracle(profile, (0.0, 1.0), sigma, edges=(5.0 - eta, 5.0 + eta))
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
 
 BUMP_WEIGHTS = [(1.0,), (0.0, 1.0), (0.3, -1.0, 0.5, 0.2, -0.05)]
 _TIGHT = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 2000}
@@ -383,9 +418,9 @@ class TestFusedBumpSum:
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
     def test_grid_parity_with_pinned_panels(self, bump_profile, weight, monkeypatch):
-        # the same g through `singular_integral`, whose panels are pinned at
-        # Re sigma, by refusing the scalar g(sigma); the edge margin takes
-        # that path on both sides
+        # the same g through `_pinned_part`, whose panels are pinned at Re
+        # sigma, by taking every point for a near-node one; the edge margin
+        # takes that path on both sides
         sigmas = [complex(re, im) for re in (*np.linspace(4.0, 6.0, 41), 4.5, 5.5)
                   for im in (0.2, 0.05, 1e-3, 1e-6, 0.0, -1e-6, -1e-3, -0.05, -0.2)]
         fused = []
@@ -395,10 +430,7 @@ class TestFusedBumpSum:
             except StripViolation:
                 fused.append(None)
 
-        def refuse(profile, s):
-            raise StripViolation("pinned panels requested")
-
-        monkeypatch.setattr(profiles, "_bump_df_at", refuse)
+        monkeypatch.setattr(quadrature, "_near_node", lambda *args: True)
         for sigma, val in zip(sigmas, fused):
             if val is None:
                 with pytest.raises(StripViolation):
@@ -409,9 +441,9 @@ class TestFusedBumpSum:
 
     def test_ordinary_points_skip_singular_integral(self, bump_profile, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("singular_integral called")
+            raise AssertionError("_pinned_part called")
 
-        monkeypatch.setattr(quadrature, "singular_integral", refuse)
+        monkeypatch.setattr(quadrature, "_pinned_part", refuse)
         for sigma in (4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j):
             cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
         with pytest.raises(AssertionError):
