@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -573,7 +574,10 @@ def _fail(code: int, err: Exception) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` keeps no state
+    between calls, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="spraywaves",
         description="Wave-stability analysis for kinetic-fluid (thick spray) models.")

@@ -248,13 +248,21 @@ def _bump_df(profile: VelocityProfile, v) -> np.ndarray:
         (np.asarray(v) - profile.c_star) / profile.eta)
 
 
+def _bump_df_refused(profile: VelocityProfile, s):
+    """Whether `_check_strip` refuses complex evaluation of the bump term of a
+    bump-on-tail profile at s (off the axis, beyond the strip or within the
+    support-edge margin): a bool at a point, elementwise over an ndarray."""
+    w_re = (s.real - profile.c_star) / profile.eta
+    return (s.imag != 0.0) & ((abs(s.imag) > profile.strip_halfwidth * (1.0 + 1e-12))
+                              | (abs(abs(w_re) - 1.0) < BUMP_EDGE_MARGIN))
+
+
 def _bump_df_at(profile: VelocityProfile, s: complex) -> complex:
-    """`_bump_df` at one complex point in plain Python, with the refusals that
-    `_check_strip` makes for the bump-on-tail profile."""
-    w = (s - profile.c_star) / profile.eta
-    if s.imag != 0.0 and (abs(s.imag) > profile.strip_halfwidth * (1.0 + 1e-12)
-                          or abs(abs(w.real) - 1.0) < BUMP_EDGE_MARGIN):
+    """`_bump_df` at one complex point in plain Python, refused where
+    `_bump_df_refused` says so."""
+    if _bump_df_refused(profile, s):
         raise StripViolation(f"complex evaluation of the bump term refused at {s}")
+    w = (s - profile.c_star) / profile.eta
     if not abs(w.real) < 1.0:
         return 0j
     return _bump_df_scale(profile) * _bump_shape_deriv(w, _exp)

@@ -16,12 +16,16 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   int_a^b (g(v) - c)/(v - s) dv + c (log(b - s) - log(a - s)), c = g(s). The
   first term is analytic in v wherever g is, so Gauss nodes over the support
   (cut only at the bump's breakpoints) and g on them are built once per
-  profile, weight and node count, and each s costs one scalar g(s) and one
-  fused sum. Points within 1e-2 of a node weight of a node, where that sum
-  would lose digits, and points where g(s) is refused (the edge margin, beyond
-  the strip) go through `_pinned_part`: panel edges pinned at Re s and
-  Re s +- w, and c = g(Re s) where g(s) is refused, which is exact above the
-  axis, within O(Im s) just below it and refused farther down.
+  profile, weight and node count. Its sum over the nodes runs in real
+  arithmetic; for an ndarray of s, g(s), the log terms and that sum run over
+  all ordinary points at once, in blocks of (s, node) pairs that stay in
+  cache. Where g(s) is refused (the edge margin, beyond the strip) at least 10
+  node gaps above the axis, c = 0: the nodes resolve g(v)/(v - s) there as it
+  stands. Points within 1e-2 of a node weight of a node, where the sum would
+  lose digits, and refused points closer to the axis go one at a time through
+  `_pinned_part`: panel edges pinned at Re s and Re s +- w, and c = g(Re s)
+  where g(s) is refused, which is exact above the axis, within O(Im s) just
+  below it and refused farther down.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     the values elementwise, in its shape, and raises where any point would.
     Maxwellian parts are summed in closed form (over the whole array at once);
     on the lower branch beyond a part's strip halfwidth they raise
-    StripViolation. Bump terms are fused sums over nodes cached in
-    ``profile.node_sets``, one point at a time (`_bump_part`).
+    StripViolation. Bump terms are sums over nodes cached in
+    ``profile.node_sets``, in real arithmetic; an array's ordinary points are
+    summed together in blocks of (sigma, node) pairs (`_bump_array`).
     """
     if isinstance(sigma, np.ndarray):
         return _cauchy_array(profile, tuple(weight), sigma, config)
@@ -145,11 +150,9 @@ def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
         total += _maxwellian_part(weight, sigma, depth, *part)
     if bumps:
         points = sigma.ravel()
-        branches = classify_branch(points, config)
         for hint, node_set in zip(bumps, _node_sets(profile, weight, config.nodes)):
-            total += np.reshape([
-                _bump_part(weight, s, branch, config, scale, *hint, *node_set)
-                for s, branch in zip(points.tolist(), branches)], sigma.shape)
+            total += _bump_array(weight, points, config, scale, *hint,
+                                 *node_set).reshape(sigma.shape)
     return total
 
 
@@ -170,10 +173,11 @@ def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
                 support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
     breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
-    arithmetic), g(vs) and the near-node radius."""
+    arithmetic), g(vs), the near-node radius and the plain-sum height: 10 times
+    the largest node gap."""
     vs, ws = _gauss.segment_panels(*support, breakpoints, scale, nodes)
     g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
-    return vs, ws, g, g(vs), 1e-2 * ws.max()
+    return vs, ws, g, g(vs), 1e-2 * ws.max(), 10.0 * np.diff(vs).max()
 
 
 def _poly(weight: tuple[float, ...], v):
@@ -190,32 +194,113 @@ def _log(z: complex) -> complex:
 def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
                config: QuadratureConfig, scale: float, bump: profiles.VelocityProfile,
                coef: float, support: tuple[float, float], breakpoints: tuple[float, ...],
-               vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
-               near: float) -> complex:
+               vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray, near: float,
+               plain: float) -> complex:
     """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
-    one fused sum over the fixed support nodes vs (with g(vs) = gvs) serves
-    every sigma; sigma within 1e-2 of a node weight of a node, or where g(sigma)
-    is refused (the edge margin, beyond the strip), goes through `_pinned_part`.
+    one sum over the fixed support nodes vs (with g(vs) = gvs) serves every
+    sigma (`_subtracted_sums`). Where g(sigma) is refused (the edge margin,
+    beyond the strip) at least `plain` above the axis, nothing is subtracted:
+    there the nodes resolve g(v)/(v - sigma) as it stands. sigma within 1e-2 of
+    a node weight of a node, or refused below `plain`, goes through
+    `_pinned_part`.
     """
     def g_at(s: complex) -> complex:
         return coef * _poly(weight, s) * profiles._bump_df_at(bump, s)
 
     try:
-        c, refused = g_at(sigma), False
+        c = g_at(sigma)
     except StripViolation:
-        # above the axis any constant subtracts exactly, and close below it
-        # g(Re sigma) stands in for the continuation (exact up to O(Im sigma));
-        # farther down the residue 2 i pi g(sigma) genuinely needs the strip value
-        if branch is Branch.LOWER and -sigma.imag > _AXIS_FALLBACK_FRACTION * scale:
-            raise
-        c, refused = g_at(complex(sigma.real)), True
-    if refused or _near_node(vs, ws, sigma, near):
+        if sigma.imag < plain:
+            # above the axis any constant subtracts exactly, and close below it
+            # g(Re sigma) stands in for the continuation (exact up to O(Im
+            # sigma)); farther down the residue 2 i pi g(sigma) needs the strip
+            if branch is Branch.LOWER and -sigma.imag > _AXIS_FALLBACK_FRACTION * scale:
+                raise
+            return _pinned_part(g, g_at(complex(sigma.real)), sigma, branch, support,
+                                breakpoints, scale, config.nodes)
+        c = 0j
+    if _near_node(vs, ws, sigma, near):
         return _pinned_part(g, c, sigma, branch, support, breakpoints, scale,
                             config.nodes)
-    return _plus_log_part(complex(np.sum((gvs - c) / (vs - sigma) * ws)), c, sigma,
+    return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
                           branch, *support)
+
+
+def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, config: QuadratureConfig,
+                scale: float, bump: profiles.VelocityProfile, coef: float,
+                support: tuple[float, float], breakpoints: tuple[float, ...],
+                vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray, near: float,
+                plain: float) -> np.ndarray:
+    """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
+    real): g(sigma), the near-node test and the subtracted sums for all
+    ordinary points at once; near-node points and those refused below `plain`
+    one at a time through `_bump_part`. A point refused too far below the axis
+    raises before any sum."""
+    im = sigma.imag
+    refused = profiles._bump_df_refused(bump, sigma)
+    deep = refused & (im < -_AXIS_FALLBACK_FRACTION * scale)
+    if deep.any():
+        raise StripViolation("complex evaluation of the bump term refused at "
+                             f"{complex(sigma[deep][0])}")
+    single = (refused & (im < plain)) | _near_node(vs, ws, sigma, near)
+    c = np.zeros(sigma.shape, dtype=complex)
+    ok = ~refused
+    c[ok] = coef * _poly(weight, sigma[ok]) * profiles._bump_df(bump, sigma[ok])
+    out = np.empty(sigma.shape, dtype=complex)
+    summed = ~single
+    s, cs = sigma[summed], c[summed]
+    out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
+                                 *support)
+    for i in np.flatnonzero(single).tolist():
+        z = complex(sigma[i])
+        out[i] = _bump_part(weight, z, classify_branch(z, config), config, scale, bump,
+                            coef, support, breakpoints, vs, ws, g, gvs, near, plain)
+    return out
+
+
+# (sigma, node) pairs per block of `_subtracted_sums`: a block's float
+# temporaries (128 KiB each) stay in cache
+_BLOCK = 16384
+
+
+def _subtracted_sums(vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray, sigma, c):
+    """sum_j (g(v_j) - c) w_j/(v_j - sigma) in real arithmetic, at one point
+    (complex sigma and c) or elementwise over 1-D arrays of sigma and c, in
+    blocks of about `_BLOCK` (point, node) pairs."""
+    if not isinstance(sigma, np.ndarray):
+        return _real_split_sum(ws, vs - sigma.real, gvs - c.real, sigma.imag, c.imag)
+    out = np.empty(sigma.size, dtype=complex)
+    rows = max(1, _BLOCK // vs.size)
+    for i in range(0, sigma.size, rows):
+        s, ci = sigma[i:i + rows], c[i:i + rows]
+        out[i:i + rows] = _real_split_sum(ws, vs - s.real[:, None],
+                                          gvs - ci.real[:, None], s.imag, ci.imag)
+    return out
+
+
+def _real_split_sum(ws: np.ndarray, x: np.ndarray, h: np.ndarray, y, c_im):
+    """`_subtracted_sums` from x = v_j - Re sigma and h = g(v_j) - Re c (one row
+    per point), y = Im sigma and c_im = Im c (floats, or one per row); h is
+    overwritten.
+
+    With d = w_j/(x^2 + y^2) the real part is sum h x d + c_im y sum d and the
+    imaginary part y sum h d - c_im sum x d. h stays one term: summing g(v_j)
+    and c apart would bring back the cancellation the subtraction removes.
+    Every row reduces through the same dot kernel, so a point gives the same
+    value alone as in any block.
+    """
+    t = x * x
+    t += np.square(y)[..., None]           # a column per row; one point broadcasts
+    np.reciprocal(t, out=t)                 # d = w t: the dot with ws applies w_j
+    sum_d = np.vecdot(t, ws)
+    h *= t
+    sum_hd = np.vecdot(h, ws)
+    t *= x
+    sum_xd = np.vecdot(t, ws)
+    h *= x
+    return np.vecdot(h, ws) + c_im * y * sum_d + 1j * (y * sum_hd - c_im * sum_xd)
 
 
 def _pinned_part(g, c: complex, sigma: complex, branch: Branch,
@@ -233,10 +318,22 @@ def _pinned_part(g, c: complex, sigma: complex, branch: Branch,
                           branch, a, b)
 
 
-def _plus_log_part(val: complex, c: complex, sigma: complex, branch: Branch, a: float,
-                   b: float) -> complex:
+def _plus_log_part(val, c, sigma, branch: Branch | None, a: float, b: float):
     """val + c int_a^b dv/(v - sigma) continued from above: c log((b - sigma)/(a -
-    sigma)), the real log plus i pi on the axis, plus 2 i pi c below it."""
+    sigma)), the real log plus i pi on the axis, plus 2 i pi c below it. Over
+    ndarrays (``branch`` None) elementwise, each point on the axis exactly when
+    its Im sigma is 0."""
+    if isinstance(sigma, np.ndarray):
+        k = np.flatnonzero(c)
+        s, ck = sigma[k], c[k]
+        axis = s.imag == 0.0
+        x, z = s.real[axis], s[~axis]
+        log = np.empty(k.size, dtype=complex)
+        log[axis] = np.log((b - x) / (x - a)) + 1j * math.pi
+        log[~axis] = (np.log(b - z) - np.log(a - z)
+                      + np.where(z.imag < 0.0, 2j * math.pi, 0.0))
+        val[k] += ck * log
+        return val
     if not c:
         # g vanishes outside (a, b) and near its edges, so no log meets zero
         return val
@@ -246,9 +343,16 @@ def _plus_log_part(val: complex, c: complex, sigma: complex, branch: Branch, a: 
     return val + 2j * math.pi * c if branch is Branch.LOWER else val
 
 
-def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: complex, near: float) -> bool:
+def _near_node(vs: np.ndarray, ws: np.ndarray, sigma, near: float):
     """Whether sigma lies within `near` of the axis and within 1e-2 w_j of a
-    node v_j, where the fused sum would lose digits to cancellation."""
+    node v_j, where the subtracted sum would lose digits to cancellation; a
+    bool at a point, elementwise over an ndarray."""
+    if isinstance(sigma, np.ndarray):
+        i = vs.searchsorted(sigma.real)
+        hit = np.zeros(sigma.shape, dtype=bool)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, vs.size - 1)):
+            hit |= np.abs(vs[j] - sigma) < 1e-2 * ws[j]
+        return hit & (np.abs(sigma.imag) < near)
     if abs(sigma.imag) >= near:
         return False
     i = int(vs.searchsorted(sigma.real))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from spraywaves import modesim
+from spraywaves import cli, modesim
 from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_table,
                             build_profile, build_qconfig, main)
 from spraywaves.quadrature import QuadratureConfig
@@ -580,6 +580,16 @@ class TestStabilityCheckCommand:
 
 
 class TestEntryPoint:
+    def test_shared_parser_parses_each_call_alone(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "load_config", lambda *args: args)
+        monkeypatch.setattr(cli, "run", lambda config, quiet: seen.append((config, quiet)))
+        main(["roots", "--scenario", "maxwellian-stable", "--quiet"])
+        main(["simulate", "--config", "c.json", "--out", "o"])
+        assert seen == [(("roots", "maxwellian-stable", None, None), True),
+                        (("simulate", None, "c.json", "o"), False)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_console_script_version(self):
         proc = subprocess.run([sys.executable, "-m", "spraywaves.cli", "--version"],
                               capture_output=True, text=True)

@@ -450,6 +450,53 @@ class TestFusedBumpSum:
             cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j, CFG)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestPlainSumAboveStrip:
+    """Refused g(sigma) at least 10 node gaps above the axis: nothing is
+    subtracted, the cached nodes sum g(v)/(v - sigma) as it stands."""
+
+    @staticmethod
+    def gate(profile, weight):
+        cauchy_transform(profile, weight, 5.0 + 0.1j, CFG)
+        return profile.node_sets[weight, CFG.nodes][0][-1]
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    @pytest.mark.parametrize("sigma", [5.0 + 0.26j, 5.0 + 0.6j, 5.1 + 1.0j, 4.515 + 0.2j,
+                                       "edge margin at the gate"])
+    def test_against_split_oracle_without_pinned_panels(self, bump_profile, weight, sigma,
+                                                        monkeypatch):
+        if isinstance(sigma, str):
+            sigma = complex(4.5075, self.gate(bump_profile, weight))
+        oracle = bump_oracle(bump_profile, weight, sigma)
+
+        def refuse(*args):
+            raise AssertionError("_pinned_part called")
+
+        monkeypatch.setattr(quadrature, "_pinned_part", refuse)
+        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
+        assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
+
+    def test_just_under_the_gate_takes_pinned_panels(self, bump_profile, monkeypatch):
+        weight = (0.0, 1.0)
+        sigma = complex(4.5075, 0.99 * self.gate(bump_profile, weight))
+        calls = []
+        pinned_part = quadrature._pinned_part
+
+        def counted(*args):
+            calls.append(args[2])
+            return pinned_part(*args)
+
+        monkeypatch.setattr(quadrature, "_pinned_part", counted)
+        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
+        assert calls == [sigma, sigma]
+        assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
+        oracle = bump_oracle(bump_profile, weight, sigma)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+
 class TestTailCheck:
     def test_exact_zero_by_symmetry_is_not_divergence(self):
         # v f'(v)/(v - 0) = f'(v) is odd for a symmetric profile, so the
@@ -623,6 +670,66 @@ class TestArrayPath:
         for z in refused:
             with pytest.raises(StripViolation):
                 cauchy_transform(bump_profile, weight, np.append(fine, z), CFG)
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    def test_bump_blocks_match_scalar(self, bump_profile, weight):
+        # all three branches over Re sigma within 2 of the support (farther out
+        # the Maxwellian closed form's own array/scalar ulps dominate), exact
+        # node hits and points 1e-10 from a node, the edge margin, outside the
+        # support and above the strip; then runs of ordinary points one short
+        # of, on and one past block boundaries, and an empty array
+        node, w = bump_node(bump_profile, weight, 5.2)
+        strip = bump_profile.strip_halfwidth
+        pts = [complex(re, im) for re in np.linspace(3.0, 7.0, 81)
+               for im in (0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
+                          -0.3 * strip, -0.99 * strip)] + [
+            complex(node + off, im) for off in (0.0, 1e-10, -1e-10)
+            for im in (0.0, 1e-10, -1e-10)] + [
+            4.515 + 0.2j, 5.0 + 0.26j, 5.0 + 0.6j, 5.51 - 0.01j, 3.0 - 0.1j, 7.0 + 0.05j]
+        rows = quadrature._BLOCK // bump_profile.node_sets[weight, CFG.nodes][0][0].size
+        ordinary = list(np.linspace(4.55, 5.45, 3 * rows + 1) + 0.05j)
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z, CFG),
+                               pts + ordinary)
+        kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
+        assert len(kept) >= 0.9 * len(pts)
+        runs = [kept] + [list(zip(ordinary, scalar[len(pts):]))[:n] for n in (
+            0, rows - 1, rows, rows + 1, 3 * rows - 1, 3 * rows, 3 * rows + 1)]
+        for run in runs:
+            sigma = np.array([z for z, _ in run], dtype=complex)
+            want = np.array([s for _, s in run], dtype=complex)
+            got = cauchy_transform(bump_profile, weight, sigma, CFG)
+            assert got.shape == sigma.shape
+            assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_deep_lower_bump_point_refuses_before_any_sum(self, bump_profile,
+                                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summed before refusing")
+
+        monkeypatch.setattr(quadrature, "_subtracted_sums", refuse)
+        monkeypatch.setattr(quadrature, "_pinned_part", refuse)
+        for deep in (4.52 - 0.1j, 4.8 - 0.3j):
+            mixed = np.array([4.8 + 0.05j, 4.8, deep, 4.8 - 0.05j])
+            with pytest.raises(StripViolation):
+                cauchy_transform(bump_profile, (0.0, 1.0), mixed, CFG)
+
+    def test_near_node_points_take_pinned_panels(self, bump_profile, monkeypatch):
+        weight = (0.0, 1.0)
+        node, _ = bump_node(bump_profile, weight, 5.2)
+        near = [complex(node + off, im) for off in (0.0, 1e-14, 1e-10)
+                for im in (0.0, 1e-8, -1e-8)]
+        ordinary = [4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j]
+        calls = []
+        pinned_part = quadrature._pinned_part
+
+        def counted(*args):
+            calls.append(args[2])
+            return pinned_part(*args)
+
+        monkeypatch.setattr(quadrature, "_pinned_part", counted)
+        cauchy_transform(bump_profile, weight, np.array(ordinary[:3] + near + ordinary[3:]),
+                         CFG)
+        assert calls == near
 
     def test_faddeeva_against_scipy_wofz(self):
         rng = np.random.default_rng(12)
