@@ -450,6 +450,20 @@ class TestFusedBumpSum:
             cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j, CFG)
 
 
+@pytest.fixture
+def pinned_calls(monkeypatch):
+    """The sigma of every `quadrature._pinned_part` call, in order."""
+    calls = []
+    pinned_part = quadrature._pinned_part
+
+    def counted(*args):
+        calls.append(args[2])
+        return pinned_part(*args)
+
+    monkeypatch.setattr(quadrature, "_pinned_part", counted)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 class TestPlainSumAboveStrip:
     """Refused g(sigma) at least 10 node gaps above the axis: nothing is
@@ -478,20 +492,12 @@ class TestPlainSumAboveStrip:
         arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
 
-    def test_just_under_the_gate_takes_pinned_panels(self, bump_profile, monkeypatch):
+    def test_just_under_the_gate_takes_pinned_panels(self, bump_profile, pinned_calls):
         weight = (0.0, 1.0)
         sigma = complex(4.5075, 0.99 * self.gate(bump_profile, weight))
-        calls = []
-        pinned_part = quadrature._pinned_part
-
-        def counted(*args):
-            calls.append(args[2])
-            return pinned_part(*args)
-
-        monkeypatch.setattr(quadrature, "_pinned_part", counted)
         val = cauchy_transform(bump_profile, weight, sigma, CFG)
         arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
-        assert calls == [sigma, sigma]
+        assert pinned_calls == [sigma, sigma]
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
         oracle = bump_oracle(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
@@ -713,23 +719,15 @@ class TestArrayPath:
             with pytest.raises(StripViolation):
                 cauchy_transform(bump_profile, (0.0, 1.0), mixed, CFG)
 
-    def test_near_node_points_take_pinned_panels(self, bump_profile, monkeypatch):
+    def test_near_node_points_take_pinned_panels(self, bump_profile, pinned_calls):
         weight = (0.0, 1.0)
         node, _ = bump_node(bump_profile, weight, 5.2)
         near = [complex(node + off, im) for off in (0.0, 1e-14, 1e-10)
                 for im in (0.0, 1e-8, -1e-8)]
         ordinary = [4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j]
-        calls = []
-        pinned_part = quadrature._pinned_part
-
-        def counted(*args):
-            calls.append(args[2])
-            return pinned_part(*args)
-
-        monkeypatch.setattr(quadrature, "_pinned_part", counted)
         cauchy_transform(bump_profile, weight, np.array(ordinary[:3] + near + ordinary[3:]),
                          CFG)
-        assert calls == near
+        assert pinned_calls == near
 
     def test_faddeeva_against_scipy_wofz(self):
         rng = np.random.default_rng(12)
