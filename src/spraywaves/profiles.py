@@ -202,13 +202,8 @@ def _check_strip(profile: VelocityProfile, v) -> np.ndarray:
         raise StripViolation(
             f"|Im v| = {np.max(np.abs(im)):.3g} exceeds strip halfwidth "
             f"{profile.strip_halfwidth:.3g}")
-    if profile.kind == "bump_on_tail":
-        off_axis = im != 0.0
-        if np.any(off_axis):
-            w = (np.real(v[off_axis]) - profile.c_star) / profile.eta
-            if np.any(np.abs(np.abs(w) - 1.0) < BUMP_EDGE_MARGIN):
-                raise StripViolation(
-                    "complex evaluation within the bump support-edge margin")
+    if profile.kind == "bump_on_tail" and np.any(_bump_df_refused(profile, v)):
+        raise StripViolation("complex evaluation within the bump support-edge margin")
     if profile.kind == "sum":
         for p in profile.parts:
             _check_strip(p, v)
@@ -262,6 +257,11 @@ def _bump_df_at(profile: VelocityProfile, s: complex) -> complex:
     `_bump_df_refused` says so."""
     if _bump_df_refused(profile, s):
         raise StripViolation(f"complex evaluation of the bump term refused at {s}")
+    return _bump_df_unrefused(profile, s)
+
+
+def _bump_df_unrefused(profile: VelocityProfile, s: complex) -> complex:
+    """`_bump_df_at` at a point `_bump_df_refused` has passed."""
     w = (s - profile.c_star) / profile.eta
     if not abs(w.real) < 1.0:
         return 0j

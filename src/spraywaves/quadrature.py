@@ -177,7 +177,7 @@ def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
     the largest node gap."""
     vs, ws = _gauss.segment_panels(*support, breakpoints, scale, nodes)
     g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
-    return vs, ws, g, g(vs), 1e-2 * ws.max(), 10.0 * np.diff(vs).max()
+    return vs, ws, g, g(vs), float(1e-2 * ws.max()), float(10.0 * np.diff(vs).max())
 
 
 def _poly(weight: tuple[float, ...], v):
@@ -200,30 +200,14 @@ def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
     one sum over the fixed support nodes vs (with g(vs) = gvs) serves every
-    sigma (`_subtracted_sums`). Where g(sigma) is refused (the edge margin,
-    beyond the strip) at least `plain` above the axis, nothing is subtracted:
-    there the nodes resolve g(v)/(v - sigma) as it stands. sigma within 1e-2 of
-    a node weight of a node, or refused below `plain`, goes through
-    `_pinned_part`.
+    sigma (`_subtracted_sums`); `_bump_gate` says where that sum does not
+    serve.
     """
-    def g_at(s: complex) -> complex:
-        return coef * _poly(weight, s) * profiles._bump_df_at(bump, s)
-
-    try:
-        c = g_at(sigma)
-    except StripViolation:
-        if sigma.imag < plain:
-            # above the axis any constant subtracts exactly, and close below it
-            # g(Re sigma) stands in for the continuation (exact up to O(Im
-            # sigma)); farther down the residue 2 i pi g(sigma) needs the strip
-            if branch is Branch.LOWER and -sigma.imag > _AXIS_FALLBACK_FRACTION * scale:
-                raise
-            return _pinned_part(g, g_at(complex(sigma.real)), sigma, branch, support,
-                                breakpoints, scale, config.nodes)
-        c = 0j
-    if _near_node(vs, ws, sigma, near):
-        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale,
-                            config.nodes)
+    refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
+    if pinned:
+        c = _g_at(weight, bump, coef, complex(sigma.real) if refused else sigma)
+        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale, config.nodes)
+    c = 0j if refused else _g_at(weight, bump, coef, sigma)
     return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
                           branch, *support)
 
@@ -234,30 +218,51 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, config: Quadrature
                 vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray, near: float,
                 plain: float) -> np.ndarray:
     """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
-    real): g(sigma), the near-node test and the subtracted sums for all
-    ordinary points at once; near-node points and those refused below `plain`
-    one at a time through `_bump_part`. A point refused too far below the axis
-    raises before any sum."""
-    im = sigma.imag
-    refused = profiles._bump_df_refused(bump, sigma)
-    deep = refused & (im < -_AXIS_FALLBACK_FRACTION * scale)
-    if deep.any():
-        raise StripViolation("complex evaluation of the bump term refused at "
-                             f"{complex(sigma[deep][0])}")
-    single = (refused & (im < plain)) | _near_node(vs, ws, sigma, near)
+    real): g(sigma) and the subtracted sums for all points `_bump_gate` passes
+    at once, the pinned ones one at a time."""
+    refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
     c = np.zeros(sigma.shape, dtype=complex)
     ok = ~refused
     c[ok] = coef * _poly(weight, sigma[ok]) * profiles._bump_df(bump, sigma[ok])
     out = np.empty(sigma.shape, dtype=complex)
-    summed = ~single
+    summed = ~pinned
     s, cs = sigma[summed], c[summed]
     out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
                                  *support)
-    for i in np.flatnonzero(single).tolist():
+    for i in np.flatnonzero(pinned).tolist():
         z = complex(sigma[i])
-        out[i] = _bump_part(weight, z, classify_branch(z, config), config, scale, bump,
-                            coef, support, breakpoints, vs, ws, g, gvs, near, plain)
+        ci = _g_at(weight, bump, coef, complex(z.real) if refused[i] else z)
+        out[i] = _pinned_part(g, ci, z, classify_branch(z, config), support, breakpoints,
+                              scale, config.nodes)
     return out
+
+
+def _bump_gate(bump: profiles.VelocityProfile, sigma, vs: np.ndarray, ws: np.ndarray,
+               near: float, plain: float, scale: float):
+    """(refused, pinned) for a bump term at sigma, a point or elementwise over a
+    1-D array: refused where g(sigma) is (the edge margin, beyond the strip),
+    pinned where the sum goes on `_pinned_part`'s panels instead of the node sum
+    with c = g(sigma): within 1e-2 of a node weight of a node, or refused below
+    `plain`. Refused at least `plain` above the axis, nothing is subtracted (c =
+    0): there the nodes resolve g(v)/(v - sigma) as it stands. Raises
+    StripViolation where g(sigma) is refused more than 0.05 scale below the
+    axis."""
+    refused = profiles._bump_df_refused(bump, sigma)
+    # above the axis any constant subtracts exactly, and close below it
+    # g(Re sigma) stands in for the continuation (exact up to O(Im sigma));
+    # farther down the residue 2 i pi g(sigma) needs the strip
+    deep = refused & (sigma.imag < -_AXIS_FALLBACK_FRACTION * scale)
+    # a bool at one point, where np.any would cost more than the gate itself
+    if deep if isinstance(deep, bool) else deep.any():
+        raise StripViolation("complex evaluation of the bump term refused at "
+                             f"{complex(np.ravel(sigma)[np.argmax(deep)])}")
+    return refused, (refused & (sigma.imag < plain)) | _near_node(vs, ws, sigma, near)
+
+
+def _g_at(weight: tuple[float, ...], bump: profiles.VelocityProfile, coef: float,
+          s: complex) -> complex:
+    """g(s) at a point `_bump_gate` has not refused, or on the axis."""
+    return coef * _poly(weight, s) * profiles._bump_df_unrefused(bump, s)
 
 
 # (sigma, node) pairs per block of `_subtracted_sums`: a block's float
@@ -288,8 +293,6 @@ def _real_split_sum(ws: np.ndarray, x: np.ndarray, h: np.ndarray, y, c_im):
     With d = w_j/(x^2 + y^2) the real part is sum h x d + c_im y sum d and the
     imaginary part y sum h d - c_im sum x d. h stays one term: summing g(v_j)
     and c apart would bring back the cancellation the subtraction removes.
-    Every row reduces through the same dot kernel, so a point gives the same
-    value alone as in any block.
     """
     t = x * x
     t += np.square(y)[..., None]           # a column per row; one point broadcasts
