@@ -196,14 +196,18 @@ def _write_json(path: Path, payload) -> str:
 
 def _write_table(path: Path, head: list[str], rows, sep: str) -> str:
     """The header ``sep.join(head)`` (a leading "#" makes it a gnuplot comment),
-    then one line per row: numbers as %.17g, strings as they are. Returns the
-    file name."""
+    then one line per row: numbers as %.17g, strings as they are, through one
+    line format per sequence of cell types. Returns the file name."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    formats = {}
     with path.open("w", encoding="utf-8") as fh:
         fh.write(sep.join(head) + "\n")
-        for row in rows:
-            fh.write(sep.join(x if isinstance(x, str) else "%.17g" % x
-                              for x in row) + "\n")
+        for row in map(tuple, rows):
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = sep.join("%s" if issubclass(t, str) else "%.17g"
+                                          for t in kinds) + "\n"
+            fh.write(formats[kinds] % row)
     return path.name
 
 
@@ -368,9 +372,8 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
     if eigenmode:
         state = modesim.init_eigenmode(params, profile, sigma, k, config, qconfig)
     traj = modesim.integrate(params, profile, state, config)
-    rows = [[t, tau.real, tau.imag, abs(tau), abs(u), kin]
-            for t, tau, u, kin in zip(traj.times, traj.tau_hat, traj.u_hat,
-                                      traj.kinetic_l2)]
+    rows = ((t, tau.real, tau.imag, abs(tau), abs(u), kin) for t, tau, u, kin in zip(
+        *(x.tolist() for x in (traj.times, traj.tau_hat, traj.u_hat, traj.kinetic_l2))))
     outputs = [_write_table(out_dir / "simulate.csv", ["t", "re_tau", "im_tau",
                                                        "abs_tau", "abs_u", "kinetic_l2"],
                             rows, ",")]
@@ -410,7 +413,7 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
                             rows, ","),
                _write_json(out_dir / "illposed_summary.json", summary)]
     outputs += [_write_table(out_dir / f"growth_k{traj.k:g}.dat", ["#", "t", "abs_tau"],
-                             zip(traj.times, np.abs(traj.tau_hat)), " ")
+                             zip(traj.times.tolist(), np.abs(traj.tau_hat).tolist()), " ")
                 for traj in report.trajectories]
     return {"outputs": outputs, "summary": summary}
 

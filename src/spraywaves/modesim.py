@@ -225,27 +225,37 @@ def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex
 
 
 def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
-                       config: SimConfig, k: float, dt: float, weights: np.ndarray):
+                       config: SimConfig, k: float, dt: float, root_w: np.ndarray):
     """Per-run pieces of one RK4 step y <- P(dt L) y, P(x) = sum_{j<=4} x^j / j!.
 
     dt L maps (tau, u, f) to (a u + <omega, f>, b tau, z f + tau c), z = -i k dt v.
-    Returns a, b, q_p = <omega, z^p c> (p < 3), the moment rows omega z^j (j < 4),
-    P(z) and the rows G_m = sum_{j=m+1..4} z^(j-1-m) c / j!, for which the step
-    is f <- P(z) f + sum_m tau_m G_m with tau_m from a scalar recursion.
+    The step is f <- P(z) f + sum_m tau_m G_m, G_m = sum_{j=m+1..4} z^(j-1-m) c / j!,
+    where a linear recursion in tau, u and s_j = <omega z^j, f> gives tau_m, tau', u';
+    on unit vectors it is one 6x6 map (tau, u, s_0..s_3) -> (beta_0..3, tau', u'),
+    sum_m tau_m G_m = sum_p beta_p gamma theta^p (z = i theta, c = i gamma). For
+    g = sqrt(w) f, returns the rows omega z^j / sqrt(w), the map, P(z) and the
+    real (nv, 4) columns sqrt(w) gamma theta^p.
     """
     grid = velocity_grid(config)
     ikdt = 1j * k * dt
     z = -ikdt * grid
     c = -ikdt * params.c0**2 * params.rho0**2 * np.real(profiles.eval_df(profile, grid))
-    omega = ikdt * params.kappa / (params.alpha0 * params.rho0) * weights * grid
+    omega = ikdt * params.kappa / (params.alpha0 * params.rho0) * root_w * grid
     moments = omega * z ** np.arange(4)[:, None]
-    g3 = c / 24.0
-    g2 = c / 6.0 + z * g3
-    g1 = c / 2.0 + z * g2
+    a, b = ikdt / params.rho0, ikdt * params.rho0 * params.c0**2
+    q0, q1, q2 = (moments[:3] @ (root_w * c)).tolist()
+    tau, u, s0, s1, s2, s3 = np.eye(6, dtype=complex)
+    t1, u1 = a * u + s0, b * tau
+    t2, u2 = a * u1 + s1 + q0 * tau, b * t1
+    t3, u3 = a * u2 + s2 + q1 * tau + q0 * t1, b * t2
+    t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
+    betas = [sum(1j ** (p + 1) / math.factorial(p + m + 1) * tm
+                 for m, tm in enumerate((tau, t1, t2, t3)[:4 - p])) for p in range(4)]
+    step = np.array((*betas, tau + t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0,
+                     u + u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0))
     stream = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return (ikdt / params.rho0, ikdt * params.rho0 * params.c0**2,
-            (moments[:3] @ c).tolist(), moments, stream,
-            np.array((c + z * g1, g1, g2, g3)))
+    return (moments, step, stream,
+            (root_w * c.imag)[:, None] * z.imag[:, None] ** np.arange(4))
 
 
 def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
@@ -268,50 +278,47 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     dt = config.t_final / nsteps
     # outputs before the operator, whose temporaries then free at the heap top
     times = np.arange(nsteps + 1) * dt
-    taus = np.empty(nsteps + 1, dtype=complex)
-    us = np.empty(nsteps + 1, dtype=complex)
+    taus, us = np.empty((2, nsteps + 1), dtype=complex)
     kin = np.empty(nsteps + 1)
-    weights = _simpson_weights(config.nv, config.dv)
-    a, b, (q0, q1, q2), moments, stream, gains = _rk4_step_operator(
-        params, profile, config, k, dt, weights)
+    root_w = np.sqrt(_simpson_weights(config.nv, config.dv))
+    moments, step, stream, feeds = _rk4_step_operator(params, profile, config, k, dt,
+                                                      root_w)
 
     snap_stride = max(1, nsteps // 16)
-    tau, u = complex(state0.tau_hat), complex(state0.u_hat)
-    f = state0.f_hat.astype(complex)
-    # sum_j w_j |f_j|^2 = w2 . (fr * fr) over the float view fr of f, squared
-    # into a preallocated buffer; the square root is taken once, at the end
-    fr, w2 = f.view(float), np.repeat(weights, 2)
-    square, feed = np.empty(fr.size), np.empty_like(f)
+    # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f; x = (tau,
+    # u, s_0..3), y = (beta_0..3, tau', u'); ndarray.dot skips np.dot's dispatch
+    g, (x, y) = state0.f_hat * root_w, np.empty((2, 6), dtype=complex)
+    x[:2] = state0.tau_hat, state0.u_hat
+    gr, s, betas = g.view(float), x[2:], y[:4].view(float).reshape(4, 2)
+    feed = np.empty_like(g)
+    feed_pairs = feed.view(float).reshape(-1, 2)
     # max|f| > _OVERFLOW_LIMIT forces sum w|f|^2 > min(w) _OVERFLOW_LIMIT^2, so
     # below half that max|f| needs no look
-    norm_alarm = 0.5 * float(weights.min()) * _OVERFLOW_LIMIT**2
+    norm_alarm = 0.5 * float(root_w.min())**2 * _OVERFLOW_LIMIT**2
     snapshots: list[ModeState] = []
     overflow = False
     n_done = nsteps
     for i in range(nsteps + 1):
         if i:
-            s0, s1, s2, s3 = (moments @ f).tolist()
-            t1, u1 = a * u + s0, b * tau
-            t2, u2 = a * u1 + s1 + q0 * tau, b * t1
-            t3, u3 = a * u2 + s2 + q1 * tau + q0 * t1, b * t2
-            t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
-            f *= stream
-            f += np.dot(np.array((tau, t1, t2, t3)), gains, out=feed)
-            tau += t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0
-            u += u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0
-        taus[i], us[i] = tau, u
-        kin[i] = norm2 = float(w2 @ np.multiply(fr, fr, out=square))
+            moments.dot(g, out=s)
+            step.dot(x, out=y)
+            feeds.dot(betas, out=feed_pairs)
+            g *= stream
+            g += feed
+            x[:2] = y[4:]
+        taus[i], us[i] = tau, u = x[:2].tolist()
+        kin[i] = norm2 = gr.dot(gr)
         if i % snap_stride == 0:
             snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u,
-                                       f_hat=f.copy(), time=i * dt))
-        if i and (max(abs(tau), abs(u)) > _OVERFLOW_LIMIT
-                  or (norm2 > norm_alarm and np.abs(f).max() > _OVERFLOW_LIMIT)):
+                                       f_hat=g / root_w, time=i * dt))
+        if i and (max(abs(tau), abs(u)) > _OVERFLOW_LIMIT or (
+                norm2 > norm_alarm and np.abs(g / root_w).max() > _OVERFLOW_LIMIT)):
             overflow = True
             n_done = i
             break
     end = n_done + 1
     if (end - 1) % snap_stride != 0:
-        snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=f.copy(),
+        snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=g / root_w,
                                    time=times[end - 1]))
     return Trajectory(k=k, times=times[:end], tau_hat=taus[:end], u_hat=us[:end],
                       kinetic_l2=np.sqrt(kin[:end]), overflow=overflow,

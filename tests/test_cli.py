@@ -337,6 +337,28 @@ class TestTableWriter:
                 assert [math.copysign(1.0, float(c)) for c in cells[:-1]] == \
                     [math.copysign(1.0, v) for v in expected]
 
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, sep):
+        # one cached line format per sequence of cell types: rows whose strings
+        # sit elsewhere than in the first row, or that are shorter or longer,
+        # must still come out as cell-by-cell %.17g formatting writes them
+        nums = [np.float64(0.1), -0.0, 5e-324, 7, np.int64(-3), np.float32(0.1),
+                np.float64(-0.0), 2.0 / 3.0, math.inf, math.nan, True, 1e308]
+        tables = [
+            [nums[:6], nums[6:], ["nan", *nums[1:6]], [*nums[:5], "x"], nums[3:9]],
+            [["nan", 1.5, "upper"], [0.1, 2.5, "axis"], [0.2, "nan", "lower"],
+             [0.3, -0.0, 4], ["a", "b", "c"], [np.float64(5e-324), 1, "x", 2.0]],
+            [[str(x) for x in nums[:4]], nums[:4], nums[4:8]],
+            [],
+        ]
+        for n, rows in enumerate(tables):
+            head = [f"c{j}" for j in range(6)]
+            path = tmp_path / f"t{n}.txt"
+            _write_table(path, head, (r for r in rows), sep)
+            want = "".join(sep.join(x if isinstance(x, str) else "%.17g" % x
+                                    for x in row) + "\n" for row in [head, *rows])
+            assert path.read_bytes() == want.encode("utf-8")
+
     @pytest.mark.parametrize("command,scenario,override", [
         ("dispersion-scan", "maxwellian-stable",
          {"scan": {"re": [-1.0, 1.0, 11], "im": [-0.1, 0.1, 3]}}),

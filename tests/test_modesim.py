@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spraywaves import dispersion, modesim
+from spraywaves import dispersion, modesim, profiles
 from spraywaves.dispersion import SearchRegion, find_roots
 from spraywaves.errors import (CflViolation, DegenerateFit, NoUnstableRoot,
                                NotARoot, RefineGrid)
@@ -157,14 +157,67 @@ class TestClosedFormStep:
         state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
         self.assert_matches_textbook(bump_params, bump_profile, state, cfg)
 
+    def test_bump_eigenmode_full_grid(self, bump_params, bump_profile, bump_root):
+        # the benchmark's grid: nv = 2048 over the profile support, 1,000 steps
+        k = 4.0
+        base = default_sim_config(bump_params, bump_profile, k, t_final=1.0, nv=2048)
+        cfg = default_sim_config(bump_params, bump_profile, k,
+                                 t_final=1000 * base.dt, nv=2048)
+        state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
+        self.assert_matches_textbook(bump_params, bump_profile, state, cfg)
+
     def test_acoustic_without_coupling(self, acoustic_params, std_maxwellian):
         k = 1.0
         base = default_sim_config(acoustic_params, std_maxwellian, k, t_final=1.0,
                                   nv=256)
         cfg = default_sim_config(acoustic_params, std_maxwellian, k,
                                  t_final=200 * base.dt, nv=256)
+        # kappa = 0: the moment rows vanish and tau, u never see f
+        moments = modesim._rk4_step_operator(
+            acoustic_params, std_maxwellian, cfg, k, base.dt,
+            np.sqrt(modesim._simpson_weights(cfg.nv, cfg.dv)))[0]
+        assert not np.any(moments)
         state = acoustic_state(acoustic_params, k, cfg)
         self.assert_matches_textbook(acoustic_params, std_maxwellian, state, cfg)
+
+    def test_step_map_matches_recursion(self, bump_params, bump_profile):
+        # one step from random (tau, u, f) through the operator's moment rows,
+        # 6x6 map and real feed columns against the stage recursion written out
+        k, p = 4.0, bump_params
+        cfg = default_sim_config(p, bump_profile, k, t_final=1.0, nv=256)
+        dt, grid = cfg.dt, modesim.velocity_grid(cfg)
+        w = modesim._simpson_weights(cfg.nv, cfg.dv)
+        moments, step, stream, feeds = modesim._rk4_step_operator(
+            p, bump_profile, cfg, k, dt, np.sqrt(w))
+        ikdt = 1j * k * dt
+        z = -ikdt * grid
+        c = -ikdt * p.c0**2 * p.rho0**2 * np.real(
+            profiles.eval_df(bump_profile, grid))
+        omega = ikdt * p.kappa / (p.alpha0 * p.rho0) * w * grid
+        a, b = ikdt / p.rho0, ikdt * p.rho0 * p.c0**2
+        q0, q1, q2 = (omega * z**j @ c for j in range(3))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            tau, u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            f = rng.standard_normal(cfg.nv) + 1j * rng.standard_normal(cfg.nv)
+            s0, s1, s2, s3 = (omega * z**j @ f for j in range(4))
+            t1, u1 = a * u + s0, b * tau
+            t2, u2 = a * u1 + s1 + q0 * tau, b * t1
+            t3, u3 = a * u2 + s2 + q1 * tau + q0 * t1, b * t2
+            t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
+            stage_rows = [sum(z**(j - 1 - m) * c / math.factorial(j)
+                              for j in range(m + 1, 5)) for m in range(4)]
+            f_next = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) * f + sum(
+                tm * row for tm, row in zip((tau, t1, t2, t3), stage_rows))
+            g = np.sqrt(w) * f
+            y = step @ np.array((tau, u, *(moments @ g)))
+            g_next = stream * g + feeds @ y[:4]
+            assert y[4] == pytest.approx(tau + t1 + t2 / 2 + t3 / 6 + t4 / 24,
+                                         rel=1e-13)
+            assert y[5] == pytest.approx(u + u1 + u2 / 2 + u3 / 6 + u4 / 24,
+                                         rel=1e-13)
+            assert np.max(np.abs(g_next / np.sqrt(w) - f_next)) <= \
+                1e-13 * np.max(np.abs(f_next))
 
 
 class TestInitEigenmode:
