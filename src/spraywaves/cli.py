@@ -35,7 +35,6 @@ from .dispersion import SearchRegion, SprayParams
 from .errors import InvalidBump, SprayWaveError, VacuumViolation
 from .hyperbolic import ScalarCoupling, SystemCoupling
 from .profiles import VelocityProfile
-from .quadrature import QuadratureConfig
 from .scenarios import SCENARIOS
 
 COMMANDS = ("dispersion-scan", "roots", "thin-spray", "landau-compare",
@@ -43,7 +42,7 @@ COMMANDS = ("dispersion-scan", "roots", "thin-spray", "landau-compare",
 
 DEFAULTS_TABLE = {
     "root_tolerance": dispersion._ROOT_TOL,
-    "axis_tolerance": quadrature.DEFAULT_CONFIG.axis_tolerance,
+    "axis_tolerance": quadrature.AXIS_TOLERANCE,
     "winding_defect_max": dispersion._MAX_WINDING_DEFECT,
     "boundary_min_modulus": dispersion._MIN_BOUNDARY_MOD,
     "eigen_gap_min": hyperbolic._GAP_TOL,
@@ -125,16 +124,18 @@ def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
     return params
 
 
-def build_qconfig(d: dict | None) -> QuadratureConfig:
-    q = quadrature.DEFAULT_CONFIG
-    if not d:
-        return q
+def check_quadrature(d: dict | None) -> None:
+    """The velocity quadrature is fixed: a ``quadrature`` block may only restate
+    `quadrature.NODES` and `quadrature.AXIS_TOLERANCE`, since running the fixed
+    one for a config that asked for another would misreport the run."""
+    d = d or {}
     for key in ("L", "window"):          # keys of older configs: checked, then ignored
         if not 0.0 < float(d.get(key, 1.0)) < math.inf:
             raise ValueError(f"quadrature.{key} must be positive and finite")
-    return QuadratureConfig(nodes=int(d.get("nodes", q.nodes)),
-                            axis_tolerance=float(d.get("axis_tolerance",
-                                                       q.axis_tolerance)))
+    for key, fixed in (("nodes", quadrature.NODES),
+                       ("axis_tolerance", quadrature.AXIS_TOLERANCE)):
+        if float(d.get(key, fixed)) != fixed:
+            raise ValueError(f"quadrature.{key} is fixed at {fixed:g}, got {d[key]!r}")
 
 
 def build_region(d: dict | None, params: SprayParams,
@@ -161,10 +162,11 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
         kappa=float(d["kappa"]), profile=profile)
 
 
-def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams, QuadratureConfig]:
+def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams]:
     profile = build_profile(cfg["profile"])
-    return (profile, build_params(cfg["params"], profile),
-            build_qconfig(cfg.get("quadrature")))
+    params = build_params(cfg["params"], profile)
+    check_quadrature(cfg.get("quadrature"))
+    return profile, params
 
 
 _GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
@@ -217,7 +219,7 @@ def _write_table(path: Path, head: list[str], rows, sep: str) -> str:
 
 def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
     with _reading("dispersion-scan config"):
-        profile, params, qconfig = _read_spray(cfg)
+        profile, params = _read_spray(cfg)
         scan = cfg.get("scan", {})
         re_axis = _grid_axis(scan.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
         im_axis = _grid_axis(scan.get("im"), (-0.4 * profile.strip_halfwidth,
@@ -228,10 +230,10 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
     # points at the sigma = 0 pole get "nan" rows
     live = np.abs(sigma) >= dispersion.POLE_RADIUS * params.c0
     values = np.zeros(sigma.size, dtype=complex)
-    values[live] = dispersion.dispersion_value(params, profile, sigma[live], qconfig)
+    values[live] = dispersion.dispersion_value(params, profile, sigma[live])
     rows = [[s.real, s.imag, *((v.real, v.imag) if ok else ("nan", "nan")), branch.value]
             for s, v, ok, branch in zip(sigma.tolist(), values.tolist(), live,
-                                        quadrature.classify_branch(sigma, qconfig))]
+                                        quadrature.classify_branch(sigma))]
     heat = [[*r[:4], math.hypot(r[2], r[3])] for r in rows if not isinstance(r[2], str)]
     return {"outputs": [
         _write_table(out_dir / "dispersion_scan.csv",
@@ -243,10 +245,10 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
 
 def run_roots(cfg: dict, out_dir: Path) -> dict:
     with _reading("roots config"):
-        profile, params, qconfig = _read_spray(cfg)
+        profile, params = _read_spray(cfg)
         region = build_region(cfg.get("region"), params, profile)
         tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
-    reports = dispersion.find_roots(params, profile, region, tol=tol, config=qconfig)
+    reports = dispersion.find_roots(params, profile, region, tol=tol)
     return {"outputs": [_write_json(out_dir / "roots.json",
                                     [r.as_dict() for r in reports])],
             "summary": {"count": len(reports),
@@ -256,13 +258,13 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
                                    "im_max": region.im_max}}}
 
 
-def _root_near(params, profile, center: float, qconfig, halfwidth: float = 0.5,
+def _root_near(params, profile, center: float, halfwidth: float = 0.5,
                tol: float = 1e-12):
     span = halfwidth * params.c0
     region = SearchRegion(center - span, center + span,
                           -0.4 * profile.strip_halfwidth,
                           0.4 * profile.strip_halfwidth)
-    reports = dispersion.find_roots(params, profile, region, tol=tol, config=qconfig)
+    reports = dispersion.find_roots(params, profile, region, tol=tol)
     if not reports:
         return None
     return min(reports, key=lambda r: abs(r.sigma - center))
@@ -271,17 +273,17 @@ def _root_near(params, profile, center: float, qconfig, halfwidth: float = 0.5,
 def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
     with _reading("thin-spray config"):
         profile = build_profile(cfg["profile"])
-        qconfig = build_qconfig(cfg.get("quadrature"))
+        check_quadrature(cfg.get("quadrature"))
         sweep = cfg.get("sweep", {}).get("kappa_values")
         kappas = [float(k) for k in sweep or [cfg["params"].get("kappa", 0.0)]]
         sprays = [build_params({**cfg["params"], "kappa": k}, profile) for k in kappas]
 
     def analyze(params: SprayParams) -> tuple[dict, dict]:
-        c_star, gamma = dispersion.thin_spray_expansion(params, profile, qconfig)
+        c_star, gamma = dispersion.thin_spray_expansion(params, profile)
         entry = {"kappa": params.kappa, "c_star": c_star, "gamma": gamma}
         locus = {}
         for name, center in (("plus", params.c0), ("minus", -params.c0)):
-            root = _root_near(params, profile, center, qconfig)
+            root = _root_near(params, profile, center)
             if root is None:
                 continue
             locus[name] = (params.kappa, root.sigma.real, root.sigma.imag)
@@ -307,7 +309,7 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
 
 def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     with _reading("landau-compare config"):
-        profile, params, qconfig = _read_spray(cfg)
+        profile, params = _read_spray(cfg)
         spec = cfg.get("landau", {})
         k1, k2 = (float(k) for k in spec.get("k_values", [1.0, 2.0]))
         if not all(k != 0.0 and math.isfinite(k) for k in (k1, k2)):
@@ -319,9 +321,9 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     sigma.real, sigma.imag = re_axis, im_sigma
     # points at the sigma = 0 pole are left out
     sigma = sigma[np.abs(sigma) >= dispersion.POLE_RADIUS * params.c0]
-    d_spray = dispersion.dispersion_value(params, profile, sigma, qconfig)
-    d1 = dispersion.landau_dispersion(profile, k1, sigma * k1, qconfig)
-    d2 = dispersion.landau_dispersion(profile, k2, sigma * k2, qconfig)
+    d_spray = dispersion.dispersion_value(params, profile, sigma)
+    d1 = dispersion.landau_dispersion(profile, k1, sigma * k1)
+    d2 = dispersion.landau_dispersion(profile, k2, sigma * k2)
     contrast = float(np.abs(d1 - d2).max(initial=0.0))
     rows = [[s.real, s.imag, d.real, d.imag, a.real, a.imag, b.real, b.imag]
             for s, d, a, b in zip(*(x.tolist() for x in (sigma, d_spray, d1, d2)))]
@@ -333,7 +335,7 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
 
 def run_simulate(cfg: dict, out_dir: Path) -> dict:
     with _reading("sim config"):
-        profile, params, qconfig = _read_spray(cfg)
+        profile, params = _read_spray(cfg)
         sim = cfg.get("sim", {})
         init = sim.get("init", {})
         init_type = init.get("type", "acoustic")
@@ -355,7 +357,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         region = build_region(cfg.get("region"), params, profile) \
             if eigenmode and sigma is None else None
     if region is not None:
-        reports = dispersion.find_roots(params, profile, region, config=qconfig)
+        reports = dispersion.find_roots(params, profile, region)
         if not reports:
             raise SprayWaveError("no dispersion root found to seed the eigenmode")
         sigma = max(reports, key=lambda r: r.sigma.imag).sigma
@@ -370,7 +372,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         state = None if eigenmode else modesim.acoustic_state(
             params, k, config, direction=init.get("direction", 1))
     if eigenmode:
-        state = modesim.init_eigenmode(params, profile, sigma, k, config, qconfig)
+        state = modesim.init_eigenmode(params, profile, sigma, k, config)
     traj = modesim.integrate(params, profile, state, config)
     rows = ((t, tau.real, tau.imag, abs(tau), abs(u), kin) for t, tau, u, kin in zip(
         *(x.tolist() for x in (traj.times, traj.tau_hat, traj.u_hat, traj.kinetic_l2))))
@@ -391,7 +393,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
 
 def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
     with _reading("illposed config"):
-        profile, params, qconfig = _read_spray(cfg)
+        profile, params = _read_spray(cfg)
         spec = cfg.get("illposed", {})
         region = build_region(cfg.get("region"), params, profile) \
             if cfg.get("region") else None
@@ -401,8 +403,7 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         nv = int(spec.get("nv", modesim.DEFAULT_NV))
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     report = modesim.sobolev_scaling_experiment(
-        params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv,
-        qconfig=qconfig, region=region)
+        params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv, region=region)
     rows = [[r.k, r.t_k, r.init_hs_norm, r.final_l2_norm, r.fitted_rate]
             for r in report.rows]
     summary = {"theta0": report.theta0,
@@ -422,7 +423,7 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
     scalar = None
     with _reading("stability-check config"):
         profile = build_profile(cfg["profile"]) if "profile" in cfg else None
-        qconfig = build_qconfig(cfg.get("quadrature"))
+        check_quadrature(cfg.get("quadrature"))
         if "system" in cfg:
             system = build_system(cfg["system"], profile)
         elif "scalar" in cfg:
@@ -436,13 +437,12 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
             system = hyperbolic.scalar_as_system(scalar)
         else:
             raise ConfigError("stability-check needs a 'system' or 'scalar' config block")
-    verdicts = hyperbolic.stability_necessary_condition(system, qconfig)
+    verdicts = hyperbolic.stability_necessary_condition(system)
     entries = []
     for v in verdicts:
         entry = v.as_dict()
         if v.verdict != hyperbolic.DECOUPLED and system.kappa != 0.0:
-            tracked = hyperbolic.track_secular_root(system, v.j, system.kappa,
-                                                    config=qconfig)
+            tracked = hyperbolic.track_secular_root(system, v.j, system.kappa)
             entry["tracked_sigma"] = [tracked.real, tracked.imag]
             entry["tracked_imag_per_kappa"] = tracked.imag / system.kappa
         entries.append(entry)
@@ -451,7 +451,7 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
                    hyperbolic.fails_necessary_condition(verdicts),
                "kappa": system.kappa}
     if scalar is not None:
-        root = hyperbolic.scalar_root(scalar, config=qconfig)
+        root = hyperbolic.scalar_root(scalar)
         payload["scalar"] = {
             "lambda0": scalar.lambda0, "kappa": scalar.kappa,
             "leading_imag": hyperbolic.scalar_imag_leading(scalar),

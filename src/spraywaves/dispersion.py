@@ -26,7 +26,7 @@ from . import profiles, quadrature
 from .errors import (BoundaryRoot, DegenerateDerivative, NonConvergence,
                      StripViolation, ZeroSigma)
 from .profiles import VelocityProfile
-from .quadrature import Branch, QuadratureConfig
+from .quadrature import Branch
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -104,10 +104,6 @@ class SearchRegion:
     def im_reach(self) -> float:
         return max(abs(self.im_min), abs(self.im_max))
 
-    def contains(self, sigma: complex, pad: float = 0.0) -> bool:
-        return (self.re_min - pad <= sigma.real <= self.re_max + pad
-                and self.im_min - pad <= sigma.imag <= self.im_max + pad)
-
 
 @dataclass(frozen=True)
 class RootReport:
@@ -128,8 +124,7 @@ class RootReport:
                                    else "eigenvalue")}
 
 
-def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma,
-                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
     """Branch-correct dispersion function at complex sigma, or elementwise over
     an ndarray of sigma (ZeroSigma if any point is within the pole radius).
 
@@ -155,26 +150,24 @@ def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma,
         return base
     check_compatibility(params, profile)
     return base - params.coupling_prefactor * quadrature.resonance_integral(
-        profile, sigma, config)
+        profile, sigma)
 
 
-def dispersion_parts(params: SprayParams, profile: VelocityProfile, sigma: float,
-                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG
-                     ) -> tuple[float, float]:
+def dispersion_parts(params: SprayParams, profile: VelocityProfile,
+                     sigma: float) -> tuple[float, float]:
     """(real, imaginary) split of the on-axis dispersion function.
 
     On the axis the continuation is the principal value plus the residue
     i pi sigma f'(sigma), so the imaginary part is -pi * pref * f'(sigma).
     """
     sig = complex(sigma)
-    if abs(sig.imag) > config.axis_tolerance:
+    if abs(sig.imag) > quadrature.AXIS_TOLERANCE:
         raise ValueError("dispersion_parts requires a real sigma")
-    val = dispersion_value(params, profile, sig.real, config)
+    val = dispersion_value(params, profile, sig.real)
     return float(val.real), float(val.imag)
 
 
-def landau_dispersion(profile: VelocityProfile, k: float, omega,
-                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+def landau_dispersion(profile: VelocityProfile, k: float, omega):
     """Electrostatic-analogue dispersion value 1 - C/k^2, a function of omega/k and k,
     at a point or elementwise over an ndarray of omega.
 
@@ -187,10 +180,9 @@ def landau_dispersion(profile: VelocityProfile, k: float, omega,
         raise ZeroSigma("landau dispersion undefined at k = 0")
     sigma = (omega if isinstance(omega, np.ndarray) else complex(omega)) / k
     if k > 0.0:
-        cont = quadrature.cauchy_transform(profile, (1.0,), sigma, config)
+        cont = quadrature.cauchy_transform(profile, (1.0,), sigma)
     else:
-        cont = quadrature.cauchy_transform(profile, (1.0,), sigma.conjugate(),
-                                           config).conjugate()
+        cont = quadrature.cauchy_transform(profile, (1.0,), sigma.conjugate()).conjugate()
     return 1.0 - cont / k**2
 
 
@@ -258,22 +250,31 @@ def _winding_number(func, region: SearchRegion, n0: int = 48,
 
 
 def _split_at_pole(params: SprayParams, region: SearchRegion) -> list[SearchRegion]:
-    """Split the region so the sigma = 0 pole never lies inside or on a contour."""
+    """Split the region so the sigma = 0 pole never lies inside or on a contour.
+
+    Only the square |Re sigma|, |Im sigma| <= g = 1e-3 c0 is cut out: the parts
+    left and right of it and the column above and below it stay, so roots on
+    the imaginary axis (purely growing or decaying modes) are still counted.
+    """
     gap = 1e-3 * params.c0
-    if region.re_min < gap and region.re_max > -gap and \
-            region.im_min < gap and region.im_max > -gap:
-        out = []
-        if region.re_min < -gap:
-            out.append(SearchRegion(region.re_min, -gap, region.im_min, region.im_max))
-        if region.re_max > gap:
-            out.append(SearchRegion(gap, region.re_max, region.im_min, region.im_max))
-        return out
-    return [region]
+    r = region
+    if not (r.re_min < gap and r.re_max > -gap and r.im_min < gap and r.im_max > -gap):
+        return [region]
+    lo, hi = max(r.re_min, -gap), min(r.re_max, gap)
+    out = []
+    if r.re_min < -gap:
+        out.append(SearchRegion(r.re_min, -gap, r.im_min, r.im_max))
+    if r.re_max > gap:
+        out.append(SearchRegion(gap, r.re_max, r.im_min, r.im_max))
+    if r.im_max > gap:
+        out.append(SearchRegion(lo, hi, gap, r.im_max))
+    if r.im_min < -gap:
+        out.append(SearchRegion(lo, hi, r.im_min, -gap))
+    return out
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
-                config: QuadratureConfig = quadrature.DEFAULT_CONFIG, *,
-                max_dilations: int = 3) -> int:
+                *, max_dilations: int = 3) -> int:
     """Certified number of dispersion zeros (with multiplicity) inside the region.
 
     A zero too close to the contour triggers up to `max_dilations` 1% dilations
@@ -283,7 +284,7 @@ def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchReg
     strip = profile.strip_halfwidth
     if region.im_reach > strip:
         raise StripViolation("search region exceeds the profile analyticity strip")
-    func = lambda z: dispersion_value(params, profile, z, config)
+    func = lambda z: dispersion_value(params, profile, z)
     scale = 0.5 * min(params.c0, profile.width, strip)
     current = region
     for attempt in range(max_dilations + 1):
@@ -325,8 +326,7 @@ def _newton(func, z0: complex, tol: float, max_iter: int = 80,
 
 
 def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
-               tol: float = _ROOT_TOL,
-               config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> list[RootReport]:
+               tol: float = _ROOT_TOL) -> list[RootReport]:
     """All dispersion zeros in the region, certified by winding counts.
 
     Rectangles are bisected until they isolate single roots, then Newton (with
@@ -334,7 +334,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     each; deflation handles clustered roots below the bisection floor.
     """
     tol = max(tol, 1e-14)
-    func = lambda z: dispersion_value(params, profile, z, config)
+    func = lambda z: dispersion_value(params, profile, z)
     subdiv_floor = 1e-3 * params.c0
     newton_box = 0.1 * params.c0
     roots: list[tuple[complex, int, int]] = []
@@ -353,7 +353,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
             target = lambda s, _prev=prev: func(s) / np.prod([s - r for r in _prev])
 
     def recurse(reg: SearchRegion, count: int | None = None, depth: int = 0):
-        n = count_roots(params, profile, reg, config) if count is None else count
+        n = count_roots(params, profile, reg) if count is None else count
         if n < 0:
             raise NonConvergence("negative winding count: pole inside search region")
         if n == 0:
@@ -379,7 +379,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
                 first = SearchRegion(reg.re_min, reg.re_max, reg.im_min, cut)
                 second = SearchRegion(reg.re_min, reg.re_max, cut, reg.im_max)
             try:
-                n1 = count_roots(params, profile, first, config, max_dilations=0)
+                n1 = count_roots(params, profile, first, max_dilations=0)
             except BoundaryRoot:
                 continue
             recurse(first, n1, depth + 1)
@@ -391,7 +391,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     reports = []
     for z, evidence, iters in sorted(roots, key=lambda t: (t[0].real, t[0].imag)):
         reports.append(RootReport(sigma=z, residual=abs(func(z)),
-                                  branch=quadrature.classify_branch(z, config),
+                                  branch=quadrature.classify_branch(z),
                                   winding_evidence=evidence, newton_iters=iters))
     return reports
 
@@ -400,28 +400,25 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
 # thin-spray expansion and the stability verdict
 # ---------------------------------------------------------------------------
 
-def _axis_rderivative(params: SprayParams, profile: VelocityProfile, x0: float,
-                      config: QuadratureConfig) -> float:
+def _axis_rderivative(params: SprayParams, profile: VelocityProfile, x0: float) -> float:
     """d/dsigma of the real part of the on-axis dispersion function."""
     h = 1e-6 * max(1.0, abs(x0))
-    dr_p, _ = dispersion_parts(params, profile, x0 + h, config)
-    dr_m, _ = dispersion_parts(params, profile, x0 - h, config)
+    dr_p, _ = dispersion_parts(params, profile, x0 + h)
+    dr_m, _ = dispersion_parts(params, profile, x0 - h)
     return (dr_p - dr_m) / (2.0 * h)
 
 
-def damping_rate_at(params: SprayParams, profile: VelocityProfile, c_ref: float,
-                    config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> float:
+def damping_rate_at(params: SprayParams, profile: VelocityProfile, c_ref: float) -> float:
     """First-order Im sigma of the wave near the real reference speed c_ref."""
-    _, d_imag = dispersion_parts(params, profile, c_ref, config)
-    d_rprime = _axis_rderivative(params, profile, c_ref, config)
+    _, d_imag = dispersion_parts(params, profile, c_ref)
+    d_rprime = _axis_rderivative(params, profile, c_ref)
     if abs(d_rprime) < 1e-8:
         raise DegenerateDerivative(f"|Dr'({c_ref})| = {abs(d_rprime):.3g} < 1e-8")
     return -d_imag / d_rprime
 
 
-def thin_spray_expansion(params: SprayParams, profile: VelocityProfile,
-                         config: QuadratureConfig = quadrature.DEFAULT_CONFIG
-                         ) -> tuple[float, float]:
+def thin_spray_expansion(params: SprayParams,
+                         profile: VelocityProfile) -> tuple[float, float]:
     """(spray sound speed c_star, first-order damping/growth rate gamma).
 
     c_star = c0 * (1 + pref/2 * P.V. int f'(v)/(v - c0) dv) with
@@ -434,9 +431,9 @@ def thin_spray_expansion(params: SprayParams, profile: VelocityProfile,
                       stacklevel=2)
     check_compatibility(params, profile)
     # on the axis the continuation is P.V. + i pi f'(c0); keep the P.V.
-    pv = quadrature.cauchy_transform(profile, (1.0,), params.c0, config).real
+    pv = quadrature.cauchy_transform(profile, (1.0,), params.c0).real
     c_star = params.c0 * (1.0 + 0.5 * params.coupling_prefactor * pv)
-    gamma = damping_rate_at(params, profile, c_star, config)
+    gamma = damping_rate_at(params, profile, c_star)
     return c_star, gamma
 
 
@@ -452,20 +449,19 @@ def default_region(params: SprayParams, profile: VelocityProfile) -> SearchRegio
 
 
 def spectral_verdict(params: SprayParams, profile: VelocityProfile,
-                     region: SearchRegion | None = None,
-                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> str:
+                     region: SearchRegion | None = None) -> str:
     """'unstable' if any upper-half zero exists, 'stable' if none and both
     thin-spray waves are damped, 'neutral' otherwise."""
     if region is None:
         region = default_region(params, profile)
     upper = SearchRegion(region.re_min, region.re_max,
                          max(region.im_min, 1e-6), region.im_max)
-    if count_roots(params, profile, upper, config) >= 1:
+    if count_roots(params, profile, upper) >= 1:
         return UNSTABLE
     if params.kappa == 0.0:
         return NEUTRAL
-    c_star, gamma_plus = thin_spray_expansion(params, profile, config)
-    gamma_minus = damping_rate_at(params, profile, -c_star, config)
+    c_star, gamma_plus = thin_spray_expansion(params, profile)
+    gamma_minus = damping_rate_at(params, profile, -c_star)
     if gamma_plus < -1e-12 and gamma_minus < -1e-12:
         return STABLE
     return NEUTRAL

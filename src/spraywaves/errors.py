@@ -50,7 +50,8 @@ class RefineGrid(SprayWaveError):
 
 
 class NotARoot(SprayWaveError):
-    """Eigenmode seeding requested at a sigma that does not solve the dispersion relation."""
+    """Eigenmode seeding requested at a sigma that does not solve the dispersion
+    relation."""
 
 
 class CflViolation(SprayWaveError):

@@ -27,7 +27,6 @@ from . import profiles, quadrature
 from .dispersion import RootReport, SearchRegion, _newton, _winding_number
 from .errors import (DegenerateSpectrum, NonConvergence, ResolventSingularity)
 from .profiles import VelocityProfile
-from .quadrature import QuadratureConfig
 
 STABLE_MODE = "stable_mode"
 UNSTABLE_MODE = "unstable_mode"
@@ -139,8 +138,7 @@ def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
 # scalar coupling
 # ---------------------------------------------------------------------------
 
-def scalar_dispersion(c: ScalarCoupling, omega,
-                      config: QuadratureConfig = quadrature.DEFAULT_CONFIG):
+def scalar_dispersion(c: ScalarCoupling, omega):
     """G(omega) = omega - lambda0 + kappa * C[v f'/(v - omega)], at a point or
     elementwise over an ndarray; roots solve the coupled scalar dispersion
     relation."""
@@ -149,24 +147,23 @@ def scalar_dispersion(c: ScalarCoupling, omega,
     if c.kappa == 0.0:
         return omega - c.lambda0
     return omega - c.lambda0 + c.kappa * quadrature.cauchy_transform(
-        c.profile, (0.0, 1.0), omega, config)
+        c.profile, (0.0, 1.0), omega)
 
 
-def scalar_root(c: ScalarCoupling, tol: float = 1e-12,
-                config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> RootReport:
+def scalar_root(c: ScalarCoupling, tol: float = 1e-12) -> RootReport:
     """Coupled root by one Newton solve on G from the first-order seed
     lambda0 - G(lambda0); G is -P_0 of track_secular_root for N = 1."""
     if abs(c.kappa) > SCALAR_KAPPA_MAX:
         raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
-    func = lambda z: scalar_dispersion(c, z, config)
+    func = lambda z: scalar_dispersion(c, z)
     omega, iters = _newton(func, c.lambda0 - func(c.lambda0), tol,
                            trust_radius=max(1.0, abs(c.lambda0)))
     half = max(1e-3 * max(1.0, abs(c.lambda0)), 4.0 * abs(omega.imag))
     evidence = _winding_number(func, SearchRegion(
         omega.real - half, omega.real + half, omega.imag - half, omega.imag + half))
     return RootReport(sigma=omega, residual=abs(func(omega)),
-                      branch=quadrature.classify_branch(omega, config),
+                      branch=quadrature.classify_branch(omega),
                       winding_evidence=evidence, newton_iters=iters)
 
 
@@ -213,18 +210,16 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 # secular function and perturbation checks
 # ---------------------------------------------------------------------------
 
-def _modal_projections(s: SystemCoupling, sigma: complex,
-                       config: QuadratureConfig) -> np.ndarray:
+def _modal_projections(s: SystemCoupling, sigma: complex) -> np.ndarray:
     """(grad_psi . r_i)(r_i . I(sigma)) for each eigenpair i of A, where I(sigma) is
     the continued integral of phi(v) f'(v)/(v - sigma), component-wise."""
-    ivec = np.array([quadrature.cauchy_transform(s.profile, w, sigma, config)
+    ivec = np.array([quadrature.cauchy_transform(s.profile, w, sigma)
                      if any(w) else 0.0 for w in zip(*s.phi_coeffs)])
     return np.array([float(np.dot(s.grad_psi, r)) * complex(np.dot(r, ivec))
                      for _, r in s.eigenpairs])
 
 
-def secular_function(s: SystemCoupling, sigma: complex,
-                     config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
+def secular_function(s: SystemCoupling, sigma: complex) -> complex:
     """S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)>, summed over the
     eigenpairs as 1 - kappa sum_i (grad_psi . r_i)(r_i . I) / (sigma_i - sigma)."""
     sigma = complex(sigma)
@@ -234,18 +229,15 @@ def secular_function(s: SystemCoupling, sigma: complex,
     if np.min(np.abs(poles)) < 1e-10:
         raise ResolventSingularity(
             "secular function evaluated on an eigenvalue of the uncoupled matrix")
-    return 1.0 - s.kappa * complex(np.sum(_modal_projections(s, sigma, config) / poles))
+    return 1.0 - s.kappa * complex(np.sum(_modal_projections(s, sigma) / poles))
 
 
-def imag_derivative_at_zero(s: SystemCoupling, j: int,
-                            config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> float:
+def imag_derivative_at_zero(s: SystemCoupling, j: int) -> float:
     """(Im sigma_j)'(0) = -pi (grad_psi . r_j)(phi(sigma_j) . r_j) f'(sigma_j)."""
-    return stability_necessary_condition(s, config)[j].imag_rate
+    return stability_necessary_condition(s)[j].imag_rate
 
 
-def stability_necessary_condition(s: SystemCoupling,
-                                  config: QuadratureConfig = quadrature.DEFAULT_CONFIG
-                                  ) -> list[ModeVerdict]:
+def stability_necessary_condition(s: SystemCoupling) -> list[ModeVerdict]:
     """Per-mode sign check of q_j; any q_j < 0 fails the necessary condition."""
     verdicts = []
     for j, (sigma_j, r_j) in enumerate(s.eigenpairs):
@@ -269,8 +261,7 @@ def fails_necessary_condition(verdicts: list[ModeVerdict]) -> bool:
 
 
 def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
-                       tol: float = 1e-9,
-                       config: QuadratureConfig = quadrature.DEFAULT_CONFIG) -> complex:
+                       tol: float = 1e-9) -> complex:
     """Zero of the secular function at kappa_target that leaves eigenvalue j.
 
     One Newton solve from the first-order seed sigma_j + kappa sigma'(0),
@@ -287,11 +278,11 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     sigma_j = s.eigenpairs[j][0]
 
     def pole_free(z: complex) -> complex:
-        m = _modal_projections(s, z, config)
+        m = _modal_projections(s, z)
         rest = sum(m[i] / (ev - z) for i, (ev, _) in enumerate(s.eigenpairs) if i != j)
         return (sigma_j - z) * (1.0 - kappa_target * rest) - kappa_target * m[j]
 
-    step = -kappa_target * _modal_projections(s, complex(sigma_j), config)[j]
+    step = -kappa_target * _modal_projections(s, complex(sigma_j))[j]
     floor = _ROUNDING_FLOOR * max(1.0, abs(sigma_j))
     sigma, _ = _newton(pole_free, sigma_j + step, max(tol * abs(step), floor),
                        trust_radius=10.0 * abs(step) + 1e-6)

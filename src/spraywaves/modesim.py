@@ -20,12 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dispersion, profiles, quadrature
+from . import dispersion, profiles
 from .dispersion import SearchRegion, SprayParams
 from .errors import (CflViolation, DegenerateFit, NoUnstableRoot, NotARoot,
                      RefineGrid)
 from .profiles import VelocityProfile
-from .quadrature import QuadratureConfig
 
 _CFL_FRACTION = 0.1
 _EIGENMODE_RESIDUAL = 1e-8     # |D(sigma)| accepted for an eigenmode seed
@@ -170,14 +169,14 @@ def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
 
 
 def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
-                       t_final: float, nv: int = DEFAULT_NV,
-                       fit_fractions: tuple[float, float] = (0.2, 0.8)) -> SimConfig:
-    """Grid on the profile support, dt at 0.9 of the CFL bound; ValueError when
-    t_final reaches the velocity-grid recurrence time."""
+                       t_final: float, nv: int = DEFAULT_NV) -> SimConfig:
+    """Grid on the profile support, dt at 0.9 of the CFL bound and the fit
+    window [0.2, 0.8] t_final; ValueError when t_final reaches the velocity-grid
+    recurrence time."""
     lo, hi = profiles.support_bounds(profile)
     cfg = SimConfig(nv=nv, v_bounds=(lo, hi),
                     dt=1.0, t_final=t_final,
-                    fit_window=(fit_fractions[0] * t_final, fit_fractions[1] * t_final))
+                    fit_window=(0.2 * t_final, 0.8 * t_final))
     _check_recurrence(cfg, k)
     dt = 0.9 * cfl_limit(params, cfg, k)
     return SimConfig(nv=nv, v_bounds=(lo, hi), dt=dt, t_final=t_final,
@@ -196,17 +195,15 @@ def acoustic_state(params: SprayParams, k: float, config: SimConfig,
 
 
 def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex,
-                   k: float, config: SimConfig,
-                   qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
-                   residual_tol: float = _EIGENMODE_RESIDUAL) -> ModeState:
+                   k: float, config: SimConfig) -> ModeState:
     """Mode amplitudes of the plane-wave solution attached to a dispersion root.
 
     tau = 1, u = -rho0 c0^2 / sigma, f(v) = -rho0^2 c0^2 f0'(v)/(v - sigma).
     """
     sigma = complex(sigma)
-    residual = abs(dispersion.dispersion_value(params, profile, sigma, qconfig))
-    if residual > residual_tol:
-        raise NotARoot(f"|D(sigma)| = {residual:.3g} > {residual_tol:.3g}")
+    residual = abs(dispersion.dispersion_value(params, profile, sigma))
+    if residual > _EIGENMODE_RESIDUAL:
+        raise NotARoot(f"|D(sigma)| = {residual:.3g} > {_EIGENMODE_RESIDUAL:.3g}")
     if params.kappa != 0.0 and abs(sigma.imag) < _GRID_MULTIPLE * config.dv:
         raise RefineGrid(
             f"|Im sigma| = {abs(sigma.imag):.3g} below {_GRID_MULTIPLE * config.dv:.3g} "
@@ -384,7 +381,6 @@ def check_scaling_inputs(params: SprayParams, profile: VelocityProfile, s: float
 def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
                                s: float, n_exponent: float, k_list: list[float],
                                nv: int = DEFAULT_NV,
-                               qconfig: QuadratureConfig = quadrature.DEFAULT_CONFIG,
                                region: SearchRegion | None = None) -> ScalingReport:
     """Initial H^s shrinkage vs final L^2 size for mode data scaled by k^(-N).
 
@@ -396,14 +392,14 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
     if region is None:
         base = dispersion.default_region(params, profile)
         region = SearchRegion(base.re_min, base.re_max, 1e-6, base.im_max)
-    roots = [r for r in dispersion.find_roots(params, profile, region, config=qconfig)
+    roots = [r for r in dispersion.find_roots(params, profile, region)
              if r.sigma.imag > 0]
     if not roots:
         raise NoUnstableRoot("no dispersion root with Im sigma > 0 in the region")
     sigma = max(roots, key=lambda r: r.sigma.imag).sigma
 
     def run_one(k: float, config: SimConfig) -> tuple[ScalingRow, Trajectory]:
-        seed = init_eigenmode(params, profile, sigma, k, config, qconfig)
+        seed = init_eigenmode(params, profile, sigma, k, config)
         seed = seed.scaled(k ** (-n_exponent))
         traj = integrate(params, profile, seed, config)
         fit = growth_rate(traj, config.fit_window)

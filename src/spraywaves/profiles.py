@@ -114,7 +114,7 @@ class VelocityProfile:
 
     @cached_property
     def node_sets(self) -> dict:
-        """Quadrature nodes per (weight, node count), filled by `quadrature`."""
+        """Quadrature nodes per weight, filled by `quadrature`."""
         return {}
 
 
@@ -289,7 +289,8 @@ def eval_df(profile: VelocityProfile, v):
 def support_bounds(profile: VelocityProfile) -> tuple[float, float]:
     """Interval outside which the distribution is negligible."""
     if profile.kind == "maxwellian":
-        return (profile.drift - 10.0 * profile.width, profile.drift + 10.0 * profile.width)
+        return (profile.drift - 10.0 * profile.width,
+                profile.drift + 10.0 * profile.width)
     if profile.kind == "bump_on_tail":
         lo, hi = support_bounds(profile.base)
         return (min(lo, profile.c_star - 5.0 * profile.eta),

@@ -16,7 +16,7 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   int_a^b (g(v) - c)/(v - s) dv + c (log(b - s) - log(a - s)), c = g(s). The
   first term is analytic in v wherever g is, so Gauss nodes over the support
   (cut only at the bump's breakpoints) and g on them are built once per
-  profile, weight and node count. Its sum over the nodes runs in real
+  profile and weight. Its sum over the nodes runs in real
   arithmetic; for an ndarray of s, g(s), the log terms and that sum run over
   all ordinary points at once, in blocks of (s, node) pairs that stay in
   cache. Where g(s) is refused (the edge margin, beyond the strip) at least 10
@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _gauss, profiles
@@ -48,22 +46,10 @@ _PIN_WINDOW = 1.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution knobs for the velocity integrals: ``nodes`` sizes the Gauss
-    panels over a bump support, ``axis_tolerance`` the real-axis band."""
-
-    nodes: int = 256
-    axis_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not 64 <= self.nodes <= 65536 or self.nodes % 2:
-            raise ValueError("nodes must be an even integer in [64, 65536]")
-        if not (0.0 < self.axis_tolerance <= 1e-10):
-            raise ValueError("axis_tolerance must lie in (0, 1e-10]")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# Gauss nodes over a bump support, and |Im sigma| up to which sigma counts as
+# on the real axis
+NODES = 256
+AXIS_TOLERANCE = 1e-12
 
 
 class Branch(enum.Enum):
@@ -72,13 +58,14 @@ class Branch(enum.Enum):
     LOWER = "lower"
 
 
-def classify_branch(sigma, config: QuadratureConfig = DEFAULT_CONFIG):
+def classify_branch(sigma):
     """Branch of sigma; an object array of branches for an ndarray sigma."""
+    tol = AXIS_TOLERANCE
     if isinstance(sigma, np.ndarray):
-        im, tol = sigma.imag, config.axis_tolerance
+        im = sigma.imag
         return np.where(im > tol, Branch.UPPER,
                         np.where(im < -tol, Branch.LOWER, Branch.REAL_AXIS))
-    im, tol = complex(sigma).imag, config.axis_tolerance
+    im = complex(sigma).imag
     return Branch.UPPER if im > tol else Branch.LOWER if im < -tol else Branch.REAL_AXIS
 
 
@@ -108,7 +95,7 @@ def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float, mass: float
 
 
 def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-                     sigma, config: QuadratureConfig = DEFAULT_CONFIG):
+                     sigma):
     """Branch-correct continuation of int p(v) f'(v)/(v - sigma) dv from above.
 
     ``weight`` holds the coefficients of the real polynomial p in ascending
@@ -121,9 +108,9 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     summed together in blocks of (sigma, node) pairs (`_bump_array`).
     """
     if isinstance(sigma, np.ndarray):
-        return _cauchy_array(profile, tuple(weight), sigma, config)
+        return _cauchy_array(profile, tuple(weight), sigma)
     sigma, weight = complex(sigma), tuple(weight)
-    branch = classify_branch(sigma, config)
+    branch = classify_branch(sigma)
     if branch is Branch.REAL_AXIS:
         sigma = complex(sigma.real)
     depth = -sigma.imag if branch is Branch.LOWER else 0.0
@@ -132,16 +119,16 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     for part in gaussians:
         total += _maxwellian_part(weight, sigma, depth, *part)
     if bumps:
-        for hint, node_set in zip(bumps, _node_sets(profile, weight, config.nodes)):
-            total += _bump_part(weight, sigma, branch, config, scale, *hint, *node_set)
+        for hint, node_set in zip(bumps, _node_sets(profile, weight)):
+            total += _bump_part(weight, sigma, branch, scale, *hint, *node_set)
     return complex(total)
 
 
 def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-                  sigma: np.ndarray, config: QuadratureConfig) -> np.ndarray:
+                  sigma: np.ndarray) -> np.ndarray:
     """`cauchy_transform` elementwise over an ndarray of sigma."""
     im = sigma.imag
-    sigma = np.where((im <= config.axis_tolerance) & (im >= -config.axis_tolerance),
+    sigma = np.where((im <= AXIS_TOLERANCE) & (im >= -AXIS_TOLERANCE),
                      sigma.real, sigma).astype(complex, copy=False)
     depth = -float(sigma.imag.min(initial=0.0))
     gaussians, bumps, scale = profile.quadrature_hints
@@ -150,32 +137,30 @@ def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
         total += _maxwellian_part(weight, sigma, depth, *part)
     if bumps:
         points = sigma.ravel()
-        for hint, node_set in zip(bumps, _node_sets(profile, weight, config.nodes)):
-            total += _bump_array(weight, points, config, scale, *hint,
+        for hint, node_set in zip(bumps, _node_sets(profile, weight)):
+            total += _bump_array(weight, points, scale, *hint,
                                  *node_set).reshape(sigma.shape)
     return total
 
 
-def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-               nodes: int) -> tuple:
-    """`_bump_nodes` of each bump term, built once per profile, weight and
-    node count."""
-    node_sets = profile.node_sets.get((weight, nodes))
+def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...]) -> tuple:
+    """`_bump_nodes` of each bump term, built once per profile and weight."""
+    node_sets = profile.node_sets.get(weight)
     if node_sets is None:
         _, bumps, scale = profile.quadrature_hints
-        node_sets = profile.node_sets[weight, nodes] = tuple(
-            _bump_nodes(weight, nodes, scale, *hint) for hint in bumps)
+        node_sets = profile.node_sets[weight] = tuple(
+            _bump_nodes(weight, scale, *hint) for hint in bumps)
     return node_sets
 
 
-def _bump_nodes(weight: tuple[float, ...], nodes: int, scale: float,
+def _bump_nodes(weight: tuple[float, ...], scale: float,
                 bump: profiles.VelocityProfile, coef: float,
                 support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
     breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
     arithmetic), g(vs), the near-node radius and the plain-sum height: 10 times
     the largest node gap."""
-    vs, ws = _gauss.segment_panels(*support, breakpoints, scale, nodes)
+    vs, ws = _gauss.segment_panels(*support, breakpoints, scale, NODES)
     g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
     return vs, ws, g, g(vs), float(1e-2 * ws.max()), float(10.0 * np.diff(vs).max())
 
@@ -191,11 +176,10 @@ def _log(z: complex) -> complex:
     return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
 
-def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
-               config: QuadratureConfig, scale: float, bump: profiles.VelocityProfile,
-               coef: float, support: tuple[float, float], breakpoints: tuple[float, ...],
-               vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray, near: float,
-               plain: float) -> complex:
+def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale: float,
+               bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
+               breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
+               gvs: np.ndarray, near: float, plain: float) -> complex:
     """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
@@ -206,17 +190,16 @@ def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch,
     refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
     if pinned:
         c = _g_at(weight, bump, coef, complex(sigma.real) if refused else sigma)
-        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale, config.nodes)
+        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale, NODES)
     c = 0j if refused else _g_at(weight, bump, coef, sigma)
     return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
                           branch, *support)
 
 
-def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, config: QuadratureConfig,
-                scale: float, bump: profiles.VelocityProfile, coef: float,
-                support: tuple[float, float], breakpoints: tuple[float, ...],
-                vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray, near: float,
-                plain: float) -> np.ndarray:
+def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
+                bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
+                breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
+                gvs: np.ndarray, near: float, plain: float) -> np.ndarray:
     """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
     real): g(sigma) and the subtracted sums for all points `_bump_gate` passes
     at once, the pinned ones one at a time."""
@@ -232,8 +215,8 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, config: Quadrature
     for i in np.flatnonzero(pinned).tolist():
         z = complex(sigma[i])
         ci = _g_at(weight, bump, coef, complex(z.real) if refused[i] else z)
-        out[i] = _pinned_part(g, ci, z, classify_branch(z, config), support, breakpoints,
-                              scale, config.nodes)
+        out[i] = _pinned_part(g, ci, z, classify_branch(z), support, breakpoints, scale,
+                              NODES)
     return out
 
 
@@ -363,8 +346,7 @@ def _near_node(vs: np.ndarray, ws: np.ndarray, sigma, near: float):
                for j in (i - 1, i) if 0 <= j < vs.size)
 
 
-def resonance_integral(profile: profiles.VelocityProfile, sigma,
-                       config: QuadratureConfig = DEFAULT_CONFIG):
+def resonance_integral(profile: profiles.VelocityProfile, sigma):
     """(1/sigma) * continued integral of v f'(v)/(v - sigma) dv, at a point or
     elementwise over an ndarray.
 
@@ -379,7 +361,7 @@ def resonance_integral(profile: profiles.VelocityProfile, sigma,
         nearest = abs(sigma)
     if nearest < 1e-14:
         raise ZeroSigma("resonance integral undefined at sigma = 0")
-    return cauchy_transform(profile, (0.0, 1.0), sigma, config) / sigma
+    return cauchy_transform(profile, (0.0, 1.0), sigma) / sigma
 
 
 def resonance_asymptotic(profile: profiles.VelocityProfile, sigma: complex,

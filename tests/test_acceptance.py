@@ -22,8 +22,6 @@ from spraywaves.modesim import (default_sim_config, growth_rate, init_eigenmode,
                                 integrate, sobolev_scaling_experiment)
 from spraywaves.quadrature import Branch, _pinned_part
 
-CFG = quadrature.DEFAULT_CONFIG
-
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
@@ -199,7 +197,7 @@ class TestAcceptance:
             span = 12.0 + x0
             c = gaussian(np.array([x0]))[0]
             val = _pinned_part(gaussian, c, complex(x0), Branch.REAL_AXIS,
-                               (-span, span), (), 0.7, CFG.nodes).real
+                               (-span, span), (), 0.7, quadrature.NODES).real
             oracle = -2.0 * dawson_series(x0)
             worst = max(worst, abs(val - oracle) / abs(oracle))
         ok = worst <= 1e-8

@@ -8,8 +8,7 @@ import pytest
 
 from spraywaves import cli, modesim
 from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_table,
-                            build_profile, build_qconfig, main)
-from spraywaves.quadrature import QuadratureConfig
+                            build_profile, check_quadrature, main)
 from spraywaves.scenarios import SCENARIOS
 
 
@@ -35,12 +34,18 @@ class TestConfigBuilders:
             build_profile({"kind": "maxwellian", "width": -1.0})
 
     def test_quadrature_keys(self):
-        # L and window of older configs are checked, noted, then ignored
-        quad = {"L": 14.0, "nodes": 128, "axis_tolerance": 1e-13, "window": 0.5}
-        assert build_qconfig(quad) == QuadratureConfig(nodes=128, axis_tolerance=1e-13)
+        # the block may restate the fixed quadrature; L and window of older
+        # configs are checked, noted, then ignored
+        quad = {"L": 14.0, "nodes": 256, "axis_tolerance": 1e-12, "window": 0.5}
+        for block in (None, {}, quad, {"nodes": 256.0}):
+            check_quadrature(block)
         for key in ("L", "window"):
             with pytest.raises(ValueError):
-                build_qconfig({key: -1.0})
+                check_quadrature({key: -1.0})
+        for key, value, fixed in (("nodes", 128, "256"), ("nodes", 512, "256"),
+                                  ("axis_tolerance", 1e-13, "1e-12")):
+            with pytest.raises(ValueError, match=f"quadrature.{key} is fixed at {fixed}"):
+                check_quadrature({**quad, key: value})
         note = "quadrature keys L, window are ignored"
         assert any(n.startswith(note) for n in _config_notes({"quadrature": quad}))
         assert not any("ignored" in n for n in _config_notes(SCENARIOS["bump-unstable"]))
@@ -104,6 +109,8 @@ class TestExitCodes:
         ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 0}}}),
         ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": 1.5}}}),
         ("roots", "maxwellian-stable", {"quadrature": {"nodes": 1e308}}),
+        ("roots", "maxwellian-stable", {"quadrature": {"nodes": 512}}),
+        ("roots", "maxwellian-stable", {"quadrature": {"axis_tolerance": 1e-13}}),
         ("roots", "maxwellian-stable", {"quadrature": {"L": math.nan}}),
         ("roots", "maxwellian-stable", {"quadrature": {"window": math.nan}}),
         ("roots", "maxwellian-stable",
@@ -413,6 +420,19 @@ class TestRootsCommand:
         roots = read_json(out / "roots.json")
         assert len(roots) >= 1
         assert any(r["im_sigma"] > 0 for r in roots)
+
+    def test_restated_quadrature_block_changes_nothing(self, tmp_path):
+        # the block the benchmark sends: the fixed values plus ignored L, window
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"quadrature": {
+            "L": 12.0, "nodes": 256, "axis_tolerance": 1e-12, "window": 1.0}}))
+        bare, restated = tmp_path / "bare", tmp_path / "restated"
+        assert main(["roots", "--scenario", "maxwellian-stable", "--out", str(bare),
+                     "--quiet"]) == 0
+        assert main(["roots", "--scenario", "maxwellian-stable", "--config",
+                     str(cfgfile), "--out", str(restated), "--quiet"]) == 0
+        assert (restated / "roots.json").read_bytes() == \
+            (bare / "roots.json").read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "rt"

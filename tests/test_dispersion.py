@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from conftest import profile_integrand, dense_line_integral
-from spraywaves import dispersion, profiles, quadrature
+from spraywaves import dispersion, profiles
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    damping_rate_at, dispersion_parts,
                                    dispersion_value, find_roots, landau_dispersion,
@@ -12,8 +13,6 @@ from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    thin_spray_expansion)
 from spraywaves.errors import BoundaryRoot, StripViolation, ZeroSigma
 from spraywaves.quadrature import Branch
-
-CFG = quadrature.DEFAULT_CONFIG
 
 
 class TestDispersionValue:
@@ -234,6 +233,56 @@ class TestSpectralVerdict:
 
     def test_decoupled_neutral(self, acoustic_params, std_maxwellian):
         assert spectral_verdict(acoustic_params, std_maxwellian) == "neutral"
+
+
+class TestPurelyGrowingRoots:
+    """Roots on the imaginary axis: the sigma = 0 pole cut-out must not hide
+    them. Symmetric two-stream maxwellian(0.5, +-1, 0.3), c0 = 1, kappa = 0.95."""
+
+    PARTS = [(0.5, -1.0, 0.3), (0.5, 1.0, 0.3)]
+    KAPPA = 0.95
+    BOX = SearchRegion(-3.0, 3.0, 1e-6, 1.5)
+
+    @pytest.fixture(scope="class")
+    def spray(self):
+        profile = profiles.profile_sum(*(profiles.maxwellian(*part, strip_halfwidth=4.0)
+                                         for part in self.PARTS))
+        return make_params(profile, c0=1.0, rho0=1.0, kappa=self.KAPPA), profile
+
+    def closed_form(self, sigma):
+        """D(sigma) = 1 - c0^2/sigma^2 + pref sum (m/w^2)(1 + zeta Z(zeta)), with
+        zeta = (sigma - u)/(sqrt(2) w) and Z = i sqrt(pi) w from scipy."""
+        pref = self.KAPPA / (1.0 - self.KAPPA)          # rho0 = c0 = m0 = 1
+        total = 1.0 - 1.0 / sigma**2
+        for mass, drift, width in self.PARTS:
+            zeta = (sigma - drift) / (math.sqrt(2.0) * width)
+            z_func = 1j * math.sqrt(math.pi) * wofz(zeta)
+            total += pref * mass / width**2 * (1.0 + zeta * z_func)
+        return total
+
+    def oracle_root(self, z, h=1e-7):
+        f = self.closed_form
+        for _ in range(50):
+            step = f(z) / ((f(z + h) - f(z - h)) / (2.0 * h))
+            z -= step
+            if abs(step) < 1e-14:
+                return z
+        raise AssertionError("oracle Newton did not converge")
+
+    def test_counted(self, spray):
+        assert count_roots(*spray, self.BOX) == 2
+
+    def test_found_as_the_closed_form_roots(self, spray):
+        found = [r.sigma for r in find_roots(*spray, self.BOX)]
+        want = [self.oracle_root(z) for z in (0.25j, 0.63j)]
+        assert want == pytest.approx([0.25211j, 0.63136j], abs=1e-5)
+        assert len(found) == 2
+        for got, root in zip(sorted(found, key=lambda z: z.imag), want):
+            assert abs(got - root) < 1e-8
+
+    def test_verdict_unstable(self, spray):
+        region = SearchRegion(-3.0, 3.0, -1.0, 1.5)
+        assert spectral_verdict(*spray, region) == "unstable"
 
 
 class TestArrayDispersion:

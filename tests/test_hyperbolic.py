@@ -14,8 +14,6 @@ from spraywaves.hyperbolic import (DECOUPLED, STABLE_MODE, UNSTABLE_MODE,
                                    stability_necessary_condition,
                                    symmetric_eigen, track_secular_root)
 
-CFG = quadrature.DEFAULT_CONFIG
-
 
 @pytest.fixture(scope="module")
 def fixture_systems(std_maxwellian):
@@ -191,7 +189,7 @@ class TestTrackSecularRoot:
         for system in fixture_systems:
             for sigma in (0.7 + 0.01j, 1.5 - 0.02j, 2.5 + 0.0j, 1.0001 + 1e-9j):
                 ivec = np.array([quadrature.cauchy_transform(
-                    system.profile, tuple(c[i] for c in system.phi_coeffs), sigma, CFG)
+                    system.profile, tuple(c[i] for c in system.phi_coeffs), sigma)
                     for i in range(system.dim)])
                 x = np.linalg.solve(system.a_matrix - sigma * np.eye(system.dim), ivec)
                 expected = 1.0 - system.kappa * complex(np.dot(system.grad_psi, x))
@@ -216,7 +214,7 @@ class TestTrackSecularRoot:
 
         def pole_free(z):    # (sigma_1 - z) S(z) from a dense resolvent solve
             ivec = np.array([quadrature.cauchy_transform(
-                system.profile, tuple(c[i] for c in system.phi_coeffs), z, CFG)
+                system.profile, tuple(c[i] for c in system.phi_coeffs), z)
                 for i in range(system.dim)])
             x = np.linalg.solve(system.a_matrix - z * np.eye(system.dim), ivec)
             return (2.0 - z) * (1.0 - system.kappa * complex(np.dot(system.grad_psi, x)))

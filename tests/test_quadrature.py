@@ -13,11 +13,8 @@ from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
-from spraywaves.quadrature import (Branch, QuadratureConfig, cauchy_transform,
-                                   classify_branch, resonance_asymptotic,
-                                   resonance_integral)
-
-CFG = QuadratureConfig()
+from spraywaves.quadrature import (Branch, cauchy_transform, classify_branch,
+                                   resonance_asymptotic, resonance_integral)
 
 # Dawson values frozen from the series oracle (cross-checked against mpmath)
 DAWSON = {0.5: 0.42443638350202244, 1.0: 0.5380795069127684, 2.0: 0.30134038892379196}
@@ -31,14 +28,14 @@ def g_at(g, sigma):
     return complex(g(np.array([complex(sigma)]))[0])
 
 
-def pinned(g, sigma, config=CFG, scale=1.0, bounds=None, c=None):
+def pinned(g, sigma, nodes=quadrature.NODES, scale=1.0, bounds=None, c=None):
     """Continued int g(v)/(v - sigma) dv over ``bounds`` (default +-(12 + |x0|))
     by the pinned-panel subtraction of c (default g(sigma))."""
     sigma = complex(sigma)
     span = 12.0 + abs(sigma.real)
     return quadrature._pinned_part(
-        g, g_at(g, sigma) if c is None else c, sigma, classify_branch(sigma, config),
-        (-span, span) if bounds is None else bounds, (), scale, config.nodes)
+        g, g_at(g, sigma) if c is None else c, sigma, classify_branch(sigma),
+        (-span, span) if bounds is None else bounds, (), scale, nodes)
 
 
 def pv(g, x0, **kwargs):
@@ -59,22 +56,6 @@ def maxwellian_closed_form(sigma, mass=1.0, drift=0.0, width=1.0):
     return -sigma * mass / width**2 * (1.0 + zeta * z / math.sqrt(2.0))
 
 
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes=63)
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes=65)
-        with pytest.raises(ValueError):
-            QuadratureConfig(axis_tolerance=1e-9)
-
-    @pytest.mark.parametrize("field,value", [
-        ("axis_tolerance", math.nan), ("nodes", 65538), ("nodes", 10**308)])
-    def test_rejects_non_finite_and_oversized(self, field, value):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**{field: value})
-
-
 def test_public_names_resolve():
     for name in spraywaves.__all__:
         assert getattr(spraywaves, name) is not None, name
@@ -88,7 +69,7 @@ class TestClassifyBranch:
         (1.0 + 5e-13j, Branch.REAL_AXIS),
     ])
     def test_examples(self, sigma, expected):
-        assert classify_branch(sigma, CFG) is expected
+        assert classify_branch(sigma) is expected
 
 
 class TestDawsonOracle:
@@ -180,7 +161,7 @@ class TestSingularIntegral:
     def test_node_doubling_convergence(self, std_maxwellian):
         g = profile_integrand(std_maxwellian, "v_df")
         v1 = pinned(g, 0.7 + 0.2j)
-        v2 = pinned(g, 0.7 + 0.2j, config=QuadratureConfig(nodes=512))
+        v2 = pinned(g, 0.7 + 0.2j, nodes=512)
         assert abs(v1 - v2) < 1e-9
 
 
@@ -198,7 +179,7 @@ class TestCauchyTransform:
         edges = [-np.inf, 4.5, 5.5, np.inf]
         oracle = sum(dense_line_integral(g, sigma, lo, hi)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        val = cauchy_transform(profile, weight, sigma, CFG)
+        val = cauchy_transform(profile, weight, sigma)
         assert val == pytest.approx(oracle, abs=1e-9)
 
 
@@ -214,7 +195,7 @@ class TestCauchyTransform:
         if sigma.imag < 0:
             # lower branch: the conjugate of the upper value plus the residue
             oracle = oracle.conjugate() + 2j * math.pi * g(np.array([sigma]))[0]
-        val = cauchy_transform(profile, weight, sigma, CFG)
+        val = cauchy_transform(profile, weight, sigma)
         assert val == pytest.approx(oracle, rel=1e-12)
 
 
@@ -225,25 +206,25 @@ class TestStripContract:
     @pytest.mark.parametrize("sigma", [1.0 - 0.6j, -2.0 - 3.0j])
     def test_maxwellian_lower_branch_beyond_strip_raises(self, std_maxwellian, sigma):
         with pytest.raises(StripViolation):
-            cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+            cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
 
     @pytest.mark.parametrize("sigma", [1.0 + 0.6j, -2.0 + 3.0j])
     def test_maxwellian_upper_branch_beyond_strip_returns(self, std_maxwellian, sigma):
-        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
         assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12)
 
     def test_sum_uses_the_narrowest_strip(self):
         profile = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),  # strip 0.3
                                        profiles.maxwellian(0.5, 2.0, 1.0))   # strip 0.5
-        cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.29j, CFG)
+        cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.29j)
         with pytest.raises(StripViolation):
-            cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.31j, CFG)
+            cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.31j)
 
     @pytest.mark.parametrize("sigma", [4.0 - 0.3j, 4.49 - 0.1j, 5.5 - 0.02j])
     def test_bump_lower_branch_raises(self, bump_profile, sigma):
         # beyond the bump strip (0.25), or in the edge margin away from the axis
         with pytest.raises(StripViolation):
-            cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+            cauchy_transform(bump_profile, (0.0, 1.0), sigma)
 
     @pytest.mark.parametrize("sigma", [4.0 + 0.3j, 4.49 + 0.1j, 5.5 + 0.02j])
     def test_bump_upper_branch_returns(self, bump_profile, sigma):
@@ -252,7 +233,7 @@ class TestStripContract:
         oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
                                          limit=2000)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        assert cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG) == \
+        assert cauchy_transform(bump_profile, (0.0, 1.0), sigma) == \
             pytest.approx(oracle, rel=1e-12)
 
 
@@ -263,7 +244,7 @@ class TestFaddeevaOracle:
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_unit_maxwellian(self, std_maxwellian, sigma):
-        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma, CFG)
+        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
         expected = complex(-sigma - sigma**2 * 1j * math.sqrt(math.pi)
                            * wofz(sigma / math.sqrt(2.0)) / math.sqrt(2.0))
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -273,7 +254,7 @@ class TestFaddeevaOracle:
     def test_two_maxwellian_sum(self, sigma):
         parts = [(0.4, -1.5, 1.0), (0.6, 2.0, 1.2)]
         profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
-        val = cauchy_transform(profile, (0.0, 1.0), sigma, CFG)
+        val = cauchy_transform(profile, (0.0, 1.0), sigma)
         expected = sum(maxwellian_closed_form(sigma, *p) for p in parts)
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -317,7 +298,7 @@ class TestBumpEdgeMargin:
         oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
                                          limit=2000)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        val = cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+        val = cauchy_transform(bump_profile, (0.0, 1.0), sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -329,7 +310,7 @@ class TestBumpEdgeMargin:
         # g(Re sigma) is subtracted, which is exact there
         profile = bump_profile if eta == 0.5 else profiles.make_bump_on_tail(
             profiles.maxwellian(), eps=0.05, eta=eta, c_star=5.0)
-        val = cauchy_transform(profile, (0.0, 1.0), sigma, CFG)
+        val = cauchy_transform(profile, (0.0, 1.0), sigma)
         oracle = bump_oracle(profile, (0.0, 1.0), sigma, edges=(5.0 - eta, 5.0 + eta))
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
@@ -381,8 +362,8 @@ def bump_oracle(profile, weight, sigma, edges=(4.5, 5.5), reach=0.1):
 
 def bump_node(profile, weight, near):
     """The support node of the fused bump sum nearest to `near`, its weight."""
-    cauchy_transform(profile, weight, near, CFG)
-    vs, ws = profile.node_sets[weight, CFG.nodes][0][:2]
+    cauchy_transform(profile, weight, near)
+    vs, ws = profile.node_sets[weight][0][:2]
     j = int(np.argmin(np.abs(vs - near)))
     return float(vs[j]), float(ws[j])
 
@@ -401,7 +382,7 @@ class TestFusedBumpSum:
         if isinstance(offset, str):
             offset = float(offset.split()[0]) * w
         sigma = complex(node + offset, im)
-        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        val = cauchy_transform(bump_profile, weight, sigma)
         oracle = bump_oracle(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
@@ -412,7 +393,7 @@ class TestFusedBumpSum:
         # support edges on the axis (g = 0 there, no log term), the lower
         # branch, and points outside the support
         sigma = complex(sigma)
-        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        val = cauchy_transform(bump_profile, weight, sigma)
         oracle = bump_oracle(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
@@ -426,7 +407,7 @@ class TestFusedBumpSum:
         fused = []
         for sigma in sigmas:
             try:
-                fused.append(cauchy_transform(bump_profile, weight, sigma, CFG))
+                fused.append(cauchy_transform(bump_profile, weight, sigma))
             except StripViolation:
                 fused.append(None)
 
@@ -434,9 +415,9 @@ class TestFusedBumpSum:
         for sigma, val in zip(sigmas, fused):
             if val is None:
                 with pytest.raises(StripViolation):
-                    cauchy_transform(bump_profile, weight, sigma, CFG)
+                    cauchy_transform(bump_profile, weight, sigma)
                 continue
-            pinned = cauchy_transform(bump_profile, weight, sigma, CFG)
+            pinned = cauchy_transform(bump_profile, weight, sigma)
             assert abs(val - pinned) <= 1e-13 * max(1.0, abs(pinned))
 
     def test_ordinary_points_skip_singular_integral(self, bump_profile, monkeypatch):
@@ -445,9 +426,9 @@ class TestFusedBumpSum:
 
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
         for sigma in (4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j):
-            cauchy_transform(bump_profile, (0.0, 1.0), sigma, CFG)
+            cauchy_transform(bump_profile, (0.0, 1.0), sigma)
         with pytest.raises(AssertionError):
-            cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j, CFG)
+            cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j)
 
 
 @pytest.fixture
@@ -471,8 +452,8 @@ class TestPlainSumAboveStrip:
 
     @staticmethod
     def gate(profile, weight):
-        cauchy_transform(profile, weight, 5.0 + 0.1j, CFG)
-        return profile.node_sets[weight, CFG.nodes][0][-1]
+        cauchy_transform(profile, weight, 5.0 + 0.1j)
+        return profile.node_sets[weight][0][-1]
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
     @pytest.mark.parametrize("sigma", [5.0 + 0.26j, 5.0 + 0.6j, 5.1 + 1.0j, 4.515 + 0.2j,
@@ -487,16 +468,16 @@ class TestPlainSumAboveStrip:
             raise AssertionError("_pinned_part called")
 
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
-        val = cauchy_transform(bump_profile, weight, sigma, CFG)
+        val = cauchy_transform(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
-        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
+        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]))
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
 
     def test_just_under_the_gate_takes_pinned_panels(self, bump_profile, pinned_calls):
         weight = (0.0, 1.0)
         sigma = complex(4.5075, 0.99 * self.gate(bump_profile, weight))
-        val = cauchy_transform(bump_profile, weight, sigma, CFG)
-        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]), CFG)
+        val = cauchy_transform(bump_profile, weight, sigma)
+        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]))
         assert pinned_calls == [sigma, sigma]
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
         oracle = bump_oracle(bump_profile, weight, sigma)
@@ -510,7 +491,7 @@ class TestTailCheck:
         # zero must come back as a value, not as an error
         profile = profiles.profile_sum(profiles.maxwellian(0.4, -1.5, 1.0),
                                        profiles.maxwellian(0.4, 1.5, 1.0))
-        assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0, CFG)) <= 1e-15
+        assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0)) <= 1e-15
         coupling = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=profile)
         assert scalar_dispersion(coupling, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
@@ -529,13 +510,13 @@ class TestNodeCache:
         for eps, weight in combos:
             _gauss._cached_panels.cache_clear()
             profile = bump(eps)
-            alone[eps, weight] = [cauchy_transform(profile, weight, s, CFG)
+            alone[eps, weight] = [cauchy_transform(profile, weight, s)
                                   for s in sigmas]
         shared = {eps: bump(eps) for eps in (0.05, 0.2)}
         for _ in range(2):
             for i, sigma in enumerate(sigmas):
                 for eps, weight in combos:
-                    val = cauchy_transform(shared[eps], weight, sigma, CFG)
+                    val = cauchy_transform(shared[eps], weight, sigma)
                     assert val == alone[eps, weight][i]
 
     def test_cached_nodes_are_read_only(self):
@@ -551,7 +532,7 @@ class TestResonanceIntegral:
     def test_large_sigma_matches_moment_expansion(self, std_maxwellian):
         # F(10) against the dense oracle; the moment expansion misses by the
         # next term 5*m4/sigma^6 = 1.5e-5 (m4 = 3 for the unit Gaussian)
-        val = resonance_integral(std_maxwellian, 10.0, CFG)
+        val = resonance_integral(std_maxwellian, 10.0)
         g = profile_integrand(std_maxwellian, "v_df")
         pv_oracle = dense_line_integral(g, 10.0 + 1e-9j).real
         assert val.real == pytest.approx(pv_oracle / 10.0, abs=1e-7)
@@ -563,12 +544,12 @@ class TestResonanceIntegral:
         # even profile: value at the mirrored upper-branch point -conj(sigma)
         # is the conjugate of the value at sigma
         for sigma in (0.9 + 0.15j, 1.7 + 0.05j, 0.3 + 0.2j):
-            upper = resonance_integral(std_maxwellian, sigma, CFG)
-            mirrored = resonance_integral(std_maxwellian, -np.conj(sigma), CFG)
+            upper = resonance_integral(std_maxwellian, sigma)
+            mirrored = resonance_integral(std_maxwellian, -np.conj(sigma))
             assert mirrored == pytest.approx(np.conj(upper), abs=1e-12)
 
     def test_purely_imaginary_sigma_gives_real_value(self, std_maxwellian):
-        val = resonance_integral(std_maxwellian, 10.0j, CFG)
+        val = resonance_integral(std_maxwellian, 10.0j)
         g = profile_integrand(std_maxwellian, "v_df")
         oracle = dense_line_integral(g, 10.0j) / 10.0j
         assert abs(val.imag) < 1e-12
@@ -576,19 +557,19 @@ class TestResonanceIntegral:
 
     def test_zero_sigma_rejected(self, std_maxwellian):
         with pytest.raises(ZeroSigma):
-            resonance_integral(std_maxwellian, 0.0, CFG)
+            resonance_integral(std_maxwellian, 0.0)
 
     def test_remainder_order_four(self, std_maxwellian):
-        r10 = abs(resonance_integral(std_maxwellian, 10.0, CFG)
+        r10 = abs(resonance_integral(std_maxwellian, 10.0)
                   - resonance_asymptotic(std_maxwellian, 10.0, 4))
-        r20 = abs(resonance_integral(std_maxwellian, 20.0, CFG)
+        r20 = abs(resonance_integral(std_maxwellian, 20.0)
                   - resonance_asymptotic(std_maxwellian, 20.0, 4))
         assert 50.0 <= r10 / r20 <= 80.0
 
     def test_remainder_order_two(self, std_maxwellian):
-        r10 = abs(resonance_integral(std_maxwellian, 10.0, CFG)
+        r10 = abs(resonance_integral(std_maxwellian, 10.0)
                   - resonance_asymptotic(std_maxwellian, 10.0, 2))
-        r20 = abs(resonance_integral(std_maxwellian, 20.0, CFG)
+        r20 = abs(resonance_integral(std_maxwellian, 20.0)
                   - resonance_asymptotic(std_maxwellian, 20.0, 2))
         assert 12.0 <= r10 / r20 <= 20.0
 
@@ -640,12 +621,12 @@ class TestArrayPath:
     def test_cauchy_transform_matches_scalar(self, request, name, weight):
         profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
         pts = branch_points(profile, weight)
-        scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z, CFG), pts)
+        scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z), pts)
         kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
         assert len(kept) >= 0.9 * len(pts)
         sigma = np.array([z for z, _ in kept]).reshape(-1, 1)
         want = np.array([s for _, s in kept]).reshape(-1, 1)
-        got = cauchy_transform(profile, weight, sigma, CFG)
+        got = cauchy_transform(profile, weight, sigma)
         assert got.shape == sigma.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -656,26 +637,26 @@ class TestArrayPath:
         # sum whose narrowest strip decides
         for profile in (std_maxwellian, TWO_STREAM):
             fine = np.array([0.5 + 0.1j, 0.7, 0.5 - 0.1j])
-            cauchy_transform(profile, weight, fine, CFG)
-            scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z, CFG),
+            cauchy_transform(profile, weight, fine)
+            scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z),
                                    [sigma])
             if scalar[0] is None:
                 with pytest.raises(StripViolation):
-                    cauchy_transform(profile, weight, np.append(fine, sigma), CFG)
+                    cauchy_transform(profile, weight, np.append(fine, sigma))
 
     @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
     def test_bump_refusals_match_scalar(self, bump_profile, weight):
         # the edge margin and beyond the strip below the axis refuse; one such
         # point among ordinary ones refuses the whole array
         pts = branch_points(bump_profile, weight) + [4.52 - 0.1j, 5.49 - 0.2j, 4.8 - 0.3j]
-        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z, CFG),
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z),
                                pts)
         refused = [z for z, s in zip(pts, scalar) if s is None]
         assert refused
         fine = np.array([z for z, s in zip(pts, scalar) if s is not None][:5])
         for z in refused:
             with pytest.raises(StripViolation):
-                cauchy_transform(bump_profile, weight, np.append(fine, z), CFG)
+                cauchy_transform(bump_profile, weight, np.append(fine, z))
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
     def test_bump_blocks_match_scalar(self, bump_profile, weight):
@@ -692,9 +673,9 @@ class TestArrayPath:
             complex(node + off, im) for off in (0.0, 1e-10, -1e-10)
             for im in (0.0, 1e-10, -1e-10)] + [
             4.515 + 0.2j, 5.0 + 0.26j, 5.0 + 0.6j, 5.51 - 0.01j, 3.0 - 0.1j, 7.0 + 0.05j]
-        rows = quadrature._BLOCK // bump_profile.node_sets[weight, CFG.nodes][0][0].size
+        rows = quadrature._BLOCK // bump_profile.node_sets[weight][0][0].size
         ordinary = list(np.linspace(4.55, 5.45, 3 * rows + 1) + 0.05j)
-        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z, CFG),
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z),
                                pts + ordinary)
         kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
         assert len(kept) >= 0.9 * len(pts)
@@ -703,7 +684,7 @@ class TestArrayPath:
         for run in runs:
             sigma = np.array([z for z, _ in run], dtype=complex)
             want = np.array([s for _, s in run], dtype=complex)
-            got = cauchy_transform(bump_profile, weight, sigma, CFG)
+            got = cauchy_transform(bump_profile, weight, sigma)
             assert got.shape == sigma.shape
             assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -717,7 +698,7 @@ class TestArrayPath:
         for deep in (4.52 - 0.1j, 4.8 - 0.3j):
             mixed = np.array([4.8 + 0.05j, 4.8, deep, 4.8 - 0.05j])
             with pytest.raises(StripViolation):
-                cauchy_transform(bump_profile, (0.0, 1.0), mixed, CFG)
+                cauchy_transform(bump_profile, (0.0, 1.0), mixed)
 
     def test_near_node_points_take_pinned_panels(self, bump_profile, pinned_calls):
         weight = (0.0, 1.0)
@@ -725,8 +706,7 @@ class TestArrayPath:
         near = [complex(node + off, im) for off in (0.0, 1e-14, 1e-10)
                 for im in (0.0, 1e-8, -1e-8)]
         ordinary = [4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j]
-        cauchy_transform(bump_profile, weight, np.array(ordinary[:3] + near + ordinary[3:]),
-                         CFG)
+        cauchy_transform(bump_profile, weight, np.array(ordinary[:3] + near + ordinary[3:]))
         assert pinned_calls == near
 
     def test_faddeeva_against_scipy_wofz(self):
@@ -751,16 +731,16 @@ class TestArrayPath:
 
     def test_resonance_integral_and_zero_sigma(self, std_maxwellian):
         sigma = np.array([0.5 + 0.1j, -2.0, 1.5 - 0.2j])
-        got = resonance_integral(std_maxwellian, sigma, CFG)
-        want = [resonance_integral(std_maxwellian, z, CFG) for z in sigma]
+        got = resonance_integral(std_maxwellian, sigma)
+        want = [resonance_integral(std_maxwellian, z) for z in sigma]
         np.testing.assert_allclose(got, want, rtol=1e-13)
         with pytest.raises(ZeroSigma):
-            resonance_integral(std_maxwellian, np.append(sigma, 0.0), CFG)
+            resonance_integral(std_maxwellian, np.append(sigma, 0.0))
 
     def test_classify_branch_elementwise(self):
         sigma = np.array([1.0 + 0.1j, 1.0, 1.0 - 1e-3j, 1.0 + 5e-13j])
-        assert list(classify_branch(sigma, CFG)) == [
-            classify_branch(z, CFG) for z in sigma]
+        assert list(classify_branch(sigma)) == [
+            classify_branch(z) for z in sigma]
 
     def test_scalar_dispersion_matches_scalar(self, bump_profile):
         coupling = ScalarCoupling(lambda0=4.8, kappa=1e-3, profile=bump_profile)

@@ -14,6 +14,9 @@ the NEW results lie from the OLD ones:
   times and the overflow flag must match exactly; tau, u, kinetic L^2 and the
   final f are reported as max |new - old| / max |old|, the fitted rate as a
   relative difference.
+- Artifacts of the 11 bundled command x scenario pairs, each run by the CLI
+  in a fresh interpreter: the file lists, each artifact's bytes and
+  manifest.json without its timestamp must be the same.
 
 An assertion fails when something that must match exactly does not.
 """
@@ -23,6 +26,8 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +87,14 @@ sys.stdout.buffer.write(pickle.dumps(res))
 '''
 
 
+PAIRS = [("dispersion-scan", "maxwellian-stable"), ("roots", "maxwellian-stable"),
+         ("roots", "bump-unstable"), ("thin-spray", "thin-spray-sweep"),
+         ("thin-spray", "maxwellian-stable"), ("landau-compare", "maxwellian-stable"),
+         ("simulate", "maxwellian-stable"), ("simulate", "bump-unstable"),
+         ("illposed-demo", "bump-unstable"), ("stability-check", "scalar-coupling"),
+         ("stability-check", "system-prop1")]
+
+
 def run(code: str, src: str) -> bytes:
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -125,8 +138,37 @@ def trajectory_parity(old_src: str, new_src: str) -> None:
               f"rate {drate}")
 
 
+def artifact_bytes(out: Path, name: str) -> bytes:
+    data = (out / name).read_bytes()
+    if name != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    del manifest["timestamp"]
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
+def artifact_parity(old_src: str, new_src: str) -> None:
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, scenario in PAIRS:
+            outs = [Path(tmp, side, command, scenario) for side in ("old", "new")]
+            for src, out in zip((old_src, new_src), outs):
+                subprocess.run([sys.executable, "-m", "spraywaves.cli", command,
+                                "--scenario", scenario, "--out", str(out), "--quiet"],
+                               env={**os.environ, "PYTHONPATH": src}, check=True)
+            old_names, new_names = (sorted(p.name for p in out.iterdir()) for out in outs)
+            diff = [] if old_names == new_names else ["file list"]
+            diff += [name for name in sorted(set(old_names) & set(new_names))
+                     if artifact_bytes(outs[0], name) != artifact_bytes(outs[1], name)]
+            differing += bool(diff)
+            print(f"{command:16s} {scenario:18s} {len(old_names)} files: "
+                  f"{'differ: ' + ', '.join(diff) if diff else 'identical'}")
+    print(f"artifacts: {len(PAIRS)} command x scenario pairs, {differing} differing")
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     d_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
+    artifact_parity(*sys.argv[1:3])
