@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import profiles, quadrature
-from .dispersion import RootReport, SearchRegion, _newton, _winding_number
+from .dispersion import RootReport, SearchRegion, _newton, _winding_numbers
 from .errors import (DegenerateSpectrum, NonConvergence, ResolventSingularity)
 from .profiles import VelocityProfile
 
@@ -160,8 +160,8 @@ def scalar_root(c: ScalarCoupling, tol: float = 1e-12) -> RootReport:
     omega, iters = _newton(func, c.lambda0 - func(c.lambda0), tol,
                            trust_radius=max(1.0, abs(c.lambda0)))
     half = max(1e-3 * max(1.0, abs(c.lambda0)), 4.0 * abs(omega.imag))
-    evidence = _winding_number(func, SearchRegion(
-        omega.real - half, omega.real + half, omega.imag - half, omega.imag + half))
+    evidence, = _winding_numbers(func, [SearchRegion(
+        omega.real - half, omega.real + half, omega.imag - half, omega.imag + half)])
     return RootReport(sigma=omega, residual=abs(func(omega)),
                       branch=quadrature.classify_branch(omega),
                       winding_evidence=evidence, newton_iters=iters)

@@ -25,7 +25,9 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   lose digits, and refused points closer to the axis go one at a time through
   `_pinned_part`: panel edges pinned at Re s and Re s +- w, and c = g(Re s)
   where g(s) is refused, which is exact above the axis, within O(Im s) just
-  below it and refused farther down.
+  below it and refused farther down. Far from the support, where the plain
+  node sum is the continued value, 34 cached moments of the nodes give that sum
+  (`_far_sum`; Greengard & Rokhlin 1987, J. Comput. Phys. 73, 325).
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ _SQRT_PI = math.sqrt(math.pi)
 # on the real axis
 NODES = 256
 AXIS_TOLERANCE = 1e-12
+
+# Far field of a bump term: with u_j = (v_j - m)/h in (-1, 1) (support centre m,
+# half-width h) and t = h/(sigma - m), 1/(v_j - sigma) = -(t/h) sum_k (t u_j)^k,
+# so the plain node sum is -(t/h) sum_k mu_k t^k, mu_k = sum_j g(v_j) w_j u_j^k.
+# For |sigma - m| >= rho h the terms from k = K on add at most sum_j |g(v_j) w_j|
+# (|t|/h) rho^-K/(1 - 1/rho), below 2^-53 of that scale from K = 34 at rho = 3.
+_FAR_RHO, _FAR_TERMS = 3.0, 34
 
 
 class Branch(enum.Enum):
@@ -158,11 +167,20 @@ def _bump_nodes(weight: tuple[float, ...], scale: float,
                 support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
     breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
-    arithmetic), g(vs), the near-node radius and the plain-sum height: 10 times
-    the largest node gap."""
+    arithmetic), g(vs), the far field (the support's centre m and half-width h,
+    and the moments mu_K-1 .. mu_0), the near-node radius and the plain-sum
+    height: 10 times the largest node gap."""
     vs, ws = _gauss.segment_panels(*support, breakpoints, scale, NODES)
     g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
-    return vs, ws, g, g(vs), float(1e-2 * ws.max()), float(10.0 * np.diff(vs).max())
+    gvs, (a, b) = g(vs), support
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    # a running product: np.vander would add its n x K temporary to the peak RSS
+    u, term, moments = (vs - centre) / half, gvs * ws, []
+    for _ in range(_FAR_TERMS):
+        moments.append(float(term.sum()))
+        term *= u
+    return (vs, ws, g, gvs, (centre, half, tuple(moments[::-1])),
+            float(1e-2 * ws.max()), float(10.0 * np.diff(vs).max()))
 
 
 def _poly(weight: tuple[float, ...], v):
@@ -179,18 +197,20 @@ def _log(z: complex) -> complex:
 def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale: float,
                bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
                breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
-               gvs: np.ndarray, near: float, plain: float) -> complex:
+               gvs: np.ndarray, field: tuple, near: float, plain: float) -> complex:
     """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
     one sum over the fixed support nodes vs (with g(vs) = gvs) serves every
     sigma (`_subtracted_sums`); `_bump_gate` says where that sum does not
-    serve.
+    serve, and `_far` where the moments give the plain sum.
     """
     refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
     if pinned:
         c = _g_at(weight, bump, coef, complex(sigma.real) if refused else sigma)
         return _pinned_part(g, c, sigma, branch, support, breakpoints, scale, NODES)
+    if _far(sigma, field):
+        return _far_sum(field, sigma)
     c = 0j if refused else _g_at(weight, bump, coef, sigma)
     return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
                           branch, *support)
@@ -199,19 +219,23 @@ def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale:
 def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
                 bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
                 breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
-                gvs: np.ndarray, near: float, plain: float) -> np.ndarray:
+                gvs: np.ndarray, field: tuple, near: float, plain: float) -> np.ndarray:
     """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
-    real): g(sigma) and the subtracted sums for all points `_bump_gate` passes
-    at once, the pinned ones one at a time."""
+    real): the far-field series, then g(sigma) and the subtracted sums, each for
+    all points it serves at once, the pinned ones one at a time."""
     refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
-    c = np.zeros(sigma.shape, dtype=complex)
-    ok = ~refused
-    c[ok] = coef * _poly(weight, sigma[ok]) * profiles._bump_df(bump, sigma[ok])
+    far = ~pinned & _far(sigma, field)
+    summed = ~(pinned | far)
     out = np.empty(sigma.shape, dtype=complex)
-    summed = ~pinned
-    s, cs = sigma[summed], c[summed]
-    out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
-                                 *support)
+    if far.any():
+        out[far] = _far_sum(field, sigma[far])
+    if summed.any():
+        s = sigma[summed]
+        cs = np.zeros(s.shape, dtype=complex)
+        ok = ~refused[summed]
+        cs[ok] = coef * _poly(weight, s[ok]) * profiles._bump_df(bump, s[ok])
+        out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
+                                     *support)
     for i in np.flatnonzero(pinned).tolist():
         z = complex(sigma[i])
         ci = _g_at(weight, bump, coef, complex(z.real) if refused[i] else z)
@@ -240,6 +264,25 @@ def _bump_gate(bump: profiles.VelocityProfile, sigma, vs: np.ndarray, ws: np.nda
         raise StripViolation("complex evaluation of the bump term refused at "
                              f"{complex(np.ravel(sigma)[np.argmax(deep)])}")
     return refused, (refused & (sigma.imag < plain)) | _near_node(vs, ws, sigma, near)
+
+
+def _far(sigma, field: tuple):
+    """Whether `_far_sum` gives the bump term at an unpinned point (elementwise): rho
+    or more half-widths from the centre, on or above the axis or off the support."""
+    centre, half, _ = field
+    d = sigma - centre
+    return (abs(d) >= _FAR_RHO * half) & ((sigma.imag >= 0.0) | (abs(d.real) >= half))
+
+
+def _far_sum(field: tuple, sigma):
+    """sum_j g(v_j) w_j/(v_j - sigma) = -(t/h) sum_k mu_k t^k, t = h/(sigma - m),
+    by Horner over the moments, at a point or elementwise over an ndarray."""
+    centre, half, moments = field
+    t = half / (sigma - centre)
+    acc = 0.0
+    for mu in moments:
+        acc = acc * t + mu
+    return -(t / half) * acc
 
 
 def _g_at(weight: tuple[float, ...], bump: profiles.VelocityProfile, coef: float,

@@ -8,6 +8,8 @@ an explicitly deformed contour.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
@@ -110,3 +112,50 @@ def profile_integrand(profile: VelocityProfile, weight: str = "v_df"):
     if weight == "f":
         return lambda v: profiles._eval_f_raw(profile, np.asarray(v, dtype=complex))
     raise ValueError(weight)
+
+
+_TIGHT = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 2000}
+
+
+def bump_oracle(profile: VelocityProfile, weight, sigma: complex, reach: float = 0.1,
+                df=None) -> complex:
+    """Continued int p(v) f'(v)/(v - sigma) dv of a bump-on-tail profile by
+    adaptive scipy quadrature, split at the bump support edges, with no
+    subtraction at sigma; ``df`` replaces f' (the bump term alone, say).
+
+    On the axis: the principal value folded about x0, int_0^r (g(x0 + t) -
+    g(x0 - t))/t dt, plus plain integrals outside [x0 - r, x0 + r] and the
+    residue i pi g(x0). Within 1e-6 of the axis: the real line with
+    [x0 - reach, x0 + reach] replaced by a box dipping reach below sigma
+    (`contour_deformed_integral`). Elsewhere: the real line split at Re sigma,
+    plus 2 pi i g(sigma) below the axis.
+    """
+    edges = (profile.c_star - profile.eta, profile.c_star + profile.eta)
+    df = profile_integrand(profile, "df") if df is None else df
+    g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
+    x0 = sigma.real
+
+    def line(cuts):
+        return sum(dense_line_integral(g, sigma, lo, hi, **_TIGHT)
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    if sigma.imag == 0.0:
+        r = 0.3
+        cuts = sorted({-np.inf, *(e for e in edges if abs(e - x0) > r), x0 - r, np.inf})
+        left = [c for c in cuts if c <= x0 - r]
+        right = [x0 + r, *(c for c in cuts if c > x0 + r)]
+        folded = lambda t: np.real(g(np.array([x0 + t]))[0] - g(np.array([x0 - t]))[0]) / t
+        tcuts = sorted({0.0, *(abs(e - x0) for e in edges if 0.0 < abs(e - x0) < r), r})
+        pv = line(left) + line(right) + sum(
+            scipy_integrate.quad(folded, lo, hi, **_TIGHT)[0]
+            for lo, hi in zip(tcuts[:-1], tcuts[1:]))
+        return pv + 1j * math.pi * g(np.array([complex(x0)]))[0]
+    if abs(sigma.imag) < 1e-6:
+        lo, hi = x0 - reach, x0 + reach
+        return (line([-np.inf, *(e for e in edges if e < lo), lo])
+                + line([hi, *(e for e in edges if e > hi), np.inf])
+                + contour_deformed_integral(g, sigma, lo, hi, reach))
+    val = line(sorted({-np.inf, *edges, x0, np.inf}))
+    if sigma.imag < 0.0:
+        val += 2j * math.pi * g(np.array([sigma]))[0]
+    return val

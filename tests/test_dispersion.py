@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from conftest import profile_integrand, dense_line_integral
+from conftest import bump_oracle, dense_line_integral, profile_integrand
 from spraywaves import dispersion, profiles
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    damping_rate_at, dispersion_parts,
@@ -147,6 +147,24 @@ class TestRootCounting:
         wide = SearchRegion(-30.0, 30.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
         assert count_roots(bump_params, bump_profile, wide) == 1
 
+    def test_upper_box_needs_no_strip_until_dilated_below_the_axis(self, acoustic_params,
+                                                                  std_maxwellian):
+        # the root at 1 on the bottom edge sets off a dilation that pushes the
+        # bottom below the axis, where the strip (0.5) is checked again
+        assert count_roots(acoustic_params, std_maxwellian,
+                           SearchRegion(0.5, 1.5, 0.0, 0.4)) == 1
+        with pytest.raises(BoundaryRoot):
+            count_roots(acoustic_params, std_maxwellian, SearchRegion(0.5, 1.5, 0.0, 1.0))
+        with pytest.raises(StripViolation):
+            count_roots(acoustic_params, std_maxwellian,
+                        SearchRegion(0.5, 1.5, -0.1, 1.0))
+
+    def test_empty_split_counts_zero(self, acoustic_params, std_maxwellian):
+        # a box inside the square cut out around the pole leaves no rectangle
+        region = SearchRegion(-5e-4, 5e-4, 1e-4, 5e-4)
+        assert dispersion._split_at_pole(acoustic_params, region) == []
+        assert count_roots(acoustic_params, std_maxwellian, region) == 0
+
     def test_pole_respected_after_dilation(self, acoustic_params, std_maxwellian):
         # the region edge sits just right of the pole gap; 1% dilations (from a
         # boundary root at +c0) must not cross sigma = 0
@@ -285,6 +303,44 @@ class TestPurelyGrowingRoots:
         assert spectral_verdict(*spray, region) == "unstable"
 
 
+class TestStrongBumpRoots:
+    """The two bump profiles whose unstable roots lie above half the strip
+    (ROADMAP defect 1): an upper box needs no strip, so a box that reaches them
+    counts and finds them."""
+
+    # (eps, eta, kappa) of a bump at c* = c0 = 5, the box, the root to 3 digits
+    CASES = {
+        "strong": ((0.3, 0.5, 0.05), SearchRegion(4.0, 5.2, 0.3, 1.0), 4.567 + 0.756j),
+        "narrow": ((0.05, 0.3, 0.2), SearchRegion(4.0, 5.5, 0.2, 1.0), 4.741 + 0.680j)}
+
+    @staticmethod
+    def oracle_root(params, profile, z, h=1e-6):
+        """Newton on D(sigma) with the continued integral from `bump_oracle`."""
+        def func(s):
+            integral = bump_oracle(profile, (0.0, 1.0), s)
+            return 1.0 - params.c0**2 / s**2 - params.coupling_prefactor * integral / s
+
+        for _ in range(8):
+            step = func(z) / ((func(z + h) - func(z - h)) / (2.0 * h))
+            z -= step
+            if abs(step) < 1e-12:
+                break
+        return z
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("case", CASES)
+    def test_counted_and_found(self, case):
+        (eps, eta, kappa), region, want = self.CASES[case]
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(), eps, eta, 5.0)
+        params = make_params(profile, c0=5.0, rho0=1.0, kappa=kappa)
+        assert region.im_max > profile.strip_halfwidth
+        assert count_roots(params, profile, region) == 1
+        (root,) = find_roots(params, profile, region)
+        assert abs(root.sigma.real - want.real) < 5e-4
+        assert abs(root.sigma.imag - want.imag) < 5e-4
+        assert abs(root.sigma - self.oracle_root(params, profile, root.sigma)) <= 1e-8
+
+
 class TestArrayDispersion:
     def test_matches_scalar_on_all_branches(self, bump_params, bump_profile,
                                             maxwellian_params, std_maxwellian):
@@ -314,7 +370,7 @@ class TestArrayDispersion:
 
 
 def depth_first_winding(func, region, n0=48, feature_scale=None):
-    """The one-point-at-a-time depth-first phase walk that `_winding_number`
+    """The one-point-at-a-time depth-first phase walk that `_winding_numbers`
     evaluates by levels: (winding number, every point sampled)."""
     corners = list(region.corners) + [region.corners[0]]
     pts = []
@@ -370,7 +426,7 @@ class TestWindingWalk:
 
     def test_refinement_near_edge_zeros_gives_known_count(self):
         walk = Recorder(self.func)
-        assert dispersion._winding_number(walk, self.REGION) == 1
+        assert dispersion._winding_numbers(walk, [self.REGION]) == [1]
         # the edge samples, then one call per refinement level
         assert walk.calls > 3
         assert len(walk.points) > 4 * 48 + 1
@@ -384,19 +440,53 @@ class TestWindingWalk:
         region = SearchRegion(-7.0, 7.0, 1e-6, 0.12)
         func = lambda z: dispersion_value(bump_params, bump_profile, z)
         walk = Recorder(func)
-        assert dispersion._winding_number(walk, region, feature_scale=0.06) == 1
+        assert dispersion._winding_numbers(walk, [region], feature_scale=0.06) == [1]
         count, sampled = depth_first_winding(func, region, feature_scale=0.06)
         assert count == 1
         assert walk.calls > 1
         assert len(walk.points) == len(sampled)
         assert set(walk.points) == set(sampled)
 
+    def test_pole_split_parts_walked_together(self):
+        # a `roots.maxwellian`-type box straddles the pole: its four parts get
+        # the samples and counts of their own depth-first walks, from one call
+        # per refinement level (4 calls, against 10 for the parts one by one)
+        profile = profiles.maxwellian(drift=0.233843, width=1.01143)
+        params = make_params(profile, c0=1.22036, rho0=1.0, kappa=0.0193477)
+        parts = dispersion._split_at_pole(params, SearchRegion(-2.254203, 2.254203,
+                                                               -0.05, 0.02))
+        scale = 0.5 * min(params.c0, profile.width, profile.strip_halfwidth)
+        func = lambda z: dispersion_value(params, profile, z)
+        walk = Recorder(func)
+        counts = dispersion._winding_numbers(walk, parts, feature_scale=scale)
+        assert len(parts) == 4 and sum(counts) == 2
+        sampled, calls = [], []
+        for part, count in zip(parts, counts):
+            alone = Recorder(func)
+            assert dispersion._winding_numbers(alone, [part],
+                                               feature_scale=scale) == [count]
+            want, points = depth_first_winding(func, part, feature_scale=scale)
+            assert want == count
+            assert sorted(alone.points, key=lambda z: (z.real, z.imag)) == \
+                sorted(points, key=lambda z: (z.real, z.imag))
+            sampled += points
+            calls.append(alone.calls)
+        assert sorted(walk.points, key=lambda z: (z.real, z.imag)) == \
+            sorted(sampled, key=lambda z: (z.real, z.imag))
+        assert walk.calls == max(calls) < sum(calls)
+
+    def test_no_rectangles_no_calls(self):
+        def refuse(z):
+            raise AssertionError("called")
+
+        assert dispersion._winding_numbers(refuse, []) == []
+
     def test_zero_on_the_contour_and_eval_cap(self, monkeypatch):
         on_edge = lambda z: (z - 1.0) * (z - (1.0 + 0.5j))
         with pytest.raises(BoundaryRoot):
-            dispersion._winding_number(on_edge, self.REGION)
+            dispersion._winding_numbers(on_edge, [self.REGION])
         walk = Recorder(self.func)
-        dispersion._winding_number(walk, self.REGION)
+        dispersion._winding_numbers(walk, [self.REGION])
         monkeypatch.setattr(dispersion, "_MAX_BOUNDARY_EVALS", len(walk.points) - 1)
         with pytest.raises(BoundaryRoot, match="did not resolve"):
-            dispersion._winding_number(self.func, self.REGION)
+            dispersion._winding_numbers(self.func, [self.REGION])

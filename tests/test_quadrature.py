@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (contour_deformed_integral, dawson_series,
+from conftest import (bump_oracle, contour_deformed_integral, dawson_series,
                       dense_line_integral, profile_integrand)
 from scipy import integrate as scipy_integrate
 from scipy.special import wofz
@@ -311,55 +311,27 @@ class TestBumpEdgeMargin:
         profile = bump_profile if eta == 0.5 else profiles.make_bump_on_tail(
             profiles.maxwellian(), eps=0.05, eta=eta, c_star=5.0)
         val = cauchy_transform(profile, (0.0, 1.0), sigma)
-        oracle = bump_oracle(profile, (0.0, 1.0), sigma, edges=(5.0 - eta, 5.0 + eta))
+        oracle = bump_oracle(profile, (0.0, 1.0), sigma)
+        assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("sigma", [9.8 + 0.013j, 9.95 + 0.1j])
+    def test_bump_term_on_a_narrow_base(self, sigma):
+        # the bump term alone: on a base of width 0.2 the Maxwellian closed
+        # form loses about 4e-12 to the cancellation in 1 + zeta Z(zeta) at
+        # |zeta| ~ 35, which the bump quadrature must not be blamed for
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(width=0.2), eps=0.05,
+                                             eta=5.0, c_star=5.0)
+        base = profiles.maxwellian(mass=1.0 - 0.05, width=0.2)
+        weight = (0.0, 1.0)
+        val = (cauchy_transform(profile, weight, sigma)
+               - cauchy_transform(base, weight, sigma))
+        oracle = bump_oracle(profile, weight, sigma,
+                             df=lambda v: profiles._bump_df(profile, v))
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
 
 BUMP_WEIGHTS = [(1.0,), (0.0, 1.0), (0.3, -1.0, 0.5, 0.2, -0.05)]
-_TIGHT = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 2000}
-
-
-def bump_oracle(profile, weight, sigma, edges=(4.5, 5.5), reach=0.1):
-    """Continued int p(v) f'(v)/(v - sigma) dv by adaptive scipy quadrature,
-    split at the bump support edges, with no subtraction at sigma.
-
-    On the axis: the principal value folded about x0, int_0^r (g(x0 + t) -
-    g(x0 - t))/t dt, plus plain integrals outside [x0 - r, x0 + r] and the
-    residue i pi g(x0). Within 1e-6 of the axis: the real line with
-    [x0 - reach, x0 + reach] replaced by a box dipping reach below sigma
-    (`contour_deformed_integral`). Elsewhere: the real line split at Re sigma,
-    plus 2 pi i g(sigma) below the axis.
-    """
-    df = profile_integrand(profile, "df")
-    g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
-    x0 = sigma.real
-
-    def line(cuts):
-        return sum(dense_line_integral(g, sigma, lo, hi, **_TIGHT)
-                   for lo, hi in zip(cuts[:-1], cuts[1:]))
-
-    if sigma.imag == 0.0:
-        r = 0.3
-        cuts = sorted({-np.inf, *(e for e in edges if abs(e - x0) > r), x0 - r, np.inf})
-        left = [c for c in cuts if c <= x0 - r]
-        right = [x0 + r, *(c for c in cuts if c > x0 + r)]
-        folded = lambda t: np.real(g(np.array([x0 + t]))[0] - g(np.array([x0 - t]))[0]) / t
-        tcuts = sorted({0.0, *(abs(e - x0) for e in edges if 0.0 < abs(e - x0) < r), r})
-        pv = line(left) + line(right) + sum(
-            scipy_integrate.quad(folded, lo, hi, **_TIGHT)[0]
-            for lo, hi in zip(tcuts[:-1], tcuts[1:]))
-        return pv + 1j * math.pi * g(np.array([complex(x0)]))[0]
-    if abs(sigma.imag) < 1e-6:
-        lo, hi = x0 - reach, x0 + reach
-        return (line([-np.inf, *(e for e in edges if e < lo), lo])
-                + line([hi, *(e for e in edges if e > hi), np.inf])
-                + contour_deformed_integral(g, sigma, lo, hi, reach))
-    val = line(sorted({-np.inf, *edges, x0, np.inf}))
-    if sigma.imag < 0.0:
-        val += 2j * math.pi * g(np.array([sigma]))[0]
-    return val
-
-
 def bump_node(profile, weight, near):
     """The support node of the fused bump sum nearest to `near`, its weight."""
     cauchy_transform(profile, weight, near)
@@ -482,6 +454,73 @@ class TestPlainSumAboveStrip:
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
         oracle = bump_oracle(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
+
+
+def far_points(r):
+    """Points r from the bump's centre 5 on all three branches (the support has
+    half-width 0.5): above the axis, on it, and 0.1 below it outside the
+    support."""
+    x = math.sqrt(r * r - 0.01)
+    upper = [5.0 + r * complex(math.cos(a), math.sin(a)) for a in (0.4, math.pi / 2, 2.5)]
+    return upper + [complex(5.0 - r), complex(5.0 + r), complex(5.0 - x, -0.1),
+                    complex(5.0 + x, -0.1)]
+
+
+class TestFarField:
+    """At least rho = 3 half-widths from the bump's centre, where the continued
+    value is the plain node sum, the moments give it (`_far_sum`)."""
+    RHO_H = quadrature._FAR_RHO * 0.5
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    def test_route_against_subtracted_sum_and_oracle(self, bump_profile, weight,
+                                                     monkeypatch):
+        far, near = far_points(1.01 * self.RHO_H), far_points(0.99 * self.RHO_H)
+        routed = [cauchy_transform(bump_profile, weight, z) for z in far]
+        arr = cauchy_transform(bump_profile, weight, np.array(far + near))
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_far",
+                      lambda sigma, *args: np.zeros(np.shape(sigma), dtype=bool))
+            summed = [cauchy_transform(bump_profile, weight, z) for z in far + near]
+        for z, val, ref in zip(far, routed, summed):
+            assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+            assert abs(val - bump_oracle(bump_profile, weight, z)) <= 1e-12 * abs(val)
+        assert np.all(np.abs(arr - summed) <= 5e-14 * np.maximum(1.0, np.abs(summed)))
+
+        def refuse(*args):
+            raise AssertionError("summed over the nodes")
+
+        monkeypatch.setattr(quadrature, "_subtracted_sums", refuse)
+        assert [cauchy_transform(bump_profile, weight, z) for z in far] == routed
+        cauchy_transform(bump_profile, weight, np.array(far))
+        for z in near:
+            with pytest.raises(AssertionError):
+                cauchy_transform(bump_profile, weight, z)
+
+    def test_lower_points_over_the_support_are_not_far(self):
+        # there the continued value adds 2 i pi g(sigma) to the plain sum
+        field = (5.0, 0.5, ())
+        assert quadrature._far(5.2 + 2.0j, field)
+        assert not quadrature._far(5.2 - 2.0j, field)
+        assert quadrature._far(5.6 - 2.0j, field)
+        assert not quadrature._far(5.0 + 1.49j, field)
+
+    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
+    def test_tail_bound(self, bump_profile, weight):
+        # moments taken to 2K: the terms from K on stay under the bound the
+        # number of terms K was derived from
+        cauchy_transform(bump_profile, weight, 5.0 + 0.1j)
+        vs, ws, _, gvs, (centre, half, moments) = bump_profile.node_sets[weight][0][:5]
+        rho, k = quadrature._FAR_RHO, quadrature._FAR_TERMS
+        mu = (gvs * ws) @ np.vander((vs - centre) / half, 2 * k, increasing=True)
+        np.testing.assert_allclose(mu[:k], moments[::-1], rtol=0.0,
+                                   atol=1e-15 * np.abs(mu[0]).max(initial=1.0))
+        factor = rho**-k / (1.0 - 1.0 / rho)
+        assert factor < 2.0**-53 <= rho**(1 - k) / (1.0 - 1.0 / rho)
+        scale = np.sum(np.abs(gvs * ws))
+        for t in np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 13)) / rho:
+            remainder = abs(t / half * t**k * np.polyval(mu[k:][::-1], t))
+            assert remainder <= scale * abs(t) / half * factor
 
 
 class TestTailCheck:
@@ -695,8 +734,9 @@ class TestArrayPath:
 
         monkeypatch.setattr(quadrature, "_subtracted_sums", refuse)
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
+        monkeypatch.setattr(quadrature, "_far_sum", refuse)
         for deep in (4.52 - 0.1j, 4.8 - 0.3j):
-            mixed = np.array([4.8 + 0.05j, 4.8, deep, 4.8 - 0.05j])
+            mixed = np.array([4.8 + 0.05j, 4.8, 8.0 + 0.05j, deep, 4.8 - 0.05j])
             with pytest.raises(StripViolation):
                 cauchy_transform(bump_profile, (0.0, 1.0), mixed)
 

@@ -8,6 +8,9 @@ the NEW results lie from the OLD ones:
 - D(sigma): three profiles (Maxwellian, bump-on-tail, two-stream) on a grid
   that crosses every branch, including the bump edges; exceptions must match
   by type. The bump edge margin (within 0.05 eta of c* +- eta) is reported apart.
+  The grid is evaluated point by point and again as one array per profile and
+  height, so the array path (blocked bump sums, far-field series) is compared
+  with the old array path too.
 - Trajectories of modesim.integrate: a bump eigenmode at k = 4 and k = 9,
   Maxwellian acoustic runs at kappa = 0 and 0.01, and two overflow runs (the
   first step, and a seed whose max|f| starts at 1e150 / 3). Times, snapshot
@@ -37,19 +40,25 @@ from spraywaves import dispersion as d, profiles as p
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
-out = []
+out, arrays = [], []
 for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
                               ("ts", ts, 1.5, 0.02)):
     prm = d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa)
     h = prof.strip_halfwidth
+    res = [*np.linspace(-7, 7, 57), 4.5, 4.49, 4.51, 5.5, 5.52, 4.8, 5.2, 0.0]
     for im in (0.4, 0.12, 0.01, 1e-4, 0.0, -1e-4, -0.01, -0.1, -0.45 * h, -0.9 * h, -0.3):
-        for re in [*np.linspace(-7, 7, 57), 4.5, 4.49, 4.51, 5.5, 5.52, 4.8, 5.2, 0.0]:
+        for re in res:
             try:
                 v = d.dispersion_value(prm, prof, complex(re, im))
                 out.append([name, re, im, v.real, v.imag])
             except Exception as e:
                 out.append([name, re, im, type(e).__name__])
-print(json.dumps(out))
+        try:
+            v = d.dispersion_value(prm, prof, np.array(res) + 1j * im)
+            arrays.append([name, im, v.real.tolist(), v.imag.tolist()])
+        except Exception as e:
+            arrays.append([name, im, type(e).__name__])
+print(json.dumps([out, arrays]))
 '''
 
 TRAJECTORIES = r'''
@@ -102,8 +111,16 @@ def run(code: str, src: str) -> bytes:
 
 
 def d_parity(old_src: str, new_src: str) -> None:
-    old, new = (json.loads(run(D_GRID, src)) for src in (old_src, new_src))
-    worst = worst_edge = 0.0
+    (old, old_arrays), (new, new_arrays) = (json.loads(run(D_GRID, src))
+                                            for src in (old_src, new_src))
+    worst = worst_edge = worst_array = 0.0
+    for a, b in zip(old_arrays, new_arrays):
+        if len(a) == 3 or len(b) == 3:
+            assert a == b, (a, b)                 # identical exceptions
+            continue
+        va, vb = (np.array(x[2]) + 1j * np.array(x[3]) for x in (a, b))
+        worst_array = max(worst_array,
+                          float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va)))))
     for a, b in zip(old, new):
         name, re, im = a[:3]
         if len(a) == 4 or len(b) == 4:
@@ -116,7 +133,8 @@ def d_parity(old_src: str, new_src: str) -> None:
         else:
             worst = max(worst, err)
     print(f"D(sigma): {len(old)} points; max |dD|/max(1,|D|) {worst:.1e} off the "
-          f"bump edge margin, {worst_edge:.1e} in it")
+          f"bump edge margin, {worst_edge:.1e} in it; as {len(old_arrays)} arrays "
+          f"{worst_array:.1e}")
 
 
 def trajectory_parity(old_src: str, new_src: str) -> None:
