@@ -18,14 +18,14 @@ from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
 from .profiles import (VelocityProfile, compatibility_alpha, eval_df, eval_f,
                        make_bump_on_tail, maxwellian, moment, profile_sum)
 from .quadrature import (Branch, cauchy_transform, classify_branch,
-                         resonance_asymptotic, resonance_integral)
+                         resonance_integral)
 
 __all__ = [
     "__version__", "errors",
     "VelocityProfile", "maxwellian", "make_bump_on_tail", "profile_sum",
     "eval_f", "eval_df", "moment", "compatibility_alpha",
     "Branch", "classify_branch", "cauchy_transform",
-    "resonance_integral", "resonance_asymptotic",
+    "resonance_integral",
     "SprayParams", "SearchRegion", "RootReport", "make_params",
     "dispersion_value", "dispersion_parts", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",

@@ -144,9 +144,11 @@ def build_region(d: dict | None, params: SprayParams,
         return dispersion.default_region(params, profile)
     region = SearchRegion(*(float(d[key]) for key in ("re_min", "re_max", "im_min",
                                                       "im_max")))
-    if region.im_reach > profile.strip_halfwidth:
-        raise ConfigError(f"region reaches |Im sigma| = {region.im_reach:.3g}, beyond "
-                          f"the profile analyticity strip {profile.strip_halfwidth:.3g}")
+    # only the lower branch needs the strip, as in count_roots
+    if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
+        raise ConfigError(f"region reaches below the axis and |Im sigma| = "
+                          f"{region.im_reach:.3g}, beyond the profile analyticity "
+                          f"strip {profile.strip_halfwidth:.3g}")
     return region
 
 
@@ -258,16 +260,26 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
                                    "im_max": region.im_max}}}
 
 
-def _root_near(params, profile, center: float, halfwidth: float = 0.5,
-               tol: float = 1e-12):
-    span = halfwidth * params.c0
+def _root_near(params, profile, center: float, seed, tol: float = 1e-12):
+    """The root of the thin-spray branch at center = +-c0: Newton from seed(),
+    kept if it lies in the box |Re sigma - center| <= c0/2, |Im sigma| <= 0.4
+    strip (against center: at large kappa the seed can change sign) and a count
+    on a square of half-width max(1e-3 c0, |Im sigma|/2) around it is 1; else
+    the root nearest center that find_roots certifies in the box, or None."""
+    span = 0.5 * params.c0
     region = SearchRegion(center - span, center + span,
                           -0.4 * profile.strip_halfwidth,
                           0.4 * profile.strip_halfwidth)
+    func = lambda z: dispersion.dispersion_value(params, profile, z)
+    try:
+        root = dispersion._seeded_root(func, seed(), tol, trust_radius=span,
+                                       floor=1e-3 * params.c0, spread=0.5)
+        if root.winding_evidence == 1 and region.contains(root.sigma):
+            return root
+    except SprayWaveError:
+        pass           # the seed failed: search the whole box
     reports = dispersion.find_roots(params, profile, region, tol=tol)
-    if not reports:
-        return None
-    return min(reports, key=lambda r: abs(r.sigma - center))
+    return min(reports, key=lambda r: abs(r.sigma - center), default=None)
 
 
 def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
@@ -282,8 +294,11 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
         c_star, gamma = dispersion.thin_spray_expansion(params, profile)
         entry = {"kappa": params.kappa, "c_star": c_star, "gamma": gamma}
         locus = {}
-        for name, center in (("plus", params.c0), ("minus", -params.c0)):
-            root = _root_near(params, profile, center)
+        seeds = (("plus", params.c0, lambda: complex(c_star, gamma)),
+                 ("minus", -params.c0, lambda: complex(
+                     -c_star, dispersion.damping_rate_at(params, profile, -c_star))))
+        for name, center, seed in seeds:
+            root = _root_near(params, profile, center, seed)
             if root is None:
                 continue
             locus[name] = (params.kappa, root.sigma.real, root.sigma.imag)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import profiles, quadrature
 from .errors import (BoundaryRoot, DegenerateDerivative, NonConvergence,
-                     StripViolation, ZeroSigma)
+                     SprayWaveError, StripViolation, ZeroSigma)
 from .profiles import VelocityProfile
 from .quadrature import Branch
 
@@ -103,6 +103,19 @@ class SearchRegion:
     @property
     def im_reach(self) -> float:
         return max(abs(self.im_min), abs(self.im_max))
+
+    @property
+    def center(self) -> complex:
+        return complex(0.5 * (self.re_min + self.re_max),
+                       0.5 * (self.im_min + self.im_max))
+
+    @property
+    def diameter(self) -> float:
+        return math.hypot(self.re_max - self.re_min, self.im_max - self.im_min)
+
+    def contains(self, z: complex) -> bool:
+        """Whether z lies strictly inside the rectangle."""
+        return self.re_min < z.real < self.re_max and self.im_min < z.imag < self.im_max
 
 
 @dataclass(frozen=True)
@@ -342,13 +355,29 @@ def _newton(func, z0: complex, tol: float, max_iter: int = 80,
     raise NonConvergence(f"Newton stalled at |D| = {abs(fz):.3g} (tol {tol:.3g})")
 
 
+def _seeded_root(func, seed: complex, tol: float, trust_radius: float, floor: float,
+                 spread: float) -> RootReport:
+    """Newton on func from a seed, then one winding count of func around the
+    square of half-width max(floor, spread |Im z|) centred on the iterate z; the
+    count is the report's winding evidence, for the caller to check."""
+    z, iters = _newton(func, seed, tol, trust_radius=trust_radius)
+    half = max(floor, spread * abs(z.imag))
+    evidence, = _winding_numbers(func, [SearchRegion(z.real - half, z.real + half,
+                                                     z.imag - half, z.imag + half)])
+    return RootReport(sigma=z, residual=abs(func(z)),
+                      branch=quadrature.classify_branch(z), winding_evidence=evidence,
+                      newton_iters=iters)
+
+
 def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
                tol: float = _ROOT_TOL) -> list[RootReport]:
     """All dispersion zeros in the region, certified by winding counts.
 
-    Rectangles are bisected until they isolate single roots, then Newton (with
-    a complex central-difference derivative of the continued function) refines
-    each; deflation handles clustered roots below the bisection floor.
+    A rectangle counted to hold one root is solved by Newton (with a complex
+    central-difference derivative of the continued function) from its centre,
+    and bisected only if the iterate does not converge inside it; rectangles
+    with more roots are bisected until they isolate single roots or shrink to
+    the Newton box, where deflation handles clustered roots.
     """
     tol = max(tol, 1e-14)
     func = lambda z: dispersion_value(params, profile, z)
@@ -357,13 +386,10 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     roots: list[tuple[complex, int, int]] = []
 
     def polish(reg: SearchRegion, n: int) -> None:
-        center = complex(0.5 * (reg.re_min + reg.re_max),
-                         0.5 * (reg.im_min + reg.im_max))
-        diam = math.hypot(reg.re_max - reg.re_min, reg.im_max - reg.im_min)
         found: list[complex] = []
         target = func
         for _ in range(n):
-            z, iters = _newton(target, center, tol, trust_radius=5.0 * diam)
+            z, iters = _newton(target, reg.center, tol, trust_radius=5.0 * reg.diameter)
             found.append(z)
             roots.append((z, n, iters))
             prev = list(found)
@@ -384,6 +410,16 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
             except NonConvergence:
                 if depth > 40 or diam <= subdiv_floor:
                     raise
+        elif n == 1:
+            # the count certifies the one root: a converged iterate inside the
+            # box is it; one that leaves or fails (beyond the strip, say) bisects
+            try:
+                z, iters = _newton(func, reg.center, tol, trust_radius=reg.diameter)
+                if reg.contains(z):
+                    roots.append((z, 1, iters))
+                    return
+            except SprayWaveError:
+                pass
         # bisect the longer side, nudging the cut if a root sits on it
         horizontal = (reg.re_max - reg.re_min) >= (reg.im_max - reg.im_min)
         for frac in (0.5, 0.43, 0.57, 0.35):
@@ -455,22 +491,54 @@ def thin_spray_expansion(params: SprayParams,
 
 
 def default_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
-    """Heuristic search box: |Re sigma| <= |drift| + 5 (c0 + width), |Im sigma| <=
-    half the analyticity strip, which count_roots requires only of boxes reaching
-    below the axis. The cap bounds no root, so spectral_verdict misses unstable
-    roots above it: bump eps=0.3, eta=0.5, c_star=c0=5, kappa=0.05 has a root near
-    4.567+0.756i and is reported 'stable'."""
+    """Heuristic search box for `roots`: |Re sigma| <= |drift| + 5 (c0 + width),
+    |Im sigma| <= half the analyticity strip. It bounds no root; the verdict
+    counts on `verdict_region` instead."""
     re_span = abs(profile.drift) + 5.0 * (params.c0 + profile.width)
     return SearchRegion(-re_span, re_span, -0.5 * profile.strip_halfwidth,
                         0.5 * profile.strip_halfwidth)
 
 
+def verdict_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
+    """The box [-R, R] x [h, 1.05 Y] holding every zero with Im sigma >= h = 1e-6.
+
+    With y = Im sigma > 0, pref the coupling prefactor and N >= ||v f'||_1
+    (`quadrature.vdf_norm`): |sigma|, |v - sigma| >= y give |D - 1| <= (c0^2 +
+    pref N)/y^2, so no zero lies above Y = sqrt(c0^2 + pref N), and |D| >= 0.09
+    at 1.05 Y. For |Re sigma| >= R split the integral at |v| = R/2: |sigma| >= R,
+    and |v - sigma| >= R/2 inside, >= h outside, give |D - 1| <= (c0^2 + 2 pref
+    N)/R^2 + pref T/(R h), T = int_{|v|>R/2} |v f'| dv. A bump term adds 0 to T
+    once R/2 clears its support; a Gaussian part (mass m, drift d, width w) at
+    most (2m/w) phi(k) (|d| + w (k + 1/k)), k = (R/2 - |d|)/w, phi the unit normal
+    density (|v| <= |d| + w|u| and Mills' ratio in u = (v - d)/w). R grows by 1.25
+    from twice the largest of c0, |d| + w and |bump edge| until that is <= 1/2.
+    """
+    pref, h = params.coupling_prefactor, 1e-6
+    norm = quadrature.vdf_norm(profile) if pref else 0.0
+    gaussians, bumps, _ = profile.quadrature_hints
+
+    def side_bound(r: float) -> float:
+        tail = 0.0
+        for m, d, w, _ in gaussians:
+            k = (0.5 * r - abs(d)) / w
+            tail += (2.0 * m / w * math.exp(-0.5 * k * k) / math.sqrt(2.0 * math.pi)
+                     * (abs(d) + w * (k + 1.0 / k)))
+        return (params.c0**2 + 2.0 * pref * norm) / r**2 + pref * tail / (r * h)
+
+    r = 2.0 * max([params.c0] + [abs(d) + w for _, d, w, _ in gaussians]
+                  + [max(-lo, hi) for _, _, (lo, hi), _ in bumps])
+    while side_bound(r) > 0.5:
+        r *= 1.25
+    return SearchRegion(-r, r, h, 1.05 * math.sqrt(params.c0**2 + pref * norm))
+
+
 def spectral_verdict(params: SprayParams, profile: VelocityProfile,
                      region: SearchRegion | None = None) -> str:
     """'unstable' if any upper-half zero exists, 'stable' if none and both
-    thin-spray waves are damped, 'neutral' otherwise."""
+    thin-spray waves are damped, 'neutral' otherwise. Without a region the
+    count runs on `verdict_region`, which holds every zero with Im sigma >= 1e-6."""
     if region is None:
-        region = default_region(params, profile)
+        region = verdict_region(params, profile)
     upper = SearchRegion(region.re_min, region.re_max,
                          max(region.im_min, 1e-6), region.im_max)
     if count_roots(params, profile, upper) >= 1:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import profiles, quadrature
-from .dispersion import RootReport, SearchRegion, _newton, _winding_numbers
+from .dispersion import RootReport, _newton, _seeded_root
 from .errors import (DegenerateSpectrum, NonConvergence, ResolventSingularity)
 from .profiles import VelocityProfile
 
@@ -157,14 +157,9 @@ def scalar_root(c: ScalarCoupling, tol: float = 1e-12) -> RootReport:
         raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
     func = lambda z: scalar_dispersion(c, z)
-    omega, iters = _newton(func, c.lambda0 - func(c.lambda0), tol,
-                           trust_radius=max(1.0, abs(c.lambda0)))
-    half = max(1e-3 * max(1.0, abs(c.lambda0)), 4.0 * abs(omega.imag))
-    evidence, = _winding_numbers(func, [SearchRegion(
-        omega.real - half, omega.real + half, omega.imag - half, omega.imag + half)])
-    return RootReport(sigma=omega, residual=abs(func(omega)),
-                      branch=quadrature.classify_branch(omega),
-                      winding_evidence=evidence, newton_iters=iters)
+    scale = max(1.0, abs(c.lambda0))
+    return _seeded_root(func, c.lambda0 - func(c.lambda0), tol, trust_radius=scale,
+                        floor=1e-3 * scale, spread=4.0)
 
 
 def scalar_imag_leading(c: ScalarCoupling) -> float:

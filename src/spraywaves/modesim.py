@@ -390,8 +390,7 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
     """
     configs = check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     if region is None:
-        base = dispersion.default_region(params, profile)
-        region = SearchRegion(base.re_min, base.re_max, 1e-6, base.im_max)
+        region = dispersion.verdict_region(params, profile)
     roots = [r for r in dispersion.find_roots(params, profile, region)
              if r.sigma.imag > 0]
     if not roots:

@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from spraywaves import cli, modesim
+from spraywaves import cli, dispersion, modesim, profiles
+from spraywaves.dispersion import SearchRegion
+from spraywaves.errors import SprayWaveError, StripViolation
 from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_table,
                             build_profile, check_quadrature, main)
 from spraywaves.scenarios import SCENARIOS
@@ -421,6 +424,26 @@ class TestRootsCommand:
         assert len(roots) >= 1
         assert any(r["im_sigma"] > 0 for r in roots)
 
+    def test_upper_box_beyond_the_strip_accepted(self, tmp_path):
+        # the upper branch needs no strip: only a box reaching below the axis
+        # beyond it is refused
+        cfg = {"profile": {"kind": "bump_on_tail", "eps": 0.3, "eta": 0.5, "c_star": 5.0,
+                           "base": {"kind": "maxwellian"}},
+               "params": {"c0": 5.0, "rho0": 1.0, "kappa": 0.05},
+               "region": {"re_min": 4.0, "re_max": 5.2, "im_min": 0.3, "im_max": 1.0}}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = tmp_path / "up"
+        assert main(["roots", "--config", str(cfgfile), "--out", str(out),
+                     "--quiet"]) == 0
+        (root,) = read_json(out / "roots.json")
+        assert (root["re_sigma"], root["im_sigma"]) == pytest.approx((4.567, 0.756),
+                                                                     abs=5e-4)
+        cfg["region"]["im_min"] = -0.3
+        cfgfile.write_text(json.dumps(cfg))
+        assert main(["roots", "--config", str(cfgfile), "--out", str(out),
+                     "--quiet"]) == 2
+
     def test_restated_quadrature_block_changes_nothing(self, tmp_path):
         # the block the benchmark sends: the fixed values plus ignored L, window
         cfgfile = tmp_path / "c.json"
@@ -534,6 +557,78 @@ class TestThinSprayCommand:
         assert (out / "root_locus_minus.dat").exists()
 
 
+class TestThinSprayRoots:
+    """Seeded roots (Newton from the expansion, a count of 1 on a small square)
+    against the box search they replace, which stays as the fallback."""
+
+    MX = profiles.maxwellian()
+    PROFILES = {"maxwellian": (MX, 1.0), "drift": (profiles.maxwellian(drift=0.3), 1.0),
+                "bump": (profiles.make_bump_on_tail(MX, 0.05, 0.5, 5.0), 5.0),
+                "two_stream": (profiles.profile_sum(profiles.maxwellian(0.5, -1.5, 0.5),
+                                                   profiles.maxwellian(0.5, 1.5, 0.5)),
+                               1.0)}
+
+    @staticmethod
+    def seeds(params, profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            c_star, gamma = dispersion.thin_spray_expansion(params, profile)
+        return {1.0: lambda: complex(c_star, gamma),
+                -1.0: lambda: complex(-c_star,
+                                      dispersion.damping_rate_at(params, profile, -c_star))}
+
+    @staticmethod
+    def box_search(params, profile, center):
+        region = SearchRegion(center - 0.5 * params.c0, center + 0.5 * params.c0,
+                              -0.4 * profile.strip_halfwidth, 0.4 * profile.strip_halfwidth)
+        reports = dispersion.find_roots(params, profile, region, tol=1e-12)
+        return min(reports, key=lambda r: abs(r.sigma - center), default=None)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.01, 0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_match_box_search(self, name, kappa):
+        profile, c0 = self.PROFILES[name]
+        params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=kappa)
+        for sign, seed in self.seeds(params, profile).items():
+            try:
+                want = self.box_search(params, profile, sign * c0)
+            except SprayWaveError:
+                continue               # no root of the box search to compare with
+            got = cli._root_near(params, profile, sign * c0, seed)
+            if want is None:
+                assert got is None
+                continue
+            assert abs(got.sigma - want.sigma) <= 1e-10
+            assert got.residual <= 1e-12 and got.winding_evidence == 1
+
+    def test_seed_of_the_wrong_sign_falls_back(self):
+        # bump at kappa = 0.3: Newton from the plus seed converges near -6.03,
+        # outside the plus box, so the box search runs (and raises, as it does
+        # on its own)
+        profile, c0 = self.PROFILES["bump"]
+        params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=0.3)
+        seed = self.seeds(params, profile)[1.0]
+        func = lambda z: dispersion.dispersion_value(params, profile, z)
+        stray = dispersion._seeded_root(func, seed(), 1e-12, trust_radius=2.5,
+                                        floor=5e-3, spread=0.5)
+        assert stray.sigma.real == pytest.approx(-6.03, abs=0.01)
+        with pytest.raises(StripViolation):
+            self.box_search(params, profile, c0)
+        with pytest.raises(StripViolation):
+            cli._root_near(params, profile, c0, seed)
+
+    def test_certified_where_the_box_search_raises(self):
+        # the box search's lower edge crosses the bump's edge margin; the
+        # seeded root needs no box reaching that far
+        profile, c0 = self.PROFILES["bump"]
+        params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=1e-3)
+        with pytest.raises(StripViolation):
+            self.box_search(params, profile, c0)
+        root = cli._root_near(params, profile, c0, self.seeds(params, profile)[1.0])
+        assert root.sigma == pytest.approx(4.98044 + 0.04391j, abs=1e-5)
+        assert root.winding_evidence == 1 and root.residual <= 1e-12
+
+
 class TestSimulateCommand:
     def test_acoustic_csv_shows_damping(self, tmp_path):
         out = tmp_path / "sim"
@@ -565,6 +660,16 @@ class TestSimulateCommand:
 
 
 class TestStabilityCheckCommand:
+    def test_scalar_root_unchanged(self, tmp_path):
+        # the scalar-coupling root bit for bit: scalar_root's seeded Newton
+        # solve and count share `dispersion._seeded_root` with thin-spray
+        out = tmp_path / "sc"
+        assert main(["stability-check", "--scenario", "scalar-coupling",
+                     "--out", str(out), "--quiet"]) == 0
+        root = read_json(out / "stability_check.json")["scalar"]["root"]
+        assert (root["re_omega"], root["im_omega"]) == (1.0002744457307529,
+                                                        0.0007598314258060512)
+
     def test_scalar_block(self, tmp_path):
         out = tmp_path / "sc"
         assert main(["stability-check", "--scenario", "scalar-coupling",

@@ -11,7 +11,7 @@ from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    dispersion_value, find_roots, landau_dispersion,
                                    make_params, spectral_verdict,
                                    thin_spray_expansion)
-from spraywaves.errors import BoundaryRoot, StripViolation, ZeroSigma
+from spraywaves.errors import BoundaryRoot, NonConvergence, StripViolation, ZeroSigma
 from spraywaves.quadrature import Branch
 
 
@@ -200,6 +200,45 @@ class TestFindRoots:
         assert reports[0].sigma.imag > 0
         assert reports[0].residual <= 1e-10
 
+    def test_single_root_box_solved_without_bisection(self, bump_params, bump_profile,
+                                                      monkeypatch):
+        counts = []
+        real_count = dispersion.count_roots
+        monkeypatch.setattr(dispersion, "count_roots",
+                            lambda *a, **k: counts.append(1) or real_count(*a, **k))
+        (root,) = find_roots(bump_params, bump_profile, SearchRegion(4.0, 6.0, 1e-3, 0.12))
+        assert len(counts) == 1
+        assert root.winding_evidence == 1 and root.residual <= 1e-10
+        (polished,) = find_roots(bump_params, bump_profile, SearchRegion(
+            root.sigma.real - 0.02, root.sigma.real + 0.02,
+            root.sigma.imag - 0.02, root.sigma.imag + 0.02))
+        assert abs(root.sigma - polished.sigma) <= 1e-12
+
+    def test_bisects_when_newton_leaves_the_box(self, maxwellian_params, std_maxwellian,
+                                                monkeypatch):
+        # one root, near the left edge: Newton from the centre 1.975 steps past
+        # sigma = 0 toward the root at -c_star and leaves its trust radius
+        region = SearchRegion(0.95, 3.0, -0.05, 0.02)
+        calls = []
+        real_newton = dispersion._newton
+
+        def newton(func, z0, tol, **kw):
+            try:
+                z, iters = real_newton(func, z0, tol, **kw)
+            except Exception as err:
+                calls.append((z0, type(err)))
+                raise
+            calls.append((z0, z))
+            return z, iters
+
+        monkeypatch.setattr(dispersion, "_newton", newton)
+        (root,) = find_roots(maxwellian_params, std_maxwellian, region)
+        assert calls[0] == (region.center, NonConvergence)
+        assert len(calls) > 1
+        assert root.winding_evidence == 1
+        want = 0.998583554016407 - 0.0038424677030629364j
+        assert abs(root.sigma - want) <= 1e-12
+
     def test_residuals_below_tolerance(self, maxwellian_params, std_maxwellian):
         reports = find_roots(maxwellian_params, std_maxwellian,
                              SearchRegion(0.5, 1.5, -0.05, 0.02), tol=1e-11)
@@ -242,6 +281,40 @@ class TestThinSpray:
         assert previous.imag > 0.0
 
 
+def _mode_matrix_sigmas(params, profile, nv=513, bound=10.0):
+    """Phase velocities of the discrete single-mode system d/dt (tau, u, f_j) =
+    i k A (tau, u, f_j) on nv Simpson nodes over [-bound, bound]: its solutions
+    go as exp(-i k sigma t) with sigma = -eig(A), for every k."""
+    v = np.linspace(-bound, bound, nv)
+    w = np.ones(nv)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= (v[1] - v[0]) / 3.0
+    a = np.zeros((nv + 2, nv + 2))
+    a[0, 1] = 1.0 / params.rho0
+    a[0, 2:] = params.kappa / (params.alpha0 * params.rho0) * w * v
+    a[1, 0] = params.rho0 * params.c0**2
+    a[2:, 0] = -params.c0**2 * params.rho0**2 * np.real(profiles.eval_df(profile, v))
+    a[np.arange(2, nv + 2), np.arange(2, nv + 2)] = -v
+    return -np.linalg.eigvals(a)
+
+
+_BASE = profiles.maxwellian()
+_TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                                   profiles.maxwellian(0.5, 2.0, 0.6))
+# (profile, c0, kappa): the three unstable profiles whose roots lie above half
+# the strip (ROADMAP defect 1), then the README bump, a stable Maxwellian and a
+# two-stream pair whose roots are purely growing
+VERDICT_CASES = {
+    "bump_strong": (profiles.make_bump_on_tail(_BASE, 0.3, 0.5, 5.0), 5.0, 0.05),
+    "bump_narrow": (profiles.make_bump_on_tail(_BASE, 0.05, 0.3, 5.0), 5.0, 0.2),
+    "two_stream": (_TWO_STREAM, 1.5, 0.5),
+    "bump_readme": (profiles.make_bump_on_tail(_BASE, 0.05, 0.5, 5.0), 5.0, 1.5e-3),
+    "maxwellian": (_BASE, 1.0, 0.01),
+    "purely_growing": (profiles.profile_sum(
+        profiles.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
+        profiles.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0)), 1.0, 0.95)}
+
+
 class TestSpectralVerdict:
     def test_maxwellian_stable(self, maxwellian_params, std_maxwellian):
         assert spectral_verdict(maxwellian_params, std_maxwellian) == "stable"
@@ -251,6 +324,40 @@ class TestSpectralVerdict:
 
     def test_decoupled_neutral(self, acoustic_params, std_maxwellian):
         assert spectral_verdict(acoustic_params, std_maxwellian) == "neutral"
+
+    @pytest.mark.parametrize("case", ["bump_strong", "bump_narrow", "two_stream"])
+    def test_roots_above_half_the_strip_unstable(self, case):
+        # read 'stable', 'neutral' and 'neutral' on a box capped at half the strip
+        profile, c0, kappa = VERDICT_CASES[case]
+        params = make_params(profile, c0=c0, rho0=1.0, kappa=kappa)
+        assert spectral_verdict(params, profile) == "unstable"
+
+    @pytest.mark.parametrize("case", VERDICT_CASES)
+    def test_count_matches_mode_matrix(self, case):
+        profile, c0, kappa = VERDICT_CASES[case]
+        params = make_params(profile, c0=c0, rho0=1.0, kappa=kappa)
+        sigmas = _mode_matrix_sigmas(params, profile)
+        unstable = int(np.sum(sigmas.imag > 1e-3))
+        assert unstable == {"maxwellian": 0, "bump_strong": 1, "bump_narrow": 1,
+                            "bump_readme": 1}.get(case, 2)
+        assert count_roots(params, profile,
+                           dispersion.verdict_region(params, profile)) == unstable
+
+    @pytest.mark.parametrize("case", VERDICT_CASES)
+    def test_no_zero_beyond_the_verdict_box(self, case):
+        # the bounds of verdict_region: |D - 1| <= 1/2 beyond its sides (above
+        # the floor, up to its top) and < 1 above its top
+        profile, c0, kappa = VERDICT_CASES[case]
+        params = make_params(profile, c0=c0, rho0=1.0, kappa=kappa)
+        box = dispersion.verdict_region(params, profile)
+        assert box.im_min == 1e-6 and box.re_min == -box.re_max
+        ys = np.geomspace(box.im_min, box.im_max, 40)
+        xs = box.re_max * np.linspace(1.0, 3.0, 30)
+        side = (xs[:, None] * np.array([1.0, -1.0])).ravel()[:, None] + 1j * ys
+        assert np.abs(dispersion_value(params, profile, side.ravel()) - 1.0).max() <= 0.5
+        above = (np.linspace(-2.0, 2.0, 81) * box.re_max)[:, None] + 1j * box.im_max * (
+            np.array([1.0, 1.5, 4.0]) / 1.05)
+        assert np.abs(dispersion_value(params, profile, above.ravel()) - 1.0).max() < 1.0
 
 
 class TestPurelyGrowingRoots:

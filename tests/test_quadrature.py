@@ -14,7 +14,7 @@ from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
 from spraywaves.quadrature import (Branch, cauchy_transform, classify_branch,
-                                   resonance_asymptotic, resonance_integral)
+                                   resonance_integral)
 
 # Dawson values frozen from the series oracle (cross-checked against mpmath)
 DAWSON = {0.5: 0.42443638350202244, 1.0: 0.5380795069127684, 2.0: 0.30134038892379196}
@@ -567,6 +567,33 @@ class TestNodeCache:
                 arr[0] = 0.0
 
 
+def centred_expansion(profile, sigma, order):
+    """Large-|sigma| expansion of `resonance_integral` for a centred profile
+    (first moment 0): m0/sigma^2, plus 3 m2/sigma^4 at order 4."""
+    out = profiles.moment(profile, 0) / sigma**2
+    if order == 4:
+        out += 3.0 * profiles.moment(profile, 2) / sigma**4
+    return out
+
+
+class TestVdfNorm:
+    @pytest.mark.parametrize("profile", [
+        profiles.maxwellian(), profiles.maxwellian(2.0, -0.7, 0.4),
+        profiles.make_bump_on_tail(profiles.maxwellian(), 0.3, 0.5, 5.0),
+        profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                             profiles.make_bump_on_tail(profiles.maxwellian(0.5, 2.0, 0.6),
+                                                        0.1, 0.3, 3.5))])
+    def test_bounds_the_norm(self, profile):
+        # int |v f'| dv by a fine trapezoid rule: the bound holds, and is
+        # within a factor 2 of it (a Gaussian part gives m (1 + |d| sqrt(2/pi)/w))
+        v = np.linspace(-20.0, 20.0, 400001)
+        norm = np.trapezoid(np.abs(v * np.real(profiles.eval_df(profile, v))), v)
+        assert norm * (1.0 - 1e-9) <= quadrature.vdf_norm(profile) <= 2.0 * norm
+
+    def test_maxwellian_exact_when_centred(self):
+        assert quadrature.vdf_norm(profiles.maxwellian(3.0, 0.0, 0.2)) == 3.0
+
+
 class TestResonanceIntegral:
     def test_large_sigma_matches_moment_expansion(self, std_maxwellian):
         # F(10) against the dense oracle; the moment expansion misses by the
@@ -575,7 +602,7 @@ class TestResonanceIntegral:
         g = profile_integrand(std_maxwellian, "v_df")
         pv_oracle = dense_line_integral(g, 10.0 + 1e-9j).real
         assert val.real == pytest.approx(pv_oracle / 10.0, abs=1e-7)
-        asym = resonance_asymptotic(std_maxwellian, 10.0, 4)
+        asym = centred_expansion(std_maxwellian, 10.0, 4)
         assert asym.real == pytest.approx(0.0103, abs=1e-12)
         assert abs(val - asym) == pytest.approx(5 * 3 / 10.0**6, rel=0.15)
 
@@ -600,21 +627,17 @@ class TestResonanceIntegral:
 
     def test_remainder_order_four(self, std_maxwellian):
         r10 = abs(resonance_integral(std_maxwellian, 10.0)
-                  - resonance_asymptotic(std_maxwellian, 10.0, 4))
+                  - centred_expansion(std_maxwellian, 10.0, 4))
         r20 = abs(resonance_integral(std_maxwellian, 20.0)
-                  - resonance_asymptotic(std_maxwellian, 20.0, 4))
+                  - centred_expansion(std_maxwellian, 20.0, 4))
         assert 50.0 <= r10 / r20 <= 80.0
 
     def test_remainder_order_two(self, std_maxwellian):
         r10 = abs(resonance_integral(std_maxwellian, 10.0)
-                  - resonance_asymptotic(std_maxwellian, 10.0, 2))
+                  - centred_expansion(std_maxwellian, 10.0, 2))
         r20 = abs(resonance_integral(std_maxwellian, 20.0)
-                  - resonance_asymptotic(std_maxwellian, 20.0, 2))
+                  - centred_expansion(std_maxwellian, 20.0, 2))
         assert 12.0 <= r10 / r20 <= 20.0
-
-    def test_asymptotic_order_validation(self, std_maxwellian):
-        with pytest.raises(ValueError):
-            resonance_asymptotic(std_maxwellian, 10.0, 3)
 
 
 TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),

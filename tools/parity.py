@@ -19,7 +19,11 @@ the NEW results lie from the OLD ones:
   relative difference.
 - Artifacts of the 11 bundled command x scenario pairs, each run by the CLI
   in a fresh interpreter: the file lists, each artifact's bytes and
-  manifest.json without its timestamp must be the same.
+  manifest.json without its timestamp are compared exactly. For each
+  differing artifact the script also prints how far its numbers moved: the
+  largest relative difference |new - old| / max(|old|, |new|) and the largest
+  |new - old| / max(1, |old|), each with the line and the two values where it
+  occurs, or "non-numeric difference" where the text around the numbers differs.
 
 An assertion fails when something that must match exactly does not.
 """
@@ -27,6 +31,7 @@ An assertion fails when something that must match exactly does not.
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,7 +73,7 @@ from spraywaves import dispersion as d, modesim as m, profiles as p
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 bp = d.make_params(bump, c0=5.0, rho0=1.0, kappa=1.5e-3)
-sigma = d.find_roots(bp, bump, d.SearchRegion(4.0, 6.0, 1e-3, 0.12), tol=1e-11)[0].sigma
+sigma = 4.9731147755318865 + 0.06020144834611017j   # the bump root, the same in both trees
 runs = {}
 for k in (4.0, 9.0):
     cfg = m.default_sim_config(bp, bump, k, t_final=6.0 / (k * sigma.imag), nv=2048)
@@ -165,6 +170,32 @@ def artifact_bytes(out: Path, name: str) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode()
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
+
+
+def numeric_drift(old: bytes, new: bytes) -> str:
+    """How far the numbers of a text moved: the largest relative difference
+    |new - old| / max(|old|, |new|) and the largest |new - old| / max(1, |old|),
+    each with its line and values; "non-numeric difference" when the texts
+    differ outside their numbers."""
+    old_text, new_text = old.decode(), new.decode()
+    if NUMBER.sub("#", old_text) != NUMBER.sub("#", new_text):
+        return "non-numeric difference"
+    worst = {"rel": (0.0, ""), "|d|/max(1,|old|)": (0.0, "")}
+    for line, (a_line, b_line) in enumerate(zip(old_text.splitlines(),
+                                                new_text.splitlines()), 1):
+        for a, b in zip(NUMBER.findall(a_line), NUMBER.findall(b_line)):
+            x, y = float(a), float(b)
+            if x == y or (x != x and y != y):
+                continue
+            for key, size in (("rel", abs(y - x) / max(abs(x), abs(y))),
+                              ("|d|/max(1,|old|)", abs(y - x) / max(1.0, abs(x)))):
+                if not size <= worst[key][0]:
+                    worst[key] = (size, f"line {line}: {a} -> {b}")
+    return "; ".join(f"max {key} {size:.1e} ({where})"
+                     for key, (size, where) in worst.items())
+
+
 def artifact_parity(old_src: str, new_src: str) -> None:
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,11 +207,17 @@ def artifact_parity(old_src: str, new_src: str) -> None:
                                env={**os.environ, "PYTHONPATH": src}, check=True)
             old_names, new_names = (sorted(p.name for p in out.iterdir()) for out in outs)
             diff = [] if old_names == new_names else ["file list"]
-            diff += [name for name in sorted(set(old_names) & set(new_names))
-                     if artifact_bytes(outs[0], name) != artifact_bytes(outs[1], name)]
+            drift = {}
+            for name in sorted(set(old_names) & set(new_names)):
+                old_bytes, new_bytes = (artifact_bytes(out, name) for out in outs)
+                if old_bytes != new_bytes:
+                    diff.append(name)
+                    drift[name] = numeric_drift(old_bytes, new_bytes)
             differing += bool(diff)
             print(f"{command:16s} {scenario:18s} {len(old_names)} files: "
                   f"{'differ: ' + ', '.join(diff) if diff else 'identical'}")
+            for name, size in drift.items():
+                print(f"    {name}: {size}")
     print(f"artifacts: {len(PAIRS)} command x scenario pairs, {differing} differing")
 
 
