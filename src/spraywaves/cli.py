@@ -262,10 +262,10 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
 
 def _root_near(params, profile, center: float, seed, tol: float = 1e-12):
     """The root of the thin-spray branch at center = +-c0: Newton from seed(),
-    kept if it lies in the box |Re sigma - center| <= c0/2, |Im sigma| <= 0.4
-    strip (against center: at large kappa the seed can change sign) and a count
-    on a square of half-width max(1e-3 c0, |Im sigma|/2) around it is 1; else
-    the root nearest center that find_roots certifies in the box, or None."""
+    kept if a count on a square of half-width max(1e-3 c0, |Im sigma|/2) around
+    it is 1 and it lies in or above (an upper root needs no strip) the box
+    |Re sigma - center| <= c0/2, |Im sigma| <= 0.4 strip (set by center: the seed
+    can change sign at large kappa); else find_roots' nearest in the box, or None."""
     span = 0.5 * params.c0
     region = SearchRegion(center - span, center + span,
                           -0.4 * profile.strip_halfwidth,
@@ -274,7 +274,8 @@ def _root_near(params, profile, center: float, seed, tol: float = 1e-12):
     try:
         root = dispersion._seeded_root(func, seed(), tol, trust_radius=span,
                                        floor=1e-3 * params.c0, spread=0.5)
-        if root.winding_evidence == 1 and region.contains(root.sigma):
+        if (root.winding_evidence == 1
+                and dataclasses.replace(region, im_max=math.inf).contains(root.sigma)):
             return root
     except SprayWaveError:
         pass           # the seed failed: search the whole box

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,74 +207,70 @@ _MIN_BOUNDARY_MOD = 1e-9
 _MAX_WINDING_DEFECT = 0.25   # |winding - round(winding)| must stay below
 _PHASE_STEP = 1.0           # max phase increment per boundary step (radians)
 _MAX_BOUNDARY_EVALS = 60000
+_SPLIT = 8                  # pieces an unresolved segment is cut into per level
 
 
 def _winding_numbers(func, regions: list[SearchRegion], n0: int = 48,
                      feature_scale: float | None = None) -> list[int]:
     """Winding number of func around the boundary of each rectangle.
 
-    Adaptive phase walk: segments are bisected until each step turns by less
-    than _PHASE_STEP *and* the value magnitude changes by less than a factor
-    of e, so a full 2 pi swing between samples cannot alias to a small
-    principal-value step. The accumulated phase is then an exact multiple of
-    2 pi up to float noise. ``func`` takes an ndarray of points: it is called
-    once on the initial edge samples of every rectangle and then once per
-    refinement level, on the midpoints of every unresolved segment of every
-    rectangle. Whether a segment is resolved depends on its end values only,
-    so each rectangle gets the samples of its own depth-first walk, and its
-    own `_MAX_BOUNDARY_EVALS` cap. Raises BoundaryRoot when a zero (or a
-    resolution limit) sits on a contour, or any winding defect reaches 0.25.
+    Adaptive phase walk: a segment is cut into _SPLIT equal pieces until each
+    step turns by less than _PHASE_STEP *and* the value magnitude changes by
+    less than a factor of e, so a full 2 pi swing between samples cannot alias
+    to a small principal-value step. The accumulated phase is then an exact
+    multiple of 2 pi up to float noise. The segments of all rectangles form one
+    flat walk, each tagged with its rectangle: ``func`` takes an ndarray of
+    points and is called once on all edge samples, then once per refinement
+    level on the _SPLIT - 1 inner points of every unresolved segment. Whether a
+    segment is resolved depends on its end values only, so each rectangle gets
+    the samples of its own depth-first walk, and its own `_MAX_BOUNDARY_EVALS`
+    cap. Raises BoundaryRoot when a zero (or a resolution limit) sits on a
+    contour, or any winding defect reaches 0.25.
     """
-    walks = []
-    for region in regions:
-        corners = region.corners
-        edges = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            n_edge = n0
-            if feature_scale is not None and feature_scale > 0:
-                n_edge = max(n0, min(1024, int(math.ceil(abs(b - a) / feature_scale))))
-            edges.append(a + (b - a) * np.linspace(0.0, 1.0, n_edge, endpoint=False))
-        walks.append(np.concatenate(edges + [edges[0][:1]]))
-    # per rectangle: open segments as (start, start value, end, end value)
-    # arrays, accumulated phase and samples taken; `live` indexes the open ones
-    segs = [(z[:-1], v[:-1], z[1:], v[1:]) for z, v in zip(walks, _joint(func, walks))]
-    phase, evals = [0.0] * len(walks), [z.size for z in walks]
-    live = list(range(len(walks)))
-    while live:
-        todo, live, mids = live, [], []
-        for k in todo:
-            z1, v1, z2, v2 = segs[k]
-            if min(np.abs(v1).min(), np.abs(v2).min()) < _MIN_BOUNDARY_MOD:
-                raise BoundaryRoot("dispersion value vanishes on the contour")
-            dphi = np.angle(v2 / v1)
-            ratio = np.abs(v2) / np.abs(v1)
-            done = ((np.abs(dphi) <= _PHASE_STEP) & (1.0 / math.e <= ratio)
-                    & (ratio <= math.e)) | (np.abs(z2 - z1) < 1e-13 * (1.0 + np.abs(z1)))
-            phase[k] += float(dphi[done].sum())
-            keep = ~done
-            z1, v1, z2, v2 = segs[k] = z1[keep], v1[keep], z2[keep], v2[keep]
-            if z1.size:
-                evals[k] += z1.size
-                if evals[k] > _MAX_BOUNDARY_EVALS:
-                    raise BoundaryRoot("phase walk did not resolve the contour")
-                live.append(k)
-                mids.append(0.5 * (z1 + z2))
-        for k, zm, vm in zip(live, mids, _joint(func, mids)):
-            z1, v1, z2, v2 = segs[k]
-            segs[k] = (np.concatenate((z1, zm)), np.concatenate((v1, vm)),
-                       np.concatenate((zm, z2)), np.concatenate((vm, v2)))
-    windings = [total / (2.0 * math.pi) for total in phase]
-    defect = max((abs(w - round(w)) for w in windings), default=0.0)
+    if not regions:
+        return []
+    a = np.array([r.corners for r in regions]).ravel()
+    b = np.roll(a.reshape(-1, 4), -1, axis=1).ravel()
+    n = np.full(a.size, n0)
+    if feature_scale is not None and feature_scale > 0:
+        n = np.clip(np.ceil(abs(b - a) / feature_scale), n0, max(n0, 1024)).astype(int)
+    # edge e holds the samples a_e + (b_e - a_e) k / n_e, k < n_e, in walk order
+    edge = np.repeat(np.arange(a.size), n)
+    t = (np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)) * (1.0 / n)[edge]
+    z1 = a[edge] + (b - a)[edge] * t
+    v1 = func(z1)
+    # a segment ends at the next sample; the last one closes its rectangle's loop
+    evals = n.reshape(-1, 4).sum(axis=1)
+    ends = np.arange(1, z1.size + 1)
+    ends[np.cumsum(evals) - 1] -= evals
+    z2, v2 = z1[ends], v1[ends]
+    owner = edge // 4
+    phase = np.zeros(len(regions))
+    pieces = np.arange(1, _SPLIT) / _SPLIT
+    while True:
+        if np.abs(v1).min() < _MIN_BOUNDARY_MOD:
+            raise BoundaryRoot("dispersion value vanishes on the contour")
+        dphi = np.angle(v2 / v1)
+        ratio = np.abs(v2) / np.abs(v1)
+        done = ((np.abs(dphi) <= _PHASE_STEP) & (1.0 / math.e <= ratio)
+                & (ratio <= math.e)) | (np.abs(z2 - z1) < 1e-13 * (1.0 + np.abs(z1)))
+        phase += np.bincount(owner[done], dphi[done], len(regions))
+        z1, v1, z2, v2, owner = (x[~done] for x in (z1, v1, z2, v2, owner))
+        if not z1.size:
+            break
+        evals += (_SPLIT - 1) * np.bincount(owner, minlength=len(regions))
+        if evals.max() > _MAX_BOUNDARY_EVALS:
+            raise BoundaryRoot("phase walk did not resolve the contour")
+        zm = z1[:, None] + (z2 - z1)[:, None] * pieces
+        vm = func(zm.ravel()).reshape(zm.shape)
+        z1, z2 = np.column_stack((z1, zm)).ravel(), np.column_stack((zm, z2)).ravel()
+        v1, v2 = np.column_stack((v1, vm)).ravel(), np.column_stack((vm, v2)).ravel()
+        owner = np.repeat(owner, _SPLIT)
+    windings = phase / (2.0 * math.pi)
+    defect = float(np.abs(windings - np.round(windings)).max())
     if defect >= _MAX_WINDING_DEFECT:
         raise BoundaryRoot(f"winding defect {defect:.3f} >= {_MAX_WINDING_DEFECT}")
     return [int(round(w)) for w in windings]
-
-
-def _joint(func, parts: list[np.ndarray]) -> list[np.ndarray]:
-    """func of each array of points, in one call over all of them."""
-    if len(parts) < 2:
-        return [func(part) for part in parts]
-    return np.split(func(np.concatenate(parts)), np.cumsum([p.size for p in parts[:-1]]))
 
 
 def _split_at_pole(params: SprayParams, region: SearchRegion) -> list[SearchRegion]:
@@ -392,8 +388,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
             z, iters = _newton(target, reg.center, tol, trust_radius=5.0 * reg.diameter)
             found.append(z)
             roots.append((z, n, iters))
-            prev = list(found)
-            target = lambda s, _prev=prev: func(s) / np.prod([s - r for r in _prev])
+            target = lambda s, _z=tuple(found): func(s) / np.prod([s - r for r in _z])
 
     def recurse(reg: SearchRegion, count: int | None = None, depth: int = 0):
         n = count_roots(params, profile, reg) if count is None else count
@@ -425,12 +420,10 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
         for frac in (0.5, 0.43, 0.57, 0.35):
             if horizontal:
                 cut = reg.re_min + frac * (reg.re_max - reg.re_min)
-                first = SearchRegion(reg.re_min, cut, reg.im_min, reg.im_max)
-                second = SearchRegion(cut, reg.re_max, reg.im_min, reg.im_max)
+                first, second = replace(reg, re_max=cut), replace(reg, re_min=cut)
             else:
                 cut = reg.im_min + frac * (reg.im_max - reg.im_min)
-                first = SearchRegion(reg.re_min, reg.re_max, reg.im_min, cut)
-                second = SearchRegion(reg.re_min, reg.re_max, cut, reg.im_max)
+                first, second = replace(reg, im_max=cut), replace(reg, im_min=cut)
             try:
                 n1 = count_roots(params, profile, first, max_dilations=0)
             except BoundaryRoot:
@@ -441,12 +434,9 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
         raise BoundaryRoot("could not find a clean bisection line")
 
     recurse(region)
-    reports = []
-    for z, evidence, iters in sorted(roots, key=lambda t: (t[0].real, t[0].imag)):
-        reports.append(RootReport(sigma=z, residual=abs(func(z)),
-                                  branch=quadrature.classify_branch(z),
-                                  winding_evidence=evidence, newton_iters=iters))
-    return reports
+    return [RootReport(sigma=z, residual=abs(func(z)), winding_evidence=evidence,
+                       branch=quadrature.classify_branch(z), newton_iters=iters)
+            for z, evidence, iters in sorted(roots, key=lambda t: (t[0].real, t[0].imag))]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +529,7 @@ def spectral_verdict(params: SprayParams, profile: VelocityProfile,
     count runs on `verdict_region`, which holds every zero with Im sigma >= 1e-6."""
     if region is None:
         region = verdict_region(params, profile)
-    upper = SearchRegion(region.re_min, region.re_max,
-                         max(region.im_min, 1e-6), region.im_max)
+    upper = replace(region, im_min=max(region.im_min, 1e-6))
     if count_roots(params, profile, upper) >= 1:
         return UNSTABLE
     if params.kappa == 0.0:

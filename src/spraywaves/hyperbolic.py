@@ -98,6 +98,15 @@ class SystemCoupling:
         """symmetric_eigen(a_matrix), solved once per system."""
         return symmetric_eigen(self.a_matrix)
 
+    @cached_property
+    def modal_terms(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """(grad_psi . r_i per eigenpair, the eigenvectors r_i as rows, and the
+        (weight v**k, phi_coeffs[k]) pairs of the powers k with a nonzero row)."""
+        rows = np.array([r for _, r in self.eigenpairs])
+        return (np.array([np.dot(self.grad_psi, r) for r in rows]), rows,
+                [((0.0,) * k + (1.0,), np.array(c)) for k, c in enumerate(self.phi_coeffs)
+                 if any(c)])
+
     def phi(self, v):
         """phi(v) evaluated component-wise; returns shape (N,) + shape(v)."""
         v = np.asarray(v, dtype=complex)
@@ -207,11 +216,12 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 
 def _modal_projections(s: SystemCoupling, sigma: complex) -> np.ndarray:
     """(grad_psi . r_i)(r_i . I(sigma)) for each eigenpair i of A, where I(sigma) is
-    the continued integral of phi(v) f'(v)/(v - sigma), component-wise."""
-    ivec = np.array([quadrature.cauchy_transform(s.profile, w, sigma)
-                     if any(w) else 0.0 for w in zip(*s.phi_coeffs)])
-    return np.array([float(np.dot(s.grad_psi, r)) * complex(np.dot(r, ivec))
-                     for _, r in s.eigenpairs])
+    the continued integral of phi(v) f'(v)/(v - sigma), component-wise: the sum
+    of phi_coeffs[k] C[v**k f'](sigma), one transform per power with a nonzero row."""
+    psi_r, rows, powers = s.modal_terms
+    ivec = sum((c * quadrature.cauchy_transform(s.profile, w, sigma) for w, c in powers),
+               np.zeros(s.dim, dtype=complex))
+    return psi_r * (rows * ivec).sum(axis=1)
 
 
 def secular_function(s: SystemCoupling, sigma: complex) -> complex:

@@ -556,6 +556,28 @@ class TestThinSprayCommand:
         assert len(locus) == 1 + 3
         assert (out / "root_locus_minus.dat").exists()
 
+    def test_readme_bump_roots_above_the_box(self, tmp_path):
+        # at kappa = 1e-2 the certified plus root lies above 0.4 strip = 0.1;
+        # a box search reaching as far below the axis meets the bump's edge
+        # margin (StripViolation at 4.479 - 0.1i), and an upper root needs none
+        bump = {"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 5.0,
+                "base": {"kind": "maxwellian"}}
+        path, out = tmp_path / "bump.json", tmp_path / "ts"
+        path.write_text(json.dumps({"profile": bump, "params": {"c0": 5.0, "rho0": 1.0},
+                                    "sweep": {"kappa_values": [1e-3, 1e-2]}}))
+        assert main(["thin-spray", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        profile = build_profile(bump)
+        got = [complex(entry["root_check"]["re_sigma"], entry["root_check"]["im_sigma"])
+               for entry in read_json(out / "thin_spray.json")["sweep"]]
+        for kappa, z, approx in zip((1e-3, 1e-2), got, (4.98044 + 0.04391j,
+                                                         4.91336 + 0.19723j)):
+            params = dispersion.make_params(profile, c0=5.0, rho0=1.0, kappa=kappa)
+            (want,) = dispersion.find_roots(params, profile,
+                                            SearchRegion(4.0, 6.0, 1e-3, 0.5))
+            assert abs(z - want.sigma) <= 1e-10
+            assert z == pytest.approx(approx, abs=1e-5)
+
 
 class TestThinSprayRoots:
     """Seeded roots (Newton from the expansion, a count of 1 on a small square)
@@ -578,9 +600,15 @@ class TestThinSprayRoots:
                                       dispersion.damping_rate_at(params, profile, -c_star))}
 
     @staticmethod
-    def box_search(params, profile, center):
+    def box_search(params, profile, center, above=False):
+        """The nearest root to center that find_roots certifies in the box
+        |Re sigma - center| <= c0/2, |Im sigma| <= 0.4 strip, or (above) in the
+        box on top of it that reaches the verdict box's ceiling."""
+        cap = 0.4 * profile.strip_halfwidth
+        low, high = ((cap, dispersion.verdict_region(params, profile).im_max) if above
+                     else (-cap, cap))
         region = SearchRegion(center - 0.5 * params.c0, center + 0.5 * params.c0,
-                              -0.4 * profile.strip_halfwidth, 0.4 * profile.strip_halfwidth)
+                              low, high)
         reports = dispersion.find_roots(params, profile, region, tol=1e-12)
         return min(reports, key=lambda r: abs(r.sigma - center), default=None)
 
@@ -595,6 +623,9 @@ class TestThinSprayRoots:
             except SprayWaveError:
                 continue               # no root of the box search to compare with
             got = cli._root_near(params, profile, sign * c0, seed)
+            if got is not None and got.sigma.imag > 0.4 * profile.strip_halfwidth:
+                # a certified upper root above the box needs no strip
+                want = self.box_search(params, profile, sign * c0, above=True)
             if want is None:
                 assert got is None
                 continue

@@ -476,9 +476,12 @@ class TestArrayDispersion:
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def depth_first_winding(func, region, n0=48, feature_scale=None):
+def depth_first_winding(func, region, n0=48, feature_scale=None,
+                        split=dispersion._SPLIT):
     """The one-point-at-a-time depth-first phase walk that `_winding_numbers`
-    evaluates by levels: (winding number, every point sampled)."""
+    evaluates by levels, each unresolved segment cut into `split` equal pieces:
+    (winding number, every point sampled, levels), where levels is one for the
+    edge samples plus the deepest refinement."""
     corners = list(region.corners) + [region.corners[0]]
     pts = []
     for a, b in zip(corners[:-1], corners[1:]):
@@ -486,26 +489,30 @@ def depth_first_winding(func, region, n0=48, feature_scale=None):
         if feature_scale is not None and feature_scale > 0:
             n_edge = max(n0, min(1024, int(math.ceil(abs(b - a) / feature_scale))))
         pts.extend(a + (b - a) * np.linspace(0.0, 1.0, n_edge, endpoint=False))
-    pts.append(pts[0])
     vals = [func(z) for z in pts]
     sampled = list(pts)
-    total = 0.0
+    pts.append(pts[0])
+    vals.append(vals[0])
+    pieces = np.arange(1, split) / split
+    total, depth = 0.0, 0
     for i in range(len(pts) - 1):
-        seg = [(pts[i], vals[i], pts[i + 1], vals[i + 1])]
+        seg = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)]
         while seg:
-            z1, v1, z2, v2 = seg.pop()
+            z1, v1, z2, v2, level = seg.pop()
             dphi = np.angle(v2 / v1)
             ratio = abs(v2) / abs(v1)
             if (abs(dphi) <= 1.0 and 1.0 / math.e <= ratio <= math.e) \
                     or abs(z2 - z1) < 1e-13 * (1.0 + abs(z1)):
                 total += dphi
                 continue
-            zm = 0.5 * (z1 + z2)
-            vm = func(zm)
-            sampled.append(zm)
-            seg.append((zm, vm, z2, v2))
-            seg.append((z1, v1, zm, vm))
-    return round(total / (2.0 * math.pi)), sampled
+            zs = [z1, *(z1 + (z2 - z1) * pieces), z2]
+            vs = [v1, *(func(z) for z in zs[1:-1]), v2]
+            sampled += zs[1:-1]
+            depth = max(depth, level + 1)
+            # pushed last to first, so the pieces are walked in order
+            seg += [(zs[j], vs[j], zs[j + 1], vs[j + 1], level + 1)
+                    for j in reversed(range(split))]
+    return round(total / (2.0 * math.pi)), sampled, 1 + depth
 
 
 class Recorder:
@@ -534,11 +541,11 @@ class TestWindingWalk:
     def test_refinement_near_edge_zeros_gives_known_count(self):
         walk = Recorder(self.func)
         assert dispersion._winding_numbers(walk, [self.REGION]) == [1]
-        # the edge samples, then one call per refinement level
-        assert walk.calls > 3
-        assert len(walk.points) > 4 * 48 + 1
-        count, sampled = depth_first_winding(self.func, self.REGION)
+        count, sampled, levels = depth_first_winding(self.func, self.REGION)
         assert count == 1
+        # the edge samples, then one call per refinement level
+        assert walk.calls == levels > 1
+        assert len(walk.points) > 4 * 48
         assert sorted(walk.points, key=lambda z: (z.real, z.imag)) == \
             sorted(sampled, key=lambda z: (z.real, z.imag))
 
@@ -548,16 +555,16 @@ class TestWindingWalk:
         func = lambda z: dispersion_value(bump_params, bump_profile, z)
         walk = Recorder(func)
         assert dispersion._winding_numbers(walk, [region], feature_scale=0.06) == [1]
-        count, sampled = depth_first_winding(func, region, feature_scale=0.06)
+        count, sampled, levels = depth_first_winding(func, region, feature_scale=0.06)
         assert count == 1
-        assert walk.calls > 1
+        assert walk.calls == levels > 1
         assert len(walk.points) == len(sampled)
         assert set(walk.points) == set(sampled)
 
     def test_pole_split_parts_walked_together(self):
         # a `roots.maxwellian`-type box straddles the pole: its four parts get
         # the samples and counts of their own depth-first walks, from one call
-        # per refinement level (4 calls, against 10 for the parts one by one)
+        # per refinement level (2 calls, against 6 for the parts one by one)
         profile = profiles.maxwellian(drift=0.233843, width=1.01143)
         params = make_params(profile, c0=1.22036, rho0=1.0, kappa=0.0193477)
         parts = dispersion._split_at_pole(params, SearchRegion(-2.254203, 2.254203,
@@ -572,8 +579,8 @@ class TestWindingWalk:
             alone = Recorder(func)
             assert dispersion._winding_numbers(alone, [part],
                                                feature_scale=scale) == [count]
-            want, points = depth_first_winding(func, part, feature_scale=scale)
-            assert want == count
+            want, points, levels = depth_first_winding(func, part, feature_scale=scale)
+            assert want == count and alone.calls == levels
             assert sorted(alone.points, key=lambda z: (z.real, z.imag)) == \
                 sorted(points, key=lambda z: (z.real, z.imag))
             sampled += points
@@ -581,6 +588,44 @@ class TestWindingWalk:
         assert sorted(walk.points, key=lambda z: (z.real, z.imag)) == \
             sorted(sampled, key=lambda z: (z.real, z.imag))
         assert walk.calls == max(calls) < sum(calls)
+
+    def test_counts_match_two_way_walk_near_edges(self):
+        # zeros within 1e-3 of an edge, inside or outside: the 2-way depth-first
+        # walk needs many more levels to resolve them, and counts the same
+        rng = np.random.default_rng(20)
+        region = self.REGION
+        for _ in range(20):
+            zeros = []
+            for _ in range(rng.integers(2, 6)):
+                off = rng.uniform(-1e-3, 1e-3)
+                t = rng.uniform(0.05, 0.95)
+                zeros.append([complex(2.0 * t, off), complex(2.0 * t, 1.0 + off),
+                              complex(off, t), complex(2.0 + off, t)][rng.integers(4)])
+
+            def poly(z, zeros=zeros):
+                out = 1.0
+                for r in zeros:
+                    out = out * (z - r)
+                return out
+
+            walk = Recorder(poly)
+            (count,) = dispersion._winding_numbers(walk, [region])
+            want, _, levels = depth_first_winding(poly, region, split=2)
+            assert count == want == sum(region.contains(r) for r in zeros)
+            assert walk.calls < levels
+
+    def test_bump_neutral_verdict_box_in_few_calls(self, monkeypatch):
+        # the bottom edge of the proven verdict box, Im sigma = 1e-6, passes
+        # close to zeros near Re sigma = -5.63 and 6.31: bisecting segments,
+        # the walk took 17 calls to resolve it
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.3, 5.0)
+        params = make_params(profile, c0=5.0, rho0=1.0, kappa=0.2)
+        region = dispersion.verdict_region(params, profile)
+        calls = []
+        monkeypatch.setattr(dispersion, "dispersion_value",
+                            lambda p, f, z: calls.append(z) or dispersion_value(p, f, z))
+        assert count_roots(params, profile, region) == 1
+        assert len(calls) <= 8
 
     def test_no_rectangles_no_calls(self):
         def refuse(z):

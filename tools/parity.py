@@ -17,6 +17,11 @@ the NEW results lie from the OLD ones:
   times and the overflow flag must match exactly; tau, u, kinetic L^2 and the
   final f are reported as max |new - old| / max |old|, the fitted rate as a
   relative difference.
+- Root counts: `count_roots` on the verdict box of each of the three
+  profiles, on boxes with a Maxwellian or bump root within 1e-3 of an edge
+  (inside and outside), and on boxes that straddle the sigma = 0 pole. The
+  counts (or the exception type) must match exactly; the D(sigma) calls of
+  each count are printed for OLD and NEW.
 - Artifacts of the 11 bundled command x scenario pairs, each run by the CLI
   in a fresh interpreter: the file lists, each artifact's bytes and
   manifest.json without its timestamp are compared exactly. For each
@@ -64,6 +69,47 @@ for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3)
         except Exception as e:
             arrays.append([name, im, type(e).__name__])
 print(json.dumps([out, arrays]))
+'''
+
+COUNTS = r'''
+import json
+from spraywaves import dispersion as d, profiles as p
+from spraywaves.dispersion import SearchRegion as Box
+mx = p.maxwellian()
+bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
+ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
+prm = {name: (prof, d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa))
+       for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
+                                     ("ts", ts, 1.5, 0.02))}
+# roots of the mx and bump dispersion functions, the same in both trees
+mxr = 0.998583554016409 - 0.003842467703066575j
+bumpr = 4.9731147755318865 + 0.06020144834611017j
+boxes = [(f"{name} verdict box", name, d.verdict_region(params, prof))
+         for name, (prof, params) in prm.items()]
+boxes += [("mx root 7e-4 in from the left, 4e-4 up from the bottom", "mx",
+           Box(mxr.real - 7e-4, 1.5, mxr.imag - 4e-4, 0.02)),
+          ("mx root 6e-4 right of the box", "mx",
+           Box(0.5, mxr.real - 6e-4, -0.05, 0.02)),
+          ("bump root 3e-4 below the top edge", "bump",
+           Box(4.5, 5.5, 0.01, bumpr.imag + 3e-4)),
+          ("bump root 9e-4 above the box", "bump",
+           Box(4.5, 5.5, 0.01, bumpr.imag - 9e-4)),
+          ("mx box around the pole", "mx", Box(-2.0, 2.0, -0.05, 0.02)),
+          ("ts box around the pole", "ts", Box(-1.0, 1.0, -0.1, 0.1))]
+value, calls, out = d.dispersion_value, [0], []
+def counted(*args):
+    calls[0] += 1
+    return value(*args)
+d.dispersion_value = counted
+for label, name, box in boxes:
+    prof, params = prm[name]
+    calls[0] = 0
+    try:
+        result = d.count_roots(params, prof, box)
+    except Exception as e:
+        result = type(e).__name__
+    out.append([label, result, calls[0]])
+print(json.dumps(out))
 '''
 
 TRAJECTORIES = r'''
@@ -140,6 +186,13 @@ def d_parity(old_src: str, new_src: str) -> None:
     print(f"D(sigma): {len(old)} points; max |dD|/max(1,|D|) {worst:.1e} off the "
           f"bump edge margin, {worst_edge:.1e} in it; as {len(old_arrays)} arrays "
           f"{worst_array:.1e}")
+
+
+def count_parity(old_src: str, new_src: str) -> None:
+    old, new = (json.loads(run(COUNTS, src)) for src in (old_src, new_src))
+    for (label, a, calls_a), (_, b, calls_b) in zip(old, new):
+        assert a == b, (label, a, b)             # identical counts or exceptions
+        print(f"count {a!s:>2} on {label}: D(sigma) calls {calls_a} -> {calls_b}")
 
 
 def trajectory_parity(old_src: str, new_src: str) -> None:
@@ -225,5 +278,6 @@ if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     d_parity(*sys.argv[1:3])
+    count_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
     artifact_parity(*sys.argv[1:3])
