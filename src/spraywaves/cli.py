@@ -142,8 +142,10 @@ def build_region(d: dict | None, params: SprayParams,
                  profile: VelocityProfile) -> SearchRegion:
     if not d:
         return dispersion.default_region(params, profile)
-    region = SearchRegion(*(float(d[key]) for key in ("re_min", "re_max", "im_min",
-                                                      "im_max")))
+    bounds = [float(d[key]) for key in ("re_min", "re_max", "im_min", "im_max")]
+    if not all(map(math.isfinite, bounds)):
+        raise ConfigError(f"region bounds must be finite, got {bounds}")
+    region = SearchRegion(*bounds)
     # only the lower branch needs the strip, as in count_roots
     if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
         raise ConfigError(f"region reaches below the axis and |Im sigma| = "
@@ -250,6 +252,8 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
         profile, params = _read_spray(cfg)
         region = build_region(cfg.get("region"), params, profile)
         tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"root_tolerance must be positive and finite, got {tol}")
     reports = dispersion.find_roots(params, profile, region, tol=tol)
     return {"outputs": [_write_json(out_dir / "roots.json",
                                     [r.as_dict() for r in reports])],
@@ -332,6 +336,8 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
             raise ConfigError(f"landau.k_values must be nonzero finite numbers, "
                               f"got {[k1, k2]}")
         im_sigma = float(spec.get("im_sigma", 0.05))
+        if not math.isfinite(im_sigma):
+            raise ConfigError(f"landau.im_sigma must be finite, got {im_sigma}")
         re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
     sigma = np.empty(re_axis.size, dtype=complex)
     sigma.real, sigma.imag = re_axis, im_sigma
@@ -365,6 +371,8 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         if eigenmode and "sigma" in init:
             re_sigma, im_sigma = init["sigma"]
             sigma = complex(float(re_sigma), float(im_sigma))
+            if not np.isfinite(sigma):
+                raise ConfigError(f"sim.init.sigma must be finite, got {init['sigma']}")
         t_final = float(sim["t_final"]) if "t_final" in sim else None
         growth_spans = float(sim.get("growth_spans", 6.0))
         periods = float(sim.get("periods", 10.0))

@@ -34,6 +34,8 @@ NEUTRAL = "neutral"
 
 _COMPAT_TOL = 1e-10
 _ROOT_TOL = 1e-10
+_NEWTON_MAX_ITER = 80
+_NEWTON_H_REL = 1e-7        # central-difference step of D', relative to max(1, |z|)
 # |sigma| / c0 below which the sigma = 0 pole refuses evaluation (ZeroSigma)
 POLE_RADIUS = 1e-14
 
@@ -208,9 +210,10 @@ _MAX_WINDING_DEFECT = 0.25   # |winding - round(winding)| must stay below
 _PHASE_STEP = 1.0           # max phase increment per boundary step (radians)
 _MAX_BOUNDARY_EVALS = 60000
 _SPLIT = 8                  # pieces an unresolved segment is cut into per level
+_EDGE_SAMPLES = 48          # initial samples per edge, the least with a feature scale
 
 
-def _winding_numbers(func, regions: list[SearchRegion], n0: int = 48,
+def _winding_numbers(func, regions: list[SearchRegion],
                      feature_scale: float | None = None) -> list[int]:
     """Winding number of func around the boundary of each rectangle.
 
@@ -231,9 +234,9 @@ def _winding_numbers(func, regions: list[SearchRegion], n0: int = 48,
         return []
     a = np.array([r.corners for r in regions]).ravel()
     b = np.roll(a.reshape(-1, 4), -1, axis=1).ravel()
-    n = np.full(a.size, n0)
+    n = np.full(a.size, _EDGE_SAMPLES)
     if feature_scale is not None and feature_scale > 0:
-        n = np.clip(np.ceil(abs(b - a) / feature_scale), n0, max(n0, 1024)).astype(int)
+        n = np.clip(np.ceil(abs(b - a) / feature_scale), _EDGE_SAMPLES, 1024).astype(int)
     # edge e holds the samples a_e + (b_e - a_e) k / n_e, k < n_e, in walk order
     edge = np.repeat(np.arange(a.size), n)
     t = (np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)) * (1.0 / n)[edge]
@@ -328,16 +331,16 @@ def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchReg
     raise AssertionError("unreachable")
 
 
-def _newton(func, z0: complex, tol: float, max_iter: int = 80,
-            h_rel: float = 1e-7, trust_radius: float = math.inf) -> tuple[complex, int]:
+def _newton(func, z0: complex, tol: float,
+            trust_radius: float = math.inf) -> tuple[complex, int]:
     z = complex(z0)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         fz = func(z)
         if abs(fz) <= tol:
             return z, it
         if abs(z - z0) > trust_radius:
             raise NonConvergence("Newton iterate escaped its isolating rectangle")
-        h = h_rel * max(1.0, abs(z))
+        h = _NEWTON_H_REL * max(1.0, abs(z))
         d = (func(z + 1j * h) - func(z - 1j * h)) / (2j * h)
         if d == 0:
             break
@@ -347,7 +350,7 @@ def _newton(func, z0: complex, tol: float, max_iter: int = 80,
         z = z - step
     fz = func(z)
     if abs(fz) <= tol:
-        return z, max_iter
+        return z, _NEWTON_MAX_ITER
     raise NonConvergence(f"Newton stalled at |D| = {abs(fz):.3g} (tol {tol:.3g})")
 
 
@@ -505,18 +508,18 @@ def verdict_region(params: SprayParams, profile: VelocityProfile) -> SearchRegio
     """
     pref, h = params.coupling_prefactor, 1e-6
     norm = quadrature.vdf_norm(profile) if pref else 0.0
-    gaussians, bumps, _ = profile.quadrature_hints
 
     def side_bound(r: float) -> float:
         tail = 0.0
-        for m, d, w, _ in gaussians:
-            k = (0.5 * r - abs(d)) / w
+        for g in profile.gaussians:
+            m, d, w = g.coef * g.mass, abs(g.drift), g.width
+            k = (0.5 * r - d) / w
             tail += (2.0 * m / w * math.exp(-0.5 * k * k) / math.sqrt(2.0 * math.pi)
-                     * (abs(d) + w * (k + 1.0 / k)))
+                     * (d + w * (k + 1.0 / k)))
         return (params.c0**2 + 2.0 * pref * norm) / r**2 + pref * tail / (r * h)
 
-    r = 2.0 * max([params.c0] + [abs(d) + w for _, d, w, _ in gaussians]
-                  + [max(-lo, hi) for _, _, (lo, hi), _ in bumps])
+    r = 2.0 * max([params.c0] + [abs(g.drift) + g.width for g in profile.gaussians]
+                  + [max(-b.support[0], b.support[1]) for b in profile.bumps])
     while side_bound(r) > 0.5:
         r *= 1.25
     return SearchRegion(-r, r, h, 1.05 * math.sqrt(params.c0**2 + pref * norm))

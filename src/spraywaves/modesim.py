@@ -369,7 +369,7 @@ def check_scaling_inputs(params: SprayParams, profile: VelocityProfile, s: float
     """The default grid of each k in k_list, run to t_k = (N+1) log(k)/k;
     ValueError unless the scaling experiment can run on these inputs (each
     t_k positive and inside its grid's recurrence time)."""
-    if s < 0 or n_exponent <= s:
+    if not 0.0 <= s < n_exponent:
         raise ValueError("need 0 <= s < n_exponent")
     if len(k_list) < 3 or any(b <= a for a, b in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be increasing with at least 3 entries")

@@ -1,14 +1,21 @@
 """Equilibrium velocity distributions analytic on a complex strip.
 
-Three kinds are supported:
+Every profile is one flat mixture of Gaussian parts and bump terms:
 
-- ``maxwellian``: f(v) = mass / (sqrt(2 pi) width) * exp(-(v - drift)^2 / (2 width^2)),
-  entire in v; the declared strip is a conservative working band.
-- ``bump_on_tail``: (1 - eps) * base + (eps * m0 / eta) * g((v - c_star) / eta),
-  where g is a fixed smooth unit-mass bump supported on (-1, 1) with g'(0) > 0.
-  The bump carries exactly eps * m0 of the base mass, so the total integral is
-  preserved.
-- ``sum``: plain superposition of component profiles (two-stream style setups).
+    f(v) = sum_i a_i m_i / (sqrt(2 pi) w_i) exp(-(v - u_i)^2 / (2 w_i^2))
+         + sum_j b_j (eps_j M_j / eta_j) g((v - c_j) / eta_j),
+
+with mixture coefficients a_i, b_j, Gaussian masses m_i, drifts u_i and widths
+w_i, and bump terms of relative mass eps_j, half-width eta_j and centre c_j,
+built on a base of mass M_j. g is a fixed smooth unit-mass bump supported on
+(-1, 1) with g'(0) > 0. Three constructors build every profile:
+
+- `maxwellian`: one Gaussian part with a = 1, entire in v; the declared strip is
+  a conservative working band.
+- `make_bump_on_tail`: the base's parts with their coefficients times (1 - eps),
+  plus one bump term of coefficient 1 carrying eps * M of the base mass M, so the
+  total integral is preserved.
+- `profile_sum`: the parts of every component (two-stream style setups).
 
 Profiles are frozen dataclasses and every operation here is a pure function.
 """
@@ -16,7 +23,7 @@ Profiles are frozen dataclasses and every operation here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,80 +39,76 @@ BUMP_EDGE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
+class Gaussian:
+    """coef * mass / (sqrt(2 pi) width) * exp(-(v - drift)^2 / (2 width^2)); its
+    continued Cauchy transform is refused more than ``strip`` below the axis."""
+
+    coef: float
+    mass: float
+    drift: float
+    width: float
+    strip: float
+
+
+@dataclass(frozen=True)
+class Bump:
+    """coef * (eps * m0 / eta) * g((v - c_star) / eta), the bump term on a base
+    of mass m0; complex evaluation is refused beyond ``strip`` and near the
+    support edges. ``breakpoints`` are the panel edges of its own support and of
+    the bump terms of its base."""
+
+    coef: float
+    eps: float
+    eta: float
+    c_star: float
+    m0: float
+    strip: float
+    breakpoints: tuple[float, ...]
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.c_star - self.eta, self.c_star + self.eta)
+
+
+@dataclass(frozen=True)
 class VelocityProfile:
     """Analytic equilibrium distribution with strip metadata.
 
-    ``mass``/``drift``/``width`` always describe the aggregate distribution
-    (total integral, mean bulk velocity, bulk thermal spread); the optional
-    fields are populated per ``kind``.
+    ``mass``/``drift``/``width`` describe the aggregate distribution (total
+    integral, mean bulk velocity, bulk thermal spread), ``strip_halfwidth`` the
+    narrowest strip of its parts.
     """
 
-    kind: str
-    mass: float = 1.0
-    drift: float = 0.0
-    width: float = 1.0
-    strip_halfwidth: float = 0.0         # filled in __post_init__ when 0
-    eps: float | None = None
-    eta: float | None = None
-    c_star: float | None = None
-    base: "VelocityProfile | None" = None
-    parts: "tuple[VelocityProfile, ...] | None" = None
+    gaussians: tuple[Gaussian, ...]
+    bumps: tuple[Bump, ...]
+    mass: float
+    drift: float
+    width: float
+    strip_halfwidth: float
 
     def __post_init__(self):
-        if self.kind not in ("maxwellian", "bump_on_tail", "sum"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        for name in ("mass", "drift", "width", "strip_halfwidth", "eps", "eta", "c_star"):
-            if not math.isfinite(getattr(self, name) or 0.0):
+        fields = [(self, name) for name in ("mass", "drift", "width", "strip_halfwidth")]
+        fields += [(b, name) for b in self.bumps for name in ("eps", "eta", "c_star")]
+        for part, name in fields:
+            if not math.isfinite(getattr(part, name)):
                 raise ValueError(f"{name} must be finite")
         if self.mass <= 0 or self.width <= 0:
             raise ValueError("mass and width must be positive")
-        if self.strip_halfwidth == 0.0:
-            object.__setattr__(self, "strip_halfwidth", self._default_strip())
         if self.strip_halfwidth <= 0:
             raise ValueError("strip_halfwidth must be positive")
         lo, hi = support_bounds(self)
         if not math.isfinite(hi - lo + 4.0 * self.width):
             raise ValueError("profile support overflows")
-        # f' scales like mass / width**2, and a bump term's like eps * mass / eta**2
-        slope = self.mass / self.width / self.width
-        if self.kind == "bump_on_tail":
-            slope = max(slope, self.eps * self.mass / self.eta / self.eta)
+        # f' scales like mass / width**2, and a bump term's like eps * m0 / eta**2
+        slope = max([self.mass / self.width / self.width]
+                    + [b.eps * b.m0 / b.eta / b.eta for b in self.bumps])
         if not math.isfinite(slope):
             raise ValueError("profile derivative scale overflows")
-        if self.kind == "bump_on_tail":
-            pts = _bump_breakpoints(self)
+        for b in self.bumps:
+            pts = _bump_breakpoints(b.eta, b.c_star)
             if any(x >= y for x, y in zip(pts, pts[1:])):
                 raise ValueError("bump support too narrow to resolve at c_star: "
                                  "its panel breakpoints coincide in floating point")
-
-    def _default_strip(self) -> float:
-        if self.kind == "maxwellian":
-            return 0.5 * self.width
-        if self.kind == "bump_on_tail":
-            # bump analytic band shrinks with eta; stay well inside
-            return min(self.base.strip_halfwidth, 0.5 * self.eta)
-        return min(p.strip_halfwidth for p in self.parts)
-
-    @cached_property
-    def quadrature_hints(self) -> tuple:
-        """f split into Maxwellians (mass with mixture weight, drift, width,
-        strip) and bump terms (bump-on-tail profile, weight, support,
-        breakpoints), plus the resolution scale; computed once per object."""
-        gaussians, bumps = [], []
-
-        def walk(p: VelocityProfile, coef: float) -> None:
-            if p.kind == "maxwellian":
-                gaussians.append((coef * p.mass, p.drift, p.width, p.strip_halfwidth))
-            elif p.kind == "bump_on_tail":
-                walk(p.base, coef * (1.0 - p.eps))
-                bumps.append((p, coef, (p.c_star - p.eta, p.c_star + p.eta),
-                              analyticity_breakpoints(p)))
-            else:
-                for part in p.parts:
-                    walk(part, coef)
-
-        walk(self, 1.0)
-        return tuple(gaussians), tuple(bumps), resolution_scale(self)
 
     @cached_property
     def m0(self) -> float:
@@ -120,8 +123,10 @@ class VelocityProfile:
 
 def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
                strip_halfwidth: float = 0.0) -> VelocityProfile:
-    return VelocityProfile(kind="maxwellian", mass=mass, drift=drift, width=width,
-                           strip_halfwidth=strip_halfwidth)
+    """One Gaussian part; a strip_halfwidth of 0 means half the width."""
+    strip = strip_halfwidth or 0.5 * width
+    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), (), mass, drift,
+                           width, strip)
 
 
 def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
@@ -129,14 +134,20 @@ def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
     """Superimpose a narrow unit-sign bump of relative mass ``eps`` at ``c_star``.
 
     The bump term is (eps * m0 / eta) * g((v - c_star) / eta) with a fixed
-    smooth g of unit integral supported on (-1, 1), so the composite carries
-    the same total mass as ``base``.
+    smooth g of unit integral supported on (-1, 1), and the parts of ``base``
+    are scaled by (1 - eps), so the composite carries the same total mass as
+    ``base``. The bump's analytic band shrinks with eta: its strip is at most
+    eta / 2.
     """
     if not (0.0 < eps < 1.0) or eta <= 0.0:
         raise InvalidBump(f"need 0 < eps < 1 and eta > 0, got eps={eps}, eta={eta}")
-    return VelocityProfile(kind="bump_on_tail", mass=base.mass, drift=base.drift,
-                           width=base.width, eps=eps, eta=eta, c_star=c_star,
-                           base=base)
+    scaled = lambda part: replace(part, coef=(1.0 - eps) * part.coef)
+    strip = min(base.strip_halfwidth, 0.5 * eta)
+    bump = Bump(1.0, eps, eta, c_star, base.m0, strip,
+                _bump_breakpoints(eta, c_star) + analyticity_breakpoints(base))
+    return VelocityProfile(tuple(map(scaled, base.gaussians)),
+                           tuple(map(scaled, base.bumps)) + (bump,),
+                           base.mass, base.drift, base.width, strip)
 
 
 def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
@@ -145,8 +156,9 @@ def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
     mass = sum(p.mass for p in parts)
     drift = sum(p.mass * p.drift for p in parts) / mass
     width = max(abs(p.drift - drift) + p.width for p in parts)
-    return VelocityProfile(kind="sum", mass=mass, drift=drift, width=width,
-                           parts=tuple(parts))
+    return VelocityProfile(sum((p.gaussians for p in parts), ()),
+                           sum((p.bumps for p in parts), ()), mass, drift, width,
+                           min(p.strip_halfwidth for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -202,148 +214,119 @@ def _check_strip(profile: VelocityProfile, v) -> np.ndarray:
         raise StripViolation(
             f"|Im v| = {np.max(np.abs(im)):.3g} exceeds strip halfwidth "
             f"{profile.strip_halfwidth:.3g}")
-    if profile.kind == "bump_on_tail" and np.any(_bump_df_refused(profile, v)):
+    if any(np.any(_bump_df_refused(b, v)) for b in profile.bumps):
         raise StripViolation("complex evaluation within the bump support-edge margin")
-    if profile.kind == "sum":
-        for p in profile.parts:
-            _check_strip(p, v)
     return v
 
 
-def _eval_f_raw(profile: VelocityProfile, v) -> np.ndarray:
+def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
+    """f (f' if ``df``) at v with no strip checks: each part's value times its
+    coef, summed over the Gaussian parts and then the bump terms."""
     v = np.asarray(v, dtype=complex)
-    if profile.kind == "maxwellian":
-        z = (v - profile.drift) / profile.width
-        return profile.mass / (_SQRT_2PI * profile.width) * np.exp(-0.5 * z * z)
-    if profile.kind == "bump_on_tail":
+    terms = []
+    for g in profile.gaussians:
+        z = (v - g.drift) / g.width
+        f = g.mass / (_SQRT_2PI * g.width) * np.exp(-0.5 * z * z)
+        terms.append(g.coef * (-(v - g.drift) / g.width**2 * f if df else f))
+    for b in profile.bumps:
         c, _, _ = _bump_constants()
-        w = (v - profile.c_star) / profile.eta
-        amp = profile.eps * profile.base.m0 / profile.eta
-        return (1.0 - profile.eps) * _eval_f_raw(profile.base, v) + amp * c * _bump_raw(w)
-    return sum(_eval_f_raw(p, v) for p in profile.parts)
+        terms.append(b.coef * (_bump_df(b, v) if df else b.eps * b.m0 / b.eta * c
+                               * _bump_raw((v - b.c_star) / b.eta)))
+    return sum(terms[1:], terms[0])
 
 
-def _eval_df_raw(profile: VelocityProfile, v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if profile.kind == "maxwellian":
-        return -(v - profile.drift) / profile.width**2 * _eval_f_raw(profile, v)
-    if profile.kind == "bump_on_tail":
-        return (1.0 - profile.eps) * _eval_df_raw(profile.base, v) + _bump_df(profile, v)
-    return sum(_eval_df_raw(p, v) for p in profile.parts)
-
-
-def _bump_df_scale(profile: VelocityProfile) -> float:
+def _bump_df_scale(b: Bump) -> float:
     c, _, _ = _bump_constants()
-    return profile.eps * profile.base.m0 / profile.eta**2 * c
+    return b.eps * b.m0 / b.eta**2 * c
 
 
-def _bump_df(profile: VelocityProfile, v) -> np.ndarray:
-    """Velocity derivative of the bump term alone of a bump-on-tail profile."""
-    return _bump_df_scale(profile) * _bump_raw_deriv(
-        (np.asarray(v) - profile.c_star) / profile.eta)
+def _bump_df(b: Bump, v) -> np.ndarray:
+    """Velocity derivative of a bump term without its coefficient."""
+    return _bump_df_scale(b) * _bump_raw_deriv((np.asarray(v) - b.c_star) / b.eta)
 
 
-def _bump_df_refused(profile: VelocityProfile, s):
-    """Whether `_check_strip` refuses complex evaluation of the bump term of a
-    bump-on-tail profile at s (off the axis, beyond the strip or within the
-    support-edge margin): a bool at a point, elementwise over an ndarray."""
-    w_re = (s.real - profile.c_star) / profile.eta
-    return (s.imag != 0.0) & ((abs(s.imag) > profile.strip_halfwidth * (1.0 + 1e-12))
+def _bump_df_refused(b: Bump, s):
+    """Whether `_check_strip` refuses complex evaluation of a bump term at s
+    (off the axis, beyond the strip or within the support-edge margin): a bool
+    at a point, elementwise over an ndarray."""
+    w_re = (s.real - b.c_star) / b.eta
+    return (s.imag != 0.0) & ((abs(s.imag) > b.strip * (1.0 + 1e-12))
                               | (abs(abs(w_re) - 1.0) < BUMP_EDGE_MARGIN))
 
 
-def _bump_df_at(profile: VelocityProfile, s: complex) -> complex:
-    """`_bump_df` at one complex point in plain Python, refused where
-    `_bump_df_refused` says so."""
-    if _bump_df_refused(profile, s):
-        raise StripViolation(f"complex evaluation of the bump term refused at {s}")
-    return _bump_df_unrefused(profile, s)
-
-
-def _bump_df_unrefused(profile: VelocityProfile, s: complex) -> complex:
-    """`_bump_df_at` at a point `_bump_df_refused` has passed."""
-    w = (s - profile.c_star) / profile.eta
+def _bump_df_unrefused(b: Bump, s: complex) -> complex:
+    """`_bump_df` at one complex point in plain Python, where `_bump_df_refused`
+    has passed it."""
+    w = (s - b.c_star) / b.eta
     if not abs(w.real) < 1.0:
         return 0j
-    return _bump_df_scale(profile) * _bump_shape_deriv(w, _exp)
+    return _bump_df_scale(b) * _bump_shape_deriv(w, _exp)
+
+
+def _evaluate(profile: VelocityProfile, v, df: bool):
+    v = _check_strip(profile, v)
+    out = _eval_raw(profile, v, df)
+    if np.all(np.imag(v) == 0.0):
+        out = np.real(out) + 0.0j
+    return out if out.shape else complex(out)
 
 
 def eval_f(profile: VelocityProfile, v):
     """Analytic extension of the distribution at complex v (real >= 0 on the axis)."""
-    v = _check_strip(profile, v)
-    out = _eval_f_raw(profile, v)
-    if np.all(np.imag(v) == 0.0):
-        out = np.real(out) + 0.0j
-    return out if out.shape else complex(out)
+    return _evaluate(profile, v, df=False)
 
 
 def eval_df(profile: VelocityProfile, v):
     """Closed-form velocity derivative of the analytic extension."""
-    v = _check_strip(profile, v)
-    out = _eval_df_raw(profile, v)
-    if np.all(np.imag(v) == 0.0):
-        out = np.real(out) + 0.0j
-    return out if out.shape else complex(out)
+    return _evaluate(profile, v, df=True)
 
 
 def support_bounds(profile: VelocityProfile) -> tuple[float, float]:
-    """Interval outside which the distribution is negligible."""
-    if profile.kind == "maxwellian":
-        return (profile.drift - 10.0 * profile.width,
-                profile.drift + 10.0 * profile.width)
-    if profile.kind == "bump_on_tail":
-        lo, hi = support_bounds(profile.base)
-        return (min(lo, profile.c_star - 5.0 * profile.eta),
-                max(hi, profile.c_star + 5.0 * profile.eta))
-    los, his = zip(*(support_bounds(p) for p in profile.parts))
-    return (min(los), max(his))
+    """Interval outside which the distribution is negligible: 10 widths around
+    each Gaussian part, 5 half-widths around each bump term."""
+    spans = ([(g.drift, 10.0 * g.width) for g in profile.gaussians]
+             + [(b.c_star, 5.0 * b.eta) for b in profile.bumps])
+    return (min(c - r for c, r in spans), max(c + r for c, r in spans))
 
 
 def resolution_scale(profile: VelocityProfile) -> float:
     """Smallest velocity feature size (quadrature panel sizing hint)."""
-    if profile.kind == "maxwellian":
-        return profile.width
-    if profile.kind == "bump_on_tail":
-        return min(resolution_scale(profile.base), 0.5 * profile.eta)
-    return min(resolution_scale(p) for p in profile.parts)
+    return min([g.width for g in profile.gaussians]
+               + [0.5 * b.eta for b in profile.bumps])
 
 
 def analyticity_breakpoints(profile: VelocityProfile) -> tuple[float, ...]:
-    """Panel edges that must be honored when integrating across this profile.
+    """Panel edges that must be honored when integrating across this profile,
+    in increasing order.
 
     The compact bump is smooth but not analytic at its support edges; panels
     are pinned there and graded geometrically into the support so Gauss
     quadrature keeps spectral accuracy.
     """
-    if profile.kind == "maxwellian":
-        return ()
-    if profile.kind == "bump_on_tail":
-        return _bump_breakpoints(profile) + analyticity_breakpoints(profile.base)
-    return sum((analyticity_breakpoints(p) for p in profile.parts), ())
+    return tuple(sorted({x for b in profile.bumps for x in b.breakpoints}))
 
 
-def _bump_breakpoints(profile: VelocityProfile) -> tuple[float, ...]:
-    """The bump's support edges and 8 panel edges graded geometrically into each."""
-    lo, hi = profile.c_star - profile.eta, profile.c_star + profile.eta
-    hs = [profile.eta * 2.0 ** (-j) for j in range(1, 9)]
+def _bump_breakpoints(eta: float, c_star: float) -> tuple[float, ...]:
+    """The support edges of a bump and 8 panel edges graded geometrically into each."""
+    lo, hi = c_star - eta, c_star + eta
+    hs = [eta * 2.0 ** (-j) for j in range(1, 9)]
     return tuple(sorted([lo, hi, *(lo + h for h in hs), *(hi - h for h in hs)]))
 
 
 def moment(profile: VelocityProfile, order: int) -> float:
     """Velocity moment of f of order 0 or 2, in closed form: the Gaussian
-    moments, and for the bump term those of its shape from `_bump_constants`."""
+    moments, and for the bump terms those of their shape from `_bump_constants`."""
     if order not in (0, 2):
         raise ValueError("moment order must be 0 or 2")
-    if profile.kind == "maxwellian":
-        return profile.mass * (1.0 if order == 0
-                               else profile.width**2 + profile.drift**2)
-    if profile.kind == "bump_on_tail":
+    total = 0.0
+    for g in profile.gaussians:
+        total += g.coef * (g.mass * (1.0 if order == 0 else g.width**2 + g.drift**2))
+    for b in profile.bumps:
         _, m1, m2 = _bump_constants()
-        c, eta = profile.c_star, profile.eta
-        bump = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
-        return ((1.0 - profile.eps) * moment(profile.base, order)
-                + profile.eps * profile.base.m0 * bump)
-    return sum(moment(p, order) for p in profile.parts)
+        c, eta = b.c_star, b.eta
+        shape = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
+        total += b.coef * (b.eps * b.m0 * shape)
+    return total
 
 
 def compatibility_alpha(profile: VelocityProfile, kappa: float) -> float:

@@ -5,13 +5,13 @@ half-plane, is the plain integral above the real axis, the principal value
 + i pi g(sigma) on it, and the plain integral + 2 i pi g(sigma) below it. For
 g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
 
-- Maxwellian parts are exact. With p(v) = p(sigma) + (v - sigma) t(v),
+- Gaussian parts are exact. With p(v) = p(sigma) + (v - sigma) t(v),
   int p f'/(v - sigma) dv = -(m/w^2) p(sigma) (1 + zeta Z(zeta)) - m E[t'(v)],
   where zeta = (sigma - u)/(sqrt(2) w), Z(zeta) = i sqrt(pi) w(zeta) is the
   plasma dispersion function (Fried & Conte 1961) and E a Gaussian moment;
   the Faddeeva function w is entire, so this holds on every branch. For an
   ndarray of sigma the same expression runs once over the whole array.
-- The compact bump term of a bump-on-tail part is integrated over its support
+- Each compact bump term (`profiles.Bump`) is integrated over its support
   [a, b] only, by singularity subtraction: int_a^b g/(v - s) dv =
   int_a^b (g(v) - c)/(v - s) dv + c (log(b - s) - log(a - s)), c = g(s). The
   first term is analytic in v wherever g is, so Gauss nodes over the support
@@ -78,14 +78,15 @@ def classify_branch(sigma):
     return Branch.UPPER if im > tol else Branch.LOWER if im < -tol else Branch.REAL_AXIS
 
 
-def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float, mass: float,
-                     drift: float, width: float, strip: float):
-    """Continued int p(v) f'(v)/(v - sigma) dv for one Maxwellian, in closed form,
-    at a point or elementwise over an array; ``depth`` is the largest -Im sigma
-    on the lower branch (0 if none), refused beyond the strip halfwidth."""
-    if depth > strip * (1.0 + 1e-12):
+def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float,
+                     part: profiles.Gaussian):
+    """Continued int p(v) f'(v)/(v - sigma) dv for one Gaussian part, in closed
+    form, at a point or elementwise over an array; ``depth`` is the largest -Im
+    sigma on the lower branch (0 if none), refused beyond the part's strip."""
+    if depth > part.strip * (1.0 + 1e-12):
         raise StripViolation(f"|Im sigma| = {depth:.3g} exceeds strip "
-                             f"halfwidth {strip:.3g} on the lower branch")
+                             f"halfwidth {part.strip:.3g} on the lower branch")
+    mass, drift, width = part.coef * part.mass, part.drift, part.width
     # p(v) = p(sigma) + (v - sigma) t(v); ts = [0, t_(d-1), ..., t_0]
     p_sigma, ts = 0.0, []
     for c in reversed(weight):
@@ -123,13 +124,13 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     if branch is Branch.REAL_AXIS:
         sigma = complex(sigma.real)
     depth = -sigma.imag if branch is Branch.LOWER else 0.0
-    gaussians, bumps, scale = profile.quadrature_hints
     total = 0.0
-    for part in gaussians:
-        total += _maxwellian_part(weight, sigma, depth, *part)
-    if bumps:
-        for hint, node_set in zip(bumps, _node_sets(profile, weight)):
-            total += _bump_part(weight, sigma, branch, scale, *hint, *node_set)
+    for part in profile.gaussians:
+        total += _maxwellian_part(weight, sigma, depth, part)
+    if profile.bumps:
+        scale = profiles.resolution_scale(profile)
+        for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
+            total += _bump_part(weight, sigma, branch, scale, bump, *node_set)
     return complex(total)
 
 
@@ -140,14 +141,13 @@ def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
     sigma = np.where((im <= AXIS_TOLERANCE) & (im >= -AXIS_TOLERANCE),
                      sigma.real, sigma).astype(complex, copy=False)
     depth = -float(sigma.imag.min(initial=0.0))
-    gaussians, bumps, scale = profile.quadrature_hints
     total = np.zeros(sigma.shape, dtype=complex)
-    for part in gaussians:
-        total += _maxwellian_part(weight, sigma, depth, *part)
-    if bumps:
-        points = sigma.ravel()
-        for hint, node_set in zip(bumps, _node_sets(profile, weight)):
-            total += _bump_array(weight, points, scale, *hint,
+    for part in profile.gaussians:
+        total += _maxwellian_part(weight, sigma, depth, part)
+    if profile.bumps:
+        points, scale = sigma.ravel(), profiles.resolution_scale(profile)
+        for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
+            total += _bump_array(weight, points, scale, bump,
                                  *node_set).reshape(sigma.shape)
     return total
 
@@ -156,23 +156,21 @@ def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...]) -> 
     """`_bump_nodes` of each bump term, built once per profile and weight."""
     node_sets = profile.node_sets.get(weight)
     if node_sets is None:
-        _, bumps, scale = profile.quadrature_hints
+        scale = profiles.resolution_scale(profile)
         node_sets = profile.node_sets[weight] = tuple(
-            _bump_nodes(weight, scale, *hint) for hint in bumps)
+            _bump_nodes(weight, scale, bump) for bump in profile.bumps)
     return node_sets
 
 
-def _bump_nodes(weight: tuple[float, ...], scale: float,
-                bump: profiles.VelocityProfile, coef: float,
-                support: tuple[float, float], breakpoints: tuple[float, ...]) -> tuple:
+def _bump_nodes(weight: tuple[float, ...], scale: float, bump: profiles.Bump) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
     breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
     arithmetic), g(vs), the far field (the support's centre m and half-width h,
     and the moments mu_K-1 .. mu_0), the near-node radius and the plain-sum
     height: 10 times the largest node gap."""
-    vs, ws = _gauss.segment_panels(*support, breakpoints, scale, NODES)
-    g = lambda v: coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
-    gvs, (a, b) = g(vs), support
+    vs, ws = _gauss.segment_panels(*bump.support, bump.breakpoints, scale, NODES)
+    g = lambda v: bump.coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
+    gvs, (a, b) = g(vs), bump.support
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     # a running product: np.vander would add its n x K temporary to the peak RSS
     u, term, moments = (vs - centre) / half, gvs * ws, []
@@ -195,9 +193,8 @@ def _log(z: complex) -> complex:
 
 
 def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale: float,
-               bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
-               breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
-               gvs: np.ndarray, field: tuple, near: float, plain: float) -> complex:
+               bump: profiles.Bump, vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
+               field: tuple, near: float, plain: float) -> complex:
     """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
 
     The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
@@ -207,19 +204,19 @@ def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale:
     """
     refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
     if pinned:
-        c = _g_at(weight, bump, coef, complex(sigma.real) if refused else sigma)
-        return _pinned_part(g, c, sigma, branch, support, breakpoints, scale, NODES)
+        c = _g_at(weight, bump, complex(sigma.real) if refused else sigma)
+        return _pinned_part(g, c, sigma, branch, bump.support, bump.breakpoints, scale,
+                            NODES)
     if _far(sigma, field):
         return _far_sum(field, sigma)
-    c = 0j if refused else _g_at(weight, bump, coef, sigma)
+    c = 0j if refused else _g_at(weight, bump, sigma)
     return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
-                          branch, *support)
+                          branch, *bump.support)
 
 
 def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
-                bump: profiles.VelocityProfile, coef: float, support: tuple[float, float],
-                breakpoints: tuple[float, ...], vs: np.ndarray, ws: np.ndarray, g,
-                gvs: np.ndarray, field: tuple, near: float, plain: float) -> np.ndarray:
+                bump: profiles.Bump, vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
+                field: tuple, near: float, plain: float) -> np.ndarray:
     """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
     real): the far-field series, then g(sigma) and the subtracted sums, each for
     all points it serves at once, the pinned ones one at a time."""
@@ -233,18 +230,18 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
         s = sigma[summed]
         cs = np.zeros(s.shape, dtype=complex)
         ok = ~refused[summed]
-        cs[ok] = coef * _poly(weight, s[ok]) * profiles._bump_df(bump, s[ok])
+        cs[ok] = bump.coef * _poly(weight, s[ok]) * profiles._bump_df(bump, s[ok])
         out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
-                                     *support)
+                                     *bump.support)
     for i in np.flatnonzero(pinned).tolist():
         z = complex(sigma[i])
-        ci = _g_at(weight, bump, coef, complex(z.real) if refused[i] else z)
-        out[i] = _pinned_part(g, ci, z, classify_branch(z), support, breakpoints, scale,
-                              NODES)
+        ci = _g_at(weight, bump, complex(z.real) if refused[i] else z)
+        out[i] = _pinned_part(g, ci, z, classify_branch(z), bump.support,
+                              bump.breakpoints, scale, NODES)
     return out
 
 
-def _bump_gate(bump: profiles.VelocityProfile, sigma, vs: np.ndarray, ws: np.ndarray,
+def _bump_gate(bump: profiles.Bump, sigma, vs: np.ndarray, ws: np.ndarray,
                near: float, plain: float, scale: float):
     """(refused, pinned) for a bump term at sigma, a point or elementwise over a
     1-D array: refused where g(sigma) is (the edge margin, beyond the strip),
@@ -285,10 +282,9 @@ def _far_sum(field: tuple, sigma):
     return -(t / half) * acc
 
 
-def _g_at(weight: tuple[float, ...], bump: profiles.VelocityProfile, coef: float,
-          s: complex) -> complex:
+def _g_at(weight: tuple[float, ...], bump: profiles.Bump, s: complex) -> complex:
     """g(s) at a point `_bump_gate` has not refused, or on the axis."""
-    return coef * _poly(weight, s) * profiles._bump_df_unrefused(bump, s)
+    return bump.coef * _poly(weight, s) * profiles._bump_df_unrefused(bump, s)
 
 
 # (sigma, node) pairs per block of `_subtracted_sums`: a block's float
@@ -414,8 +410,7 @@ def vdf_norm(profile: profiles.VelocityProfile) -> float:
     E|u| = sqrt(2/pi) and E u^2 = 1), plus 1.001 times the node sum of
     |v f_bump'| for each bump term: that sum falls short by up to about 8e-5
     relative, at the kinks of |v f_bump'| (its zeros) between nodes."""
-    gaussians, _, _ = profile.quadrature_hints
-    norm = sum(m * (1.0 + abs(d) * math.sqrt(2.0 / math.pi) / w)
-               for m, d, w, _ in gaussians)
+    norm = sum(g.coef * g.mass * (1.0 + abs(g.drift) * math.sqrt(2.0 / math.pi) / g.width)
+               for g in profile.gaussians)
     return norm + 1.001 * sum(float(np.abs(gvs) @ ws)
                               for _, ws, _, gvs, *_ in _node_sets(profile, (0.0, 1.0)))

@@ -105,12 +105,14 @@ def contour_deformed_integral(g, sigma: complex, a: float, b: float,
 def profile_integrand(profile: VelocityProfile, weight: str = "v_df"):
     """Raw (no strip checks) integrand closures used against the oracles."""
     if weight == "v_df":
-        return lambda v: np.asarray(v, dtype=complex) * profiles._eval_df_raw(
-            profile, np.asarray(v, dtype=complex))
+        return lambda v: np.asarray(v, dtype=complex) * profiles._eval_raw(
+            profile, np.asarray(v, dtype=complex), df=True)
     if weight == "df":
-        return lambda v: profiles._eval_df_raw(profile, np.asarray(v, dtype=complex))
+        return lambda v: profiles._eval_raw(profile, np.asarray(v, dtype=complex),
+                                            df=True)
     if weight == "f":
-        return lambda v: profiles._eval_f_raw(profile, np.asarray(v, dtype=complex))
+        return lambda v: profiles._eval_raw(profile, np.asarray(v, dtype=complex),
+                                            df=False)
     raise ValueError(weight)
 
 
@@ -130,7 +132,7 @@ def bump_oracle(profile: VelocityProfile, weight, sigma: complex, reach: float =
     (`contour_deformed_integral`). Elsewhere: the real line split at Re sigma,
     plus 2 pi i g(sigma) below the axis.
     """
-    edges = (profile.c_star - profile.eta, profile.c_star + profile.eta)
+    edges = profile.bumps[-1].support
     df = profile_integrand(profile, "df") if df is None else df
     g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
     x0 = sigma.real

@@ -25,8 +25,8 @@ class TestConfigBuilders:
         p = build_profile({"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5,
                            "c_star": 5.0,
                            "base": {"kind": "maxwellian", "width": 1.0}})
-        assert p.kind == "bump_on_tail"
-        assert p.base.kind == "maxwellian"
+        assert [(g.coef, g.width) for g in p.gaussians] == [(0.95, 1.0)]
+        assert [(b.eps, b.eta, b.c_star) for b in p.bumps] == [(0.05, 0.5, 5.0)]
 
     def test_profile_errors(self):
         with pytest.raises(ConfigError):
@@ -150,6 +150,16 @@ class TestExitCodes:
         ("landau-compare", "maxwellian-stable", {"landau": {"k_values": [0, 1]}}),
         ("roots", "bump-unstable", {"profile": {"c_star": 1e16}}),   # the same
         ("simulate", "maxwellian-stable", {"sim": {"dt": math.nan}}),
+        # non-finite numbers, and a root tolerance that is not positive
+        ("roots", "maxwellian-stable", {"region": {"re_max": math.inf}}),
+        ("roots", "bump-unstable", {"region": {"im_max": math.inf}}),
+        ("simulate", "bump-unstable", {"region": {"re_min": -math.inf}}),
+        ("illposed-demo", "bump-unstable", {"region": {"re_max": math.inf}}),
+        ("simulate", "bump-unstable", {"sim": {"init": {"sigma": [math.nan, 0.06]}}}),
+        ("illposed-demo", "bump-unstable", {"illposed": {"s": math.nan}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"im_sigma": math.nan}}),
+        ("roots", "maxwellian-stable", {"root_tolerance": math.nan}),
+        ("roots", "maxwellian-stable", {"root_tolerance": -1}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,15 +126,16 @@ class TestBumpOnTail:
         pts = [complex(x, y) for x, y in zip(rng.uniform(4.0, 6.0, 400),
                                              rng.uniform(-0.3, 0.3, 400))]
         pts += [4.5, 5.5, 4.5 + 0.01j, 5.0, complex(5.0, 0.25), complex(5.0, -0.26)]
+        bump = bump_profile.bumps[0]
         for s in pts:
             try:
                 profiles._check_strip(bump_profile, np.array([s]))
             except StripViolation:
-                with pytest.raises(StripViolation):
-                    profiles._bump_df_at(bump_profile, complex(s))
+                assert profiles._bump_df_refused(bump, complex(s))
                 continue
-            ref = profiles._bump_df(bump_profile, np.array([s], dtype=complex))[0]
-            val = profiles._bump_df_at(bump_profile, complex(s))
+            assert not profiles._bump_df_refused(bump, complex(s))
+            ref = profiles._bump_df(bump, np.array([s], dtype=complex))[0]
+            val = profiles._bump_df_unrefused(bump, complex(s))
             assert abs(val - ref) <= 1e-14 * max(abs(ref), 1e-300)
 
     def test_bump_shape_constants(self):
@@ -209,3 +212,139 @@ class TestCompatibility:
     def test_negative_kappa_rejected(self, std_maxwellian):
         with pytest.raises(ValueError):
             compatibility_alpha(std_maxwellian, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursive profile tree that the flat mixture replaced, a
+# 'maxwellian', 'bump_on_tail' (base, eps, eta, c_star) or 'sum' (parts) node
+# ---------------------------------------------------------------------------
+
+def tree_maxwellian(mass=1.0, drift=0.0, width=1.0, strip_halfwidth=0.0):
+    return SimpleNamespace(kind="maxwellian", mass=mass, drift=drift, width=width,
+                           strip=strip_halfwidth or 0.5 * width)
+
+
+def tree_bump(base, eps, eta, c_star):
+    return SimpleNamespace(kind="bump_on_tail", base=base, eps=eps, eta=eta,
+                           c_star=c_star, strip=min(base.strip, 0.5 * eta))
+
+
+def tree_sum(*parts):
+    return SimpleNamespace(kind="sum", parts=parts, strip=min(p.strip for p in parts))
+
+
+def tree_f(t, v):
+    if t.kind == "maxwellian":
+        z = (v - t.drift) / t.width
+        return t.mass / (SQRT_2PI * t.width) * np.exp(-0.5 * z * z)
+    if t.kind == "bump_on_tail":
+        c, _, _ = profiles._bump_constants()
+        amp = t.eps * tree_moment(t.base, 0) / t.eta
+        return ((1.0 - t.eps) * tree_f(t.base, v)
+                + amp * c * profiles._bump_raw((v - t.c_star) / t.eta))
+    return sum(tree_f(p, v) for p in t.parts)
+
+
+def tree_df(t, v):
+    if t.kind == "maxwellian":
+        return -(v - t.drift) / t.width**2 * tree_f(t, v)
+    if t.kind == "bump_on_tail":
+        c, _, _ = profiles._bump_constants()
+        scale = t.eps * tree_moment(t.base, 0) / t.eta**2 * c
+        return ((1.0 - t.eps) * tree_df(t.base, v)
+                + scale * profiles._bump_raw_deriv((v - t.c_star) / t.eta))
+    return sum(tree_df(p, v) for p in t.parts)
+
+
+def tree_moment(t, order):
+    if t.kind == "maxwellian":
+        return t.mass * (1.0 if order == 0 else t.width**2 + t.drift**2)
+    if t.kind == "bump_on_tail":
+        _, m1, m2 = profiles._bump_constants()
+        c, eta = t.c_star, t.eta
+        bump = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
+        return ((1.0 - t.eps) * tree_moment(t.base, order)
+                + t.eps * tree_moment(t.base, 0) * bump)
+    return sum(tree_moment(p, order) for p in t.parts)
+
+
+def tree_support(t):
+    if t.kind == "maxwellian":
+        return (t.drift - 10.0 * t.width, t.drift + 10.0 * t.width)
+    if t.kind == "bump_on_tail":
+        lo, hi = tree_support(t.base)
+        return (min(lo, t.c_star - 5.0 * t.eta), max(hi, t.c_star + 5.0 * t.eta))
+    los, his = zip(*(tree_support(p) for p in t.parts))
+    return (min(los), max(his))
+
+
+def tree_scale(t):
+    if t.kind == "maxwellian":
+        return t.width
+    if t.kind == "bump_on_tail":
+        return min(tree_scale(t.base), 0.5 * t.eta)
+    return min(tree_scale(p) for p in t.parts)
+
+
+def tree_breakpoints(t):
+    if t.kind == "maxwellian":
+        return ()
+    if t.kind == "bump_on_tail":
+        lo, hi = t.c_star - t.eta, t.c_star + t.eta
+        hs = [t.eta * 2.0 ** (-j) for j in range(1, 9)]
+        own = tuple(sorted([lo, hi, *(lo + h for h in hs), *(hi - h for h in hs)]))
+        return own + tree_breakpoints(t.base)
+    return sum((tree_breakpoints(p) for p in t.parts), ())
+
+
+# name: (single-level, the profile from constructors mx, bump and add)
+TREE_CASES = {
+    "maxwellian": (True, lambda mx, bump, add: mx()),
+    "declared strip": (True, lambda mx, bump, add: mx(0.7, 0.4, 0.8, 0.15)),
+    "two-stream": (True, lambda mx, bump, add: add(mx(0.5, -2.0, 0.6),
+                                                   mx(0.5, 2.0, 0.6))),
+    "bump": (True, lambda mx, bump, add: bump(mx(), 0.05, 0.5, 5.0)),
+    "narrow-base bump": (True, lambda mx, bump, add: bump(mx(width=0.2), 0.05, 5.0,
+                                                          5.0)),
+    "bump on two-stream": (False, lambda mx, bump, add: bump(
+        add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6)), 0.05, 0.5, 4.0)),
+    "bump on a bump": (False, lambda mx, bump, add: bump(bump(mx(), 0.05, 0.5, 5.0),
+                                                         0.1, 0.3, 3.0)),
+    "sum holding a bump": (False, lambda mx, bump, add: add(
+        bump(mx(0.6), 0.05, 0.5, 5.0), mx(0.4, -1.0, 0.7))),
+}
+
+
+class TestAgainstTree:
+    def test_six_fields(self):
+        assert len(dataclasses.fields(profiles.VelocityProfile)) == 6
+
+    @pytest.mark.parametrize("name", TREE_CASES)
+    def test_flat_mixture_matches_tree(self, name):
+        single, build = TREE_CASES[name]
+        flat = build(maxwellian, make_bump_on_tail, profile_sum)
+        tree = build(tree_maxwellian, tree_bump, tree_sum)
+        assert flat.strip_halfwidth == tree.strip
+        assert profiles.support_bounds(flat) == tree_support(tree)
+        assert profiles.resolution_scale(flat) == tree_scale(tree)
+        breakpoints = profiles.analyticity_breakpoints(flat)
+        if single:
+            assert breakpoints == tree_breakpoints(tree)
+        else:
+            assert breakpoints == tuple(sorted(set(tree_breakpoints(tree))))
+
+        def agree(new, old):
+            if single:
+                return np.array_equal(new, old)
+            return np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))
+
+        for order in (0, 2):
+            assert agree(moment(flat, order), tree_moment(tree, order))
+        # the public kernels on the real axis, the raw ones inside the strip
+        x = np.linspace(-8.0, 8.0, 161)
+        z = np.concatenate([x + 1j * f * flat.strip_halfwidth
+                            for f in (0.9, 0.3, -0.3, -0.9)])
+        assert agree(eval_f(flat, x), tree_f(tree, x.astype(complex)))
+        assert agree(eval_df(flat, x), tree_df(tree, x.astype(complex)))
+        assert agree(profiles._eval_raw(flat, z, df=False), tree_f(tree, z))
+        assert agree(profiles._eval_raw(flat, z, df=True), tree_df(tree, z))

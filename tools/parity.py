@@ -17,6 +17,15 @@ the NEW results lie from the OLD ones:
   times and the overflow flag must match exactly; tau, u, kinetic L^2 and the
   final f are reported as max |new - old| / max |old|, the fitted rate as a
   relative difference.
+- Profiles: eight profiles built by the public constructors (a Maxwellian, one
+  with a declared strip, a two-stream sum, a bump, a bump on a narrow base, a
+  bump on a two-stream sum, a bump on a bump, and a sum holding a bump): f and
+  f' on a real grid (one array call) and inside the strip (point by point, at
+  +-0.3 and +-0.9 of the strip halfwidth), moments 0 and 2, support bounds,
+  strip halfwidth, resolution scale and the set of breakpoints. The first five
+  (single-level) must match exactly, exceptions by type; for the nested three
+  the largest differences |new - old| / max |old| are printed, with the number
+  of strip points that only one tree refuses.
 - Root counts: `count_roots` on the verdict box of each of the three
   profiles, on boxes with a Maxwellian or bump root within 1e-3 of an edge
   (inside and outside), and on boxes that straddle the sigma = 0 pole. The
@@ -69,6 +78,40 @@ for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3)
         except Exception as e:
             arrays.append([name, im, type(e).__name__])
 print(json.dumps([out, arrays]))
+'''
+
+PROFILES = r'''
+import json, numpy as np
+from spraywaves import profiles as p
+mx, bump, add = p.maxwellian, p.make_bump_on_tail, p.profile_sum
+cases = [("maxwellian", True, mx()), ("declared strip", True, mx(0.7, 0.4, 0.8, 0.15)),
+         ("two-stream", True, add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6))),
+         ("bump", True, bump(mx(), 0.05, 0.5, 5.0)),
+         ("narrow-base bump", True, bump(mx(width=0.2), 0.05, 5.0, 5.0)),
+         ("bump on two-stream", False,
+          bump(add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6)), 0.05, 0.5, 4.0)),
+         ("bump on a bump", False, bump(bump(mx(), 0.05, 0.5, 5.0), 0.1, 0.3, 3.0)),
+         ("sum holding a bump", False, add(bump(mx(0.6), 0.05, 0.5, 5.0),
+                                           mx(0.4, -1.0, 0.7)))]
+x = np.linspace(-8.0, 8.0, 161)
+out = []
+for name, single, prof in cases:
+    strip = prof.strip_halfwidth
+    values = {}
+    for label, func in (("f", p.eval_f), ("df", p.eval_df)):
+        axis = func(prof, x)
+        values[label] = [[v.real, v.imag] for v in axis.tolist()]
+        for frac in (0.9, 0.3, -0.3, -0.9):
+            for re in x.tolist():
+                try:
+                    v = func(prof, complex(re, frac * strip))
+                    values[label].append([v.real, v.imag])
+                except Exception as e:
+                    values[label].append(type(e).__name__)
+    out.append([name, single, values, [p.moment(prof, 0), p.moment(prof, 2)],
+                list(p.support_bounds(prof)), strip, p.resolution_scale(prof),
+                sorted(set(p.analyticity_breakpoints(prof)))])
+print(json.dumps(out))
 '''
 
 COUNTS = r'''
@@ -188,6 +231,29 @@ def d_parity(old_src: str, new_src: str) -> None:
           f"{worst_array:.1e}")
 
 
+def profile_parity(old_src: str, new_src: str) -> None:
+    old, new = (json.loads(run(PROFILES, src)) for src in (old_src, new_src))
+    for a, b in zip(old, new):
+        name, single = a[:2]
+        if single:
+            assert json.dumps(a) == json.dumps(b), name     # bit for bit
+            print(f"profile {name:18s} identical")
+            continue
+        assert a[4:] == b[4:], name              # support, strip, scale, breakpoints
+        sizes, refused = [], 0
+        for label in ("f", "df"):
+            pairs = list(zip(a[2][label], b[2][label]))
+            refused += sum(isinstance(u, str) != isinstance(v, str) for u, v in pairs)
+            both = [(complex(*u), complex(*v)) for u, v in pairs
+                    if not isinstance(u, str) and not isinstance(v, str)]
+            top = max(abs(u) for u, _ in both)
+            sizes.append(max(abs(v - u) for u, v in both) / top)
+        sizes += [abs(v - u) / abs(u) for u, v in zip(a[3], b[3])]
+        print(f"profile {name:18s} f {sizes[0]:.1e} df {sizes[1]:.1e} moment 0 "
+              f"{sizes[2]:.1e} moment 2 {sizes[3]:.1e}; {refused} strip points "
+              f"refused by one tree only")
+
+
 def count_parity(old_src: str, new_src: str) -> None:
     old, new = (json.loads(run(COUNTS, src)) for src in (old_src, new_src))
     for (label, a, calls_a), (_, b, calls_b) in zip(old, new):
@@ -278,6 +344,7 @@ if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     d_parity(*sys.argv[1:3])
+    profile_parity(*sys.argv[1:3])
     count_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
     artifact_parity(*sys.argv[1:3])
