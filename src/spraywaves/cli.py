@@ -252,8 +252,8 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
         profile, params = _read_spray(cfg)
         region = build_region(cfg.get("region"), params, profile)
         tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
-        if not 0.0 < tol < math.inf:
-            raise ConfigError(f"root_tolerance must be positive and finite, got {tol}")
+        if not 0.0 < tol <= 1e-3:
+            raise ConfigError(f"root_tolerance must lie in (0, 1e-3], got {tol}")
     reports = dispersion.find_roots(params, profile, region, tol=tol)
     return {"outputs": [_write_json(out_dir / "roots.json",
                                     [r.as_dict() for r in reports])],

@@ -10,8 +10,9 @@ where C[.] is the branch-correct continuation of the velocity integral from
 the upper half-plane (see `quadrature`). Zeros with Im sigma > 0 are unstable
 modes; zeros with Im sigma < 0 are decay rates of the continued function, not
 regular eigenvalues. Root counts are certified with argument-principle winding
-numbers over rectangles, then polished by Newton iteration on the continued
-(holomorphic) function.
+numbers over rectangles of sigma^2 D(sigma), which has the same zeros and no
+pole at sigma = 0; roots are polished by Newton iteration on the continued
+(holomorphic) D itself.
 """
 
 from __future__ import annotations
@@ -213,42 +214,33 @@ _SPLIT = 8                  # pieces an unresolved segment is cut into per level
 _EDGE_SAMPLES = 48          # initial samples per edge, the least with a feature scale
 
 
-def _winding_numbers(func, regions: list[SearchRegion],
-                     feature_scale: float | None = None) -> list[int]:
-    """Winding number of func around the boundary of each rectangle.
+def _winding_number(func, region: SearchRegion,
+                    feature_scale: float | None = None) -> int:
+    """Winding number of func around the boundary of the rectangle.
 
     Adaptive phase walk: a segment is cut into _SPLIT equal pieces until each
     step turns by less than _PHASE_STEP *and* the value magnitude changes by
     less than a factor of e, so a full 2 pi swing between samples cannot alias
     to a small principal-value step. The accumulated phase is then an exact
-    multiple of 2 pi up to float noise. The segments of all rectangles form one
-    flat walk, each tagged with its rectangle: ``func`` takes an ndarray of
-    points and is called once on all edge samples, then once per refinement
-    level on the _SPLIT - 1 inner points of every unresolved segment. Whether a
-    segment is resolved depends on its end values only, so each rectangle gets
-    the samples of its own depth-first walk, and its own `_MAX_BOUNDARY_EVALS`
-    cap. Raises BoundaryRoot when a zero (or a resolution limit) sits on a
-    contour, or any winding defect reaches 0.25.
+    multiple of 2 pi up to float noise. ``func`` takes an ndarray of points and
+    is called once on all edge samples, then once per refinement level on the
+    _SPLIT - 1 inner points of every unresolved segment; whether a segment is
+    resolved depends on its end values only, so the samples are those of a
+    depth-first walk. Raises BoundaryRoot when a zero (or a resolution limit)
+    sits on the contour, or the winding defect reaches 0.25.
     """
-    if not regions:
-        return []
-    a = np.array([r.corners for r in regions]).ravel()
-    b = np.roll(a.reshape(-1, 4), -1, axis=1).ravel()
-    n = np.full(a.size, _EDGE_SAMPLES)
+    a = np.array(region.corners)
+    b = np.roll(a, -1)
+    n = np.full(4, _EDGE_SAMPLES)
     if feature_scale is not None and feature_scale > 0:
         n = np.clip(np.ceil(abs(b - a) / feature_scale), _EDGE_SAMPLES, 1024).astype(int)
     # edge e holds the samples a_e + (b_e - a_e) k / n_e, k < n_e, in walk order
-    edge = np.repeat(np.arange(a.size), n)
-    t = (np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)) * (1.0 / n)[edge]
-    z1 = a[edge] + (b - a)[edge] * t
+    z1 = np.concatenate([a_e + (b_e - a_e) * (np.arange(n_e) * (1.0 / n_e))
+                         for a_e, b_e, n_e in zip(a, b, n)])
     v1 = func(z1)
-    # a segment ends at the next sample; the last one closes its rectangle's loop
-    evals = n.reshape(-1, 4).sum(axis=1)
-    ends = np.arange(1, z1.size + 1)
-    ends[np.cumsum(evals) - 1] -= evals
-    z2, v2 = z1[ends], v1[ends]
-    owner = edge // 4
-    phase = np.zeros(len(regions))
+    # a segment ends at the next sample; the last one closes the loop
+    z2, v2 = np.roll(z1, -1), np.roll(v1, -1)
+    evals, phase = z1.size, 0.0
     pieces = np.arange(1, _SPLIT) / _SPLIT
     while True:
         if np.abs(v1).min() < _MIN_BOUNDARY_MOD:
@@ -257,52 +249,42 @@ def _winding_numbers(func, regions: list[SearchRegion],
         ratio = np.abs(v2) / np.abs(v1)
         done = ((np.abs(dphi) <= _PHASE_STEP) & (1.0 / math.e <= ratio)
                 & (ratio <= math.e)) | (np.abs(z2 - z1) < 1e-13 * (1.0 + np.abs(z1)))
-        phase += np.bincount(owner[done], dphi[done], len(regions))
-        z1, v1, z2, v2, owner = (x[~done] for x in (z1, v1, z2, v2, owner))
+        phase += dphi[done].sum()
+        z1, v1, z2, v2 = (x[~done] for x in (z1, v1, z2, v2))
         if not z1.size:
             break
-        evals += (_SPLIT - 1) * np.bincount(owner, minlength=len(regions))
-        if evals.max() > _MAX_BOUNDARY_EVALS:
+        evals += (_SPLIT - 1) * z1.size
+        if evals > _MAX_BOUNDARY_EVALS:
             raise BoundaryRoot("phase walk did not resolve the contour")
         zm = z1[:, None] + (z2 - z1)[:, None] * pieces
         vm = func(zm.ravel()).reshape(zm.shape)
         z1, z2 = np.column_stack((z1, zm)).ravel(), np.column_stack((zm, z2)).ravel()
         v1, v2 = np.column_stack((v1, vm)).ravel(), np.column_stack((vm, v2)).ravel()
-        owner = np.repeat(owner, _SPLIT)
-    windings = phase / (2.0 * math.pi)
-    defect = float(np.abs(windings - np.round(windings)).max())
+    winding = phase / (2.0 * math.pi)
+    defect = abs(winding - round(winding))
     if defect >= _MAX_WINDING_DEFECT:
         raise BoundaryRoot(f"winding defect {defect:.3f} >= {_MAX_WINDING_DEFECT}")
-    return [int(round(w)) for w in windings]
+    return int(round(winding))
 
 
-def _split_at_pole(params: SprayParams, region: SearchRegion) -> list[SearchRegion]:
-    """Split the region so the sigma = 0 pole never lies inside or on a contour.
-
-    Only the square |Re sigma|, |Im sigma| <= g = 1e-3 c0 is cut out: the parts
-    left and right of it and the column above and below it stay, so roots on
-    the imaginary axis (purely growing or decaying modes) are still counted.
-    """
-    gap = 1e-3 * params.c0
-    r = region
-    if not (r.re_min < gap and r.re_max > -gap and r.im_min < gap and r.im_max > -gap):
-        return [region]
-    lo, hi = max(r.re_min, -gap), min(r.re_max, gap)
-    out = []
-    if r.re_min < -gap:
-        out.append(SearchRegion(r.re_min, -gap, r.im_min, r.im_max))
-    if r.re_max > gap:
-        out.append(SearchRegion(gap, r.re_max, r.im_min, r.im_max))
-    if r.im_max > gap:
-        out.append(SearchRegion(lo, hi, gap, r.im_max))
-    if r.im_min < -gap:
-        out.append(SearchRegion(lo, hi, r.im_min, -gap))
-    return out
+def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
+    """sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at a point
+    or elementwise over an ndarray: the zeros of D without its sigma = 0 pole
+    (the value there is -c0^2), for the root counts."""
+    # overflow raises, as it does in dispersion_value
+    with np.errstate(over="raise"):
+        base = sigma**2 - params.c0**2
+    if params.kappa == 0.0:
+        return base
+    check_compatibility(params, profile)
+    return base - params.coupling_prefactor * sigma * quadrature.cauchy_transform(
+        profile, (0.0, 1.0), sigma)
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
                 *, max_dilations: int = 3) -> int:
-    """Certified number of dispersion zeros (with multiplicity) inside the region.
+    """Certified number of dispersion zeros (with multiplicity) inside the region,
+    counted as the winding number of the pole-free sigma^2 D(sigma).
 
     A zero too close to the contour triggers up to `max_dilations` 1% dilations
     before BoundaryRoot propagates (bisection passes 0 to keep sub-counts
@@ -313,15 +295,12 @@ def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchReg
     # below the axis is checked
     if region.im_min < 0.0 and region.im_reach > strip:
         raise StripViolation("search region exceeds the profile analyticity strip")
-    func = lambda z: dispersion_value(params, profile, z)
+    func = lambda z: _pole_free(params, profile, z)
     scale = 0.5 * min(params.c0, profile.width, strip)
     current = region
     for attempt in range(max_dilations + 1):
         try:
-            # re-split after every dilation so a grown edge cannot cross the
-            # sigma = 0 pole; the parts are walked together
-            return sum(_winding_numbers(func, _split_at_pole(params, current),
-                                        feature_scale=scale))
+            return _winding_number(func, current, feature_scale=scale)
         except BoundaryRoot:
             if attempt == max_dilations:
                 raise
@@ -361,8 +340,8 @@ def _seeded_root(func, seed: complex, tol: float, trust_radius: float, floor: fl
     count is the report's winding evidence, for the caller to check."""
     z, iters = _newton(func, seed, tol, trust_radius=trust_radius)
     half = max(floor, spread * abs(z.imag))
-    evidence, = _winding_numbers(func, [SearchRegion(z.real - half, z.real + half,
-                                                     z.imag - half, z.imag + half)])
+    evidence = _winding_number(func, SearchRegion(z.real - half, z.real + half,
+                                                  z.imag - half, z.imag + half))
     return RootReport(sigma=z, residual=abs(func(z)),
                       branch=quadrature.classify_branch(z), winding_evidence=evidence,
                       newton_iters=iters)
@@ -396,7 +375,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     def recurse(reg: SearchRegion, count: int | None = None, depth: int = 0):
         n = count_roots(params, profile, reg) if count is None else count
         if n < 0:
-            raise NonConvergence("negative winding count: pole inside search region")
+            raise NonConvergence("negative winding count: phase walk fault")
         if n == 0:
             return
         diam = max(reg.re_max - reg.re_min, reg.im_max - reg.im_min)
@@ -532,8 +511,9 @@ def spectral_verdict(params: SprayParams, profile: VelocityProfile,
     count runs on `verdict_region`, which holds every zero with Im sigma >= 1e-6."""
     if region is None:
         region = verdict_region(params, profile)
-    upper = replace(region, im_min=max(region.im_min, 1e-6))
-    if count_roots(params, profile, upper) >= 1:
+    # a region reaching no higher than Im sigma = 1e-6 holds no upper zero
+    if region.im_max > 1e-6 and count_roots(
+            params, profile, replace(region, im_min=max(region.im_min, 1e-6))) >= 1:
         return UNSTABLE
     if params.kappa == 0.0:
         return NEUTRAL

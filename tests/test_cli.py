@@ -150,7 +150,7 @@ class TestExitCodes:
         ("landau-compare", "maxwellian-stable", {"landau": {"k_values": [0, 1]}}),
         ("roots", "bump-unstable", {"profile": {"c_star": 1e16}}),   # the same
         ("simulate", "maxwellian-stable", {"sim": {"dt": math.nan}}),
-        # non-finite numbers, and a root tolerance that is not positive
+        # non-finite numbers, and a root tolerance that is not in (0, 1e-3]
         ("roots", "maxwellian-stable", {"region": {"re_max": math.inf}}),
         ("roots", "bump-unstable", {"region": {"im_max": math.inf}}),
         ("simulate", "bump-unstable", {"region": {"re_min": -math.inf}}),
@@ -160,6 +160,8 @@ class TestExitCodes:
         ("landau-compare", "maxwellian-stable", {"landau": {"im_sigma": math.nan}}),
         ("roots", "maxwellian-stable", {"root_tolerance": math.nan}),
         ("roots", "maxwellian-stable", {"root_tolerance": -1}),
+        ("roots", "maxwellian-stable", {"root_tolerance": 1e300}),
+        ("roots", "maxwellian-stable", {"root_tolerance": 0.01}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

@@ -159,15 +159,16 @@ class TestRootCounting:
             count_roots(acoustic_params, std_maxwellian,
                         SearchRegion(0.5, 1.5, -0.1, 1.0))
 
-    def test_empty_split_counts_zero(self, acoustic_params, std_maxwellian):
-        # a box inside the square cut out around the pole leaves no rectangle
+    def test_box_beside_the_pole_counts_zero(self, acoustic_params, std_maxwellian):
+        # a box within 1e-3 c0 of sigma = 0, where |D| ~ c0^2/|sigma|^2 is huge:
+        # the counted sigma^2 D(sigma) is -c0^2 there
         region = SearchRegion(-5e-4, 5e-4, 1e-4, 5e-4)
-        assert dispersion._split_at_pole(acoustic_params, region) == []
         assert count_roots(acoustic_params, std_maxwellian, region) == 0
 
     def test_pole_respected_after_dilation(self, acoustic_params, std_maxwellian):
-        # the region edge sits just right of the pole gap; 1% dilations (from a
-        # boundary root at +c0) must not cross sigma = 0
+        # the left edge sits 1.1e-3 c0 right of sigma = 0; the 1% dilations set
+        # off by the boundary root at +c0 carry it across sigma = 0, where the
+        # counted sigma^2 D(sigma) has no pole
         region = SearchRegion(1.1e-3, 1.0, -0.05, 0.05)
         n = count_roots(acoustic_params, std_maxwellian, region)
         assert n in (0, 1)
@@ -325,6 +326,13 @@ class TestSpectralVerdict:
     def test_decoupled_neutral(self, acoustic_params, std_maxwellian):
         assert spectral_verdict(acoustic_params, std_maxwellian) == "neutral"
 
+    def test_region_without_upper_part(self, maxwellian_params, std_maxwellian):
+        # nothing of the box lies above Im sigma = 1e-6, so it holds no upper
+        # zero: the count is skipped and the thin-spray rates decide
+        for im_max in (0.0, 1e-6):
+            region = SearchRegion(-2.0, 2.0, -0.1, im_max)
+            assert spectral_verdict(maxwellian_params, std_maxwellian, region) == "stable"
+
     @pytest.mark.parametrize("case", ["bump_strong", "bump_narrow", "two_stream"])
     def test_roots_above_half_the_strip_unstable(self, case):
         # read 'stable', 'neutral' and 'neutral' on a box capped at half the strip
@@ -361,8 +369,9 @@ class TestSpectralVerdict:
 
 
 class TestPurelyGrowingRoots:
-    """Roots on the imaginary axis: the sigma = 0 pole cut-out must not hide
-    them. Symmetric two-stream maxwellian(0.5, +-1, 0.3), c0 = 1, kappa = 0.95."""
+    """Roots on the imaginary axis, above the sigma = 0 pole of D: the pole-free
+    sigma^2 D(sigma) that the counts walk keeps them in view. Symmetric
+    two-stream maxwellian(0.5, +-1, 0.3), c0 = 1, kappa = 0.95."""
 
     PARTS = [(0.5, -1.0, 0.3), (0.5, 1.0, 0.3)]
     KAPPA = 0.95
@@ -478,7 +487,7 @@ class TestArrayDispersion:
 
 def depth_first_winding(func, region, n0=48, feature_scale=None,
                         split=dispersion._SPLIT):
-    """The one-point-at-a-time depth-first phase walk that `_winding_numbers`
+    """The one-point-at-a-time depth-first phase walk that `_winding_number`
     evaluates by levels, each unresolved segment cut into `split` equal pieces:
     (winding number, every point sampled, levels), where levels is one for the
     edge samples plus the deepest refinement."""
@@ -540,7 +549,7 @@ class TestWindingWalk:
 
     def test_refinement_near_edge_zeros_gives_known_count(self):
         walk = Recorder(self.func)
-        assert dispersion._winding_numbers(walk, [self.REGION]) == [1]
+        assert dispersion._winding_number(walk, self.REGION) == 1
         count, sampled, levels = depth_first_winding(self.func, self.REGION)
         assert count == 1
         # the edge samples, then one call per refinement level
@@ -554,40 +563,54 @@ class TestWindingWalk:
         region = SearchRegion(-7.0, 7.0, 1e-6, 0.12)
         func = lambda z: dispersion_value(bump_params, bump_profile, z)
         walk = Recorder(func)
-        assert dispersion._winding_numbers(walk, [region], feature_scale=0.06) == [1]
+        assert dispersion._winding_number(walk, region, feature_scale=0.06) == 1
         count, sampled, levels = depth_first_winding(func, region, feature_scale=0.06)
         assert count == 1
         assert walk.calls == levels > 1
         assert len(walk.points) == len(sampled)
         assert set(walk.points) == set(sampled)
 
-    def test_pole_split_parts_walked_together(self):
-        # a `roots.maxwellian`-type box straddles the pole: its four parts get
-        # the samples and counts of their own depth-first walks, from one call
-        # per refinement level (2 calls, against 6 for the parts one by one)
-        profile = profiles.maxwellian(drift=0.233843, width=1.01143)
-        params = make_params(profile, c0=1.22036, rho0=1.0, kappa=0.0193477)
-        parts = dispersion._split_at_pole(params, SearchRegion(-2.254203, 2.254203,
-                                                               -0.05, 0.02))
-        scale = 0.5 * min(params.c0, profile.width, profile.strip_halfwidth)
-        func = lambda z: dispersion_value(params, profile, z)
-        walk = Recorder(func)
-        counts = dispersion._winding_numbers(walk, parts, feature_scale=scale)
-        assert len(parts) == 4 and sum(counts) == 2
-        sampled, calls = [], []
-        for part, count in zip(parts, counts):
-            alone = Recorder(func)
-            assert dispersion._winding_numbers(alone, [part],
-                                               feature_scale=scale) == [count]
-            want, points, levels = depth_first_winding(func, part, feature_scale=scale)
-            assert want == count and alone.calls == levels
-            assert sorted(alone.points, key=lambda z: (z.real, z.imag)) == \
-                sorted(points, key=lambda z: (z.real, z.imag))
-            sampled += points
-            calls.append(alone.calls)
-        assert sorted(walk.points, key=lambda z: (z.real, z.imag)) == \
-            sorted(sampled, key=lambda z: (z.real, z.imag))
-        assert walk.calls == max(calls) < sum(calls)
+    @staticmethod
+    def split_at_pole(params, region):
+        """The rectangles left of a region once the square |Re sigma|, |Im sigma|
+        <= 1e-3 c0 around the pole of D is cut out (none, one, or up to four)."""
+        gap, r = 1e-3 * params.c0, region
+        if not (r.re_min < gap and r.re_max > -gap and r.im_min < gap and r.im_max > -gap):
+            return [region]
+        lo, hi = max(r.re_min, -gap), min(r.re_max, gap)
+        parts = [(r.re_min, -gap, r.im_min, r.im_max), (gap, r.re_max, r.im_min, r.im_max),
+                 (lo, hi, gap, r.im_max), (lo, hi, r.im_min, -gap)]
+        return [SearchRegion(*p) for p in parts if p[0] < p[1] and p[2] < p[3]]
+
+    def test_counts_match_walks_of_d_around_the_pole(self):
+        # the count of sigma^2 D(sigma) over the whole box equals the summed
+        # depth-first windings of D itself over the parts left by cutting the
+        # pole square out: on random boxes around sigma = 0, on boxes with an
+        # edge through it, and on a box inside the square (no parts, count 0)
+        mx = profiles.maxwellian(drift=0.233843, width=1.01143)
+        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3,
+                                                             strip_halfwidth=4.0)
+                                         for d in (-1.0, 1.0)))
+        sprays = [(make_params(mx, c0=1.22036, rho0=1.0, kappa=0.0193477), mx),
+                  (make_params(growing, c0=1.0, rho0=1.0, kappa=0.95), growing)]
+        rng = np.random.default_rng(19)
+        boxes = [SearchRegion(*rng.uniform((-3.0, 0.5, -0.2, 0.01),
+                                           (-0.5, 3.0, -0.01, 0.8))) for _ in range(3)]
+        boxes += [SearchRegion(0.0, 2.0, -0.05, 0.05), SearchRegion(-2.0, 2.0, 0.0, 0.8),
+                  SearchRegion(-2.0, 0.0, -0.1, 0.2), SearchRegion(-2.0, 2.0, -0.1, 0.0),
+                  SearchRegion(-5e-4, 5e-4, -2e-4, 5e-4)]
+        counts = []
+        for params, profile in sprays:
+            scale = 0.5 * min(params.c0, profile.width, profile.strip_halfwidth)
+            func = lambda z: dispersion_value(params, profile, z)
+            for box in boxes:
+                want = sum(depth_first_winding(func, part, feature_scale=scale)[0]
+                           for part in self.split_at_pole(params, box))
+                assert count_roots(params, profile, box) == want, box
+                counts.append(want)
+        # the Maxwellian pair below the axis, the two-stream pair on the
+        # imaginary axis above it, and nothing in the pole square
+        assert counts == [2, 2, 2, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2, 0, 0, 0]
 
     def test_counts_match_two_way_walk_near_edges(self):
         # zeros within 1e-3 of an edge, inside or outside: the 2-way depth-first
@@ -609,7 +632,7 @@ class TestWindingWalk:
                 return out
 
             walk = Recorder(poly)
-            (count,) = dispersion._winding_numbers(walk, [region])
+            count = dispersion._winding_number(walk, region)
             want, _, levels = depth_first_winding(poly, region, split=2)
             assert count == want == sum(region.contains(r) for r in zeros)
             assert walk.calls < levels
@@ -621,24 +644,18 @@ class TestWindingWalk:
         profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.3, 5.0)
         params = make_params(profile, c0=5.0, rho0=1.0, kappa=0.2)
         region = dispersion.verdict_region(params, profile)
-        calls = []
-        monkeypatch.setattr(dispersion, "dispersion_value",
-                            lambda p, f, z: calls.append(z) or dispersion_value(p, f, z))
+        calls, pole_free = [], dispersion._pole_free
+        monkeypatch.setattr(dispersion, "_pole_free",
+                            lambda p, f, z: calls.append(z) or pole_free(p, f, z))
         assert count_roots(params, profile, region) == 1
         assert len(calls) <= 8
-
-    def test_no_rectangles_no_calls(self):
-        def refuse(z):
-            raise AssertionError("called")
-
-        assert dispersion._winding_numbers(refuse, []) == []
 
     def test_zero_on_the_contour_and_eval_cap(self, monkeypatch):
         on_edge = lambda z: (z - 1.0) * (z - (1.0 + 0.5j))
         with pytest.raises(BoundaryRoot):
-            dispersion._winding_numbers(on_edge, [self.REGION])
+            dispersion._winding_number(on_edge, self.REGION)
         walk = Recorder(self.func)
-        dispersion._winding_numbers(walk, [self.REGION])
+        dispersion._winding_number(walk, self.REGION)
         monkeypatch.setattr(dispersion, "_MAX_BOUNDARY_EVALS", len(walk.points) - 1)
         with pytest.raises(BoundaryRoot, match="did not resolve"):
-            dispersion._winding_numbers(self.func, [self.REGION])
+            dispersion._winding_number(self.func, self.REGION)

@@ -28,9 +28,11 @@ the NEW results lie from the OLD ones:
   of strip points that only one tree refuses.
 - Root counts: `count_roots` on the verdict box of each of the three
   profiles, on boxes with a Maxwellian or bump root within 1e-3 of an edge
-  (inside and outside), and on boxes that straddle the sigma = 0 pole. The
-  counts (or the exception type) must match exactly; the D(sigma) calls of
-  each count are printed for OLD and NEW.
+  (inside and outside), on boxes that straddle sigma = 0, on one with an edge
+  through sigma = 0 and on one inside the square |Re sigma|, |Im sigma| <=
+  1e-3 c0. The counts (or the exception type) must match exactly; the sigma
+  samples of each count (the points passed to quadrature.cauchy_transform,
+  which every evaluation goes through) are printed for OLD and NEW.
 - Artifacts of the 11 bundled command x scenario pairs, each run by the CLI
   in a fresh interpreter: the file lists, each artifact's bytes and
   manifest.json without its timestamp are compared exactly. For each
@@ -116,7 +118,8 @@ print(json.dumps(out))
 
 COUNTS = r'''
 import json
-from spraywaves import dispersion as d, profiles as p
+import numpy as np
+from spraywaves import dispersion as d, profiles as p, quadrature as q
 from spraywaves.dispersion import SearchRegion as Box
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
@@ -138,20 +141,22 @@ boxes += [("mx root 7e-4 in from the left, 4e-4 up from the bottom", "mx",
           ("bump root 9e-4 above the box", "bump",
            Box(4.5, 5.5, 0.01, bumpr.imag - 9e-4)),
           ("mx box around the pole", "mx", Box(-2.0, 2.0, -0.05, 0.02)),
-          ("ts box around the pole", "ts", Box(-1.0, 1.0, -0.1, 0.1))]
-value, calls, out = d.dispersion_value, [0], []
-def counted(*args):
-    calls[0] += 1
-    return value(*args)
-d.dispersion_value = counted
+          ("ts box around the pole", "ts", Box(-1.0, 1.0, -0.1, 0.1)),
+          ("mx box with an edge through 0", "mx", Box(0.0, 2.0, -0.05, 0.02)),
+          ("mx box inside the pole square", "mx", Box(-5e-4, 5e-4, -2e-4, 5e-4))]
+transform, samples, out = q.cauchy_transform, [0], []
+def counted(profile, weight, sigma):
+    samples[0] += np.size(sigma)
+    return transform(profile, weight, sigma)
+q.cauchy_transform = counted
 for label, name, box in boxes:
     prof, params = prm[name]
-    calls[0] = 0
+    samples[0] = 0
     try:
         result = d.count_roots(params, prof, box)
     except Exception as e:
         result = type(e).__name__
-    out.append([label, result, calls[0]])
+    out.append([label, result, samples[0]])
 print(json.dumps(out))
 '''
 
@@ -256,9 +261,9 @@ def profile_parity(old_src: str, new_src: str) -> None:
 
 def count_parity(old_src: str, new_src: str) -> None:
     old, new = (json.loads(run(COUNTS, src)) for src in (old_src, new_src))
-    for (label, a, calls_a), (_, b, calls_b) in zip(old, new):
+    for (label, a, samples_a), (_, b, samples_b) in zip(old, new):
         assert a == b, (label, a, b)             # identical counts or exceptions
-        print(f"count {a!s:>2} on {label}: D(sigma) calls {calls_a} -> {calls_b}")
+        print(f"count {a!s:>2} on {label}: sigma samples {samples_a} -> {samples_b}")
 
 
 def trajectory_parity(old_src: str, new_src: str) -> None:
