@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from . import errors
 from .dispersion import (RootReport, SearchRegion, SprayParams, count_roots,
-                         dispersion_parts, dispersion_value, find_roots,
-                         landau_dispersion, make_params, spectral_verdict,
-                         thin_spray_expansion)
+                         dispersion_value, find_roots, landau_dispersion,
+                         make_params, spectral_verdict, thin_spray_expansion)
 from .hyperbolic import (ModeVerdict, ScalarCoupling, SystemCoupling,
                          imag_derivative_at_zero, scalar_dispersion,
                          scalar_imag_leading, scalar_root, secular_function,
@@ -17,17 +16,15 @@ from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
                       sobolev_scaling_experiment)
 from .profiles import (VelocityProfile, compatibility_alpha, eval_df, eval_f,
                        make_bump_on_tail, maxwellian, moment, profile_sum)
-from .quadrature import (Branch, cauchy_transform, classify_branch,
-                         resonance_integral)
+from .quadrature import Branch, cauchy_transform, classify_branch
 
 __all__ = [
     "__version__", "errors",
     "VelocityProfile", "maxwellian", "make_bump_on_tail", "profile_sum",
     "eval_f", "eval_df", "moment", "compatibility_alpha",
     "Branch", "classify_branch", "cauchy_transform",
-    "resonance_integral",
     "SprayParams", "SearchRegion", "RootReport", "make_params",
-    "dispersion_value", "dispersion_parts", "landau_dispersion",
+    "dispersion_value", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",
     "ScalarCoupling", "SystemCoupling", "ModeVerdict", "scalar_dispersion",
     "scalar_root", "scalar_imag_leading", "symmetric_eigen", "secular_function",

@@ -115,11 +115,13 @@ def build_profile(d: dict) -> VelocityProfile:
 
 def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
     c0, rho0 = float(d["c0"]), float(d["rho0"])
-    kappa, u0 = float(d.get("kappa", 0.0)), float(d.get("u0", 0.0))
+    kappa = float(d.get("kappa", 0.0))
+    # the model is linearized in the fluid's rest frame: a drift goes in the profile
+    if float(d.get("u0", 0.0)) != 0.0:
+        raise ValueError(f"u0 must be 0 (drift the profile instead), got {d['u0']!r}")
     if "alpha0" not in d:
-        return dispersion.make_params(profile, c0=c0, rho0=rho0, kappa=kappa, u0=u0)
-    params = SprayParams(c0=c0, rho0=rho0, kappa=kappa, alpha0=float(d["alpha0"]),
-                         u0=u0)
+        return dispersion.make_params(profile, c0=c0, rho0=rho0, kappa=kappa)
+    params = SprayParams(c0=c0, rho0=rho0, kappa=kappa, alpha0=float(d["alpha0"]))
     dispersion.check_compatibility(params, profile)
     return params
 

@@ -49,7 +49,6 @@ class SprayParams:
     rho0: float
     kappa: float
     alpha0: float
-    u0: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.c0 < math.inf and 0 < self.rho0 < math.inf):
@@ -65,10 +64,10 @@ class SprayParams:
 
 
 def make_params(profile: VelocityProfile, c0: float, rho0: float,
-                kappa: float, u0: float = 0.0) -> SprayParams:
+                kappa: float) -> SprayParams:
     """SprayParams with alpha0 fixed by the volume-fraction compatibility condition."""
     return SprayParams(c0=c0, rho0=rho0, kappa=kappa,
-                       alpha0=profiles.compatibility_alpha(profile, kappa), u0=u0)
+                       alpha0=profiles.compatibility_alpha(profile, kappa))
 
 
 def check_compatibility(params: SprayParams, profile: VelocityProfile) -> None:
@@ -140,9 +139,18 @@ class RootReport:
                                    else "eigenvalue")}
 
 
+def _coupling(params: SprayParams, profile: VelocityProfile, sigma):
+    """C[v f'](sigma) = continued int v f'(v)/(v - sigma) dv, the spray term of D
+    and of sigma^2 D, after the compatibility check; None at kappa = 0."""
+    if params.kappa == 0.0:
+        return None
+    check_compatibility(params, profile)
+    return quadrature.cauchy_transform(profile, (0.0, 1.0), sigma)
+
+
 def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
     """Branch-correct dispersion function at complex sigma, or elementwise over
-    an ndarray of sigma (ZeroSigma if any point is within the pole radius).
+    an ndarray of sigma (ZeroSigma if any point is within POLE_RADIUS c0 of 0).
 
     The continuation term carries the same kappa rho0 c0^2 / alpha0 prefactor
     as the principal-value term (exact holomorphic continuation).
@@ -162,25 +170,8 @@ def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
             base = 1.0 - params.c0**2 / sigma**2
     else:
         base = 1.0 - params.c0**2 / sigma**2
-    if params.kappa == 0.0:
-        return base
-    check_compatibility(params, profile)
-    return base - params.coupling_prefactor * quadrature.resonance_integral(
-        profile, sigma)
-
-
-def dispersion_parts(params: SprayParams, profile: VelocityProfile,
-                     sigma: float) -> tuple[float, float]:
-    """(real, imaginary) split of the on-axis dispersion function.
-
-    On the axis the continuation is the principal value plus the residue
-    i pi sigma f'(sigma), so the imaginary part is -pi * pref * f'(sigma).
-    """
-    sig = complex(sigma)
-    if abs(sig.imag) > quadrature.AXIS_TOLERANCE:
-        raise ValueError("dispersion_parts requires a real sigma")
-    val = dispersion_value(params, profile, sig.real)
-    return float(val.real), float(val.imag)
+    c = _coupling(params, profile, sigma)
+    return base if c is None else base - params.coupling_prefactor * (c / sigma)
 
 
 def landau_dispersion(profile: VelocityProfile, k: float, omega):
@@ -274,11 +265,8 @@ def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
     # overflow raises, as it does in dispersion_value
     with np.errstate(over="raise"):
         base = sigma**2 - params.c0**2
-    if params.kappa == 0.0:
-        return base
-    check_compatibility(params, profile)
-    return base - params.coupling_prefactor * sigma * quadrature.cauchy_transform(
-        profile, (0.0, 1.0), sigma)
+    c = _coupling(params, profile, sigma)
+    return base if c is None else base - params.coupling_prefactor * sigma * c
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
@@ -363,14 +351,17 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     newton_box = 0.1 * params.c0
     roots: list[tuple[complex, int, int]] = []
 
-    def polish(reg: SearchRegion, n: int) -> None:
-        found: list[complex] = []
+    def polish(reg: SearchRegion, n: int, trust_radius: float) -> None:
+        found: list[tuple[complex, int, int]] = []
         target = func
         for _ in range(n):
-            z, iters = _newton(target, reg.center, tol, trust_radius=5.0 * reg.diameter)
-            found.append(z)
-            roots.append((z, n, iters))
-            target = lambda s, _z=tuple(found): func(s) / np.prod([s - r for r in _z])
+            z, iters = _newton(target, reg.center, tol, trust_radius=trust_radius)
+            if not reg.contains(z):       # a root the count did not certify
+                raise NonConvergence("Newton converged outside its rectangle")
+            found.append((z, n, iters))
+            target = lambda s, _z=tuple(r for r, *_ in found): (
+                func(s) / np.prod([s - r for r in _z]))
+        roots.extend(found)       # all or nothing: a failed polish bisects
 
     def recurse(reg: SearchRegion, count: int | None = None, depth: int = 0):
         n = count_roots(params, profile, reg) if count is None else count
@@ -379,24 +370,17 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
         if n == 0:
             return
         diam = max(reg.re_max - reg.re_min, reg.im_max - reg.im_min)
-        if diam <= newton_box or diam <= subdiv_floor or depth > 40:
-            # small enough for Newton to start inside the local basin
+        small = diam <= newton_box or diam <= subdiv_floor or depth > 40
+        if small or n == 1:
+            # a small box is Newton's local basin, and in a larger one the count
+            # certifies the one root; a failure (a centre on the pole, an iterate
+            # beyond the strip, say) bisects
             try:
-                polish(reg, n)
+                polish(reg, n, (5.0 if small else 1.0) * reg.diameter)
                 return
-            except NonConvergence:
+            except SprayWaveError:
                 if depth > 40 or diam <= subdiv_floor:
                     raise
-        elif n == 1:
-            # the count certifies the one root: a converged iterate inside the
-            # box is it; one that leaves or fails (beyond the strip, say) bisects
-            try:
-                z, iters = _newton(func, reg.center, tol, trust_radius=reg.diameter)
-                if reg.contains(z):
-                    roots.append((z, 1, iters))
-                    return
-            except SprayWaveError:
-                pass
         # bisect the longer side, nudging the cut if a root sits on it
         horizontal = (reg.re_max - reg.re_min) >= (reg.im_max - reg.im_min)
         for frac in (0.5, 0.43, 0.57, 0.35):
@@ -425,18 +409,13 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
 # thin-spray expansion and the stability verdict
 # ---------------------------------------------------------------------------
 
-def _axis_rderivative(params: SprayParams, profile: VelocityProfile, x0: float) -> float:
-    """d/dsigma of the real part of the on-axis dispersion function."""
-    h = 1e-6 * max(1.0, abs(x0))
-    dr_p, _ = dispersion_parts(params, profile, x0 + h)
-    dr_m, _ = dispersion_parts(params, profile, x0 - h)
-    return (dr_p - dr_m) / (2.0 * h)
-
-
 def damping_rate_at(params: SprayParams, profile: VelocityProfile, c_ref: float) -> float:
-    """First-order Im sigma of the wave near the real reference speed c_ref."""
-    _, d_imag = dispersion_parts(params, profile, c_ref)
-    d_rprime = _axis_rderivative(params, profile, c_ref)
+    """First-order Im sigma of the wave near the real reference speed c_ref:
+    -Im D(c_ref) / Dr'(c_ref), Dr' a central difference of Re D on the axis."""
+    h = 1e-6 * max(1.0, abs(c_ref))
+    d_imag = dispersion_value(params, profile, c_ref).imag
+    d_rprime = (dispersion_value(params, profile, c_ref + h)
+                - dispersion_value(params, profile, c_ref - h)).real / (2.0 * h)
     if abs(d_rprime) < 1e-8:
         raise DegenerateDerivative(f"|Dr'({c_ref})| = {abs(d_rprime):.3g} < 1e-8")
     return -d_imag / d_rprime

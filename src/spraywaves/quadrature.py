@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _gauss, profiles
 from ._faddeeva import faddeeva
-from .errors import StripViolation, ZeroSigma
+from .errors import StripViolation
 
 # |Im sigma| below which a real-axis g value may stand in for g(sigma) when
 # the true complex value is unavailable (bump support edges)
@@ -383,25 +383,6 @@ def _near_node(vs: np.ndarray, ws: np.ndarray, sigma, near: float):
     i = int(vs.searchsorted(sigma.real))
     return any(abs(vs.item(j) - sigma) < 1e-2 * ws.item(j)
                for j in (i - 1, i) if 0 <= j < vs.size)
-
-
-def resonance_integral(profile: profiles.VelocityProfile, sigma):
-    """(1/sigma) * continued integral of v f'(v)/(v - sigma) dv, at a point or
-    elementwise over an ndarray.
-
-    This is the velocity-resonance functional entering the dispersion
-    function; for large |sigma| it behaves like m0/sigma^2 + 2 m1/sigma^3 +
-    3 m2/sigma^4, with m_n the velocity moments of f.
-    """
-    if isinstance(sigma, np.ndarray):
-        sigma = sigma.astype(complex, copy=False)
-        nearest = np.abs(sigma).min(initial=math.inf)
-    else:
-        sigma = complex(sigma)
-        nearest = abs(sigma)
-    if nearest < 1e-14:
-        raise ZeroSigma("resonance integral undefined at sigma = 0")
-    return cauchy_transform(profile, (0.0, 1.0), sigma) / sigma
 
 
 def vdf_norm(profile: profiles.VelocityProfile) -> float:

@@ -10,8 +10,7 @@ import numpy as np
 
 from conftest import dawson_series
 from spraywaves import hyperbolic, modesim, profiles, quadrature
-from spraywaves.dispersion import (SearchRegion, count_roots,
-                                   dispersion_parts, dispersion_value,
+from spraywaves.dispersion import (SearchRegion, count_roots, dispersion_value,
                                    find_roots, make_params, spectral_verdict,
                                    thin_spray_expansion)
 from spraywaves.hyperbolic import (ScalarCoupling, SystemCoupling,
@@ -94,7 +93,7 @@ class TestAcceptance:
         m2 = profiles.moment(std_maxwellian, 2)
 
         def remainder(sigma):
-            d_real, _ = dispersion_parts(maxwellian_params, std_maxwellian, sigma)
+            d_real = dispersion_value(maxwellian_params, std_maxwellian, sigma).real
             four_term = (1.0 - maxwellian_params.c0**2 / sigma**2
                          - pref * (m0 / sigma**2 + 3.0 * m2 / sigma**4))
             return abs(d_real - four_term)

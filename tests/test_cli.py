@@ -162,6 +162,8 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"root_tolerance": -1}),
         ("roots", "maxwellian-stable", {"root_tolerance": 1e300}),
         ("roots", "maxwellian-stable", {"root_tolerance": 0.01}),
+        # the model is linearized in the fluid's rest frame: no background drift
+        ("roots", "maxwellian-stable", {"params": {"u0": 0.5}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -455,6 +457,24 @@ class TestRootsCommand:
         cfgfile.write_text(json.dumps(cfg))
         assert main(["roots", "--config", str(cfgfile), "--out", str(out),
                      "--quiet"]) == 2
+
+    def test_small_box_centred_on_the_pole(self, tmp_path):
+        # two-stream spray with one root either side of sigma = 0 in a box of
+        # 0.1 c0 whose centre is the pole; u0 = 0 restates the rest frame
+        part = {"kind": "maxwellian", "mass": 0.5, "width": 0.3, "strip_halfwidth": 4.0}
+        cfg = {"profile": {"kind": "sum", "parts": [{**part, "drift": -1.0},
+                                                    {**part, "drift": 1.0}]},
+               "params": {"c0": 1.0, "rho0": 1.0, "kappa": 0.998, "u0": 0.0},
+               "region": {"re_min": -0.05, "re_max": 0.05, "im_min": -0.05,
+                          "im_max": 0.05}}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(cfg))
+        out = tmp_path / "pole"
+        assert main(["roots", "--config", str(cfgfile), "--out", str(out),
+                     "--quiet"]) == 0
+        roots = read_json(out / "roots.json")
+        assert sorted(r["im_sigma"] for r in roots) == pytest.approx(
+            [-0.0357633, 0.0373658], abs=1e-7)
 
     def test_restated_quadrature_block_changes_nothing(self, tmp_path):
         # the block the benchmark sends: the fixed values plus ignored L, window

@@ -7,9 +7,8 @@ from scipy.special import wofz
 from conftest import bump_oracle, dense_line_integral, profile_integrand
 from spraywaves import dispersion, profiles
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
-                                   damping_rate_at, dispersion_parts,
-                                   dispersion_value, find_roots, landau_dispersion,
-                                   make_params, spectral_verdict,
+                                   damping_rate_at, dispersion_value, find_roots,
+                                   landau_dispersion, make_params, spectral_verdict,
                                    thin_spray_expansion)
 from spraywaves.errors import BoundaryRoot, NonConvergence, StripViolation, ZeroSigma
 from spraywaves.quadrature import Branch
@@ -30,6 +29,15 @@ class TestDispersionValue:
     def test_zero_sigma_rejected(self, maxwellian_params, std_maxwellian):
         with pytest.raises(ZeroSigma):
             dispersion_value(maxwellian_params, std_maxwellian, 0.0)
+
+    def test_pole_radius_scales_with_c0(self, std_maxwellian):
+        # the one pole guard is |sigma| < POLE_RADIUS c0 = 5e-15 here
+        params = make_params(std_maxwellian, c0=0.5, rho0=1.0, kappa=0.01)
+        for sigma in (4e-15, 4e-15j, np.array([1.0, -4e-15])):
+            with pytest.raises(ZeroSigma):
+                dispersion_value(params, std_maxwellian, sigma)
+        for sigma in (6e-15, 6e-15j, np.array([1.0, -6e-15])):
+            assert np.all(np.isfinite(dispersion_value(params, std_maxwellian, sigma)))
 
     def test_compatibility_enforced(self, std_maxwellian):
         bad = SprayParams(c0=1.0, rho0=1.0, kappa=0.01, alpha0=0.5)
@@ -52,26 +60,16 @@ class TestDispersionValue:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
 
 
-class TestDispersionParts:
-    def test_axis_consistency(self, maxwellian_params, std_maxwellian):
-        for sigma in (0.5, 1.0, -1.3, 2.5):
-            d_real, d_imag = dispersion_parts(maxwellian_params, std_maxwellian, sigma)
-            full = dispersion_value(maxwellian_params, std_maxwellian, sigma)
-            assert complex(d_real, d_imag) == pytest.approx(full, abs=1e-12)
-
+class TestDispersionOnTheAxis:
     def test_imag_sign_from_slope(self, maxwellian_params, std_maxwellian):
-        _, di_plus = dispersion_parts(maxwellian_params, std_maxwellian, 1.0)
-        _, di_minus = dispersion_parts(maxwellian_params, std_maxwellian, -1.0)
+        di_plus = dispersion_value(maxwellian_params, std_maxwellian, 1.0).imag
+        di_minus = dispersion_value(maxwellian_params, std_maxwellian, -1.0).imag
         assert di_plus > 0.0          # f'(c0) < 0 on the decaying side
         assert di_minus == pytest.approx(-di_plus, rel=1e-12)
 
     def test_imag_vanishes_at_large_sigma(self, maxwellian_params, std_maxwellian):
-        _, d_imag = dispersion_parts(maxwellian_params, std_maxwellian, 12.0)
+        d_imag = dispersion_value(maxwellian_params, std_maxwellian, 12.0).imag
         assert abs(d_imag) <= 1e-12
-
-    def test_rejects_complex_sigma(self, maxwellian_params, std_maxwellian):
-        with pytest.raises(ValueError):
-            dispersion_parts(maxwellian_params, std_maxwellian, 1.0 + 0.1j)
 
 
 class TestLandauDispersion:
@@ -383,10 +381,10 @@ class TestPurelyGrowingRoots:
                                          for part in self.PARTS))
         return make_params(profile, c0=1.0, rho0=1.0, kappa=self.KAPPA), profile
 
-    def closed_form(self, sigma):
+    def closed_form(self, sigma, kappa=KAPPA):
         """D(sigma) = 1 - c0^2/sigma^2 + pref sum (m/w^2)(1 + zeta Z(zeta)), with
         zeta = (sigma - u)/(sqrt(2) w) and Z = i sqrt(pi) w from scipy."""
-        pref = self.KAPPA / (1.0 - self.KAPPA)          # rho0 = c0 = m0 = 1
+        pref = kappa / (1.0 - kappa)          # rho0 = c0 = m0 = 1
         total = 1.0 - 1.0 / sigma**2
         for mass, drift, width in self.PARTS:
             zeta = (sigma - drift) / (math.sqrt(2.0) * width)
@@ -394,8 +392,8 @@ class TestPurelyGrowingRoots:
             total += pref * mass / width**2 * (1.0 + zeta * z_func)
         return total
 
-    def oracle_root(self, z, h=1e-7):
-        f = self.closed_form
+    def oracle_root(self, z, kappa=KAPPA, h=1e-7):
+        f = lambda s: self.closed_form(s, kappa)
         for _ in range(50):
             step = f(z) / ((f(z + h) - f(z - h)) / (2.0 * h))
             z -= step
@@ -417,6 +415,25 @@ class TestPurelyGrowingRoots:
     def test_verdict_unstable(self, spray):
         region = SearchRegion(-3.0, 3.0, -1.0, 1.5)
         assert spectral_verdict(*spray, region) == "unstable"
+
+    @pytest.mark.parametrize("kappa,box", [
+        (0.998, SearchRegion(-0.05, 0.05, -0.05, 0.05)),
+        (0.999, SearchRegion(-0.05, 0.05, -0.05, 0.05)),
+        (0.999, SearchRegion(-0.03, 0.04, -0.04, 0.03)),
+        (0.999, SearchRegion(-0.0334, 0.0355, -0.0359, 0.033))])
+    def test_small_box_around_the_pole(self, spray, kappa, box):
+        # one root either side of sigma = 0: Newton from the centre of the
+        # centred boxes starts on the pole, and from the others it reaches a
+        # root outside a sub-box; such a box bisects, and each root is
+        # reported once
+        profile = spray[1]
+        params = make_params(profile, c0=1.0, rho0=1.0, kappa=kappa)
+        assert count_roots(params, profile, box) == 2
+        found = sorted((r.sigma for r in find_roots(params, profile, box)),
+                       key=lambda z: z.imag)
+        assert len(found) == 2
+        for got, seed in zip(found, (-0.03j, 0.03j)):
+            assert abs(got - self.oracle_root(seed, kappa)) < 1e-12
 
 
 class TestStrongBumpRoots:

@@ -11,10 +11,10 @@ from scipy.special import wofz
 import spraywaves
 from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
+from spraywaves.dispersion import dispersion_value
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
 from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
-from spraywaves.quadrature import (Branch, cauchy_transform, classify_branch,
-                                   resonance_integral)
+from spraywaves.quadrature import Branch, cauchy_transform, classify_branch
 
 # Dawson values frozen from the series oracle (cross-checked against mpmath)
 DAWSON = {0.5: 0.42443638350202244, 1.0: 0.5380795069127684, 2.0: 0.30134038892379196}
@@ -567,6 +567,13 @@ class TestNodeCache:
                 arr[0] = 0.0
 
 
+def resonance_integral(profile, sigma):
+    """(1/sigma) C[v f'](sigma), the velocity-resonance term of the dispersion
+    function; for large |sigma| it behaves like m0/sigma^2 + 2 m1/sigma^3 +
+    3 m2/sigma^4, with m_n the velocity moments of f."""
+    return cauchy_transform(profile, (0.0, 1.0), sigma) / sigma
+
+
 def centred_expansion(profile, sigma, order):
     """Large-|sigma| expansion of `resonance_integral` for a centred profile
     (first moment 0): m0/sigma^2, plus 3 m2/sigma^4 at order 4."""
@@ -621,9 +628,9 @@ class TestResonanceIntegral:
         assert abs(val.imag) < 1e-12
         assert val == pytest.approx(oracle, abs=1e-10)
 
-    def test_zero_sigma_rejected(self, std_maxwellian):
+    def test_zero_sigma_rejected(self, maxwellian_params, std_maxwellian):
         with pytest.raises(ZeroSigma):
-            resonance_integral(std_maxwellian, 0.0)
+            dispersion_value(maxwellian_params, std_maxwellian, 0.0)
 
     def test_remainder_order_four(self, std_maxwellian):
         r10 = abs(resonance_integral(std_maxwellian, 10.0)
@@ -792,13 +799,13 @@ class TestArrayPath:
             faddeeva(z)
         faddeeva(z[[0, 2]])
 
-    def test_resonance_integral_and_zero_sigma(self, std_maxwellian):
+    def test_resonance_integral_and_zero_sigma(self, maxwellian_params, std_maxwellian):
         sigma = np.array([0.5 + 0.1j, -2.0, 1.5 - 0.2j])
         got = resonance_integral(std_maxwellian, sigma)
         want = [resonance_integral(std_maxwellian, z) for z in sigma]
         np.testing.assert_allclose(got, want, rtol=1e-13)
         with pytest.raises(ZeroSigma):
-            resonance_integral(std_maxwellian, np.append(sigma, 0.0))
+            dispersion_value(maxwellian_params, std_maxwellian, np.append(sigma, 0.0))
 
     def test_classify_branch_elementwise(self):
         sigma = np.array([1.0 + 0.1j, 1.0, 1.0 - 1e-3j, 1.0 + 5e-13j])

@@ -11,6 +11,11 @@ the NEW results lie from the OLD ones:
   The grid is evaluated point by point and again as one array per profile and
   height, so the array path (blocked bump sums, far-field series) is compared
   with the old array path too.
+- Rates and verdicts: `thin_spray_expansion` (c* and gamma),
+  `damping_rate_at(-c*)` and `spectral_verdict` for the three profiles of the
+  D(sigma) grid; values (or exception types) must match exactly. The bundled
+  thin-spray scenarios are Maxwellian only, so the bump and two-stream rates
+  appear in no artifact.
 - Trajectories of modesim.integrate: a bump eigenmode at k = 4 and k = 9,
   Maxwellian acoustic runs at kappa = 0 and 0.01, and two overflow runs (the
   first step, and a seed whose max|f| starts at 1e150 / 3). Times, snapshot
@@ -160,6 +165,25 @@ for label, name, box in boxes:
 print(json.dumps(out))
 '''
 
+RATES = r'''
+import json
+from spraywaves import dispersion as d, profiles as p
+mx = p.maxwellian()
+bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
+ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
+out = []
+for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
+                              ("ts", ts, 1.5, 0.02)):
+    prm = d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa)
+    try:
+        c_star, gamma = d.thin_spray_expansion(prm, prof)
+        out.append([name, c_star, gamma, d.damping_rate_at(prm, prof, -c_star),
+                    d.spectral_verdict(prm, prof)])
+    except Exception as e:
+        out.append([name, type(e).__name__])
+print(json.dumps(out))
+'''
+
 TRAJECTORIES = r'''
 import math, pickle, sys
 import numpy as np
@@ -266,6 +290,13 @@ def count_parity(old_src: str, new_src: str) -> None:
         print(f"count {a!s:>2} on {label}: sigma samples {samples_a} -> {samples_b}")
 
 
+def rate_parity(old_src: str, new_src: str) -> None:
+    old, new = (json.loads(run(RATES, src)) for src in (old_src, new_src))
+    for a, b in zip(old, new):
+        assert a == b, (a, b)                    # identical rates and verdicts
+        print(f"rates {a[0]:4s} c*, gamma, gamma(-c*), verdict: {a[1:]} identical")
+
+
 def trajectory_parity(old_src: str, new_src: str) -> None:
     old, new = (pickle.loads(run(TRAJECTORIES, src)) for src in (old_src, new_src))
 
@@ -351,5 +382,6 @@ if __name__ == "__main__":
     d_parity(*sys.argv[1:3])
     profile_parity(*sys.argv[1:3])
     count_parity(*sys.argv[1:3])
+    rate_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
     artifact_parity(*sys.argv[1:3])
