@@ -7,10 +7,9 @@ from .dispersion import (RootReport, SearchRegion, SprayParams, count_roots,
                          dispersion_value, find_roots, landau_dispersion,
                          make_params, spectral_verdict, thin_spray_expansion)
 from .hyperbolic import (ModeVerdict, ScalarCoupling, SystemCoupling,
-                         imag_derivative_at_zero, scalar_dispersion,
-                         scalar_imag_leading, scalar_root, secular_function,
-                         stability_necessary_condition, symmetric_eigen,
-                         track_secular_root)
+                         scalar_dispersion, scalar_imag_leading, scalar_root,
+                         secular_function, stability_necessary_condition,
+                         symmetric_eigen, track_secular_root)
 from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
                       init_eigenmode, integrate, recurrence_time,
                       sobolev_scaling_experiment)
@@ -28,8 +27,7 @@ __all__ = [
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",
     "ScalarCoupling", "SystemCoupling", "ModeVerdict", "scalar_dispersion",
     "scalar_root", "scalar_imag_leading", "symmetric_eigen", "secular_function",
-    "imag_derivative_at_zero", "stability_necessary_condition",
-    "track_secular_root",
+    "stability_necessary_condition", "track_secular_root",
     "ModeState", "SimConfig", "Trajectory", "init_eigenmode", "integrate",
     "growth_rate", "recurrence_time", "sobolev_scaling_experiment",
 ]

@@ -304,7 +304,8 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
         seeds = (("plus", params.c0, lambda: complex(c_star, gamma)),
                  ("minus", -params.c0, lambda: complex(
                      -c_star, dispersion.damping_rate_at(params, profile, -c_star))))
-        for name, center, seed in seeds:
+        # only the locus files of a sweep read the minus root
+        for name, center, seed in seeds[:2 if sweep else 1]:
             root = _root_near(params, profile, center, seed)
             if root is None:
                 continue

@@ -9,9 +9,10 @@ the phase velocity sigma = omega/|k| alone:
 where C[.] is the branch-correct continuation of the velocity integral from
 the upper half-plane (see `quadrature`). Zeros with Im sigma > 0 are unstable
 modes; zeros with Im sigma < 0 are decay rates of the continued function, not
-regular eigenvalues. Root counts are certified with argument-principle winding
-numbers over rectangles of sigma^2 D(sigma), which has the same zeros and no
-pole at sigma = 0; roots are polished by Newton iteration on the continued
+regular eigenvalues. D is evaluated as E(sigma)/sigma^2 from the pole-free
+E(sigma) = sigma^2 D(sigma), which has the same zeros and no pole at sigma = 0.
+Root counts are certified with argument-principle winding numbers of E over
+rectangles; roots are polished by Newton iteration on the continued
 (holomorphic) D itself.
 """
 
@@ -139,24 +140,15 @@ class RootReport:
                                    else "eigenvalue")}
 
 
-def _coupling(params: SprayParams, profile: VelocityProfile, sigma):
-    """C[v f'](sigma) = continued int v f'(v)/(v - sigma) dv, the spray term of D
-    and of sigma^2 D, after the compatibility check; None at kappa = 0."""
-    if params.kappa == 0.0:
-        return None
-    check_compatibility(params, profile)
-    return quadrature.cauchy_transform(profile, (0.0, 1.0), sigma)
-
-
 def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
-    """Branch-correct dispersion function at complex sigma, or elementwise over
-    an ndarray of sigma (ZeroSigma if any point is within POLE_RADIUS c0 of 0).
+    """Branch-correct dispersion function D = E(sigma) / sigma^2 at complex sigma,
+    or elementwise over an ndarray of sigma, with E the pole-free `_pole_free`
+    (ZeroSigma if any point is within POLE_RADIUS c0 of 0).
 
     The continuation term carries the same kappa rho0 c0^2 / alpha0 prefactor
     as the principal-value term (exact holomorphic continuation).
     """
-    array = isinstance(sigma, np.ndarray)
-    if array:
+    if isinstance(sigma, np.ndarray):
         sigma = sigma.astype(complex, copy=False)
         nearest = np.abs(sigma).min(initial=math.inf)
     else:
@@ -164,14 +156,7 @@ def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
         nearest = abs(sigma)
     if nearest < POLE_RADIUS * params.c0:
         raise ZeroSigma("dispersion function has a pole at sigma = 0")
-    if array:
-        # complex ** raises OverflowError where the square overflows; so must this
-        with np.errstate(over="raise"):
-            base = 1.0 - params.c0**2 / sigma**2
-    else:
-        base = 1.0 - params.c0**2 / sigma**2
-    c = _coupling(params, profile, sigma)
-    return base if c is None else base - params.coupling_prefactor * (c / sigma)
+    return _pole_free(params, profile, sigma) / sigma**2
 
 
 def landau_dispersion(profile: VelocityProfile, k: float, omega):
@@ -259,14 +244,18 @@ def _winding_number(func, region: SearchRegion,
 
 
 def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
-    """sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at a point
-    or elementwise over an ndarray: the zeros of D without its sigma = 0 pole
-    (the value there is -c0^2), for the root counts."""
-    # overflow raises, as it does in dispersion_value
+    """E(sigma) = sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at
+    a point or elementwise over an ndarray, with C[v f'](sigma) the continued
+    int v f'(v)/(v - sigma) dv, after the compatibility check (sigma^2 - c0^2 at
+    kappa = 0): the zeros of D without its sigma = 0 pole (E(0) = -c0^2)."""
+    # complex ** raises OverflowError where the square overflows; so must an array
     with np.errstate(over="raise"):
         base = sigma**2 - params.c0**2
-    c = _coupling(params, profile, sigma)
-    return base if c is None else base - params.coupling_prefactor * sigma * c
+    if params.kappa == 0.0:
+        return base
+    check_compatibility(params, profile)
+    return base - params.coupling_prefactor * sigma * quadrature.cauchy_transform(
+        profile, (0.0, 1.0), sigma)
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
@@ -411,13 +400,20 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
 
 def damping_rate_at(params: SprayParams, profile: VelocityProfile, c_ref: float) -> float:
     """First-order Im sigma of the wave near the real reference speed c_ref:
-    -Im D(c_ref) / Dr'(c_ref), Dr' a central difference of Re D on the axis."""
+    -Im D(c_ref) / Dr'(c_ref), Dr' a central difference of Re D on the axis;
+    warns that it is unreliable where r = c_ref Dr'(c_ref) / 2 (1 for pure
+    acoustics) leaves [0.5, 2], as near a steep edge of f."""
     h = 1e-6 * max(1.0, abs(c_ref))
     d_imag = dispersion_value(params, profile, c_ref).imag
     d_rprime = (dispersion_value(params, profile, c_ref + h)
                 - dispersion_value(params, profile, c_ref - h)).real / (2.0 * h)
     if abs(d_rprime) < 1e-8:
         raise DegenerateDerivative(f"|Dr'({c_ref})| = {abs(d_rprime):.3g} < 1e-8")
+    r = 0.5 * c_ref * d_rprime
+    if not 0.5 <= r <= 2.0:
+        warnings.warn(f"first-order rate at c_ref = {c_ref:.6g} is unreliable: "
+                      f"c_ref dRe D/dsigma / 2 = {r:.3g} lies outside [0.5, 2]",
+                      stacklevel=2)
     return -d_imag / d_rprime
 
 
@@ -425,8 +421,9 @@ def thin_spray_expansion(params: SprayParams,
                          profile: VelocityProfile) -> tuple[float, float]:
     """(spray sound speed c_star, first-order damping/growth rate gamma).
 
-    c_star = c0 * (1 + pref/2 * P.V. int f'(v)/(v - c0) dv) with
-    pref = kappa rho0 c0^2 / alpha0; gamma = -Di(c_star)/Dr'(c_star).
+    c_star = c0 + pref/2 Re C[v f'](c0) with pref = kappa rho0 c0^2 / alpha0,
+    which is c0 (1 + pref/2 P.V. int f'(v)/(v - c0) dv) since int f' = 0;
+    gamma = -Di(c_star)/Dr'(c_star).
     """
     if params.kappa == 0.0:
         return params.c0, 0.0
@@ -434,17 +431,19 @@ def thin_spray_expansion(params: SprayParams,
         warnings.warn("thin-spray expansion requested at kappa > 0.1",
                       stacklevel=2)
     check_compatibility(params, profile)
-    # on the axis the continuation is P.V. + i pi f'(c0); keep the P.V.
-    pv = quadrature.cauchy_transform(profile, (1.0,), params.c0).real
-    c_star = params.c0 * (1.0 + 0.5 * params.coupling_prefactor * pv)
+    # on the axis the continuation is P.V. + i pi c0 f'(c0); keep the P.V.
+    pv = quadrature.cauchy_transform(profile, (0.0, 1.0), params.c0).real
+    c_star = params.c0 + 0.5 * params.coupling_prefactor * pv
     gamma = damping_rate_at(params, profile, c_star)
     return c_star, gamma
 
 
 def default_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
-    """Heuristic search box for `roots`: |Re sigma| <= |drift| + 5 (c0 + width),
-    |Im sigma| <= half the analyticity strip. It bounds no root; the verdict
-    counts on `verdict_region` instead."""
+    """Search box for `roots` without a region: `verdict_region` for a profile
+    with bump terms (a band below the axis crosses their edge margins), else the
+    heuristic |Re sigma| <= |drift| + 5 (c0 + width), |Im sigma| <= strip / 2."""
+    if profile.bumps:
+        return verdict_region(params, profile)
     re_span = abs(profile.drift) + 5.0 * (params.c0 + profile.width)
     return SearchRegion(-re_span, re_span, -0.5 * profile.strip_halfwidth,
                         0.5 * profile.strip_halfwidth)

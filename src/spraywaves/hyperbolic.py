@@ -107,18 +107,6 @@ class SystemCoupling:
                 [((0.0,) * k + (1.0,), np.array(c)) for k, c in enumerate(self.phi_coeffs)
                  if any(c)])
 
-    def phi(self, v):
-        """phi(v) evaluated component-wise; returns shape (N,) + shape(v)."""
-        v = np.asarray(v, dtype=complex)
-        out = np.zeros((self.dim,) + v.shape, dtype=complex)
-        power = np.ones_like(v)
-        for coeff in self.phi_coeffs:
-            for i, c in enumerate(coeff):
-                if c:
-                    out[i] += c * power
-            power = power * v
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class ModeVerdict:
@@ -237,17 +225,14 @@ def secular_function(s: SystemCoupling, sigma: complex) -> complex:
     return 1.0 - s.kappa * complex(np.sum(_modal_projections(s, sigma) / poles))
 
 
-def imag_derivative_at_zero(s: SystemCoupling, j: int) -> float:
-    """(Im sigma_j)'(0) = -pi (grad_psi . r_j)(phi(sigma_j) . r_j) f'(sigma_j)."""
-    return stability_necessary_condition(s)[j].imag_rate
-
-
 def stability_necessary_condition(s: SystemCoupling) -> list[ModeVerdict]:
     """Per-mode sign check of q_j; any q_j < 0 fails the necessary condition."""
     verdicts = []
     for j, (sigma_j, r_j) in enumerate(s.eigenpairs):
         psi_proj = float(np.dot(s.grad_psi, r_j))
-        phi_proj = float(np.real(np.dot(s.phi(sigma_j), r_j)))
+        # phi(sigma_j) . r_j = sum_k sigma_j**k (phi_coeffs[k] . r_j)
+        phi_proj = float(sum(sigma_j**k * np.dot(c, r_j)
+                             for k, c in enumerate(s.phi_coeffs)))
         slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
         q_j = psi_proj * phi_proj * slope
         if abs(psi_proj) <= _DECOUPLE_TOL or abs(phi_proj) <= _DECOUPLE_TOL:

@@ -114,7 +114,7 @@ class ModeState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitude series of one integrate() run plus a few full-state snapshots."""
+    """Amplitude series of one integrate() run and its last full state."""
 
     k: float
     times: np.ndarray
@@ -122,11 +122,7 @@ class Trajectory:
     u_hat: np.ndarray
     kinetic_l2: np.ndarray
     overflow: bool
-    snapshots: tuple[ModeState, ...]
-
-    @property
-    def final_state(self) -> ModeState:
-        return self.snapshots[-1]
+    final_state: ModeState
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,6 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     moments, step, stream, feeds = _rk4_step_operator(params, profile, config, k, dt,
                                                       root_w)
 
-    snap_stride = max(1, nsteps // 16)
     # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f; x = (tau,
     # u, s_0..3), y = (beta_0..3, tau', u'); ndarray.dot skips np.dot's dispatch
     g, (x, y) = state0.f_hat * root_w, np.empty((2, 6), dtype=complex)
@@ -292,7 +287,6 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     # max|f| > _OVERFLOW_LIMIT forces sum w|f|^2 > min(w) _OVERFLOW_LIMIT^2, so
     # below half that max|f| needs no look
     norm_alarm = 0.5 * float(root_w.min())**2 * _OVERFLOW_LIMIT**2
-    snapshots: list[ModeState] = []
     overflow = False
     n_done = nsteps
     for i in range(nsteps + 1):
@@ -305,21 +299,16 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
             x[:2] = y[4:]
         taus[i], us[i] = tau, u = x[:2].tolist()
         kin[i] = norm2 = gr.dot(gr)
-        if i % snap_stride == 0:
-            snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u,
-                                       f_hat=g / root_w, time=i * dt))
         if i and (max(abs(tau), abs(u)) > _OVERFLOW_LIMIT or (
                 norm2 > norm_alarm and np.abs(g / root_w).max() > _OVERFLOW_LIMIT)):
             overflow = True
             n_done = i
             break
     end = n_done + 1
-    if (end - 1) % snap_stride != 0:
-        snapshots.append(ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=g / root_w,
-                                   time=times[end - 1]))
     return Trajectory(k=k, times=times[:end], tau_hat=taus[:end], u_hat=us[:end],
                       kinetic_l2=np.sqrt(kin[:end]), overflow=overflow,
-                      snapshots=tuple(snapshots))
+                      final_state=ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=g / root_w,
+                                            time=float(times[n_done])))
 
 
 def growth_rate(trajectory: Trajectory, fit_window: tuple[float, float]) -> GrowthFit:

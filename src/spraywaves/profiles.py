@@ -22,6 +22,7 @@ Profiles are frozen dataclasses and every operation here is a pure function.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -191,11 +192,6 @@ def _bump_raw_deriv(w):
     return out
 
 
-def _exp(z: complex) -> complex:
-    r = math.exp(z.real)
-    return complex(r * math.cos(z.imag), r * math.sin(z.imag))
-
-
 @lru_cache(maxsize=1)
 def _bump_constants() -> tuple[float, float, float]:
     """(normalization C, first moment of g, second moment of g)."""
@@ -260,7 +256,7 @@ def _bump_df_unrefused(b: Bump, s: complex) -> complex:
     w = (s - b.c_star) / b.eta
     if not abs(w.real) < 1.0:
         return 0j
-    return _bump_df_scale(b) * _bump_shape_deriv(w, _exp)
+    return _bump_df_scale(b) * _bump_shape_deriv(w, cmath.exp)
 
 
 def _evaluate(profile: VelocityProfile, v, df: bool):

@@ -32,6 +32,7 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import numpy as np
@@ -186,10 +187,6 @@ def _poly(weight: tuple[float, ...], v):
     for c in reversed(weight[:-1]):
         p = p * v + c
     return p
-
-
-def _log(z: complex) -> complex:
-    return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
 
 def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale: float,
@@ -364,7 +361,7 @@ def _plus_log_part(val, c, sigma, branch: Branch | None, a: float, b: float):
         return val
     if branch is Branch.REAL_AXIS:
         return val + c * complex(math.log((b - sigma.real) / (sigma.real - a)), math.pi)
-    val += c * (_log(b - sigma) - _log(a - sigma))
+    val += c * (cmath.log(b - sigma) - cmath.log(a - sigma))
     return val + 2j * math.pi * c if branch is Branch.LOWER else val
 
 

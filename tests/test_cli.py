@@ -333,7 +333,8 @@ def _fake_scaling_experiment(params, profile, **kwargs):
     trajectories = tuple(modesim.Trajectory(
         k=k, times=np.linspace(0.0, 1.0, 7), tau_hat=np.exp((0.3 + 1j) * k * np.arange(7)),
         u_hat=np.zeros(7, complex), kinetic_l2=np.zeros(7), overflow=False,
-        snapshots=()) for k in kwargs["k_list"][:2])
+        final_state=modesim.ModeState(k=k, tau_hat=0j, u_hat=0j, f_hat=np.zeros(4)))
+        for k in kwargs["k_list"][:2])
     rows = tuple(modesim.ScalingRow(k=t.k, t_k=1.0, init_hs_norm=1.0 / 3.0,
                                     final_l2_norm=abs(t.tau_hat[-1]), fitted_rate=0.1)
                  for t in trajectories)
@@ -510,6 +511,23 @@ class TestRootsCommand:
         assert len(payload["modes"]) == 2
 
 
+class TestBumpWithoutRegion:
+    @pytest.mark.parametrize("command", ["roots", "simulate"])
+    def test_searches_the_verdict_box(self, tmp_path, command):
+        # the default box of a bump profile is the verdict box, not a band
+        # below the axis that crosses the bump's support-edge margin
+        cfgfile, out = tmp_path / "c.json", tmp_path / command
+        cfgfile.write_text(json.dumps({"region": None}))
+        assert main([command, "--scenario", "bump-unstable", "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        if command == "roots":
+            (root,) = read_json(out / "roots.json")
+            sigma = complex(root["re_sigma"], root["im_sigma"])
+        else:
+            sigma = complex(*read_json(out / "manifest.json")["summary"]["seed_sigma"])
+        assert sigma == pytest.approx(4.973115 + 0.060201j, abs=1e-6)
+
+
 class TestDeterminism:
     def test_manifests_identical_modulo_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -587,6 +605,38 @@ class TestThinSprayCommand:
         assert locus[0].startswith("#")
         assert len(locus) == 1 + 3
         assert (out / "root_locus_minus.dat").exists()
+
+    @pytest.mark.parametrize("scenario, centres", [
+        ("maxwellian-stable", [1.0]), ("thin-spray-sweep", [1.0, -1.0] * 3)])
+    def test_minus_root_only_for_the_locus_files(self, tmp_path, monkeypatch,
+                                                  scenario, centres):
+        seen, root_near = [], cli._root_near
+
+        def counted(params, profile, center, seed):
+            seen.append(center)
+            return root_near(params, profile, center, seed)
+
+        monkeypatch.setattr(cli, "_root_near", counted)
+        assert main(["thin-spray", "--scenario", scenario, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert seen == centres
+
+    def test_unreliable_rate_flagged_in_the_manifest(self, tmp_path):
+        # c* = 5.0176 near the bump's steep upper edge: r = -1.96
+        bump = {"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 4.6,
+                "base": {"kind": "maxwellian"}}
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps({"profile": bump,
+                                    "params": {"c0": 5.0, "rho0": 1.0, "kappa": 1e-3}}))
+        assert main(["thin-spray", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        manifest = read_json(tmp_path / "manifest.json")
+        assert any("unreliable" in w for w in manifest["warnings"])
+        assert manifest["summary"]["gamma"] == pytest.approx(0.0829, abs=1e-4)
+        main(["thin-spray", "--scenario", "maxwellian-stable", "--out", str(tmp_path),
+              "--quiet"])
+        assert not any("unreliable" in w
+                       for w in read_json(tmp_path / "manifest.json")["warnings"])
 
     def test_readme_bump_roots_above_the_box(self, tmp_path):
         # at kappa = 1e-2 the certified plus root lies above 0.4 strip = 0.1;

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,30 @@ class TestThinSpray:
         gamma_minus = damping_rate_at(maxwellian_params, std_maxwellian, -c_star)
         assert gamma_minus == pytest.approx(gamma_plus, rel=1e-8)
 
+    def test_pure_acoustics_not_flagged(self, acoustic_params, std_maxwellian):
+        # r = c_ref dRe D/dsigma / 2 is 1 at c_ref = +-c0 for pure acoustics
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c_ref in (1.0, -1.0):
+                assert damping_rate_at(acoustic_params, std_maxwellian, c_ref) == 0.0
+
+    @pytest.mark.parametrize("kappa, flagged, count, gamma", [
+        (1e-4, False, 0, -0.0239), (5e-4, True, 0, 0.1851), (1e-3, True, 0, 0.0829),
+        (3e-3, True, 1, -0.0764)])
+    def test_flags_unreliable_first_order_rate(self, kappa, flagged, count, gamma):
+        # c* sits near the steep upper edge of the bump (support [4.1, 5.1]),
+        # where r = c* dRe D/dsigma / 2 leaves [0.5, 2] and the sign of gamma
+        # disagrees with the certified upper count; the flag changes no number
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 4.6)
+        params = make_params(profile, c0=5.0, rho0=1.0, kappa=kappa)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, got = thin_spray_expansion(params, profile)
+        assert any("unreliable" in str(w.message) for w in caught) == flagged
+        assert got == pytest.approx(gamma, abs=1e-4)
+        assert count_roots(params, profile,
+                           dispersion.verdict_region(params, profile)) == count
+
     def test_root_path_continuity_in_kappa(self, bump_profile):
         # the amplified root leaves +c0 and moves continuously into the upper
         # half-plane as kappa ramps in sixteenths
@@ -312,6 +337,18 @@ VERDICT_CASES = {
     "purely_growing": (profiles.profile_sum(
         profiles.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
         profiles.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0)), 1.0, 0.95)}
+
+
+class TestDefaultRegion:
+    def test_bump_profile_searches_the_verdict_box(self, bump_params, bump_profile):
+        # a band below the axis would cross the bump's support-edge margin
+        assert (dispersion.default_region(bump_params, bump_profile)
+                == dispersion.verdict_region(bump_params, bump_profile))
+
+    def test_maxwellian_box(self, maxwellian_params, std_maxwellian):
+        half = 0.5 * std_maxwellian.strip_halfwidth
+        assert (dispersion.default_region(maxwellian_params, std_maxwellian)
+                == SearchRegion(-10.0, 10.0, -half, half))
 
 
 class TestSpectralVerdict:

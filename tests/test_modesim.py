@@ -265,13 +265,11 @@ class TestIntegrate:
         amp = np.abs(traj.tau_hat)
         assert np.max(np.abs(amp - 1.0)) <= 1e-6
 
-    def test_snapshots_sampled_along_run(self, acoustic_params, std_maxwellian):
+    def test_final_state_at_last_step(self, acoustic_params, std_maxwellian):
         cfg = default_sim_config(acoustic_params, std_maxwellian, 1.0, t_final=3.0,
                                  nv=256)
         traj = integrate(acoustic_params, std_maxwellian,
                          acoustic_state(acoustic_params, 1.0, cfg), cfg)
-        assert len(traj.snapshots) >= 16
-        assert traj.snapshots[0].time == 0.0
         assert traj.final_state.time == pytest.approx(traj.times[-1])
         assert traj.final_state.tau_hat == traj.tau_hat[-1]
 
@@ -353,16 +351,15 @@ class TestIntegrate:
         assert len(traj.times) - 1 == 3042
         assert 0.0 < traj.times[-1] < 4.0
 
-    def test_kinetic_norm_of_snapshots(self, bump_params, bump_profile, bump_root):
-        # kinetic_l2 is sqrt(sum w |f|^2) at every recorded state
+    def test_kinetic_norm_of_states(self, bump_params, bump_profile, bump_root):
+        # kinetic_l2 is sqrt(sum w |f|^2) at the initial and the final state
         k = 8.0
         cfg = default_sim_config(bump_params, bump_profile, k, t_final=4.0, nv=2048)
         state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
         traj = integrate(bump_params, bump_profile, state, cfg)
         weights = modesim._simpson_weights(cfg.nv, cfg.dv)
-        for snap in traj.snapshots:
-            i = int(round(snap.time / traj.times[1]))
-            want = math.sqrt(weights @ np.abs(snap.f_hat) ** 2)
+        for i, f_hat in ((0, state.f_hat), (-1, traj.final_state.f_hat)):
+            want = math.sqrt(weights @ np.abs(f_hat) ** 2)
             assert traj.kinetic_l2[i] == pytest.approx(want, rel=1e-14)
 
 
