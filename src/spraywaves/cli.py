@@ -143,7 +143,7 @@ def check_quadrature(d: dict | None) -> None:
 def build_region(d: dict | None, params: SprayParams,
                  profile: VelocityProfile) -> SearchRegion:
     if not d:
-        return dispersion.default_region(params, profile)
+        return dispersion.verdict_region(params, profile)
     bounds = [float(d[key]) for key in ("re_min", "re_max", "im_min", "im_max")]
     if not all(map(math.isfinite, bounds)):
         raise ConfigError(f"region bounds must be finite, got {bounds}")
@@ -178,16 +178,23 @@ def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams]:
 _GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
 
 
+def _whole(value, what: str) -> int:
+    """A count read from the config: a whole number (40.0 reads as 40)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _grid_axis(spec, default) -> np.ndarray:
     if spec is None:
         spec = default
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
-    lo, hi, n = (float(x) for x in spec)
+    lo, hi, n = float(spec[0]), float(spec[1]), _whole(spec[2], "grid axis n")
     if not (math.isfinite(lo) and math.isfinite(hi) and 1 <= n <= _GRID_MAX_POINTS):
         raise ConfigError(f"grid axis {spec!r} needs finite bounds and 1 to "
                           f"{_GRID_MAX_POINTS} points")
-    return np.linspace(lo, hi, int(spec[2]))
+    return np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +278,20 @@ def _root_near(params, profile, center: float, seed, tol: float = 1e-12):
     kept if a count on a square of half-width max(1e-3 c0, |Im sigma|/2) around
     it is 1 and it lies in or above (an upper root needs no strip) the box
     |Re sigma - center| <= c0/2, |Im sigma| <= 0.4 strip (set by center: the seed
-    can change sign at large kappa); else find_roots' nearest in the box, or None."""
+    can change sign at large kappa); else None, with a warning."""
     span = 0.5 * params.c0
-    region = SearchRegion(center - span, center + span,
-                          -0.4 * profile.strip_halfwidth,
-                          0.4 * profile.strip_halfwidth)
     func = lambda z: dispersion.dispersion_value(params, profile, z)
     try:
         root = dispersion._seeded_root(func, seed(), tol, trust_radius=span,
                                        floor=1e-3 * params.c0, spread=0.5)
-        if (root.winding_evidence == 1
-                and dataclasses.replace(region, im_max=math.inf).contains(root.sigma)):
+        if (root.winding_evidence == 1 and abs(root.sigma.real - center) < span
+                and root.sigma.imag > -0.4 * profile.strip_halfwidth):
             return root
     except SprayWaveError:
-        pass           # the seed failed: search the whole box
-    reports = dispersion.find_roots(params, profile, region, tol=tol)
-    return min(reports, key=lambda r: abs(r.sigma - center), default=None)
+        pass           # a failed seed gives no root; no box is searched
+    warnings.warn(f"no certified root near the {'+' if center > 0 else '-'}c* seed "
+                  f"at kappa = {params.kappa:g}", stacklevel=2)
+    return None
 
 
 def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
@@ -379,7 +384,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         t_final = float(sim["t_final"]) if "t_final" in sim else None
         growth_spans = float(sim.get("growth_spans", 6.0))
         periods = float(sim.get("periods", 10.0))
-        nv = int(sim.get("nv", modesim.DEFAULT_NV))
+        nv = _whole(sim.get("nv", modesim.DEFAULT_NV), "sim.nv")
         dt = float(sim["dt"]) if "dt" in sim else None
         region = build_region(cfg.get("region"), params, profile) \
             if eigenmode and sigma is None else None
@@ -422,12 +427,11 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
     with _reading("illposed config"):
         profile, params = _read_spray(cfg)
         spec = cfg.get("illposed", {})
-        region = build_region(cfg.get("region"), params, profile) \
-            if cfg.get("region") else None
+        region = build_region(cfg.get("region"), params, profile)
         s = float(spec.get("s", 1.0))
         n_exponent = float(spec.get("n_exponent", 2.0))
         k_list = [float(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
-        nv = int(spec.get("nv", modesim.DEFAULT_NV))
+        nv = _whole(spec.get("nv", modesim.DEFAULT_NV), "illposed.nv")
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     report = modesim.sobolev_scaling_experiment(
         params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv, region=region)

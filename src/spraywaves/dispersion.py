@@ -96,13 +96,6 @@ class SearchRegion:
         return (complex(self.re_min, self.im_min), complex(self.re_max, self.im_min),
                 complex(self.re_max, self.im_max), complex(self.re_min, self.im_max))
 
-    def dilated(self, factor: float) -> "SearchRegion":
-        cx = 0.5 * (self.re_min + self.re_max)
-        cy = 0.5 * (self.im_min + self.im_max)
-        hw = 0.5 * (self.re_max - self.re_min) * factor
-        hh = 0.5 * (self.im_max - self.im_min) * factor
-        return SearchRegion(cx - hw, cx + hw, cy - hh, cy + hh)
-
     @property
     def im_reach(self) -> float:
         return max(abs(self.im_min), abs(self.im_max))
@@ -258,33 +251,19 @@ def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
         profile, (0.0, 1.0), sigma)
 
 
-def count_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegion,
-                *, max_dilations: int = 3) -> int:
+def count_roots(params: SprayParams, profile: VelocityProfile,
+                region: SearchRegion) -> int:
     """Certified number of dispersion zeros (with multiplicity) inside the region,
-    counted as the winding number of the pole-free sigma^2 D(sigma).
-
-    A zero too close to the contour triggers up to `max_dilations` 1% dilations
-    before BoundaryRoot propagates (bisection passes 0 to keep sub-counts
-    attached to exact rectangles).
-    """
+    counted as the winding number of the pole-free sigma^2 D(sigma) around its
+    boundary, sampled on that boundary only; a zero on or too close to the
+    contour raises BoundaryRoot."""
     strip = profile.strip_halfwidth
     # the upper branch needs no analyticity strip, so only a box that reaches
     # below the axis is checked
     if region.im_min < 0.0 and region.im_reach > strip:
         raise StripViolation("search region exceeds the profile analyticity strip")
-    func = lambda z: _pole_free(params, profile, z)
-    scale = 0.5 * min(params.c0, profile.width, strip)
-    current = region
-    for attempt in range(max_dilations + 1):
-        try:
-            return _winding_number(func, current, feature_scale=scale)
-        except BoundaryRoot:
-            if attempt == max_dilations:
-                raise
-            current = current.dilated(1.01)
-            if current.im_min < 0.0 and current.im_reach > strip:
-                raise
-    raise AssertionError("unreachable")
+    return _winding_number(lambda z: _pole_free(params, profile, z), region,
+                           feature_scale=0.5 * min(params.c0, profile.width, strip))
 
 
 def _newton(func, z0: complex, tol: float,
@@ -332,7 +311,9 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
     central-difference derivative of the continued function) from its centre,
     and bisected only if the iterate does not converge inside it; rectangles
     with more roots are bisected until they isolate single roots or shrink to
-    the Newton box, where deflation handles clustered roots.
+    the Newton box, where deflation handles clustered roots. Every count runs
+    on the region or one of its parts: a root on or too close to the region's
+    boundary raises BoundaryRoot, while a bisection line is nudged off a root.
     """
     tol = max(tol, 1e-14)
     func = lambda z: dispersion_value(params, profile, z)
@@ -380,7 +361,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
                 cut = reg.im_min + frac * (reg.im_max - reg.im_min)
                 first, second = replace(reg, im_max=cut), replace(reg, im_min=cut)
             try:
-                n1 = count_roots(params, profile, first, max_dilations=0)
+                n1 = count_roots(params, profile, first)
             except BoundaryRoot:
                 continue
             recurse(first, n1, depth + 1)
@@ -438,17 +419,6 @@ def thin_spray_expansion(params: SprayParams,
     return c_star, gamma
 
 
-def default_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
-    """Search box for `roots` without a region: `verdict_region` for a profile
-    with bump terms (a band below the axis crosses their edge margins), else the
-    heuristic |Re sigma| <= |drift| + 5 (c0 + width), |Im sigma| <= strip / 2."""
-    if profile.bumps:
-        return verdict_region(params, profile)
-    re_span = abs(profile.drift) + 5.0 * (params.c0 + profile.width)
-    return SearchRegion(-re_span, re_span, -0.5 * profile.strip_halfwidth,
-                        0.5 * profile.strip_halfwidth)
-
-
 def verdict_region(params: SprayParams, profile: VelocityProfile) -> SearchRegion:
     """The box [-R, R] x [h, 1.05 Y] holding every zero with Im sigma >= h = 1e-6.
 
@@ -482,16 +452,11 @@ def verdict_region(params: SprayParams, profile: VelocityProfile) -> SearchRegio
     return SearchRegion(-r, r, h, 1.05 * math.sqrt(params.c0**2 + pref * norm))
 
 
-def spectral_verdict(params: SprayParams, profile: VelocityProfile,
-                     region: SearchRegion | None = None) -> str:
+def spectral_verdict(params: SprayParams, profile: VelocityProfile) -> str:
     """'unstable' if any upper-half zero exists, 'stable' if none and both
-    thin-spray waves are damped, 'neutral' otherwise. Without a region the
-    count runs on `verdict_region`, which holds every zero with Im sigma >= 1e-6."""
-    if region is None:
-        region = verdict_region(params, profile)
-    # a region reaching no higher than Im sigma = 1e-6 holds no upper zero
-    if region.im_max > 1e-6 and count_roots(
-            params, profile, replace(region, im_min=max(region.im_min, 1e-6))) >= 1:
+    thin-spray waves are damped, 'neutral' otherwise. The count runs on
+    `verdict_region`, which holds every zero with Im sigma >= 1e-6."""
+    if count_roots(params, profile, verdict_region(params, profile)) >= 1:
         return UNSTABLE
     if params.kappa == 0.0:
         return NEUTRAL

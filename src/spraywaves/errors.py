@@ -26,7 +26,7 @@ class FaddeevaOverflow(SprayWaveError):
 
 
 class BoundaryRoot(SprayWaveError):
-    """A zero sits too close to a winding-count contour even after dilation."""
+    """A zero sits on or too close to a winding-count contour."""
 
 
 class NonConvergence(SprayWaveError):

@@ -164,6 +164,11 @@ class TestExitCodes:
         ("roots", "maxwellian-stable", {"root_tolerance": 0.01}),
         # the model is linearized in the fluid's rest frame: no background drift
         ("roots", "maxwellian-stable", {"params": {"u0": 0.5}}),
+        # counts are whole numbers, not truncated
+        ("dispersion-scan", "maxwellian-stable",
+         {"scan": {"re": [-3, 3, 40.5], "im": [-0.2, 0.2, 2.9]}}),
+        ("simulate", "maxwellian-stable", {"sim": {"nv": 300.9}}),
+        ("illposed-demo", "bump-unstable", {"illposed": {"nv": 2048.5}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -510,6 +515,21 @@ class TestRootsCommand:
         payload = read_json(out / "stability_check.json")
         assert len(payload["modes"]) == 2
 
+    def test_maxwellian_without_region_searches_the_verdict_box(self, tmp_path):
+        # no heuristic band below the axis: the Maxwellian's damped pair
+        # +-0.99858 - 0.00384i lies outside the box searched
+        cfgfile, out = tmp_path / "c.json", tmp_path / "roots"
+        cfgfile.write_text(json.dumps({"region": None}))
+        assert main(["roots", "--scenario", "maxwellian-stable", "--config",
+                     str(cfgfile), "--out", str(out), "--quiet"]) == 0
+        profile = build_profile(SCENARIOS["maxwellian-stable"]["profile"])
+        params = dispersion.make_params(profile, c0=1.0, rho0=1.0, kappa=0.01)
+        box = dispersion.verdict_region(params, profile)
+        assert read_json(out / "manifest.json")["summary"]["region"] == {
+            "re_min": box.re_min, "re_max": box.re_max, "im_min": box.im_min,
+            "im_max": box.im_max}
+        assert read_json(out / "roots.json") == []
+
 
 class TestBumpWithoutRegion:
     @pytest.mark.parametrize("command", ["roots", "simulate"])
@@ -567,6 +587,14 @@ class TestScanCommand:
         branches = {line.split(",")[-1] for line in lines[1:]}
         assert branches <= {"upper", "real_axis", "lower"}
         assert (out / "scan_heatmap.dat").exists()
+
+    def test_whole_float_counts_accepted(self, tmp_path):
+        cfgfile, out = tmp_path / "scan.json", tmp_path / "scan"
+        cfgfile.write_text(json.dumps({"scan": {"re": [0.2, 2.0, 13.0],
+                                                "im": [-0.1, 0.1, 5.0]}}))
+        assert main(["dispersion-scan", "--scenario", "maxwellian-stable", "--config",
+                     str(cfgfile), "--out", str(out), "--quiet"]) == 0
+        assert read_json(out / "manifest.json")["summary"]["n_points"] == 13 * 5
 
     def test_pole_points_write_nan_rows(self, tmp_path):
         # the grid passes through sigma = 0; landau-compare leaves that point out
@@ -638,6 +666,23 @@ class TestThinSprayCommand:
         assert not any("unreliable" in w
                        for w in read_json(tmp_path / "manifest.json")["warnings"])
 
+    @pytest.mark.parametrize("kappa", [1e-4, 5e-4, 1e-3, 3e-3])
+    def test_failed_seed_gives_no_root_check(self, tmp_path, kappa):
+        # at kappa = 5e-4 the plus seed 5.0088 + 0.185i is no root (the certified
+        # upper count is 0): the run warns and writes no root_check
+        bump = {"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 4.6,
+                "base": {"kind": "maxwellian"}}
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps({"profile": bump,
+                                    "params": {"c0": 5.0, "rho0": 1.0, "kappa": kappa}}))
+        assert main(["thin-spray", "--config", str(path), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        manifest = read_json(tmp_path / "manifest.json")
+        failed = kappa == 5e-4
+        assert any("no certified root near the +c* seed" in w
+                   for w in manifest["warnings"]) == failed
+        assert ("root_check" in read_json(tmp_path / "thin_spray.json")) != failed
+
     def test_readme_bump_roots_above_the_box(self, tmp_path):
         # at kappa = 1e-2 the certified plus root lies above 0.4 strip = 0.1;
         # a box search reaching as far below the axis meets the bump's edge
@@ -663,7 +708,7 @@ class TestThinSprayCommand:
 
 class TestThinSprayRoots:
     """Seeded roots (Newton from the expansion, a count of 1 on a small square)
-    against the box search they replace, which stays as the fallback."""
+    against the box search they replace; a seed that fails gives no root."""
 
     MX = profiles.maxwellian()
     PROFILES = {"maxwellian": (MX, 1.0), "drift": (profiles.maxwellian(drift=0.3), 1.0),
@@ -704,20 +749,25 @@ class TestThinSprayRoots:
                 want = self.box_search(params, profile, sign * c0)
             except SprayWaveError:
                 continue               # no root of the box search to compare with
-            got = cli._root_near(params, profile, sign * c0, seed)
-            if got is not None and got.sigma.imag > 0.4 * profile.strip_halfwidth:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = cli._root_near(params, profile, sign * c0, seed)
+            messages = [str(w.message) for w in caught]
+            if got is None:
+                assert any("no certified root" in m for m in messages)
+                # the box holds a root the seed misses only where the
+                # first-order rate the seed starts from is flagged
+                assert want is None or any("unreliable" in m for m in messages)
+                continue
+            if got.sigma.imag > 0.4 * profile.strip_halfwidth:
                 # a certified upper root above the box needs no strip
                 want = self.box_search(params, profile, sign * c0, above=True)
-            if want is None:
-                assert got is None
-                continue
             assert abs(got.sigma - want.sigma) <= 1e-10
             assert got.residual <= 1e-12 and got.winding_evidence == 1
 
-    def test_seed_of_the_wrong_sign_falls_back(self):
+    def test_seed_of_the_wrong_sign_gives_no_root(self):
         # bump at kappa = 0.3: Newton from the plus seed converges near -6.03,
-        # outside the plus box, so the box search runs (and raises, as it does
-        # on its own)
+        # outside the plus box, so no root is kept (the box search raises)
         profile, c0 = self.PROFILES["bump"]
         params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=0.3)
         seed = self.seeds(params, profile)[1.0]
@@ -727,8 +777,8 @@ class TestThinSprayRoots:
         assert stray.sigma.real == pytest.approx(-6.03, abs=0.01)
         with pytest.raises(StripViolation):
             self.box_search(params, profile, c0)
-        with pytest.raises(StripViolation):
-            cli._root_near(params, profile, c0, seed)
+        with pytest.warns(UserWarning, match=r"no certified root near the \+c\* seed"):
+            assert cli._root_near(params, profile, c0, seed) is None
 
     def test_certified_where_the_box_search_raises(self):
         # the box search's lower edge crosses the bump's edge margin; the

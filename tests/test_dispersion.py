@@ -146,31 +146,52 @@ class TestRootCounting:
         wide = SearchRegion(-30.0, 30.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
         assert count_roots(bump_params, bump_profile, wide) == 1
 
-    def test_upper_box_needs_no_strip_until_dilated_below_the_axis(self, acoustic_params,
-                                                                  std_maxwellian):
-        # the root at 1 on the bottom edge sets off a dilation that pushes the
-        # bottom below the axis, where the strip (0.5) is checked again
-        assert count_roots(acoustic_params, std_maxwellian,
-                           SearchRegion(0.5, 1.5, 0.0, 0.4)) == 1
-        with pytest.raises(BoundaryRoot):
-            count_roots(acoustic_params, std_maxwellian, SearchRegion(0.5, 1.5, 0.0, 1.0))
+    def test_root_on_the_contour_raises(self, acoustic_params, std_maxwellian):
+        # the root at 1 sits on the bottom edge of an upper box, which needs no
+        # strip: the count refuses it rather than counting a dilated box
+        for im_max in (0.4, 1.0):
+            with pytest.raises(BoundaryRoot):
+                count_roots(acoustic_params, std_maxwellian,
+                            SearchRegion(0.5, 1.5, 0.0, im_max))
         with pytest.raises(StripViolation):
             count_roots(acoustic_params, std_maxwellian,
                         SearchRegion(0.5, 1.5, -0.1, 1.0))
+        # the same on the right edge of a box 1.1e-3 c0 right of sigma = 0
+        with pytest.raises(BoundaryRoot):
+            count_roots(acoustic_params, std_maxwellian,
+                        SearchRegion(1.1e-3, 1.0, -0.05, 0.05))
+
+    @pytest.mark.parametrize("box", [SearchRegion(0.5, 1.5, 0.0, 0.4),
+                                     SearchRegion(0.5, 1.5, -0.1, 0.1)])
+    def test_count_samples_its_own_rectangle_only(self, monkeypatch, maxwellian_params,
+                                                  acoustic_params, std_maxwellian, box):
+        # every sigma a count evaluates lies on the box's boundary, whether it
+        # certifies a root inside (maxwellian) or refuses one on an edge (acoustic)
+        seen, pole_free = [], dispersion._pole_free
+
+        def spy(params, profile, sigma):
+            seen.append(np.ravel(sigma))
+            return pole_free(params, profile, sigma)
+
+        monkeypatch.setattr(dispersion, "_pole_free", spy)
+        if box.im_min < 0.0:
+            assert count_roots(maxwellian_params, std_maxwellian, box) == 1
+        else:
+            with pytest.raises(BoundaryRoot):
+                count_roots(acoustic_params, std_maxwellian, box)
+        z, tol = np.concatenate(seen), 1e-12
+        assert z.size >= 4 * 48
+        assert np.all((box.re_min - tol <= z.real) & (z.real <= box.re_max + tol)
+                      & (box.im_min - tol <= z.imag) & (z.imag <= box.im_max + tol))
+        edge = np.abs(np.array([z.real - box.re_min, z.real - box.re_max,
+                                z.imag - box.im_min, z.imag - box.im_max])).min(axis=0)
+        assert edge.max() <= tol
 
     def test_box_beside_the_pole_counts_zero(self, acoustic_params, std_maxwellian):
         # a box within 1e-3 c0 of sigma = 0, where |D| ~ c0^2/|sigma|^2 is huge:
         # the counted sigma^2 D(sigma) is -c0^2 there
         region = SearchRegion(-5e-4, 5e-4, 1e-4, 5e-4)
         assert count_roots(acoustic_params, std_maxwellian, region) == 0
-
-    def test_pole_respected_after_dilation(self, acoustic_params, std_maxwellian):
-        # the left edge sits 1.1e-3 c0 right of sigma = 0; the 1% dilations set
-        # off by the boundary root at +c0 carry it across sigma = 0, where the
-        # counted sigma^2 D(sigma) has no pole
-        region = SearchRegion(1.1e-3, 1.0, -0.05, 0.05)
-        n = count_roots(acoustic_params, std_maxwellian, region)
-        assert n in (0, 1)
 
 
 class TestFindRoots:
@@ -339,18 +360,6 @@ VERDICT_CASES = {
         profiles.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0)), 1.0, 0.95)}
 
 
-class TestDefaultRegion:
-    def test_bump_profile_searches_the_verdict_box(self, bump_params, bump_profile):
-        # a band below the axis would cross the bump's support-edge margin
-        assert (dispersion.default_region(bump_params, bump_profile)
-                == dispersion.verdict_region(bump_params, bump_profile))
-
-    def test_maxwellian_box(self, maxwellian_params, std_maxwellian):
-        half = 0.5 * std_maxwellian.strip_halfwidth
-        assert (dispersion.default_region(maxwellian_params, std_maxwellian)
-                == SearchRegion(-10.0, 10.0, -half, half))
-
-
 class TestSpectralVerdict:
     def test_maxwellian_stable(self, maxwellian_params, std_maxwellian):
         assert spectral_verdict(maxwellian_params, std_maxwellian) == "stable"
@@ -360,13 +369,6 @@ class TestSpectralVerdict:
 
     def test_decoupled_neutral(self, acoustic_params, std_maxwellian):
         assert spectral_verdict(acoustic_params, std_maxwellian) == "neutral"
-
-    def test_region_without_upper_part(self, maxwellian_params, std_maxwellian):
-        # nothing of the box lies above Im sigma = 1e-6, so it holds no upper
-        # zero: the count is skipped and the thin-spray rates decide
-        for im_max in (0.0, 1e-6):
-            region = SearchRegion(-2.0, 2.0, -0.1, im_max)
-            assert spectral_verdict(maxwellian_params, std_maxwellian, region) == "stable"
 
     @pytest.mark.parametrize("case", ["bump_strong", "bump_narrow", "two_stream"])
     def test_roots_above_half_the_strip_unstable(self, case):
@@ -450,8 +452,7 @@ class TestPurelyGrowingRoots:
             assert abs(got - root) < 1e-8
 
     def test_verdict_unstable(self, spray):
-        region = SearchRegion(-3.0, 3.0, -1.0, 1.5)
-        assert spectral_verdict(*spray, region) == "unstable"
+        assert spectral_verdict(*spray) == "unstable"
 
     @pytest.mark.parametrize("kappa,box", [
         (0.998, SearchRegion(-0.05, 0.05, -0.05, 0.05)),

@@ -39,9 +39,11 @@ the NEW results lie from the OLD ones:
   1e-3 c0. The counts (or the exception type) must match exactly; the sigma
   samples of each count (the points passed to quadrature.cauchy_transform,
   which every evaluation goes through) are printed for OLD and NEW.
-- Artifacts of the 11 bundled command x scenario pairs and of two bump runs
+- Artifacts of the 11 bundled command x scenario pairs, of two bump runs
   without a region (`roots` and the eigenmode `simulate` with
-  {"region": null}), each run by the CLI in a fresh interpreter: the exit
+  {"region": null}), of `roots` on the Maxwellian without a region, and of
+  `thin-spray` on the bump with c* = 4.6 at kappa = 5e-4, whose plus seed is
+  no root, each run by the CLI in a fresh interpreter: the exit
   codes, the file lists, each artifact's bytes and manifest.json without its
   timestamp are compared exactly (a failed run is reported with its exit
   code, and its files are not compared). For each
@@ -224,7 +226,7 @@ sys.stdout.buffer.write(pickle.dumps(res))
 
 
 # (command, scenario, config merged over the scenario): the 11 bundled pairs,
-# then the bump runs without a region
+# the bump runs without a region, the Maxwellian one and the failing seed
 RUNS = [(command, scenario, None) for command, scenario in (
     ("dispersion-scan", "maxwellian-stable"), ("roots", "maxwellian-stable"),
     ("roots", "bump-unstable"), ("thin-spray", "thin-spray-sweep"),
@@ -233,7 +235,10 @@ RUNS = [(command, scenario, None) for command, scenario in (
     ("illposed-demo", "bump-unstable"), ("stability-check", "scalar-coupling"),
     ("stability-check", "system-prop1"))] + [
     ("roots", "bump-unstable", {"region": None}),
-    ("simulate", "bump-unstable", {"region": None})]
+    ("simulate", "bump-unstable", {"region": None}),
+    ("roots", "maxwellian-stable", {"region": None}),
+    ("thin-spray", "bump-unstable",
+     {"profile": {"c_star": 4.6}, "params": {"kappa": 5e-4}})]
 D_TOL = 1e-15          # |dD| / max(1, |D|)
 RATE_TOL = 1e-9        # relative, for c*, gamma and gamma(-c*)
 
