@@ -146,9 +146,12 @@ class TestRootCounting:
         wide = SearchRegion(-30.0, 30.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
         assert count_roots(bump_params, bump_profile, wide) == 1
 
-    def test_root_on_the_contour_raises(self, acoustic_params, std_maxwellian):
+    def test_upper_box_needs_no_strip_until_dilated_below_the_axis(self, acoustic_params,
+                                                                  std_maxwellian):
         # the root at 1 sits on the bottom edge of an upper box, which needs no
-        # strip: the count refuses it rather than counting a dilated box
+        # strip; the count is never dilated below the axis, so it refuses the
+        # box with BoundaryRoot, and only a box the caller puts below the axis
+        # meets the strip (0.5)
         for im_max in (0.4, 1.0):
             with pytest.raises(BoundaryRoot):
                 count_roots(acoustic_params, std_maxwellian,
@@ -156,10 +159,6 @@ class TestRootCounting:
         with pytest.raises(StripViolation):
             count_roots(acoustic_params, std_maxwellian,
                         SearchRegion(0.5, 1.5, -0.1, 1.0))
-        # the same on the right edge of a box 1.1e-3 c0 right of sigma = 0
-        with pytest.raises(BoundaryRoot):
-            count_roots(acoustic_params, std_maxwellian,
-                        SearchRegion(1.1e-3, 1.0, -0.05, 0.05))
 
     @pytest.mark.parametrize("box", [SearchRegion(0.5, 1.5, 0.0, 0.4),
                                      SearchRegion(0.5, 1.5, -0.1, 0.1)])
@@ -192,6 +191,14 @@ class TestRootCounting:
         # the counted sigma^2 D(sigma) is -c0^2 there
         region = SearchRegion(-5e-4, 5e-4, 1e-4, 5e-4)
         assert count_roots(acoustic_params, std_maxwellian, region) == 0
+
+    def test_pole_respected_after_dilation(self, acoustic_params, std_maxwellian):
+        # the left edge sits 1.1e-3 c0 right of sigma = 0 and the root at +c0 on
+        # the right edge: no dilation carries the box across sigma = 0, the
+        # count refuses the boundary root instead
+        with pytest.raises(BoundaryRoot):
+            count_roots(acoustic_params, std_maxwellian,
+                        SearchRegion(1.1e-3, 1.0, -0.05, 0.05))
 
 
 class TestFindRoots:
