@@ -6,8 +6,7 @@ from . import errors
 from .dispersion import (RootReport, SearchRegion, SprayParams, count_roots,
                          dispersion_value, find_roots, landau_dispersion,
                          make_params, spectral_verdict, thin_spray_expansion)
-from .hyperbolic import (ModeVerdict, ScalarCoupling, SystemCoupling,
-                         scalar_dispersion, scalar_imag_leading, scalar_root,
+from .hyperbolic import (ModeVerdict, ScalarCoupling, SystemCoupling, scalar_root,
                          secular_function, stability_necessary_condition,
                          symmetric_eigen, track_secular_root)
 from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
@@ -25,8 +24,8 @@ __all__ = [
     "SprayParams", "SearchRegion", "RootReport", "make_params",
     "dispersion_value", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",
-    "ScalarCoupling", "SystemCoupling", "ModeVerdict", "scalar_dispersion",
-    "scalar_root", "scalar_imag_leading", "symmetric_eigen", "secular_function",
+    "ScalarCoupling", "SystemCoupling", "ModeVerdict", "scalar_root",
+    "symmetric_eigen", "secular_function",
     "stability_necessary_condition", "track_secular_root",
     "ModeState", "SimConfig", "Trajectory", "init_eigenmode", "integrate",
     "growth_rate", "recurrence_time", "sobolev_scaling_experiment",

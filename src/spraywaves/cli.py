@@ -1,14 +1,18 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts + manifest out.
 
-`load_config` merges the scenario and the config file (whose integers must fit
-a double) and checks the shape of the result: every block (and `sim.init`) is
-a JSON object, `null` stands for an absent `quadrature` or `region` only, and
-`output_dir` is a string. Each handler then reads its whole config inside one
-`_reading` block before it evaluates anything. `_reading` turns the validation
-errors of the library constructors (KeyError, IndexError, TypeError,
-ValueError, InvalidBump, VacuumViolation) into `ConfigError`; the value rules
-themselves live in those constructors, not in a schema table here. An error
-raised while computing is therefore never reported as a config error.
+`load_config` merges the scenario and the config file and checks the shape of
+the result: every number of the file is a finite double (NaN, Infinity and
+literals that overflow are refused as the file is parsed, and integers stay
+ints), every block (and `sim.init`) is a JSON object, `null` stands for an
+absent `quadrature` or `region` only, and `output_dir` is a string. Each
+handler then reads its whole config inside one `_reading` block before it
+evaluates anything. `_reading` turns the validation errors of the library
+constructors (KeyError, IndexError, TypeError, ValueError, InvalidBump,
+VacuumViolation) into `ConfigError`; the value rules themselves live in those
+constructors, not in a schema table here. An error raised while computing is
+therefore never reported as a config error. The spray's `params` are c0, rho0
+and kappa: the volume fraction alpha0 = 1 - kappa m0 follows from the profile,
+so a `params.alpha0` is refused, as is a nonzero `u0`.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 Machine-readable error JSON goes to stderr in both failure cases.
@@ -47,7 +51,6 @@ DEFAULTS_TABLE = {
     "boundary_min_modulus": dispersion._MIN_BOUNDARY_MOD,
     "eigen_gap_min": hyperbolic._GAP_TOL,
     "eigen_residual_max": hyperbolic._EIGEN_RESIDUAL,
-    "compatibility_tolerance": dispersion._COMPAT_TOL,
     "cfl_fraction": modesim._CFL_FRACTION,
     "eigenmode_residual_max": modesim._EIGENMODE_RESIDUAL,
     "grid_resolution_multiple": modesim._GRID_MULTIPLE,
@@ -76,11 +79,12 @@ def _reading(what: str):
         raise ConfigError(f"invalid {what}: {detail}") from err
 
 
-def _json_int(text: str) -> int:
-    """A JSON integer that fits a double, since config numbers are read as floats."""
-    value = int(text)
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"integer of {len(text)} digits does not fit a double")
+def _json_number(text: str, kind=float):
+    """A config-file number that is a finite double (config numbers are read as
+    floats): NaN, Infinity and overflowing literals are refused; ints stay ints."""
+    value = kind(text)
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"config number {text[:24]} is not a finite double")
     return value
 
 
@@ -114,16 +118,14 @@ def build_profile(d: dict) -> VelocityProfile:
 
 
 def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
-    c0, rho0 = float(d["c0"]), float(d["rho0"])
-    kappa = float(d.get("kappa", 0.0))
     # the model is linearized in the fluid's rest frame: a drift goes in the profile
     if float(d.get("u0", 0.0)) != 0.0:
         raise ValueError(f"u0 must be 0 (drift the profile instead), got {d['u0']!r}")
-    if "alpha0" not in d:
-        return dispersion.make_params(profile, c0=c0, rho0=rho0, kappa=kappa)
-    params = SprayParams(c0=c0, rho0=rho0, kappa=kappa, alpha0=float(d["alpha0"]))
-    dispersion.check_compatibility(params, profile)
-    return params
+    if "alpha0" in d:
+        raise ValueError(f"alpha0 is not an input: alpha0 = 1 - kappa * m0 follows "
+                         f"from the profile, got {d['alpha0']!r}")
+    return dispersion.make_params(profile, c0=float(d["c0"]), rho0=float(d["rho0"]),
+                                  kappa=float(d.get("kappa", 0.0)))
 
 
 def check_quadrature(d: dict | None) -> None:
@@ -132,8 +134,8 @@ def check_quadrature(d: dict | None) -> None:
     one for a config that asked for another would misreport the run."""
     d = d or {}
     for key in ("L", "window"):          # keys of older configs: checked, then ignored
-        if not 0.0 < float(d.get(key, 1.0)) < math.inf:
-            raise ValueError(f"quadrature.{key} must be positive and finite")
+        if not 0.0 < float(d.get(key, 1.0)):
+            raise ValueError(f"quadrature.{key} must be positive")
     for key, fixed in (("nodes", quadrature.NODES),
                        ("axis_tolerance", quadrature.AXIS_TOLERANCE)):
         if float(d.get(key, fixed)) != fixed:
@@ -144,10 +146,8 @@ def build_region(d: dict | None, params: SprayParams,
                  profile: VelocityProfile) -> SearchRegion:
     if not d:
         return dispersion.verdict_region(params, profile)
-    bounds = [float(d[key]) for key in ("re_min", "re_max", "im_min", "im_max")]
-    if not all(map(math.isfinite, bounds)):
-        raise ConfigError(f"region bounds must be finite, got {bounds}")
-    region = SearchRegion(*bounds)
+    keys = ("re_min", "re_max", "im_min", "im_max")
+    region = SearchRegion(*(float(d[key]) for key in keys))
     # only the lower branch needs the strip, as in count_roots
     if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
         raise ConfigError(f"region reaches below the axis and |Im sigma| = "
@@ -191,9 +191,8 @@ def _grid_axis(spec, default) -> np.ndarray:
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
     lo, hi, n = float(spec[0]), float(spec[1]), _whole(spec[2], "grid axis n")
-    if not (math.isfinite(lo) and math.isfinite(hi) and 1 <= n <= _GRID_MAX_POINTS):
-        raise ConfigError(f"grid axis {spec!r} needs finite bounds and 1 to "
-                          f"{_GRID_MAX_POINTS} points")
+    if not 1 <= n <= _GRID_MAX_POINTS:
+        raise ConfigError(f"grid axis {spec!r} needs 1 to {_GRID_MAX_POINTS} points")
     return np.linspace(lo, hi, n)
 
 
@@ -340,12 +339,9 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
         profile, params = _read_spray(cfg)
         spec = cfg.get("landau", {})
         k1, k2 = (float(k) for k in spec.get("k_values", [1.0, 2.0]))
-        if not all(k != 0.0 and math.isfinite(k) for k in (k1, k2)):
-            raise ConfigError(f"landau.k_values must be nonzero finite numbers, "
-                              f"got {[k1, k2]}")
+        if 0.0 in (k1, k2):
+            raise ConfigError(f"landau.k_values must be nonzero, got {[k1, k2]}")
         im_sigma = float(spec.get("im_sigma", 0.05))
-        if not math.isfinite(im_sigma):
-            raise ConfigError(f"landau.im_sigma must be finite, got {im_sigma}")
         re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
     sigma = np.empty(re_axis.size, dtype=complex)
     sigma.real, sigma.imag = re_axis, im_sigma
@@ -373,14 +369,12 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
             raise ConfigError(f"unknown sim init type {init_type!r}")
         eigenmode = init_type == "eigenmode"
         k = float(sim.get("k", 1.0))
-        if k == 0.0 or not math.isfinite(k):
-            raise ConfigError(f"sim.k must be a nonzero finite number, got {k}")
+        if k == 0.0:
+            raise ConfigError(f"sim.k must be nonzero, got {k}")
         sigma = None
         if eigenmode and "sigma" in init:
             re_sigma, im_sigma = init["sigma"]
             sigma = complex(float(re_sigma), float(im_sigma))
-            if not np.isfinite(sigma):
-                raise ConfigError(f"sim.init.sigma must be finite, got {init['sigma']}")
         t_final = float(sim["t_final"]) if "t_final" in sim else None
         growth_spans = float(sim.get("growth_spans", 6.0))
         periods = float(sim.get("periods", 10.0))
@@ -485,7 +479,7 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
         root = hyperbolic.scalar_root(scalar)
         payload["scalar"] = {
             "lambda0": scalar.lambda0, "kappa": scalar.kappa,
-            "leading_imag": hyperbolic.scalar_imag_leading(scalar),
+            "leading_imag": scalar.kappa * verdicts[0].imag_rate,
             "root": {"re_omega": root.sigma.real, "im_omega": root.sigma.imag,
                      "residual": root.residual,
                      "winding_evidence": root.winding_evidence}}
@@ -540,7 +534,9 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
         if path.is_dir():
             raise ConfigError(f"config file {config_path} is a directory")
         with _reading("config file"):
-            file_cfg = json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
+            file_cfg = json.loads(path.read_text(encoding="utf-8"),
+                                  parse_int=functools.partial(_json_number, kind=int),
+                                  parse_float=_json_number, parse_constant=_json_number)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         if "command" in file_cfg and file_cfg["command"] != command:

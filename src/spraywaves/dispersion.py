@@ -34,7 +34,6 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 NEUTRAL = "neutral"
 
-_COMPAT_TOL = 1e-10
 _ROOT_TOL = 1e-10
 _NEWTON_MAX_ITER = 80
 _NEWTON_H_REL = 1e-7        # central-difference step of D', relative to max(1, |z|)
@@ -44,38 +43,31 @@ POLE_RADIUS = 1e-14
 
 @dataclass(frozen=True)
 class SprayParams:
-    """Background state of the linearization (fluid at rest after the Galilean shift)."""
+    """Background state of the linearization (fluid at rest after the Galilean
+    shift); the volume fraction alpha0 = 1 - kappa m0 follows from the profile."""
 
     c0: float
     rho0: float
     kappa: float
-    alpha0: float
 
     def __post_init__(self):
         if not (0 < self.c0 < math.inf and 0 < self.rho0 < math.inf):
             raise ValueError("c0 and rho0 must be positive and finite")
         if not 0 <= self.kappa < math.inf:
             raise ValueError("kappa must be >= 0 and finite")
-        if not (0.0 < self.alpha0 <= 1.0):
-            raise ValueError("alpha0 must lie in (0, 1]")
-
-    @property
-    def coupling_prefactor(self) -> float:
-        return self.kappa * self.rho0 * self.c0**2 / self.alpha0
 
 
 def make_params(profile: VelocityProfile, c0: float, rho0: float,
                 kappa: float) -> SprayParams:
-    """SprayParams with alpha0 fixed by the volume-fraction compatibility condition."""
-    return SprayParams(c0=c0, rho0=rho0, kappa=kappa,
-                       alpha0=profiles.compatibility_alpha(profile, kappa))
+    """SprayParams, refused (VacuumViolation) where kappa m0 >= 1 leaves no fluid."""
+    profiles.compatibility_alpha(profile, kappa)
+    return SprayParams(c0=c0, rho0=rho0, kappa=kappa)
 
 
-def check_compatibility(params: SprayParams, profile: VelocityProfile) -> None:
-    expected = 1.0 - params.kappa * profile.m0
-    if abs(params.alpha0 - expected) > _COMPAT_TOL:
-        raise ValueError(
-            f"alpha0={params.alpha0} inconsistent with 1 - kappa*m0 = {expected}")
+def coupling_prefactor(params: SprayParams, profile: VelocityProfile) -> float:
+    """kappa rho0 c0^2 / alpha0, with the volume fraction alpha0 = 1 - kappa m0."""
+    return (params.kappa * params.rho0 * params.c0**2
+            / profiles.compatibility_alpha(profile, params.kappa))
 
 
 @dataclass(frozen=True)
@@ -239,16 +231,15 @@ def _winding_number(func, region: SearchRegion,
 def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
     """E(sigma) = sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at
     a point or elementwise over an ndarray, with C[v f'](sigma) the continued
-    int v f'(v)/(v - sigma) dv, after the compatibility check (sigma^2 - c0^2 at
-    kappa = 0): the zeros of D without its sigma = 0 pole (E(0) = -c0^2)."""
+    int v f'(v)/(v - sigma) dv (sigma^2 - c0^2 at kappa = 0): the zeros of D
+    without its sigma = 0 pole (E(0) = -c0^2)."""
     # complex ** raises OverflowError where the square overflows; so must an array
     with np.errstate(over="raise"):
         base = sigma**2 - params.c0**2
     if params.kappa == 0.0:
         return base
-    check_compatibility(params, profile)
-    return base - params.coupling_prefactor * sigma * quadrature.cauchy_transform(
-        profile, (0.0, 1.0), sigma)
+    pref = coupling_prefactor(params, profile)
+    return base - pref * sigma * quadrature.cauchy_transform(profile, (0.0, 1.0), sigma)
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile,
@@ -411,10 +402,9 @@ def thin_spray_expansion(params: SprayParams,
     if params.kappa > 0.1:
         warnings.warn("thin-spray expansion requested at kappa > 0.1",
                       stacklevel=2)
-    check_compatibility(params, profile)
     # on the axis the continuation is P.V. + i pi c0 f'(c0); keep the P.V.
     pv = quadrature.cauchy_transform(profile, (0.0, 1.0), params.c0).real
-    c_star = params.c0 + 0.5 * params.coupling_prefactor * pv
+    c_star = params.c0 + 0.5 * coupling_prefactor(params, profile) * pv
     gamma = damping_rate_at(params, profile, c_star)
     return c_star, gamma
 
@@ -433,7 +423,7 @@ def verdict_region(params: SprayParams, profile: VelocityProfile) -> SearchRegio
     density (|v| <= |d| + w|u| and Mills' ratio in u = (v - d)/w). R grows by 1.25
     from twice the largest of c0, |d| + w and |bump edge| until that is <= 1/2.
     """
-    pref, h = params.coupling_prefactor, 1e-6
+    pref, h = coupling_prefactor(params, profile), 1e-6
     norm = quadrature.vdf_norm(profile) if pref else 0.0
 
     def side_bound(r: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,45 +124,31 @@ class ModeVerdict:
                 "q_j": self.q_j, "imag_rate": self.imag_rate, "verdict": self.verdict}
 
 
+@lru_cache(maxsize=1)
 def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
-    """N=1 embedding: zeros of the secular function coincide with scalar roots."""
+    """N=1 embedding: the scalar law is the system (lambda0), grad_psi = (1),
+    phi(v) = v, and its P_0 is -G(omega), G(omega) = omega - lambda0 +
+    kappa C[v f'/(v - omega)]. The last one is kept: `stability-check` and
+    `scalar_root` ask for the same law's system in turn."""
     return SystemCoupling(a_matrix=np.array([[c.lambda0]]), grad_psi=np.array([1.0]),
                           phi_coeffs=((0.0,), (1.0,)), kappa=c.kappa,
                           profile=c.profile)
 
 
-# ---------------------------------------------------------------------------
-# scalar coupling
-# ---------------------------------------------------------------------------
-
-def scalar_dispersion(c: ScalarCoupling, omega):
-    """G(omega) = omega - lambda0 + kappa * C[v f'/(v - omega)], at a point or
-    elementwise over an ndarray; roots solve the coupled scalar dispersion
-    relation."""
-    if not isinstance(omega, np.ndarray):
-        omega = complex(omega)
-    if c.kappa == 0.0:
-        return omega - c.lambda0
-    return omega - c.lambda0 + c.kappa * quadrature.cauchy_transform(
-        c.profile, (0.0, 1.0), omega)
-
-
 def scalar_root(c: ScalarCoupling, tol: float = 1e-12) -> RootReport:
-    """Coupled root by one Newton solve on G from the first-order seed
-    lambda0 - G(lambda0); G is -P_0 of track_secular_root for N = 1."""
+    """Coupled root by one Newton solve on P_0 of `scalar_as_system` (the
+    function `track_secular_root` solves) from the first-order seed
+    lambda0 + P_0(lambda0), with a winding count around it as evidence."""
     if abs(c.kappa) > SCALAR_KAPPA_MAX:
         raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
-    func = lambda z: scalar_dispersion(c, z)
+    s = scalar_as_system(c)
+    def func(z):        # a Python complex at a point: the report holds Python numbers
+        p0 = pole_free_secular(s, 0, c.kappa, z)
+        return p0 if isinstance(z, np.ndarray) else complex(p0)
     scale = max(1.0, abs(c.lambda0))
-    return _seeded_root(func, c.lambda0 - func(c.lambda0), tol, trust_radius=scale,
+    return _seeded_root(func, c.lambda0 + func(c.lambda0), tol, trust_radius=scale,
                         floor=1e-3 * scale, spread=4.0)
-
-
-def scalar_imag_leading(c: ScalarCoupling) -> float:
-    """Leading-order Im omega = -pi kappa lambda0 f'(lambda0)."""
-    slope = float(np.real(profiles.eval_df(c.profile, c.lambda0)))
-    return -math.pi * c.kappa * c.lambda0 * slope
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +188,17 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 # secular function and perturbation checks
 # ---------------------------------------------------------------------------
 
-def _modal_projections(s: SystemCoupling, sigma: complex) -> np.ndarray:
+def _modal_projections(s: SystemCoupling, sigma) -> np.ndarray:
     """(grad_psi . r_i)(r_i . I(sigma)) for each eigenpair i of A, where I(sigma) is
     the continued integral of phi(v) f'(v)/(v - sigma), component-wise: the sum
-    of phi_coeffs[k] C[v**k f'](sigma), one transform per power with a nonzero row."""
+    of phi_coeffs[k] C[v**k f'](sigma), one transform per power with a nonzero row.
+    Over an ndarray of sigma, axis 0 runs over i and the others over sigma."""
     psi_r, rows, powers = s.modal_terms
-    ivec = sum((c * quadrature.cauchy_transform(s.profile, w, sigma) for w, c in powers),
-               np.zeros(s.dim, dtype=complex))
+    ivec = sum((np.multiply.outer(c, quadrature.cauchy_transform(s.profile, w, sigma))
+                for w, c in powers), 0.0)
+    if isinstance(sigma, np.ndarray):
+        extra = (1,) * sigma.ndim
+        psi_r, rows = psi_r.reshape(-1, *extra), rows.reshape(*rows.shape, *extra)
     return psi_r * (rows * ivec).sum(axis=1)
 
 
@@ -250,14 +240,23 @@ def fails_necessary_condition(verdicts: list[ModeVerdict]) -> bool:
     return any(v.verdict == UNSTABLE_MODE for v in verdicts)
 
 
+def pole_free_secular(s: SystemCoupling, j: int, kappa: float, sigma):
+    """P_j(sigma) = (sigma_j - sigma) S(sigma) at coupling kappa, written out term
+    by term so that it has no pole at the eigenvalue sigma_j; at a point or
+    elementwise over an ndarray."""
+    m = _modal_projections(s, sigma)
+    rest = sum(m[i] / (ev - sigma) for i, (ev, _) in enumerate(s.eigenpairs) if i != j)
+    return (s.eigenpairs[j][0] - sigma) * (1.0 - kappa * rest) - kappa * m[j]
+
+
 def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
                        tol: float = 1e-9) -> complex:
     """Zero of the secular function at kappa_target that leaves eigenvalue j.
 
     One Newton solve from the first-order seed sigma_j + kappa sigma'(0),
     sigma'(0) = -(grad_psi . r_j)(r_j . I(sigma_j)), on the pole-free
-    P_j(sigma) = (sigma_j - sigma) S(sigma), written out term by term so that
-    Newton never meets the pole at sigma_j (Bunch, Nielsen & Sorensen 1978).
+    P_j = `pole_free_secular`, so that Newton never meets the pole at sigma_j
+    (Bunch, Nielsen & Sorensen 1978).
     Newton stops at |P_j| <= max(tol |kappa sigma'(0)|, floor), and the root is
     returned only if |P_j| <= max(tol |sigma - sigma_j|, floor), where
     floor = 8 eps max(1, |sigma_j|) is the rounding of sigma_j - sigma. So
@@ -266,12 +265,7 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     at sigma_j = 2) only |P_j| <= floor is guaranteed.
     """
     sigma_j = s.eigenpairs[j][0]
-
-    def pole_free(z: complex) -> complex:
-        m = _modal_projections(s, z)
-        rest = sum(m[i] / (ev - z) for i, (ev, _) in enumerate(s.eigenpairs) if i != j)
-        return (sigma_j - z) * (1.0 - kappa_target * rest) - kappa_target * m[j]
-
+    pole_free = lambda z: pole_free_secular(s, j, kappa_target, z)
     step = -kappa_target * _modal_projections(s, complex(sigma_j))[j]
     floor = _ROUNDING_FLOOR * max(1.0, abs(sigma_j))
     sigma, _ = _newton(pole_free, sigma_j + step, max(tol * abs(step), floor),

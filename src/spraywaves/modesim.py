@@ -139,8 +139,8 @@ def rhs(params: SprayParams, profile: VelocityProfile, state: ModeState,
     dfdv = np.real(profiles.eval_df(profile, grid))
     ik = 1j * state.k
     kinetic_flux = float(params.kappa) * np.sum(weights * state.f_hat * grid)
-    dtau = ik / (params.alpha0 * params.rho0) * (params.alpha0 * state.u_hat
-                                                 + kinetic_flux)
+    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
+    dtau = ik / (alpha0 * params.rho0) * (alpha0 * state.u_hat + kinetic_flux)
     du = ik * params.rho0 * params.c0**2 * state.tau_hat
     df = -ik * grid * state.f_hat - ik * params.c0**2 * params.rho0**2 \
         * state.tau_hat * dfdv
@@ -233,7 +233,8 @@ def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
     ikdt = 1j * k * dt
     z = -ikdt * grid
     c = -ikdt * params.c0**2 * params.rho0**2 * np.real(profiles.eval_df(profile, grid))
-    omega = ikdt * params.kappa / (params.alpha0 * params.rho0) * root_w * grid
+    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
+    omega = ikdt * params.kappa / (alpha0 * params.rho0) * root_w * grid
     moments = omega * z ** np.arange(4)[:, None]
     a, b = ikdt / params.rho0, ikdt * params.rho0 * params.c0**2
     q0, q1, q2 = (moments[:3] @ (root_w * c)).tolist()

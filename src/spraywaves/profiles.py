@@ -50,6 +50,12 @@ class Gaussian:
     width: float
     strip: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mass, self.drift, self.width, self.strip))):
+            raise ValueError("mass, drift, width and strip must be finite")
+        if min(self.mass, self.width, self.strip) <= 0:
+            raise ValueError("mass, width and strip must be positive")
+
 
 @dataclass(frozen=True)
 class Bump:
@@ -66,6 +72,16 @@ class Bump:
     strip: float
     breakpoints: tuple[float, ...]
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.eps, self.eta, self.c_star))):
+            raise ValueError("eps, eta and c_star must be finite")
+        if not math.isfinite(self.eps * self.m0 / self.eta / self.eta):
+            raise ValueError("bump derivative scale eps m0 / eta**2 overflows")
+        pts = _bump_breakpoints(self.eta, self.c_star)
+        if any(x >= y for x, y in zip(pts, pts[1:])):
+            raise ValueError("bump support too narrow to resolve at c_star: "
+                             "its panel breakpoints coincide in floating point")
+
     @property
     def support(self) -> tuple[float, float]:
         return (self.c_star - self.eta, self.c_star + self.eta)
@@ -73,48 +89,35 @@ class Bump:
 
 @dataclass(frozen=True)
 class VelocityProfile:
-    """Analytic equilibrium distribution with strip metadata.
-
-    ``mass``/``drift``/``width`` describe the aggregate distribution (total
-    integral, mean bulk velocity, bulk thermal spread), ``strip_halfwidth`` the
-    narrowest strip of its parts.
-    """
+    """Analytic equilibrium distribution: its parts, with the mean bulk velocity
+    ``drift`` and bulk thermal spread ``width`` of the aggregate; the total mass
+    is ``m0`` and the narrowest strip of the parts ``strip_halfwidth``."""
 
     gaussians: tuple[Gaussian, ...]
     bumps: tuple[Bump, ...]
-    mass: float
     drift: float
     width: float
-    strip_halfwidth: float
 
     def __post_init__(self):
-        fields = [(self, name) for name in ("mass", "drift", "width", "strip_halfwidth")]
-        fields += [(b, name) for b in self.bumps for name in ("eps", "eta", "c_star")]
-        for part, name in fields:
-            if not math.isfinite(getattr(part, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.mass <= 0 or self.width <= 0:
-            raise ValueError("mass and width must be positive")
-        if self.strip_halfwidth <= 0:
-            raise ValueError("strip_halfwidth must be positive")
+        if not (all(map(math.isfinite, (self.m0, self.drift, self.width)))
+                and self.width > 0):
+            raise ValueError("total mass, drift and width must be finite, width positive")
         lo, hi = support_bounds(self)
         if not math.isfinite(hi - lo + 4.0 * self.width):
             raise ValueError("profile support overflows")
-        # f' scales like mass / width**2, and a bump term's like eps * m0 / eta**2
-        slope = max([self.mass / self.width / self.width]
-                    + [b.eps * b.m0 / b.eta / b.eta for b in self.bumps])
-        if not math.isfinite(slope):
+        # f' scales like m0 / width**2 (a bump term's scale is checked by `Bump`)
+        if not math.isfinite(self.m0 / self.width / self.width):
             raise ValueError("profile derivative scale overflows")
-        for b in self.bumps:
-            pts = _bump_breakpoints(b.eta, b.c_star)
-            if any(x >= y for x, y in zip(pts, pts[1:])):
-                raise ValueError("bump support too narrow to resolve at c_star: "
-                                 "its panel breakpoints coincide in floating point")
 
     @cached_property
     def m0(self) -> float:
         """Total mass moment(self, 0), computed once per object."""
         return moment(self, 0)
+
+    @cached_property
+    def strip_halfwidth(self) -> float:
+        """The narrowest strip of the parts."""
+        return min(part.strip for part in self.gaussians + self.bumps)
 
     @cached_property
     def node_sets(self) -> dict:
@@ -126,8 +129,7 @@ def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
                strip_halfwidth: float = 0.0) -> VelocityProfile:
     """One Gaussian part; a strip_halfwidth of 0 means half the width."""
     strip = strip_halfwidth or 0.5 * width
-    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), (), mass, drift,
-                           width, strip)
+    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), (), drift, width)
 
 
 def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
@@ -143,23 +145,21 @@ def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
     if not (0.0 < eps < 1.0) or eta <= 0.0:
         raise InvalidBump(f"need 0 < eps < 1 and eta > 0, got eps={eps}, eta={eta}")
     scaled = lambda part: replace(part, coef=(1.0 - eps) * part.coef)
-    strip = min(base.strip_halfwidth, 0.5 * eta)
-    bump = Bump(1.0, eps, eta, c_star, base.m0, strip,
+    bump = Bump(1.0, eps, eta, c_star, base.m0, min(base.strip_halfwidth, 0.5 * eta),
                 _bump_breakpoints(eta, c_star) + analyticity_breakpoints(base))
     return VelocityProfile(tuple(map(scaled, base.gaussians)),
-                           tuple(map(scaled, base.bumps)) + (bump,),
-                           base.mass, base.drift, base.width, strip)
+                           tuple(map(scaled, base.bumps)) + (bump,), base.drift,
+                           base.width)
 
 
 def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
     if not parts:
         raise ValueError("profile_sum needs at least one component")
-    mass = sum(p.mass for p in parts)
-    drift = sum(p.mass * p.drift for p in parts) / mass
+    mass = sum(p.m0 for p in parts)
+    drift = sum(p.m0 * p.drift for p in parts) / mass
     width = max(abs(p.drift - drift) + p.width for p in parts)
     return VelocityProfile(sum((p.gaussians for p in parts), ()),
-                           sum((p.bumps for p in parts), ()), mass, drift, width,
-                           min(p.strip_halfwidth for p in parts))
+                           sum((p.bumps for p in parts), ()), drift, width)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def bump_params(bump_profile):
 
 @pytest.fixture(scope="session")
 def acoustic_params():
-    return dispersion.SprayParams(c0=1.0, rho0=1.0, kappa=0.0, alpha0=1.0)
+    return dispersion.SprayParams(c0=1.0, rho0=1.0, kappa=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,17 @@ class TestExitCodes:
         cfgfile.write_text(json.dumps({"command": "simulate"}))
         assert main(["roots", "--config", str(cfgfile)]) == 2
 
+    def test_alpha0_exits_2(self, tmp_path, capsys):
+        # alpha0 follows from kappa and the profile, even where it would agree
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"params": {"alpha0": 0.99}}))
+        code = main(["simulate", "--scenario", "maxwellian-stable", "--config",
+                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "alpha0 = 1 - kappa * m0" in err["error"]["message"]
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # eigenmode seeding on a stable profile: no root to seed from
         cfg = {
@@ -169,10 +180,14 @@ class TestExitCodes:
          {"scan": {"re": [-3, 3, 40.5], "im": [-0.2, 0.2, 2.9]}}),
         ("simulate", "maxwellian-stable", {"sim": {"nv": 300.9}}),
         ("illposed-demo", "bump-unstable", {"illposed": {"nv": 2048.5}}),
+        # non-finite numbers are refused as the file is parsed; a string is
+        # written as it stands (json.dumps writes no literal that overflows)
+        ("simulate", "maxwellian-stable", {"sim": {"dt": math.inf}}),
+        ("simulate", "maxwellian-stable", '{"sim": {"dt": 1e999}}'),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps(override))
+        cfgfile.write_text(override if isinstance(override, str) else json.dumps(override))
         code = main([command, "--scenario", scenario, "--config", str(cfgfile),
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 2
@@ -300,8 +315,7 @@ def test_defaults_table_is_unchanged():
     assert json.dumps(DEFAULTS_TABLE, sort_keys=True) == json.dumps({
         "root_tolerance": 1e-10, "axis_tolerance": 1e-12, "winding_defect_max": 0.25,
         "boundary_min_modulus": 1e-9, "eigen_gap_min": 1e-8,
-        "eigen_residual_max": 1e-10, "compatibility_tolerance": 1e-10,
-        "cfl_fraction": 0.1, "eigenmode_residual_max": 1e-8,
+        "eigen_residual_max": 1e-10, "cfl_fraction": 0.1, "eigenmode_residual_max": 1e-8,
         "grid_resolution_multiple": 3.0}, sort_keys=True)
 
 

@@ -40,15 +40,25 @@ class TestDispersionValue:
         for sigma in (6e-15, 6e-15j, np.array([1.0, -6e-15])):
             assert np.all(np.isfinite(dispersion_value(params, std_maxwellian, sigma)))
 
-    def test_compatibility_enforced(self, std_maxwellian):
-        bad = SprayParams(c0=1.0, rho0=1.0, kappa=0.01, alpha0=0.5)
-        with pytest.raises(ValueError, match=r"alpha0=0.5 inconsistent with 1 - kappa\*m0"):
-            dispersion_value(bad, std_maxwellian, 1.0)
+    def test_alpha0_follows_each_profile(self, std_maxwellian):
+        # params built for one profile serve another of a different mass:
+        # alpha0 = 1 - kappa m0 is read from the profile D(sigma) is evaluated on
+        params = make_params(std_maxwellian, c0=1.0, rho0=1.0, kappa=0.01)
+        heavy = profiles.maxwellian(mass=3.0)
+        sigma = 1.2 + 0.1j
+        for profile, m0 in ((std_maxwellian, 1.0), (heavy, 3.0)):
+            pref = 0.01 / (1.0 - 0.01 * m0)
+            integral = dense_line_integral(profile_integrand(profile), sigma)
+            want = 1.0 - 1.0 / sigma**2 - pref * integral / sigma
+            got = dispersion_value(params, profile, sigma)
+            assert abs(got - want) <= 1e-10
+            assert got == dispersion_value(make_params(profile, 1.0, 1.0, 0.01),
+                                           profile, sigma)
 
     @pytest.mark.parametrize("field", ["c0", "rho0", "kappa"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_params_reject_non_finite(self, field, value):
-        fields = {"c0": 1.0, "rho0": 1.0, "kappa": 0.01, "alpha0": 0.99}
+        fields = {"c0": 1.0, "rho0": 1.0, "kappa": 0.01}
         with pytest.raises(ValueError):
             SprayParams(**{**fields, field: value})
 
@@ -343,7 +353,8 @@ def _mode_matrix_sigmas(params, profile, nv=513, bound=10.0):
     w *= (v[1] - v[0]) / 3.0
     a = np.zeros((nv + 2, nv + 2))
     a[0, 1] = 1.0 / params.rho0
-    a[0, 2:] = params.kappa / (params.alpha0 * params.rho0) * w * v
+    alpha0 = 1.0 - params.kappa * profiles.moment(profile, 0)
+    a[0, 2:] = params.kappa / (alpha0 * params.rho0) * w * v
     a[1, 0] = params.rho0 * params.c0**2
     a[2:, 0] = -params.c0**2 * params.rho0**2 * np.real(profiles.eval_df(profile, v))
     a[np.arange(2, nv + 2), np.arange(2, nv + 2)] = -v
@@ -496,7 +507,8 @@ class TestStrongBumpRoots:
         """Newton on D(sigma) with the continued integral from `bump_oracle`."""
         def func(s):
             integral = bump_oracle(profile, (0.0, 1.0), s)
-            return 1.0 - params.c0**2 / s**2 - params.coupling_prefactor * integral / s
+            pref = dispersion.coupling_prefactor(params, profile)
+            return 1.0 - params.c0**2 / s**2 - pref * integral / s
 
         for _ in range(8):
             step = func(z) / ((func(z + h) - func(z - h)) / (2.0 * h))

@@ -7,11 +7,22 @@ from spraywaves import hyperbolic, profiles, quadrature
 from spraywaves.dispersion import SearchRegion, find_roots
 from spraywaves.errors import DegenerateSpectrum, ResolventSingularity
 from spraywaves.hyperbolic import (DECOUPLED, STABLE_MODE, UNSTABLE_MODE,
-                                   ScalarCoupling, SystemCoupling,
-                                   scalar_as_system, scalar_dispersion,
-                                   scalar_imag_leading, scalar_root,
+                                   ScalarCoupling, SystemCoupling, pole_free_secular,
+                                   scalar_as_system, scalar_root,
                                    secular_function, stability_necessary_condition,
                                    symmetric_eigen, track_secular_root)
+
+
+def p0(c: ScalarCoupling, omega):
+    """P_0 of the N = 1 system: -G(omega), G the scalar dispersion function
+    omega - lambda0 + kappa C[v f'/(v - omega)]."""
+    return pole_free_secular(scalar_as_system(c), 0, c.kappa, omega)
+
+
+def leading_imag(c: ScalarCoupling) -> float:
+    """Leading-order Im omega of the scalar law: kappa times the imag_rate of
+    mode 0, -pi kappa lambda0 f'(lambda0)."""
+    return c.kappa * stability_necessary_condition(scalar_as_system(c))[0].imag_rate
 
 
 @pytest.fixture(scope="module")
@@ -31,23 +42,23 @@ def fixture_systems(std_maxwellian):
 class TestScalarDispersion:
     def test_uncoupled_is_affine(self, std_maxwellian):
         c = ScalarCoupling(lambda0=1.0, kappa=0.0, profile=std_maxwellian)
-        assert scalar_dispersion(c, 3.0) == pytest.approx(2.0)
-        assert scalar_dispersion(c, 1.0) == 0.0
+        assert p0(c, 3.0) == pytest.approx(-2.0)
+        assert p0(c, 1.0) == 0.0
 
     def test_axis_continuation_term(self, std_maxwellian):
-        # on-axis value includes + i pi kappa omega f'(omega)
+        # on-axis value includes - i pi kappa omega f'(omega)
         kappa = 5e-3
         c = ScalarCoupling(lambda0=1.0, kappa=kappa, profile=std_maxwellian)
         omega = 0.8
-        val = scalar_dispersion(c, omega)
+        val = p0(c, omega)
         slope = profiles.eval_df(std_maxwellian, omega).real
-        assert val.imag == pytest.approx(math.pi * kappa * omega * slope, rel=1e-10)
+        assert val.imag == pytest.approx(-math.pi * kappa * omega * slope, rel=1e-10)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_plemelj_continuity(self, std_maxwellian, eps):
         c = ScalarCoupling(lambda0=1.0, kappa=5e-3, profile=std_maxwellian)
-        up = scalar_dispersion(c, 0.8 + 1j * eps)
-        ax = scalar_dispersion(c, 0.8)
+        up = p0(c, 0.8 + 1j * eps)
+        ax = p0(c, 0.8)
         assert abs(up - ax) <= 10.0 * eps
 
     def test_lambda_zero_rejected(self, std_maxwellian):
@@ -71,7 +82,7 @@ class TestScalarRoot:
 
     def test_matches_leading_order(self, std_maxwellian):
         c = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
-        lead = scalar_imag_leading(c)
+        lead = leading_imag(c)
         root = scalar_root(c)
         assert root.sigma.imag == pytest.approx(lead, rel=0.05)
 
@@ -84,18 +95,18 @@ class TestScalarRoot:
 class TestScalarLeading:
     def test_zero_kappa(self, std_maxwellian):
         c = ScalarCoupling(lambda0=1.0, kappa=0.0, profile=std_maxwellian)
-        assert scalar_imag_leading(c) == 0.0
+        assert leading_imag(c) == 0.0
 
     def test_gaussian_arithmetic(self, std_maxwellian):
         c = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
         expected = math.pi * 1e-3 * 0.24197072451914337
-        assert scalar_imag_leading(c) == pytest.approx(expected, rel=1e-12)
-        assert scalar_imag_leading(c) == pytest.approx(7.602e-4, rel=1e-3)
+        assert leading_imag(c) == pytest.approx(expected, rel=1e-12)
+        assert leading_imag(c) == pytest.approx(7.602e-4, rel=1e-3)
 
     def test_sign_flips_with_kappa(self, std_maxwellian):
         plus = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
         minus = ScalarCoupling(lambda0=1.0, kappa=-1e-3, profile=std_maxwellian)
-        assert scalar_imag_leading(plus) == -scalar_imag_leading(minus)
+        assert leading_imag(plus) == -leading_imag(minus)
 
 
 class TestSymmetricEigen:
@@ -161,7 +172,8 @@ class TestSecularFunction:
         p = maxwellian_params
         a = np.array([[0.0, -p.c0], [-p.c0, 0.0]])
         grad_psi = np.array([p.rho0 * p.c0, 0.0])
-        phi_coeffs = ((0.0, 0.0), (-p.c0 / p.alpha0, 0.0))
+        alpha0 = 1.0 - p.kappa * profiles.moment(std_maxwellian, 0)
+        phi_coeffs = ((0.0, 0.0), (-p.c0 / alpha0, 0.0))
         system = SystemCoupling(a, grad_psi, phi_coeffs, p.kappa, std_maxwellian)
         sec_plus = track_secular_root(system, 1, p.kappa)
         roots = find_roots(p, std_maxwellian, SearchRegion(0.5, 1.5, -0.05, 0.02),

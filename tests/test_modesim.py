@@ -193,7 +193,8 @@ class TestClosedFormStep:
         z = -ikdt * grid
         c = -ikdt * p.c0**2 * p.rho0**2 * np.real(
             profiles.eval_df(bump_profile, grid))
-        omega = ikdt * p.kappa / (p.alpha0 * p.rho0) * w * grid
+        alpha0 = 1.0 - p.kappa * profiles.moment(bump_profile, 0)
+        omega = ikdt * p.kappa / (alpha0 * p.rho0) * w * grid
         a, b = ikdt / p.rho0, ikdt * p.rho0 * p.c0**2
         q0, q1, q2 = (omega * z**j @ c for j in range(3))
         rng = np.random.default_rng(7)

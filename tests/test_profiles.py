@@ -316,8 +316,9 @@ TREE_CASES = {
 
 
 class TestAgainstTree:
-    def test_six_fields(self):
-        assert len(dataclasses.fields(profiles.VelocityProfile)) == 6
+    def test_four_fields(self):
+        # the parts, drift and width: the total mass (m0) and the strip are derived
+        assert len(dataclasses.fields(profiles.VelocityProfile)) == 4
 
     @pytest.mark.parametrize("name", TREE_CASES)
     def test_flat_mixture_matches_tree(self, name):

@@ -13,7 +13,8 @@ from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.dispersion import dispersion_value
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
-from spraywaves.hyperbolic import ScalarCoupling, scalar_dispersion
+from spraywaves.hyperbolic import (ScalarCoupling, SystemCoupling, pole_free_secular,
+                                   scalar_as_system)
 from spraywaves.quadrature import Branch, cauchy_transform, classify_branch
 
 # Dawson values frozen from the series oracle (cross-checked against mpmath)
@@ -531,8 +532,10 @@ class TestTailCheck:
         profile = profiles.profile_sum(profiles.maxwellian(0.4, -1.5, 1.0),
                                        profiles.maxwellian(0.4, 1.5, 1.0))
         assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0)) <= 1e-15
+        # P_0 of the scalar law is -G(0) = lambda0 - kappa C[v f'](0)
         coupling = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=profile)
-        assert scalar_dispersion(coupling, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        value = pole_free_secular(scalar_as_system(coupling), 0, 1e-3, 0.0)
+        assert value == pytest.approx(1.0, abs=1e-15)
 
 
 class TestNodeCache:
@@ -812,9 +815,14 @@ class TestArrayPath:
         assert list(classify_branch(sigma)) == [
             classify_branch(z) for z in sigma]
 
-    def test_scalar_dispersion_matches_scalar(self, bump_profile):
-        coupling = ScalarCoupling(lambda0=4.8, kappa=1e-3, profile=bump_profile)
+    def test_pole_free_secular_matches_scalar(self, bump_profile):
+        # P_j of a 3 x 3 system with a constant and a linear feedback row
+        a = np.array([[4.5, 0.1, 0.0], [0.1, 5.0, 0.2], [0.0, 0.2, 5.4]])
+        system = SystemCoupling(a, np.array([0.8, -0.3, 0.5]),
+                                ((0.2, 0.1, -0.4), (0.5, 0.0, 0.3)), 1e-3, bump_profile)
         omega = np.array([4.8 + 0.05j, 4.8, 5.2 - 0.05j, 3.0 + 1j])
-        got = scalar_dispersion(coupling, omega)
-        want = [scalar_dispersion(coupling, z) for z in omega]
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+        for j in range(3):
+            got = pole_free_secular(system, j, system.kappa, omega)
+            want = [pole_free_secular(system, j, system.kappa, z) for z in omega]
+            assert got.shape == omega.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13)

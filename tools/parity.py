@@ -39,6 +39,11 @@ the NEW results lie from the OLD ones:
   1e-3 c0. The counts (or the exception type) must match exactly; the sigma
   samples of each count (the points passed to quadrature.cauchy_transform,
   which every evaluation goes through) are printed for OLD and NEW.
+- Scalar laws: `scalar_root` on 27 cases, three profiles (the Maxwellian,
+  bump-on-tail and two-stream of the D(sigma) grid) with three lambda0 each
+  and kappa in {1e-3, -5e-3, 0.05}; sigma, residual, winding evidence and
+  Newton count (or the exception type) must match exactly, and so must the
+  Python types of sigma and residual.
 - Artifacts of the 11 bundled command x scenario pairs, of two bump runs
   without a region (`roots` and the eigenmode `simulate` with
   {"region": null}), of `roots` on the Maxwellian without a region, and of
@@ -224,6 +229,28 @@ for name, (prm, prof, state, cfg) in runs.items():
 sys.stdout.buffer.write(pickle.dumps(res))
 '''
 
+SCALAR = r'''
+import json
+from spraywaves import profiles as p
+from spraywaves.hyperbolic import ScalarCoupling, scalar_root
+mx = p.maxwellian()
+bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
+ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
+out = []
+for name, prof, lambdas in (("mx", mx, (0.5, 1.0, 2.0)), ("bump", bump, (4.6, 5.0, 5.3)),
+                            ("ts", ts, (-2.0, 0.5, 2.5))):
+    for lambda0 in lambdas:
+        for kappa in (1e-3, -5e-3, 0.05):
+            try:
+                r = scalar_root(ScalarCoupling(lambda0, kappa, prof))
+                out.append([name, lambda0, kappa, r.sigma.real, r.sigma.imag, r.residual,
+                            r.winding_evidence, r.newton_iters,
+                            type(r.sigma).__name__, type(r.residual).__name__])
+            except Exception as e:
+                out.append([name, lambda0, kappa, type(e).__name__])
+print(json.dumps(out))
+'''
+
 
 # (command, scenario, config merged over the scenario): the 11 bundled pairs,
 # the bump runs without a region, the Maxwellian one and the failing seed
@@ -341,6 +368,15 @@ def trajectory_parity(old_src: str, new_src: str) -> None:
               f"rate {drate}")
 
 
+def scalar_parity(old_src: str, new_src: str) -> None:
+    old, new = (json.loads(run(SCALAR, src)) for src in (old_src, new_src))
+    for a, b in zip(old, new):
+        assert a == b, (a, b)                    # bit for bit, or the same exception
+    roots = sum(len(a) > 4 for a in old)
+    print(f"scalar laws: {len(old)} cases, {roots} roots and {len(old) - roots} "
+          f"exceptions identical")
+
+
 def artifact_bytes(out: Path, name: str) -> bytes:
     data = (out / name).read_bytes()
     if name != "manifest.json":
@@ -422,4 +458,5 @@ if __name__ == "__main__":
     count_parity(*sys.argv[1:3])
     rate_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
+    scalar_parity(*sys.argv[1:3])
     artifact_parity(*sys.argv[1:3])
