@@ -6,13 +6,14 @@ literals that overflow are refused as the file is parsed, and integers stay
 ints), every block (and `sim.init`) is a JSON object, `null` stands for an
 absent `quadrature` or `region` only, and `output_dir` is a string. Each
 handler then reads its whole config inside one `_reading` block before it
-evaluates anything. `_reading` turns the validation errors of the library
-constructors (KeyError, IndexError, TypeError, ValueError, InvalidBump,
-VacuumViolation) into `ConfigError`; the value rules themselves live in those
-constructors, not in a schema table here. An error raised while computing is
-therefore never reported as a config error. The spray's `params` are c0, rho0
-and kappa: the volume fraction alpha0 = 1 - kappa m0 follows from the profile,
-so a `params.alpha0` is refused, as is a nonzero `u0`.
+evaluates anything, each number through `_num`, which also refuses the strings
+"inf" and "nan" that float() takes. `_reading` turns the validation errors of
+the library constructors (KeyError, IndexError, TypeError, ValueError,
+InvalidBump, VacuumViolation) into `ConfigError`; the value rules themselves
+live in those constructors, not in a schema table here. An error raised while
+computing is therefore never reported as a config error. The spray's `params`
+are c0, rho0 and kappa: the volume fraction alpha0 = 1 - kappa m0 follows from
+the profile, so a `params.alpha0` is refused, as is a nonzero `u0`.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 Machine-readable error JSON goes to stderr in both failure cases.
@@ -79,13 +80,13 @@ def _reading(what: str):
         raise ConfigError(f"invalid {what}: {detail}") from err
 
 
-def _json_number(text: str, kind=float):
-    """A config-file number that is a finite double (config numbers are read as
-    floats): NaN, Infinity and overflowing literals are refused; ints stay ints."""
-    value = kind(text)
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"config number {text[:24]} is not a finite double")
-    return value
+def _num(value, kind=float):
+    """A finite double (ints stay ints): the hook for the file's numbers and the
+    read of each config number, since float() also takes "inf" and "nan"."""
+    x = kind(value)
+    if not abs(x) <= sys.float_info.max:
+        raise ValueError(f"config number {str(value)[:24]} is not a finite double")
+    return x
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -106,12 +107,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def build_profile(d: dict) -> VelocityProfile:
     kind = d["kind"]
     if kind == "maxwellian":
-        return profiles.maxwellian(**{key: float(d[key]) for key in (
+        return profiles.maxwellian(**{key: _num(d[key]) for key in (
             "mass", "drift", "width", "strip_halfwidth") if key in d})
     if kind == "bump_on_tail":
         return profiles.make_bump_on_tail(
-            build_profile(d["base"]), eps=float(d["eps"]), eta=float(d["eta"]),
-            c_star=float(d["c_star"]))
+            build_profile(d["base"]), eps=_num(d["eps"]), eta=_num(d["eta"]),
+            c_star=_num(d["c_star"]))
     if kind == "sum":
         return profiles.profile_sum(*(build_profile(p) for p in d["parts"]))
     raise ConfigError(f"unknown profile kind {kind!r}")
@@ -119,13 +120,13 @@ def build_profile(d: dict) -> VelocityProfile:
 
 def build_params(d: dict, profile: VelocityProfile) -> SprayParams:
     # the model is linearized in the fluid's rest frame: a drift goes in the profile
-    if float(d.get("u0", 0.0)) != 0.0:
+    if _num(d.get("u0", 0.0)) != 0.0:
         raise ValueError(f"u0 must be 0 (drift the profile instead), got {d['u0']!r}")
     if "alpha0" in d:
         raise ValueError(f"alpha0 is not an input: alpha0 = 1 - kappa * m0 follows "
                          f"from the profile, got {d['alpha0']!r}")
-    return dispersion.make_params(profile, c0=float(d["c0"]), rho0=float(d["rho0"]),
-                                  kappa=float(d.get("kappa", 0.0)))
+    return dispersion.make_params(profile, c0=_num(d["c0"]), rho0=_num(d["rho0"]),
+                                  kappa=_num(d.get("kappa", 0.0)))
 
 
 def check_quadrature(d: dict | None) -> None:
@@ -134,11 +135,11 @@ def check_quadrature(d: dict | None) -> None:
     one for a config that asked for another would misreport the run."""
     d = d or {}
     for key in ("L", "window"):          # keys of older configs: checked, then ignored
-        if not 0.0 < float(d.get(key, 1.0)):
+        if not 0.0 < _num(d.get(key, 1.0)):
             raise ValueError(f"quadrature.{key} must be positive")
     for key, fixed in (("nodes", quadrature.NODES),
                        ("axis_tolerance", quadrature.AXIS_TOLERANCE)):
-        if float(d.get(key, fixed)) != fixed:
+        if _num(d.get(key, fixed)) != fixed:
             raise ValueError(f"quadrature.{key} is fixed at {fixed:g}, got {d[key]!r}")
 
 
@@ -147,7 +148,7 @@ def build_region(d: dict | None, params: SprayParams,
     if not d:
         return dispersion.verdict_region(params, profile)
     keys = ("re_min", "re_max", "im_min", "im_max")
-    region = SearchRegion(*(float(d[key]) for key in keys))
+    region = SearchRegion(*(_num(d[key]) for key in keys))
     # only the lower branch needs the strip, as in count_roots
     if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
         raise ConfigError(f"region reaches below the axis and |Im sigma| = "
@@ -164,8 +165,8 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
     return SystemCoupling(
         a_matrix=np.array(d["A"], dtype=float),
         grad_psi=np.array(d["grad_psi"], dtype=float),
-        phi_coeffs=tuple(tuple(float(x) for x in row) for row in d["phi_coeffs"]),
-        kappa=float(d["kappa"]), profile=profile)
+        phi_coeffs=tuple(tuple(_num(x) for x in row) for row in d["phi_coeffs"]),
+        kappa=_num(d["kappa"]), profile=profile)
 
 
 def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams]:
@@ -190,7 +191,7 @@ def _grid_axis(spec, default) -> np.ndarray:
         spec = default
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
-    lo, hi, n = float(spec[0]), float(spec[1]), _whole(spec[2], "grid axis n")
+    lo, hi, n = _num(spec[0]), _num(spec[1]), _whole(spec[2], "grid axis n")
     if not 1 <= n <= _GRID_MAX_POINTS:
         raise ConfigError(f"grid axis {spec!r} needs 1 to {_GRID_MAX_POINTS} points")
     return np.linspace(lo, hi, n)
@@ -259,7 +260,7 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
     with _reading("roots config"):
         profile, params = _read_spray(cfg)
         region = build_region(cfg.get("region"), params, profile)
-        tol = float(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
+        tol = _num(cfg.get("root_tolerance", DEFAULTS_TABLE["root_tolerance"]))
         if not 0.0 < tol <= 1e-3:
             raise ConfigError(f"root_tolerance must lie in (0, 1e-3], got {tol}")
     reports = dispersion.find_roots(params, profile, region, tol=tol)
@@ -298,7 +299,7 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
         profile = build_profile(cfg["profile"])
         check_quadrature(cfg.get("quadrature"))
         sweep = cfg.get("sweep", {}).get("kappa_values")
-        kappas = [float(k) for k in sweep or [cfg["params"].get("kappa", 0.0)]]
+        kappas = [_num(k) for k in sweep or [cfg["params"].get("kappa", 0.0)]]
         sprays = [build_params({**cfg["params"], "kappa": k}, profile) for k in kappas]
 
     def analyze(params: SprayParams) -> tuple[dict, dict]:
@@ -338,10 +339,10 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     with _reading("landau-compare config"):
         profile, params = _read_spray(cfg)
         spec = cfg.get("landau", {})
-        k1, k2 = (float(k) for k in spec.get("k_values", [1.0, 2.0]))
+        k1, k2 = (_num(k) for k in spec.get("k_values", [1.0, 2.0]))
         if 0.0 in (k1, k2):
             raise ConfigError(f"landau.k_values must be nonzero, got {[k1, k2]}")
-        im_sigma = float(spec.get("im_sigma", 0.05))
+        im_sigma = _num(spec.get("im_sigma", 0.05))
         re_axis = _grid_axis(spec.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
     sigma = np.empty(re_axis.size, dtype=complex)
     sigma.real, sigma.imag = re_axis, im_sigma
@@ -368,18 +369,18 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         if init_type not in ("acoustic", "eigenmode"):
             raise ConfigError(f"unknown sim init type {init_type!r}")
         eigenmode = init_type == "eigenmode"
-        k = float(sim.get("k", 1.0))
+        k = _num(sim.get("k", 1.0))
         if k == 0.0:
             raise ConfigError(f"sim.k must be nonzero, got {k}")
         sigma = None
         if eigenmode and "sigma" in init:
             re_sigma, im_sigma = init["sigma"]
-            sigma = complex(float(re_sigma), float(im_sigma))
-        t_final = float(sim["t_final"]) if "t_final" in sim else None
-        growth_spans = float(sim.get("growth_spans", 6.0))
-        periods = float(sim.get("periods", 10.0))
+            sigma = complex(_num(re_sigma), _num(im_sigma))
+        t_final = _num(sim["t_final"]) if "t_final" in sim else None
+        growth_spans = _num(sim.get("growth_spans", 6.0))
+        periods = _num(sim.get("periods", 10.0))
         nv = _whole(sim.get("nv", modesim.DEFAULT_NV), "sim.nv")
-        dt = float(sim["dt"]) if "dt" in sim else None
+        dt = _num(sim["dt"]) if "dt" in sim else None
         region = build_region(cfg.get("region"), params, profile) \
             if eigenmode and sigma is None else None
     if region is not None:
@@ -422,9 +423,9 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         profile, params = _read_spray(cfg)
         spec = cfg.get("illposed", {})
         region = build_region(cfg.get("region"), params, profile)
-        s = float(spec.get("s", 1.0))
-        n_exponent = float(spec.get("n_exponent", 2.0))
-        k_list = [float(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
+        s = _num(spec.get("s", 1.0))
+        n_exponent = _num(spec.get("n_exponent", 2.0))
+        k_list = [_num(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
         nv = _whole(spec.get("nv", modesim.DEFAULT_NV), "illposed.nv")
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     report = modesim.sobolev_scaling_experiment(
@@ -453,8 +454,8 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
             system = build_system(cfg["system"], profile)
         elif "scalar" in cfg:
             spec = cfg["scalar"]
-            scalar = ScalarCoupling(lambda0=float(spec["lambda0"]),
-                                    kappa=float(spec["kappa"]), profile=profile)
+            scalar = ScalarCoupling(lambda0=_num(spec["lambda0"]),
+                                    kappa=_num(spec["kappa"]), profile=profile)
             if abs(scalar.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
                 raise ConfigError(f"scalar.kappa must satisfy |kappa| <= "
                                   f"{hyperbolic.SCALAR_KAPPA_MAX} for the first-order "
@@ -535,8 +536,8 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
             raise ConfigError(f"config file {config_path} is a directory")
         with _reading("config file"):
             file_cfg = json.loads(path.read_text(encoding="utf-8"),
-                                  parse_int=functools.partial(_json_number, kind=int),
-                                  parse_float=_json_number, parse_constant=_json_number)
+                                  parse_int=functools.partial(_num, kind=int),
+                                  parse_float=_num, parse_constant=_num)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         if "command" in file_cfg and file_cfg["command"] != command:

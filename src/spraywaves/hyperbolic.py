@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -124,12 +124,9 @@ class ModeVerdict:
                 "q_j": self.q_j, "imag_rate": self.imag_rate, "verdict": self.verdict}
 
 
-@lru_cache(maxsize=1)
 def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
     """N=1 embedding: the scalar law is the system (lambda0), grad_psi = (1),
-    phi(v) = v, and its P_0 is -G(omega), G(omega) = omega - lambda0 +
-    kappa C[v f'/(v - omega)]. The last one is kept: `stability-check` and
-    `scalar_root` ask for the same law's system in turn."""
+    phi(v) = v; its P_0 is -G, G(omega) = omega - lambda0 + kappa C[v f'/(v - omega)]."""
     return SystemCoupling(a_matrix=np.array([[c.lambda0]]), grad_psi=np.array([1.0]),
                           phi_coeffs=((0.0,), (1.0,)), kappa=c.kappa,
                           profile=c.profile)
@@ -243,7 +240,9 @@ def fails_necessary_condition(verdicts: list[ModeVerdict]) -> bool:
 def pole_free_secular(s: SystemCoupling, j: int, kappa: float, sigma):
     """P_j(sigma) = (sigma_j - sigma) S(sigma) at coupling kappa, written out term
     by term so that it has no pole at the eigenvalue sigma_j; at a point or
-    elementwise over an ndarray."""
+    elementwise over an ndarray; sigma_j - sigma at kappa = 0."""
+    if kappa == 0.0:
+        return s.eigenpairs[j][0] - sigma
     m = _modal_projections(s, sigma)
     rest = sum(m[i] / (ev - sigma) for i, (ev, _) in enumerate(s.eigenpairs) if i != j)
     return (s.eigenpairs[j][0] - sigma) * (1.0 - kappa * rest) - kappa * m[j]

@@ -184,6 +184,12 @@ class TestExitCodes:
         # written as it stands (json.dumps writes no literal that overflows)
         ("simulate", "maxwellian-stable", {"sim": {"dt": math.inf}}),
         ("simulate", "maxwellian-stable", '{"sim": {"dt": 1e999}}'),
+        # a number written as a string is read through the same finiteness rule
+        ("roots", "maxwellian-stable", {"region": {"re_max": "inf"}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"im_sigma": "nan"}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, "inf", 5]}}),
+        ("simulate", "maxwellian-stable", {"sim": {"dt": "1e999"}}),
+        ("simulate", "bump-unstable", {"sim": {"init": {"sigma": ["nan", 0.06]}}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"

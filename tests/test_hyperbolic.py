@@ -72,6 +72,17 @@ class TestScalarRoot:
         report = scalar_root(c)
         assert report.sigma == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("lambda0", [1.0, 600.0, -0.3])
+    def test_uncoupled_root_needs_no_strip(self, lambda0):
+        # at kappa = 0 the law is omega - lambda0: its count square may reach
+        # below the strip (half-width 0.6 at lambda0 = 600, strip 0.5 or 0.1)
+        for strip in (0.5, 0.1):
+            prof = profiles.maxwellian(strip_halfwidth=strip)
+            report = scalar_root(ScalarCoupling(lambda0=lambda0, kappa=0.0, profile=prof))
+            assert report.sigma == complex(lambda0)
+            assert (report.residual, report.winding_evidence) == (0.0, 1)
+            assert type(report.sigma) is complex and type(report.residual) is float
+
     @pytest.mark.parametrize("kappa,sign", [(1e-3, +1), (-1e-3, -1)])
     def test_imaginary_sign_tracks_kappa(self, std_maxwellian, kappa, sign):
         # decaying f at lambda0 = 1: positive kappa amplifies, negative damps

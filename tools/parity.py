@@ -39,16 +39,21 @@ the NEW results lie from the OLD ones:
   1e-3 c0. The counts (or the exception type) must match exactly; the sigma
   samples of each count (the points passed to quadrature.cauchy_transform,
   which every evaluation goes through) are printed for OLD and NEW.
-- Scalar laws: `scalar_root` on 27 cases, three profiles (the Maxwellian,
-  bump-on-tail and two-stream of the D(sigma) grid) with three lambda0 each
-  and kappa in {1e-3, -5e-3, 0.05}; sigma, residual, winding evidence and
-  Newton count (or the exception type) must match exactly, and so must the
-  Python types of sigma and residual.
+- Scalar laws: `scalar_root` on 40 cases, three profiles (the Maxwellian,
+  bump-on-tail and two-stream of the D(sigma) grid) with three lambda0 each,
+  and the Maxwellian at lambda0 = 600 (whose count square at kappa = 0 reaches
+  below the strip), each with kappa in {0, 1e-3, -5e-3, 0.05}; sigma, residual,
+  winding evidence and Newton count (or the exception type) must match
+  exactly, and so must the Python types of sigma and residual. The leading
+  Im omega of `stability-check` is compared with the artifacts, on the bundled
+  scalar law (lambda0 = 1) and on three more.
 - Artifacts of the 11 bundled command x scenario pairs, of two bump runs
   without a region (`roots` and the eigenmode `simulate` with
-  {"region": null}), of `roots` on the Maxwellian without a region, and of
+  {"region": null}), of `roots` on the Maxwellian without a region, of
   `thin-spray` on the bump with c* = 4.6 at kappa = 5e-4, whose plus seed is
-  no root, each run by the CLI in a fresh interpreter: the exit
+  no root, and of `stability-check` on the scalar laws (lambda0, kappa) =
+  (2.5, 0.05), (-3, -5e-3) and (600, 0), each run by the CLI in a fresh
+  interpreter: the exit
   codes, the file lists, each artifact's bytes and manifest.json without its
   timestamp are compared exactly (a failed run is reported with its exit
   code, and its files are not compared). For each
@@ -237,10 +242,10 @@ mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
 out = []
-for name, prof, lambdas in (("mx", mx, (0.5, 1.0, 2.0)), ("bump", bump, (4.6, 5.0, 5.3)),
-                            ("ts", ts, (-2.0, 0.5, 2.5))):
+for name, prof, lambdas in (("mx", mx, (0.5, 1.0, 2.0, 600.0)),
+                            ("bump", bump, (4.6, 5.0, 5.3)), ("ts", ts, (-2.0, 0.5, 2.5))):
     for lambda0 in lambdas:
-        for kappa in (1e-3, -5e-3, 0.05):
+        for kappa in (0.0, 1e-3, -5e-3, 0.05):
             try:
                 r = scalar_root(ScalarCoupling(lambda0, kappa, prof))
                 out.append([name, lambda0, kappa, r.sigma.real, r.sigma.imag, r.residual,
@@ -253,7 +258,8 @@ print(json.dumps(out))
 
 
 # (command, scenario, config merged over the scenario): the 11 bundled pairs,
-# the bump runs without a region, the Maxwellian one and the failing seed
+# the bump runs without a region, the Maxwellian one, the failing seed and
+# three scalar laws off lambda0 = 1
 RUNS = [(command, scenario, None) for command, scenario in (
     ("dispersion-scan", "maxwellian-stable"), ("roots", "maxwellian-stable"),
     ("roots", "bump-unstable"), ("thin-spray", "thin-spray-sweep"),
@@ -265,7 +271,10 @@ RUNS = [(command, scenario, None) for command, scenario in (
     ("simulate", "bump-unstable", {"region": None}),
     ("roots", "maxwellian-stable", {"region": None}),
     ("thin-spray", "bump-unstable",
-     {"profile": {"c_star": 4.6}, "params": {"kappa": 5e-4}})]
+     {"profile": {"c_star": 4.6}, "params": {"kappa": 5e-4}})] + [
+    ("stability-check", "scalar-coupling", {"scalar": scalar}) for scalar in (
+        {"lambda0": 2.5, "kappa": 0.05}, {"lambda0": -3.0, "kappa": -5e-3},
+        {"lambda0": 600.0, "kappa": 0.0})]
 D_TOL = 1e-15          # |dD| / max(1, |D|)
 RATE_TOL = 1e-9        # relative, for c*, gamma and gamma(-c*)
 
