@@ -6,7 +6,7 @@ from . import errors
 from .dispersion import (RootReport, SearchRegion, SprayParams, count_roots,
                          dispersion_value, find_roots, landau_dispersion,
                          make_params, spectral_verdict, thin_spray_expansion)
-from .hyperbolic import (ModeVerdict, ScalarCoupling, SystemCoupling, scalar_root,
+from .hyperbolic import (ModeVerdict, SystemCoupling, scalar_law, scalar_root,
                          secular_function, stability_necessary_condition,
                          symmetric_eigen, track_secular_root)
 from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
@@ -24,7 +24,7 @@ __all__ = [
     "SprayParams", "SearchRegion", "RootReport", "make_params",
     "dispersion_value", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",
-    "ScalarCoupling", "SystemCoupling", "ModeVerdict", "scalar_root",
+    "SystemCoupling", "scalar_law", "ModeVerdict", "scalar_root",
     "symmetric_eigen", "secular_function",
     "stability_necessary_condition", "track_secular_root",
     "ModeState", "SimConfig", "Trajectory", "init_eigenmode", "integrate",

@@ -6,14 +6,15 @@ literals that overflow are refused as the file is parsed, and integers stay
 ints), every block (and `sim.init`) is a JSON object, `null` stands for an
 absent `quadrature` or `region` only, and `output_dir` is a string. Each
 handler then reads its whole config inside one `_reading` block before it
-evaluates anything, each number through `_num`, which also refuses the strings
-"inf" and "nan" that float() takes. `_reading` turns the validation errors of
-the library constructors (KeyError, IndexError, TypeError, ValueError,
-InvalidBump, VacuumViolation) into `ConfigError`; the value rules themselves
-live in those constructors, not in a schema table here. An error raised while
-computing is therefore never reported as a config error. The spray's `params`
-are c0, rho0 and kappa: the volume fraction alpha0 = 1 - kappa m0 follows from
-the profile, so a `params.alpha0` is refused, as is a nonzero `u0`.
+evaluates anything, each number through `_num`, which takes a JSON number only
+(an int or float: not a bool, nor a string such as "2.5" or "inf"). `_reading`
+turns the validation errors of the library constructors (KeyError, IndexError,
+TypeError, ValueError, InvalidBump, VacuumViolation) into `ConfigError`; the
+value rules themselves live in those constructors, not in a schema table here.
+An error raised while computing is therefore never reported as a config error.
+The spray's `params` are c0, rho0 and kappa: the volume fraction
+alpha0 = 1 - kappa m0 follows from the profile, so a `params.alpha0` is
+refused, as is a nonzero `u0`.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
 Machine-readable error JSON goes to stderr in both failure cases.
@@ -38,7 +39,7 @@ import numpy as np
 from . import __version__, dispersion, hyperbolic, modesim, profiles, quadrature
 from .dispersion import SearchRegion, SprayParams
 from .errors import InvalidBump, SprayWaveError, VacuumViolation
-from .hyperbolic import ScalarCoupling, SystemCoupling
+from .hyperbolic import SystemCoupling
 from .profiles import VelocityProfile
 from .scenarios import SCENARIOS
 
@@ -81,12 +82,18 @@ def _reading(what: str):
 
 
 def _num(value, kind=float):
-    """A finite double (ints stay ints): the hook for the file's numbers and the
-    read of each config number, since float() also takes "inf" and "nan"."""
-    x = kind(value)
-    if not abs(x) <= sys.float_info.max:
+    """A config number as ``kind``: a JSON number (int or float, not a bool) that
+    is a finite double. The file's numbers meet the same rule as it is parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"config number must be a JSON number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"config number {str(value)[:24]} is not a finite double")
-    return x
+    return kind(value)
+
+
+def _nums(value):
+    """`_num` of each number of a nested list (a number stands for itself)."""
+    return list(map(_nums, value)) if isinstance(value, list) else _num(value)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -163,9 +170,8 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
     if profile is None:
         raise ConfigError("system config needs a profile (embedded or top-level)")
     return SystemCoupling(
-        a_matrix=np.array(d["A"], dtype=float),
-        grad_psi=np.array(d["grad_psi"], dtype=float),
-        phi_coeffs=tuple(tuple(_num(x) for x in row) for row in d["phi_coeffs"]),
+        a_matrix=np.array(_nums(d["A"])), grad_psi=np.array(_nums(d["grad_psi"])),
+        phi_coeffs=tuple(map(tuple, _nums(d["phi_coeffs"]))),
         kappa=_num(d["kappa"]), profile=profile)
 
 
@@ -181,7 +187,7 @@ _GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
 
 def _whole(value, what: str) -> int:
     """A count read from the config: a whole number (40.0 reads as 40)."""
-    if not float(value).is_integer():
+    if not _num(value).is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
@@ -381,6 +387,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         periods = _num(sim.get("periods", 10.0))
         nv = _whole(sim.get("nv", modesim.DEFAULT_NV), "sim.nv")
         dt = _num(sim["dt"]) if "dt" in sim else None
+        direction = _num(init.get("direction", 1))
         region = build_region(cfg.get("region"), params, profile) \
             if eigenmode and sigma is None else None
     if region is not None:
@@ -397,7 +404,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         if dt is not None:
             config = dataclasses.replace(config, dt=dt)
         state = None if eigenmode else modesim.acoustic_state(
-            params, k, config, direction=init.get("direction", 1))
+            params, k, config, direction=direction)
     if eigenmode:
         state = modesim.init_eigenmode(params, profile, sigma, k, config)
     traj = modesim.integrate(params, profile, state, config)
@@ -429,7 +436,7 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         nv = _whole(spec.get("nv", modesim.DEFAULT_NV), "illposed.nv")
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     report = modesim.sobolev_scaling_experiment(
-        params, profile, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv, region=region)
+        params, profile, region=region, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv)
     rows = [[r.k, r.t_k, r.init_hs_norm, r.final_l2_norm, r.fitted_rate]
             for r in report.rows]
     summary = {"theta0": report.theta0,
@@ -446,21 +453,19 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
 
 
 def run_stability_check(cfg: dict, out_dir: Path) -> dict:
-    scalar = None
+    lambda0 = None
     with _reading("stability-check config"):
         profile = build_profile(cfg["profile"]) if "profile" in cfg else None
         check_quadrature(cfg.get("quadrature"))
         if "system" in cfg:
             system = build_system(cfg["system"], profile)
         elif "scalar" in cfg:
-            spec = cfg["scalar"]
-            scalar = ScalarCoupling(lambda0=_num(spec["lambda0"]),
-                                    kappa=_num(spec["kappa"]), profile=profile)
-            if abs(scalar.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
+            lambda0 = _num(cfg["scalar"]["lambda0"])
+            system = hyperbolic.scalar_law(lambda0, _num(cfg["scalar"]["kappa"]), profile)
+            if abs(system.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
                 raise ConfigError(f"scalar.kappa must satisfy |kappa| <= "
                                   f"{hyperbolic.SCALAR_KAPPA_MAX} for the first-order "
                                   f"seed")
-            system = hyperbolic.scalar_as_system(scalar)
         else:
             raise ConfigError("stability-check needs a 'system' or 'scalar' config block")
     verdicts = hyperbolic.stability_necessary_condition(system)
@@ -476,11 +481,11 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
                "fails_necessary_condition":
                    hyperbolic.fails_necessary_condition(verdicts),
                "kappa": system.kappa}
-    if scalar is not None:
-        root = hyperbolic.scalar_root(scalar)
+    if lambda0 is not None:
+        root = hyperbolic.scalar_root(system)
         payload["scalar"] = {
-            "lambda0": scalar.lambda0, "kappa": scalar.kappa,
-            "leading_imag": scalar.kappa * verdicts[0].imag_rate,
+            "lambda0": lambda0, "kappa": system.kappa,
+            "leading_imag": system.kappa * verdicts[0].imag_rate,
             "root": {"re_omega": root.sigma.real, "im_omega": root.sigma.imag,
                      "residual": root.residual,
                      "winding_evidence": root.winding_evidence}}
@@ -536,8 +541,9 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
             raise ConfigError(f"config file {config_path} is a directory")
         with _reading("config file"):
             file_cfg = json.loads(path.read_text(encoding="utf-8"),
-                                  parse_int=functools.partial(_num, kind=int),
-                                  parse_float=_num, parse_constant=_num)
+                                  parse_int=lambda text: _num(int(text), int),
+                                  parse_float=lambda text: _num(float(text)),
+                                  parse_constant=lambda text: _num(float(text)))
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         if "command" in file_cfg and file_cfg["command"] != command:

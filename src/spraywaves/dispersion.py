@@ -253,8 +253,9 @@ def count_roots(params: SprayParams, profile: VelocityProfile,
     # below the axis is checked
     if region.im_min < 0.0 and region.im_reach > strip:
         raise StripViolation("search region exceeds the profile analyticity strip")
-    return _winding_number(lambda z: _pole_free(params, profile, z), region,
-                           feature_scale=0.5 * min(params.c0, profile.width, strip))
+    # feature scale: half the smallest of c0, the narrowest part and the strip
+    scale = 0.5 * min(params.c0, profiles.resolution_scale(profile), strip)
+    return _winding_number(lambda z: _pole_free(params, profile, z), region, scale)
 
 
 def _newton(func, z0: complex, tol: float,

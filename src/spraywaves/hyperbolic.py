@@ -42,21 +42,6 @@ SCALAR_KAPPA_MAX = 0.1
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class ScalarCoupling:
-    """Scalar conservation law with characteristic speed lambda0 coupled to f."""
-
-    lambda0: float
-    kappa: float
-    profile: VelocityProfile
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lambda0) and math.isfinite(self.kappa)):
-            raise ValueError("lambda0 and kappa must be finite")
-        if self.lambda0 == 0.0:
-            raise ValueError("small-coupling analysis requires lambda0 != 0")
-
-
 @dataclass(frozen=True, eq=False)
 class SystemCoupling:
     """Symmetric N x N hyperbolic system with kinetic feedback.
@@ -124,27 +109,29 @@ class ModeVerdict:
                 "q_j": self.q_j, "imag_rate": self.imag_rate, "verdict": self.verdict}
 
 
-def scalar_as_system(c: ScalarCoupling) -> SystemCoupling:
-    """N=1 embedding: the scalar law is the system (lambda0), grad_psi = (1),
-    phi(v) = v; its P_0 is -G, G(omega) = omega - lambda0 + kappa C[v f'/(v - omega)]."""
-    return SystemCoupling(a_matrix=np.array([[c.lambda0]]), grad_psi=np.array([1.0]),
-                          phi_coeffs=((0.0,), (1.0,)), kappa=c.kappa,
-                          profile=c.profile)
+def scalar_law(lambda0: float, kappa: float, profile: VelocityProfile) -> SystemCoupling:
+    """The scalar conservation law with characteristic speed lambda0 coupled to f,
+    as the N = 1 system A = (lambda0), grad_psi = (1), phi(v) = v; its P_0 is -G,
+    G(omega) = omega - lambda0 + kappa C[v f'/(v - omega)]."""
+    if lambda0 == 0.0:
+        raise ValueError("small-coupling analysis requires lambda0 != 0")
+    return SystemCoupling(a_matrix=np.array([[lambda0]]), grad_psi=np.array([1.0]),
+                          phi_coeffs=((0.0,), (1.0,)), kappa=kappa, profile=profile)
 
 
-def scalar_root(c: ScalarCoupling, tol: float = 1e-12) -> RootReport:
-    """Coupled root by one Newton solve on P_0 of `scalar_as_system` (the
+def scalar_root(s: SystemCoupling, tol: float = 1e-12) -> RootReport:
+    """Coupled root of a `scalar_law` by one Newton solve on its P_0 (the
     function `track_secular_root` solves) from the first-order seed
     lambda0 + P_0(lambda0), with a winding count around it as evidence."""
-    if abs(c.kappa) > SCALAR_KAPPA_MAX:
+    if abs(s.kappa) > SCALAR_KAPPA_MAX:
         raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
-    s = scalar_as_system(c)
+    lambda0 = s.eigenpairs[0][0]
     def func(z):        # a Python complex at a point: the report holds Python numbers
-        p0 = pole_free_secular(s, 0, c.kappa, z)
+        p0 = pole_free_secular(s, 0, s.kappa, z)
         return p0 if isinstance(z, np.ndarray) else complex(p0)
-    scale = max(1.0, abs(c.lambda0))
-    return _seeded_root(func, c.lambda0 + func(c.lambda0), tol, trust_radius=scale,
+    scale = max(1.0, abs(lambda0))
+    return _seeded_root(func, lambda0 + func(lambda0), tol, trust_radius=scale,
                         floor=1e-3 * scale, spread=4.0)
 
 

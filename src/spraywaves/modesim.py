@@ -369,18 +369,16 @@ def check_scaling_inputs(params: SprayParams, profile: VelocityProfile, s: float
 
 
 def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
-                               s: float, n_exponent: float, k_list: list[float],
-                               nv: int = DEFAULT_NV,
-                               region: SearchRegion | None = None) -> ScalingReport:
+                               region: SearchRegion, s: float, n_exponent: float,
+                               k_list: list[float],
+                               nv: int = DEFAULT_NV) -> ScalingReport:
     """Initial H^s shrinkage vs final L^2 size for mode data scaled by k^(-N).
 
-    Each mode is the unstable eigenmode scaled by k^(-N) and run to
-    t_k = (N+1) log(k)/k; columns use the single-mode norm proxies
-    (1+k^2)^(s/2) amp for H^s and amp for L^2.
+    Each mode is the eigenmode of the most unstable root in ``region``, scaled
+    by k^(-N) and run to t_k = (N+1) log(k)/k; columns use the single-mode norm
+    proxies (1+k^2)^(s/2) amp for H^s and amp for L^2.
     """
     configs = check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
-    if region is None:
-        region = dispersion.verdict_region(params, profile)
     roots = [r for r in dispersion.find_roots(params, profile, region)
              if r.sigma.imag > 0]
     if not roots:

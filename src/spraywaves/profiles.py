@@ -55,6 +55,8 @@ class Gaussian:
             raise ValueError("mass, drift, width and strip must be finite")
         if min(self.mass, self.width, self.strip) <= 0:
             raise ValueError("mass, width and strip must be positive")
+        if not math.isfinite(self.mass / self.width / self.width):
+            raise ValueError("Gaussian derivative scale mass / width**2 overflows")
 
 
 @dataclass(frozen=True)
@@ -89,25 +91,19 @@ class Bump:
 
 @dataclass(frozen=True)
 class VelocityProfile:
-    """Analytic equilibrium distribution: its parts, with the mean bulk velocity
-    ``drift`` and bulk thermal spread ``width`` of the aggregate; the total mass
-    is ``m0`` and the narrowest strip of the parts ``strip_halfwidth``."""
+    """Analytic equilibrium distribution, given by its parts alone: the total
+    mass ``m0`` and the narrowest strip of the parts ``strip_halfwidth`` are
+    derived from them."""
 
     gaussians: tuple[Gaussian, ...]
     bumps: tuple[Bump, ...]
-    drift: float
-    width: float
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.m0, self.drift, self.width)))
-                and self.width > 0):
-            raise ValueError("total mass, drift and width must be finite, width positive")
+        if not math.isfinite(self.m0):
+            raise ValueError("total mass must be finite")
         lo, hi = support_bounds(self)
-        if not math.isfinite(hi - lo + 4.0 * self.width):
+        if not math.isfinite(hi - lo):
             raise ValueError("profile support overflows")
-        # f' scales like m0 / width**2 (a bump term's scale is checked by `Bump`)
-        if not math.isfinite(self.m0 / self.width / self.width):
-            raise ValueError("profile derivative scale overflows")
 
     @cached_property
     def m0(self) -> float:
@@ -129,7 +125,7 @@ def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
                strip_halfwidth: float = 0.0) -> VelocityProfile:
     """One Gaussian part; a strip_halfwidth of 0 means half the width."""
     strip = strip_halfwidth or 0.5 * width
-    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), (), drift, width)
+    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), ())
 
 
 def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
@@ -148,18 +144,14 @@ def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
     bump = Bump(1.0, eps, eta, c_star, base.m0, min(base.strip_halfwidth, 0.5 * eta),
                 _bump_breakpoints(eta, c_star) + analyticity_breakpoints(base))
     return VelocityProfile(tuple(map(scaled, base.gaussians)),
-                           tuple(map(scaled, base.bumps)) + (bump,), base.drift,
-                           base.width)
+                           tuple(map(scaled, base.bumps)) + (bump,))
 
 
 def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
     if not parts:
         raise ValueError("profile_sum needs at least one component")
-    mass = sum(p.m0 for p in parts)
-    drift = sum(p.m0 * p.drift for p in parts) / mass
-    width = max(abs(p.drift - drift) + p.width for p in parts)
     return VelocityProfile(sum((p.gaussians for p in parts), ()),
-                           sum((p.bumps for p in parts), ()), drift, width)
+                           sum((p.bumps for p in parts), ()))
 
 
 # ---------------------------------------------------------------------------

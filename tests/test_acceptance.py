@@ -12,10 +12,10 @@ from conftest import dawson_series
 from spraywaves import hyperbolic, modesim, profiles, quadrature
 from spraywaves.dispersion import (SearchRegion, count_roots, coupling_prefactor,
                                    dispersion_value, find_roots, make_params,
-                                   spectral_verdict, thin_spray_expansion)
-from spraywaves.hyperbolic import (ScalarCoupling, SystemCoupling, scalar_as_system,
-                                   scalar_root, stability_necessary_condition,
-                                   track_secular_root)
+                                   spectral_verdict, thin_spray_expansion,
+                                   verdict_region)
+from spraywaves.hyperbolic import (SystemCoupling, scalar_law, scalar_root,
+                                   stability_necessary_condition, track_secular_root)
 from spraywaves.modesim import (default_sim_config, growth_rate, init_eigenmode,
                                 integrate, sobolev_scaling_experiment)
 from spraywaves.quadrature import Branch, _pinned_part
@@ -97,7 +97,7 @@ class TestAcceptance:
                          - pref * (m0 / sigma**2 + 3.0 * m2 / sigma**4))
             return abs(d_real - four_term)
 
-        width = std_maxwellian.width
+        width = std_maxwellian.gaussians[0].width
         ratio = remainder(10.0 * width) / remainder(20.0 * width)
         ok = 50.0 <= ratio <= 80.0
         report("criterion 5 (asymptotic remainder)", ok,
@@ -123,7 +123,8 @@ class TestAcceptance:
                f"k Im sigma {k * sigma.imag:.5f} (rel err {rel:.4f}, need <= 0.02)")
 
     def test_07_illposedness_scaling(self, bump_params, bump_profile):
-        rep = sobolev_scaling_experiment(bump_params, bump_profile, s=1.0,
+        region = verdict_region(bump_params, bump_profile)
+        rep = sobolev_scaling_experiment(bump_params, bump_profile, region, s=1.0,
                                          n_exponent=2.0, k_list=[8.0, 16.0, 32.0],
                                          nv=2048)
         rates = [r.fitted_rate for r in rep.rows]
@@ -142,9 +143,9 @@ class TestAcceptance:
         details = []
         ok = True
         for kappa in (1e-3, -1e-3):
-            c = ScalarCoupling(lambda0=1.0, kappa=kappa, profile=std_maxwellian)
+            c = scalar_law(1.0, kappa, std_maxwellian)
             # leading order: kappa times the imag_rate of the N = 1 system's mode
-            lead = kappa * stability_necessary_condition(scalar_as_system(c))[0].imag_rate
+            lead = kappa * stability_necessary_condition(c)[0].imag_rate
             root = scalar_root(c)
             slope = profiles.eval_df(std_maxwellian, 1.0).real
             sign_ok = (math.copysign(1.0, root.sigma.imag)

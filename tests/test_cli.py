@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spraywaves import cli, dispersion, modesim, profiles
+from spraywaves import cli, dispersion, hyperbolic, modesim, profiles
 from spraywaves.dispersion import SearchRegion
 from spraywaves.errors import SprayWaveError, StripViolation
 from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_table,
@@ -190,6 +190,14 @@ class TestExitCodes:
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, "inf", 5]}}),
         ("simulate", "maxwellian-stable", {"sim": {"dt": "1e999"}}),
         ("simulate", "bump-unstable", {"sim": {"init": {"sigma": ["nan", 0.06]}}}),
+        # a number must be a JSON number: no string, no boolean
+        ("simulate", "maxwellian-stable", {"sim": {"k": "2.5"}}),
+        ("simulate", "maxwellian-stable", {"sim": {"k": True}}),
+        ("simulate", "maxwellian-stable", {"sim": {"init": {"direction": True}}}),
+        ("roots", "maxwellian-stable", {"root_tolerance": "1e-9"}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 3, "40"]}}),
+        ("stability-check", "system-prop1",
+         {"system": {"A": [["1.0", 0.3], [0.3, True]]}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -852,6 +860,16 @@ class TestStabilityCheckCommand:
         root = read_json(out / "stability_check.json")["scalar"]["root"]
         assert (root["re_omega"], root["im_omega"]) == (1.0002744457307529,
                                                         0.0007598314258060512)
+
+    def test_one_system_build_per_scalar_run(self, tmp_path, monkeypatch):
+        # the scalar law's 1 x 1 system is built once: its one eigensolve serves
+        # the mode verdict, the tracked root and scalar_root
+        calls, eigen = [], hyperbolic.symmetric_eigen
+        monkeypatch.setattr(hyperbolic, "symmetric_eigen",
+                            lambda a: calls.append(a) or eigen(a))
+        assert main(["stability-check", "--scenario", "scalar-coupling",
+                     "--out", str(tmp_path / "sc"), "--quiet"]) == 0
+        assert len(calls) == 1
 
     def test_scalar_block(self, tmp_path):
         out = tmp_path / "sc"

@@ -675,7 +675,8 @@ class TestWindingWalk:
                   SearchRegion(-5e-4, 5e-4, -2e-4, 5e-4)]
         counts = []
         for params, profile in sprays:
-            scale = 0.5 * min(params.c0, profile.width, profile.strip_halfwidth)
+            scale = 0.5 * min(params.c0, profiles.resolution_scale(profile),
+                              profile.strip_halfwidth)
             func = lambda z: dispersion_value(params, profile, z)
             for box in boxes:
                 want = sum(depth_first_winding(func, part, feature_scale=scale)[0]
@@ -685,6 +686,26 @@ class TestWindingWalk:
         # the Maxwellian pair below the axis, the two-stream pair on the
         # imaginary axis above it, and nothing in the pole square
         assert counts == [2, 2, 2, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2, 0, 0, 0]
+
+    def test_feature_scale_from_the_narrowest_part(self, monkeypatch):
+        # the two-stream sum above declares a strip of 4 on parts of width 0.3:
+        # the first call of the walk spaces each edge of the verdict box at most
+        # 0.5 min(c0, 0.3, 4) apart, and the box holds the purely growing pair
+        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3,
+                                                             strip_halfwidth=4.0)
+                                         for d in (-1.0, 1.0)))
+        params = make_params(growing, c0=1.0, rho0=1.0, kappa=0.95)
+        region = dispersion.verdict_region(params, growing)
+        pole_free, calls = dispersion._pole_free, []
+
+        def recorded(params, profile, sigma):
+            calls.append(sigma)
+            return pole_free(params, profile, sigma)
+
+        monkeypatch.setattr(dispersion, "_pole_free", recorded)
+        assert count_roots(params, growing, region) == 2
+        loop = np.append(calls[0], calls[0][0])
+        assert np.abs(np.diff(loop)).max() <= 0.5 * min(1.0, 0.3, 4.0) * (1.0 + 1e-12)
 
     def test_counts_match_two_way_walk_near_edges(self):
         # zeros within 1e-3 of an edge, inside or outside: the 2-way depth-first

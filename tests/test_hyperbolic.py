@@ -7,22 +7,22 @@ from spraywaves import hyperbolic, profiles, quadrature
 from spraywaves.dispersion import SearchRegion, find_roots
 from spraywaves.errors import DegenerateSpectrum, ResolventSingularity
 from spraywaves.hyperbolic import (DECOUPLED, STABLE_MODE, UNSTABLE_MODE,
-                                   ScalarCoupling, SystemCoupling, pole_free_secular,
-                                   scalar_as_system, scalar_root,
-                                   secular_function, stability_necessary_condition,
-                                   symmetric_eigen, track_secular_root)
+                                   SystemCoupling, pole_free_secular, scalar_law,
+                                   scalar_root, secular_function,
+                                   stability_necessary_condition, symmetric_eigen,
+                                   track_secular_root)
 
 
-def p0(c: ScalarCoupling, omega):
-    """P_0 of the N = 1 system: -G(omega), G the scalar dispersion function
+def p0(c: SystemCoupling, omega):
+    """P_0 of the scalar law: -G(omega), G the scalar dispersion function
     omega - lambda0 + kappa C[v f'/(v - omega)]."""
-    return pole_free_secular(scalar_as_system(c), 0, c.kappa, omega)
+    return pole_free_secular(c, 0, c.kappa, omega)
 
 
-def leading_imag(c: ScalarCoupling) -> float:
+def leading_imag(c: SystemCoupling) -> float:
     """Leading-order Im omega of the scalar law: kappa times the imag_rate of
     mode 0, -pi kappa lambda0 f'(lambda0)."""
-    return c.kappa * stability_necessary_condition(scalar_as_system(c))[0].imag_rate
+    return c.kappa * stability_necessary_condition(c)[0].imag_rate
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +41,14 @@ def fixture_systems(std_maxwellian):
 
 class TestScalarDispersion:
     def test_uncoupled_is_affine(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=0.0, profile=std_maxwellian)
+        c = scalar_law(1.0, 0.0, std_maxwellian)
         assert p0(c, 3.0) == pytest.approx(-2.0)
         assert p0(c, 1.0) == 0.0
 
     def test_axis_continuation_term(self, std_maxwellian):
         # on-axis value includes - i pi kappa omega f'(omega)
         kappa = 5e-3
-        c = ScalarCoupling(lambda0=1.0, kappa=kappa, profile=std_maxwellian)
+        c = scalar_law(1.0, kappa, std_maxwellian)
         omega = 0.8
         val = p0(c, omega)
         slope = profiles.eval_df(std_maxwellian, omega).real
@@ -56,19 +56,19 @@ class TestScalarDispersion:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_plemelj_continuity(self, std_maxwellian, eps):
-        c = ScalarCoupling(lambda0=1.0, kappa=5e-3, profile=std_maxwellian)
+        c = scalar_law(1.0, 5e-3, std_maxwellian)
         up = p0(c, 0.8 + 1j * eps)
         ax = p0(c, 0.8)
         assert abs(up - ax) <= 10.0 * eps
 
     def test_lambda_zero_rejected(self, std_maxwellian):
         with pytest.raises(ValueError):
-            ScalarCoupling(lambda0=0.0, kappa=1e-3, profile=std_maxwellian)
+            scalar_law(0.0, 1e-3, std_maxwellian)
 
 
 class TestScalarRoot:
     def test_uncoupled_root(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=0.0, profile=std_maxwellian)
+        c = scalar_law(1.0, 0.0, std_maxwellian)
         report = scalar_root(c)
         assert report.sigma == pytest.approx(1.0)
 
@@ -78,7 +78,7 @@ class TestScalarRoot:
         # below the strip (half-width 0.6 at lambda0 = 600, strip 0.5 or 0.1)
         for strip in (0.5, 0.1):
             prof = profiles.maxwellian(strip_halfwidth=strip)
-            report = scalar_root(ScalarCoupling(lambda0=lambda0, kappa=0.0, profile=prof))
+            report = scalar_root(scalar_law(lambda0, 0.0, prof))
             assert report.sigma == complex(lambda0)
             assert (report.residual, report.winding_evidence) == (0.0, 1)
             assert type(report.sigma) is complex and type(report.residual) is float
@@ -86,37 +86,37 @@ class TestScalarRoot:
     @pytest.mark.parametrize("kappa,sign", [(1e-3, +1), (-1e-3, -1)])
     def test_imaginary_sign_tracks_kappa(self, std_maxwellian, kappa, sign):
         # decaying f at lambda0 = 1: positive kappa amplifies, negative damps
-        c = ScalarCoupling(lambda0=1.0, kappa=kappa, profile=std_maxwellian)
+        c = scalar_law(1.0, kappa, std_maxwellian)
         report = scalar_root(c)
         assert math.copysign(1.0, report.sigma.imag) == sign
         assert report.winding_evidence >= 1
 
     def test_matches_leading_order(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
+        c = scalar_law(1.0, 1e-3, std_maxwellian)
         lead = leading_imag(c)
         root = scalar_root(c)
         assert root.sigma.imag == pytest.approx(lead, rel=0.05)
 
     def test_kappa_too_large(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=0.5, profile=std_maxwellian)
+        c = scalar_law(1.0, 0.5, std_maxwellian)
         with pytest.raises(ValueError):
             scalar_root(c)
 
 
 class TestScalarLeading:
     def test_zero_kappa(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=0.0, profile=std_maxwellian)
+        c = scalar_law(1.0, 0.0, std_maxwellian)
         assert leading_imag(c) == 0.0
 
     def test_gaussian_arithmetic(self, std_maxwellian):
-        c = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
+        c = scalar_law(1.0, 1e-3, std_maxwellian)
         expected = math.pi * 1e-3 * 0.24197072451914337
         assert leading_imag(c) == pytest.approx(expected, rel=1e-12)
         assert leading_imag(c) == pytest.approx(7.602e-4, rel=1e-3)
 
     def test_sign_flips_with_kappa(self, std_maxwellian):
-        plus = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=std_maxwellian)
-        minus = ScalarCoupling(lambda0=1.0, kappa=-1e-3, profile=std_maxwellian)
+        plus = scalar_law(1.0, 1e-3, std_maxwellian)
+        minus = scalar_law(1.0, -1e-3, std_maxwellian)
         assert leading_imag(plus) == -leading_imag(minus)
 
 
@@ -172,9 +172,9 @@ class TestSecularFunction:
 
     @pytest.mark.parametrize("kappa", [2e-3, 1e-3, 5e-4, 2e-4, 1e-4])
     def test_scalar_equivalence(self, std_maxwellian, kappa):
-        c = ScalarCoupling(lambda0=1.0, kappa=kappa, profile=std_maxwellian)
+        c = scalar_law(1.0, kappa, std_maxwellian)
         scalar = scalar_root(c).sigma
-        system = track_secular_root(scalar_as_system(c), 0, kappa)
+        system = track_secular_root(c, 0, kappa)
         assert abs(system - scalar) <= 1e-9
 
     def test_thick_spray_embedding(self, std_maxwellian, maxwellian_params):

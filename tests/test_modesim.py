@@ -449,13 +449,15 @@ class TestGrowthRate:
 
 class TestScalingExperiment:
     def test_stable_profile_refuses(self, maxwellian_params, std_maxwellian):
+        region = dispersion.verdict_region(maxwellian_params, std_maxwellian)
         with pytest.raises(NoUnstableRoot):
-            sobolev_scaling_experiment(maxwellian_params, std_maxwellian,
+            sobolev_scaling_experiment(maxwellian_params, std_maxwellian, region,
                                        s=1.0, n_exponent=2.0,
                                        k_list=[8.0, 16.0, 32.0], nv=512)
 
     def test_bump_table_properties(self, bump_params, bump_profile):
-        report = sobolev_scaling_experiment(bump_params, bump_profile, s=1.0,
+        region = dispersion.verdict_region(bump_params, bump_profile)
+        report = sobolev_scaling_experiment(bump_params, bump_profile, region, s=1.0,
                                             n_exponent=2.0,
                                             k_list=[8.0, 16.0, 32.0], nv=2048)
         inits = [r.init_hs_norm for r in report.rows]
@@ -471,16 +473,18 @@ class TestScalingExperiment:
         def refuse(*args, **kwargs):
             raise AssertionError("root search started")
 
+        region = dispersion.verdict_region(bump_params, bump_profile)
         monkeypatch.setattr(dispersion, "find_roots", refuse)
         for k_list in ([8.0, 16.0, 1e300], [1.0, 16.0, 32.0]):
             with pytest.raises(ValueError):
-                sobolev_scaling_experiment(bump_params, bump_profile, s=1.0,
+                sobolev_scaling_experiment(bump_params, bump_profile, region, s=1.0,
                                            n_exponent=2.0, k_list=k_list)
 
     def test_argument_validation(self, bump_params, bump_profile):
+        region = dispersion.verdict_region(bump_params, bump_profile)
         with pytest.raises(ValueError):
-            sobolev_scaling_experiment(bump_params, bump_profile, s=2.0,
+            sobolev_scaling_experiment(bump_params, bump_profile, region, s=2.0,
                                        n_exponent=1.0, k_list=[8.0, 16.0, 32.0])
         with pytest.raises(ValueError):
-            sobolev_scaling_experiment(bump_params, bump_profile, s=1.0,
+            sobolev_scaling_experiment(bump_params, bump_profile, region, s=1.0,
                                        n_exponent=2.0, k_list=[8.0, 16.0])

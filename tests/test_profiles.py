@@ -316,9 +316,9 @@ TREE_CASES = {
 
 
 class TestAgainstTree:
-    def test_four_fields(self):
-        # the parts, drift and width: the total mass (m0) and the strip are derived
-        assert len(dataclasses.fields(profiles.VelocityProfile)) == 4
+    def test_two_fields(self):
+        # the parts only: the total mass (m0) and the strip are derived
+        assert len(dataclasses.fields(profiles.VelocityProfile)) == 2
 
     @pytest.mark.parametrize("name", TREE_CASES)
     def test_flat_mixture_matches_tree(self, name):

@@ -13,8 +13,7 @@ from spraywaves import _gauss, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.dispersion import dispersion_value
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
-from spraywaves.hyperbolic import (ScalarCoupling, SystemCoupling, pole_free_secular,
-                                   scalar_as_system)
+from spraywaves.hyperbolic import SystemCoupling, pole_free_secular, scalar_law
 from spraywaves.quadrature import Branch, cauchy_transform, classify_branch
 
 # Dawson values frozen from the series oracle (cross-checked against mpmath)
@@ -533,8 +532,7 @@ class TestTailCheck:
                                        profiles.maxwellian(0.4, 1.5, 1.0))
         assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0)) <= 1e-15
         # P_0 of the scalar law is -G(0) = lambda0 - kappa C[v f'](0)
-        coupling = ScalarCoupling(lambda0=1.0, kappa=1e-3, profile=profile)
-        value = pole_free_secular(scalar_as_system(coupling), 0, 1e-3, 0.0)
+        value = pole_free_secular(scalar_law(1.0, 1e-3, profile), 0, 1e-3, 0.0)
         assert value == pytest.approx(1.0, abs=1e-15)
 
 

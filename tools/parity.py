@@ -33,13 +33,16 @@ the NEW results lie from the OLD ones:
   the largest differences |new - old| / max |old| are printed, with the number
   of strip points that only one tree refuses.
 - Root counts: `count_roots` on the verdict box of each of the three
-  profiles, on boxes with a Maxwellian or bump root within 1e-3 of an edge
-  (inside and outside), on boxes that straddle sigma = 0, on one with an edge
-  through sigma = 0 and on one inside the square |Re sigma|, |Im sigma| <=
-  1e-3 c0. The counts (or the exception type) must match exactly; the sigma
-  samples of each count (the points passed to quadrature.cauchy_transform,
-  which every evaluation goes through) are printed for OLD and NEW.
-- Scalar laws: `scalar_root` on 40 cases, three profiles (the Maxwellian,
+  profiles and of a kappa = 0.95 two-stream sum whose declared strip (4) is
+  wider than its parts (width 0.3), on boxes with a Maxwellian or bump root
+  within 1e-3 of an edge (inside and outside), on boxes that straddle
+  sigma = 0, on one with an edge through sigma = 0 and on one inside the square
+  |Re sigma|, |Im sigma| <= 1e-3 c0. The counts (or the exception type) must
+  match exactly; the number of sigma samples of each count (the points passed
+  to quadrature.cauchy_transform, which every evaluation goes through) is
+  printed for OLD and NEW.
+- Scalar laws: `scalar_root` on 40 cases (each law built by `scalar_law`, or
+  by `ScalarCoupling` in a tree without it), three profiles (the Maxwellian,
   bump-on-tail and two-stream of the D(sigma) grid) with three lambda0 each,
   and the Maxwellian at lambda0 = 600 (whose count square at kappa = 0 reaches
   below the strip), each with kappa in {0, 1e-3, -5e-3, 0.05}; sigma, residual,
@@ -145,9 +148,12 @@ from spraywaves.dispersion import SearchRegion as Box
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
+# a two-stream sum whose declared strip (4) is wider than its parts (0.3)
+wide = p.profile_sum(p.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
+                     p.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0))
 prm = {name: (prof, d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa))
        for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
-                                     ("ts", ts, 1.5, 0.02))}
+                                     ("ts", ts, 1.5, 0.02), ("wide", wide, 1.0, 0.95))}
 # roots of the mx and bump dispersion functions, the same in both trees
 mxr = 0.998583554016409 - 0.003842467703066575j
 bumpr = 4.9731147755318865 + 0.06020144834611017j
@@ -237,7 +243,10 @@ sys.stdout.buffer.write(pickle.dumps(res))
 SCALAR = r'''
 import json
 from spraywaves import profiles as p
-from spraywaves.hyperbolic import ScalarCoupling, scalar_root
+from spraywaves import hyperbolic
+from spraywaves.hyperbolic import scalar_root
+# the law as a scalar_law system where the tree has one, else a ScalarCoupling
+law = getattr(hyperbolic, "scalar_law", None) or hyperbolic.ScalarCoupling
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
@@ -247,7 +256,7 @@ for name, prof, lambdas in (("mx", mx, (0.5, 1.0, 2.0, 600.0)),
     for lambda0 in lambdas:
         for kappa in (0.0, 1e-3, -5e-3, 0.05):
             try:
-                r = scalar_root(ScalarCoupling(lambda0, kappa, prof))
+                r = scalar_root(law(lambda0, kappa, prof))
                 out.append([name, lambda0, kappa, r.sigma.real, r.sigma.imag, r.residual,
                             r.winding_evidence, r.newton_iters,
                             type(r.sigma).__name__, type(r.residual).__name__])
@@ -341,6 +350,8 @@ def count_parity(old_src: str, new_src: str) -> None:
     for (label, a, samples_a), (_, b, samples_b) in zip(old, new):
         assert a == b, (label, a, b)             # identical counts or exceptions
         print(f"count {a!s:>2} on {label}: sigma samples {samples_a} -> {samples_b}")
+    moved = [label for (label, _, x), (_, _, y) in zip(old, new) if x != y]
+    print(f"counts: {len(old)} identical, sigma samples moved on {moved or 'none'}")
 
 
 def rate_parity(old_src: str, new_src: str) -> None:
