@@ -7,8 +7,8 @@ from .dispersion import (RootReport, SearchRegion, SprayParams, count_roots,
                          dispersion_value, find_roots, landau_dispersion,
                          make_params, spectral_verdict, thin_spray_expansion)
 from .hyperbolic import (ModeVerdict, SystemCoupling, scalar_law, scalar_root,
-                         secular_function, stability_necessary_condition,
-                         symmetric_eigen, track_secular_root)
+                         stability_necessary_condition, symmetric_eigen,
+                         track_secular_root)
 from .modesim import (ModeState, SimConfig, Trajectory, growth_rate,
                       init_eigenmode, integrate, recurrence_time,
                       sobolev_scaling_experiment)
@@ -25,8 +25,7 @@ __all__ = [
     "dispersion_value", "landau_dispersion",
     "count_roots", "find_roots", "thin_spray_expansion", "spectral_verdict",
     "SystemCoupling", "scalar_law", "ModeVerdict", "scalar_root",
-    "symmetric_eigen", "secular_function",
-    "stability_necessary_condition", "track_secular_root",
+    "symmetric_eigen", "stability_necessary_condition", "track_secular_root",
     "ModeState", "SimConfig", "Trajectory", "init_eigenmode", "integrate",
     "growth_rate", "recurrence_time", "sobolev_scaling_experiment",
 ]

@@ -11,7 +11,8 @@ evaluates anything, each number through `_num`, which takes a JSON number only
 turns the validation errors of the library constructors (KeyError, IndexError,
 TypeError, ValueError, InvalidBump, VacuumViolation) into `ConfigError`; the
 value rules themselves live in those constructors, not in a schema table here.
-An error raised while computing is therefore never reported as a config error.
+An error raised while computing is therefore never reported as a config error,
+but for one case: an eigenmode asked of a box (given or default) that holds no root.
 The spray's `params` are c0, rho0 and kappa: the volume fraction
 alpha0 = 1 - kappa m0 follows from the profile, so a `params.alpha0` is
 refused, as is a nonzero `u0`.
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import __version__, dispersion, hyperbolic, modesim, profiles, quadrature
 from .dispersion import SearchRegion, SprayParams
-from .errors import InvalidBump, SprayWaveError, VacuumViolation
+from .errors import InvalidBump, NoUnstableRoot, SprayWaveError, VacuumViolation
 from .hyperbolic import SystemCoupling
 from .profiles import VelocityProfile
 from .scenarios import SCENARIOS
@@ -322,10 +323,14 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
                 continue
             locus[name] = (params.kappa, root.sigma.real, root.sigma.imag)
             if name == "plus":
+                error = abs(root.sigma - complex(c_star, gamma))
                 entry["root_check"] = {
                     "re_sigma": root.sigma.real, "im_sigma": root.sigma.imag,
-                    "residual": root.residual,
-                    "expansion_error": abs(root.sigma - complex(c_star, gamma))}
+                    "residual": root.residual, "expansion_error": error}
+                if 0.0 < error >= abs(gamma):      # both are 0 at kappa = 0
+                    warnings.warn(f"first-order rate gamma = {gamma:.3g} is no guide at "
+                                  f"kappa = {params.kappa:g}: the certified root "
+                                  f"{root.sigma:.6g} lies {error:.3g} from c* + i gamma")
         return entry, locus
 
     results = [analyze(params) for params in sprays]
@@ -393,7 +398,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
     if region is not None:
         reports = dispersion.find_roots(params, profile, region)
         if not reports:
-            raise SprayWaveError("no dispersion root found to seed the eigenmode")
+            raise ConfigError(f"no dispersion root to seed the eigenmode in {region}")
         sigma = max(reports, key=lambda r: r.sigma.imag).sigma
     if t_final is None and eigenmode and sigma.imag > 0:
         t_final = growth_spans / (k * sigma.imag)
@@ -435,8 +440,12 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         k_list = [_num(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
         nv = _whole(spec.get("nv", modesim.DEFAULT_NV), "illposed.nv")
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
-    report = modesim.sobolev_scaling_experiment(
-        params, profile, region=region, s=s, n_exponent=n_exponent, k_list=k_list, nv=nv)
+    try:
+        report = modesim.sobolev_scaling_experiment(params, profile, region=region, s=s,
+                                                    n_exponent=n_exponent, k_list=k_list,
+                                                    nv=nv)
+    except NoUnstableRoot as err:
+        raise ConfigError(f"{err}: {region}") from err
     rows = [[r.k, r.t_k, r.init_hs_norm, r.final_l2_norm, r.fitted_rate]
             for r in report.rows]
     summary = {"theta0": report.theta0,

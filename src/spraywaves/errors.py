@@ -41,10 +41,6 @@ class DegenerateSpectrum(SprayWaveError):
     """Symmetric matrix has (nearly) repeated eigenvalues; strict hyperbolicity fails."""
 
 
-class ResolventSingularity(SprayWaveError):
-    """Secular function evaluated on top of an eigenvalue of the uncoupled matrix."""
-
-
 class RefineGrid(SprayWaveError):
     """Velocity grid too coarse to resolve the requested eigenmode."""
 

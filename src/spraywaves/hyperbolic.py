@@ -25,7 +25,7 @@ import numpy as np
 
 from . import profiles, quadrature
 from .dispersion import RootReport, _newton, _seeded_root
-from .errors import (DegenerateSpectrum, NonConvergence, ResolventSingularity)
+from .errors import DegenerateSpectrum, NonConvergence
 from .profiles import VelocityProfile
 
 STABLE_MODE = "stable_mode"
@@ -74,23 +74,19 @@ class SystemCoupling:
                 np.isfinite(x).all() for x in (a, self.grad_psi, self.phi_coeffs))):
             raise ValueError("kappa, a_matrix, grad_psi and phi_coeffs must be finite")
 
-    @property
-    def dim(self) -> int:
-        return self.a_matrix.shape[0]
-
     @cached_property
     def eigenpairs(self) -> list[tuple[float, np.ndarray]]:
         """symmetric_eigen(a_matrix), solved once per system."""
         return symmetric_eigen(self.a_matrix)
 
     @cached_property
-    def modal_terms(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """(grad_psi . r_i per eigenpair, the eigenvectors r_i as rows, and the
-        (weight v**k, phi_coeffs[k]) pairs of the powers k with a nonzero row)."""
-        rows = np.array([r for _, r in self.eigenpairs])
-        return (np.array([np.dot(self.grad_psi, r) for r in rows]), rows,
-                [((0.0,) * k + (1.0,), np.array(c)) for k, c in enumerate(self.phi_coeffs)
-                 if any(c)])
+    def modal_table(self) -> tuple[list[float], dict[int, list[float]]]:
+        """(psi_i = grad_psi . r_i per eigenpair i, and for each power k whose phi
+        row is nonzero the Phi_ik = r_i . phi_coeffs[k]), as Python floats."""
+        rows = [r for _, r in self.eigenpairs]
+        return ([float(np.dot(self.grad_psi, r)) for r in rows],
+                {k: [float(np.dot(c, r)) for r in rows]
+                 for k, c in enumerate(self.phi_coeffs) if any(c)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +123,7 @@ def scalar_root(s: SystemCoupling, tol: float = 1e-12) -> RootReport:
         raise ValueError(f"first-order seed trusted only for |kappa| <= "
                          f"{SCALAR_KAPPA_MAX}")
     lambda0 = s.eigenpairs[0][0]
-    def func(z):        # a Python complex at a point: the report holds Python numbers
-        p0 = pole_free_secular(s, 0, s.kappa, z)
-        return p0 if isinstance(z, np.ndarray) else complex(p0)
+    func = lambda z: pole_free_secular(s, 0, s.kappa, z)
     scale = max(1.0, abs(lambda0))
     return _seeded_root(func, lambda0 + func(lambda0), tol, trust_radius=scale,
                         floor=1e-3 * scale, spread=4.0)
@@ -172,41 +166,24 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 # secular function and perturbation checks
 # ---------------------------------------------------------------------------
 
-def _modal_projections(s: SystemCoupling, sigma) -> np.ndarray:
-    """(grad_psi . r_i)(r_i . I(sigma)) for each eigenpair i of A, where I(sigma) is
-    the continued integral of phi(v) f'(v)/(v - sigma), component-wise: the sum
-    of phi_coeffs[k] C[v**k f'](sigma), one transform per power with a nonzero row.
-    Over an ndarray of sigma, axis 0 runs over i and the others over sigma."""
-    psi_r, rows, powers = s.modal_terms
-    ivec = sum((np.multiply.outer(c, quadrature.cauchy_transform(s.profile, w, sigma))
-                for w, c in powers), 0.0)
-    if isinstance(sigma, np.ndarray):
-        extra = (1,) * sigma.ndim
-        psi_r, rows = psi_r.reshape(-1, *extra), rows.reshape(*rows.shape, *extra)
-    return psi_r * (rows * ivec).sum(axis=1)
-
-
-def secular_function(s: SystemCoupling, sigma: complex) -> complex:
-    """S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)>, summed over the
-    eigenpairs as 1 - kappa sum_i (grad_psi . r_i)(r_i . I) / (sigma_i - sigma)."""
-    sigma = complex(sigma)
-    if s.kappa == 0.0:
-        return 1.0 + 0.0j
-    poles = np.array([ev for ev, _ in s.eigenpairs]) - sigma
-    if np.min(np.abs(poles)) < 1e-10:
-        raise ResolventSingularity(
-            "secular function evaluated on an eigenvalue of the uncoupled matrix")
-    return 1.0 - s.kappa * complex(np.sum(_modal_projections(s, sigma) / poles))
+def _modal_projections(s: SystemCoupling, sigma) -> list:
+    """m_i(sigma) = (grad_psi . r_i)(r_i . I(sigma)) = psi_i sum_k Phi_ik C[v**k f']
+    for each eigenpair i of A, where I(sigma) is the continued integral of
+    phi(v) f'(v)/(v - sigma); Python numbers at a point, ndarrays over one."""
+    psi, phi = s.modal_table
+    terms = [(quadrature.cauchy_transform(s.profile, (0.0,) * k + (1.0,), sigma), col)
+             for k, col in phi.items()]
+    return [psi_i * sum(c * col[i] for c, col in terms) for i, psi_i in enumerate(psi)]
 
 
 def stability_necessary_condition(s: SystemCoupling) -> list[ModeVerdict]:
     """Per-mode sign check of q_j; any q_j < 0 fails the necessary condition."""
+    psi, phi = s.modal_table
     verdicts = []
     for j, (sigma_j, r_j) in enumerate(s.eigenpairs):
-        psi_proj = float(np.dot(s.grad_psi, r_j))
-        # phi(sigma_j) . r_j = sum_k sigma_j**k (phi_coeffs[k] . r_j)
-        phi_proj = float(sum(sigma_j**k * np.dot(c, r_j)
-                             for k, c in enumerate(s.phi_coeffs)))
+        psi_proj = psi[j]
+        # phi(sigma_j) . r_j = sum_k sigma_j**k Phi_jk
+        phi_proj = float(sum(sigma_j**k * col[j] for k, col in phi.items()))
         slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
         q_j = psi_proj * phi_proj * slope
         if abs(psi_proj) <= _DECOUPLE_TOL or abs(phi_proj) <= _DECOUPLE_TOL:
@@ -252,7 +229,7 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     """
     sigma_j = s.eigenpairs[j][0]
     pole_free = lambda z: pole_free_secular(s, j, kappa_target, z)
-    step = -kappa_target * _modal_projections(s, complex(sigma_j))[j]
+    step = -kappa_target * _modal_projections(s, sigma_j)[j]
     floor = _ROUNDING_FLOOR * max(1.0, abs(sigma_j))
     sigma, _ = _newton(pole_free, sigma_j + step, max(tol * abs(step), floor),
                        trust_radius=10.0 * abs(step) + 1e-6)

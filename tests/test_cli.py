@@ -90,12 +90,13 @@ class TestExitCodes:
         assert "alpha0 = 1 - kappa * m0" in err["error"]["message"]
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
-        # eigenmode seeding on a stable profile: no root to seed from
+        # the eigenmode's box has the Maxwellian root on its right edge, so its
+        # root count cannot be certified
         cfg = {
             "profile": {"kind": "maxwellian"},
             "params": {"c0": 1.0, "rho0": 1.0, "kappa": 0.01},
-            "region": {"re_min": -2.0, "re_max": 2.0, "im_min": 1e-6,
-                       "im_max": 0.2},
+            "region": {"re_min": 0.5, "re_max": 0.998583554016409, "im_min": -0.05,
+                       "im_max": 0.02},
             "sim": {"nv": 512, "k": 2.0, "init": {"type": "eigenmode"}},
         }
         cfgfile = tmp_path / "c.json"
@@ -105,6 +106,30 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["exit_code"] == 3
+        assert err["error"]["type"] == "BoundaryRoot"
+
+    @pytest.mark.parametrize("command,override", [
+        ("simulate", {"sim": {"init": {"type": "eigenmode"}}, "region": None}),
+        ("illposed-demo", {"region": None}),
+        ("simulate", {"region": {"re_min": -2.0, "re_max": 2.0, "im_min": 1e-6,
+                                 "im_max": 0.2},
+                      "sim": {"nv": 512, "k": 2.0, "init": {"type": "eigenmode"}}}),
+    ])
+    def test_eigenmode_of_a_box_without_root_exits_2(self, tmp_path, capsys, command,
+                                                     override):
+        # a stable spray has no root in the verdict box, nor in an upper box: the
+        # config asks for an eigenmode that does not exist
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        code = main([command, "--scenario", "maxwellian-stable", "--config",
+                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        cfg = cli._deep_merge(SCENARIOS["maxwellian-stable"], override)
+        profile = build_profile(cfg["profile"])
+        params = cli.build_params(cfg["params"], profile)
+        assert str(cli.build_region(cfg["region"], params, profile)) in err["message"]
 
     @pytest.mark.parametrize("command,scenario,override", [
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [0.2, 2.0]}}),
@@ -693,6 +718,29 @@ class TestThinSprayCommand:
               "--quiet"])
         assert not any("unreliable" in w
                        for w in read_json(tmp_path / "manifest.json")["warnings"])
+
+    @pytest.mark.parametrize("scenario,override,warned", [
+        # three bumps at kappa = 0.05 whose plus root lies 1.197, 0.666 and 0.421
+        # from c* + i gamma, with |gamma| = 0.0058, 0.0059 and 6.5e-7
+        ("bump-unstable", {"params": {"kappa": 0.05}}, True),
+        ("bump-unstable", {"profile": {"eps": 0.04, "c_star": 4.5},
+                           "params": {"c0": 4.5, "kappa": 0.05}}, True),
+        ("bump-unstable", {"profile": {"c_star": 4.6}, "params": {"kappa": 0.05}}, True),
+        ("thin-spray-sweep", {}, False), ("maxwellian-stable", {}, False),
+        # at kappa = 0 the root is c* + i gamma = c0
+        ("maxwellian-stable", {"params": {"kappa": 0.0}}, False)])
+    def test_rate_far_from_the_certified_root_warns(self, tmp_path, scenario, override,
+                                                    warned):
+        path, out = tmp_path / "c.json", tmp_path / "ts"
+        path.write_text(json.dumps(override))
+        assert main(["thin-spray", "--scenario", scenario, "--config", str(path),
+                     "--out", str(out), "--quiet"]) == 0
+        payload = read_json(out / "thin_spray.json")
+        for entry in payload.get("sweep", [payload]):
+            error = entry["root_check"]["expansion_error"]
+            assert (0.0 < error >= abs(entry["gamma"])) == warned
+        assert any("is no guide" in w
+                   for w in read_json(out / "manifest.json")["warnings"]) == warned
 
     @pytest.mark.parametrize("kappa", [1e-4, 5e-4, 1e-3, 3e-3])
     def test_failed_seed_gives_no_root_check(self, tmp_path, kappa):

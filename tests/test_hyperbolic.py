@@ -5,18 +5,27 @@ import pytest
 
 from spraywaves import hyperbolic, profiles, quadrature
 from spraywaves.dispersion import SearchRegion, find_roots
-from spraywaves.errors import DegenerateSpectrum, ResolventSingularity
+from spraywaves.errors import DegenerateSpectrum
 from spraywaves.hyperbolic import (DECOUPLED, STABLE_MODE, UNSTABLE_MODE,
                                    SystemCoupling, pole_free_secular, scalar_law,
-                                   scalar_root, secular_function,
-                                   stability_necessary_condition, symmetric_eigen,
-                                   track_secular_root)
+                                   scalar_root, stability_necessary_condition,
+                                   symmetric_eigen, track_secular_root)
 
 
 def p0(c: SystemCoupling, omega):
     """P_0 of the scalar law: -G(omega), G the scalar dispersion function
     omega - lambda0 + kappa C[v f'/(v - omega)]."""
     return pole_free_secular(c, 0, c.kappa, omega)
+
+
+def dense_secular(s: SystemCoupling, sigma: complex) -> complex:
+    """Oracle S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)> by a dense
+    resolvent solve, I(sigma) one transform per component (no eigenpairs)."""
+    n = s.a_matrix.shape[0]
+    ivec = np.array([quadrature.cauchy_transform(
+        s.profile, tuple(c[i] for c in s.phi_coeffs), sigma) for i in range(n)])
+    x = np.linalg.solve(s.a_matrix - sigma * np.eye(n), ivec)
+    return 1.0 - s.kappa * complex(np.dot(s.grad_psi, x))
 
 
 def leading_imag(c: SystemCoupling) -> float:
@@ -159,16 +168,11 @@ class TestSymmetricEigen:
 
 class TestSecularFunction:
     def test_uncoupled_identity(self, fixture_systems):
+        # S = 1 at kappa = 0: P_j(sigma) = sigma_j - sigma for every mode
         passing, _, _ = fixture_systems
-        free = SystemCoupling(passing.a_matrix, passing.grad_psi,
-                              passing.phi_coeffs, 0.0, passing.profile)
-        assert secular_function(free, 1.5 + 0.5j) == 1.0
-
-    def test_eigenvalue_rejected(self, fixture_systems):
-        passing, _, _ = fixture_systems
-        sigma_j = symmetric_eigen(passing.a_matrix)[0][0]
-        with pytest.raises(ResolventSingularity):
-            secular_function(passing, complex(sigma_j))
+        z = 1.5 + 0.5j
+        for j, (sigma_j, _) in enumerate(passing.eigenpairs):
+            assert pole_free_secular(passing, j, 0.0, z) == sigma_j - z
 
     @pytest.mark.parametrize("kappa", [2e-3, 1e-3, 5e-4, 2e-4, 1e-4])
     def test_scalar_equivalence(self, std_maxwellian, kappa):
@@ -207,16 +211,15 @@ class TestSystemCoupling:
 
 class TestTrackSecularRoot:
     def test_modal_sum_matches_resolvent_solve(self, fixture_systems):
-        # oracle: S = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)> by a dense solve
+        # P_j(sigma) / (sigma_j - sigma), summed over the modal table, is the S of
+        # a dense resolvent solve for every j
         for system in fixture_systems:
             for sigma in (0.7 + 0.01j, 1.5 - 0.02j, 2.5 + 0.0j, 1.0001 + 1e-9j):
-                ivec = np.array([quadrature.cauchy_transform(
-                    system.profile, tuple(c[i] for c in system.phi_coeffs), sigma)
-                    for i in range(system.dim)])
-                x = np.linalg.solve(system.a_matrix - sigma * np.eye(system.dim), ivec)
-                expected = 1.0 - system.kappa * complex(np.dot(system.grad_psi, x))
-                assert abs(secular_function(system, sigma) - expected) <= \
-                    1e-13 * max(1.0, abs(expected))
+                expected = dense_secular(system, sigma)
+                for j, (sigma_j, _) in enumerate(system.eigenpairs):
+                    got = pole_free_secular(system, j, system.kappa, sigma)
+                    assert abs(got / (sigma_j - sigma) - expected) <= \
+                        1e-13 * max(1.0, abs(expected))
 
     def test_weak_mode(self, std_maxwellian):
         # the root sits kappa |sigma'(0)| ~ 1.3e-6 from the pole at sigma_1 = 2
@@ -224,7 +227,7 @@ class TestTrackSecularRoot:
                               ((1.0, 1.0),), 1e-4, std_maxwellian)
         tracked = track_secular_root(weak, 1, 1e-4)
         assert tracked == pytest.approx(complex(1.99999916006, 1.0176e-6), abs=1e-10)
-        assert abs(secular_function(weak, tracked)) <= 1e-9
+        assert abs(dense_secular(weak, tracked)) <= 1e-9
 
     @pytest.mark.parametrize("grad_psi_2", [1e-3, 3e-4, 1e-4])
     def test_root_within_rounding_of_eigenvalue(self, std_maxwellian, grad_psi_2):
@@ -235,11 +238,7 @@ class TestTrackSecularRoot:
         tracked = track_secular_root(system, 1, 1e-4)
 
         def pole_free(z):    # (sigma_1 - z) S(z) from a dense resolvent solve
-            ivec = np.array([quadrature.cauchy_transform(
-                system.profile, tuple(c[i] for c in system.phi_coeffs), z)
-                for i in range(system.dim)])
-            x = np.linalg.solve(system.a_matrix - z * np.eye(system.dim), ivec)
-            return (2.0 - z) * (1.0 - system.kappa * complex(np.dot(system.grad_psi, x)))
+            return (2.0 - z) * dense_secular(system, z)
 
         floor = 8.0 * np.finfo(float).eps * 2.0
         assert abs(pole_free(tracked)) <= 2.0 * floor
@@ -265,7 +264,7 @@ class TestTrackSecularRoot:
                                     float(rng.uniform(1e-4, 1e-3)), std_maxwellian)
             for j in range(n):
                 tracked = track_secular_root(system, j, system.kappa)
-                worst = max(worst, abs(secular_function(system, tracked)))
+                worst = max(worst, abs(dense_secular(system, tracked)))
         assert worst <= 1e-9
 
 

@@ -50,6 +50,13 @@ the NEW results lie from the OLD ones:
   exactly, and so must the Python types of sigma and residual. The leading
   Im omega of `stability-check` is compared with the artifacts, on the bundled
   scalar law (lambda0 = 1) and on three more.
+- Tracked roots: `stability_necessary_condition` and `track_secular_root` on
+  every mode of the seeded N = 2 to 7 systems of the benchmark's coupling
+  workload (seeds 1 to 3), of the weak and near-rounding systems of the CLI
+  tests (A = diag(1, 2), grad_psi = (1, 0.03) and (1, 1e-3)) and of the
+  thick-spray embedding (acoustics with a zero phi row). q_j, imag_rate and
+  the verdict (or the exception type) must match exactly, the tracked root
+  within TRACK_TOL relative; the largest relative drift is printed.
 - Artifacts of the 11 bundled command x scenario pairs, of two bump runs
   without a region (`roots` and the eigenmode `simulate` with
   {"region": null}), of `roots` on the Maxwellian without a region, of
@@ -266,6 +273,47 @@ print(json.dumps(out))
 '''
 
 
+TRACKED = r'''
+import json, sys
+import numpy as np
+from spraywaves import hyperbolic as h, profiles as p
+out = []
+for label, prof, system in json.loads(sys.argv[1]):
+    s = h.SystemCoupling(np.array(system["A"]), np.array(system["grad_psi"]),
+                         tuple(map(tuple, system["phi_coeffs"])), system["kappa"],
+                         p.maxwellian(prof["mass"], prof["drift"], prof["width"]))
+    for v in h.stability_necessary_condition(s):
+        try:
+            z = h.track_secular_root(s, v.j, s.kappa)
+            root = [z.real, z.imag]
+        except Exception as e:
+            root = type(e).__name__
+        out.append([label, v.j, v.q_j, v.imag_rate, v.verdict, root])
+print(json.dumps(out))
+'''
+
+
+def tracked_cases() -> list:
+    """(label, Maxwellian, system) of every tracked-root case, as plain configs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+    unit = workloads.maxwellian()
+    cases = [[f"seed {seed} {op['id'].split('.')[1]}", cfg["profile"], cfg["system"]]
+             for seed in (1, 2, 3) for op in workloads.build("coupling", seed)
+             for cfg in [op.get("config") or op["args"]] if "system" in cfg]
+    cases += [["near-rounding", unit, {"A": [[1.0, 0.0], [0.0, 2.0]],
+                                       "grad_psi": [1.0, 1e-3],
+                                       "phi_coeffs": [[1.0, 1.0]], "kappa": 1e-4}],
+              # the spray (c0 = rho0 = 1, kappa = 0.01) as symmetrized acoustics
+              ["thick-spray embedding", unit, {
+                  "A": [[0.0, -1.0], [-1.0, 0.0]], "grad_psi": [1.0, 0.0],
+                  "phi_coeffs": [[0.0, 0.0], [-1.0 / 0.99, 0.0]], "kappa": 0.01}]]
+    unique = {}            # the first label of each system
+    for case in cases:
+        unique.setdefault(json.dumps(case[1:]), case)
+    return list(unique.values())
+
+
 # (command, scenario, config merged over the scenario): the 11 bundled pairs,
 # the bump runs without a region, the Maxwellian one, the failing seed and
 # three scalar laws off lambda0 = 1
@@ -286,12 +334,13 @@ RUNS = [(command, scenario, None) for command, scenario in (
         {"lambda0": 600.0, "kappa": 0.0})]
 D_TOL = 1e-15          # |dD| / max(1, |D|)
 RATE_TOL = 1e-9        # relative, for c*, gamma and gamma(-c*)
+TRACK_TOL = 1e-14      # relative, for a tracked secular root
 
 
-def run(code: str, src: str) -> bytes:
+def run(code: str, src: str, *args: str) -> bytes:
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, check=True).stdout
 
 
 def d_parity(old_src: str, new_src: str) -> None:
@@ -397,6 +446,24 @@ def scalar_parity(old_src: str, new_src: str) -> None:
           f"exceptions identical")
 
 
+def tracked_parity(old_src: str, new_src: str) -> None:
+    cases = json.dumps(tracked_cases())
+    old, new = (json.loads(run(TRACKED, src, cases)) for src in (old_src, new_src))
+    worst, where = 0.0, "none"
+    for a, b in zip(old, new):
+        assert a[:5] == b[:5], (a, b)            # q_j, imag_rate and verdict
+        if isinstance(a[5], str) or isinstance(b[5], str):
+            assert a[5] == b[5], (a, b)          # the same exception
+            continue
+        za, zb = complex(*a[5]), complex(*b[5])
+        if abs(zb - za) / abs(za) > worst:
+            worst, where = abs(zb - za) / abs(za), f"{a[0]} mode {a[1]}"
+    print(f"tracked roots: {len(old)} modes on {len(json.loads(cases))} systems, "
+          f"q_j, imag_rate and verdicts identical; max relative drift {worst:.1e} "
+          f"({where})")
+    assert len(old) == len(new) and worst <= TRACK_TOL, "tracked roots moved"
+
+
 def artifact_bytes(out: Path, name: str) -> bytes:
     data = (out / name).read_bytes()
     if name != "manifest.json":
@@ -479,4 +546,5 @@ if __name__ == "__main__":
     rate_parity(*sys.argv[1:3])
     trajectory_parity(*sys.argv[1:3])
     scalar_parity(*sys.argv[1:3])
+    tracked_parity(*sys.argv[1:3])
     artifact_parity(*sys.argv[1:3])
