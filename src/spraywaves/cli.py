@@ -280,17 +280,15 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
                                    "im_max": region.im_max}}}
 
 
-def _root_near(params, profile, center: float, seed, tol: float = 1e-12):
-    """The root of the thin-spray branch at center = +-c0: Newton from seed(),
-    kept if a count on a square of half-width max(1e-3 c0, |Im sigma|/2) around
-    it is 1 and it lies in or above (an upper root needs no strip) the box
-    |Re sigma - center| <= c0/2, |Im sigma| <= 0.4 strip (set by center: the seed
-    can change sign at large kappa); else None, with a warning."""
+def _root_near(params, profile, center: float, seed):
+    """The root of the thin-spray branch at center = +-c0: `_seeded_root` from
+    seed() at the scale c0, kept if its count is 1 and it lies in or above (an
+    upper root needs no strip) the box |Re sigma - center| <= c0/2, |Im sigma| <=
+    0.4 strip (set by center: the seed can change sign at large kappa); else None."""
     span = 0.5 * params.c0
     func = lambda z: dispersion.dispersion_value(params, profile, z)
     try:
-        root = dispersion._seeded_root(func, seed(), tol, trust_radius=span,
-                                       floor=1e-3 * params.c0, spread=0.5)
+        root = dispersion._seeded_root(func, seed(), params.c0)
         if (root.winding_evidence == 1 and abs(root.sigma.real - center) < span
                 and root.sigma.imag > -0.4 * profile.strip_halfwidth):
             return root
@@ -400,10 +398,11 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         if not reports:
             raise ConfigError(f"no dispersion root to seed the eigenmode in {region}")
         sigma = max(reports, key=lambda r: r.sigma.imag).sigma
-    if t_final is None and eigenmode and sigma.imag > 0:
+    # a growing run spans growth_spans e-folds, any other a number of periods
+    if t_final is None and eigenmode and k * sigma.imag > 0:
         t_final = growth_spans / (k * sigma.imag)
     elif t_final is None:
-        t_final = (10.0 if eigenmode else periods) * 2.0 * math.pi / (k * params.c0)
+        t_final = (10.0 if eigenmode else periods) * 2.0 * math.pi / (abs(k) * params.c0)
     with _reading("sim config"):
         config = modesim.default_sim_config(params, profile, k, t_final=t_final, nv=nv)
         if dt is not None:
@@ -466,23 +465,23 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
     with _reading("stability-check config"):
         profile = build_profile(cfg["profile"]) if "profile" in cfg else None
         check_quadrature(cfg.get("quadrature"))
+        if ("system" in cfg) == ("scalar" in cfg):
+            raise ConfigError("stability-check needs one of the 'system' and 'scalar' "
+                              "config blocks, not both or neither")
         if "system" in cfg:
             system = build_system(cfg["system"], profile)
-        elif "scalar" in cfg:
+        else:
             lambda0 = _num(cfg["scalar"]["lambda0"])
             system = hyperbolic.scalar_law(lambda0, _num(cfg["scalar"]["kappa"]), profile)
-            if abs(system.kappa) > hyperbolic.SCALAR_KAPPA_MAX:
-                raise ConfigError(f"scalar.kappa must satisfy |kappa| <= "
-                                  f"{hyperbolic.SCALAR_KAPPA_MAX} for the first-order "
-                                  f"seed")
-        else:
-            raise ConfigError("stability-check needs a 'system' or 'scalar' config block")
     verdicts = hyperbolic.stability_necessary_condition(system)
+    # a scalar law's one root is also its mode 0's tracked root
+    root = hyperbolic.scalar_root(system) if lambda0 is not None else None
     entries = []
     for v in verdicts:
         entry = v.as_dict()
         if v.verdict != hyperbolic.DECOUPLED and system.kappa != 0.0:
-            tracked = hyperbolic.track_secular_root(system, v.j, system.kappa)
+            tracked = (root.sigma if root else
+                       hyperbolic.track_secular_root(system, v.j, system.kappa))
             entry["tracked_sigma"] = [tracked.real, tracked.imag]
             entry["tracked_imag_per_kappa"] = tracked.imag / system.kappa
         entries.append(entry)
@@ -490,8 +489,7 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
                "fails_necessary_condition":
                    hyperbolic.fails_necessary_condition(verdicts),
                "kappa": system.kappa}
-    if lambda0 is not None:
-        root = hyperbolic.scalar_root(system)
+    if root is not None:
         payload["scalar"] = {
             "lambda0": lambda0, "kappa": system.kappa,
             "leading_imag": system.kappa * verdicts[0].imag_rate,

@@ -281,13 +281,13 @@ def _newton(func, z0: complex, tol: float,
     raise NonConvergence(f"Newton stalled at |D| = {abs(fz):.3g} (tol {tol:.3g})")
 
 
-def _seeded_root(func, seed: complex, tol: float, trust_radius: float, floor: float,
-                 spread: float) -> RootReport:
-    """Newton on func from a seed, then one winding count of func around the
-    square of half-width max(floor, spread |Im z|) centred on the iterate z; the
-    count is the report's winding evidence, for the caller to check."""
-    z, iters = _newton(func, seed, tol, trust_radius=trust_radius)
-    half = max(floor, spread * abs(z.imag))
+def _seeded_root(func, seed: complex, scale: float) -> RootReport:
+    """Newton on func from the seed to |func| <= 1e-12 within scale/2 of it, then
+    a winding count of func (the report's evidence, for the caller to check) on
+    the square of half-width max(1e-3 scale, |Im z|/2) around the iterate z: an
+    upper root's square stays above the axis, where no strip is needed."""
+    z, iters = _newton(func, seed, 1e-12, trust_radius=0.5 * scale)
+    half = max(1e-3 * scale, 0.5 * abs(z.imag))
     evidence = _winding_number(func, SearchRegion(z.real - half, z.real + half,
                                                   z.imag - half, z.imag + half))
     return RootReport(sigma=z, residual=abs(func(z)),

@@ -35,9 +35,7 @@ DECOUPLED = "decoupled"
 _DECOUPLE_TOL = 1e-12
 _GAP_TOL = 1e-8
 _EIGEN_RESIDUAL = 1e-10        # relative to max(1, max|A|)
-# largest |kappa| for which scalar_root trusts its first-order seed
-SCALAR_KAPPA_MAX = 0.1
-# |P_j| accepted by track_secular_root regardless of tol, per unit max(1, |sigma_j|):
+# |P_j| accepted by track_secular_root regardless of |S|, per unit max(1, |sigma_j|):
 # a few rounding units of sigma_j - sigma
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
@@ -115,18 +113,13 @@ def scalar_law(lambda0: float, kappa: float, profile: VelocityProfile) -> System
                           phi_coeffs=((0.0,), (1.0,)), kappa=kappa, profile=profile)
 
 
-def scalar_root(s: SystemCoupling, tol: float = 1e-12) -> RootReport:
-    """Coupled root of a `scalar_law` by one Newton solve on its P_0 (the
+def scalar_root(s: SystemCoupling) -> RootReport:
+    """Coupled root of a `scalar_law` by `dispersion._seeded_root` on its P_0 (the
     function `track_secular_root` solves) from the first-order seed
-    lambda0 + P_0(lambda0), with a winding count around it as evidence."""
-    if abs(s.kappa) > SCALAR_KAPPA_MAX:
-        raise ValueError(f"first-order seed trusted only for |kappa| <= "
-                         f"{SCALAR_KAPPA_MAX}")
+    lambda0 + P_0(lambda0), at the scale max(1, |lambda0|)."""
     lambda0 = s.eigenpairs[0][0]
     func = lambda z: pole_free_secular(s, 0, s.kappa, z)
-    scale = max(1.0, abs(lambda0))
-    return _seeded_root(func, lambda0 + func(lambda0), tol, trust_radius=scale,
-                        floor=1e-3 * scale, spread=4.0)
+    return _seeded_root(func, lambda0 + func(lambda0), max(1.0, abs(lambda0)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +205,16 @@ def pole_free_secular(s: SystemCoupling, j: int, kappa: float, sigma):
     return (s.eigenpairs[j][0] - sigma) * (1.0 - kappa * rest) - kappa * m[j]
 
 
-def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
-                       tol: float = 1e-9) -> complex:
+def track_secular_root(s: SystemCoupling, j: int, kappa_target: float) -> complex:
     """Zero of the secular function at kappa_target that leaves eigenvalue j.
 
     One Newton solve from the first-order seed sigma_j + kappa sigma'(0),
     sigma'(0) = -(grad_psi . r_j)(r_j . I(sigma_j)), on the pole-free
     P_j = `pole_free_secular`, so that Newton never meets the pole at sigma_j
     (Bunch, Nielsen & Sorensen 1978).
-    Newton stops at |P_j| <= max(tol |kappa sigma'(0)|, floor), and the root is
-    returned only if |P_j| <= max(tol |sigma - sigma_j|, floor), where
-    floor = 8 eps max(1, |sigma_j|) is the rounding of sigma_j - sigma. So
+    With tol = 1e-9, Newton stops at |P_j| <= max(tol |kappa sigma'(0)|, floor),
+    and the root is returned only if |P_j| <= max(tol |sigma - sigma_j|, floor),
+    where floor = 8 eps max(1, |sigma_j|) is the rounding of sigma_j - sigma. So
     |S| = |P_j| / |sigma - sigma_j| <= tol holds wherever tol |sigma - sigma_j|
     exceeds the floor; for a root closer to sigma_j than floor / tol (about 3.6e-6
     at sigma_j = 2) only |P_j| <= floor is guaranteed.
@@ -230,7 +222,7 @@ def track_secular_root(s: SystemCoupling, j: int, kappa_target: float,
     sigma_j = s.eigenpairs[j][0]
     pole_free = lambda z: pole_free_secular(s, j, kappa_target, z)
     step = -kappa_target * _modal_projections(s, sigma_j)[j]
-    floor = _ROUNDING_FLOOR * max(1.0, abs(sigma_j))
+    floor, tol = _ROUNDING_FLOOR * max(1.0, abs(sigma_j)), 1e-9
     sigma, _ = _newton(pole_free, sigma_j + step, max(tol * abs(step), floor),
                        trust_radius=10.0 * abs(step) + 1e-6)
     if abs(pole_free(sigma)) > max(tol * abs(sigma - sigma_j), floor):

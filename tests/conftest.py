@@ -102,6 +102,27 @@ def contour_deformed_integral(g, sigma: complex, a: float, b: float,
     return complex(total)
 
 
+def system_mode_sigmas(system, nv: int = 2049, bound: float = 10.0) -> np.ndarray:
+    """Eigenvalues of the discretized coupled system on nv Simpson nodes v_j
+    (weights w_j) over [-bound, bound]: the (N + nv) matrix
+    [[A, -kappa phi(v_j) w_j], [-f'(v_j) grad_psi^T, diag(v_j)]]. Eliminating the
+    kinetic rows leaves (A - sigma) x = kappa (grad_psi . x) I_h(sigma), I_h the
+    Simpson sum of phi f'/(v - sigma), so its eigenvalues well above the axis are
+    the zeros of S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)>."""
+    v = np.linspace(-bound, bound, nv)
+    w = np.ones(nv)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= (v[1] - v[0]) / 3.0
+    n = system.a_matrix.shape[0]
+    m = np.zeros((n + nv, n + nv))
+    m[:n, :n] = system.a_matrix
+    m[:n, n:] = -system.kappa * np.polynomial.polynomial.polyval(
+        v, np.array(system.phi_coeffs)) * w
+    m[n:, :n] = -np.outer(np.real(profiles.eval_df(system.profile, v)), system.grad_psi)
+    m[np.arange(n, n + nv), np.arange(n, n + nv)] = v
+    return np.linalg.eigvals(m)
+
+
 def profile_integrand(profile: VelocityProfile, weight: str = "v_df"):
     """Raw (no strip checks) integrand closures used against the oracles."""
     if weight == "v_df":

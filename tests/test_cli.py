@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import system_mode_sigmas
 from spraywaves import cli, dispersion, hyperbolic, modesim, profiles
 from spraywaves.dispersion import SearchRegion
 from spraywaves.errors import SprayWaveError, StripViolation
@@ -158,7 +159,6 @@ class TestExitCodes:
         ("roots", "bump-unstable", {"profile": {"eta": 1e308}}),
         ("roots", "bump-unstable", {"profile": {"c_star": math.nan}}),
         ("roots", "bump-unstable", {"profile": {"eps": 1.5}}),
-        ("stability-check", "scalar-coupling", {"scalar": {"kappa": -1}}),
         ("stability-check", "system-prop1", {"system": {"kappa": math.nan}}),
         ("stability-check", "system-prop1", {"system": {"A": [[1.0, math.nan],
                                                               [math.nan, 2.0]]}}),
@@ -848,8 +848,7 @@ class TestThinSprayRoots:
         params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=0.3)
         seed = self.seeds(params, profile)[1.0]
         func = lambda z: dispersion.dispersion_value(params, profile, z)
-        stray = dispersion._seeded_root(func, seed(), 1e-12, trust_radius=2.5,
-                                        floor=5e-3, spread=0.5)
+        stray = dispersion._seeded_root(func, seed(), c0)
         assert stray.sigma.real == pytest.approx(-6.03, abs=0.01)
         with pytest.raises(StripViolation):
             self.box_search(params, profile, c0)
@@ -880,6 +879,34 @@ class TestSimulateCommand:
         # kappa = 0.01 scenario: the acoustic wave is Landau damped
         last = [float(x) for x in lines[-1].split(",")]
         assert 0.5 < last[3] < 1.0
+
+    def test_negative_k_takes_the_period_default(self, tmp_path):
+        # 10 periods 2 pi / (|k| c0), and the same |tau| as at k = 1
+        rows = {}
+        for k in (-1.0, 1.0):
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps({"sim": {"k": k}}))
+            out = tmp_path / f"k{k:g}"
+            assert main(["simulate", "--scenario", "maxwellian-stable", "--config",
+                         str(cfgfile), "--out", str(out), "--quiet"]) == 0
+            rows[k] = (out / "simulate.csv").read_text().strip().splitlines()[1:]
+        times, abs_tau = ([[float(r.split(",")[col]) for r in rows[k]] for k in rows]
+                          for col in (0, 3))
+        assert times[0] == times[1] and times[0][-1] == pytest.approx(20.0 * math.pi)
+        assert abs_tau[0] == pytest.approx(abs_tau[1], rel=1e-12)
+
+    def test_negative_k_eigenmode_decays(self, tmp_path):
+        # k Im sigma < 0: the eigenmode decays at k Im sigma = -8 x 0.0602, and the
+        # run spans 10 periods rather than growth spans
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"sim": {"k": -8.0}}))
+        out = tmp_path / "bump"
+        assert main(["simulate", "--scenario", "bump-unstable", "--config",
+                     str(cfgfile), "--out", str(out), "--quiet"]) == 0
+        summary = read_json(out / "manifest.json")["summary"]
+        rate = -8.0 * summary["seed_sigma"][1]
+        assert rate == pytest.approx(-0.4816, abs=1e-4)
+        assert summary["fitted_rate"] == pytest.approx(rate, rel=0.02)
 
     def test_pure_acoustics_conserved(self, tmp_path):
         cfg = {
@@ -973,6 +1000,69 @@ class TestStabilityCheckCommand:
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps(cfg))
         assert main(["stability-check", "--config", str(cfgfile), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("scenario,override", [
+        ("system-prop1", {"scalar": {"lambda0": 1.0, "kappa": 1e-3}}),
+        ("scalar-coupling", {"system": SCENARIOS["system-prop1"]["system"]})])
+    def test_both_blocks_exit_2(self, tmp_path, capsys, scenario, override):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        assert main(["stability-check", "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert "'system'" in err["message"] and "'scalar'" in err["message"]
+
+    def run_scalar(self, tmp_path, override) -> dict:
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(override))
+        assert main(["stability-check", "--scenario", "scalar-coupling", "--config",
+                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        return read_json(tmp_path / "out" / "stability_check.json")
+
+    @pytest.mark.parametrize("profile,lambda0", [
+        ({"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 5.0,
+          "base": {"kind": "maxwellian"}}, 5.3),
+        ({"kind": "sum", "parts": [
+            {"kind": "maxwellian", "mass": 0.5, "drift": d, "width": 0.6}
+            for d in (-2.0, 2.0)]}, 2.5)], ids=["bump", "two-stream"])
+    def test_upper_root_square_needs_no_strip(self, tmp_path, profile, lambda0):
+        # the roots lie 0.155 and 0.108 above the axis: a count square of
+        # half-width 4 |Im omega| reached below the strip, one of half-width
+        # |Im omega| / 2 stays above the axis
+        payload = self.run_scalar(tmp_path, {"profile": profile,
+                                             "scalar": {"lambda0": lambda0,
+                                                        "kappa": 0.05}})
+        root = payload["scalar"]["root"]
+        assert root["winding_evidence"] == 1 and root["im_omega"] > 0.1
+
+    def test_large_kappa_root_matches_the_mode_matrix(self, tmp_path):
+        root = self.run_scalar(tmp_path, {"scalar": {"kappa": 0.5}})["scalar"]["root"]
+        omega = complex(root["re_omega"], root["im_omega"])
+        sigmas = system_mode_sigmas(
+            hyperbolic.scalar_law(1.0, 0.5, profiles.maxwellian()), 1025)
+        assert np.min(np.abs(sigmas - omega)) <= 1e-8
+        assert root["winding_evidence"] == 1
+
+    def test_root_square_beyond_the_strip_exits_3(self, tmp_path, capsys):
+        # kappa = -1 damps the law so strongly that Newton from the first-order
+        # seed, at Im omega = -0.76, leaves the strip 0.5
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"scalar": {"kappa": -1}}))
+        assert main(["stability-check", "--scenario", "scalar-coupling", "--config",
+                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["exit_code"]) == ("StripViolation", 3)
+
+    def test_scalar_root_is_solved_once(self, tmp_path, monkeypatch):
+        # mode 0's tracked root is scalar_root's root, bit for bit
+        def refuse(*args):
+            raise AssertionError("track_secular_root called on a scalar law")
+
+        monkeypatch.setattr(hyperbolic, "track_secular_root", refuse)
+        payload = self.run_scalar(tmp_path, {"scalar": {"lambda0": 1.2, "kappa": 0.05}})
+        root = payload["scalar"]["root"]
+        assert payload["modes"][0]["tracked_sigma"] == [root["re_omega"], root["im_omega"]]
 
 
 class TestEntryPoint:

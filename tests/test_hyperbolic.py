@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import system_mode_sigmas
 from spraywaves import hyperbolic, profiles, quadrature
 from spraywaves.dispersion import SearchRegion, find_roots
 from spraywaves.errors import DegenerateSpectrum
@@ -106,10 +107,11 @@ class TestScalarRoot:
         root = scalar_root(c)
         assert root.sigma.imag == pytest.approx(lead, rel=0.05)
 
-    def test_kappa_too_large(self, std_maxwellian):
-        c = scalar_law(1.0, 0.5, std_maxwellian)
-        with pytest.raises(ValueError):
-            scalar_root(c)
+    def test_large_kappa(self, std_maxwellian):
+        # no cap on kappa: the count square of an upper root stays above the axis
+        root = scalar_root(scalar_law(1.0, 0.5, std_maxwellian))
+        assert root.sigma == pytest.approx(1.042507 + 0.305488j, abs=1e-6)
+        assert root.winding_evidence == 1 and root.residual <= 1e-12
 
 
 class TestScalarLeading:
@@ -335,3 +337,56 @@ class TestNecessaryCondition:
                 if v.verdict == UNSTABLE_MODE:
                     tracked = track_secular_root(system, v.j, 1e-4)
                     assert tracked.imag > 0.0
+
+
+class TestModeMatrixOracle:
+    """Roots above the axis against the eigenvalues of the discretized coupled
+    system (`conftest.system_mode_sigmas`), which share nothing with the secular
+    function but f': each root is within rel_tol of an eigenvalue, and the eigenvalues
+    above Im sigma = 0.02 are exactly those roots. nv is the least Simpson grid,
+    2049 or 1025, that resolves the root's distance from the axis; the
+    differences measured there are at most 1.6e-10 relative on the Maxwellian
+    family and 5e-7 on the bump, whose edges keep Simpson's rule from
+    converging fast."""
+
+    @staticmethod
+    def check(system, roots, nv, rel_tol):
+        sigmas = system_mode_sigmas(system, nv)
+        assert len(roots) == int(np.sum(sigmas.imag > 0.02))
+        for root in roots:
+            assert np.min(np.abs(sigmas - root)) <= rel_tol * abs(root)
+
+    @staticmethod
+    def seeded_system(seed, profile):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(3, 3))
+        return SystemCoupling(0.75 * (raw + raw.T), rng.normal(size=3),
+                              tuple(map(tuple, rng.normal(size=(2, 3)))), 0.3, profile)
+
+    @pytest.mark.parametrize("case,nv", [("system-prop1", 2049), (25, 1025), (31, 1025)])
+    def test_tracked_unstable_modes(self, std_maxwellian, case, nv):
+        if case == "system-prop1":
+            system = SystemCoupling(np.array([[1.0, 0.3], [0.3, 2.0]]),
+                                    np.array([1.0, 0.4]), ((1.0, 0.4),), 0.5,
+                                    std_maxwellian)
+        else:
+            system = self.seeded_system(case, std_maxwellian)
+        roots = [track_secular_root(system, v.j, system.kappa)
+                 for v in stability_necessary_condition(system)
+                 if v.verdict == UNSTABLE_MODE]
+        assert len(roots) == 2 and min(r.imag for r in roots) >= 0.05
+        self.check(system, roots, nv, 1e-9)
+
+    @pytest.mark.parametrize("profile,lambda0,kappa,nv,rel_tol", [
+        (profiles.maxwellian(), 1.0, 0.2, 1025, 1e-9),
+        (profiles.maxwellian(), 1.0, 0.5, 1025, 1e-9),
+        (profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                              profiles.maxwellian(0.5, 2.0, 0.6)), 2.5, 0.05, 2049, 1e-9),
+        (profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 5.0), 5.3, 0.05,
+         2049, 1e-6)], ids=["maxwellian-0.2", "maxwellian-0.5", "two-stream", "bump"])
+    def test_scalar_roots(self, profile, lambda0, kappa, nv, rel_tol):
+        # the last two are certified only by a count square that stays above the axis
+        system = scalar_law(lambda0, kappa, profile)
+        root = scalar_root(system)
+        assert root.winding_evidence == 1 and root.sigma.imag > 0.1
+        self.check(system, [root.sigma], nv, rel_tol)

@@ -71,8 +71,11 @@ the NEW results lie from the OLD ones:
   largest relative difference |new - old| / max(|old|, |new|) and the largest
   |new - old| / max(1, |old|), each with the line and the two values where it
   occurs, or "non-numeric difference" where the text around the numbers differs.
+  These differences are printed; they are not counted as mismatches.
 
-An assertion fails when something that must match exactly does not.
+Each thing that must match exactly and does not is printed as a MISMATCH line
+and recorded, and a section that raises is recorded as one mismatch; every
+section still runs, and the script then lists the mismatches and exits 1.
 """
 
 import json
@@ -82,6 +85,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -337,19 +341,38 @@ RATE_TOL = 1e-9        # relative, for c*, gamma and gamma(-c*)
 TRACK_TOL = 1e-14      # relative, for a tracked secular root
 
 
+class Mismatches(list):
+    """What must match exactly and does not, one "section: detail" each."""
+
+    def expect(self, ok: bool, section: str, detail) -> bool:
+        """Record (and print) a mismatch of ``section`` unless ``ok``; returns ``ok``."""
+        if not ok:
+            self.append(f"{section}: {detail}")
+            print(f"MISMATCH {section}: {detail}")
+        return ok
+
+    def guarded(self, section, *args) -> None:
+        """Run one section; one that raises is recorded as a mismatch."""
+        try:
+            section(*args)
+        except Exception as err:
+            traceback.print_exc()
+            self.expect(False, section.__name__, f"raised {type(err).__name__}: {err}")
+
+
 def run(code: str, src: str, *args: str) -> bytes:
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, check=True).stdout
 
 
-def d_parity(old_src: str, new_src: str) -> None:
+def d_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     (old, old_arrays), (new, new_arrays) = (json.loads(run(D_GRID, src))
                                             for src in (old_src, new_src))
     worst = worst_edge = worst_array = 0.0
     for a, b in zip(old_arrays, new_arrays):
         if len(a) == 3 or len(b) == 3:
-            assert a == b, (a, b)                 # identical exceptions
+            found.expect(a == b, "D(sigma) arrays", (a, b))   # identical exceptions
             continue
         va, vb = (np.array(x[2]) + 1j * np.array(x[3]) for x in (a, b))
         worst_array = max(worst_array,
@@ -357,7 +380,7 @@ def d_parity(old_src: str, new_src: str) -> None:
     for a, b in zip(old, new):
         name, re, im = a[:3]
         if len(a) == 4 or len(b) == 4:
-            assert a == b, (a, b)                 # identical exceptions
+            found.expect(a == b, "D(sigma)", (a, b))          # identical exceptions
             continue
         va, vb = complex(*a[3:]), complex(*b[3:])
         err = abs(va - vb) / max(1.0, abs(va))
@@ -368,18 +391,20 @@ def d_parity(old_src: str, new_src: str) -> None:
     print(f"D(sigma): {len(old)} points; max |dD|/max(1,|D|) {worst:.1e} off the "
           f"bump edge margin, {worst_edge:.1e} in it; as {len(old_arrays)} arrays "
           f"{worst_array:.1e}")
-    assert max(worst, worst_edge, worst_array) <= D_TOL, "D(sigma) moved"
+    found.expect(max(worst, worst_edge, worst_array) <= D_TOL, "D(sigma)", "moved")
 
 
-def profile_parity(old_src: str, new_src: str) -> None:
+def profile_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(PROFILES, src)) for src in (old_src, new_src))
     for a, b in zip(old, new):
         name, single = a[:2]
         if single:
-            assert json.dumps(a) == json.dumps(b), name     # bit for bit
-            print(f"profile {name:18s} identical")
+            # bit for bit
+            if found.expect(json.dumps(a) == json.dumps(b), "profiles", name):
+                print(f"profile {name:18s} identical")
             continue
-        assert a[4:] == b[4:], name              # support, strip, scale, breakpoints
+        # support, strip, scale, breakpoints
+        found.expect(a[4:] == b[4:], "profiles", f"{name}: {a[4:]} -> {b[4:]}")
         sizes, refused = [], 0
         for label in ("f", "df"):
             pairs = list(zip(a[2][label], b[2][label]))
@@ -394,30 +419,30 @@ def profile_parity(old_src: str, new_src: str) -> None:
               f"refused by one tree only")
 
 
-def count_parity(old_src: str, new_src: str) -> None:
+def count_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(COUNTS, src)) for src in (old_src, new_src))
     for (label, a, samples_a), (_, b, samples_b) in zip(old, new):
-        assert a == b, (label, a, b)             # identical counts or exceptions
+        found.expect(a == b, "counts", (label, a, b))  # identical counts or exceptions
         print(f"count {a!s:>2} on {label}: sigma samples {samples_a} -> {samples_b}")
     moved = [label for (label, _, x), (_, _, y) in zip(old, new) if x != y]
     print(f"counts: {len(old)} identical, sigma samples moved on {moved or 'none'}")
 
 
-def rate_parity(old_src: str, new_src: str) -> None:
+def rate_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(RATES, src)) for src in (old_src, new_src))
     for a, b in zip(old, new):
         if len(a) == 2 or len(b) == 2:
-            assert a == b, (a, b)                # identical exceptions
-            print(f"rates {a[0]:4s} {a[1]} on both")
+            if found.expect(a == b, "rates", (a, b)):  # identical exceptions
+                print(f"rates {a[0]:4s} {a[1]} on both")
             continue
-        assert a[4] == b[4], (a, b)              # identical verdicts
+        found.expect(a[4] == b[4], "rates", (a, b))    # identical verdicts
         moved = [abs(y - x) / abs(x) if x else abs(y) for x, y in zip(a[1:4], b[1:4])]
-        assert max(moved) <= RATE_TOL, (a, b)
+        found.expect(max(moved) <= RATE_TOL, "rates", (a, b))
         print(f"rates {a[0]:4s} c*, gamma, gamma(-c*) {a[1:4]}, verdict {a[4]}; "
               f"relative moves {', '.join(f'{m:.1e}' for m in moved)}")
 
 
-def trajectory_parity(old_src: str, new_src: str) -> None:
+def trajectory_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (pickle.loads(run(TRAJECTORIES, src)) for src in (old_src, new_src))
 
     def rel(a, b):
@@ -425,9 +450,8 @@ def trajectory_parity(old_src: str, new_src: str) -> None:
 
     for name in old:
         a, b = old[name], new[name]
-        assert np.array_equal(a["times"], b["times"]), name
-        assert a["final_time"] == b["final_time"], name
-        assert a["overflow"] == b["overflow"], name
+        for key in ("times", "final_time", "overflow"):
+            found.expect(np.array_equal(a[key], b[key]), "trajectories", f"{name} {key}")
         ra, rb = a["rate"], b["rate"]
         drate = (f"{ra:.6g}, rel {abs(ra - rb) / abs(ra):.1e}, abs {abs(ra - rb):.1e}"
                  if isinstance(ra, float) else f"{ra} on both: {ra == rb}")
@@ -437,31 +461,31 @@ def trajectory_parity(old_src: str, new_src: str) -> None:
               f"rate {drate}")
 
 
-def scalar_parity(old_src: str, new_src: str) -> None:
+def scalar_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(SCALAR, src)) for src in (old_src, new_src))
-    for a, b in zip(old, new):
-        assert a == b, (a, b)                    # bit for bit, or the same exception
-    roots = sum(len(a) > 4 for a in old)
-    print(f"scalar laws: {len(old)} cases, {roots} roots and {len(old) - roots} "
+    same = [a for a, b in zip(old, new)
+            if found.expect(a == b, "scalar laws", f"{a} -> {b}")]   # bit for bit
+    roots = sum(len(a) > 4 for a in same)
+    print(f"scalar laws: {len(old)} cases, {roots} roots and {len(same) - roots} "
           f"exceptions identical")
 
 
-def tracked_parity(old_src: str, new_src: str) -> None:
+def tracked_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     cases = json.dumps(tracked_cases())
     old, new = (json.loads(run(TRACKED, src, cases)) for src in (old_src, new_src))
     worst, where = 0.0, "none"
     for a, b in zip(old, new):
-        assert a[:5] == b[:5], (a, b)            # q_j, imag_rate and verdict
+        # q_j, imag_rate and verdict
+        found.expect(a[:5] == b[:5], "tracked roots", (a, b))
         if isinstance(a[5], str) or isinstance(b[5], str):
-            assert a[5] == b[5], (a, b)          # the same exception
+            found.expect(a[5] == b[5], "tracked roots", (a, b))  # the same exception
             continue
         za, zb = complex(*a[5]), complex(*b[5])
         if abs(zb - za) / abs(za) > worst:
             worst, where = abs(zb - za) / abs(za), f"{a[0]} mode {a[1]}"
-    print(f"tracked roots: {len(old)} modes on {len(json.loads(cases))} systems, "
-          f"q_j, imag_rate and verdicts identical; max relative drift {worst:.1e} "
-          f"({where})")
-    assert len(old) == len(new) and worst <= TRACK_TOL, "tracked roots moved"
+    print(f"tracked roots: {len(old)} modes on {len(json.loads(cases))} systems; "
+          f"max relative drift {worst:.1e} ({where})")
+    found.expect(len(old) == len(new) and worst <= TRACK_TOL, "tracked roots", "moved")
 
 
 def artifact_bytes(out: Path, name: str) -> bytes:
@@ -540,11 +564,11 @@ def artifact_parity(old_src: str, new_src: str) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    d_parity(*sys.argv[1:3])
-    profile_parity(*sys.argv[1:3])
-    count_parity(*sys.argv[1:3])
-    rate_parity(*sys.argv[1:3])
-    trajectory_parity(*sys.argv[1:3])
-    scalar_parity(*sys.argv[1:3])
-    tracked_parity(*sys.argv[1:3])
-    artifact_parity(*sys.argv[1:3])
+    found = Mismatches()
+    for section in (d_parity, profile_parity, count_parity, rate_parity,
+                    trajectory_parity, scalar_parity, tracked_parity):
+        found.guarded(section, *sys.argv[1:3], found)
+    found.guarded(artifact_parity, *sys.argv[1:3])
+    if found:
+        print(f"{len(found)} mismatches:", *found, sep="\n  ")
+        sys.exit(1)
