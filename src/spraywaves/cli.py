@@ -115,8 +115,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def build_profile(d: dict) -> VelocityProfile:
     kind = d["kind"]
     if kind == "maxwellian":
+        if "strip_halfwidth" in d:
+            raise ValueError("strip_halfwidth is not an input: a Gaussian has no strip")
         return profiles.maxwellian(**{key: _num(d[key]) for key in (
-            "mass", "drift", "width", "strip_halfwidth") if key in d})
+            "mass", "drift", "width") if key in d})
     if kind == "bump_on_tail":
         return profiles.make_bump_on_tail(
             build_profile(d["base"]), eps=_num(d["eps"]), eta=_num(d["eta"]),
@@ -157,11 +159,11 @@ def build_region(d: dict | None, params: SprayParams,
         return dispersion.verdict_region(params, profile)
     keys = ("re_min", "re_max", "im_min", "im_max")
     region = SearchRegion(*(_num(d[key]) for key in keys))
-    # only the lower branch needs the strip, as in count_roots
+    # only the lower branch needs a bump strip, as in count_roots
     if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
         raise ConfigError(f"region reaches below the axis and |Im sigma| = "
-                          f"{region.im_reach:.3g}, beyond the profile analyticity "
-                          f"strip {profile.strip_halfwidth:.3g}")
+                          f"{region.im_reach:.3g}, beyond the bump strip "
+                          f"{profile.strip_halfwidth:.3g}")
     return region
 
 
@@ -242,8 +244,8 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
         profile, params = _read_spray(cfg)
         scan = cfg.get("scan", {})
         re_axis = _grid_axis(scan.get("re"), (-3.0 * params.c0, 3.0 * params.c0, 61))
-        im_axis = _grid_axis(scan.get("im"), (-0.4 * profile.strip_halfwidth,
-                                              0.4 * profile.strip_halfwidth, 21))
+        band = 0.2 * profiles.narrowest_width(profile)
+        im_axis = _grid_axis(scan.get("im"), (-band, band, 21))
     grid = np.empty((im_axis.size, re_axis.size), dtype=complex)
     grid.real, grid.imag = re_axis, im_axis[:, None]
     sigma = grid.ravel()
@@ -282,15 +284,12 @@ def run_roots(cfg: dict, out_dir: Path) -> dict:
 
 def _root_near(params, profile, center: float, seed):
     """The root of the thin-spray branch at center = +-c0: `_seeded_root` from
-    seed() at the scale c0, kept if its count is 1 and it lies in or above (an
-    upper root needs no strip) the box |Re sigma - center| <= c0/2, |Im sigma| <=
-    0.4 strip (set by center: the seed can change sign at large kappa); else None."""
-    span = 0.5 * params.c0
+    seed() at the scale c0, kept if its count is 1 and |Re sigma - center| <
+    c0/2 (set by center: the seed can change sign at large kappa); else None."""
     func = lambda z: dispersion.dispersion_value(params, profile, z)
     try:
         root = dispersion._seeded_root(func, seed(), params.c0)
-        if (root.winding_evidence == 1 and abs(root.sigma.real - center) < span
-                and root.sigma.imag > -0.4 * profile.strip_halfwidth):
+        if root.winding_evidence == 1 and abs(root.sigma.real - center) < 0.5 * params.c0:
             return root
     except SprayWaveError:
         pass           # a failed seed gives no root; no box is searched

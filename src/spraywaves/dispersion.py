@@ -248,13 +248,12 @@ def count_roots(params: SprayParams, profile: VelocityProfile,
     counted as the winding number of the pole-free sigma^2 D(sigma) around its
     boundary, sampled on that boundary only; a zero on or too close to the
     contour raises BoundaryRoot."""
-    strip = profile.strip_halfwidth
-    # the upper branch needs no analyticity strip, so only a box that reaches
-    # below the axis is checked
-    if region.im_min < 0.0 and region.im_reach > strip:
-        raise StripViolation("search region exceeds the profile analyticity strip")
-    # feature scale: half the smallest of c0, the narrowest part and the strip
-    scale = 0.5 * min(params.c0, profiles.resolution_scale(profile), strip)
+    # the upper branch needs no bump strip, so only a box that reaches below
+    # the axis is checked
+    if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
+        raise StripViolation("search region reaches below the axis beyond a bump strip")
+    # feature scale: half the smaller of c0 and half the narrowest width or eta
+    scale = 0.5 * min(params.c0, 0.5 * profiles.narrowest_width(profile))
     return _winding_number(lambda z: _pole_free(params, profile, z), region, scale)
 
 

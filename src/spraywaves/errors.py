@@ -6,7 +6,7 @@ class SprayWaveError(Exception):
 
 
 class StripViolation(SprayWaveError):
-    """Complex evaluation requested outside the analyticity strip of a profile."""
+    """Complex evaluation requested outside the analyticity strip of a bump term."""
 
 
 class InvalidBump(SprayWaveError):
@@ -22,7 +22,7 @@ class ZeroSigma(SprayWaveError):
 
 
 class FaddeevaOverflow(SprayWaveError):
-    """exp(-z^2) in the Faddeeva function overflows deep in the lower half-plane."""
+    """exp(-z^2) of a Gaussian part (in f or its transform) overflows off the axis."""
 
 
 class BoundaryRoot(SprayWaveError):

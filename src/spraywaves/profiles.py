@@ -1,4 +1,4 @@
-"""Equilibrium velocity distributions analytic on a complex strip.
+"""Equilibrium velocity distributions: entire Gaussian parts and compact bumps.
 
 Every profile is one flat mixture of Gaussian parts and bump terms:
 
@@ -10,8 +10,7 @@ w_i, and bump terms of relative mass eps_j, half-width eta_j and centre c_j,
 built on a base of mass M_j. g is a fixed smooth unit-mass bump supported on
 (-1, 1) with g'(0) > 0. Three constructors build every profile:
 
-- `maxwellian`: one Gaussian part with a = 1, entire in v; the declared strip is
-  a conservative working band.
+- `maxwellian`: one Gaussian part with a = 1, entire in v: it has no strip.
 - `make_bump_on_tail`: the base's parts with their coefficients times (1 - eps),
   plus one bump term of coefficient 1 carrying eps * M of the base mass M, so the
   total integral is preserved.
@@ -30,7 +29,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _gauss
-from .errors import InvalidBump, StripViolation, VacuumViolation
+from ._faddeeva import _EXP_LIMIT
+from .errors import FaddeevaOverflow, InvalidBump, StripViolation, VacuumViolation
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -41,20 +41,18 @@ BUMP_EDGE_MARGIN = 0.05
 
 @dataclass(frozen=True)
 class Gaussian:
-    """coef * mass / (sqrt(2 pi) width) * exp(-(v - drift)^2 / (2 width^2)); its
-    continued Cauchy transform is refused more than ``strip`` below the axis."""
+    """coef * mass / (sqrt(2 pi) width) * exp(-(v - drift)^2 / (2 width^2))."""
 
     coef: float
     mass: float
     drift: float
     width: float
-    strip: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.mass, self.drift, self.width, self.strip))):
-            raise ValueError("mass, drift, width and strip must be finite")
-        if min(self.mass, self.width, self.strip) <= 0:
-            raise ValueError("mass, width and strip must be positive")
+        if not all(map(math.isfinite, (self.mass, self.drift, self.width))):
+            raise ValueError("mass, drift and width must be finite")
+        if min(self.mass, self.width) <= 0:
+            raise ValueError("mass and width must be positive")
         if not math.isfinite(self.mass / self.width / self.width):
             raise ValueError("Gaussian derivative scale mass / width**2 overflows")
 
@@ -92,8 +90,8 @@ class Bump:
 @dataclass(frozen=True)
 class VelocityProfile:
     """Analytic equilibrium distribution, given by its parts alone: the total
-    mass ``m0`` and the narrowest strip of the parts ``strip_halfwidth`` are
-    derived from them."""
+    mass ``m0`` and the narrowest bump strip ``strip_halfwidth`` are derived
+    from them."""
 
     gaussians: tuple[Gaussian, ...]
     bumps: tuple[Bump, ...]
@@ -112,8 +110,8 @@ class VelocityProfile:
 
     @cached_property
     def strip_halfwidth(self) -> float:
-        """The narrowest strip of the parts."""
-        return min(part.strip for part in self.gaussians + self.bumps)
+        """The narrowest bump strip (inf without bumps: Gaussian parts are entire)."""
+        return min((b.strip for b in self.bumps), default=math.inf)
 
     @cached_property
     def node_sets(self) -> dict:
@@ -121,11 +119,10 @@ class VelocityProfile:
         return {}
 
 
-def maxwellian(mass: float = 1.0, drift: float = 0.0, width: float = 1.0,
-               strip_halfwidth: float = 0.0) -> VelocityProfile:
-    """One Gaussian part; a strip_halfwidth of 0 means half the width."""
-    strip = strip_halfwidth or 0.5 * width
-    return VelocityProfile((Gaussian(1.0, mass, drift, width, strip),), ())
+def maxwellian(mass: float = 1.0, drift: float = 0.0,
+               width: float = 1.0) -> VelocityProfile:
+    """One Gaussian part."""
+    return VelocityProfile((Gaussian(1.0, mass, drift, width),), ())
 
 
 def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
@@ -197,24 +194,24 @@ def _bump_constants() -> tuple[float, float, float]:
 
 def _check_strip(profile: VelocityProfile, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    im = np.imag(v)
-    if np.any(np.abs(im) > profile.strip_halfwidth * (1.0 + 1e-12)):
-        raise StripViolation(
-            f"|Im v| = {np.max(np.abs(im)):.3g} exceeds strip halfwidth "
-            f"{profile.strip_halfwidth:.3g}")
     if any(np.any(_bump_df_refused(b, v)) for b in profile.bumps):
-        raise StripViolation("complex evaluation within the bump support-edge margin")
+        raise StripViolation("complex evaluation of a bump term refused: beyond its "
+                             "strip or within its support-edge margin")
     return v
 
 
 def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
     """f (f' if ``df``) at v with no strip checks: each part's value times its
-    coef, summed over the Gaussian parts and then the bump terms."""
+    coef, summed over the Gaussian parts (FaddeevaOverflow where one overflows)
+    and then the bump terms."""
     v = np.asarray(v, dtype=complex)
     terms = []
     for g in profile.gaussians:
         z = (v - g.drift) / g.width
-        f = g.mass / (_SQRT_2PI * g.width) * np.exp(-0.5 * z * z)
+        exponent = -0.5 * z * z
+        if exponent.real.max(initial=-math.inf) > _EXP_LIMIT:
+            raise FaddeevaOverflow("exp(-z^2/2) of a Gaussian part overflows")
+        f = g.mass / (_SQRT_2PI * g.width) * np.exp(exponent)
         terms.append(g.coef * (-(v - g.drift) / g.width**2 * f if df else f))
     for b in profile.bumps:
         c, _, _ = _bump_constants()
@@ -275,6 +272,11 @@ def support_bounds(profile: VelocityProfile) -> tuple[float, float]:
     spans = ([(g.drift, 10.0 * g.width) for g in profile.gaussians]
              + [(b.c_star, 5.0 * b.eta) for b in profile.bumps])
     return (min(c - r for c, r in spans), max(c + r for c, r in spans))
+
+
+def narrowest_width(profile: VelocityProfile) -> float:
+    """The narrowest Gaussian width or bump eta: the scale of counts and scans."""
+    return min([g.width for g in profile.gaussians] + [b.eta for b in profile.bumps])
 
 
 def resolution_scale(profile: VelocityProfile) -> float:

@@ -79,14 +79,10 @@ def classify_branch(sigma):
     return Branch.UPPER if im > tol else Branch.LOWER if im < -tol else Branch.REAL_AXIS
 
 
-def _maxwellian_part(weight: tuple[float, ...], sigma, depth: float,
-                     part: profiles.Gaussian):
+def _maxwellian_part(weight: tuple[float, ...], sigma, part: profiles.Gaussian):
     """Continued int p(v) f'(v)/(v - sigma) dv for one Gaussian part, in closed
-    form, at a point or elementwise over an array; ``depth`` is the largest -Im
-    sigma on the lower branch (0 if none), refused beyond the part's strip."""
-    if depth > part.strip * (1.0 + 1e-12):
-        raise StripViolation(f"|Im sigma| = {depth:.3g} exceeds strip "
-                             f"halfwidth {part.strip:.3g} on the lower branch")
+    form, at a point or elementwise over an array; raises FaddeevaOverflow where
+    exp(-zeta^2) would overflow."""
     mass, drift, width = part.coef * part.mass, part.drift, part.width
     # p(v) = p(sigma) + (v - sigma) t(v); ts = [0, t_(d-1), ..., t_0]
     p_sigma, ts = 0.0, []
@@ -112,11 +108,11 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     ``weight`` holds the coefficients of the real polynomial p in ascending
     powers of v. ``sigma`` is a point or an ndarray of points; an array gives
     the values elementwise, in its shape, and raises where any point would.
-    Maxwellian parts are summed in closed form (over the whole array at once);
-    on the lower branch beyond a part's strip halfwidth they raise
-    StripViolation. Bump terms are sums over nodes cached in
-    ``profile.node_sets``, in real arithmetic; an array's ordinary points are
-    summed together in blocks of (sigma, node) pairs (`_bump_array`).
+    Maxwellian parts are summed in closed form (over the whole array at once) on
+    every branch; deep in the lower half-plane they raise FaddeevaOverflow. Bump
+    terms are sums over nodes cached in ``profile.node_sets``, in real
+    arithmetic; an array's ordinary points are summed together in blocks of
+    (sigma, node) pairs (`_bump_array`).
     """
     if isinstance(sigma, np.ndarray):
         return _cauchy_array(profile, tuple(weight), sigma)
@@ -124,10 +120,9 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     branch = classify_branch(sigma)
     if branch is Branch.REAL_AXIS:
         sigma = complex(sigma.real)
-    depth = -sigma.imag if branch is Branch.LOWER else 0.0
     total = 0.0
     for part in profile.gaussians:
-        total += _maxwellian_part(weight, sigma, depth, part)
+        total += _maxwellian_part(weight, sigma, part)
     if profile.bumps:
         scale = profiles.resolution_scale(profile)
         for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
@@ -141,10 +136,9 @@ def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
     im = sigma.imag
     sigma = np.where((im <= AXIS_TOLERANCE) & (im >= -AXIS_TOLERANCE),
                      sigma.real, sigma).astype(complex, copy=False)
-    depth = -float(sigma.imag.min(initial=0.0))
     total = np.zeros(sigma.shape, dtype=complex)
     for part in profile.gaussians:
-        total += _maxwellian_part(weight, sigma, depth, part)
+        total += _maxwellian_part(weight, sigma, part)
     if profile.bumps:
         points, scale = sigma.ravel(), profiles.resolution_scale(profile)
         for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):

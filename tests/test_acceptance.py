@@ -65,7 +65,7 @@ class TestAcceptance:
                f"{'holds' if bound_ok else 'fails'}")
 
     def test_03_rayleigh_stability(self, maxwellian_params, std_maxwellian):
-        region = SearchRegion(-5.0, 5.0, 1e-6, 0.4 * std_maxwellian.strip_halfwidth)
+        region = SearchRegion(-5.0, 5.0, 1e-6, 0.2)
         n_upper = count_roots(maxwellian_params, std_maxwellian, region)
         verdict = spectral_verdict(maxwellian_params, std_maxwellian)
         ok = n_upper == 0 and verdict == "stable"

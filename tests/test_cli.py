@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from conftest import system_mode_sigmas
 from spraywaves import cli, dispersion, hyperbolic, modesim, profiles
@@ -173,7 +174,7 @@ class TestExitCodes:
         ("roots", "maxwellian-stable",
          {"profile": {"kind": "bump_on_tail", "eps": 0.05, "eta": 1e-300,
                       "c_star": 1.5, "base": {"kind": "maxwellian"}}}),
-        ("roots", "maxwellian-stable", {"region": {"im_max": 0.6}}),
+        ("roots", "bump-unstable", {"region": {"im_min": -0.3}}),   # bump strip 0.25
         ("simulate", "maxwellian-stable", {"profile": {"width": 1e-300}}),
         ("simulate", "maxwellian-stable", {"params": {"c0": 1e-300}}),
         ("roots", "maxwellian-stable", {"params": {"c0": 10**400}}),
@@ -517,10 +518,62 @@ class TestRootsCommand:
         assert main(["roots", "--config", str(cfgfile), "--out", str(out),
                      "--quiet"]) == 2
 
+    def run_roots(self, tmp_path, cfg):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(cfg))
+        return main(["roots", "--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+
+    # the unit Maxwellian at c0 = 1, kappa = 0.05, and a box reaching deep below
+    # the axis, far past half the width
+    LOWER = {"profile": {"kind": "maxwellian"},
+             "params": {"c0": 1.0, "rho0": 1.0, "kappa": 0.05},
+             "region": {"re_min": -3.0, "re_max": 3.0, "im_min": -2.5, "im_max": -0.01}}
+
+    @staticmethod
+    def wofz_root(z, kappa=0.05):
+        """Newton on D(sigma) = 1 - 1/sigma^2 + pref (1 + zeta Z(zeta)), zeta =
+        sigma / sqrt 2, Z = i sqrt(pi) w from scipy, pref = kappa / (1 - kappa),
+        with Z' = -2 (1 + zeta Z)."""
+        pref = kappa / (1.0 - kappa)
+        for _ in range(50):
+            zeta = z / math.sqrt(2.0)
+            zz = 1j * math.sqrt(math.pi) * wofz(zeta)
+            f = 1.0 - 1.0 / z**2 + pref * (1.0 + zeta * zz)
+            dzz = (zz - 2.0 * zeta * (1.0 + zeta * zz)) / math.sqrt(2.0)
+            df = 2.0 / z**3 + pref * dzz
+            z -= f / df
+            if abs(f / df) < 1e-15:
+                return z
+        raise AssertionError("oracle Newton did not converge")
+
+    def test_maxwellian_lower_spectrum_has_no_strip(self, tmp_path):
+        assert self.run_roots(tmp_path, self.LOWER) == 0
+        roots = read_json(tmp_path / "out" / "roots.json")
+        assert [r["winding_evidence"] for r in roots] == [1, 1, 1, 1]
+        seeds = (-1.21854 - 2.00568j, -0.99202 - 0.02007j, 0.99202 - 0.02007j,
+                 1.21854 - 2.00568j)
+        for root, seed in zip(roots, seeds):
+            want = self.wofz_root(seed)
+            assert abs(want - seed) < 1e-5
+            assert abs(complex(root["re_sigma"], root["im_sigma"]) - want) <= 1e-10
+
+    def test_strip_halfwidth_is_no_input(self, tmp_path, capsys):
+        cfg = {**self.LOWER, "profile": {"kind": "maxwellian", "strip_halfwidth": 3.0}}
+        assert self.run_roots(tmp_path, cfg) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError" and "no strip" in err["message"]
+
+    def test_box_where_the_exponential_overflows_exits_3(self, tmp_path, capsys):
+        cfg = {**self.LOWER, "region": {**self.LOWER["region"], "im_min": -40.0}}
+        assert self.run_roots(tmp_path, cfg) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "FaddeevaOverflow"
+
     def test_small_box_centred_on_the_pole(self, tmp_path):
         # two-stream spray with one root either side of sigma = 0 in a box of
         # 0.1 c0 whose centre is the pole; u0 = 0 restates the rest frame
-        part = {"kind": "maxwellian", "mass": 0.5, "width": 0.3, "strip_halfwidth": 4.0}
+        part = {"kind": "maxwellian", "mass": 0.5, "width": 0.3}
         cfg = {"profile": {"kind": "sum", "parts": [{**part, "drift": -1.0},
                                                     {**part, "drift": 1.0}]},
                "params": {"c0": 1.0, "rho0": 1.0, "kappa": 0.998, "u0": 0.0},
@@ -759,6 +812,25 @@ class TestThinSprayCommand:
                    for w in manifest["warnings"]) == failed
         assert ("root_check" in read_json(tmp_path / "thin_spray.json")) != failed
 
+    @pytest.mark.parametrize("kappa,approx", [(0.25, 0.926113 - 0.114786j),
+                                              (0.3, 0.894014 - 0.139315j),
+                                              (0.35, 0.854660 - 0.159459j)])
+    def test_certified_lower_root_is_kept(self, tmp_path, kappa, approx):
+        # the bump scenario at c0 = 1: the plus root lies below 0.4 of the bump
+        # strip (0.25) and within it, where the box search finds the same root
+        path, out = tmp_path / "c.json", tmp_path / "ts"
+        path.write_text(json.dumps({"params": {"c0": 1.0, "rho0": 1.0, "kappa": kappa}}))
+        assert main(["thin-spray", "--scenario", "bump-unstable", "--config", str(path),
+                     "--out", str(out), "--quiet"]) == 0
+        check = read_json(out / "thin_spray.json")["root_check"]
+        z = complex(check["re_sigma"], check["im_sigma"])
+        assert z == pytest.approx(approx, abs=1e-6)
+        profile = build_profile(SCENARIOS["bump-unstable"]["profile"])
+        params = dispersion.make_params(profile, c0=1.0, rho0=1.0, kappa=kappa)
+        reports = dispersion.find_roots(params, profile,
+                                        SearchRegion(0.6, 1.4, -0.24, -0.01))
+        assert min(abs(z - r.sigma) for r in reports) <= 1e-10
+
     def test_readme_bump_roots_above_the_box(self, tmp_path):
         # at kappa = 1e-2 the certified plus root lies above 0.4 strip = 0.1;
         # a box search reaching as far below the axis meets the bump's edge
@@ -803,11 +875,17 @@ class TestThinSprayRoots:
                                       dispersion.damping_rate_at(params, profile, -c_star))}
 
     @staticmethod
+    def cap(profile):
+        """0.2 times the narrowest width or eta: within every bump strip."""
+        return 0.2 * min([g.width for g in profile.gaussians]
+                         + [b.eta for b in profile.bumps])
+
+    @staticmethod
     def box_search(params, profile, center, above=False):
         """The nearest root to center that find_roots certifies in the box
-        |Re sigma - center| <= c0/2, |Im sigma| <= 0.4 strip, or (above) in the
-        box on top of it that reaches the verdict box's ceiling."""
-        cap = 0.4 * profile.strip_halfwidth
+        |Re sigma - center| <= c0/2, |Im sigma| <= `cap`, or (above) in the box
+        on top of it that reaches the verdict box's ceiling."""
+        cap = TestThinSprayRoots.cap(profile)
         low, high = ((cap, dispersion.verdict_region(params, profile).im_max) if above
                      else (-cap, cap))
         region = SearchRegion(center - 0.5 * params.c0, center + 0.5 * params.c0,
@@ -835,7 +913,7 @@ class TestThinSprayRoots:
                 # first-order rate the seed starts from is flagged
                 assert want is None or any("unreliable" in m for m in messages)
                 continue
-            if got.sigma.imag > 0.4 * profile.strip_halfwidth:
+            if got.sigma.imag > self.cap(profile):
                 # a certified upper root above the box needs no strip
                 want = self.box_search(params, profile, sign * c0, above=True)
             assert abs(got.sigma - want.sigma) <= 1e-10
@@ -1044,15 +1122,56 @@ class TestStabilityCheckCommand:
         assert np.min(np.abs(sigmas - omega)) <= 1e-8
         assert root["winding_evidence"] == 1
 
-    def test_root_square_beyond_the_strip_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def wofz_root(z, lambda0, kappa):
+        """Newton on the scalar law's G(omega) = omega - lambda0 - kappa omega
+        (1 + zeta Z(zeta)) on the unit Maxwellian, zeta = omega / sqrt 2, Z = i
+        sqrt(pi) w from scipy, with Z' = -2 (1 + zeta Z)."""
+        for _ in range(50):
+            zeta = z / math.sqrt(2.0)
+            zz = 1j * math.sqrt(math.pi) * wofz(zeta)
+            g = z - lambda0 - kappa * z * (1.0 + zeta * zz)
+            dg = 1.0 - kappa * (1.0 + zeta * zz) - kappa * zeta * (
+                zz - 2.0 * zeta * (1.0 + zeta * zz))
+            z -= g / dg
+            if abs(g / dg) < 1e-15:
+                return z
+        raise AssertionError("oracle Newton did not converge")
+
+    def test_strongly_damped_law_falls_back_to_the_tracked_root(self, tmp_path):
         # kappa = -1 damps the law so strongly that Newton from the first-order
-        # seed, at Im omega = -0.76, leaves the strip 0.5
+        # seed, at Im omega = -0.76, escapes its trust radius; the tracked root
+        # seeds the second try, which no strip refuses on a Maxwellian
+        root = self.run_scalar(tmp_path, {"scalar": {"kappa": -1}})["scalar"]["root"]
+        omega = complex(root["re_omega"], root["im_omega"])
+        assert root["winding_evidence"] == 1
+        assert abs(omega - self.wofz_root(omega, 1.0, -1.0)) <= 1e-10
+        assert omega == pytest.approx(0.458695 - 0.154617j, abs=1e-6)
+
+    def test_root_square_beyond_the_bump_strip_exits_3(self, tmp_path, capsys):
+        # on the bump at lambda0 = 5, kappa = -2 Newton's path leaves the bump
+        # strip (0.25) below the axis
+        bump = {"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 5.0,
+                "base": {"kind": "maxwellian"}}
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"scalar": {"kappa": -1}}))
+        cfgfile.write_text(json.dumps({"profile": bump,
+                                       "scalar": {"lambda0": 5.0, "kappa": -2}}))
         assert main(["stability-check", "--scenario", "scalar-coupling", "--config",
                      str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"]) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["type"], err["exit_code"]) == ("StripViolation", 3)
+
+    @pytest.mark.parametrize("lambda0", [1.0, 0.5])
+    def test_large_kappa_falls_back_to_the_tracked_root(self, tmp_path, lambda0):
+        # at kappa = 2 the first-order seed lies about 0.9 from the root, beyond
+        # Newton's trust radius; the second try from the tracked root certifies it
+        root = self.run_scalar(tmp_path, {"scalar": {"lambda0": lambda0,
+                                                     "kappa": 2.0}})["scalar"]["root"]
+        omega = complex(root["re_omega"], root["im_omega"])
+        sigmas = system_mode_sigmas(
+            hyperbolic.scalar_law(lambda0, 2.0, profiles.maxwellian()))
+        assert np.min(np.abs(sigmas - omega)) <= 1e-9
+        assert root["winding_evidence"] == 1 and omega.imag > 0
 
     def test_scalar_root_is_solved_once(self, tmp_path, monkeypatch):
         # mode 0's tracked root is scalar_root's root, bit for bit

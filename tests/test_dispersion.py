@@ -135,20 +135,22 @@ class TestRootCounting:
         assert count_roots(acoustic_params, std_maxwellian, region) == 2
 
     def test_no_upper_roots_for_maxwellian(self, maxwellian_params, std_maxwellian):
-        region = SearchRegion(-5.0, 5.0, 1e-6, 0.4 * std_maxwellian.strip_halfwidth)
+        region = SearchRegion(-5.0, 5.0, 1e-6, 0.2)
         assert count_roots(maxwellian_params, std_maxwellian, region) == 0
 
     def test_rayleigh_criterion_other_profiles(self):
         # any v f'(v) <= 0 profile has no upper-half roots
         wide = profiles.maxwellian(mass=2.0, width=2.0)
         params = make_params(wide, c0=1.5, rho0=2.0, kappa=0.05)
-        region = SearchRegion(-6.0, 6.0, 1e-6, 0.4 * wide.strip_halfwidth)
+        region = SearchRegion(-6.0, 6.0, 1e-6, 0.4)
         assert count_roots(params, wide, region) == 0
 
-    def test_region_beyond_strip_rejected(self, maxwellian_params, std_maxwellian):
-        with pytest.raises(StripViolation):
-            count_roots(maxwellian_params, std_maxwellian,
-                        SearchRegion(-1.0, 1.0, -2.0, 2.0))
+    def test_region_beyond_bump_strip_rejected(self, bump_params, bump_profile):
+        # below the axis beyond the bump strip (0.25), wherever the box lies
+        for box in (SearchRegion(4.0, 6.0, -0.3, 0.1),
+                    SearchRegion(-1.0, 1.0, -2.0, 2.0)):
+            with pytest.raises(StripViolation):
+                count_roots(bump_params, bump_profile, box)
 
     def test_wide_region_certifies_single_bump_root(self, bump_params, bump_profile):
         # large rectangle: boundary sampling must not alias the localized
@@ -156,19 +158,18 @@ class TestRootCounting:
         wide = SearchRegion(-30.0, 30.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
         assert count_roots(bump_params, bump_profile, wide) == 1
 
-    def test_upper_box_needs_no_strip_until_dilated_below_the_axis(self, acoustic_params,
-                                                                  std_maxwellian):
-        # the root at 1 sits on the bottom edge of an upper box, which needs no
-        # strip; the count is never dilated below the axis, so it refuses the
-        # box with BoundaryRoot, and only a box the caller puts below the axis
-        # meets the strip (0.5)
+    def test_upper_box_is_never_dilated_below_the_axis(self, acoustic_params,
+                                                       std_maxwellian):
+        # the root at 1 sits on the bottom edge of an upper box; the count is
+        # never dilated below the axis, so it refuses the box with BoundaryRoot,
+        # and a box the caller puts below the axis (deeper than half the width,
+        # as a Gaussian part has no strip) counts the root
         for im_max in (0.4, 1.0):
             with pytest.raises(BoundaryRoot):
                 count_roots(acoustic_params, std_maxwellian,
                             SearchRegion(0.5, 1.5, 0.0, im_max))
-        with pytest.raises(StripViolation):
-            count_roots(acoustic_params, std_maxwellian,
-                        SearchRegion(0.5, 1.5, -0.1, 1.0))
+        assert count_roots(acoustic_params, std_maxwellian,
+                           SearchRegion(0.5, 1.5, -0.6, 1.0)) == 1
 
     @pytest.mark.parametrize("box", [SearchRegion(0.5, 1.5, 0.0, 0.4),
                                      SearchRegion(0.5, 1.5, -0.1, 0.1)])
@@ -364,18 +365,18 @@ def _mode_matrix_sigmas(params, profile, nv=513, bound=10.0):
 _BASE = profiles.maxwellian()
 _TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
                                    profiles.maxwellian(0.5, 2.0, 0.6))
-# (profile, c0, kappa): the three unstable profiles whose roots lie above half
-# the strip (ROADMAP defect 1), then the README bump, a stable Maxwellian and a
-# two-stream pair whose roots are purely growing
+# (profile, c0, kappa): the three unstable profiles whose roots lie above a
+# quarter of the narrowest width or eta (ROADMAP defect 1), then the README
+# bump, a stable Maxwellian and a two-stream pair whose roots are purely growing
 VERDICT_CASES = {
     "bump_strong": (profiles.make_bump_on_tail(_BASE, 0.3, 0.5, 5.0), 5.0, 0.05),
     "bump_narrow": (profiles.make_bump_on_tail(_BASE, 0.05, 0.3, 5.0), 5.0, 0.2),
     "two_stream": (_TWO_STREAM, 1.5, 0.5),
     "bump_readme": (profiles.make_bump_on_tail(_BASE, 0.05, 0.5, 5.0), 5.0, 1.5e-3),
     "maxwellian": (_BASE, 1.0, 0.01),
-    "purely_growing": (profiles.profile_sum(
-        profiles.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
-        profiles.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0)), 1.0, 0.95)}
+    "purely_growing": (profiles.profile_sum(profiles.maxwellian(0.5, -1.0, 0.3),
+                                            profiles.maxwellian(0.5, 1.0, 0.3)),
+                       1.0, 0.95)}
 
 
 class TestSpectralVerdict:
@@ -434,7 +435,7 @@ class TestPurelyGrowingRoots:
 
     @pytest.fixture(scope="class")
     def spray(self):
-        profile = profiles.profile_sum(*(profiles.maxwellian(*part, strip_halfwidth=4.0)
+        profile = profiles.profile_sum(*(profiles.maxwellian(*part)
                                          for part in self.PARTS))
         return make_params(profile, c0=1.0, rho0=1.0, kappa=self.KAPPA), profile
 
@@ -662,8 +663,7 @@ class TestWindingWalk:
         # pole square out: on random boxes around sigma = 0, on boxes with an
         # edge through it, and on a box inside the square (no parts, count 0)
         mx = profiles.maxwellian(drift=0.233843, width=1.01143)
-        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3,
-                                                             strip_halfwidth=4.0)
+        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3)
                                          for d in (-1.0, 1.0)))
         sprays = [(make_params(mx, c0=1.22036, rho0=1.0, kappa=0.0193477), mx),
                   (make_params(growing, c0=1.0, rho0=1.0, kappa=0.95), growing)]
@@ -675,8 +675,7 @@ class TestWindingWalk:
                   SearchRegion(-5e-4, 5e-4, -2e-4, 5e-4)]
         counts = []
         for params, profile in sprays:
-            scale = 0.5 * min(params.c0, profiles.resolution_scale(profile),
-                              profile.strip_halfwidth)
+            scale = 0.5 * min(params.c0, 0.5 * min(g.width for g in profile.gaussians))
             func = lambda z: dispersion_value(params, profile, z)
             for box in boxes:
                 want = sum(depth_first_winding(func, part, feature_scale=scale)[0]
@@ -688,11 +687,10 @@ class TestWindingWalk:
         assert counts == [2, 2, 2, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2, 0, 0, 0]
 
     def test_feature_scale_from_the_narrowest_part(self, monkeypatch):
-        # the two-stream sum above declares a strip of 4 on parts of width 0.3:
-        # the first call of the walk spaces each edge of the verdict box at most
-        # 0.5 min(c0, 0.3, 4) apart, and the box holds the purely growing pair
-        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3,
-                                                             strip_halfwidth=4.0)
+        # the two-stream sum above has parts of width 0.3: the first call of the
+        # walk spaces each edge of the verdict box at most 0.5 min(c0, 0.3 / 2)
+        # apart, and the box holds the purely growing pair
+        growing = profiles.profile_sum(*(profiles.maxwellian(0.5, d, 0.3)
                                          for d in (-1.0, 1.0)))
         params = make_params(growing, c0=1.0, rho0=1.0, kappa=0.95)
         region = dispersion.verdict_region(params, growing)
@@ -705,7 +703,7 @@ class TestWindingWalk:
         monkeypatch.setattr(dispersion, "_pole_free", recorded)
         assert count_roots(params, growing, region) == 2
         loop = np.append(calls[0], calls[0][0])
-        assert np.abs(np.diff(loop)).max() <= 0.5 * min(1.0, 0.3, 4.0) * (1.0 + 1e-12)
+        assert np.abs(np.diff(loop)).max() <= 0.5 * min(1.0, 0.15) * (1.0 + 1e-12)
 
     def test_counts_match_two_way_walk_near_edges(self):
         # zeros within 1e-3 of an edge, inside or outside: the 2-way depth-first

@@ -85,9 +85,9 @@ class TestScalarRoot:
     @pytest.mark.parametrize("lambda0", [1.0, 600.0, -0.3])
     def test_uncoupled_root_needs_no_strip(self, lambda0):
         # at kappa = 0 the law is omega - lambda0: its count square may reach
-        # below the strip (half-width 0.6 at lambda0 = 600, strip 0.5 or 0.1)
-        for strip in (0.5, 0.1):
-            prof = profiles.maxwellian(strip_halfwidth=strip)
+        # below a bump strip (half-width 0.6 at lambda0 = 600, bump strip 0.1)
+        for prof in (profiles.maxwellian(),
+                     profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.2, 5.0)):
             report = scalar_root(scalar_law(lambda0, 0.0, prof))
             assert report.sigma == complex(lambda0)
             assert (report.residual, report.winding_evidence) == (0.0, 1)

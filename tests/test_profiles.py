@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from types import SimpleNamespace
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from spraywaves import profiles
-from spraywaves.errors import InvalidBump, StripViolation, VacuumViolation
+from spraywaves.errors import (FaddeevaOverflow, InvalidBump, StripViolation,
+                               VacuumViolation)
 from spraywaves.profiles import (compatibility_alpha, eval_df, eval_f,
                                  make_bump_on_tail, maxwellian, moment,
                                  profile_sum)
@@ -50,11 +52,17 @@ class TestMaxwellian:
         with pytest.raises(ValueError):
             moment(std_maxwellian, 1)
 
-    def test_strip_violation(self, std_maxwellian):
-        with pytest.raises(StripViolation):
-            eval_f(std_maxwellian, 0.0 + 1j)
-        with pytest.raises(StripViolation):
-            eval_df(std_maxwellian, 2.0 - 0.7j)
+    def test_no_strip_until_the_exponential_overflows(self, std_maxwellian):
+        # a Gaussian part is entire: off the axis f is the plain exponential
+        # (cmath here), refused only where exp(-v^2/2) overflows
+        for v in (1j, 2.0 - 0.7j, 3.0 + 5.0j, -4.0 - 30.0j):
+            ref = cmath.exp(-0.5 * v * v) / SQRT_2PI
+            assert abs(eval_f(std_maxwellian, v) - ref) <= 1e-13 * abs(ref)
+            assert abs(eval_df(std_maxwellian, v) + v * ref) <= 1e-13 * abs(v * ref)
+        for func in (eval_f, eval_df):
+            for v in (40j, np.array([1.0, 2.0 - 40.0j])):
+                with pytest.raises(FaddeevaOverflow):
+                    func(std_maxwellian, v)
 
 
 class TestSymmetryProperties:
@@ -168,7 +176,7 @@ class TestSumProfile:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("field", ["mass", "drift", "width", "strip_halfwidth"])
+    @pytest.mark.parametrize("field", ["mass", "drift", "width"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_maxwellian_field(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -219,9 +227,9 @@ class TestCompatibility:
 # 'maxwellian', 'bump_on_tail' (base, eps, eta, c_star) or 'sum' (parts) node
 # ---------------------------------------------------------------------------
 
-def tree_maxwellian(mass=1.0, drift=0.0, width=1.0, strip_halfwidth=0.0):
+def tree_maxwellian(mass=1.0, drift=0.0, width=1.0):
     return SimpleNamespace(kind="maxwellian", mass=mass, drift=drift, width=width,
-                           strip=strip_halfwidth or 0.5 * width)
+                           strip=math.inf)
 
 
 def tree_bump(base, eps, eta, c_star):
@@ -300,7 +308,7 @@ def tree_breakpoints(t):
 # name: (single-level, the profile from constructors mx, bump and add)
 TREE_CASES = {
     "maxwellian": (True, lambda mx, bump, add: mx()),
-    "declared strip": (True, lambda mx, bump, add: mx(0.7, 0.4, 0.8, 0.15)),
+    "drifting maxwellian": (True, lambda mx, bump, add: mx(0.7, 0.4, 0.8)),
     "two-stream": (True, lambda mx, bump, add: add(mx(0.5, -2.0, 0.6),
                                                    mx(0.5, 2.0, 0.6))),
     "bump": (True, lambda mx, bump, add: bump(mx(), 0.05, 0.5, 5.0)),
@@ -341,9 +349,10 @@ class TestAgainstTree:
 
         for order in (0, 2):
             assert agree(moment(flat, order), tree_moment(tree, order))
-        # the public kernels on the real axis, the raw ones inside the strip
+        # the public kernels on the real axis, the raw ones inside the bump
+        # strip and at most 0.5 off the axis
         x = np.linspace(-8.0, 8.0, 161)
-        z = np.concatenate([x + 1j * f * flat.strip_halfwidth
+        z = np.concatenate([x + 1j * f * min(tree.strip, 0.5)
                             for f in (0.9, 0.3, -0.3, -0.9)])
         assert agree(eval_f(flat, x), tree_f(tree, x.astype(complex)))
         assert agree(eval_df(flat, x), tree_df(tree, x.astype(complex)))

@@ -200,25 +200,41 @@ class TestCauchyTransform:
 
 
 class TestStripContract:
-    """Only the lower branch needs the strip: beyond it StripViolation, above
-    the axis a value at any height."""
+    """Only bump terms have a strip, and only the lower branch needs it: beyond
+    it StripViolation, above the axis a value at any height. A Gaussian part is
+    entire: its closed form holds on the whole lower branch, up to
+    FaddeevaOverflow."""
 
-    @pytest.mark.parametrize("sigma", [1.0 - 0.6j, -2.0 - 3.0j])
-    def test_maxwellian_lower_branch_beyond_strip_raises(self, std_maxwellian, sigma):
-        with pytest.raises(StripViolation):
-            cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
+    @pytest.mark.parametrize("sigma", [0.5 - 0.6j, 1.0 - 1.2j, 2.0 - 2.0j, -1.5 - 2.5j,
+                                       0.3 - 2.9j, 3.0 - 0.4j, 8.0 - 2.0j])
+    def test_maxwellian_lower_branch_has_no_strip(self, std_maxwellian, sigma):
+        # -sigma (1 + zeta Z(zeta)), zeta = sigma / sqrt 2, Z = i sqrt(pi) w from
+        # scipy; the last two lose up to 2e-14 to the far-field cancellation
+        zeta = sigma / math.sqrt(2.0)
+        want = -sigma * (1.0 + zeta * 1j * math.sqrt(math.pi) * wofz(zeta))
+        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
+        assert abs(val - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("sigma", [1.0 + 0.6j, -2.0 + 3.0j])
-    def test_maxwellian_upper_branch_beyond_strip_returns(self, std_maxwellian, sigma):
+    def test_maxwellian_upper_branch_returns(self, std_maxwellian, sigma):
         val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
         assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12)
 
-    def test_sum_uses_the_narrowest_strip(self):
-        profile = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),  # strip 0.3
-                                       profiles.maxwellian(0.5, 2.0, 1.0))   # strip 0.5
-        cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.29j)
-        with pytest.raises(StripViolation):
-            cauchy_transform(profile, (0.0, 1.0), 1.0 - 0.31j)
+    def test_maxwellian_sum_has_no_strip(self):
+        parts = [(0.5, -2.0, 0.6), (0.5, 2.0, 1.0)]
+        profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
+        assert profile.strip_halfwidth == math.inf
+        for sigma in (1.0 - 0.31j, 1.0 - 3.0j):
+            want = sum(maxwellian_closed_form(sigma, *p) for p in parts)
+            val = cauchy_transform(profile, (0.0, 1.0), sigma)
+            assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+        with pytest.raises(FaddeevaOverflow):
+            cauchy_transform(profile, (0.0, 1.0), 1.0 - 40.0j)
+
+    def test_bump_strip_is_half_eta_on_a_gaussian_base(self, bump_profile):
+        narrow_base = profiles.make_bump_on_tail(profiles.maxwellian(width=0.2),
+                                                 eps=0.05, eta=5.0, c_star=5.0)
+        assert (bump_profile.strip_halfwidth, narrow_base.strip_halfwidth) == (0.25, 2.5)
 
     @pytest.mark.parametrize("sigma", [4.0 - 0.3j, 4.49 - 0.1j, 5.5 - 0.02j])
     def test_bump_lower_branch_raises(self, bump_profile, sigma):
@@ -655,9 +671,10 @@ ARRAY_WEIGHTS = [(1.0,), (0.0, 1.0), (1.0, 0.0, 1.0)]
 
 def branch_points(profile, weight):
     """Points on all three branches: a grid over Re sigma in [-8, 8] at nine
-    heights within the strip (the axis and 1e-13 off it among them), the bump
-    edge margin above the axis, and points near a node of the fused bump sum."""
-    strip = profile.strip_halfwidth
+    heights within h (the axis and 1e-13 off it among them), h the bump strip or
+    half the narrowest width, the bump edge margin above the axis, and points
+    near a node of the fused bump sum."""
+    strip = min(profile.strip_halfwidth, 0.5 * profiles.narrowest_width(profile))
     heights = [0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
                -0.3 * strip, -0.99 * strip]
     pts = [complex(re, im) for im in heights for re in np.linspace(-8.0, 8.0, 97)]
@@ -701,18 +718,19 @@ class TestArrayPath:
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
-    @pytest.mark.parametrize("sigma", [0.5 - 0.6j, 1.0 - 0.26j])
-    def test_strip_refusal_matches_scalar(self, std_maxwellian, weight, sigma):
-        # beyond the strip on the lower branch, for one Maxwellian and for a
-        # sum whose narrowest strip decides
+    def test_deep_lower_branch_matches_scalar(self, std_maxwellian, weight):
+        # Gaussian parts have no strip: deep lower points as an array give the
+        # scalar values, and one point where exp(-zeta^2) overflows refuses the
+        # whole array, as it refuses alone
         for profile in (std_maxwellian, TWO_STREAM):
-            fine = np.array([0.5 + 0.1j, 0.7, 0.5 - 0.1j])
-            cauchy_transform(profile, weight, fine)
-            scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z),
-                                   [sigma])
-            if scalar[0] is None:
-                with pytest.raises(StripViolation):
-                    cauchy_transform(profile, weight, np.append(fine, sigma))
+            deep = [0.5 - 0.6j, 1.0 - 0.26j, 0.3 - 2.9j, -1.5 - 2.5j, 0.7]
+            want = np.array([cauchy_transform(profile, weight, z) for z in deep])
+            got = cauchy_transform(profile, weight, np.array(deep))
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            with pytest.raises(FaddeevaOverflow):
+                cauchy_transform(profile, weight, 1.0 - 40.0j)
+            with pytest.raises(FaddeevaOverflow):
+                cauchy_transform(profile, weight, np.append(deep, 1.0 - 40.0j))
 
     @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
     def test_bump_refusals_match_scalar(self, bump_profile, weight):

@@ -6,11 +6,14 @@ Runs the same fixed inputs in a fresh interpreter per tree and prints how far
 the NEW results lie from the OLD ones:
 
 - D(sigma): three profiles (Maxwellian, bump-on-tail, two-stream) on a grid
-  that crosses every branch, including the bump edges; exceptions must match
-  by type, and values within D_TOL max(1, |D|). The bump edge margin (within
-  0.05 eta of c* +- eta) is reported apart. The grid is evaluated point by
-  point and again as one array per profile and height, so the array path
-  (blocked bump sums, far-field series) is compared with the old array path too.
+  that crosses every branch, including the bump edges, at heights pinned to
+  the strips the profiles had while every Gaussian part declared one (half
+  its width: 0.5, 0.25 and 0.3), so both trees evaluate the same points;
+  exceptions must match by type, and values within D_TOL max(1, |D|). The
+  bump edge margin (within 0.05 eta of c* +- eta) is reported apart. The grid
+  is evaluated point by point and again as one array per profile and height,
+  so the array path (blocked bump sums, far-field series) is compared with the
+  old array path too.
 - Rates and verdicts: `thin_spray_expansion` (c* and gamma),
   `damping_rate_at(-c*)` and `spectral_verdict` for the three profiles of the
   D(sigma) grid; verdicts (or exception types) must match exactly and the
@@ -23,31 +26,38 @@ the NEW results lie from the OLD ones:
   state's time and the overflow flag must match exactly; tau, u, kinetic L^2
   and the final state's f are reported as max |new - old| / max |old|, the
   fitted rate as a relative difference.
-- Profiles: eight profiles built by the public constructors (a Maxwellian, one
-  with a declared strip, a two-stream sum, a bump, a bump on a narrow base, a
-  bump on a two-stream sum, a bump on a bump, and a sum holding a bump): f and
-  f' on a real grid (one array call) and inside the strip (point by point, at
-  +-0.3 and +-0.9 of the strip halfwidth), moments 0 and 2, support bounds,
-  strip halfwidth, resolution scale and the set of breakpoints. The first five
-  (single-level) must match exactly, exceptions by type; for the nested three
-  the largest differences |new - old| / max |old| are printed, with the number
-  of strip points that only one tree refuses.
+- Profiles: seven profiles built by the public constructors (a Maxwellian, a
+  two-stream sum, a bump, a bump on a narrow base, a bump on a two-stream sum,
+  a bump on a bump, and a sum holding a bump), and in a tree whose
+  `maxwellian` takes `strip_halfwidth` an eighth with a declared strip
+  (reported as built in that tree only): f and f' on a real grid (one array
+  call) and off it (point by point, at +-0.3 and +-0.9 of a height pinned to
+  the strip the profile had while every Gaussian part declared one), moments
+  0 and 2, support bounds, resolution scale and the set of breakpoints. The
+  single-level ones must match exactly, exceptions by type; for the nested
+  three the largest differences |new - old| / max |old| are printed, with the
+  number of points that only one tree refuses. The narrowest bump strip is
+  printed where it differs.
 - Root counts: `count_roots` on the verdict box of each of the three
-  profiles and of a kappa = 0.95 two-stream sum whose declared strip (4) is
-  wider than its parts (width 0.3), on boxes with a Maxwellian or bump root
-  within 1e-3 of an edge (inside and outside), on boxes that straddle
-  sigma = 0, on one with an edge through sigma = 0 and on one inside the square
-  |Re sigma|, |Im sigma| <= 1e-3 c0. The counts (or the exception type) must
-  match exactly; the number of sigma samples of each count (the points passed
-  to quadrature.cauchy_transform, which every evaluation goes through) is
-  printed for OLD and NEW.
+  profiles and, in a tree whose `maxwellian` takes `strip_halfwidth`, of a
+  kappa = 0.95 two-stream sum whose declared strip (4) is wider than its parts
+  (width 0.3; reported as counted in that tree only), on boxes with a
+  Maxwellian or bump root within 1e-3 of an edge (inside and outside), on
+  boxes that straddle sigma = 0, on one with an edge through sigma = 0 and on
+  one inside the square |Re sigma|, |Im sigma| <= 1e-3 c0. The counts (or the
+  exception type) must match exactly; the number of sigma samples of each
+  count (the points passed to quadrature.cauchy_transform, which every
+  evaluation goes through) is printed for OLD and NEW.
 - Scalar laws: `scalar_root` on 40 cases (each law built by `scalar_law`, or
   by `ScalarCoupling` in a tree without it), three profiles (the Maxwellian,
   bump-on-tail and two-stream of the D(sigma) grid) with three lambda0 each,
   and the Maxwellian at lambda0 = 600 (whose count square at kappa = 0 reaches
-  below the strip), each with kappa in {0, 1e-3, -5e-3, 0.05}; sigma, residual,
-  winding evidence and Newton count (or the exception type) must match
-  exactly, and so must the Python types of sigma and residual. The leading
+  below half its width), each with kappa in {0, 1e-3, -5e-3, 0.05}; sigma,
+  residual, winding evidence and Newton count (or the exception type) must
+  match exactly, and so must the Python types of sigma and residual, except
+  where OLD refused a Maxwellian law with StripViolation and NEW certifies a
+  root with winding evidence 1: that is printed as the declared strip's
+  removal. The leading
   Im omega of `stability-check` is compared with the artifacts, on the bundled
   scalar law (lambda0 = 1) and on three more.
 - Tracked roots: `stability_necessary_condition` and `track_secular_root` on
@@ -97,10 +107,12 @@ mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
 out, arrays = [], []
-for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
-                              ("ts", ts, 1.5, 0.02)):
+# h: the strip each profile had while every Gaussian part declared one (half
+# its width), pinned so that both trees evaluate the same points
+for name, prof, c0, kappa, h in (("mx", mx, 1.0, 0.01, 0.5),
+                                 ("bump", bump, 5.0, 1.5e-3, 0.25),
+                                 ("ts", ts, 1.5, 0.02, 0.3)):
     prm = d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa)
-    h = prof.strip_halfwidth
     res = [*np.linspace(-7, 7, 57), 4.5, 4.49, 4.51, 5.5, 5.52, 4.8, 5.2, 0.0]
     for im in (0.4, 0.12, 0.01, 1e-4, 0.0, -1e-4, -0.01, -0.1, -0.45 * h, -0.9 * h, -0.3):
         for re in res:
@@ -118,22 +130,25 @@ print(json.dumps([out, arrays]))
 '''
 
 PROFILES = r'''
-import json, numpy as np
+import inspect, json, math, numpy as np
 from spraywaves import profiles as p
 mx, bump, add = p.maxwellian, p.make_bump_on_tail, p.profile_sum
-cases = [("maxwellian", True, mx()), ("declared strip", True, mx(0.7, 0.4, 0.8, 0.15)),
-         ("two-stream", True, add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6))),
-         ("bump", True, bump(mx(), 0.05, 0.5, 5.0)),
-         ("narrow-base bump", True, bump(mx(width=0.2), 0.05, 5.0, 5.0)),
+# (name, single-level, profile, the strip halfwidth of the tree where every
+# Gaussian part declared one: the heights of the section, pinned)
+cases = [("maxwellian", True, mx(), 0.5),
+         ("two-stream", True, add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6)), 0.3),
+         ("bump", True, bump(mx(), 0.05, 0.5, 5.0), 0.25),
+         ("narrow-base bump", True, bump(mx(width=0.2), 0.05, 5.0, 5.0), 0.1),
          ("bump on two-stream", False,
-          bump(add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6)), 0.05, 0.5, 4.0)),
-         ("bump on a bump", False, bump(bump(mx(), 0.05, 0.5, 5.0), 0.1, 0.3, 3.0)),
+          bump(add(mx(0.5, -2.0, 0.6), mx(0.5, 2.0, 0.6)), 0.05, 0.5, 4.0), 0.25),
+         ("bump on a bump", False, bump(bump(mx(), 0.05, 0.5, 5.0), 0.1, 0.3, 3.0), 0.15),
          ("sum holding a bump", False, add(bump(mx(0.6), 0.05, 0.5, 5.0),
-                                           mx(0.4, -1.0, 0.7)))]
+                                           mx(0.4, -1.0, 0.7)), 0.25)]
+if "strip_halfwidth" in inspect.signature(mx).parameters:
+    cases.insert(1, ("declared strip", True, mx(0.7, 0.4, 0.8, 0.15), 0.15))
 x = np.linspace(-8.0, 8.0, 161)
 out = []
-for name, single, prof in cases:
-    strip = prof.strip_halfwidth
+for name, single, prof, strip in cases:
     values = {}
     for label, func in (("f", p.eval_f), ("df", p.eval_df)):
         axis = func(prof, x)
@@ -145,26 +160,30 @@ for name, single, prof in cases:
                     values[label].append([v.real, v.imag])
                 except Exception as e:
                     values[label].append(type(e).__name__)
+    # the narrowest bump strip, read the same way in both trees
+    bump_strip = min((b.strip for b in prof.bumps), default=math.inf)
     out.append([name, single, values, [p.moment(prof, 0), p.moment(prof, 2)],
-                list(p.support_bounds(prof)), strip, p.resolution_scale(prof),
-                sorted(set(p.analyticity_breakpoints(prof)))])
+                list(p.support_bounds(prof)), p.resolution_scale(prof),
+                sorted(set(p.analyticity_breakpoints(prof))), bump_strip])
 print(json.dumps(out))
 '''
 
 COUNTS = r'''
-import json
+import inspect, json
 import numpy as np
 from spraywaves import dispersion as d, profiles as p, quadrature as q
 from spraywaves.dispersion import SearchRegion as Box
 mx = p.maxwellian()
 bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 ts = p.profile_sum(p.maxwellian(0.5, -2.0, 0.6), p.maxwellian(0.5, 2.0, 0.6))
-# a two-stream sum whose declared strip (4) is wider than its parts (0.3)
-wide = p.profile_sum(p.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
-                     p.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0))
+sprays = [("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3), ("ts", ts, 1.5, 0.02)]
+if "strip_halfwidth" in inspect.signature(p.maxwellian).parameters:
+    # a two-stream sum whose declared strip (4) is wider than its parts (0.3)
+    wide = p.profile_sum(p.maxwellian(0.5, -1.0, 0.3, strip_halfwidth=4.0),
+                         p.maxwellian(0.5, 1.0, 0.3, strip_halfwidth=4.0))
+    sprays.append(("wide", wide, 1.0, 0.95))
 prm = {name: (prof, d.make_params(prof, c0=c0, rho0=1.0, kappa=kappa))
-       for name, prof, c0, kappa in (("mx", mx, 1.0, 0.01), ("bump", bump, 5.0, 1.5e-3),
-                                     ("ts", ts, 1.5, 0.02), ("wide", wide, 1.0, 0.95))}
+       for name, prof, c0, kappa in sprays}
 # roots of the mx and bump dispersion functions, the same in both trees
 mxr = 0.998583554016409 - 0.003842467703066575j
 bumpr = 4.9731147755318865 + 0.06020144834611017j
@@ -395,15 +414,22 @@ def d_parity(old_src: str, new_src: str, found: Mismatches) -> None:
 
 
 def profile_parity(old_src: str, new_src: str, found: Mismatches) -> None:
-    old, new = (json.loads(run(PROFILES, src)) for src in (old_src, new_src))
-    for a, b in zip(old, new):
-        name, single = a[:2]
+    old, new = ({case[0]: case for case in json.loads(run(PROFILES, src))}
+                for src in (old_src, new_src))
+    for name in [n for n in old if n not in new] + [n for n in new if n not in old]:
+        print(f"profile {name:18s} built in {'OLD' if name in old else 'NEW'} only "
+              f"(a declared strip)")
+    for name in [n for n in old if n in new]:
+        (*a, strip_a), (*b, strip_b) = old[name], new[name]
+        if strip_a != strip_b:
+            print(f"profile {name:18s} bump strip {strip_a} -> {strip_b}")
+        single = a[1]
         if single:
             # bit for bit
             if found.expect(json.dumps(a) == json.dumps(b), "profiles", name):
                 print(f"profile {name:18s} identical")
             continue
-        # support, strip, scale, breakpoints
+        # support, scale, breakpoints
         found.expect(a[4:] == b[4:], "profiles", f"{name}: {a[4:]} -> {b[4:]}")
         sizes, refused = [], 0
         for label in ("f", "df"):
@@ -415,17 +441,23 @@ def profile_parity(old_src: str, new_src: str, found: Mismatches) -> None:
             sizes.append(max(abs(v - u) for u, v in both) / top)
         sizes += [abs(v - u) / abs(u) for u, v in zip(a[3], b[3])]
         print(f"profile {name:18s} f {sizes[0]:.1e} df {sizes[1]:.1e} moment 0 "
-              f"{sizes[2]:.1e} moment 2 {sizes[3]:.1e}; {refused} strip points "
-              f"refused by one tree only")
+              f"{sizes[2]:.1e} moment 2 {sizes[3]:.1e}; {refused} points refused "
+              f"by one tree only")
 
 
 def count_parity(old_src: str, new_src: str, found: Mismatches) -> None:
-    old, new = (json.loads(run(COUNTS, src)) for src in (old_src, new_src))
-    for (label, a, samples_a), (_, b, samples_b) in zip(old, new):
+    old, new = ({label: rest for label, *rest in json.loads(run(COUNTS, src))}
+                for src in (old_src, new_src))
+    for label in [n for n in old if n not in new] + [n for n in new if n not in old]:
+        print(f"count on {label}: in {'OLD' if label in old else 'NEW'} only "
+              f"(a declared strip)")
+    shared = [label for label in old if label in new]
+    for label in shared:
+        (a, samples_a), (b, samples_b) = old[label], new[label]
         found.expect(a == b, "counts", (label, a, b))  # identical counts or exceptions
         print(f"count {a!s:>2} on {label}: sigma samples {samples_a} -> {samples_b}")
-    moved = [label for (label, _, x), (_, _, y) in zip(old, new) if x != y]
-    print(f"counts: {len(old)} identical, sigma samples moved on {moved or 'none'}")
+    moved = [label for label in shared if old[label][1] != new[label][1]]
+    print(f"counts: {len(shared)} identical, sigma samples moved on {moved or 'none'}")
 
 
 def rate_parity(old_src: str, new_src: str, found: Mismatches) -> None:
@@ -463,8 +495,14 @@ def trajectory_parity(old_src: str, new_src: str, found: Mismatches) -> None:
 
 def scalar_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(SCALAR, src)) for src in (old_src, new_src))
-    same = [a for a, b in zip(old, new)
-            if found.expect(a == b, "scalar laws", f"{a} -> {b}")]   # bit for bit
+    same = []
+    for a, b in zip(old, new):
+        if a[0] == "mx" and a[3:] == ["StripViolation"] and len(b) > 4 and b[6] == 1:
+            # a Gaussian part has no strip: a law it once refused has its root
+            print(f"scalar law {a[:3]}: StripViolation -> root "
+                  f"{complex(*b[3:5]):.12g}, evidence 1, residual {b[5]:.1e}")
+        elif found.expect(a == b, "scalar laws", f"{a} -> {b}"):   # bit for bit
+            same.append(a)
     roots = sum(len(a) > 4 for a in same)
     print(f"scalar laws: {len(old)} cases, {roots} roots and {len(same) - roots} "
           f"exceptions identical")
