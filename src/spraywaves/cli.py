@@ -210,28 +210,38 @@ def _grid_axis(spec, default) -> np.ndarray:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload) -> str:
+def _create(path: Path):
+    """``path`` opened for writing as a new file. An old file there is unlinked
+    first: truncating a written file in place can stall its close for tens of
+    milliseconds (ext4 flushes replaced data on close, auto_da_alloc)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    path.unlink(missing_ok=True)
+    return path.open("w", encoding="utf-8")
+
+
+def _write_json(path: Path, payload) -> str:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path.name
 
 
-def _write_table(path: Path, head: list[str], rows, sep: str) -> str:
+_CHUNK_ROWS = 1024
+
+
+def _write_table(path: Path, head: list[str], columns, sep: str) -> str:
     """The header ``sep.join(head)`` (a leading "#" makes it a gnuplot comment),
-    then one line per row: numbers as %.17g, strings as they are, through one
-    line format per sequence of cell types. Returns the file name."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    formats = {}
-    with path.open("w", encoding="utf-8") as fh:
+    then one line per row of the equal-length columns: a str column as it is,
+    any other as %.17g (a float NaN prints nan), through one line format per
+    table. Rows go out _CHUNK_ROWS at a time from ``.tolist()`` slices, which
+    keeps the Python objects of a long table few. Returns the file name."""
+    columns = [np.asarray(c) for c in columns]
+    line = sep.join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    with _create(path) as fh:
         fh.write(sep.join(head) + "\n")
-        for row in map(tuple, rows):
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = sep.join("%s" if issubclass(t, str) else "%.17g"
-                                          for t in kinds) + "\n"
-            fh.write(formats[kinds] % row)
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = (c[lo:lo + _CHUNK_ROWS].tolist() for c in columns)
+            fh.writelines(map(line.__mod__, zip(*chunk)))
     return path.name
 
 
@@ -249,20 +259,21 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
     grid = np.empty((im_axis.size, re_axis.size), dtype=complex)
     grid.real, grid.imag = re_axis, im_axis[:, None]
     sigma = grid.ravel()
-    # points at the sigma = 0 pole get "nan" rows
+    # points at the sigma = 0 pole get nan values and no heatmap row
     live = np.abs(sigma) >= dispersion.POLE_RADIUS * params.c0
-    values = np.zeros(sigma.size, dtype=complex)
+    values = np.full(sigma.size, complex(math.nan, math.nan))
     values[live] = dispersion.dispersion_value(params, profile, sigma[live])
-    rows = [[s.real, s.imag, *((v.real, v.imag) if ok else ("nan", "nan")), branch.value]
-            for s, v, ok, branch in zip(sigma.tolist(), values.tolist(), live,
-                                        quadrature.classify_branch(sigma))]
-    heat = [[*r[:4], math.hypot(r[2], r[3])] for r in rows if not isinstance(r[2], str)]
+    columns = [sigma.real, sigma.imag, values.real, values.imag]
+    heat = [c[live] for c in columns]
+    heat.append(list(map(math.hypot, heat[2].tolist(), heat[3].tolist())))
     return {"outputs": [
         _write_table(out_dir / "dispersion_scan.csv",
-                     ["re_sigma", "im_sigma", "re_D", "im_D", "branch"], rows, ","),
+                     ["re_sigma", "im_sigma", "re_D", "im_D", "branch"],
+                     [*columns, [b.value for b in quadrature.classify_branch(sigma)]],
+                     ","),
         _write_table(out_dir / "scan_heatmap.dat",
                      ["#", "re_sigma", "im_sigma", "re_D", "im_D", "abs_D"], heat, " ")],
-        "summary": {"n_points": len(rows)}}
+        "summary": {"n_points": sigma.size}}
 
 
 def run_roots(cfg: dict, out_dir: Path) -> dict:
@@ -336,7 +347,8 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
     if sweep:
         outputs += [_write_table(out_dir / f"root_locus_{name}.dat",
                                  ["#", "kappa", "re_sigma", "im_sigma"],
-                                 [locus[name] for _, locus in results if name in locus],
+                                 np.array([locus[name] for _, locus in results
+                                           if name in locus]).reshape(-1, 3).T,
                                  " ")
                     for name in ("plus", "minus")]
     return {"outputs": outputs,
@@ -360,11 +372,10 @@ def run_landau_compare(cfg: dict, out_dir: Path) -> dict:
     d1 = dispersion.landau_dispersion(profile, k1, sigma * k1)
     d2 = dispersion.landau_dispersion(profile, k2, sigma * k2)
     contrast = float(np.abs(d1 - d2).max(initial=0.0))
-    rows = [[s.real, s.imag, d.real, d.imag, a.real, a.imag, b.real, b.imag]
-            for s, d, a, b in zip(*(x.tolist() for x in (sigma, d_spray, d1, d2)))]
+    columns = [part for x in (sigma, d_spray, d1, d2) for part in (x.real, x.imag)]
     head = ["re_sigma", "im_sigma", "re_D", "im_D"]
     head += [f"{part}_DL_k{k:g}" for k in (k1, k2) for part in ("re", "im")]
-    return {"outputs": [_write_table(out_dir / "landau_compare.csv", head, rows, ",")],
+    return {"outputs": [_write_table(out_dir / "landau_compare.csv", head, columns, ",")],
             "summary": {"k_values": [k1, k2], "max_k_contrast": contrast}}
 
 
@@ -411,11 +422,13 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
     if eigenmode:
         state = modesim.init_eigenmode(params, profile, sigma, k, config)
     traj = modesim.integrate(params, profile, state, config)
-    rows = ((t, tau.real, tau.imag, abs(tau), abs(u), kin) for t, tau, u, kin in zip(
-        *(x.tolist() for x in (traj.times, traj.tau_hat, traj.u_hat, traj.kinetic_l2))))
+    # np.hypot is the libm hypot of Python's abs(complex); np.abs differs in the last bit
+    tau, u = traj.tau_hat, traj.u_hat
+    columns = [traj.times, tau.real, tau.imag, np.hypot(tau.real, tau.imag),
+               np.hypot(u.real, u.imag), traj.kinetic_l2]
     outputs = [_write_table(out_dir / "simulate.csv", ["t", "re_tau", "im_tau",
                                                        "abs_tau", "abs_u", "kinetic_l2"],
-                            rows, ",")]
+                            columns, ",")]
     summary = {"k": traj.k, "steps": len(traj.times) - 1, "overflow": traj.overflow}
     try:
         fit = modesim.growth_rate(traj, config.fit_window)
@@ -444,17 +457,15 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
                                                     nv=nv)
     except NoUnstableRoot as err:
         raise ConfigError(f"{err}: {region}") from err
-    rows = [[r.k, r.t_k, r.init_hs_norm, r.final_l2_norm, r.fitted_rate]
-            for r in report.rows]
+    head = ["k", "t_k", "init_hs_norm", "final_l2_norm", "fitted_rate"]
+    columns = [[getattr(r, name) for r in report.rows] for name in head]
     summary = {"theta0": report.theta0,
                "final_norm_nondecreasing": report.final_norm_nondecreasing,
                "sigma": [report.sigma.real, report.sigma.imag]}
-    outputs = [_write_table(out_dir / "illposed_demo.csv",
-                            ["k", "t_k", "init_hs_norm", "final_l2_norm", "fitted_rate"],
-                            rows, ","),
+    outputs = [_write_table(out_dir / "illposed_demo.csv", head, columns, ","),
                _write_json(out_dir / "illposed_summary.json", summary)]
     outputs += [_write_table(out_dir / f"growth_k{traj.k:g}.dat", ["#", "t", "abs_tau"],
-                             zip(traj.times.tolist(), np.abs(traj.tau_hat).tolist()), " ")
+                             [traj.times, np.abs(traj.tau_hat)], " ")
                 for traj in report.trajectories]
     return {"outputs": outputs, "summary": summary}
 

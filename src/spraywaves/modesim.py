@@ -131,22 +131,6 @@ class GrowthFit:
     residual: float
 
 
-def rhs(params: SprayParams, profile: VelocityProfile, state: ModeState,
-        config: SimConfig) -> ModeState:
-    """Time derivative of the mode amplitudes (same container, time preserved)."""
-    grid = velocity_grid(config)
-    weights = _simpson_weights(config.nv, config.dv)
-    dfdv = np.real(profiles.eval_df(profile, grid))
-    ik = 1j * state.k
-    kinetic_flux = float(params.kappa) * np.sum(weights * state.f_hat * grid)
-    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
-    dtau = ik / (alpha0 * params.rho0) * (alpha0 * state.u_hat + kinetic_flux)
-    du = ik * params.rho0 * params.c0**2 * state.tau_hat
-    df = -ik * grid * state.f_hat - ik * params.c0**2 * params.rho0**2 \
-        * state.tau_hat * dfdv
-    return ModeState(k=state.k, tau_hat=dtau, u_hat=du, f_hat=df, time=state.time)
-
-
 def recurrence_time(config: SimConfig, k: float) -> float:
     """Grid-recurrence horizon 2 pi / (|k| dv) of discrete free streaming."""
     return 2.0 * math.pi / (abs(k) * config.dv)
@@ -224,10 +208,10 @@ def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
     dt L maps (tau, u, f) to (a u + <omega, f>, b tau, z f + tau c), z = -i k dt v.
     The step is f <- P(z) f + sum_m tau_m G_m, G_m = sum_{j=m+1..4} z^(j-1-m) c / j!,
     where a linear recursion in tau, u and s_j = <omega z^j, f> gives tau_m, tau', u';
-    on unit vectors it is one 6x6 map (tau, u, s_0..s_3) -> (beta_0..3, tau', u'),
+    on unit vectors it is one 6x6 map (tau, u, s_0..s_3) -> (tau', u', beta_0..3),
     sum_m tau_m G_m = sum_p beta_p gamma theta^p (z = i theta, c = i gamma). For
     g = sqrt(w) f, returns the rows omega z^j / sqrt(w), the map, P(z) and the
-    real (nv, 4) columns sqrt(w) gamma theta^p.
+    real (nv, 4) columns sqrt(w) gamma theta^p, Fortran-ordered.
     """
     grid = velocity_grid(config)
     ikdt = 1j * k * dt
@@ -245,11 +229,10 @@ def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
     t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
     betas = [sum(1j ** (p + 1) / math.factorial(p + m + 1) * tm
                  for m, tm in enumerate((tau, t1, t2, t3)[:4 - p])) for p in range(4)]
-    step = np.array((*betas, tau + t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0,
-                     u + u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0))
+    step = np.array((tau + t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0,
+                     u + u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0, *betas))
     stream = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return (moments, step, stream,
-            (root_w * c.imag)[:, None] * z.imag[:, None] ** np.arange(4))
+    return moments, step, stream, (root_w * c.imag * z.imag ** np.arange(4)[:, None]).T
 
 
 def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
@@ -278,33 +261,39 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     moments, step, stream, feeds = _rk4_step_operator(params, profile, config, k, dt,
                                                       root_w)
 
-    # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f; x = (tau,
-    # u, s_0..3), y = (beta_0..3, tau', u'); ndarray.dot skips np.dot's dispatch
-    g, (x, y) = state0.f_hat * root_w, np.empty((2, 6), dtype=complex)
-    x[:2] = state0.tau_hat, state0.u_hat
-    gr, s, betas = g.view(float), x[2:], y[:4].view(float).reshape(4, 2)
-    feed = np.empty_like(g)
+    # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f. Two
+    # 6-vectors alternate: x = (tau, u, s_0..3) -> y = (tau', u', beta_0..3), the
+    # feed reads the betas, and the next moments overwrite them, so y is the next
+    # x. Bound .dot methods skip np.dot's dispatch.
+    g = state0.f_hat * root_w
+    gr, feed = g.view(float), np.empty_like(g)
     feed_pairs = feed.view(float).reshape(-1, 2)
+    cur, nxt = ((v, v[:2], v[2:], v[2:].view(float).reshape(4, 2))
+                for v in np.empty((2, 6), dtype=complex))
+    cur[1][:] = taus[0], us[0] = state0.tau_hat, state0.u_hat
+    kin[0] = gr.dot(gr)
+    moments_dot, step_dot, feeds_dot, gr_dot = moments.dot, step.dot, feeds.dot, gr.dot
+    multiply, add = np.multiply, np.add
     # max|f| > _OVERFLOW_LIMIT forces sum w|f|^2 > min(w) _OVERFLOW_LIMIT^2, so
     # below half that max|f| needs no look
     norm_alarm = 0.5 * float(root_w.min())**2 * _OVERFLOW_LIMIT**2
     overflow = False
     n_done = nsteps
-    for i in range(nsteps + 1):
-        if i:
-            moments.dot(g, out=s)
-            step.dot(x, out=y)
-            feeds.dot(betas, out=feed_pairs)
-            g *= stream
-            g += feed
-            x[:2] = y[4:]
-        taus[i], us[i] = tau, u = x[:2].tolist()
-        kin[i] = norm2 = gr.dot(gr)
-        if i and (max(abs(tau), abs(u)) > _OVERFLOW_LIMIT or (
-                norm2 > norm_alarm and np.abs(g / root_w).max() > _OVERFLOW_LIMIT)):
+    for i in range(1, nsteps + 1):
+        (x, _, s, _), (y, head, _, betas) = cur, nxt
+        moments_dot(g, out=s)
+        step_dot(x, out=y)
+        feeds_dot(betas, out=feed_pairs)
+        multiply(g, stream, g)
+        add(g, feed, g)
+        taus[i], us[i] = tau, u = head.tolist()
+        kin[i] = norm2 = gr_dot(gr)
+        if max(abs(tau), abs(u)) > _OVERFLOW_LIMIT or (
+                norm2 > norm_alarm and np.abs(g / root_w).max() > _OVERFLOW_LIMIT):
             overflow = True
             n_done = i
             break
+        cur, nxt = nxt, cur
     end = n_done + 1
     return Trajectory(k=k, times=times[:end], tau_hat=taus[:end], u_hat=us[:end],
                       kinetic_l2=np.sqrt(kin[:end]), overflow=overflow,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -409,8 +410,8 @@ class TestTableWriter:
         for sep, head in ((",", [f"c{i}" for i in range(10)]),
                           (" ", ["#", *(f"c{i}" for i in range(10))])):
             path = tmp_path / "t.txt"
-            assert _write_table(path, head, [[*values, "nan"], [*values[::-1], "x"]],
-                                sep) == "t.txt"
+            columns = [*zip(values, values[::-1]), ["nan", "x"]]
+            assert _write_table(path, head, columns, sep) == "t.txt"
             lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[0] == sep.join(head) and len(lines) == 3
             for line, expected, text in zip(lines[1:], (values, values[::-1]),
@@ -422,26 +423,50 @@ class TestTableWriter:
                     [math.copysign(1.0, v) for v in expected]
 
     @pytest.mark.parametrize("sep", [",", " "])
-    def test_bytes_match_per_cell_formatting(self, tmp_path, sep):
-        # one cached line format per sequence of cell types: rows whose strings
-        # sit elsewhere than in the first row, or that are shorter or longer,
-        # must still come out as cell-by-cell %.17g formatting writes them
-        nums = [np.float64(0.1), -0.0, 5e-324, 7, np.int64(-3), np.float32(0.1),
-                np.float64(-0.0), 2.0 / 3.0, math.inf, math.nan, True, 1e308]
-        tables = [
-            [nums[:6], nums[6:], ["nan", *nums[1:6]], [*nums[:5], "x"], nums[3:9]],
-            [["nan", 1.5, "upper"], [0.1, 2.5, "axis"], [0.2, "nan", "lower"],
-             [0.3, -0.0, 4], ["a", "b", "c"], [np.float64(5e-324), 1, "x", 2.0]],
-            [[str(x) for x in nums[:4]], nums[:4], nums[4:8]],
-            [],
-        ]
-        for n, rows in enumerate(tables):
-            head = [f"c{j}" for j in range(6)]
-            path = tmp_path / f"t{n}.txt"
-            _write_table(path, head, (r for r in rows), sep)
-            want = "".join(sep.join(x if isinstance(x, str) else "%.17g" % x
-                                    for x in row) + "\n" for row in [head, *rows])
-            assert path.read_bytes() == want.encode("utf-8")
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_bytes_match_per_cell_formatting(self, tmp_path, sep, n):
+        # rows go out in chunks of 1,024: counts on each side of a chunk edge,
+        # with float NaN and inf cells, strided views, ints, bools and a str
+        # column, must come out as cell-by-cell %.17g / %s formatting writes them
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[::7], x[3::11], x[5::13] = math.nan, -0.0, -math.inf
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        columns = [x, z.real, z.imag, list(range(-3, n - 3)),
+                   [("upper", "real_axis", "lower")[i % 3] for i in range(n)],
+                   np.arange(n) % 2 == 0]
+        head = [f"c{j}" for j in range(len(columns))]
+        path = tmp_path / "t.txt"
+        assert _write_table(path, head, columns, sep) == "t.txt"
+        want = "".join(sep.join(c if isinstance(c, str) else "%.17g" % c for c in row)
+                       + "\n" for row in [head, *zip(*columns)])
+        assert path.read_bytes() == want.encode("utf-8")
+        assert n == 0 or f"\nnan{sep}" in want
+
+    def test_rerun_replaces_every_artifact(self, tmp_path):
+        # a rerun with another config into the same directory leaves only the
+        # new bytes, in new files: a hard link to an old artifact keeps the old
+        # bytes, so no artifact was truncated in place
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for periods, dest in ((2.0, out), (1.0, out), (1.0, fresh)):
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps({"sim": {"periods": periods}}))
+            if dest is out and periods == 1.0:
+                old = {name: (out / name).read_bytes() for name in
+                       ("simulate.csv", "manifest.json")}
+                for name in old:
+                    os.link(out / name, tmp_path / f"old_{name}")
+            assert main(["simulate", "--scenario", "maxwellian-stable", "--config",
+                         str(cfgfile), "--out", str(dest), "--quiet"]) == 0
+        new = (out / "simulate.csv").read_bytes()
+        assert new == (fresh / "simulate.csv").read_bytes()
+        assert len(new) < len(old["simulate.csv"])
+        manifests = [read_json(d / "manifest.json") for d in (out, fresh)]
+        for m in manifests:
+            m.pop("timestamp")
+        assert manifests[0] == manifests[1]
+        for name, data in old.items():
+            assert (tmp_path / f"old_{name}").read_bytes() == data
 
     @pytest.mark.parametrize("command,scenario,override", [
         ("dispersion-scan", "maxwellian-stable",
@@ -957,6 +982,9 @@ class TestSimulateCommand:
         # kappa = 0.01 scenario: the acoustic wave is Landau damped
         last = [float(x) for x in lines[-1].split(",")]
         assert 0.5 < last[3] < 1.0
+        # abs_tau is Python's abs(complex) of the row's tau to the last bit
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert all(r[3] == abs(complex(r[1], r[2])) for r in rows)
 
     def test_negative_k_takes_the_period_default(self, tmp_path):
         # 10 periods 2 pi / (|k| c0), and the same |tau| as at k = 1

@@ -10,7 +10,7 @@ from spraywaves.errors import (CflViolation, DegenerateFit, NoUnstableRoot,
 from spraywaves.modesim import (ModeState, SimConfig, acoustic_state,
                                 default_sim_config, growth_rate,
                                 init_eigenmode, integrate, recurrence_time,
-                                rhs, sobolev_scaling_experiment)
+                                sobolev_scaling_experiment)
 
 BUMP_SIGMA = 4.973114775529999 + 0.06020144833923488j   # root of the bump scenario
 
@@ -78,6 +78,22 @@ class TestSimpsonWeights:
         assert np.sum(w * x**3) == pytest.approx(0.25, rel=1e-9)
 
 
+def rhs(params, profile, state, config):
+    """Time derivative of the mode amplitudes (same container, time preserved):
+    the operator L of modesim's module docstring, written out term by term."""
+    grid = modesim.velocity_grid(config)
+    weights = modesim._simpson_weights(config.nv, config.dv)
+    dfdv = np.real(profiles.eval_df(profile, grid))
+    ik = 1j * state.k
+    kinetic_flux = float(params.kappa) * np.sum(weights * state.f_hat * grid)
+    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
+    dtau = ik / (alpha0 * params.rho0) * (alpha0 * state.u_hat + kinetic_flux)
+    du = ik * params.rho0 * params.c0**2 * state.tau_hat
+    df = -ik * grid * state.f_hat - ik * params.c0**2 * params.rho0**2 \
+        * state.tau_hat * dfdv
+    return ModeState(k=state.k, tau_hat=dtau, u_hat=du, f_hat=df, time=state.time)
+
+
 class TestRhs:
     def test_acoustic_oscillation_exact(self, acoustic_params, std_maxwellian):
         k = 1.0
@@ -112,7 +128,8 @@ class TestRhs:
 
 
 def textbook_rk4(params, profile, state, cfg):
-    """Four classical stages of rhs per step, at the step integrate() uses."""
+    """The state after each step of four classical stages of rhs, at the step
+    integrate() uses, from the given state on."""
     nsteps = max(1, math.ceil(cfg.t_final / cfg.dt))
     dt = cfg.t_final / nsteps
 
@@ -120,7 +137,7 @@ def textbook_rk4(params, profile, state, cfg):
         return ModeState(k=s.k, tau_hat=s.tau_hat + h * d.tau_hat,
                          u_hat=s.u_hat + h * d.u_hat, f_hat=s.f_hat + h * d.f_hat)
 
-    taus, us = [state.tau_hat], [state.u_hat]
+    states = [state]
     for _ in range(nsteps):
         k1 = rhs(params, profile, state, cfg)
         k2 = rhs(params, profile, axpy(state, dt / 2, k1), cfg)
@@ -128,9 +145,21 @@ def textbook_rk4(params, profile, state, cfg):
         k4 = rhs(params, profile, axpy(state, dt, k3), cfg)
         for stage, weight in ((k1, 1.0), (k2, 2.0), (k3, 2.0), (k4, 1.0)):
             state = axpy(state, weight * dt / 6.0, stage)
-        taus.append(state.tau_hat)
-        us.append(state.u_hat)
-    return np.array(taus), np.array(us), state.f_hat
+        states.append(state)
+    return states
+
+
+def rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def bump_window_config(params, k, nsteps):
+    """nv = 256 on a narrow window around the bump, which resolves its Im sigma."""
+    base = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=1.0, t_final=1.0,
+                     fit_window=(0.2, 0.8))
+    dt = 0.9 * modesim.cfl_limit(params, base, k)
+    return SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=dt, t_final=nsteps * dt,
+                     fit_window=(0.0, nsteps * dt))
 
 
 class TestClosedFormStep:
@@ -139,23 +168,38 @@ class TestClosedFormStep:
     @staticmethod
     def assert_matches_textbook(params, profile, state, cfg):
         traj = integrate(params, profile, state, cfg)
-        taus, us, f = textbook_rk4(params, profile, state, cfg)
-        assert len(traj.times) == len(taus) >= 200
-        rel = lambda a, b: np.max(np.abs(a - b)) / np.max(np.abs(b))
-        assert rel(traj.tau_hat, taus) <= 1e-12
-        assert rel(traj.u_hat, us) <= 1e-12
-        assert rel(traj.final_state.f_hat, f) <= 1e-12
+        states = textbook_rk4(params, profile, state, cfg)
+        assert len(traj.times) == len(states) >= 200
+        assert rel(traj.tau_hat, np.array([s.tau_hat for s in states])) <= 1e-12
+        assert rel(traj.u_hat, np.array([s.u_hat for s in states])) <= 1e-12
+        assert rel(traj.final_state.f_hat, states[-1].f_hat) <= 1e-12
 
-    def test_bump_eigenmode(self, bump_params, bump_profile, bump_root):
-        # a narrow window around the bump resolves Im sigma at nv = 256
-        k = 4.0
-        base = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=1.0, t_final=1.0,
-                         fit_window=(0.2, 0.8))
-        dt = 0.9 * modesim.cfl_limit(bump_params, base, k)
-        cfg = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=dt, t_final=200 * dt,
-                        fit_window=(0.0, 200 * dt))
-        state = init_eigenmode(bump_params, bump_profile, bump_root, k, cfg)
+    @pytest.mark.parametrize("nsteps", [200, 201])
+    def test_bump_eigenmode(self, bump_params, bump_profile, bump_root, nsteps):
+        # integrate alternates two buffers, so both step-count parities
+        cfg = bump_window_config(bump_params, 4.0, nsteps)
+        state = init_eigenmode(bump_params, bump_profile, bump_root, 4.0, cfg)
         self.assert_matches_textbook(bump_params, bump_profile, state, cfg)
+
+    def test_overflow_on_an_odd_step(self, bump_params, bump_profile, bump_root):
+        # a seed scaled so that the largest of |tau|, |u| and max|f| along the
+        # textbook run first exceeds the overflow limit at step 101: the run
+        # stops there, holding the textbook's state of that step
+        cfg = bump_window_config(bump_params, 4.0, 201)
+        state = init_eigenmode(bump_params, bump_profile, bump_root, 4.0, cfg)
+        states = textbook_rk4(bump_params, bump_profile, state, cfg)
+        peaks = np.array([max(abs(s.tau_hat), abs(s.u_hat), np.abs(s.f_hat).max())
+                          for s in states])
+        j = 101
+        assert np.all(np.diff(peaks[:j + 1]) > 1e-5 * peaks[1:j + 1])
+        scale = 2.0 * modesim._OVERFLOW_LIMIT / (peaks[j - 1] + peaks[j])
+        traj = integrate(bump_params, bump_profile, state.scaled(scale), cfg)
+        assert traj.overflow and len(traj.times) - 1 == j
+        assert traj.final_state.time == traj.times[-1] == j * (cfg.t_final / 201)
+        assert rel(traj.tau_hat, scale * np.array([s.tau_hat for s in states[:j + 1]])) \
+            <= 1e-12
+        assert traj.final_state.tau_hat == traj.tau_hat[-1]
+        assert rel(traj.final_state.f_hat, scale * states[j].f_hat) <= 1e-12
 
     def test_bump_eigenmode_full_grid(self, bump_params, bump_profile, bump_root):
         # the benchmark's grid: nv = 2048 over the profile support, 1,000 steps
@@ -212,10 +256,10 @@ class TestClosedFormStep:
                 tm * row for tm, row in zip((tau, t1, t2, t3), stage_rows))
             g = np.sqrt(w) * f
             y = step @ np.array((tau, u, *(moments @ g)))
-            g_next = stream * g + feeds @ y[:4]
-            assert y[4] == pytest.approx(tau + t1 + t2 / 2 + t3 / 6 + t4 / 24,
+            g_next = stream * g + feeds @ y[2:]
+            assert y[0] == pytest.approx(tau + t1 + t2 / 2 + t3 / 6 + t4 / 24,
                                          rel=1e-13)
-            assert y[5] == pytest.approx(u + u1 + u2 / 2 + u3 / 6 + u4 / 24,
+            assert y[1] == pytest.approx(u + u1 + u2 / 2 + u3 / 6 + u4 / 24,
                                          rel=1e-13)
             assert np.max(np.abs(g_next / np.sqrt(w) - f_next)) <= \
                 1e-13 * np.max(np.abs(f_next))

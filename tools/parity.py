@@ -20,9 +20,12 @@ the NEW results lie from the OLD ones:
   rates within RATE_TOL relative (the central difference of D's slope
   amplifies D's rounding). The bundled thin-spray scenarios are Maxwellian
   only, so the bump and two-stream rates appear in no artifact.
-- Trajectories of modesim.integrate: a bump eigenmode at k = 4 and k = 9,
-  Maxwellian acoustic runs at kappa = 0 and 0.01, and two overflow runs (the
-  first step, and a seed whose max|f| starts at 1e150 / 3). Times, the final
+- Trajectories of modesim.integrate: a bump eigenmode at k = 4 and k = 9
+  (6 growth spans, 16,611 steps) and at k = 6 (2 spans, 5,537 steps),
+  Maxwellian acoustic runs at kappa = 0 and 0.01 (7,680 steps), and three
+  overflow runs (the first step, and seeds whose max|f| starts at 1e150 / 3
+  and 1e150 / 1.5, stopping at steps 3,042 and 1,123): runs that finish and
+  runs that overflow each come in odd and even step counts. Times, the final
   state's time and the overflow flag must match exactly; tau, u, kinetic L^2
   and the final state's f are reported as max |new - old| / max |old|, the
   fitted rate as a relative difference.
@@ -245,8 +248,8 @@ bump = p.make_bump_on_tail(mx, 0.05, 0.5, 5.0)
 bp = d.make_params(bump, c0=5.0, rho0=1.0, kappa=1.5e-3)
 sigma = 4.9731147755318865 + 0.06020144834611017j   # the bump root, the same in both trees
 runs = {}
-for k in (4.0, 9.0):
-    cfg = m.default_sim_config(bp, bump, k, t_final=6.0 / (k * sigma.imag), nv=2048)
+for k, spans in ((4.0, 6.0), (9.0, 6.0), (6.0, 2.0)):
+    cfg = m.default_sim_config(bp, bump, k, t_final=spans / (k * sigma.imag), nv=2048)
     runs[f"bump_k{k:g}"] = (bp, bump, m.init_eigenmode(bp, bump, sigma, k, cfg), cfg)
 for kappa in (0.0, 0.01):
     prm = d.make_params(mx, c0=1.0, rho0=1.0, kappa=kappa)
@@ -255,8 +258,9 @@ for kappa in (0.0, 0.01):
 cfg = m.default_sim_config(bp, bump, 8.0, t_final=4.0, nv=2048)
 seed = m.init_eigenmode(bp, bump, sigma, 8.0, cfg)
 runs["overflow_step1"] = (bp, bump, seed.scaled(3e148), cfg)
-runs["overflow_mid"] = (bp, bump, seed.scaled(1e150 / (3 * np.max(np.abs(seed.f_hat)))),
-                        cfg)
+for name, share in (("overflow_mid", 3.0), ("overflow_odd", 1.5)):
+    runs[name] = (bp, bump, seed.scaled(1e150 / (share * np.max(np.abs(seed.f_hat)))),
+                  cfg)
 res = {}
 for name, (prm, prof, state, cfg) in runs.items():
     tr = m.integrate(prm, prof, state, cfg)
