@@ -314,6 +314,8 @@ def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
         profile = build_profile(cfg["profile"])
         check_quadrature(cfg.get("quadrature"))
         sweep = cfg.get("sweep", {}).get("kappa_values")
+        if sweep is not None and not sweep:
+            raise ConfigError(f"sweep.kappa_values must list a kappa, got {sweep!r}")
         kappas = [_num(k) for k in sweep or [cfg["params"].get("kappa", 0.0)]]
         sprays = [build_params({**cfg["params"], "kappa": k}, profile) for k in kappas]
 
@@ -527,10 +529,17 @@ _HANDLERS = {
 # run orchestration
 # ---------------------------------------------------------------------------
 
+def _holds_bump(d: dict) -> bool:
+    """Whether a profile config holds a bump term, at its top or in a sum."""
+    return d.get("kind") == "bump_on_tail" or any(map(_holds_bump, d.get("parts", ())))
+
+
 def _config_notes(cfg: dict) -> list[str]:
     notes = ["analytic continuation term carries the 1/alpha0 prefactor of the "
              "principal-value term"]
-    if cfg.get("profile", {}).get("kind") == "bump_on_tail":
+    # stability-check reads the system's own profile where it has one
+    system = cfg.get("system", {}) if cfg.get("command") == "stability-check" else {}
+    if _holds_bump(system.get("profile") or cfg.get("profile") or {}):
         notes.append("bump profile: off-axis values use the closed form inside the "
                      "support interior; an edge margin raises StripViolation and "
                      "near-axis evaluations fall back to real-axis values")

@@ -21,7 +21,6 @@ Profiles are frozen dataclasses and every operation here is a pure function.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -156,29 +155,28 @@ def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
 # C is fixed numerically so that g has unit integral; g'(0) = 2 C / e > 0.
 # ---------------------------------------------------------------------------
 
-def _bump_raw(w):
+def _inside(shape, w) -> np.ndarray:
+    """shape(w) where Re w lies inside (-1, 1) and 0 elsewhere, as complex."""
     w = np.asarray(w)
     out = np.zeros_like(w, dtype=complex)
     inside = np.abs(np.real(w)) < 1.0
     if np.any(inside):
-        wi = w[inside]
-        out[inside] = (1.0 + wi) ** 2 * np.exp(-1.0 / (1.0 - wi * wi))
+        out[inside] = shape(w[inside])
     return out
 
 
-def _bump_shape_deriv(w, exp):
-    """g'(w) inside (-1, 1), for numpy arrays or (with a scalar exp) numbers."""
+def _bump_raw(w):
+    return _inside(lambda w: (1.0 + w) ** 2 * np.exp(-1.0 / (1.0 - w * w)), w)
+
+
+def _bump_shape_deriv(w):
+    """g'(w) inside (-1, 1)."""
     q = 1.0 - w * w
-    return exp(-1.0 / q) * (1.0 + w) * (2.0 - 2.0 * w * (1.0 + w) / (q * q))
+    return np.exp(-1.0 / q) * (1.0 + w) * (2.0 - 2.0 * w * (1.0 + w) / (q * q))
 
 
 def _bump_raw_deriv(w):
-    w = np.asarray(w)
-    out = np.zeros_like(w, dtype=complex)
-    inside = np.abs(np.real(w)) < 1.0
-    if np.any(inside):
-        out[inside] = _bump_shape_deriv(w[inside], np.exp)
-    return out
+    return _inside(_bump_shape_deriv, w)
 
 
 @lru_cache(maxsize=1)
@@ -237,15 +235,6 @@ def _bump_df_refused(b: Bump, s):
     w_re = (s.real - b.c_star) / b.eta
     return (s.imag != 0.0) & ((abs(s.imag) > b.strip * (1.0 + 1e-12))
                               | (abs(abs(w_re) - 1.0) < BUMP_EDGE_MARGIN))
-
-
-def _bump_df_unrefused(b: Bump, s: complex) -> complex:
-    """`_bump_df` at one complex point in plain Python, where `_bump_df_refused`
-    has passed it."""
-    w = (s - b.c_star) / b.eta
-    if not abs(w.real) < 1.0:
-        return 0j
-    return _bump_df_scale(b) * _bump_shape_deriv(w, cmath.exp)
 
 
 def _evaluate(profile: VelocityProfile, v, df: bool):

@@ -9,30 +9,32 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   int p f'/(v - sigma) dv = -(m/w^2) p(sigma) (1 + zeta Z(zeta)) - m E[t'(v)],
   where zeta = (sigma - u)/(sqrt(2) w), Z(zeta) = i sqrt(pi) w(zeta) is the
   plasma dispersion function (Fried & Conte 1961) and E a Gaussian moment;
-  the Faddeeva function w is entire, so this holds on every branch. For an
-  ndarray of sigma the same expression runs once over the whole array.
+  the Faddeeva function w is entire, so this holds on every branch. It runs
+  on a Python complex at one point and once over the whole array for an
+  ndarray of sigma: a one-element array would cost about 15 times as much.
 - Each compact bump term (`profiles.Bump`) is integrated over its support
   [a, b] only, by singularity subtraction: int_a^b g/(v - s) dv =
   int_a^b (g(v) - c)/(v - s) dv + c (log(b - s) - log(a - s)), c = g(s). The
   first term is analytic in v wherever g is, so Gauss nodes over the support
   (cut only at the bump's breakpoints) and g on them are built once per
-  profile and weight. Its sum over the nodes runs in real
-  arithmetic; for an ndarray of s, g(s), the log terms and that sum run over
-  all ordinary points at once, in blocks of (s, node) pairs that stay in
-  cache. Where g(s) is refused (the edge margin, beyond the strip) at least 10
-  node gaps above the axis, c = 0: the nodes resolve g(v)/(v - s) there as it
-  stands. Points within 1e-2 of a node weight of a node, where the sum would
-  lose digits, and refused points closer to the axis go one at a time through
-  `_pinned_part`: panel edges pinned at Re s and Re s +- w, and c = g(Re s)
-  where g(s) is refused, which is exact above the axis, within O(Im s) just
-  below it and refused farther down. Far from the support, where the plain
-  node sum is the continued value, 34 cached moments of the nodes give that sum
-  (`_far_sum`; Greengard & Rokhlin 1987, J. Comput. Phys. 73, 325).
+  profile and weight.
+  One path serves a point and an array alike: the points are taken as a 1-D
+  array (one element for a point), and g(s), the log terms and the sum over
+  the nodes, in real arithmetic, run over all ordinary points at once, in
+  blocks of (s, node) pairs that stay in cache. Where g(s) is refused (the
+  edge margin, beyond the strip) at least 10 node gaps above the axis, c = 0:
+  the nodes resolve g(v)/(v - s) there as it stands. Points within 1e-2 of a
+  node weight of a node, where the sum would lose digits, and refused points
+  closer to the axis go one at a time through `_pinned_part`: panel edges
+  pinned at Re s and Re s +- w, and c = g(Re s) where g(s) is refused, which
+  is exact above the axis, within O(Im s) just below it and refused farther
+  down. Far from the support, where the plain node sum is the continued value,
+  34 cached moments of the nodes give that sum (`_far_sum`; Greengard &
+  Rokhlin 1987, J. Comput. Phys. 73, 325).
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numpy as np
@@ -70,13 +72,10 @@ class Branch(enum.Enum):
 
 def classify_branch(sigma):
     """Branch of sigma; an object array of branches for an ndarray sigma."""
-    tol = AXIS_TOLERANCE
-    if isinstance(sigma, np.ndarray):
-        im = sigma.imag
-        return np.where(im > tol, Branch.UPPER,
-                        np.where(im < -tol, Branch.LOWER, Branch.REAL_AXIS))
-    im = complex(sigma).imag
-    return Branch.UPPER if im > tol else Branch.LOWER if im < -tol else Branch.REAL_AXIS
+    im, tol = np.imag(sigma), AXIS_TOLERANCE
+    branch = np.where(im > tol, Branch.UPPER,
+                      np.where(im < -tol, Branch.LOWER, Branch.REAL_AXIS))
+    return branch if np.ndim(sigma) else branch.item()
 
 
 def _maxwellian_part(weight: tuple[float, ...], sigma, part: profiles.Gaussian):
@@ -108,43 +107,28 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     ``weight`` holds the coefficients of the real polynomial p in ascending
     powers of v. ``sigma`` is a point or an ndarray of points; an array gives
     the values elementwise, in its shape, and raises where any point would.
-    Maxwellian parts are summed in closed form (over the whole array at once) on
-    every branch; deep in the lower half-plane they raise FaddeevaOverflow. Bump
-    terms are sums over nodes cached in ``profile.node_sets``, in real
-    arithmetic; an array's ordinary points are summed together in blocks of
-    (sigma, node) pairs (`_bump_array`).
+    Maxwellian parts are summed in closed form (at a point on a Python complex)
+    on every branch; deep in the lower half-plane they raise FaddeevaOverflow.
+    Bump terms are sums over nodes cached in ``profile.node_sets``, in real
+    arithmetic, by `_bump_array` over the points as a 1-D array.
     """
-    if isinstance(sigma, np.ndarray):
-        return _cauchy_array(profile, tuple(weight), sigma)
-    sigma, weight = complex(sigma), tuple(weight)
-    branch = classify_branch(sigma)
-    if branch is Branch.REAL_AXIS:
-        sigma = complex(sigma.real)
-    total = 0.0
+    weight, point = tuple(weight), not isinstance(sigma, np.ndarray)
+    if point:
+        sigma = complex(sigma)
+        if abs(sigma.imag) <= AXIS_TOLERANCE:
+            sigma = complex(sigma.real)
+    else:
+        sigma = np.where(np.abs(sigma.imag) <= AXIS_TOLERANCE, sigma.real,
+                         sigma).astype(complex, copy=False)
+    total = 0j if point else np.zeros(sigma.shape, dtype=complex)
     for part in profile.gaussians:
         total += _maxwellian_part(weight, sigma, part)
     if profile.bumps:
-        scale = profiles.resolution_scale(profile)
-        for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
-            total += _bump_part(weight, sigma, branch, scale, bump, *node_set)
-    return complex(total)
-
-
-def _cauchy_array(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-                  sigma: np.ndarray) -> np.ndarray:
-    """`cauchy_transform` elementwise over an ndarray of sigma."""
-    im = sigma.imag
-    sigma = np.where((im <= AXIS_TOLERANCE) & (im >= -AXIS_TOLERANCE),
-                     sigma.real, sigma).astype(complex, copy=False)
-    total = np.zeros(sigma.shape, dtype=complex)
-    for part in profile.gaussians:
-        total += _maxwellian_part(weight, sigma, part)
-    if profile.bumps:
-        points, scale = sigma.ravel(), profiles.resolution_scale(profile)
+        points, scale = np.ravel(sigma), profiles.resolution_scale(profile)
         for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
             total += _bump_array(weight, points, scale, bump,
-                                 *node_set).reshape(sigma.shape)
-    return total
+                                 *node_set).reshape(np.shape(sigma))
+    return complex(total) if point else total
 
 
 def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...]) -> tuple:
@@ -183,63 +167,46 @@ def _poly(weight: tuple[float, ...], v):
     return p
 
 
-def _bump_part(weight: tuple[float, ...], sigma: complex, branch: Branch, scale: float,
-               bump: profiles.Bump, vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
-               field: tuple, near: float, plain: float) -> complex:
-    """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term.
-
-    The subtracted integrand (g(v) - g(sigma))/(v - sigma) is analytic in v, so
-    one sum over the fixed support nodes vs (with g(vs) = gvs) serves every
-    sigma (`_subtracted_sums`); `_bump_gate` says where that sum does not
-    serve, and `_far` where the moments give the plain sum.
-    """
-    refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
-    if pinned:
-        c = _g_at(weight, bump, complex(sigma.real) if refused else sigma)
-        return _pinned_part(g, c, sigma, branch, bump.support, bump.breakpoints, scale,
-                            NODES)
-    if _far(sigma, field):
-        return _far_sum(field, sigma)
-    c = 0j if refused else _g_at(weight, bump, sigma)
-    return _plus_log_part(complex(_subtracted_sums(vs, ws, gvs, sigma, c)), c, sigma,
-                          branch, *bump.support)
-
-
 def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
                 bump: profiles.Bump, vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
                 field: tuple, near: float, plain: float) -> np.ndarray:
-    """`_bump_part` elementwise over a 1-D array of sigma (axis points exactly
-    real): the far-field series, then g(sigma) and the subtracted sums, each for
-    all points it serves at once, the pinned ones one at a time."""
+    """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term,
+    elementwise over a 1-D array of sigma (axis points exactly real).
+
+    The subtracted integrand (g(v) - c)/(v - sigma) is analytic in v, so one sum
+    over the fixed support nodes vs (with g(vs) = gvs) serves every ordinary
+    sigma (`_subtracted_sums`); `_bump_gate` says where it does not serve, and
+    `_far` where the moments give the plain sum. c is g(sigma), or where that
+    is refused g(Re sigma) on pinned panels and 0 in the node sum.
+    """
     refused, pinned = _bump_gate(bump, sigma, vs, ws, near, plain, scale)
     far = ~pinned & _far(sigma, field)
     summed = ~(pinned | far)
+    # g is finite at far points too: 0 off the support, real at Re sigma
+    at = np.where(refused, sigma.real, sigma)
+    c = bump.coef * _poly(weight, at) * profiles._bump_df(bump, at)
+    c[refused & summed] = 0.0
     out = np.empty(sigma.shape, dtype=complex)
     if far.any():
         out[far] = _far_sum(field, sigma[far])
     if summed.any():
-        s = sigma[summed]
-        cs = np.zeros(s.shape, dtype=complex)
-        ok = ~refused[summed]
-        cs[ok] = bump.coef * _poly(weight, s[ok]) * profiles._bump_df(bump, s[ok])
-        out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s, None,
+        s, cs = sigma[summed], c[summed]
+        out[summed] = _plus_log_part(_subtracted_sums(vs, ws, gvs, s, cs), cs, s,
                                      *bump.support)
     for i in np.flatnonzero(pinned).tolist():
-        z = complex(sigma[i])
-        ci = _g_at(weight, bump, complex(z.real) if refused[i] else z)
-        out[i] = _pinned_part(g, ci, z, classify_branch(z), bump.support,
+        out[i] = _pinned_part(g, complex(c[i]), complex(sigma[i]), bump.support,
                               bump.breakpoints, scale, NODES)
     return out
 
 
-def _bump_gate(bump: profiles.Bump, sigma, vs: np.ndarray, ws: np.ndarray,
+def _bump_gate(bump: profiles.Bump, sigma: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                near: float, plain: float, scale: float):
-    """(refused, pinned) for a bump term at sigma, a point or elementwise over a
-    1-D array: refused where g(sigma) is (the edge margin, beyond the strip),
-    pinned where the sum goes on `_pinned_part`'s panels instead of the node sum
-    with c = g(sigma): within 1e-2 of a node weight of a node, or refused below
-    `plain`. Refused at least `plain` above the axis, nothing is subtracted (c =
-    0): there the nodes resolve g(v)/(v - sigma) as it stands. Raises
+    """(refused, pinned) for a bump term elementwise over a 1-D array of sigma:
+    refused where g(sigma) is (the edge margin, beyond the strip), pinned where
+    the sum goes on `_pinned_part`'s panels instead of the node sum with c =
+    g(sigma): within 1e-2 of a node weight of a node, or refused below `plain`.
+    Refused at least `plain` above the axis, nothing is subtracted (c = 0):
+    there the nodes resolve g(v)/(v - sigma) as it stands. Raises
     StripViolation where g(sigma) is refused more than 0.05 scale below the
     axis."""
     refused = profiles._bump_df_refused(bump, sigma)
@@ -247,10 +214,9 @@ def _bump_gate(bump: profiles.Bump, sigma, vs: np.ndarray, ws: np.ndarray,
     # g(Re sigma) stands in for the continuation (exact up to O(Im sigma));
     # farther down the residue 2 i pi g(sigma) needs the strip
     deep = refused & (sigma.imag < -_AXIS_FALLBACK_FRACTION * scale)
-    # a bool at one point, where np.any would cost more than the gate itself
-    if deep if isinstance(deep, bool) else deep.any():
+    if deep.any():
         raise StripViolation("complex evaluation of the bump term refused at "
-                             f"{complex(np.ravel(sigma)[np.argmax(deep)])}")
+                             f"{complex(sigma[np.argmax(deep)])}")
     return refused, (refused & (sigma.imag < plain)) | _near_node(vs, ws, sigma, near)
 
 
@@ -273,22 +239,15 @@ def _far_sum(field: tuple, sigma):
     return -(t / half) * acc
 
 
-def _g_at(weight: tuple[float, ...], bump: profiles.Bump, s: complex) -> complex:
-    """g(s) at a point `_bump_gate` has not refused, or on the axis."""
-    return bump.coef * _poly(weight, s) * profiles._bump_df_unrefused(bump, s)
-
-
 # (sigma, node) pairs per block of `_subtracted_sums`: a block's float
 # temporaries (128 KiB each) stay in cache
 _BLOCK = 16384
 
 
-def _subtracted_sums(vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray, sigma, c):
-    """sum_j (g(v_j) - c) w_j/(v_j - sigma) in real arithmetic, at one point
-    (complex sigma and c) or elementwise over 1-D arrays of sigma and c, in
-    blocks of about `_BLOCK` (point, node) pairs."""
-    if not isinstance(sigma, np.ndarray):
-        return _real_split_sum(ws, vs - sigma.real, gvs - c.real, sigma.imag, c.imag)
+def _subtracted_sums(vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray,
+                     sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_j (g(v_j) - c) w_j/(v_j - sigma) in real arithmetic, elementwise over
+    1-D arrays of sigma and c, in blocks of about `_BLOCK` (point, node) pairs."""
     out = np.empty(sigma.size, dtype=complex)
     rows = max(1, _BLOCK // vs.size)
     for i in range(0, sigma.size, rows):
@@ -300,15 +259,14 @@ def _subtracted_sums(vs: np.ndarray, ws: np.ndarray, gvs: np.ndarray, sigma, c):
 
 def _real_split_sum(ws: np.ndarray, x: np.ndarray, h: np.ndarray, y, c_im):
     """`_subtracted_sums` from x = v_j - Re sigma and h = g(v_j) - Re c (one row
-    per point), y = Im sigma and c_im = Im c (floats, or one per row); h is
-    overwritten.
+    per point), y = Im sigma and c_im = Im c (one per row); h is overwritten.
 
     With d = w_j/(x^2 + y^2) the real part is sum h x d + c_im y sum d and the
     imaginary part y sum h d - c_im sum x d. h stays one term: summing g(v_j)
     and c apart would bring back the cancellation the subtraction removes.
     """
     t = x * x
-    t += np.square(y)[..., None]           # a column per row; one point broadcasts
+    t += np.square(y)[:, None]
     np.reciprocal(t, out=t)                 # d = w t: the dot with ws applies w_j
     sum_d = np.vecdot(t, ws)
     h *= t
@@ -319,9 +277,8 @@ def _real_split_sum(ws: np.ndarray, x: np.ndarray, h: np.ndarray, y, c_im):
     return np.vecdot(h, ws) + c_im * y * sum_d + 1j * (y * sum_hd - c_im * sum_xd)
 
 
-def _pinned_part(g, c: complex, sigma: complex, branch: Branch,
-                 support: tuple[float, float], breakpoints: tuple[float, ...],
-                 scale: float, nodes: int) -> complex:
+def _pinned_part(g, c: complex, sigma: complex, support: tuple[float, float],
+                 breakpoints: tuple[float, ...], scale: float, nodes: int) -> complex:
     """Continued int_a^b g(v)/(v - sigma) dv as int_a^b (g(v) - c)/(v - sigma) dv,
     on panels pinned at Re sigma and Re sigma +- _PIN_WINDOW (at most (b - a)/4)
     with one g call, plus the `_plus_log_part` of c. Exact for any c above the
@@ -330,50 +287,38 @@ def _pinned_part(g, c: complex, sigma: complex, branch: Branch,
     a, b = support
     x0, w = sigma.real, min(_PIN_WINDOW, 0.25 * (b - a))
     vs, ws = _gauss.segment_panels(a, b, (x0 - w, x0, x0 + w) + breakpoints, scale, nodes)
-    return _plus_log_part(complex(np.sum((g(vs) - c) / (vs - sigma) * ws)), c, sigma,
-                          branch, a, b)
+    sigma, c = np.array([sigma]), np.array([c])
+    val = np.sum((g(vs) - c) / (vs - sigma) * ws, keepdims=True)
+    return complex(_plus_log_part(val, c, sigma, a, b)[0])
 
 
-def _plus_log_part(val, c, sigma, branch: Branch | None, a: float, b: float):
-    """val + c int_a^b dv/(v - sigma) continued from above: c log((b - sigma)/(a -
-    sigma)), the real log plus i pi on the axis, plus 2 i pi c below it. Over
-    ndarrays (``branch`` None) elementwise, each point on the axis exactly when
-    its Im sigma is 0."""
-    if isinstance(sigma, np.ndarray):
-        k = np.flatnonzero(c)
-        s, ck = sigma[k], c[k]
-        axis = s.imag == 0.0
-        x, z = s.real[axis], s[~axis]
-        log = np.empty(k.size, dtype=complex)
-        log[axis] = np.log((b - x) / (x - a)) + 1j * math.pi
-        log[~axis] = (np.log(b - z) - np.log(a - z)
-                      + np.where(z.imag < 0.0, 2j * math.pi, 0.0))
-        val[k] += ck * log
-        return val
-    if not c:
-        # g vanishes outside (a, b) and near its edges, so no log meets zero
-        return val
-    if branch is Branch.REAL_AXIS:
-        return val + c * complex(math.log((b - sigma.real) / (sigma.real - a)), math.pi)
-    val += c * (cmath.log(b - sigma) - cmath.log(a - sigma))
-    return val + 2j * math.pi * c if branch is Branch.LOWER else val
+def _plus_log_part(val: np.ndarray, c: np.ndarray, sigma: np.ndarray, a: float,
+                   b: float) -> np.ndarray:
+    """val + c int_a^b dv/(v - sigma) continued from above, elementwise and in
+    place: c log((b - sigma)/(a - sigma)), the real log plus i pi where Im sigma
+    is 0, plus 2 i pi c below the axis. Nothing where c = 0: g vanishes outside
+    (a, b) and near its edges, so no log meets zero."""
+    k = np.flatnonzero(c)
+    s, ck = sigma[k], c[k]
+    axis = s.imag == 0.0
+    x, z = s.real[axis], s[~axis]
+    log = np.empty(k.size, dtype=complex)
+    log[axis] = np.log((b - x) / (x - a)) + 1j * math.pi
+    log[~axis] = (np.log(b - z) - np.log(a - z)
+                  + np.where(z.imag < 0.0, 2j * math.pi, 0.0))
+    val[k] += ck * log
+    return val
 
 
-def _near_node(vs: np.ndarray, ws: np.ndarray, sigma, near: float):
+def _near_node(vs: np.ndarray, ws: np.ndarray, sigma: np.ndarray, near: float):
     """Whether sigma lies within `near` of the axis and within 1e-2 w_j of a
-    node v_j, where the subtracted sum would lose digits to cancellation; a
-    bool at a point, elementwise over an ndarray."""
-    if isinstance(sigma, np.ndarray):
-        i = vs.searchsorted(sigma.real)
-        hit = np.zeros(sigma.shape, dtype=bool)
-        for j in (np.maximum(i - 1, 0), np.minimum(i, vs.size - 1)):
-            hit |= np.abs(vs[j] - sigma) < 1e-2 * ws[j]
-        return hit & (np.abs(sigma.imag) < near)
-    if abs(sigma.imag) >= near:
-        return False
-    i = int(vs.searchsorted(sigma.real))
-    return any(abs(vs.item(j) - sigma) < 1e-2 * ws.item(j)
-               for j in (i - 1, i) if 0 <= j < vs.size)
+    node v_j, where the subtracted sum would lose digits to cancellation,
+    elementwise over an ndarray."""
+    i = vs.searchsorted(sigma.real)
+    hit = np.zeros(sigma.shape, dtype=bool)
+    for j in (np.maximum(i - 1, 0), np.minimum(i, vs.size - 1)):
+        hit |= np.abs(vs[j] - sigma) < 1e-2 * ws[j]
+    return hit & (np.abs(sigma.imag) < near)
 
 
 def vdf_norm(profile: profiles.VelocityProfile) -> float:

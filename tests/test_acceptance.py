@@ -18,7 +18,7 @@ from spraywaves.hyperbolic import (SystemCoupling, scalar_law, scalar_root,
                                    stability_necessary_condition, track_secular_root)
 from spraywaves.modesim import (default_sim_config, growth_rate, init_eigenmode,
                                 integrate, sobolev_scaling_experiment)
-from spraywaves.quadrature import Branch, _pinned_part
+from spraywaves.quadrature import _pinned_part
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -196,8 +196,8 @@ class TestAcceptance:
             # principal value: the real part of the axis value over +-(12 + x0)
             span = 12.0 + x0
             c = gaussian(np.array([x0]))[0]
-            val = _pinned_part(gaussian, c, complex(x0), Branch.REAL_AXIS,
-                               (-span, span), (), 0.7, quadrature.NODES).real
+            val = _pinned_part(gaussian, c, complex(x0), (-span, span), (), 0.7,
+                               quadrature.NODES).real
             oracle = -2.0 * dawson_series(x0)
             worst = max(worst, abs(val - oracle) / abs(oracle))
         ok = worst <= 1e-8

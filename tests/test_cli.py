@@ -18,6 +18,10 @@ from spraywaves.cli import (DEFAULTS_TABLE, ConfigError, _config_notes, _write_t
 from spraywaves.scenarios import SCENARIOS
 
 
+BUMP = SCENARIOS["bump-unstable"]["profile"]
+MAXWELLIAN = SCENARIOS["maxwellian-stable"]["profile"]
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -55,6 +59,33 @@ class TestConfigBuilders:
         note = "quadrature keys L, window are ignored"
         assert any(n.startswith(note) for n in _config_notes({"quadrature": quad}))
         assert not any("ignored" in n for n in _config_notes(SCENARIOS["bump-unstable"]))
+
+    @pytest.mark.parametrize("command,scenario,override,notes", [
+        # a bump term in a sum, and a sum without one
+        ("roots", "maxwellian-stable", {"profile": {"kind": "sum", "parts": [BUMP]}}, 1),
+        ("roots", "maxwellian-stable",
+         {"profile": {"kind": "sum", "parts": [MAXWELLIAN, MAXWELLIAN]}}, 0),
+        # a bump on a base that holds a bump, in a sum: one note
+        ("roots", "maxwellian-stable", {"profile": {"kind": "sum", "parts": [
+            {**BUMP, "c_star": 3.0,
+             "base": {"kind": "sum", "parts": [MAXWELLIAN, BUMP]}}]}}, 1),
+        # stability-check reads the system's own profile over the top-level one
+        ("stability-check", "system-prop1", {"system": {"profile": BUMP}}, 1),
+        ("stability-check", "system-prop1",
+         {"profile": BUMP, "system": {"profile": MAXWELLIAN}}, 0),
+        ("stability-check", "scalar-coupling", {"profile": BUMP}, 1),
+    ])
+    def test_bump_note_follows_the_run_profile(self, tmp_path, command, scenario,
+                                               override, notes):
+        if command == "roots":
+            override = {**override, "params": SCENARIOS["bump-unstable"]["params"],
+                        "region": SCENARIOS["bump-unstable"]["region"]}
+        cfgfile, out = tmp_path / "c.json", tmp_path / "out"
+        cfgfile.write_text(json.dumps(override))
+        assert main([command, "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        warnings = read_json(out / "manifest.json")["warnings"]
+        assert sum(w.startswith("bump profile: off-axis") for w in warnings) == notes
 
 
 class TestExitCodes:
@@ -225,6 +256,8 @@ class TestExitCodes:
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 3, "40"]}}),
         ("stability-check", "system-prop1",
          {"system": {"A": [["1.0", 0.3], [0.3, True]]}}),
+        # an empty sweep is refused, not run as the single kappa of params
+        ("thin-spray", "thin-spray-sweep", {"sweep": {"kappa_values": []}}),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
