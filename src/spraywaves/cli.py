@@ -24,7 +24,6 @@ Machine-readable error JSON goes to stderr in both failure cases.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -158,13 +157,7 @@ def build_region(d: dict | None, params: SprayParams,
     if not d:
         return dispersion.verdict_region(params, profile)
     keys = ("re_min", "re_max", "im_min", "im_max")
-    region = SearchRegion(*(_num(d[key]) for key in keys))
-    # only the lower branch needs a bump strip, as in count_roots
-    if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
-        raise ConfigError(f"region reaches below the axis and |Im sigma| = "
-                          f"{region.im_reach:.3g}, beyond the bump strip "
-                          f"{profile.strip_halfwidth:.3g}")
-    return region
+    return SearchRegion(*(_num(d[key]) for key in keys))
 
 
 def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
@@ -416,9 +409,8 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
     elif t_final is None:
         t_final = (10.0 if eigenmode else periods) * 2.0 * math.pi / (abs(k) * params.c0)
     with _reading("sim config"):
-        config = modesim.default_sim_config(params, profile, k, t_final=t_final, nv=nv)
-        if dt is not None:
-            config = dataclasses.replace(config, dt=dt)
+        config = modesim.default_sim_config(params, profile, k, t_final=t_final, nv=nv,
+                                            dt=dt)
         state = None if eigenmode else modesim.acoustic_state(
             params, k, config, direction=direction)
     if eigenmode:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import profiles, quadrature
 from .errors import (BoundaryRoot, DegenerateDerivative, NonConvergence,
-                     SprayWaveError, StripViolation, ZeroSigma)
+                     SprayWaveError, ZeroSigma)
 from .profiles import VelocityProfile
 from .quadrature import Branch
 
@@ -87,10 +87,6 @@ class SearchRegion:
     def corners(self) -> tuple[complex, complex, complex, complex]:
         return (complex(self.re_min, self.im_min), complex(self.re_max, self.im_min),
                 complex(self.re_max, self.im_max), complex(self.re_min, self.im_max))
-
-    @property
-    def im_reach(self) -> float:
-        return max(abs(self.im_min), abs(self.im_max))
 
     @property
     def center(self) -> complex:
@@ -175,8 +171,9 @@ _SPLIT = 8                  # pieces an unresolved segment is cut into per level
 _EDGE_SAMPLES = 48          # initial samples per edge, the least with a feature scale
 
 
-def _winding_number(func, region: SearchRegion,
-                    feature_scale: float | None = None) -> int:
+def _winding_number(func, region: SearchRegion, feature_scale: float | None = None,
+                    support: tuple[float, float] | None = None,
+                    marks: tuple[float, ...] = ()) -> int:
     """Winding number of func around the boundary of the rectangle.
 
     Adaptive phase walk: a segment is cut into _SPLIT equal pieces until each
@@ -189,15 +186,33 @@ def _winding_number(func, region: SearchRegion,
     resolved depends on its end values only, so the samples are those of a
     depth-first walk. Raises BoundaryRoot when a zero (or a resolution limit)
     sits on the contour, or the winding defect reaches 0.25.
+
+    A horizontal edge below the axis also samples Re sigma at the ``marks``
+    (bump support edges, where func refuses a contour crossing one) and, where
+    the 1024-sample cap leaves it coarser than the feature scale, one scale
+    apart over the ``support``, lest a narrow residue fall between samples.
     """
     a = np.array(region.corners)
     b = np.roll(a, -1)
     n = np.full(4, _EDGE_SAMPLES)
     if feature_scale is not None and feature_scale > 0:
         n = np.clip(np.ceil(abs(b - a) / feature_scale), _EDGE_SAMPLES, 1024).astype(int)
-    # edge e holds the samples a_e + (b_e - a_e) k / n_e, k < n_e, in walk order
-    z1 = np.concatenate([a_e + (b_e - a_e) * (np.arange(n_e) * (1.0 / n_e))
-                         for a_e, b_e, n_e in zip(a, b, n)])
+    # edge e holds the samples a_e + (b_e - a_e) t, t = k / n_e (k < n_e), in walk order
+    ts = [np.arange(n_e) * (1.0 / n_e) for n_e in n]
+    xs, width = [np.array(marks)], region.re_max - region.re_min
+    if support is not None and width / n[0] > feature_scale:
+        lo, hi = max(region.re_min, support[0]), min(region.re_max, support[1])
+        if hi - lo > 0.5 * _MAX_BOUNDARY_EVALS * feature_scale:
+            raise BoundaryRoot("contour too long to sample at the feature scale")
+        xs.append(np.arange(lo, hi, feature_scale))
+    t = (np.concatenate(xs) - region.re_min) / width
+    t = t[(t >= 0.0) & (t < 1.0)]
+    # the bottom edge (0) runs right and the top edge (2) left; a repeated
+    # sample only adds a zero-length segment
+    for e, extra in ((0, t), (2, 1.0 - t[t > 0.0])):
+        if extra.size and a[e].imag < 0.0:
+            ts[e] = np.sort(np.concatenate((ts[e], extra)))
+    z1 = np.concatenate([a_e + (b_e - a_e) * t_e for a_e, b_e, t_e in zip(a, b, ts)])
     v1 = func(z1)
     # a segment ends at the next sample; the last one closes the loop
     z2, v2 = np.roll(z1, -1), np.roll(v1, -1)
@@ -247,14 +262,13 @@ def count_roots(params: SprayParams, profile: VelocityProfile,
     """Certified number of dispersion zeros (with multiplicity) inside the region,
     counted as the winding number of the pole-free sigma^2 D(sigma) around its
     boundary, sampled on that boundary only; a zero on or too close to the
-    contour raises BoundaryRoot."""
-    # the upper branch needs no bump strip, so only a box that reaches below
-    # the axis is checked
-    if region.im_min < 0.0 and region.im_reach > profile.strip_halfwidth:
-        raise StripViolation("search region reaches below the axis beyond a bump strip")
+    contour raises BoundaryRoot, and one crossing a bump's support edge below
+    the axis StripViolation (`quadrature._bump_gate`)."""
     # feature scale: half the smaller of c0 and half the narrowest width or eta
     scale = 0.5 * min(params.c0, 0.5 * profiles.narrowest_width(profile))
-    return _winding_number(lambda z: _pole_free(params, profile, z), region, scale)
+    edges = tuple(x for b in profile.bumps for x in b.support)
+    return _winding_number(lambda z: _pole_free(params, profile, z), region, scale,
+                           profiles.support_bounds(profile), edges)
 
 
 def _newton(func, z0: complex, tol: float,
@@ -284,7 +298,7 @@ def _seeded_root(func, seed: complex, scale: float) -> RootReport:
     """Newton on func from the seed to |func| <= 1e-12 within scale/2 of it, then
     a winding count of func (the report's evidence, for the caller to check) on
     the square of half-width max(1e-3 scale, |Im z|/2) around the iterate z: an
-    upper root's square stays above the axis, where no strip is needed."""
+    upper root's square stays above the axis."""
     z, iters = _newton(func, seed, 1e-12, trust_radius=0.5 * scale)
     half = max(1e-3 * scale, 0.5 * abs(z.imag))
     evidence = _winding_number(func, SearchRegion(z.real - half, z.real + half,
@@ -335,7 +349,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
         if small or n == 1:
             # a small box is Newton's local basin, and in a larger one the count
             # certifies the one root; a failure (a centre on the pole, an iterate
-            # beyond the strip, say) bisects
+            # at a bump's support edge, say) bisects
             try:
                 polish(reg, n, (5.0 if small else 1.0) * reg.diameter)
                 return

@@ -6,7 +6,7 @@ class SprayWaveError(Exception):
 
 
 class StripViolation(SprayWaveError):
-    """Complex evaluation requested outside the analyticity strip of a bump term."""
+    """Complex evaluation of a bump term requested off the axis at its support edges."""
 
 
 class InvalidBump(SprayWaveError):

@@ -15,7 +15,7 @@ dispersion roots; normalized-mode runs show loss of Sobolev control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -149,18 +149,19 @@ def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
 
 
 def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
-                       t_final: float, nv: int = DEFAULT_NV) -> SimConfig:
-    """Grid on the profile support, dt at 0.9 of the CFL bound and the fit
-    window [0.2, 0.8] t_final; ValueError when t_final reaches the velocity-grid
-    recurrence time."""
+                       t_final: float, nv: int = DEFAULT_NV,
+                       dt: float | None = None) -> SimConfig:
+    """Grid on the profile support, dt (by default 0.9 of the CFL bound) and the
+    fit window [0.2, 0.8] t_final; ValueError when t_final reaches the
+    velocity-grid recurrence time or a given dt exceeds the CFL bound."""
     lo, hi = profiles.support_bounds(profile)
-    cfg = SimConfig(nv=nv, v_bounds=(lo, hi),
-                    dt=1.0, t_final=t_final,
+    cfg = SimConfig(nv=nv, v_bounds=(lo, hi), dt=1.0, t_final=t_final,
                     fit_window=(0.2 * t_final, 0.8 * t_final))
     _check_recurrence(cfg, k)
-    dt = 0.9 * cfl_limit(params, cfg, k)
-    return SimConfig(nv=nv, v_bounds=(lo, hi), dt=dt, t_final=t_final,
-                     fit_window=cfg.fit_window)
+    limit = cfl_limit(params, cfg, k)
+    if dt is not None and dt > limit * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:.3g} exceeds the stability bound {limit:.3g}")
+    return replace(cfg, dt=0.9 * limit if dt is None else dt)
 
 
 def acoustic_state(params: SprayParams, k: float, config: SimConfig,

@@ -10,11 +10,14 @@ w_i, and bump terms of relative mass eps_j, half-width eta_j and centre c_j,
 built on a base of mass M_j. g is a fixed smooth unit-mass bump supported on
 (-1, 1) with g'(0) > 0. Three constructors build every profile:
 
-- `maxwellian`: one Gaussian part with a = 1, entire in v: it has no strip.
+- `maxwellian`: one Gaussian part with a = 1, entire in v.
 - `make_bump_on_tail`: the base's parts with their coefficients times (1 - eps),
   plus one bump term of coefficient 1 carrying eps * M of the base mass M, so the
   total integral is preserved.
 - `profile_sum`: the parts of every component (two-stream style setups).
+
+g is analytic except at w = +-1 and |exp(-1/(1 - w^2))| <= 1 where |Re w| < 1,
+so complex evaluation of a bump term is refused only near its support edges.
 
 Profiles are frozen dataclasses and every operation here is a pure function.
 """
@@ -34,7 +37,7 @@ from .errors import FaddeevaOverflow, InvalidBump, StripViolation, VacuumViolati
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Fraction of eta around the bump support edges where complex evaluation is
-# refused (the compactly supported bump is not analytic across |w| = 1).
+# refused (the compactly supported bump is not analytic at |w| = 1).
 BUMP_EDGE_MARGIN = 0.05
 
 
@@ -59,24 +62,20 @@ class Gaussian:
 @dataclass(frozen=True)
 class Bump:
     """coef * (eps * m0 / eta) * g((v - c_star) / eta), the bump term on a base
-    of mass m0; complex evaluation is refused beyond ``strip`` and near the
-    support edges. ``breakpoints`` are the panel edges of its own support and of
-    the bump terms of its base."""
+    of mass m0; complex evaluation is refused near its support edges only."""
 
     coef: float
     eps: float
     eta: float
     c_star: float
     m0: float
-    strip: float
-    breakpoints: tuple[float, ...]
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.eps, self.eta, self.c_star))):
             raise ValueError("eps, eta and c_star must be finite")
         if not math.isfinite(self.eps * self.m0 / self.eta / self.eta):
             raise ValueError("bump derivative scale eps m0 / eta**2 overflows")
-        pts = _bump_breakpoints(self.eta, self.c_star)
+        pts = self.breakpoints
         if any(x >= y for x, y in zip(pts, pts[1:])):
             raise ValueError("bump support too narrow to resolve at c_star: "
                              "its panel breakpoints coincide in floating point")
@@ -85,12 +84,18 @@ class Bump:
     def support(self) -> tuple[float, float]:
         return (self.c_star - self.eta, self.c_star + self.eta)
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Its support edges, where g is not analytic, and 8 panel edges graded
+        geometrically into each; other terms are smooth there and not cut."""
+        (lo, hi), hs = self.support, [self.eta * 2.0 ** (-j) for j in range(1, 9)]
+        return tuple(sorted([lo, hi, *(lo + h for h in hs), *(hi - h for h in hs)]))
+
 
 @dataclass(frozen=True)
 class VelocityProfile:
     """Analytic equilibrium distribution, given by its parts alone: the total
-    mass ``m0`` and the narrowest bump strip ``strip_halfwidth`` are derived
-    from them."""
+    mass ``m0`` is derived from them."""
 
     gaussians: tuple[Gaussian, ...]
     bumps: tuple[Bump, ...]
@@ -106,11 +111,6 @@ class VelocityProfile:
     def m0(self) -> float:
         """Total mass moment(self, 0), computed once per object."""
         return moment(self, 0)
-
-    @cached_property
-    def strip_halfwidth(self) -> float:
-        """The narrowest bump strip (inf without bumps: Gaussian parts are entire)."""
-        return min((b.strip for b in self.bumps), default=math.inf)
 
     @cached_property
     def node_sets(self) -> dict:
@@ -131,14 +131,12 @@ def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
     The bump term is (eps * m0 / eta) * g((v - c_star) / eta) with a fixed
     smooth g of unit integral supported on (-1, 1), and the parts of ``base``
     are scaled by (1 - eps), so the composite carries the same total mass as
-    ``base``. The bump's analytic band shrinks with eta: its strip is at most
-    eta / 2.
+    ``base``.
     """
     if not (0.0 < eps < 1.0) or eta <= 0.0:
         raise InvalidBump(f"need 0 < eps < 1 and eta > 0, got eps={eps}, eta={eta}")
     scaled = lambda part: replace(part, coef=(1.0 - eps) * part.coef)
-    bump = Bump(1.0, eps, eta, c_star, base.m0, min(base.strip_halfwidth, 0.5 * eta),
-                _bump_breakpoints(eta, c_star) + analyticity_breakpoints(base))
+    bump = Bump(1.0, eps, eta, c_star, base.m0)
     return VelocityProfile(tuple(map(scaled, base.gaussians)),
                            tuple(map(scaled, base.bumps)) + (bump,))
 
@@ -190,16 +188,16 @@ def _bump_constants() -> tuple[float, float, float]:
     return 1.0 / i0, m1, m2
 
 
-def _check_strip(profile: VelocityProfile, v) -> np.ndarray:
+def _check_edges(profile: VelocityProfile, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if any(np.any(_bump_df_refused(b, v)) for b in profile.bumps):
-        raise StripViolation("complex evaluation of a bump term refused: beyond its "
-                             "strip or within its support-edge margin")
+        raise StripViolation("complex evaluation of a bump term refused within its "
+                             "support-edge margin")
     return v
 
 
 def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
-    """f (f' if ``df``) at v with no strip checks: each part's value times its
+    """f (f' if ``df``) at v with no edge-margin check: each part's value times its
     coef, summed over the Gaussian parts (FaddeevaOverflow where one overflows)
     and then the bump terms."""
     v = np.asarray(v, dtype=complex)
@@ -229,16 +227,15 @@ def _bump_df(b: Bump, v) -> np.ndarray:
 
 
 def _bump_df_refused(b: Bump, s):
-    """Whether `_check_strip` refuses complex evaluation of a bump term at s
-    (off the axis, beyond the strip or within the support-edge margin): a bool
-    at a point, elementwise over an ndarray."""
+    """Whether `_check_edges` refuses complex evaluation of a bump term at s (off
+    the axis and within `BUMP_EDGE_MARGIN` of |w| = 1): a bool at a point,
+    elementwise over an ndarray."""
     w_re = (s.real - b.c_star) / b.eta
-    return (s.imag != 0.0) & ((abs(s.imag) > b.strip * (1.0 + 1e-12))
-                              | (abs(abs(w_re) - 1.0) < BUMP_EDGE_MARGIN))
+    return (s.imag != 0.0) & (abs(abs(w_re) - 1.0) < BUMP_EDGE_MARGIN)
 
 
 def _evaluate(profile: VelocityProfile, v, df: bool):
-    v = _check_strip(profile, v)
+    v = _check_edges(profile, v)
     out = _eval_raw(profile, v, df)
     if np.all(np.imag(v) == 0.0):
         out = np.real(out) + 0.0j
@@ -272,24 +269,6 @@ def resolution_scale(profile: VelocityProfile) -> float:
     """Smallest velocity feature size (quadrature panel sizing hint)."""
     return min([g.width for g in profile.gaussians]
                + [0.5 * b.eta for b in profile.bumps])
-
-
-def analyticity_breakpoints(profile: VelocityProfile) -> tuple[float, ...]:
-    """Panel edges that must be honored when integrating across this profile,
-    in increasing order.
-
-    The compact bump is smooth but not analytic at its support edges; panels
-    are pinned there and graded geometrically into the support so Gauss
-    quadrature keeps spectral accuracy.
-    """
-    return tuple(sorted({x for b in profile.bumps for x in b.breakpoints}))
-
-
-def _bump_breakpoints(eta: float, c_star: float) -> tuple[float, ...]:
-    """The support edges of a bump and 8 panel edges graded geometrically into each."""
-    lo, hi = c_star - eta, c_star + eta
-    hs = [eta * 2.0 ** (-j) for j in range(1, 9)]
-    return tuple(sorted([lo, hi, *(lo + h for h in hs), *(hi - h for h in hs)]))
 
 
 def moment(profile: VelocityProfile, order: int) -> float:

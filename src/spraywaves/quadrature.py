@@ -21,16 +21,18 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   One path serves a point and an array alike: the points are taken as a 1-D
   array (one element for a point), and g(s), the log terms and the sum over
   the nodes, in real arithmetic, run over all ordinary points at once, in
-  blocks of (s, node) pairs that stay in cache. Where g(s) is refused (the
-  edge margin, beyond the strip) at least 10 node gaps above the axis, c = 0:
-  the nodes resolve g(v)/(v - s) there as it stands. Points within 1e-2 of a
-  node weight of a node, where the sum would lose digits, and refused points
-  closer to the axis go one at a time through `_pinned_part`: panel edges
-  pinned at Re s and Re s +- w, and c = g(Re s) where g(s) is refused, which
-  is exact above the axis, within O(Im s) just below it and refused farther
-  down. Far from the support, where the plain node sum is the continued value,
-  34 cached moments of the nodes give that sum (`_far_sum`; Greengard &
-  Rokhlin 1987, J. Comput. Phys. 73, 325).
+  blocks of (s, node) pairs that stay in cache. g(s) has a value at any s off
+  the support edges, so below the axis the residue 2 i pi g(s) holds at any
+  depth in the support column (0 off it). Where g(s) is refused (the edge
+  margin) at least 10 node gaps above the axis, c = 0: the nodes resolve
+  g(v)/(v - s) there as it stands. Points within 1e-2 of a node weight of a
+  node, where the sum would lose digits, and refused points closer to the axis
+  go one at a time through `_pinned_part`: panel edges pinned at Re s and
+  Re s +- w, and c = g(Re s) where g(s) is refused, which is exact above the
+  axis, within O(Im s) just below it and refused farther down. Far from the
+  support, where the plain node sum is the continued value, 34 cached moments
+  of the nodes give that sum (`_far_sum`; Greengard & Rokhlin 1987, J. Comput.
+  Phys. 73, 325).
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
 def _bump_gate(bump: profiles.Bump, sigma: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                near: float, plain: float, scale: float):
     """(refused, pinned) for a bump term elementwise over a 1-D array of sigma:
-    refused where g(sigma) is (the edge margin, beyond the strip), pinned where
+    refused where g(sigma) is (the edge margin off the axis), pinned where
     the sum goes on `_pinned_part`'s panels instead of the node sum with c =
     g(sigma): within 1e-2 of a node weight of a node, or refused below `plain`.
     Refused at least `plain` above the axis, nothing is subtracted (c = 0):
@@ -212,7 +214,7 @@ def _bump_gate(bump: profiles.Bump, sigma: np.ndarray, vs: np.ndarray, ws: np.nd
     refused = profiles._bump_df_refused(bump, sigma)
     # above the axis any constant subtracts exactly, and close below it
     # g(Re sigma) stands in for the continuation (exact up to O(Im sigma));
-    # farther down the residue 2 i pi g(sigma) needs the strip
+    # farther down the residue 2 i pi g(sigma) has no value at a support edge
     deep = refused & (sigma.imag < -_AXIS_FALLBACK_FRACTION * scale)
     if deep.any():
         raise StripViolation("complex evaluation of the bump term refused at "

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the code paths they check: the Dawson
 function comes from its Taylor series, dense line integrals from scipy's
-adaptive quadrature, and the lower-branch continuation from quadrature along
-an explicitly deformed contour.
+adaptive quadrature, the lower-branch continuation from quadrature along an
+explicitly deformed contour, and 30-digit transforms off the axis from mpmath
+with f' written afresh from the parts' parameters.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
@@ -182,3 +184,38 @@ def bump_oracle(profile: VelocityProfile, weight, sigma: complex, reach: float =
     if sigma.imag < 0.0:
         val += 2j * math.pi * g(np.array([sigma]))[0]
     return val
+
+
+def mp_transform(profile: VelocityProfile, weight, sigma: complex) -> complex:
+    """Continued int p(v) f'(v)/(v - sigma) dv at sigma off the axis, to 30 digits
+    by mpmath: the line integral (split at Re sigma and the bump edges) plus,
+    below the axis, 2 i pi p(sigma) f'(sigma) of each Gaussian part and of each
+    bump term whose support column holds sigma (0 off it). The bump shape is
+    C (1 + w)^2 exp(-1/(1 - w^2)), with C from an mpmath integral."""
+    with mp.workdps(30):
+        s = mp.mpc(sigma)
+        norm = 1 / mp.quad(lambda w: (1 + w) ** 2 * mp.exp(-1 / (1 - w * w)), [-1, 1])
+
+        def gauss_df(part, v):
+            z = (v - part.drift) / part.width
+            return (-part.coef * part.mass * z / (mp.sqrt(2 * mp.pi) * part.width**2)
+                    * mp.exp(-z * z / 2))
+
+        def bump_df(b, v):
+            w = (v - b.c_star) / b.eta
+            if not abs(mp.re(w)) < 1:
+                return 0
+            q = 1 - w * w
+            return (b.coef * b.eps * b.m0 * norm / b.eta**2 * mp.exp(-1 / q)
+                    * (2 * (1 + w) - 2 * w * (1 + w) ** 2 / q**2))
+
+        def pdf(v):
+            return (sum(c * v**k for k, c in enumerate(weight))
+                    * (sum(gauss_df(g, v) for g in profile.gaussians)
+                       + sum(bump_df(b, v) for b in profile.bumps)))
+
+        cuts = sorted({s.real, *(mp.mpf(e) for b in profile.bumps for e in b.support)})
+        val = mp.quad(lambda v: pdf(v) / (v - s), [-mp.inf, *cuts, mp.inf])
+        if s.imag < 0:
+            val += 2j * mp.pi * pdf(s)
+        return complex(val)

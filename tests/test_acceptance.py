@@ -104,7 +104,7 @@ class TestAcceptance:
                f"remainder ratio {ratio:.2f} (need in [50, 80])")
 
     def test_06_instability_cross_validation(self, bump_params, bump_profile):
-        region = SearchRegion(-7.0, 7.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
+        region = SearchRegion(-7.0, 7.0, 1e-6, 0.12)
         roots = [r for r in find_roots(bump_params, bump_profile, region, tol=1e-10)
                  if r.sigma.imag > 0]
         assert roots, "no unstable root found"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from conftest import system_mode_sigmas
+from conftest import mp_transform, system_mode_sigmas
 from spraywaves import cli, dispersion, hyperbolic, modesim, profiles
 from spraywaves.dispersion import SearchRegion
 from spraywaves.errors import SprayWaveError, StripViolation
@@ -206,7 +206,7 @@ class TestExitCodes:
         ("roots", "maxwellian-stable",
          {"profile": {"kind": "bump_on_tail", "eps": 0.05, "eta": 1e-300,
                       "c_star": 1.5, "base": {"kind": "maxwellian"}}}),
-        ("roots", "bump-unstable", {"region": {"im_min": -0.3}}),   # bump strip 0.25
+        ("simulate", "maxwellian-stable", {"sim": {"dt": 0.5}}),   # above the CFL bound
         ("simulate", "maxwellian-stable", {"profile": {"width": 1e-300}}),
         ("simulate", "maxwellian-stable", {"params": {"c0": 1e-300}}),
         ("roots", "maxwellian-stable", {"params": {"c0": 10**400}}),
@@ -556,9 +556,10 @@ class TestRootsCommand:
         assert len(roots) >= 1
         assert any(r["im_sigma"] > 0 for r in roots)
 
-    def test_upper_box_beyond_the_strip_accepted(self, tmp_path):
-        # the upper branch needs no strip: only a box reaching below the axis
-        # beyond it is refused
+    def test_upper_box_above_half_eta_accepted(self, tmp_path, capsys):
+        # a box may reach any height above the axis and any depth below it
+        # inside the support column (4.5, 5.5); one that crosses a support edge
+        # below the axis is refused
         cfg = {"profile": {"kind": "bump_on_tail", "eps": 0.3, "eta": 0.5, "c_star": 5.0,
                            "base": {"kind": "maxwellian"}},
                "params": {"c0": 5.0, "rho0": 1.0, "kappa": 0.05},
@@ -574,7 +575,43 @@ class TestRootsCommand:
         cfg["region"]["im_min"] = -0.3
         cfgfile.write_text(json.dumps(cfg))
         assert main(["roots", "--config", str(cfgfile), "--out", str(out),
-                     "--quiet"]) == 2
+                     "--quiet"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "StripViolation"
+        cfg["region"]["re_min"] = 4.53
+        cfgfile.write_text(json.dumps(cfg))
+        assert main(["roots", "--config", str(cfgfile), "--out", str(out),
+                     "--quiet"]) == 0
+        (again,) = read_json(out / "roots.json")
+        assert complex(again["re_sigma"], again["im_sigma"]) == pytest.approx(
+            complex(root["re_sigma"], root["im_sigma"]), abs=1e-12)
+
+    @pytest.mark.parametrize("im_min", [-0.2, -0.3])
+    def test_box_across_a_bump_edge_below_the_axis_exits_3(self, tmp_path, capsys,
+                                                           im_min):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"region": {
+            "re_min": 4.0, "re_max": 6.0, "im_min": im_min, "im_max": 0.1}}))
+        assert main(["roots", "--scenario", "bump-unstable", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["exit_code"]) == ("StripViolation", 3)
+        assert err["message"] == ("complex evaluation of the bump term refused at "
+                                  f"{complex(4.5, im_min)}")
+
+    @pytest.mark.parametrize("region", [
+        {"re_min": 4.7, "re_max": 5.3, "im_min": -0.5, "im_max": 0.1},
+        {"re_min": 4.5, "re_max": 5.0, "im_min": -0.01, "im_max": 0.3}])
+    def test_bump_root_from_boxes_past_half_eta(self, tmp_path, region):
+        # below the axis inside the support column, and across the axis with a
+        # top above eta / 2: both boxes hold the bump-unstable root
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"region": region}))
+        out = tmp_path / "out"
+        assert main(["roots", "--scenario", "bump-unstable", "--config", str(cfgfile),
+                     "--out", str(out), "--quiet"]) == 0
+        (root,) = read_json(out / "roots.json")
+        assert complex(root["re_sigma"], root["im_sigma"]) == pytest.approx(
+            4.973115 + 0.060201j, abs=1e-6)
 
     def run_roots(self, tmp_path, cfg):
         cfgfile = tmp_path / "c.json"
@@ -1209,18 +1246,19 @@ class TestStabilityCheckCommand:
         assert abs(omega - self.wofz_root(omega, 1.0, -1.0)) <= 1e-10
         assert omega == pytest.approx(0.458695 - 0.154617j, abs=1e-6)
 
-    def test_root_square_beyond_the_bump_strip_exits_3(self, tmp_path, capsys):
-        # on the bump at lambda0 = 5, kappa = -2 Newton's path leaves the bump
-        # strip (0.25) below the axis
+    def test_bump_root_whose_newton_path_dips_below_the_axis(self, tmp_path):
+        # on the bump at lambda0 = 5, kappa = -2 Newton's path passes 0.38 below
+        # the axis inside the support column; the certified root solves
+        # G(omega) = omega - lambda0 + kappa C[v f'](omega) against mpmath
         bump = {"kind": "bump_on_tail", "eps": 0.05, "eta": 0.5, "c_star": 5.0,
                 "base": {"kind": "maxwellian"}}
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"profile": bump,
-                                       "scalar": {"lambda0": 5.0, "kappa": -2}}))
-        assert main(["stability-check", "--scenario", "scalar-coupling", "--config",
-                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"]) == 3
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert (err["type"], err["exit_code"]) == ("StripViolation", 3)
+        root = self.run_scalar(tmp_path, {"profile": bump, "scalar": {
+            "lambda0": 5.0, "kappa": -2}})["scalar"]["root"]
+        omega = complex(root["re_omega"], root["im_omega"])
+        assert root["winding_evidence"] == 1
+        assert omega == pytest.approx(4.798376 + 0.589773j, abs=1e-6)
+        g = omega - 5.0 - 2.0 * mp_transform(build_profile(bump), (0.0, 1.0), omega)
+        assert abs(g) <= 1e-13
 
     @pytest.mark.parametrize("lambda0", [1.0, 0.5])
     def test_large_kappa_falls_back_to_the_tracked_root(self, tmp_path, lambda0):

@@ -145,17 +145,55 @@ class TestRootCounting:
         region = SearchRegion(-6.0, 6.0, 1e-6, 0.4)
         assert count_roots(params, wide, region) == 0
 
-    def test_region_beyond_bump_strip_rejected(self, bump_params, bump_profile):
-        # below the axis beyond the bump strip (0.25), wherever the box lies
-        for box in (SearchRegion(4.0, 6.0, -0.3, 0.1),
-                    SearchRegion(-1.0, 1.0, -2.0, 2.0)):
+    def test_region_across_a_bump_edge_below_the_axis_rejected(self, bump_params,
+                                                              bump_profile):
+        # a box whose contour crosses a support edge (4.5, 5.5) below the axis,
+        # at any depth and however wide the sample spacing, is refused; a box
+        # off the support column reaches any depth
+        for box in (SearchRegion(4.0, 6.0, -0.3, 0.1), SearchRegion(4.0, 6.0, -0.2, 0.1),
+                    SearchRegion(-46.05, 53.95, -0.5, 0.1),
+                    SearchRegion(4.7, 30.0, -5.0, 0.1)):
             with pytest.raises(StripViolation):
                 count_roots(bump_params, bump_profile, box)
+        assert count_roots(bump_params, bump_profile,
+                           SearchRegion(-1.0, 1.0, -2.0, 2.0)) == 0
+
+    def test_box_across_the_axis_reaches_above_eta_over_2(self):
+        # the bump eps = 0.05, eta = 0.5, c* = 4.6 at c0 = 5, kappa = 2.5e-3: a box
+        # crossing the axis inside the support column counts its root whatever
+        # its top (its bottom alone goes below the axis)
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 4.6)
+        params = make_params(profile, c0=5.0, rho0=1.0, kappa=2.5e-3)
+        for im_max in (0.2, 0.3, 1.0):
+            box = SearchRegion(4.5, 5.0, -0.01, im_max)
+            assert count_roots(params, profile, box) == 1
+
+    def test_bump_root_from_a_box_reaching_below_eta_over_2(self, bump_params,
+                                                            bump_profile):
+        box = SearchRegion(4.7, 5.3, -0.5, 0.1)
+        (root,) = find_roots(bump_params, bump_profile, box)
+        assert root.sigma == pytest.approx(4.973115 + 0.060201j, abs=1e-6)
+
+    def test_wide_box_below_the_axis_sees_every_residue(self):
+        # two-stream parts 0.4 wide at c0 = 2: beyond R = 1024 feature scales
+        # the uniform edge step exceeds the parts, whose residues below the
+        # axis the support sampling still meets
+        profile = profiles.profile_sum(profiles.maxwellian(0.5, -1.5, 0.4),
+                                       profiles.maxwellian(0.5, 1.5, 0.4))
+        params = make_params(profile, c0=2.0, rho0=1.0, kappa=0.05)
+        for r in (10.0, 1000.0, 5000.0, 20000.0):
+            assert count_roots(params, profile, SearchRegion(-r, r, -0.5, 0.5)) == 4
+        deep = SearchRegion(-5050.0, 5050.0, -1.0, 0.5)
+        assert count_roots(params, profile, deep) == 8
+        # a support too long to sample at the feature scale refuses
+        tiny = make_params(profile, c0=1e-6, rho0=1.0, kappa=0.05)
+        with pytest.raises(BoundaryRoot):
+            count_roots(tiny, profile, SearchRegion(-10.0, 10.0, -0.5, 0.5))
 
     def test_wide_region_certifies_single_bump_root(self, bump_params, bump_profile):
         # large rectangle: boundary sampling must not alias the localized
         # phase swing near the root at Re sigma ~ 5
-        wide = SearchRegion(-30.0, 30.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
+        wide = SearchRegion(-30.0, 30.0, 1e-6, 0.12)
         assert count_roots(bump_params, bump_profile, wide) == 1
 
     def test_upper_box_is_never_dilated_below_the_axis(self, acoustic_params,
@@ -233,7 +271,7 @@ class TestFindRoots:
         assert s1 == pytest.approx(-np.conj(s2), abs=1e-9)
 
     def test_bump_instability_root(self, bump_params, bump_profile):
-        region = SearchRegion(-7.0, 7.0, 1e-6, 0.48 * bump_profile.strip_halfwidth)
+        region = SearchRegion(-7.0, 7.0, 1e-6, 0.12)
         reports = find_roots(bump_params, bump_profile, region, tol=1e-10)
         assert len(reports) == 1
         assert reports[0].sigma.imag > 0
@@ -494,9 +532,8 @@ class TestPurelyGrowingRoots:
 
 
 class TestStrongBumpRoots:
-    """The two bump profiles whose unstable roots lie above half the strip
-    (ROADMAP defect 1): an upper box needs no strip, so a box that reaches them
-    counts and finds them."""
+    """The two bump profiles whose unstable roots lie above eta / 2: a box that
+    reaches them counts and finds them."""
 
     # (eps, eta, kappa) of a bump at c* = c0 = 5, the box, the root to 3 digits
     CASES = {
@@ -524,7 +561,7 @@ class TestStrongBumpRoots:
         (eps, eta, kappa), region, want = self.CASES[case]
         profile = profiles.make_bump_on_tail(profiles.maxwellian(), eps, eta, 5.0)
         params = make_params(profile, c0=5.0, rho0=1.0, kappa=kappa)
-        assert region.im_max > profile.strip_halfwidth
+        assert region.im_max > 0.5 * eta
         assert count_roots(params, profile, region) == 1
         (root,) = find_roots(params, profile, region)
         assert abs(root.sigma.real - want.real) < 5e-4

@@ -363,6 +363,18 @@ class TestIntegrate:
             integrate(acoustic_params, std_maxwellian,
                       acoustic_state(acoustic_params, 1.0, cfg), cfg)
 
+    def test_default_config_refuses_dt_above_the_cfl_bound(self, acoustic_params,
+                                                           std_maxwellian):
+        # a given dt is an input: above the bound it is refused as a bad value
+        base = default_sim_config(acoustic_params, std_maxwellian, 1.0, 2.0)
+        limit = modesim.cfl_limit(acoustic_params, base, 1.0)
+        assert base.dt == 0.9 * limit
+        assert default_sim_config(acoustic_params, std_maxwellian, 1.0, 2.0,
+                                  dt=limit).dt == limit
+        with pytest.raises(ValueError):
+            default_sim_config(acoustic_params, std_maxwellian, 1.0, 2.0,
+                               dt=1.01 * limit)
+
     def test_recurrence_guard(self, acoustic_params, std_maxwellian):
         cfg = SimConfig(nv=256, v_bounds=(-10.0, 10.0), dt=5e-3, t_final=200.0,
                         fit_window=(10.0, 20.0))

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (bump_oracle, contour_deformed_integral, dawson_series,
-                      dense_line_integral, profile_integrand)
+                      dense_line_integral, mp_transform, profile_integrand)
 from scipy import integrate as scipy_integrate
 from scipy.special import wofz
 
@@ -200,9 +201,9 @@ class TestCauchyTransform:
 
 
 class TestStripContract:
-    """Only bump terms have a strip, and only the lower branch needs it: beyond
-    it StripViolation, above the axis a value at any height. A Gaussian part is
-    entire: its closed form holds on the whole lower branch, up to
+    """A bump term refuses only at its support edges below the axis
+    (StripViolation), and above the axis has a value at any height. A Gaussian
+    part is entire: its closed form holds on the whole lower branch, up to
     FaddeevaOverflow."""
 
     @pytest.mark.parametrize("sigma", [0.5 - 0.6j, 1.0 - 1.2j, 2.0 - 2.0j, -1.5 - 2.5j,
@@ -223,7 +224,6 @@ class TestStripContract:
     def test_maxwellian_sum_has_no_strip(self):
         parts = [(0.5, -2.0, 0.6), (0.5, 2.0, 1.0)]
         profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
-        assert profile.strip_halfwidth == math.inf
         for sigma in (1.0 - 0.31j, 1.0 - 3.0j):
             want = sum(maxwellian_closed_form(sigma, *p) for p in parts)
             val = cauchy_transform(profile, (0.0, 1.0), sigma)
@@ -231,14 +231,19 @@ class TestStripContract:
         with pytest.raises(FaddeevaOverflow):
             cauchy_transform(profile, (0.0, 1.0), 1.0 - 40.0j)
 
-    def test_bump_strip_is_half_eta_on_a_gaussian_base(self, bump_profile):
-        narrow_base = profiles.make_bump_on_tail(profiles.maxwellian(width=0.2),
-                                                 eps=0.05, eta=5.0, c_star=5.0)
-        assert (bump_profile.strip_halfwidth, narrow_base.strip_halfwidth) == (0.25, 2.5)
+    def test_bump_term_is_cut_at_its_own_edges_only(self, bump_profile):
+        # a term's integrand is smooth at another term's edges
+        on_a_bump = profiles.make_bump_on_tail(bump_profile, 0.1, 0.3, 3.0)
+        for bump in on_a_bump.bumps:
+            lo, hi = bump.support
+            assert bump.breakpoints[0] == lo and bump.breakpoints[-1] == hi
+            assert len(bump.breakpoints) == 18
+        assert {f.name for f in dataclasses.fields(profiles.Bump)} == {
+            "coef", "eps", "eta", "c_star", "m0"}
 
-    @pytest.mark.parametrize("sigma", [4.0 - 0.3j, 4.49 - 0.1j, 5.5 - 0.02j])
+    @pytest.mark.parametrize("sigma", [4.52 - 3.0j, 4.49 - 0.1j, 5.5 - 0.02j])
     def test_bump_lower_branch_raises(self, bump_profile, sigma):
-        # beyond the bump strip (0.25), or in the edge margin away from the axis
+        # in the edge margin below the axis, at any depth
         with pytest.raises(StripViolation):
             cauchy_transform(bump_profile, (0.0, 1.0), sigma)
 
@@ -251,6 +256,26 @@ class TestStripContract:
                      for lo, hi in zip(edges[:-1], edges[1:]))
         assert cauchy_transform(bump_profile, (0.0, 1.0), sigma) == \
             pytest.approx(oracle, rel=1e-12)
+
+
+class TestBumpLowerBranchOracle:
+    """A bump term's continuation below the axis is the plain integral plus
+    2 i pi g(sigma) inside its support column, however deep, and the plain
+    integral off it: against 30-digit mpmath, at a point and as an array."""
+
+    # the bump term of the bump_profile fixture (eta = 0.5, column 4.5 < Re < 5.5):
+    # in the column down to 2 eta and below, off the support, and above eta / 2
+    SIGMAS = [5.0 - 0.4j, 4.8 - 0.7j, 5.3 - 0.9j, 5.0 - 1.0j, 4.6 - 1.0j, 5.0 - 10.0j,
+              3.0 - 0.8j, 7.0 - 1.5j, 4.4 - 0.3j, 5.6 - 2.0j, 5.0 + 0.3j, 4.7 + 0.6j]
+
+    @pytest.mark.parametrize("weight", [(0.0, 1.0), (1.0,)])
+    def test_against_mpmath(self, bump_profile, weight):
+        term = profiles.VelocityProfile((), bump_profile.bumps)
+        want = np.array([mp_transform(term, weight, s) for s in self.SIGMAS])
+        points = np.array([cauchy_transform(term, weight, s) for s in self.SIGMAS])
+        array = cauchy_transform(term, weight, np.array(self.SIGMAS))
+        for got in (points, array):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestFaddeevaOracle:
@@ -671,10 +696,10 @@ ARRAY_WEIGHTS = [(1.0,), (0.0, 1.0), (1.0, 0.0, 1.0)]
 
 def branch_points(profile, weight):
     """Points on all three branches: a grid over Re sigma in [-8, 8] at nine
-    heights within h (the axis and 1e-13 off it among them), h the bump strip or
-    half the narrowest width, the bump edge margin above the axis, and points
+    heights within h (the axis and 1e-13 off it among them), h half the
+    narrowest width or eta, the bump edge margin above the axis, and points
     near a node of the fused bump sum."""
-    strip = min(profile.strip_halfwidth, 0.5 * profiles.narrowest_width(profile))
+    strip = 0.5 * profiles.narrowest_width(profile)
     heights = [0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
                -0.3 * strip, -0.99 * strip]
     pts = [complex(re, im) for im in heights for re in np.linspace(-8.0, 8.0, 97)]
@@ -737,8 +762,8 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
     def test_bump_refusals_match_scalar(self, bump_profile, weight):
-        # the edge margin and beyond the strip below the axis refuse; one such
-        # point among ordinary ones refuses the whole array
+        # the edge margin below the axis refuses; one such point among
+        # ordinary ones refuses the whole array
         pts = branch_points(bump_profile, weight) + [4.52 - 0.1j, 5.49 - 0.2j, 4.8 - 0.3j]
         scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z),
                                pts)
@@ -754,10 +779,10 @@ class TestArrayPath:
         # all three branches over Re sigma within 2 of the support (farther out
         # the Maxwellian closed form's own array/scalar ulps dominate), exact
         # node hits and points 1e-10 from a node, the edge margin, outside the
-        # support and above the strip; then runs of ordinary points one short
+        # support and above eta / 2; then runs of ordinary points one short
         # of, on and one past block boundaries, and an empty array
         node, w = bump_node(bump_profile, weight, 5.2)
-        strip = bump_profile.strip_halfwidth
+        strip = 0.25                # eta / 2
         pts = [complex(re, im) for re in np.linspace(3.0, 7.0, 81)
                for im in (0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
                           -0.3 * strip, -0.99 * strip)] + [
@@ -787,7 +812,7 @@ class TestArrayPath:
         monkeypatch.setattr(quadrature, "_subtracted_sums", refuse)
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
         monkeypatch.setattr(quadrature, "_far_sum", refuse)
-        for deep in (4.52 - 0.1j, 4.8 - 0.3j):
+        for deep in (4.52 - 0.1j, 5.49 - 3.0j):
             mixed = np.array([4.8 + 0.05j, 4.8, 8.0 + 0.05j, deep, 4.8 - 0.05j])
             with pytest.raises(StripViolation):
                 cauchy_transform(bump_profile, (0.0, 1.0), mixed)

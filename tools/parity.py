@@ -9,7 +9,9 @@ the NEW results lie from the OLD ones:
   that crosses every branch, including the bump edges, at heights pinned to
   the strips the profiles had while every Gaussian part declared one (half
   its width: 0.5, 0.25 and 0.3), so both trees evaluate the same points;
-  exceptions must match by type, and values within D_TOL max(1, |D|). The
+  exceptions must match by type, and values within D_TOL max(1, |D|), except
+  that the points (and arrays) OLD refuses with StripViolation and NEW
+  evaluates, as a tree without a bump strip does, are counted on one line. The
   bump edge margin (within 0.05 eta of c* +- eta) is reported apart. The grid
   is evaluated point by point and again as one array per profile and height,
   so the array path (blocked bump sums, far-field series) is compared with the
@@ -36,11 +38,12 @@ the NEW results lie from the OLD ones:
   (reported as built in that tree only): f and f' on a real grid (one array
   call) and off it (point by point, at +-0.3 and +-0.9 of a height pinned to
   the strip the profile had while every Gaussian part declared one), moments
-  0 and 2, support bounds, resolution scale and the set of breakpoints. The
-  single-level ones must match exactly, exceptions by type; for the nested
-  three the largest differences |new - old| / max |old| are printed, with the
-  number of points that only one tree refuses. The narrowest bump strip is
-  printed where it differs.
+  0 and 2, support bounds, resolution scale and the set of the bump terms'
+  breakpoints. The single-level ones must match exactly, exceptions by type;
+  for the nested three the largest differences |new - old| / max |old| are
+  printed, with the number of points that only one tree refuses. The narrowest
+  bump strip (inf in a tree whose bump terms have none) is printed where it
+  differs.
 - Root counts: `count_roots` on the verdict box of each of the three
   profiles and, in a tree whose `maxwellian` takes `strip_halfwidth`, of a
   kappa = 0.95 two-stream sum whose declared strip (4) is wider than its parts
@@ -58,9 +61,8 @@ the NEW results lie from the OLD ones:
   below half its width), each with kappa in {0, 1e-3, -5e-3, 0.05}; sigma,
   residual, winding evidence and Newton count (or the exception type) must
   match exactly, and so must the Python types of sigma and residual, except
-  where OLD refused a Maxwellian law with StripViolation and NEW certifies a
-  root with winding evidence 1: that is printed as the declared strip's
-  removal. The leading
+  where OLD refused a law with StripViolation and NEW certifies a root with
+  winding evidence 1: that is printed as a strip's removal. The leading
   Im omega of `stability-check` is compared with the artifacts, on the bundled
   scalar law (lambda0 = 1) and on three more.
 - Tracked roots: `stability_necessary_condition` and `track_secular_root` on
@@ -163,11 +165,13 @@ for name, single, prof, strip in cases:
                     values[label].append([v.real, v.imag])
                 except Exception as e:
                     values[label].append(type(e).__name__)
-    # the narrowest bump strip, read the same way in both trees
-    bump_strip = min((b.strip for b in prof.bumps), default=math.inf)
+    # the narrowest bump strip and the breakpoints, read the same way in both
+    # trees (inf where bump terms have no strip)
+    bump_strip = min((getattr(b, "strip", math.inf) for b in prof.bumps),
+                     default=math.inf)
     out.append([name, single, values, [p.moment(prof, 0), p.moment(prof, 2)],
                 list(p.support_bounds(prof)), p.resolution_scale(prof),
-                sorted(set(p.analyticity_breakpoints(prof))), bump_strip])
+                sorted({x for b in prof.bumps for x in b.breakpoints}), bump_strip])
 print(json.dumps(out))
 '''
 
@@ -393,7 +397,11 @@ def d_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     (old, old_arrays), (new, new_arrays) = (json.loads(run(D_GRID, src))
                                             for src in (old_src, new_src))
     worst = worst_edge = worst_array = 0.0
+    new_only = [0, 0]        # points and arrays OLD refuses and NEW evaluates
     for a, b in zip(old_arrays, new_arrays):
+        if a[2:] == ["StripViolation"] and len(b) == 4:
+            new_only[1] += 1
+            continue
         if len(a) == 3 or len(b) == 3:
             found.expect(a == b, "D(sigma) arrays", (a, b))   # identical exceptions
             continue
@@ -402,6 +410,9 @@ def d_parity(old_src: str, new_src: str, found: Mismatches) -> None:
                           float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va)))))
     for a, b in zip(old, new):
         name, re, im = a[:3]
+        if a[3:] == ["StripViolation"] and len(b) == 5:
+            new_only[0] += 1
+            continue
         if len(a) == 4 or len(b) == 4:
             found.expect(a == b, "D(sigma)", (a, b))          # identical exceptions
             continue
@@ -414,6 +425,8 @@ def d_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     print(f"D(sigma): {len(old)} points; max |dD|/max(1,|D|) {worst:.1e} off the "
           f"bump edge margin, {worst_edge:.1e} in it; as {len(old_arrays)} arrays "
           f"{worst_array:.1e}")
+    print(f"D(sigma): {new_only[0]} points and {new_only[1]} arrays refused by OLD "
+          f"(StripViolation) are evaluated by NEW only")
     found.expect(max(worst, worst_edge, worst_array) <= D_TOL, "D(sigma)", "moved")
 
 
@@ -501,8 +514,8 @@ def scalar_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (json.loads(run(SCALAR, src)) for src in (old_src, new_src))
     same = []
     for a, b in zip(old, new):
-        if a[0] == "mx" and a[3:] == ["StripViolation"] and len(b) > 4 and b[6] == 1:
-            # a Gaussian part has no strip: a law it once refused has its root
+        if a[3:] == ["StripViolation"] and len(b) > 4 and b[6] == 1:
+            # a law a strip once refused has its root
             print(f"scalar law {a[:3]}: StripViolation -> root "
                   f"{complex(*b[3:5]):.12g}, evidence 1, residual {b[5]:.1e}")
         elif found.expect(a == b, "scalar laws", f"{a} -> {b}"):   # bit for bit
