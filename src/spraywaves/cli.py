@@ -292,7 +292,8 @@ def _root_near(params, profile, center: float, seed):
     c0/2 (set by center: the seed can change sign at large kappa); else None."""
     func = lambda z: dispersion.dispersion_value(params, profile, z)
     try:
-        root = dispersion._seeded_root(func, seed(), params.c0)
+        root = dispersion._seeded_root(func, seed(), params.c0,
+                                       profiles.bump_edges(profile))
         if root.winding_evidence == 1 and abs(root.sigma.real - center) < 0.5 * params.c0:
             return root
     except SprayWaveError:

@@ -200,7 +200,7 @@ def _winding_number(func, region: SearchRegion, feature_scale: float | None = No
     # edge e holds the samples a_e + (b_e - a_e) t, t = k / n_e (k < n_e), in walk order
     ts = [np.arange(n_e) * (1.0 / n_e) for n_e in n]
     xs, width = [np.array(marks)], region.re_max - region.re_min
-    if support is not None and width / n[0] > feature_scale:
+    if support is not None and region.im_min < 0.0 and width / n[0] > feature_scale:
         lo, hi = max(region.re_min, support[0]), min(region.re_max, support[1])
         if hi - lo > 0.5 * _MAX_BOUNDARY_EVALS * feature_scale:
             raise BoundaryRoot("contour too long to sample at the feature scale")
@@ -266,9 +266,8 @@ def count_roots(params: SprayParams, profile: VelocityProfile,
     the axis StripViolation (`quadrature._bump_gate`)."""
     # feature scale: half the smaller of c0 and half the narrowest width or eta
     scale = 0.5 * min(params.c0, 0.5 * profiles.narrowest_width(profile))
-    edges = tuple(x for b in profile.bumps for x in b.support)
     return _winding_number(lambda z: _pole_free(params, profile, z), region, scale,
-                           profiles.support_bounds(profile), edges)
+                           profiles.support_bounds(profile), profiles.bump_edges(profile))
 
 
 def _newton(func, z0: complex, tol: float,
@@ -294,15 +293,19 @@ def _newton(func, z0: complex, tol: float,
     raise NonConvergence(f"Newton stalled at |D| = {abs(fz):.3g} (tol {tol:.3g})")
 
 
-def _seeded_root(func, seed: complex, scale: float) -> RootReport:
+def _seeded_root(func, seed: complex, scale: float,
+                 marks: tuple[float, ...]) -> RootReport:
     """Newton on func from the seed to |func| <= 1e-12 within scale/2 of it, then
     a winding count of func (the report's evidence, for the caller to check) on
     the square of half-width max(1e-3 scale, |Im z|/2) around the iterate z: an
-    upper root's square stays above the axis."""
+    upper root's square stays above the axis. A lower square also samples the
+    ``marks`` (the bump support edges of func's profile), so that one crossing
+    an edge is refused as `count_roots` refuses it."""
     z, iters = _newton(func, seed, 1e-12, trust_radius=0.5 * scale)
     half = max(1e-3 * scale, 0.5 * abs(z.imag))
     evidence = _winding_number(func, SearchRegion(z.real - half, z.real + half,
-                                                  z.imag - half, z.imag + half))
+                                                  z.imag - half, z.imag + half),
+                               marks=marks)
     return RootReport(sigma=z, residual=abs(func(z)),
                       branch=quadrature.classify_branch(z), winding_evidence=evidence,
                       newton_iters=iters)

@@ -120,11 +120,11 @@ def scalar_root(s: SystemCoupling) -> RootReport:
     converge from that seed (at large kappa), once more from the tracked root."""
     lambda0 = s.eigenpairs[0][0]
     func = lambda z: pole_free_secular(s, 0, s.kappa, z)
-    scale = max(1.0, abs(lambda0))
+    scale, edges = max(1.0, abs(lambda0)), profiles.bump_edges(s.profile)
     try:
-        return _seeded_root(func, lambda0 + func(lambda0), scale)
+        return _seeded_root(func, lambda0 + func(lambda0), scale, edges)
     except NonConvergence:
-        return _seeded_root(func, track_secular_root(s, 0, s.kappa), scale)
+        return _seeded_root(func, track_secular_root(s, 0, s.kappa), scale, edges)
 
 
 # ---------------------------------------------------------------------------

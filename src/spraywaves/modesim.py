@@ -148,6 +148,12 @@ def cfl_limit(params: SprayParams, config: SimConfig, k: float) -> float:
     return _CFL_FRACTION / (abs(k) * vmax + abs(k) * params.c0)
 
 
+def _check_cfl(params: SprayParams, config: SimConfig, k: float, exc: type) -> None:
+    limit = cfl_limit(params, config, k)
+    if config.dt > limit * (1.0 + 1e-12):
+        raise exc(f"dt = {config.dt:.3g} exceeds the stability bound {limit:.3g}")
+
+
 def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
                        t_final: float, nv: int = DEFAULT_NV,
                        dt: float | None = None) -> SimConfig:
@@ -158,10 +164,9 @@ def default_sim_config(params: SprayParams, profile: VelocityProfile, k: float,
     cfg = SimConfig(nv=nv, v_bounds=(lo, hi), dt=1.0, t_final=t_final,
                     fit_window=(0.2 * t_final, 0.8 * t_final))
     _check_recurrence(cfg, k)
-    limit = cfl_limit(params, cfg, k)
-    if dt is not None and dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3g} exceeds the stability bound {limit:.3g}")
-    return replace(cfg, dt=0.9 * limit if dt is None else dt)
+    cfg = replace(cfg, dt=0.9 * cfl_limit(params, cfg, k) if dt is None else dt)
+    _check_cfl(params, cfg, k, ValueError)
+    return cfg
 
 
 def acoustic_state(params: SprayParams, k: float, config: SimConfig,
@@ -244,10 +249,7 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     each step is applied in closed form (see _rk4_step_operator).
     """
     k = state0.k
-    if config.dt > cfl_limit(params, config, k) * (1.0 + 1e-12):
-        raise CflViolation(
-            f"dt = {config.dt:.3g} exceeds the stability bound "
-            f"{cfl_limit(params, config, k):.3g}")
+    _check_cfl(params, config, k, CflViolation)
     _check_recurrence(config, k)
     if len(state0.f_hat) != config.nv:
         raise ValueError("state f_hat length does not match config.nv")

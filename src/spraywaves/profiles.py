@@ -260,6 +260,11 @@ def support_bounds(profile: VelocityProfile) -> tuple[float, float]:
     return (min(c - r for c, r in spans), max(c + r for c, r in spans))
 
 
+def bump_edges(profile: VelocityProfile) -> tuple[float, ...]:
+    """The bump terms' support edges, where complex evaluation is refused."""
+    return tuple(x for b in profile.bumps for x in b.support)
+
+
 def narrowest_width(profile: VelocityProfile) -> float:
     """The narrowest Gaussian width or bump eta: the scale of counts and scans."""
     return min([g.width for g in profile.gaussians] + [b.eta for b in profile.bumps])

@@ -613,6 +613,14 @@ class TestRootsCommand:
         assert complex(root["re_sigma"], root["im_sigma"]) == pytest.approx(
             4.973115 + 0.060201j, abs=1e-6)
 
+    def test_wide_upper_box_at_a_tiny_c0_counts(self, tmp_path):
+        # an upper box takes no support samples, so their evaluation cap does
+        # not refuse it however fine the feature scale
+        cfg = {"profile": MAXWELLIAN, "params": {"c0": 1e-3, "rho0": 1.0, "kappa": 0.5},
+               "region": {"re_min": -12.0, "re_max": 12.0, "im_min": 0.1, "im_max": 1.0}}
+        assert self.run_roots(tmp_path, cfg) == 0
+        assert read_json(tmp_path / "out" / "roots.json") == []
+
     def run_roots(self, tmp_path, cfg):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps(cfg))
@@ -1021,7 +1029,7 @@ class TestThinSprayRoots:
         params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=0.3)
         seed = self.seeds(params, profile)[1.0]
         func = lambda z: dispersion.dispersion_value(params, profile, z)
-        stray = dispersion._seeded_root(func, seed(), c0)
+        stray = dispersion._seeded_root(func, seed(), c0, profiles.bump_edges(profile))
         assert stray.sigma.real == pytest.approx(-6.03, abs=0.01)
         with pytest.raises(StripViolation):
             self.box_search(params, profile, c0)

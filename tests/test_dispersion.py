@@ -6,7 +6,7 @@ import pytest
 from scipy.special import wofz
 
 from conftest import bump_oracle, dense_line_integral, profile_integrand
-from spraywaves import dispersion, profiles
+from spraywaves import dispersion, profiles, quadrature
 from spraywaves.dispersion import (SearchRegion, SprayParams, count_roots,
                                    damping_rate_at, dispersion_value, find_roots,
                                    landau_dispersion, make_params, spectral_verdict,
@@ -189,6 +189,31 @@ class TestRootCounting:
         tiny = make_params(profile, c0=1e-6, rho0=1.0, kappa=0.05)
         with pytest.raises(BoundaryRoot):
             count_roots(tiny, profile, SearchRegion(-10.0, 10.0, -0.5, 0.5))
+
+    def test_upper_box_takes_no_support_samples(self):
+        # the support sampling and its evaluation cap serve boxes below the
+        # axis only: a wide upper box at a tiny c0 counts as the walk alone does
+        profile = profiles.profile_sum(profiles.maxwellian(0.5, -1.5, 0.4),
+                                       profiles.maxwellian(0.5, 1.5, 0.4))
+        tiny = make_params(profile, c0=1e-6, rho0=1.0, kappa=0.05)
+        assert count_roots(tiny, profile, SearchRegion(-10.0, 10.0, 0.1, 0.5)) == 0
+        # the verdict box of a narrow far bump spans 2.2e4 at a feature scale of
+        # 2.5e-3, yet is an upper box
+        far = profiles.make_bump_on_tail(profiles.maxwellian(), 0.1, 0.01, 100.0)
+        params = make_params(far, c0=100.0, rho0=1.0, kappa=0.5)
+        assert count_roots(params, far, dispersion.verdict_region(params, far)) == 1
+        assert spectral_verdict(params, far) == "unstable"
+
+    def test_seeded_square_below_the_axis_samples_the_support_edges(self):
+        # a smooth func whose bump sum is weighted by 0 shows no jump at the
+        # edges 4.1 and 5.1 that the square [3.5, 6.5] x [-4.5, -1.5] crosses;
+        # its uniform samples miss the edge margins, the marks do not
+        profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 4.6)
+        z0 = 5.0 - 3.0j
+        func = lambda z: (z - z0) + 0.0 * quadrature.cauchy_transform(profile, (1.0,), z)
+        assert dispersion._seeded_root(func, z0 + 0.05j, 1.0, ()).winding_evidence == 1
+        with pytest.raises(StripViolation):
+            dispersion._seeded_root(func, z0 + 0.05j, 1.0, profiles.bump_edges(profile))
 
     def test_wide_region_certifies_single_bump_root(self, bump_params, bump_profile):
         # large rectangle: boundary sampling must not alias the localized
