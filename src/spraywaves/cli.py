@@ -43,9 +43,6 @@ from .hyperbolic import SystemCoupling
 from .profiles import VelocityProfile
 from .scenarios import SCENARIOS
 
-COMMANDS = ("dispersion-scan", "roots", "thin-spray", "landau-compare",
-            "simulate", "illposed-demo", "stability-check")
-
 DEFAULTS_TABLE = {
     "root_tolerance": dispersion._ROOT_TOL,
     "axis_tolerance": quadrature.AXIS_TOLERANCE,
@@ -83,11 +80,14 @@ def _reading(what: str):
 
 def _num(value, kind=float):
     """A config number as ``kind``: a JSON number (int or float, not a bool) that
-    is a finite double. The file's numbers meet the same rule as it is parsed."""
+    is a finite double, and for int a whole one (40.0 reads as 40). The file's
+    numbers meet the same rule as it is parsed."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"config number must be a JSON number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
         raise ValueError(f"config number {str(value)[:24]} is not a finite double")
+    if kind is int and value % 1:
+        raise ValueError(f"config count must be a whole number, got {value!r}")
     return kind(value)
 
 
@@ -181,19 +181,12 @@ def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams]:
 _GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
 
 
-def _whole(value, what: str) -> int:
-    """A count read from the config: a whole number (40.0 reads as 40)."""
-    if not _num(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _grid_axis(spec, default) -> np.ndarray:
     if spec is None:
         spec = default
     if not isinstance(spec, (list, tuple)) or len(spec) != 3:
         raise ConfigError(f"grid axis must be [lo, hi, n], got {spec!r}")
-    lo, hi, n = _num(spec[0]), _num(spec[1]), _whole(spec[2], "grid axis n")
+    lo, hi, n = _num(spec[0]), _num(spec[1]), _num(spec[2], int)
     if not 1 <= n <= _GRID_MAX_POINTS:
         raise ConfigError(f"grid axis {spec!r} needs 1 to {_GRID_MAX_POINTS} points")
     return np.linspace(lo, hi, n)
@@ -394,7 +387,7 @@ def run_simulate(cfg: dict, out_dir: Path) -> dict:
         t_final = _num(sim["t_final"]) if "t_final" in sim else None
         growth_spans = _num(sim.get("growth_spans", 6.0))
         periods = _num(sim.get("periods", 10.0))
-        nv = _whole(sim.get("nv", modesim.DEFAULT_NV), "sim.nv")
+        nv = _num(sim.get("nv", modesim.DEFAULT_NV), int)
         dt = _num(sim["dt"]) if "dt" in sim else None
         direction = _num(init.get("direction", 1))
         region = build_region(cfg.get("region"), params, profile) \
@@ -444,7 +437,7 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
         s = _num(spec.get("s", 1.0))
         n_exponent = _num(spec.get("n_exponent", 2.0))
         k_list = [_num(k) for k in spec.get("k_list", [8.0, 16.0, 32.0])]
-        nv = _whole(spec.get("nv", modesim.DEFAULT_NV), "illposed.nv")
+        nv = _num(spec.get("nv", modesim.DEFAULT_NV), int)
         modesim.check_scaling_inputs(params, profile, s, n_exponent, k_list, nv)
     try:
         report = modesim.sobolev_scaling_experiment(params, profile, region=region, s=s,
@@ -516,6 +509,7 @@ _HANDLERS = {
     "illposed-demo": run_illposed_demo,
     "stability-check": run_stability_check,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

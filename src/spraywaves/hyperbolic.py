@@ -114,17 +114,12 @@ def scalar_law(lambda0: float, kappa: float, profile: VelocityProfile) -> System
 
 
 def scalar_root(s: SystemCoupling) -> RootReport:
-    """Coupled root of a `scalar_law` by `dispersion._seeded_root` on its P_0 (the
-    function `track_secular_root` solves) from the first-order seed
-    lambda0 + P_0(lambda0), at the scale max(1, |lambda0|); where Newton does not
-    converge from that seed (at large kappa), once more from the tracked root."""
-    lambda0 = s.eigenpairs[0][0]
+    """Coupled root of a `scalar_law`: mode 0's `track_secular_root`, polished and
+    certified by `dispersion._seeded_root` on its P_0 at the scale
+    max(1, |lambda0|)."""
     func = lambda z: pole_free_secular(s, 0, s.kappa, z)
-    scale, edges = max(1.0, abs(lambda0)), profiles.bump_edges(s.profile)
-    try:
-        return _seeded_root(func, lambda0 + func(lambda0), scale, edges)
-    except NonConvergence:
-        return _seeded_root(func, track_secular_root(s, 0, s.kappa), scale, edges)
+    return _seeded_root(func, track_secular_root(s, 0, s.kappa),
+                        max(1.0, abs(s.eigenpairs[0][0])), profiles.bump_edges(s.profile))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 Every profile is one flat mixture of Gaussian parts and bump terms:
 
     f(v) = sum_i a_i m_i / (sqrt(2 pi) w_i) exp(-(v - u_i)^2 / (2 w_i^2))
-         + sum_j b_j (eps_j M_j / eta_j) g((v - c_j) / eta_j),
+         + sum_j (m_j / eta_j) g((v - c_j) / eta_j),
 
-with mixture coefficients a_i, b_j, Gaussian masses m_i, drifts u_i and widths
-w_i, and bump terms of relative mass eps_j, half-width eta_j and centre c_j,
-built on a base of mass M_j. g is a fixed smooth unit-mass bump supported on
-(-1, 1) with g'(0) > 0. Three constructors build every profile:
+with mixture coefficients a_i, Gaussian masses m_i, drifts u_i and widths w_i,
+and bump terms of mass m_j, half-width eta_j and centre c_j. g is a fixed
+smooth unit-mass bump supported on (-1, 1) with g'(0) > 0. Three constructors
+build every profile:
 
 - `maxwellian`: one Gaussian part with a = 1, entire in v.
-- `make_bump_on_tail`: the base's parts with their coefficients times (1 - eps),
-  plus one bump term of coefficient 1 carrying eps * M of the base mass M, so the
+- `make_bump_on_tail`: the base's Gaussian coefficients and bump masses times
+  (1 - eps), plus one bump term of mass eps * M on the base mass M, so the
   total integral is preserved.
 - `profile_sum`: the parts of every component (two-stream style setups).
 
@@ -61,20 +61,18 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class Bump:
-    """coef * (eps * m0 / eta) * g((v - c_star) / eta), the bump term on a base
-    of mass m0; complex evaluation is refused near its support edges only."""
+    """(mass / eta) * g((v - c_star) / eta); complex evaluation is refused near
+    its support edges only."""
 
-    coef: float
-    eps: float
+    mass: float
     eta: float
     c_star: float
-    m0: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.eps, self.eta, self.c_star))):
-            raise ValueError("eps, eta and c_star must be finite")
-        if not math.isfinite(self.eps * self.m0 / self.eta / self.eta):
-            raise ValueError("bump derivative scale eps m0 / eta**2 overflows")
+        if not all(map(math.isfinite, (self.mass, self.eta, self.c_star))):
+            raise ValueError("mass, eta and c_star must be finite")
+        if not math.isfinite(self.mass / self.eta / self.eta):
+            raise ValueError("bump derivative scale mass / eta**2 overflows")
         pts = self.breakpoints
         if any(x >= y for x, y in zip(pts, pts[1:])):
             raise ValueError("bump support too narrow to resolve at c_star: "
@@ -130,15 +128,15 @@ def make_bump_on_tail(base: VelocityProfile, eps: float, eta: float,
 
     The bump term is (eps * m0 / eta) * g((v - c_star) / eta) with a fixed
     smooth g of unit integral supported on (-1, 1), and the parts of ``base``
-    are scaled by (1 - eps), so the composite carries the same total mass as
-    ``base``.
+    (Gaussian coefficients, bump masses) are scaled by (1 - eps), so the
+    composite carries the same total mass m0 as ``base``.
     """
     if not (0.0 < eps < 1.0) or eta <= 0.0:
         raise InvalidBump(f"need 0 < eps < 1 and eta > 0, got eps={eps}, eta={eta}")
-    scaled = lambda part: replace(part, coef=(1.0 - eps) * part.coef)
-    bump = Bump(1.0, eps, eta, c_star, base.m0)
-    return VelocityProfile(tuple(map(scaled, base.gaussians)),
-                           tuple(map(scaled, base.bumps)) + (bump,))
+    gaussians = (replace(g, coef=(1.0 - eps) * g.coef) for g in base.gaussians)
+    bumps = (replace(b, mass=(1.0 - eps) * b.mass) for b in base.bumps)
+    return VelocityProfile(tuple(gaussians),
+                           (*bumps, Bump(eps * base.m0, eta, c_star)))
 
 
 def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
@@ -197,9 +195,9 @@ def _check_edges(profile: VelocityProfile, v) -> np.ndarray:
 
 
 def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
-    """f (f' if ``df``) at v with no edge-margin check: each part's value times its
-    coef, summed over the Gaussian parts (FaddeevaOverflow where one overflows)
-    and then the bump terms."""
+    """f (f' if ``df``) at v with no edge-margin check: each Gaussian part's value
+    times its coef, summed over those parts (FaddeevaOverflow where one
+    overflows) and then the bump terms."""
     v = np.asarray(v, dtype=complex)
     terms = []
     for g in profile.gaussians:
@@ -211,19 +209,15 @@ def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
         terms.append(g.coef * (-(v - g.drift) / g.width**2 * f if df else f))
     for b in profile.bumps:
         c, _, _ = _bump_constants()
-        terms.append(b.coef * (_bump_df(b, v) if df else b.eps * b.m0 / b.eta * c
-                               * _bump_raw((v - b.c_star) / b.eta)))
+        terms.append(_bump_df(b, v) if df else b.mass / b.eta * c
+                     * _bump_raw((v - b.c_star) / b.eta))
     return sum(terms[1:], terms[0])
 
 
-def _bump_df_scale(b: Bump) -> float:
-    c, _, _ = _bump_constants()
-    return b.eps * b.m0 / b.eta**2 * c
-
-
 def _bump_df(b: Bump, v) -> np.ndarray:
-    """Velocity derivative of a bump term without its coefficient."""
-    return _bump_df_scale(b) * _bump_raw_deriv((np.asarray(v) - b.c_star) / b.eta)
+    """Velocity derivative of a bump term."""
+    c, _, _ = _bump_constants()
+    return b.mass / b.eta**2 * c * _bump_raw_deriv((np.asarray(v) - b.c_star) / b.eta)
 
 
 def _bump_df_refused(b: Bump, s):
@@ -288,7 +282,7 @@ def moment(profile: VelocityProfile, order: int) -> float:
         _, m1, m2 = _bump_constants()
         c, eta = b.c_star, b.eta
         shape = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
-        total += b.coef * (b.eps * b.m0 * shape)
+        total += b.mass * shape
     return total
 
 

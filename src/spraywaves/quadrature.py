@@ -145,12 +145,12 @@ def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...]) -> 
 
 def _bump_nodes(weight: tuple[float, ...], scale: float, bump: profiles.Bump) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
-    breakpoints, g(v) = coef p(v) f_bump'(v) on real nodes (in real
+    breakpoints, g(v) = p(v) f_bump'(v) on real nodes (in real
     arithmetic), g(vs), the far field (the support's centre m and half-width h,
     and the moments mu_K-1 .. mu_0), the near-node radius and the plain-sum
     height: 10 times the largest node gap."""
     vs, ws = _gauss.segment_panels(*bump.support, bump.breakpoints, scale, NODES)
-    g = lambda v: bump.coef * _poly(weight, v) * np.real(profiles._bump_df(bump, v))
+    g = lambda v: _poly(weight, v) * np.real(profiles._bump_df(bump, v))
     gvs, (a, b) = g(vs), bump.support
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     # a running product: np.vander would add its n x K temporary to the peak RSS
@@ -186,7 +186,7 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
     summed = ~(pinned | far)
     # g is finite at far points too: 0 off the support, real at Re sigma
     at = np.where(refused, sigma.real, sigma)
-    c = bump.coef * _poly(weight, at) * profiles._bump_df(bump, at)
+    c = _poly(weight, at) * profiles._bump_df(bump, at)
     c[refused & summed] = 0.0
     out = np.empty(sigma.shape, dtype=complex)
     if far.any():

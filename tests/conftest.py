@@ -206,7 +206,7 @@ def mp_transform(profile: VelocityProfile, weight, sigma: complex) -> complex:
             if not abs(mp.re(w)) < 1:
                 return 0
             q = 1 - w * w
-            return (b.coef * b.eps * b.m0 * norm / b.eta**2 * mp.exp(-1 / q)
+            return (b.mass * norm / b.eta**2 * mp.exp(-1 / q)
                     * (2 * (1 + w) - 2 * w * (1 + w) ** 2 / q**2))
 
         def pdf(v):

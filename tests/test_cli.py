@@ -33,7 +33,7 @@ class TestConfigBuilders:
                            "c_star": 5.0,
                            "base": {"kind": "maxwellian", "width": 1.0}})
         assert [(g.coef, g.width) for g in p.gaussians] == [(0.95, 1.0)]
-        assert [(b.eps, b.eta, b.c_star) for b in p.bumps] == [(0.05, 0.5, 5.0)]
+        assert [(b.mass, b.eta, b.c_star) for b in p.bumps] == [(0.05, 0.5, 5.0)]
 
     def test_profile_errors(self):
         with pytest.raises(ConfigError):
@@ -1282,13 +1282,17 @@ class TestStabilityCheckCommand:
 
     def test_scalar_root_is_solved_once(self, tmp_path, monkeypatch):
         # mode 0's tracked root is scalar_root's root, bit for bit
-        def refuse(*args):
-            raise AssertionError("track_secular_root called on a scalar law")
+        calls, track = [], hyperbolic.track_secular_root
 
-        monkeypatch.setattr(hyperbolic, "track_secular_root", refuse)
+        def counted(*args):
+            calls.append(args[1:])
+            return track(*args)
+
+        monkeypatch.setattr(hyperbolic, "track_secular_root", counted)
         payload = self.run_scalar(tmp_path, {"scalar": {"lambda0": 1.2, "kappa": 0.05}})
         root = payload["scalar"]["root"]
         assert payload["modes"][0]["tracked_sigma"] == [root["re_omega"], root["im_omega"]]
+        assert calls == [(0, 0.05)]
 
 
 class TestEntryPoint:

@@ -107,6 +107,14 @@ class TestScalarRoot:
         root = scalar_root(c)
         assert root.sigma.imag == pytest.approx(lead, rel=0.05)
 
+    @pytest.mark.parametrize("kappa", [1e-3, 0.05, 2.0])
+    def test_root_is_the_tracked_root(self, std_maxwellian, kappa):
+        # the certified root is mode 0's tracked root, polished
+        c = scalar_law(1.0, kappa, std_maxwellian)
+        root = scalar_root(c)
+        assert abs(root.sigma - track_secular_root(c, 0, kappa)) <= 1e-9
+        assert root.winding_evidence == 1
+
     def test_large_kappa(self, std_maxwellian):
         # no cap on kappa: the count square of an upper root stays above the axis
         root = scalar_root(scalar_law(1.0, 0.5, std_maxwellian))

@@ -110,6 +110,14 @@ class TestBumpOnTail:
         assert moment(bump_profile, 2) == pytest.approx(
             (1 - eps) * moment(std_maxwellian, 2) + bump_m2, rel=1e-8)
 
+    def test_inner_bump_mass_scaled(self):
+        # a bump on a bump: the inner term keeps (1 - eps2) of its mass eps1 M
+        base = maxwellian(mass=2.0)
+        nested = make_bump_on_tail(make_bump_on_tail(base, 0.05, 0.5, 5.0), 0.1, 0.3, 3.0)
+        assert [b.mass for b in nested.bumps] == pytest.approx(
+            [(1 - 0.1) * 0.05 * 2.0, 0.1 * 2.0], rel=1e-15)
+        assert [(b.eta, b.c_star) for b in nested.bumps] == [(0.5, 5.0), (0.3, 3.0)]
+
     def test_invalid_parameters(self, std_maxwellian):
         with pytest.raises(InvalidBump):
             make_bump_on_tail(std_maxwellian, eps=1.5, eta=0.5, c_star=5.0)
@@ -328,6 +336,11 @@ class TestAgainstTree:
     def test_two_fields(self):
         # the parts only: the total mass (m0) is derived
         assert len(dataclasses.fields(profiles.VelocityProfile)) == 2
+
+    def test_bump_fields(self):
+        # a bump term is its mass, half-width and centre
+        assert [f.name for f in dataclasses.fields(profiles.Bump)] == [
+            "mass", "eta", "c_star"]
 
     @pytest.mark.parametrize("name", TREE_CASES)
     def test_flat_mixture_matches_tree(self, name):

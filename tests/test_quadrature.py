@@ -239,7 +239,7 @@ class TestStripContract:
             assert bump.breakpoints[0] == lo and bump.breakpoints[-1] == hi
             assert len(bump.breakpoints) == 18
         assert {f.name for f in dataclasses.fields(profiles.Bump)} == {
-            "coef", "eps", "eta", "c_star", "m0"}
+            "mass", "eta", "c_star"}
 
     @pytest.mark.parametrize("sigma", [4.52 - 3.0j, 4.49 - 0.1j, 5.5 - 0.02j])
     def test_bump_lower_branch_raises(self, bump_profile, sigma):
