@@ -207,8 +207,7 @@ def _create(path: Path):
 
 def _write_json(path: Path, payload) -> str:
     with _create(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path.name
 
 
@@ -283,7 +282,7 @@ def _root_near(params, profile, center: float, seed):
     """The root of the thin-spray branch at center = +-c0: `_seeded_root` from
     seed() at the scale c0, kept if its count is 1 and |Re sigma - center| <
     c0/2 (set by center: the seed can change sign at large kappa); else None."""
-    func = lambda z: dispersion.dispersion_value(params, profile, z)
+    func = functools.partial(dispersion.dispersion_value, params, profile)
     try:
         root = dispersion._seeded_root(func, seed(), params.c0,
                                        profiles.bump_edges(profile))

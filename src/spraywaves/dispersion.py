@@ -36,7 +36,6 @@ NEUTRAL = "neutral"
 
 _ROOT_TOL = 1e-10
 _NEWTON_MAX_ITER = 80
-_NEWTON_H_REL = 1e-7        # central-difference step of D', relative to max(1, |z|)
 # |sigma| / c0 below which the sigma = 0 pole refuses evaluation (ZeroSigma)
 POLE_RADIUS = 1e-14
 
@@ -121,10 +120,11 @@ class RootReport:
                                    else "eigenvalue")}
 
 
-def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
+def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma,
+                     derivative: bool = False):
     """Branch-correct dispersion function D = E(sigma) / sigma^2 at complex sigma,
     or elementwise over an ndarray of sigma, with E the pole-free `_pole_free`
-    (ZeroSigma if any point is within POLE_RADIUS c0 of 0).
+    (ZeroSigma if any point is within POLE_RADIUS c0 of 0); with ``derivative`` (D, D').
 
     The continuation term carries the same kappa rho0 c0^2 / alpha0 prefactor
     as the principal-value term (exact holomorphic continuation).
@@ -137,7 +137,10 @@ def dispersion_value(params: SprayParams, profile: VelocityProfile, sigma):
         nearest = abs(sigma)
     if nearest < POLE_RADIUS * params.c0:
         raise ZeroSigma("dispersion function has a pole at sigma = 0")
-    return _pole_free(params, profile, sigma) / sigma**2
+    if not derivative:
+        return _pole_free(params, profile, sigma) / sigma**2
+    e, de = _pole_free(params, profile, sigma, True)
+    return e / sigma**2, (de - 2.0 * e / sigma) / sigma**2
 
 
 def landau_dispersion(profile: VelocityProfile, k: float, omega):
@@ -243,18 +246,22 @@ def _winding_number(func, region: SearchRegion, feature_scale: float | None = No
     return int(round(winding))
 
 
-def _pole_free(params: SprayParams, profile: VelocityProfile, sigma):
+def _pole_free(params: SprayParams, profile: VelocityProfile, sigma,
+               derivative: bool = False):
     """E(sigma) = sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at
     a point or elementwise over an ndarray, with C[v f'](sigma) the continued
     int v f'(v)/(v - sigma) dv (sigma^2 - c0^2 at kappa = 0): the zeros of D
-    without its sigma = 0 pole (E(0) = -c0^2)."""
+    without its sigma = 0 pole (E(0) = -c0^2); with ``derivative`` (E, E')."""
     # complex ** raises OverflowError where the square overflows; so must an array
     with np.errstate(over="raise"):
         base = sigma**2 - params.c0**2
     if params.kappa == 0.0:
-        return base
+        return (base, 2.0 * sigma) if derivative else base
     pref = coupling_prefactor(params, profile)
-    return base - pref * sigma * quadrature.cauchy_transform(profile, (0.0, 1.0), sigma)
+    c = quadrature.cauchy_transform(profile, (0.0, 1.0), sigma, derivative)
+    if not derivative:
+        return base - pref * sigma * c
+    return base - pref * sigma * c[0], 2.0 * sigma - pref * (c[0] + sigma * c[1])
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile,
@@ -271,42 +278,39 @@ def count_roots(params: SprayParams, profile: VelocityProfile,
 
 
 def _newton(func, z0: complex, tol: float,
-            trust_radius: float = math.inf) -> tuple[complex, int]:
+            trust_radius: float = math.inf) -> tuple[complex, int, complex]:
+    """(z, steps, F(z)), |F(z)| <= tol, by Newton from z0 calling func(z) = (F, F') once
+    per step; steps are cut to the trust radius, and an iterate beyond it raises."""
     z = complex(z0)
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        fz = func(z)
+    for it in range(1, _NEWTON_MAX_ITER + 2):
+        fz, d = func(z)
         if abs(fz) <= tol:
-            return z, it
+            return z, min(it, _NEWTON_MAX_ITER), fz
+        if it > _NEWTON_MAX_ITER or d == 0:
+            break
         if abs(z - z0) > trust_radius:
             raise NonConvergence("Newton iterate escaped its isolating rectangle")
-        h = _NEWTON_H_REL * max(1.0, abs(z))
-        d = (func(z + 1j * h) - func(z - 1j * h)) / (2j * h)
-        if d == 0:
-            break
         step = fz / d
         if abs(step) > trust_radius:
             step *= trust_radius / abs(step)
         z = z - step
-    fz = func(z)
-    if abs(fz) <= tol:
-        return z, _NEWTON_MAX_ITER
     raise NonConvergence(f"Newton stalled at |D| = {abs(fz):.3g} (tol {tol:.3g})")
 
 
 def _seeded_root(func, seed: complex, scale: float,
                  marks: tuple[float, ...]) -> RootReport:
-    """Newton on func from the seed to |func| <= 1e-12 within scale/2 of it, then
-    a winding count of func (the report's evidence, for the caller to check) on
-    the square of half-width max(1e-3 scale, |Im z|/2) around the iterate z: an
-    upper root's square stays above the axis. A lower square also samples the
-    ``marks`` (the bump support edges of func's profile), so that one crossing
-    an edge is refused as `count_roots` refuses it."""
-    z, iters = _newton(func, seed, 1e-12, trust_radius=0.5 * scale)
+    """Newton on func(z, True), the value and derivative of func, from the seed to
+    |func| <= 1e-12 within scale/2 of it, then a winding count of func (the
+    report's evidence, for the caller to check) on the square of half-width
+    max(1e-3 scale, |Im z|/2) around the iterate z: an upper root's square stays
+    above the axis. A lower square also samples the ``marks`` (the bump support
+    edges of func's profile), so that one crossing an edge is refused too."""
+    z, iters, fz = _newton(lambda s: func(s, True), seed, 1e-12, trust_radius=0.5 * scale)
     half = max(1e-3 * scale, 0.5 * abs(z.imag))
     evidence = _winding_number(func, SearchRegion(z.real - half, z.real + half,
                                                   z.imag - half, z.imag + half),
                                marks=marks)
-    return RootReport(sigma=z, residual=abs(func(z)),
+    return RootReport(sigma=z, residual=abs(fz),
                       branch=quadrature.classify_branch(z), winding_evidence=evidence,
                       newton_iters=iters)
 
@@ -315,30 +319,36 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
                tol: float = _ROOT_TOL) -> list[RootReport]:
     """All dispersion zeros in the region, certified by winding counts.
 
-    A rectangle counted to hold one root is solved by Newton (with a complex
-    central-difference derivative of the continued function) from its centre,
-    and bisected only if the iterate does not converge inside it; rectangles
+    A rectangle counted to hold one root is solved by Newton (with the analytic
+    derivative of the continued function, from the same evaluation) from its
+    centre, and bisected only if the iterate does not converge inside it; rectangles
     with more roots are bisected until they isolate single roots or shrink to
     the Newton box, where deflation handles clustered roots. Every count runs
     on the region or one of its parts: a root on or too close to the region's
     boundary raises BoundaryRoot, while a bisection line is nudged off a root.
     """
     tol = max(tol, 1e-14)
-    func = lambda z: dispersion_value(params, profile, z)
     subdiv_floor = 1e-3 * params.c0
     newton_box = 0.1 * params.c0
-    roots: list[tuple[complex, int, int]] = []
+    roots: list[RootReport] = []
+
+    def deflated(s: complex, prior: list) -> tuple[complex, complex]:
+        """(D/Pi, (D' - D sum 1/(s - r))/Pi), Pi the product of s - r over prior roots."""
+        d, dd = dispersion_value(params, profile, s, True)
+        pi = math.prod(s - r for r in prior)
+        return d / pi, (dd - d * sum(1.0 / (s - r) for r in prior)) / pi
 
     def polish(reg: SearchRegion, n: int, trust_radius: float) -> None:
-        found: list[tuple[complex, int, int]] = []
-        target = func
+        found: list[RootReport] = []
         for _ in range(n):
-            z, iters = _newton(target, reg.center, tol, trust_radius=trust_radius)
+            prior = [r.sigma for r in found]
+            z, iters, fz = _newton(lambda s: deflated(s, prior), reg.center, tol,
+                                   trust_radius=trust_radius)
             if not reg.contains(z):       # a root the count did not certify
                 raise NonConvergence("Newton converged outside its rectangle")
-            found.append((z, n, iters))
-            target = lambda s, _z=tuple(r for r, *_ in found): (
-                func(s) / np.prod([s - r for r in _z]))
+            found.append(RootReport(sigma=z, winding_evidence=n, newton_iters=iters,
+                                    residual=abs(fz * math.prod(z - r for r in prior)),
+                                    branch=quadrature.classify_branch(z)))
         roots.extend(found)       # all or nothing: a failed polish bisects
 
     def recurse(reg: SearchRegion, count: int | None = None, depth: int = 0):
@@ -378,9 +388,7 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
         raise BoundaryRoot("could not find a clean bisection line")
 
     recurse(region)
-    return [RootReport(sigma=z, residual=abs(func(z)), winding_evidence=evidence,
-                       branch=quadrature.classify_branch(z), newton_iters=iters)
-            for z, evidence, iters in sorted(roots, key=lambda t: (t[0].real, t[0].imag))]
+    return sorted(roots, key=lambda r: (r.sigma.real, r.sigma.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +397,11 @@ def find_roots(params: SprayParams, profile: VelocityProfile, region: SearchRegi
 
 def damping_rate_at(params: SprayParams, profile: VelocityProfile, c_ref: float) -> float:
     """First-order Im sigma of the wave near the real reference speed c_ref:
-    -Im D(c_ref) / Dr'(c_ref), Dr' a central difference of Re D on the axis;
-    warns that it is unreliable where r = c_ref Dr'(c_ref) / 2 (1 for pure
-    acoustics) leaves [0.5, 2], as near a steep edge of f."""
-    h = 1e-6 * max(1.0, abs(c_ref))
-    d_imag = dispersion_value(params, profile, c_ref).imag
-    d_rprime = (dispersion_value(params, profile, c_ref + h)
-                - dispersion_value(params, profile, c_ref - h)).real / (2.0 * h)
+    -Im D(c_ref) / Dr'(c_ref), Dr' = Re D' read with D from one evaluation; warns
+    that it is unreliable where r = c_ref Dr'(c_ref) / 2 (1 for pure acoustics)
+    leaves [0.5, 2], as near a steep edge of f."""
+    d, d_prime = dispersion_value(params, profile, c_ref, True)
+    d_imag, d_rprime = d.imag, d_prime.real
     if abs(d_rprime) < 1e-8:
         raise DegenerateDerivative(f"|Dr'({c_ref})| = {abs(d_rprime):.3g} < 1e-8")
     r = 0.5 * c_ref * d_rprime

@@ -151,13 +151,13 @@ def profile_sum(*parts: VelocityProfile) -> VelocityProfile:
 # C is fixed numerically so that g has unit integral; g'(0) = 2 C / e > 0.
 # ---------------------------------------------------------------------------
 
-def _inside(shape, w) -> np.ndarray:
-    """shape(w) where Re w lies inside (-1, 1) and 0 elsewhere, as complex."""
+def _inside(shape, w, *args) -> np.ndarray:
+    """shape(w, *args) where Re w lies inside (-1, 1) and 0 elsewhere, as complex."""
     w = np.asarray(w)
     out = np.zeros_like(w, dtype=complex)
     inside = np.abs(np.real(w)) < 1.0
     if np.any(inside):
-        out[inside] = shape(w[inside])
+        out[inside] = shape(w[inside], *args)
     return out
 
 
@@ -165,14 +165,15 @@ def _bump_raw(w):
     return _inside(lambda w: (1.0 + w) ** 2 * np.exp(-1.0 / (1.0 - w * w)), w)
 
 
-def _bump_shape_deriv(w):
-    """g'(w) inside (-1, 1)."""
+def _bump_shape_deriv(w, order: int = 1):
+    """g'(w) = E (1 + w) h, or (``order`` 2) g''(w) = E (h (h - 1) + (1 + w) h'),
+    inside (-1, 1), with E = exp(-1/q), q = 1 - w^2 and h = 2 - 2 w (1 + w)/q^2."""
     q = 1.0 - w * w
-    return np.exp(-1.0 / q) * (1.0 + w) * (2.0 - 2.0 * w * (1.0 + w) / (q * q))
-
-
-def _bump_raw_deriv(w):
-    return _inside(_bump_shape_deriv, w)
+    h = 2.0 - 2.0 * w * (1.0 + w) / (q * q)
+    if order == 1:
+        return np.exp(-1.0 / q) * (1.0 + w) * h
+    dh = -(2.0 + 4.0 * w + 8.0 * w * w * (1.0 + w) / q) / (q * q)
+    return np.exp(-1.0 / q) * (h * (h - 1.0) + (1.0 + w) * dh)
 
 
 @lru_cache(maxsize=1)
@@ -214,10 +215,11 @@ def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-def _bump_df(b: Bump, v) -> np.ndarray:
-    """Velocity derivative of a bump term."""
+def _bump_df(b: Bump, v, order: int = 1) -> np.ndarray:
+    """Velocity derivative of a bump term, the first or (``order`` 2) the second."""
     c, _, _ = _bump_constants()
-    return b.mass / b.eta**2 * c * _bump_raw_deriv((np.asarray(v) - b.c_star) / b.eta)
+    w = (np.asarray(v) - b.c_star) / b.eta
+    return b.mass / b.eta**(order + 1) * c * _inside(_bump_shape_deriv, w, order)
 
 
 def _bump_df_refused(b: Bump, s):

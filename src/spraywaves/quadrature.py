@@ -33,6 +33,9 @@ g = p f' with a polynomial weight p (`cauchy_transform`) it is linear in f:
   support, where the plain node sum is the continued value, 34 cached moments
   of the nodes give that sum (`_far_sum`; Greengard & Rokhlin 1987, J. Comput.
   Phys. 73, 325).
+- The sigma-derivative comes from the same call: a Gaussian part's by Z' = -2 (1 +
+  zeta Z), and a bump term's as C[g'] over a second node set on the same nodes
+  (g vanishes with all its derivatives at the support edges).
 """
 
 from __future__ import annotations
@@ -80,31 +83,44 @@ def classify_branch(sigma):
     return branch if np.ndim(sigma) else branch.item()
 
 
-def _maxwellian_part(weight: tuple[float, ...], sigma, part: profiles.Gaussian):
-    """Continued int p(v) f'(v)/(v - sigma) dv for one Gaussian part, in closed
-    form, at a point or elementwise over an array; raises FaddeevaOverflow where
-    exp(-zeta^2) would overflow."""
+def _maxwellian_part(weight: tuple[float, ...], sigma, part: profiles.Gaussian,
+                     derivative: bool = False):
+    """(C, dC/dsigma), dC/dsigma 0 unless ``derivative``, for C the continued int
+    p(v) f'(v)/(v - sigma) dv of one Gaussian part in closed form, at a point or
+    elementwise over an array; raises FaddeevaOverflow where exp(-zeta^2) overflows."""
     mass, drift, width = part.coef * part.mass, part.drift, part.width
-    # p(v) = p(sigma) + (v - sigma) t(v); ts = [0, t_(d-1), ..., t_0]
-    p_sigma, ts = 0.0, []
+    # p(v) = p(sigma) + (v - sigma) t(v); ts = [0, t_(d-1), ..., t_0], dts their d/dsigma
+    p_sigma, dp, ts, dts = 0.0, 0.0, [], []
     for c in reversed(weight):
         ts.append(p_sigma)
+        if derivative:
+            dts.append(dp)
+            dp = dp * sigma + p_sigma
         p_sigma = p_sigma * sigma + c
     # int t f' = -int t' f = -mass sum_n n t_n E[v^(n-1)], Gaussian raw moments
     # E[v^(k+1)] = drift E[v^k] + k width^2 E[v^(k-1)]
-    tail, e_prev, e_k = 0.0, 0.0, 1.0
+    tail, dtail, e_prev, e_k = 0.0, 0.0, 0.0, 1.0
     for k, t in enumerate(ts[-2:0:-1]):
         tail += (k + 1) * t * e_k
+        if derivative:
+            dtail += (k + 1) * dts[-2 - k] * e_k
         e_prev, e_k = e_k, drift * e_k + k * width * width * e_prev
-    # int f'/(v - sigma) = -(mass / width^2) (1 + zeta Z(zeta))
+    # int f'/(v - sigma) = -(mass / width^2) A, A = 1 + zeta Z(zeta)
     zeta = (sigma - drift) / (math.sqrt(2.0) * width)
     z_func = 1j * _SQRT_PI * faddeeva(zeta)
-    return -mass * (p_sigma * (1.0 + zeta * z_func) / (width * width) + tail)
+    a = 1.0 + zeta * z_func
+    value = -mass * (p_sigma * a / (width * width) + tail)
+    if not derivative:
+        return value, 0.0
+    # Z' = -2 A (Fried & Conte 1961), so dA/dsigma = (Z - 2 zeta A)/(sqrt(2) w)
+    da = (z_func - 2.0 * zeta * a) / (math.sqrt(2.0) * width)
+    return value, -mass * ((dp * a + p_sigma * da) / (width * width) + dtail)
 
 
 def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...],
-                     sigma):
-    """Branch-correct continuation of int p(v) f'(v)/(v - sigma) dv from above.
+                     sigma, derivative: bool = False):
+    """Branch-correct continuation of int p(v) f'(v)/(v - sigma) dv from above,
+    and with ``derivative`` the pair (C, dC/dsigma).
 
     ``weight`` holds the coefficients of the real polynomial p in ascending
     powers of v. ``sigma`` is a point or an ndarray of points; an array gives
@@ -122,36 +138,47 @@ def cauchy_transform(profile: profiles.VelocityProfile, weight: tuple[float, ...
     else:
         sigma = np.where(np.abs(sigma.imag) <= AXIS_TOLERANCE, sigma.real,
                          sigma).astype(complex, copy=False)
-    total = 0j if point else np.zeros(sigma.shape, dtype=complex)
+    # one zero for both sums: each term is added out of place
+    total = slope = 0j if point else np.zeros(sigma.shape, dtype=complex)
     for part in profile.gaussians:
-        total += _maxwellian_part(weight, sigma, part)
+        value, d = _maxwellian_part(weight, sigma, part, derivative)
+        total, slope = total + value, slope + d
     if profile.bumps:
         points, scale = np.ravel(sigma), profiles.resolution_scale(profile)
-        for bump, node_set in zip(profile.bumps, _node_sets(profile, weight)):
-            total += _bump_array(weight, points, scale, bump,
-                                 *node_set).reshape(np.shape(sigma))
-    return complex(total) if point else total
+        for i in range(1 + derivative):
+            for bump, nodes in zip(profile.bumps, _node_sets(profile, weight, i)):
+                term = _bump_array(points, scale, bump, *nodes).reshape(np.shape(sigma))
+                total, slope = (total + term, slope) if i == 0 else (total, slope + term)
+    if not derivative:
+        return complex(total) if point else total
+    return (complex(total), complex(slope)) if point else (total, slope)
 
 
-def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...]) -> tuple:
-    """`_bump_nodes` of each bump term, built once per profile and weight."""
-    node_sets = profile.node_sets.get(weight)
+def _node_sets(profile: profiles.VelocityProfile, weight: tuple[float, ...],
+               derivative: bool = False) -> tuple:
+    """`_bump_nodes` of each bump term for g = p f_bump' or g', cached per weight."""
+    key = (weight, "d") if derivative else weight
+    node_sets = profile.node_sets.get(key)
     if node_sets is None:
         scale = profiles.resolution_scale(profile)
-        node_sets = profile.node_sets[weight] = tuple(
-            _bump_nodes(weight, scale, bump) for bump in profile.bumps)
+        g = lambda b: lambda v: _poly(weight, v) * profiles._bump_df(b, v)
+        if derivative:      # g' = p' f_bump' + p f_bump''
+            dweight = tuple(k * c for k, c in enumerate(weight))[1:] or (0.0,)
+            g = lambda b: lambda v: (_poly(dweight, v) * profiles._bump_df(b, v)
+                                     + _poly(weight, v) * profiles._bump_df(b, v, 2))
+        node_sets = profile.node_sets[key] = tuple(_bump_nodes(g(bump), scale, bump)
+                                                   for bump in profile.bumps)
     return node_sets
 
 
-def _bump_nodes(weight: tuple[float, ...], scale: float, bump: profiles.Bump) -> tuple:
+def _bump_nodes(g, scale: float, bump: profiles.Bump) -> tuple:
     """Gauss nodes vs and weights ws over one bump support cut at its
-    breakpoints, g(v) = p(v) f_bump'(v) on real nodes (in real
-    arithmetic), g(vs), the far field (the support's centre m and half-width h,
-    and the moments mu_K-1 .. mu_0), the near-node radius and the plain-sum
-    height: 10 times the largest node gap."""
+    breakpoints, the integrand g (complex, for the subtraction constant), its
+    real values g(vs) on the nodes, the far field (the support's centre m and
+    half-width h, and the moments mu_K-1 .. mu_0), the near-node radius and the
+    plain-sum height: 10 times the largest node gap."""
     vs, ws = _gauss.segment_panels(*bump.support, bump.breakpoints, scale, NODES)
-    g = lambda v: _poly(weight, v) * np.real(profiles._bump_df(bump, v))
-    gvs, (a, b) = g(vs), bump.support
+    gvs, (a, b) = g(vs).real.copy(), bump.support     # contiguous, for the node sums
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     # a running product: np.vander would add its n x K temporary to the peak RSS
     u, term, moments = (vs - centre) / half, gvs * ws, []
@@ -169,10 +196,10 @@ def _poly(weight: tuple[float, ...], v):
     return p
 
 
-def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
-                bump: profiles.Bump, vs: np.ndarray, ws: np.ndarray, g, gvs: np.ndarray,
-                field: tuple, near: float, plain: float) -> np.ndarray:
-    """Continued int p(v) f_bump'(v)/(v - sigma) dv for one bump term,
+def _bump_array(sigma: np.ndarray, scale: float, bump: profiles.Bump, vs: np.ndarray,
+                ws: np.ndarray, g, gvs: np.ndarray, field: tuple, near: float,
+                plain: float) -> np.ndarray:
+    """Continued int g(v)/(v - sigma) dv for one bump term's integrand g,
     elementwise over a 1-D array of sigma (axis points exactly real).
 
     The subtracted integrand (g(v) - c)/(v - sigma) is analytic in v, so one sum
@@ -186,7 +213,7 @@ def _bump_array(weight: tuple[float, ...], sigma: np.ndarray, scale: float,
     summed = ~(pinned | far)
     # g is finite at far points too: 0 off the support, real at Re sigma
     at = np.where(refused, sigma.real, sigma)
-    c = _poly(weight, at) * profiles._bump_df(bump, at)
+    c = g(at)
     c[refused & summed] = 0.0
     out = np.empty(sigma.shape, dtype=complex)
     if far.any():

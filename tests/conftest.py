@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the code paths they check: the Dawson
 function comes from its Taylor series, dense line integrals from scipy's
 adaptive quadrature, the lower-branch continuation from quadrature along an
-explicitly deformed contour, and 30-digit transforms off the axis from mpmath
-with f' written afresh from the parts' parameters.
+explicitly deformed contour, and 30-digit transforms (and their sigma-derivatives)
+on all three branches from mpmath with f' written afresh from the parts' parameters.
 """
 
 from __future__ import annotations
@@ -186,36 +186,62 @@ def bump_oracle(profile: VelocityProfile, weight, sigma: complex, reach: float =
     return val
 
 
+def _mp_point(sigma):
+    sigma = complex(sigma)
+    return mp.mpf(sigma.real) if sigma.imag == 0.0 else mp.mpc(sigma)
+
+
 def mp_transform(profile: VelocityProfile, weight, sigma: complex) -> complex:
-    """Continued int p(v) f'(v)/(v - sigma) dv at sigma off the axis, to 30 digits
-    by mpmath: the line integral (split at Re sigma and the bump edges) plus,
-    below the axis, 2 i pi p(sigma) f'(sigma) of each Gaussian part and of each
-    bump term whose support column holds sigma (0 off it). The bump shape is
-    C (1 + w)^2 exp(-1/(1 - w^2)), with C from an mpmath integral."""
+    """Continued int p(v) f'(v)/(v - sigma) dv at sigma, to 30 digits by mpmath
+    (`mp_continued`)."""
     with mp.workdps(30):
-        s = mp.mpc(sigma)
-        norm = 1 / mp.quad(lambda w: (1 + w) ** 2 * mp.exp(-1 / (1 - w * w)), [-1, 1])
+        return complex(mp_continued(profile, weight, _mp_point(sigma)))
 
-        def gauss_df(part, v):
-            z = (v - part.drift) / part.width
-            return (-part.coef * part.mass * z / (mp.sqrt(2 * mp.pi) * part.width**2)
-                    * mp.exp(-z * z / 2))
 
-        def bump_df(b, v):
-            w = (v - b.c_star) / b.eta
-            if not abs(mp.re(w)) < 1:
-                return 0
-            q = 1 - w * w
-            return (b.mass * norm / b.eta**2 * mp.exp(-1 / q)
-                    * (2 * (1 + w) - 2 * w * (1 + w) ** 2 / q**2))
+def mp_transform_derivative(profile: VelocityProfile, weight, sigma: complex) -> complex:
+    """d/dsigma of the continued transform, by `mpmath.diff` of `mp_continued`
+    along the real direction (on the axis, along the axis) at 30 digits."""
+    with mp.workdps(30):
+        return complex(mp.diff(lambda z: mp_continued(profile, weight, z),
+                               _mp_point(sigma)))
 
-        def pdf(v):
-            return (sum(c * v**k for k, c in enumerate(weight))
-                    * (sum(gauss_df(g, v) for g in profile.gaussians)
-                       + sum(bump_df(b, v) for b in profile.bumps)))
 
-        cuts = sorted({s.real, *(mp.mpf(e) for b in profile.bumps for e in b.support)})
-        val = mp.quad(lambda v: pdf(v) / (v - s), [-mp.inf, *cuts, mp.inf])
-        if s.imag < 0:
-            val += 2j * mp.pi * pdf(s)
-        return complex(val)
+def mp_continued(profile: VelocityProfile, weight, s):
+    """Continued int p(v) f'(v)/(v - s) dv at the working precision: off the
+    axis the line integral (split at Re s and the bump edges) plus, below the
+    axis, 2 i pi p(s) f'(s) of each Gaussian part and of each bump term whose
+    support column holds s (0 off it); on the axis (a real s) the principal
+    value, int (p f'(v) - p f'(s) [|v - s| < 1])/(v - s) dv, plus i pi p(s) f'(s).
+    The bump shape is C (1 + w)^2 exp(-1/(1 - w^2)), with C from an mpmath
+    integral."""
+    norm = 1 / mp.quad(lambda w: (1 + w) ** 2 * mp.exp(-1 / (1 - w * w)), [-1, 1])
+
+    def gauss_df(part, v):
+        z = (v - part.drift) / part.width
+        return (-part.coef * part.mass * z / (mp.sqrt(2 * mp.pi) * part.width**2)
+                * mp.exp(-z * z / 2))
+
+    def bump_df(b, v):
+        w = (v - b.c_star) / b.eta
+        if not abs(mp.re(w)) < 1:
+            return 0
+        q = 1 - w * w
+        return (b.mass * norm / b.eta**2 * mp.exp(-1 / q)
+                * (2 * (1 + w) - 2 * w * (1 + w) ** 2 / q**2))
+
+    def pdf(v):
+        return (sum(c * v**k for k, c in enumerate(weight))
+                * (sum(gauss_df(g, v) for g in profile.gaussians)
+                   + sum(bump_df(b, v) for b in profile.bumps)))
+
+    edges = [mp.mpf(e) for b in profile.bumps for e in b.support]
+    if isinstance(s, mp.mpf):
+        ps = pdf(s)
+        inner = lambda v: (pdf(v) - (ps if abs(v - s) < 1 else 0)) / (v - s)
+        cuts = sorted({s - 1, s, s + 1, *edges})
+        return mp.quad(inner, [-mp.inf, *cuts, mp.inf]) + 1j * mp.pi * ps
+    cuts = sorted({s.real, *edges})
+    val = mp.quad(lambda v: pdf(v) / (v - s), [-mp.inf, *cuts, mp.inf])
+    if s.imag < 0:
+        val += 2j * mp.pi * pdf(s)
+    return val

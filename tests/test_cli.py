@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import wofz
@@ -1028,7 +1030,7 @@ class TestThinSprayRoots:
         profile, c0 = self.PROFILES["bump"]
         params = dispersion.make_params(profile, c0=c0, rho0=1.0, kappa=0.3)
         seed = self.seeds(params, profile)[1.0]
-        func = lambda z: dispersion.dispersion_value(params, profile, z)
+        func = functools.partial(dispersion.dispersion_value, params, profile)
         stray = dispersion._seeded_root(func, seed(), c0, profiles.bump_edges(profile))
         assert stray.sigma.real == pytest.approx(-6.03, abs=0.01)
         with pytest.raises(StripViolation):
@@ -1118,7 +1120,24 @@ class TestStabilityCheckCommand:
                      "--out", str(out), "--quiet"]) == 0
         root = read_json(out / "stability_check.json")["scalar"]["root"]
         assert (root["re_omega"], root["im_omega"]) == (1.0002744457307529,
-                                                        0.0007598314258060512)
+                                                        0.0007598314258060526)
+
+    def test_scalar_root_against_mpmath(self, tmp_path):
+        # the same root as a zero of G(omega) = omega - 1 + 1e-3 C[v f'](omega)
+        # for the unit Maxwellian, C = -omega - omega^2 Z(omega/sqrt 2)/sqrt 2 with
+        # Z(z) = i sqrt(pi) exp(-z^2) erfc(-i z), found by mpmath at 30 digits
+        out = tmp_path / "sc"
+        assert main(["stability-check", "--scenario", "scalar-coupling",
+                     "--out", str(out), "--quiet"]) == 0
+        root = read_json(out / "stability_check.json")["scalar"]["root"]
+        got = complex(root["re_omega"], root["im_omega"])
+        with mp.workdps(30):
+            def g(w):
+                z = w / mp.sqrt(2)
+                zf = 1j * mp.sqrt(mp.pi) * mp.exp(-z * z) * mp.erfc(-1j * z)
+                return w - 1 + mp.mpf("1e-3") * (-w - w * w * zf / mp.sqrt(2))
+            want = complex(mp.findroot(g, mp.mpc(1.0, 1e-3)))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_one_system_build_per_scalar_run(self, tmp_path, monkeypatch):
         # the scalar law's 1 x 1 system is built once: its one eigensolve serves

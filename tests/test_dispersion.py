@@ -62,6 +62,23 @@ class TestDispersionValue:
         with pytest.raises(ValueError):
             SprayParams(**{**fields, field: value})
 
+    @pytest.mark.parametrize("sigma", [1.2 + 0.1j, -0.7 + 0.5j, 1.3, -0.4, 0.9 - 0.1j,
+                                       -1.4 - 0.3j])
+    def test_derivative_against_wofz_closed_form(self, maxwellian_params, std_maxwellian,
+                                                 sigma):
+        # unit Maxwellian: C[v f'] = -sigma A, A = 1 + zeta Z(zeta), zeta = sigma/sqrt 2,
+        # Z = i sqrt(pi) w(zeta) from scipy and Z' = -2 A, so C' = -A - sigma (Z -
+        # 2 zeta A)/sqrt 2; D = 1 - 1/sigma^2 - pref C/sigma at c0 = rho0 = 1
+        pref = 0.01 / (1.0 - 0.01)
+        zeta = sigma / math.sqrt(2.0)
+        z_func = 1j * math.sqrt(math.pi) * wofz(zeta)
+        a = 1.0 + zeta * z_func
+        c, dc = -sigma * a, -a - sigma * (z_func - 2.0 * zeta * a) / math.sqrt(2.0)
+        want = 2.0 / sigma**3 - pref * (dc / sigma - c / sigma**2)
+        value, slope = dispersion_value(maxwellian_params, std_maxwellian, sigma, True)
+        assert value == dispersion_value(maxwellian_params, std_maxwellian, sigma)
+        assert slope == pytest.approx(want, rel=1e-12)
+
     def test_reflection_symmetry(self, maxwellian_params, std_maxwellian):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -210,7 +227,11 @@ class TestRootCounting:
         # its uniform samples miss the edge margins, the marks do not
         profile = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 4.6)
         z0 = 5.0 - 3.0j
-        func = lambda z: (z - z0) + 0.0 * quadrature.cauchy_transform(profile, (1.0,), z)
+
+        def func(z, derivative=False):
+            value = (z - z0) + 0.0 * quadrature.cauchy_transform(profile, (1.0,), z)
+            return (value, 1.0) if derivative else value
+
         assert dispersion._seeded_root(func, z0 + 0.05j, 1.0, ()).winding_evidence == 1
         with pytest.raises(StripViolation):
             dispersion._seeded_root(func, z0 + 0.05j, 1.0, profiles.bump_edges(profile))
@@ -326,12 +347,12 @@ class TestFindRoots:
 
         def newton(func, z0, tol, **kw):
             try:
-                z, iters = real_newton(func, z0, tol, **kw)
+                z, iters, fz = real_newton(func, z0, tol, **kw)
             except Exception as err:
                 calls.append((z0, type(err)))
                 raise
             calls.append((z0, z))
-            return z, iters
+            return z, iters, fz
 
         monkeypatch.setattr(dispersion, "_newton", newton)
         (root,) = find_roots(maxwellian_params, std_maxwellian, region)
@@ -340,6 +361,30 @@ class TestFindRoots:
         assert root.winding_evidence == 1
         want = 0.998583554016407 - 0.0038424677030629364j
         assert abs(root.sigma - want) <= 1e-12
+
+    def test_newton_evaluates_once_per_step(self):
+        calls = []
+
+        def func(z):
+            calls.append(z)
+            return z * z - 2.0, 2.0 * z
+
+        z, iters, fz = dispersion._newton(func, 1.0 + 0.1j, 1e-14)
+        assert len(calls) == iters and fz == calls[-1] ** 2 - 2.0
+        assert abs(z - math.sqrt(2.0)) <= 1e-14 and abs(fz) <= 1e-14
+
+    def test_one_dispersion_value_per_newton_step(self, maxwellian_params,
+                                                  std_maxwellian, monkeypatch):
+        # the box holds one root: its Newton steps are all the D evaluations
+        # (the counts walk the pole-free E), and no residual is recomputed
+        calls = []
+        value = dispersion.dispersion_value
+        monkeypatch.setattr(dispersion, "dispersion_value",
+                            lambda *args: calls.append(args) or value(*args))
+        (root,) = find_roots(maxwellian_params, std_maxwellian,
+                             SearchRegion(0.5, 1.5, -0.05, 0.02))
+        assert len(calls) == root.newton_iters
+        assert root.residual == abs(value(maxwellian_params, std_maxwellian, root.sigma))
 
     def test_residuals_below_tolerance(self, maxwellian_params, std_maxwellian):
         reports = find_roots(maxwellian_params, std_maxwellian,

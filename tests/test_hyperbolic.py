@@ -263,6 +263,25 @@ class TestTrackSecularRoot:
         for j, (sigma_j, _) in enumerate(passing.eigenpairs):
             assert track_secular_root(passing, j, 0.0) == sigma_j
 
+    def test_three_evaluations_on_a_seeded_system(self, std_maxwellian, monkeypatch):
+        # the seed's projection and at most two Newton steps, each one kernel
+        # call per phi power for the value and the derivative, and the
+        # acceptance test reads Newton's own |P_j|
+        rng = np.random.default_rng(23)
+        raw = rng.normal(size=(3, 3))
+        system = SystemCoupling(0.75 * (raw + raw.T), rng.normal(size=3),
+                                tuple(map(tuple, rng.normal(size=(2, 3)))), 1e-3,
+                                std_maxwellian)
+        calls = []
+        projections = hyperbolic._modal_projections
+        monkeypatch.setattr(hyperbolic, "_modal_projections",
+                            lambda *args: calls.append(args) or projections(*args))
+        for j in range(3):
+            calls.clear()
+            tracked = track_secular_root(system, j, system.kappa)
+            assert len(calls) <= 3
+            assert abs(dense_secular(system, tracked)) <= 1e-9
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_systems_track_every_mode(self, std_maxwellian, n):
         rng = np.random.default_rng(20 + n)

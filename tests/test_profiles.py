@@ -269,7 +269,8 @@ def tree_df(t, v):
         c, _, _ = profiles._bump_constants()
         scale = t.eps * tree_moment(t.base, 0) / t.eta**2 * c
         return ((1.0 - t.eps) * tree_df(t.base, v)
-                + scale * profiles._bump_raw_deriv((v - t.c_star) / t.eta))
+                + scale * profiles._inside(profiles._bump_shape_deriv,
+                                           (v - t.c_star) / t.eta))
     return sum(tree_df(p, v) for p in t.parts)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (bump_oracle, contour_deformed_integral, dawson_series,
-                      dense_line_integral, mp_transform, profile_integrand)
+                      dense_line_integral, mp_transform, mp_transform_derivative,
+                      profile_integrand)
 from scipy import integrate as scipy_integrate
 from scipy.special import wofz
 
@@ -875,3 +876,61 @@ class TestArrayPath:
             want = [pole_free_secular(system, j, system.kappa, z) for z in omega]
             assert got.shape == omega.shape
             np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+class TestTransformDerivative:
+    """dC/dsigma, returned with C by one kernel call, against `mpmath.diff` of the
+    30-digit transform on all three branches, and the array form against the
+    point form. Gaussian parts differentiate their closed form; a bump term is
+    the transform of g' = (p f_bump')' over its own node set, on every route of
+    `_bump_array`."""
+
+    GAUSSIAN_SIGMAS = [0.5 + 0.3j, -1.7 + 1.0j, 1.3, -0.7, 0.9 - 0.1j, -1.4 - 0.3j]
+    # the bump term of the bump_profile fixture (support [4.5, 5.5]): the node sum
+    # above, on and below the axis; the far field above, on and below the axis
+    # off the support; refused at the edge margin under the plain-sum height
+    # (pinned panels); the residue deep in the support column
+    BUMP_SIGMAS = [5.2 + 0.3j, 4.8, 5.2 - 0.1j, 5.0 + 2.0j, 7.0, 7.0 - 0.1j,
+                   4.51 + 0.01j, 5.3 - 0.9j, 5.0 - 1.0j]
+
+    @staticmethod
+    def check(profile, weight, sigmas):
+        for sigma in sigmas:
+            value, slope = cauchy_transform(profile, weight, sigma, derivative=True)
+            assert value == cauchy_transform(profile, weight, sigma)
+            want = mp_transform_derivative(profile, weight, sigma)
+            assert abs(slope - want) <= 1e-10 * abs(want), sigma
+
+    @pytest.mark.parametrize("weight", [(0.0, 1.0), (0.3, -1.0, 0.5, 0.2)])
+    @pytest.mark.parametrize("name", ["std_maxwellian", "two_stream"])
+    def test_gaussian_parts_against_mpmath(self, request, name, weight):
+        profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
+        self.check(profile, weight, self.GAUSSIAN_SIGMAS)
+
+    @pytest.mark.parametrize("weight", [(0.0, 1.0), (1.0,)])
+    def test_bump_term_routes_against_mpmath(self, bump_profile, weight, pinned_calls):
+        term = profiles.VelocityProfile((), bump_profile.bumps)
+        node, _ = bump_node(term, weight, 5.2)
+        self.check(term, weight, self.BUMP_SIGMAS + [node + 1e-10])
+        # the edge-margin point and the near-node point took the pinned panels,
+        # for the value and the derivative, then for the value alone
+        assert pinned_calls == [4.51 + 0.01j] * 3 + [complex(node + 1e-10)] * 3
+        field = term.node_sets[(weight, "d")][0][4]
+        assert quadrature._far(np.array([5.0 + 2.0j, 7.0, 7.0 - 0.1j]), field).all()
+
+    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
+    @pytest.mark.parametrize("name", ["std_maxwellian", "two_stream", "bump_profile"])
+    def test_array_matches_point(self, request, name, weight):
+        profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
+        pts = branch_points(profile, weight)
+        point = scalar_values(lambda z: cauchy_transform(profile, weight, z, True), pts)
+        kept = [(z, v) for z, v in zip(pts, point) if v is not None]
+        sigma = np.array([z for z, _ in kept]).reshape(-1, 1)
+        got = cauchy_transform(profile, weight, sigma, derivative=True)
+        assert got[0].shape == got[1].shape == sigma.shape
+        assert np.array_equal(got[0], cauchy_transform(profile, weight, sigma))
+        # Z - 2 zeta A cancels as 1 + zeta Z does, one power of zeta further:
+        # far from a Gaussian part's drift an ulp of w shows 10 times larger
+        for part, i, tol in ((got[0], 0, 1e-13), (got[1], 1, 1e-12)):
+            want = np.array([v[i] for _, v in kept]).reshape(-1, 1)
+            assert np.all(np.abs(part - want) <= tol * np.maximum(1.0, np.abs(want)))
