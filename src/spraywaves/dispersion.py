@@ -3,11 +3,11 @@
 The dispersion function of the linearized particle-laden acoustics depends on
 the phase velocity sigma = omega/|k| alone:
 
-    D(sigma) = 1 - c0^2/sigma^2
-               - (kappa rho0 c0^2 / alpha0) * (1/sigma) * C[v f'(v)/(v - sigma)],
+    D(sigma) = 1 - c0^2/sigma^2 - (kappa rho0 c0^2 / alpha0) * C(sigma),
 
-where C[.] is the branch-correct continuation of the velocity integral from
-the upper half-plane (see `quadrature`). Zeros with Im sigma > 0 are unstable
+where C(sigma) is the branch-correct continuation of int f'(v)/(v - sigma) dv
+from the upper half-plane (see `quadrature`): the coupling integral int v f'/(v -
+sigma) dv is sigma C, since int f' = 0. Zeros with Im sigma > 0 are unstable
 modes; zeros with Im sigma < 0 are decay rates of the continued function, not
 regular eigenvalues. D is evaluated as E(sigma)/sigma^2 from the pole-free
 E(sigma) = sigma^2 D(sigma), which has the same zeros and no pole at sigma = 0.
@@ -156,9 +156,9 @@ def landau_dispersion(profile: VelocityProfile, k: float, omega):
         raise ZeroSigma("landau dispersion undefined at k = 0")
     sigma = (omega if isinstance(omega, np.ndarray) else complex(omega)) / k
     if k > 0.0:
-        cont = quadrature.cauchy_transform(profile, (1.0,), sigma)
+        cont = quadrature.cauchy_transform(profile, sigma)
     else:
-        cont = quadrature.cauchy_transform(profile, (1.0,), sigma.conjugate()).conjugate()
+        cont = quadrature.cauchy_transform(profile, sigma.conjugate()).conjugate()
     return 1.0 - cont / k**2
 
 
@@ -248,20 +248,23 @@ def _winding_number(func, region: SearchRegion, feature_scale: float | None = No
 
 def _pole_free(params: SprayParams, profile: VelocityProfile, sigma,
                derivative: bool = False):
-    """E(sigma) = sigma^2 D(sigma) = sigma^2 - c0^2 - pref sigma C[v f'](sigma), at
-    a point or elementwise over an ndarray, with C[v f'](sigma) the continued
-    int v f'(v)/(v - sigma) dv (sigma^2 - c0^2 at kappa = 0): the zeros of D
-    without its sigma = 0 pole (E(0) = -c0^2); with ``derivative`` (E, E')."""
+    """E(sigma) = sigma^2 D(sigma) = sigma^2 (1 - pref C(sigma)) - c0^2, at a point
+    or elementwise over an ndarray, with C the continued int f'(v)/(v - sigma) dv
+    (sigma^2 - c0^2 at kappa = 0): the zeros of D without its sigma = 0 pole
+    (E(0) = -c0^2); with ``derivative`` (E, E'), E' = 2 sigma (1 - pref C) -
+    pref sigma^2 C'."""
     # complex ** raises OverflowError where the square overflows; so must an array
     with np.errstate(over="raise"):
-        base = sigma**2 - params.c0**2
+        square = sigma**2
     if params.kappa == 0.0:
+        base = square - params.c0**2
         return (base, 2.0 * sigma) if derivative else base
     pref = coupling_prefactor(params, profile)
-    c = quadrature.cauchy_transform(profile, (0.0, 1.0), sigma, derivative)
+    c = quadrature.cauchy_transform(profile, sigma, derivative)
     if not derivative:
-        return base - pref * sigma * c
-    return base - pref * sigma * c[0], 2.0 * sigma - pref * (c[0] + sigma * c[1])
+        return square * (1.0 - pref * c) - params.c0**2
+    rest = 1.0 - pref * c[0]
+    return square * rest - params.c0**2, 2.0 * sigma * rest - pref * square * c[1]
 
 
 def count_roots(params: SprayParams, profile: VelocityProfile,
@@ -416,8 +419,8 @@ def thin_spray_expansion(params: SprayParams,
                          profile: VelocityProfile) -> tuple[float, float]:
     """(spray sound speed c_star, first-order damping/growth rate gamma).
 
-    c_star = c0 + pref/2 Re C[v f'](c0) with pref = kappa rho0 c0^2 / alpha0,
-    which is c0 (1 + pref/2 P.V. int f'(v)/(v - c0) dv) since int f' = 0;
+    c_star = c0 (1 + pref/2 Re C(c0)) = c0 + pref/2 Re C[v f'](c0), pref = kappa
+    rho0 c0^2 / alpha0 and Re C(c0) = P.V. int f'(v)/(v - c0) dv;
     gamma = -Di(c_star)/Dr'(c_star).
     """
     if params.kappa == 0.0:
@@ -425,9 +428,9 @@ def thin_spray_expansion(params: SprayParams,
     if params.kappa > 0.1:
         warnings.warn("thin-spray expansion requested at kappa > 0.1",
                       stacklevel=2)
-    # on the axis the continuation is P.V. + i pi c0 f'(c0); keep the P.V.
-    pv = quadrature.cauchy_transform(profile, (0.0, 1.0), params.c0).real
-    c_star = params.c0 + 0.5 * coupling_prefactor(params, profile) * pv
+    # on the axis the continuation is P.V. + i pi f'(c0); keep the P.V.
+    pv = quadrature.cauchy_transform(profile, params.c0).real
+    c_star = params.c0 * (1.0 + 0.5 * coupling_prefactor(params, profile) * pv)
     gamma = damping_rate_at(params, profile, c_star)
     return c_star, gamma
 

@@ -12,7 +12,8 @@ The coupled eigenvalues are located as zeros of the rank-one secular function
     S(sigma) = 1 - kappa < grad_psi, (A - sigma I)^(-1) I(sigma) >,
     I(sigma) = continued integral of phi(v) f'(v) / (v - sigma) dv,
 
-evaluated on the correct branch of the analytic continuation.
+evaluated on the correct branch of the analytic continuation, as sum_k phi_k
+C[v**k f'] from the one transform C = `quadrature.cauchy_transform`.
 """
 
 from __future__ import annotations
@@ -157,18 +158,27 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 def _modal_projections(s: SystemCoupling, sigma, derivative: bool = False) -> list:
-    """m_i(sigma) = (grad_psi . r_i)(r_i . I(sigma)) = psi_i sum_k Phi_ik C[v**k f']
-    for each eigenpair i of A, where I(sigma) is the continued integral of
-    phi(v) f'(v)/(v - sigma); Python numbers at a point, ndarrays over one. With
-    ``derivative`` the pair of lists (m_i, m_i'), from the same transforms."""
+    """m_i(sigma) = (grad_psi . r_i)(r_i . I(sigma)) = psi_i sum_k Phi_ik C_k for
+    each eigenpair i of A, I(sigma) the continued integral of phi(v) f'(v)/(v -
+    sigma) and C_k = C[v**k f']; Python numbers at a point, ndarrays over one;
+    with ``derivative`` the pair of lists (m_i, m_i'). One kernel call gives C_0
+    = C: v**k = sigma v**(k-1) + (v - sigma) v**(k-1) and int v**(k-1) f' =
+    -(k-1) M_(k-2), M_n the moments of f, give C_k = sigma C_(k-1) - (k-1)
+    M_(k-2) and C_k' = C_(k-1) + sigma C_(k-1)'."""
     psi, phi = s.modal_table
-    terms = [(quadrature.cauchy_transform(s.profile, (0.0,) * k + (1.0,), sigma,
-                                          derivative), col) for k, col in phi.items()]
-    project = lambda terms: [psi_i * sum(c * col[i] for c, col in terms)
-                             for i, psi_i in enumerate(psi)]
-    if derivative:
-        return tuple(project([(c[n], col) for c, col in terms]) for n in (0, 1))
-    return project(terms)
+    if not phi:            # no feedback row: nothing to transform
+        return ([0.0] * len(psi),) * 2 if derivative else [0.0] * len(psi)
+    c = quadrature.cauchy_transform(s.profile, sigma, derivative)
+    cs, dcs = ([c[0]], [c[1]]) if derivative else ([c], None)
+    for k in range(1, max(phi) + 1):
+        if derivative:
+            dcs.append(cs[-1] + sigma * dcs[-1])
+        cs.append(sigma * cs[-1])
+        if k > 1:
+            cs[-1] -= (k - 1) * profiles.moment(s.profile, k - 2)
+    project = lambda cs: [psi_i * sum(cs[k] * col[i] for k, col in phi.items())
+                          for i, psi_i in enumerate(psi)]
+    return (project(cs), project(dcs)) if derivative else project(cs)
 
 
 def stability_necessary_condition(s: SystemCoupling) -> list[ModeVerdict]:

@@ -111,9 +111,9 @@ class VelocityProfile:
         return moment(self, 0)
 
     @cached_property
-    def node_sets(self) -> dict:
-        """Quadrature nodes per weight, filled by `quadrature`."""
-        return {}
+    def node_sets(self) -> list:
+        """Quadrature nodes of each bump term, filled by `quadrature`."""
+        return []
 
 
 def maxwellian(mass: float = 1.0, drift: float = 0.0,
@@ -176,15 +176,14 @@ def _bump_shape_deriv(w, order: int = 1):
     return np.exp(-1.0 / q) * (h * (h - 1.0) + (1.0 + w) * dh)
 
 
-@lru_cache(maxsize=1)
-def _bump_constants() -> tuple[float, float, float]:
-    """(normalization C, first moment of g, second moment of g)."""
+@lru_cache(maxsize=None)
+def _bump_constants(order: int = 2) -> tuple[float, ...]:
+    """(normalization C, then the moments 1 to ``order`` of g)."""
     nodes, weights = _gauss.panel_nodes(-1.0, 1.0, 64, 12)
     raw = np.real(_bump_raw(nodes))
     i0 = float(np.sum(raw * weights))
-    m1 = float(np.sum(nodes * raw * weights)) / i0
-    m2 = float(np.sum(nodes**2 * raw * weights)) / i0
-    return 1.0 / i0, m1, m2
+    return (1.0 / i0, *(float(np.sum(nodes**k * raw * weights)) / i0
+                        for k in range(1, order + 1)))
 
 
 def _check_edges(profile: VelocityProfile, v) -> np.ndarray:
@@ -209,7 +208,7 @@ def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
         f = g.mass / (_SQRT_2PI * g.width) * np.exp(exponent)
         terms.append(g.coef * (-(v - g.drift) / g.width**2 * f if df else f))
     for b in profile.bumps:
-        c, _, _ = _bump_constants()
+        c = _bump_constants()[0]
         terms.append(_bump_df(b, v) if df else b.mass / b.eta * c
                      * _bump_raw((v - b.c_star) / b.eta))
     return sum(terms[1:], terms[0])
@@ -217,7 +216,7 @@ def _eval_raw(profile: VelocityProfile, v, df: bool) -> np.ndarray:
 
 def _bump_df(b: Bump, v, order: int = 1) -> np.ndarray:
     """Velocity derivative of a bump term, the first or (``order`` 2) the second."""
-    c, _, _ = _bump_constants()
+    c = _bump_constants()[0]
     w = (np.asarray(v) - b.c_star) / b.eta
     return b.mass / b.eta**(order + 1) * c * _inside(_bump_shape_deriv, w, order)
 
@@ -273,18 +272,22 @@ def resolution_scale(profile: VelocityProfile) -> float:
 
 
 def moment(profile: VelocityProfile, order: int) -> float:
-    """Velocity moment of f of order 0 or 2, in closed form: the Gaussian
-    moments, and for the bump terms those of their shape from `_bump_constants`."""
-    if order not in (0, 2):
-        raise ValueError("moment order must be 0 or 2")
-    total = 0.0
+    """Velocity moment int v**order f dv for a whole order >= 0, in closed form:
+    E[(d + w u)**n] of each Gaussian part with E[u**j] = (j - 1)!! (even j), and
+    E[(c + eta u)**n] of each bump term with the moments of g (`_bump_constants`).
+    Powers by ** for Gaussian parts and by products for bump terms keep order 2
+    at w**2 + d**2 and c c + 2 c eta mu_1 + eta eta mu_2 to the bit."""
+    if not isinstance(order, int) or order < 0:
+        raise ValueError("moment order must be a whole number >= 0")
+    total, binomial = 0.0, [math.comb(order, j) for j in range(order + 1)]
     for g in profile.gaussians:
-        total += g.coef * (g.mass * (1.0 if order == 0 else g.width**2 + g.drift**2))
+        total += g.coef * (g.mass * sum(binomial[j] * g.drift**(order - j) * g.width**j
+                                        * math.prod(range(j - 1, 0, -2))
+                                        for j in range(0, order + 1, 2)))
+    mus = (1.0, *_bump_constants(order)[1:])
     for b in profile.bumps:
-        _, m1, m2 = _bump_constants()
-        c, eta = b.c_star, b.eta
-        shape = 1.0 if order == 0 else c * c + 2.0 * c * eta * m1 + eta * eta * m2
-        total += b.mass * shape
+        total += b.mass * sum(binomial[j] * math.prod([b.c_star] * (order - j))
+                              * math.prod([b.eta] * j) * mus[j] for j in range(order + 1))
     return total
 
 

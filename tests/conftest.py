@@ -142,11 +142,12 @@ def profile_integrand(profile: VelocityProfile, weight: str = "v_df"):
 _TIGHT = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 2000}
 
 
-def bump_oracle(profile: VelocityProfile, weight, sigma: complex, reach: float = 0.1,
-                df=None) -> complex:
+def bump_oracle(profile: VelocityProfile, sigma: complex, reach: float = 0.1,
+                df=None, weight=(1.0,)) -> complex:
     """Continued int p(v) f'(v)/(v - sigma) dv of a bump-on-tail profile by
     adaptive scipy quadrature, split at the bump support edges, with no
-    subtraction at sigma; ``df`` replaces f' (the bump term alone, say).
+    subtraction at sigma; p the polynomial ``weight`` (coefficients of v**0,
+    v**1, ...), and ``df`` replaces f' (the bump term alone, say).
 
     On the axis: the principal value folded about x0, int_0^r (g(x0 + t) -
     g(x0 - t))/t dt, plus plain integrals outside [x0 - r, x0 + r] and the

@@ -229,7 +229,7 @@ class TestRootCounting:
         z0 = 5.0 - 3.0j
 
         def func(z, derivative=False):
-            value = (z - z0) + 0.0 * quadrature.cauchy_transform(profile, (1.0,), z)
+            value = (z - z0) + 0.0 * quadrature.cauchy_transform(profile, z)
             return (value, 1.0) if derivative else value
 
         assert dispersion._seeded_root(func, z0 + 0.05j, 1.0, ()).winding_evidence == 1
@@ -612,9 +612,9 @@ class TestStrongBumpRoots:
 
     @staticmethod
     def oracle_root(params, profile, z, h=1e-6):
-        """Newton on D(sigma) with the continued integral from `bump_oracle`."""
+        """Newton on D(sigma) with the continued integral C[v f'] from `bump_oracle`."""
         def func(s):
-            integral = bump_oracle(profile, (0.0, 1.0), s)
+            integral = bump_oracle(profile, s, df=profile_integrand(profile, "v_df"))
             pref = dispersion.coupling_prefactor(params, profile)
             return 1.0 - params.c0**2 / s**2 - pref * integral / s
 

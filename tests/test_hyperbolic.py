@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import system_mode_sigmas
+from conftest import mp_transform, mp_transform_derivative, system_mode_sigmas
+from scipy import integrate as scipy_integrate
 from spraywaves import hyperbolic, profiles, quadrature
 from spraywaves.dispersion import SearchRegion, find_roots
 from spraywaves.errors import DegenerateSpectrum
@@ -21,11 +22,24 @@ def p0(c: SystemCoupling, omega):
 
 def dense_secular(s: SystemCoupling, sigma: complex) -> complex:
     """Oracle S(sigma) = 1 - kappa <grad_psi, (A - sigma)^(-1) I(sigma)> by a dense
-    resolvent solve, I(sigma) one transform per component (no eigenpairs)."""
-    n = s.a_matrix.shape[0]
-    ivec = np.array([quadrature.cauchy_transform(
-        s.profile, tuple(c[i] for c in s.phi_coeffs), sigma) for i in range(n)])
-    x = np.linalg.solve(s.a_matrix - sigma * np.eye(n), ivec)
+    resolvent solve, with no eigenpairs and no moments of f: component i of
+    I(sigma) = int p_i(v) f'(v)/(v - sigma) dv, p_i(v) = sum_k phi_k[i] v**k, is
+    p_i(sigma) C(sigma) + sum_m q_m int v**m f' dv, q = (p_i(v) - p_i(sigma))/(v - sigma)
+    by polynomial division and the regular integrals by scipy's adaptive
+    quadrature over the profile's support, cut at its bump edges."""
+    poly, phi = np.polynomial.polynomial, np.array(s.phi_coeffs, dtype=complex)
+    lo, hi = profiles.support_bounds(s.profile)
+    df = lambda v: float(np.real(profiles.eval_df(s.profile, v)))
+    plain = [scipy_integrate.quad(lambda v: v**m * df(v), lo, hi, limit=200,
+                                  points=profiles.bump_edges(s.profile) or None)[0]
+             for m in range(len(phi) - 1)]
+    c = quadrature.cauchy_transform(s.profile, sigma)
+    ivec = []
+    for p in phi.T:
+        p_sigma = poly.polyval(sigma, p)
+        q = poly.polydiv(np.append(p[0] - p_sigma, p[1:]), [-sigma, 1.0])[0]
+        ivec.append(p_sigma * c + np.dot(q[:len(plain)], plain))
+    x = np.linalg.solve(s.a_matrix - sigma * np.eye(len(ivec)), np.array(ivec))
     return 1.0 - s.kappa * complex(np.dot(s.grad_psi, x))
 
 
@@ -265,7 +279,7 @@ class TestTrackSecularRoot:
 
     def test_three_evaluations_on_a_seeded_system(self, std_maxwellian, monkeypatch):
         # the seed's projection and at most two Newton steps, each one kernel
-        # call per phi power for the value and the derivative, and the
+        # call for every phi power, the value and the derivative, and the
         # acceptance test reads Newton's own |P_j|
         rng = np.random.default_rng(23)
         raw = rng.normal(size=(3, 3))
@@ -273,9 +287,9 @@ class TestTrackSecularRoot:
                                 tuple(map(tuple, rng.normal(size=(2, 3)))), 1e-3,
                                 std_maxwellian)
         calls = []
-        projections = hyperbolic._modal_projections
-        monkeypatch.setattr(hyperbolic, "_modal_projections",
-                            lambda *args: calls.append(args) or projections(*args))
+        transform = quadrature.cauchy_transform
+        monkeypatch.setattr(quadrature, "cauchy_transform",
+                            lambda *args: calls.append(args) or transform(*args))
         for j in range(3):
             calls.clear()
             tracked = track_secular_root(system, j, system.kappa)
@@ -366,6 +380,36 @@ class TestNecessaryCondition:
                     assert tracked.imag > 0.0
 
 
+class TestPowerTransforms:
+    """C_k = C[v^k f'] as `_modal_projections` builds it from one kernel call and
+    the moments of f, read as m_0 of the 1 x 1 system A = (1), grad_psi = (1),
+    phi(v) = v^k, against conftest's 30-digit `mp_transform` with the weight
+    v^k, for k = 0..4 on all three branches; C_4' against `mpmath.diff` of it."""
+
+    TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                                      profiles.maxwellian(0.5, 2.0, 0.6))
+    BUMP = profiles.make_bump_on_tail(profiles.maxwellian(), 0.05, 0.5, 5.0)
+
+    @pytest.mark.parametrize("profile,sigma", [
+        (profiles.maxwellian(), 0.5 + 0.3j), (profiles.maxwellian(), 1.3),
+        (profiles.maxwellian(), 0.9 - 0.1j),
+        (TWO_STREAM, 1.0 + 0.4j), (TWO_STREAM, -2.0), (TWO_STREAM, 2.2 - 0.2j),
+        (BUMP, 5.2 + 0.3j), (BUMP, 4.8), (BUMP, 5.2 - 0.1j)],
+        ids=[f"{name}-{branch}" for name in ("maxwellian", "two-stream", "bump")
+             for branch in ("upper", "axis", "lower")])
+    def test_against_mpmath(self, profile, sigma):
+        for k in range(5):
+            weight = (0.0,) * k + (1.0,)
+            system = SystemCoupling(np.array([[1.0]]), np.array([1.0]),
+                                    tuple((c,) for c in weight), 1e-3, profile)
+            value, slope = hyperbolic._modal_projections(system, sigma, True)
+            assert hyperbolic._modal_projections(system, sigma) == value
+            want = mp_transform(profile, weight, sigma)
+            assert abs(value[0] - want) <= 1e-13 * max(1.0, abs(want)), k
+        want = mp_transform_derivative(profile, weight, sigma)
+        assert abs(slope[0] - want) <= 1e-12 * max(1.0, abs(want))
+
+
 class TestModeMatrixOracle:
     """Roots above the axis against the eigenvalues of the discretized coupled
     system (`conftest.system_mode_sigmas`), which share nothing with the secular
@@ -384,18 +428,23 @@ class TestModeMatrixOracle:
             assert np.min(np.abs(sigmas - root)) <= rel_tol * abs(root)
 
     @staticmethod
-    def seeded_system(seed, profile):
+    def seeded_system(seed, profile, rows=2):
+        """A 3 x 3 system whose phi has ``rows`` rows, powers 0 to rows - 1."""
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, 3))
         return SystemCoupling(0.75 * (raw + raw.T), rng.normal(size=3),
-                              tuple(map(tuple, rng.normal(size=(2, 3)))), 0.3, profile)
+                              tuple(map(tuple, rng.normal(size=(rows, 3)))), 0.3, profile)
 
-    @pytest.mark.parametrize("case,nv", [("system-prop1", 2049), (25, 1025), (31, 1025)])
+    @pytest.mark.parametrize("case,nv", [("system-prop1", 2049), (25, 1025), (31, 1025),
+                                         ("quadratic 25", 1025)])
     def test_tracked_unstable_modes(self, std_maxwellian, case, nv):
+        # the last has a quadratic phi row, so its C_2 = C[v^2 f'] reads M_0
         if case == "system-prop1":
             system = SystemCoupling(np.array([[1.0, 0.3], [0.3, 2.0]]),
                                     np.array([1.0, 0.4]), ((1.0, 0.4),), 0.5,
                                     std_maxwellian)
+        elif case == "quadratic 25":
+            system = self.seeded_system(25, std_maxwellian, rows=3)
         else:
             system = self.seeded_system(case, std_maxwellian)
         roots = [track_secular_root(system, v.j, system.kappa)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from spraywaves import profiles
 from spraywaves.errors import (FaddeevaOverflow, InvalidBump, StripViolation,
@@ -48,9 +49,17 @@ class TestMaxwellian:
         assert moment(p, 0) == pytest.approx(2.0, rel=1e-10)
         assert moment(p, 2) == pytest.approx(20.0, rel=1e-10)
 
-    def test_moment_order_validation(self, std_maxwellian):
+    @pytest.mark.parametrize("order", [-1, 1.5, 2.0, "2"])
+    def test_moment_order_validation(self, std_maxwellian, order):
+        # any whole number >= 0, as a Python int
         with pytest.raises(ValueError):
-            moment(std_maxwellian, 1)
+            moment(std_maxwellian, order)
+
+    def test_moments_of_any_order(self):
+        # E[v^n] of N(1, 3^2) times the mass 2: 1, 1, 10, 28, 298, 1306, 14716
+        p = maxwellian(mass=2.0, width=3.0, drift=1.0)
+        for n, raw in enumerate((1, 1, 10, 28, 298, 1306, 14716)):
+            assert moment(p, n) == pytest.approx(2.0 * raw, rel=1e-14)
 
     def test_no_strip_until_the_exponential_overflows(self, std_maxwellian):
         # a Gaussian part is entire: off the axis f is the plain exponential
@@ -109,6 +118,21 @@ class TestBumpOnTail:
             (1 - eps) * m0_base + bump_m0, rel=1e-8)
         assert moment(bump_profile, 2) == pytest.approx(
             (1 - eps) * moment(std_maxwellian, 2) + bump_m2, rel=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("order", range(7))
+    def test_moments_against_quadrature(self, bump_profile, order):
+        # every order of a bump on a drifted base: int v^n f dv by scipy's
+        # adaptive quadrature, split at the bump edges (its roundoff notes are
+        # silenced, the bound decides)
+        profile = make_bump_on_tail(maxwellian(1.5, -0.4, 0.8), 0.1, 0.5, 3.0)
+        for prof in (bump_profile, profile):
+            lo, hi = profiles.support_bounds(prof)
+            want = sum(integrate.quad(lambda v: v**order * eval_f(prof, v).real, a, b,
+                                      epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                       for a, b in zip((lo, *profiles.bump_edges(prof)),
+                                       (*profiles.bump_edges(prof), hi)))
+            assert moment(prof, order) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_inner_bump_mass_scaled(self):
         # a bump on a bump: the inner term keeps (1 - eps2) of its mass eps1 M

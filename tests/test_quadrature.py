@@ -11,7 +11,7 @@ from scipy import integrate as scipy_integrate
 from scipy.special import wofz
 
 import spraywaves
-from spraywaves import _gauss, profiles, quadrature
+from spraywaves import _gauss, hyperbolic, profiles, quadrature
 from spraywaves._faddeeva import _L, _coefficients, faddeeva
 from spraywaves.dispersion import dispersion_value
 from spraywaves.errors import FaddeevaOverflow, StripViolation, ZeroSigma
@@ -45,17 +45,28 @@ def pv(g, x0, **kwargs):
     return pinned(g, x0, **kwargs) - 1j * math.pi * g_at(g, x0)
 
 
+def weighted_transform(profile, weight, sigma, derivative=False):
+    """Continued int p(v) f'(v)/(v - sigma) dv, p the polynomial ``weight``, as a
+    caller builds it from one kernel call: m_0 of `hyperbolic._modal_projections`
+    for the 1 x 1 system A = (1), grad_psi = (1), phi = p; at a point or over an
+    array, and with ``derivative`` the pair (value, d/dsigma)."""
+    system = SystemCoupling(np.array([[1.0]]), np.array([1.0]),
+                            tuple((c,) for c in weight), 1e-3, profile)
+    m = hyperbolic._modal_projections(system, sigma, derivative)
+    return (m[0][0], m[1][0]) if derivative else m[0]
+
+
 def maxwellian_closed_form(sigma, mass=1.0, drift=0.0, width=1.0):
-    """Continued int v f'(v)/(v - sigma) dv of a Maxwellian via the Faddeeva function.
+    """Continued int f'(v)/(v - sigma) dv of a Maxwellian via the Faddeeva function.
 
     With zeta = (sigma - drift)/width and Z(z) = i sqrt(pi) w(z) this is
-    -sigma (mass/width^2) (1 + zeta Z(zeta/sqrt 2)/sqrt 2); for the unit
-    Maxwellian, -sigma - sigma^2 Z(sigma/sqrt 2)/sqrt 2. w is entire, so the
-    same expression holds on all three branches.
+    -(mass/width^2) (1 + zeta Z(zeta/sqrt 2)/sqrt 2); for the unit Maxwellian,
+    -1 - sigma Z(sigma/sqrt 2)/sqrt 2. w is entire, so the same expression
+    holds on all three branches.
     """
     zeta = (sigma - drift) / width
     z = 1j * math.sqrt(math.pi) * wofz(zeta / math.sqrt(2.0))
-    return -sigma * mass / width**2 * (1.0 + zeta * z / math.sqrt(2.0))
+    return -mass / width**2 * (1.0 + zeta * z / math.sqrt(2.0))
 
 
 def test_public_names_resolve():
@@ -168,26 +179,23 @@ class TestSingularIntegral:
 
 
 class TestCauchyTransform:
-    @pytest.mark.parametrize("profile_name,weight,sigma", [
-        ("std_maxwellian", (0.5, 0.0, -1.0), -0.4 + 0.3j),
-        ("bump_profile", (1.0, -0.5, 0.25), 4.8 + 0.1j),
+    @pytest.mark.parametrize("profile_name,sigma", [
+        ("std_maxwellian", -0.4 + 0.3j),
+        ("bump_profile", 4.8 + 0.1j),
     ])
-    def test_upper_branch_against_dense_oracle(self, request, profile_name,
-                                               weight, sigma):
+    def test_upper_branch_against_dense_oracle(self, request, profile_name, sigma):
         profile = request.getfixturevalue(profile_name)
-        df = profile_integrand(profile, "df")
-        g = lambda v: np.polynomial.polynomial.polyval(v, weight) * df(v)
+        g = profile_integrand(profile, "df")
         # split at the bump support edges so the adaptive oracle sees them
         edges = [-np.inf, 4.5, 5.5, np.inf]
         oracle = sum(dense_line_integral(g, sigma, lo, hi)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        val = cauchy_transform(profile, weight, sigma)
+        val = cauchy_transform(profile, sigma)
         assert val == pytest.approx(oracle, abs=1e-9)
-
 
     @pytest.mark.parametrize("sigma", [0.4 + 0.3j, 2.0 + 1.5j, 1.1 - 0.2j])
     def test_drifted_maxwellian_quartic_weight(self, sigma):
-        # the Gaussian moments of the closed form enter from degree 3 on
+        # the moments of f enter the weighted value from degree 2 on
         profile = profiles.maxwellian(0.7, 1.3, 0.8)
         weight = (1.0, 0.2, -0.3, 0.1, -0.05)
         df = profile_integrand(profile, "df")
@@ -197,7 +205,7 @@ class TestCauchyTransform:
         if sigma.imag < 0:
             # lower branch: the conjugate of the upper value plus the residue
             oracle = oracle.conjugate() + 2j * math.pi * g(np.array([sigma]))[0]
-        val = cauchy_transform(profile, weight, sigma)
+        val = weighted_transform(profile, weight, sigma)
         assert val == pytest.approx(oracle, rel=1e-12)
 
 
@@ -210,16 +218,16 @@ class TestStripContract:
     @pytest.mark.parametrize("sigma", [0.5 - 0.6j, 1.0 - 1.2j, 2.0 - 2.0j, -1.5 - 2.5j,
                                        0.3 - 2.9j, 3.0 - 0.4j, 8.0 - 2.0j])
     def test_maxwellian_lower_branch_has_no_strip(self, std_maxwellian, sigma):
-        # -sigma (1 + zeta Z(zeta)), zeta = sigma / sqrt 2, Z = i sqrt(pi) w from
-        # scipy; the last two lose up to 2e-14 to the far-field cancellation
+        # -(1 + zeta Z(zeta)), zeta = sigma / sqrt 2, Z = i sqrt(pi) w from
+        # scipy; the last two lose digits to the far-field cancellation
         zeta = sigma / math.sqrt(2.0)
-        want = -sigma * (1.0 + zeta * 1j * math.sqrt(math.pi) * wofz(zeta))
-        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
+        want = -(1.0 + zeta * 1j * math.sqrt(math.pi) * wofz(zeta))
+        val = cauchy_transform(std_maxwellian, sigma)
         assert abs(val - want) <= 1e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("sigma", [1.0 + 0.6j, -2.0 + 3.0j])
     def test_maxwellian_upper_branch_returns(self, std_maxwellian, sigma):
-        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
+        val = cauchy_transform(std_maxwellian, sigma)
         assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12)
 
     def test_maxwellian_sum_has_no_strip(self):
@@ -227,10 +235,10 @@ class TestStripContract:
         profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
         for sigma in (1.0 - 0.31j, 1.0 - 3.0j):
             want = sum(maxwellian_closed_form(sigma, *p) for p in parts)
-            val = cauchy_transform(profile, (0.0, 1.0), sigma)
+            val = cauchy_transform(profile, sigma)
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
         with pytest.raises(FaddeevaOverflow):
-            cauchy_transform(profile, (0.0, 1.0), 1.0 - 40.0j)
+            cauchy_transform(profile, 1.0 - 40.0j)
 
     def test_bump_term_is_cut_at_its_own_edges_only(self, bump_profile):
         # a term's integrand is smooth at another term's edges
@@ -246,17 +254,16 @@ class TestStripContract:
     def test_bump_lower_branch_raises(self, bump_profile, sigma):
         # in the edge margin below the axis, at any depth
         with pytest.raises(StripViolation):
-            cauchy_transform(bump_profile, (0.0, 1.0), sigma)
+            cauchy_transform(bump_profile, sigma)
 
     @pytest.mark.parametrize("sigma", [4.0 + 0.3j, 4.49 + 0.1j, 5.5 + 0.02j])
     def test_bump_upper_branch_returns(self, bump_profile, sigma):
-        g = profile_integrand(bump_profile, "v_df")
+        g = profile_integrand(bump_profile, "df")
         edges = sorted({-np.inf, 4.5, 5.5, sigma.real, np.inf})
         oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
                                          limit=2000)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        assert cauchy_transform(bump_profile, (0.0, 1.0), sigma) == \
-            pytest.approx(oracle, rel=1e-12)
+        assert cauchy_transform(bump_profile, sigma) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestBumpLowerBranchOracle:
@@ -273,8 +280,8 @@ class TestBumpLowerBranchOracle:
     def test_against_mpmath(self, bump_profile, weight):
         term = profiles.VelocityProfile((), bump_profile.bumps)
         want = np.array([mp_transform(term, weight, s) for s in self.SIGMAS])
-        points = np.array([cauchy_transform(term, weight, s) for s in self.SIGMAS])
-        array = cauchy_transform(term, weight, np.array(self.SIGMAS))
+        points = np.array([weighted_transform(term, weight, s) for s in self.SIGMAS])
+        array = weighted_transform(term, weight, np.array(self.SIGMAS))
         for got in (points, array):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -286,8 +293,8 @@ class TestFaddeevaOracle:
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_unit_maxwellian(self, std_maxwellian, sigma):
-        val = cauchy_transform(std_maxwellian, (0.0, 1.0), sigma)
-        expected = complex(-sigma - sigma**2 * 1j * math.sqrt(math.pi)
+        val = cauchy_transform(std_maxwellian, sigma)
+        expected = complex(-1.0 - sigma * 1j * math.sqrt(math.pi)
                            * wofz(sigma / math.sqrt(2.0)) / math.sqrt(2.0))
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
         assert expected == pytest.approx(maxwellian_closed_form(sigma), abs=1e-15)
@@ -296,7 +303,7 @@ class TestFaddeevaOracle:
     def test_two_maxwellian_sum(self, sigma):
         parts = [(0.4, -1.5, 1.0), (0.6, 2.0, 1.2)]
         profile = profiles.profile_sum(*(profiles.maxwellian(*p) for p in parts))
-        val = cauchy_transform(profile, (0.0, 1.0), sigma)
+        val = cauchy_transform(profile, sigma)
         expected = sum(maxwellian_closed_form(sigma, *p) for p in parts)
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -335,12 +342,12 @@ class TestBumpEdgeMargin:
     def test_upper_branch_against_split_oracle(self, bump_profile, sigma):
         # sigma inside the edge margin, where the bump refuses complex
         # evaluation and the subtraction falls back to the real-axis value
-        g = profile_integrand(bump_profile, "v_df")
+        g = profile_integrand(bump_profile, "df")
         edges = sorted({-np.inf, 4.5, 5.5, sigma.real, np.inf})
         oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
                                          limit=2000)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        val = cauchy_transform(bump_profile, (0.0, 1.0), sigma)
+        val = cauchy_transform(bump_profile, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -352,8 +359,8 @@ class TestBumpEdgeMargin:
         # g(Re sigma) is subtracted, which is exact there
         profile = bump_profile if eta == 0.5 else profiles.make_bump_on_tail(
             profiles.maxwellian(), eps=0.05, eta=eta, c_star=5.0)
-        val = cauchy_transform(profile, (0.0, 1.0), sigma)
-        oracle = bump_oracle(profile, (0.0, 1.0), sigma)
+        val = cauchy_transform(profile, sigma)
+        oracle = bump_oracle(profile, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -365,39 +372,40 @@ class TestBumpEdgeMargin:
         profile = profiles.make_bump_on_tail(profiles.maxwellian(width=0.2), eps=0.05,
                                              eta=5.0, c_star=5.0)
         base = profiles.maxwellian(mass=1.0 - 0.05, width=0.2)
-        weight = (0.0, 1.0)
-        val = (cauchy_transform(profile, weight, sigma)
-               - cauchy_transform(base, weight, sigma))
-        oracle = bump_oracle(profile, weight, sigma,
+        val = cauchy_transform(profile, sigma) - cauchy_transform(base, sigma)
+        oracle = bump_oracle(profile, sigma,
                              df=lambda v: profiles._bump_df(profile.bumps[0], v))
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
 
+# C itself, C[v f'] = sigma C, and a quartic whose value takes moments of f
 BUMP_WEIGHTS = [(1.0,), (0.0, 1.0), (0.3, -1.0, 0.5, 0.2, -0.05)]
-def bump_node(profile, weight, near):
+
+
+def bump_node(profile, near):
     """The support node of the fused bump sum nearest to `near`, its weight."""
-    cauchy_transform(profile, weight, near)
-    vs, ws = profile.node_sets[weight][0][:2]
+    vs, ws = quadrature._node_sets(profile)[0][:2]
     j = int(np.argmin(np.abs(vs - near)))
     return float(vs[j]), float(ws[j])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 class TestFusedBumpSum:
-    """The bump term as one sum over support nodes fixed per profile; scipy's
-    roundoff notes at epsrel 1e-13 are silenced, the bounds decide."""
+    """The bump term as one sum over support nodes fixed per profile, with the
+    polynomial weights a caller builds from it; scipy's roundoff notes at
+    epsrel 1e-13 are silenced, the bounds decide."""
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
     @pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-10, 1e-6, "2e-2 w", "0.3 w"])
     @pytest.mark.parametrize("im", [0.0, 1e-8, -1e-8])
     def test_near_a_node(self, bump_profile, weight, offset, im):
         # within 1e-2 w of a node the sum cancels; past it the sum must hold
-        node, w = bump_node(bump_profile, weight, 5.2)
+        node, w = bump_node(bump_profile, 5.2)
         if isinstance(offset, str):
             offset = float(offset.split()[0]) * w
         sigma = complex(node + offset, im)
-        val = cauchy_transform(bump_profile, weight, sigma)
-        oracle = bump_oracle(bump_profile, weight, sigma)
+        val = weighted_transform(bump_profile, weight, sigma)
+        oracle = bump_oracle(bump_profile, sigma, weight=weight)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
@@ -407,32 +415,31 @@ class TestFusedBumpSum:
         # support edges on the axis (g = 0 there, no log term), the lower
         # branch, and points outside the support
         sigma = complex(sigma)
-        val = cauchy_transform(bump_profile, weight, sigma)
-        oracle = bump_oracle(bump_profile, weight, sigma)
+        val = weighted_transform(bump_profile, weight, sigma)
+        oracle = bump_oracle(bump_profile, sigma, weight=weight)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
-    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
-    def test_grid_parity_with_pinned_panels(self, bump_profile, weight, monkeypatch):
-        # the same g through `_pinned_part`, whose panels are pinned at Re
-        # sigma, by taking every point for a near-node one; the edge margin
-        # takes that path on both sides
+    def test_grid_parity_with_pinned_panels(self, bump_profile, monkeypatch):
+        # the same rows f_b' and f_b'' through `_pinned_part`, whose panels are
+        # pinned at Re sigma, by taking every point for a near-node one; the
+        # edge margin takes that path on both sides
         sigmas = [complex(re, im) for re in (*np.linspace(4.0, 6.0, 41), 4.5, 5.5)
                   for im in (0.2, 0.05, 1e-3, 1e-6, 0.0, -1e-6, -1e-3, -0.05, -0.2)]
         fused = []
         for sigma in sigmas:
             try:
-                fused.append(cauchy_transform(bump_profile, weight, sigma))
+                fused.append(cauchy_transform(bump_profile, sigma, True))
             except StripViolation:
                 fused.append(None)
 
         monkeypatch.setattr(quadrature, "_near_node", lambda *args: True)
-        for sigma, val in zip(sigmas, fused):
-            if val is None:
+        for sigma, vals in zip(sigmas, fused):
+            if vals is None:
                 with pytest.raises(StripViolation):
-                    cauchy_transform(bump_profile, weight, sigma)
+                    cauchy_transform(bump_profile, sigma, True)
                 continue
-            pinned = cauchy_transform(bump_profile, weight, sigma)
-            assert abs(val - pinned) <= 1e-13 * max(1.0, abs(pinned))
+            for val, pinned in zip(vals, cauchy_transform(bump_profile, sigma, True)):
+                assert abs(val - pinned) <= 1e-13 * max(1.0, abs(pinned))
 
     def test_ordinary_points_skip_singular_integral(self, bump_profile, monkeypatch):
         def refuse(*args, **kwargs):
@@ -440,9 +447,9 @@ class TestFusedBumpSum:
 
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
         for sigma in (4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j):
-            cauchy_transform(bump_profile, (0.0, 1.0), sigma)
+            cauchy_transform(bump_profile, sigma, True)
         with pytest.raises(AssertionError):
-            cauchy_transform(bump_profile, (0.0, 1.0), 4.51 + 0.01j)
+            cauchy_transform(bump_profile, 4.51 + 0.01j)
 
 
 @pytest.fixture
@@ -465,36 +472,34 @@ class TestPlainSumAboveStrip:
     subtracted, the cached nodes sum g(v)/(v - sigma) as it stands."""
 
     @staticmethod
-    def gate(profile, weight):
-        cauchy_transform(profile, weight, 5.0 + 0.1j)
-        return profile.node_sets[weight][0][-1]
+    def gate(profile):
+        return quadrature._node_sets(profile)[0][-1]
 
     @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
     @pytest.mark.parametrize("sigma", [5.0 + 0.26j, 5.0 + 0.6j, 5.1 + 1.0j, 4.515 + 0.2j,
                                        "edge margin at the gate"])
-    def test_against_split_oracle_without_pinned_panels(self, bump_profile, weight, sigma,
-                                                        monkeypatch):
+    def test_against_split_oracle_without_pinned_panels(self, bump_profile, weight,
+                                                        sigma, monkeypatch):
         if isinstance(sigma, str):
-            sigma = complex(4.5075, self.gate(bump_profile, weight))
-        oracle = bump_oracle(bump_profile, weight, sigma)
+            sigma = complex(4.5075, self.gate(bump_profile))
+        oracle = bump_oracle(bump_profile, sigma, weight=weight)
 
         def refuse(*args):
             raise AssertionError("_pinned_part called")
 
         monkeypatch.setattr(quadrature, "_pinned_part", refuse)
-        val = cauchy_transform(bump_profile, weight, sigma)
+        val = weighted_transform(bump_profile, weight, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
-        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]))
+        arr = weighted_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]))
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
 
     def test_just_under_the_gate_takes_pinned_panels(self, bump_profile, pinned_calls):
-        weight = (0.0, 1.0)
-        sigma = complex(4.5075, 0.99 * self.gate(bump_profile, weight))
-        val = cauchy_transform(bump_profile, weight, sigma)
-        arr = cauchy_transform(bump_profile, weight, np.array([4.8 + 0.05j, sigma]))
+        sigma = complex(4.5075, 0.99 * self.gate(bump_profile))
+        val = cauchy_transform(bump_profile, sigma)
+        arr = cauchy_transform(bump_profile, np.array([4.8 + 0.05j, sigma]))
         assert pinned_calls == [sigma, sigma]
         assert abs(arr[1] - val) <= 5e-14 * max(1.0, abs(val))
-        oracle = bump_oracle(bump_profile, weight, sigma)
+        oracle = bump_oracle(bump_profile, sigma)
         assert abs(val - oracle) <= 1e-12 * abs(oracle)
 
 
@@ -514,30 +519,31 @@ class TestFarField:
     RHO_H = quadrature._FAR_RHO * 0.5
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
-    def test_route_against_subtracted_sum_and_oracle(self, bump_profile, weight,
-                                                     monkeypatch):
+    def test_route_against_subtracted_sum_and_oracle(self, bump_profile, monkeypatch):
+        # the value and the derivative row
         far, near = far_points(1.01 * self.RHO_H), far_points(0.99 * self.RHO_H)
-        routed = [cauchy_transform(bump_profile, weight, z) for z in far]
-        arr = cauchy_transform(bump_profile, weight, np.array(far + near))
+        routed = [cauchy_transform(bump_profile, z, True) for z in far]
+        arr = np.array(cauchy_transform(bump_profile, np.array(far + near), True)).T
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_far",
                       lambda sigma, *args: np.zeros(np.shape(sigma), dtype=bool))
-            summed = [cauchy_transform(bump_profile, weight, z) for z in far + near]
+            summed = np.array([cauchy_transform(bump_profile, z, True)
+                               for z in far + near])
         for z, val, ref in zip(far, routed, summed):
-            assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
-            assert abs(val - bump_oracle(bump_profile, weight, z)) <= 1e-12 * abs(val)
+            drift = np.abs(np.subtract(val, ref))
+            assert np.all(drift <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+            assert abs(val[0] - bump_oracle(bump_profile, z)) <= 1e-12 * abs(val[0])
         assert np.all(np.abs(arr - summed) <= 5e-14 * np.maximum(1.0, np.abs(summed)))
 
         def refuse(*args):
             raise AssertionError("summed over the nodes")
 
         monkeypatch.setattr(quadrature, "_subtracted_sums", refuse)
-        assert [cauchy_transform(bump_profile, weight, z) for z in far] == routed
-        cauchy_transform(bump_profile, weight, np.array(far))
+        assert [cauchy_transform(bump_profile, z, True) for z in far] == routed
+        cauchy_transform(bump_profile, np.array(far), True)
         for z in near:
             with pytest.raises(AssertionError):
-                cauchy_transform(bump_profile, weight, z)
+                cauchy_transform(bump_profile, z)
 
     def test_lower_points_over_the_support_are_not_far(self):
         # there the continued value adds 2 i pi g(sigma) to the plain sum
@@ -547,19 +553,18 @@ class TestFarField:
         assert quadrature._far(5.6 - 2.0j, field)
         assert not quadrature._far(5.0 + 1.49j, field)
 
-    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
-    def test_tail_bound(self, bump_profile, weight):
-        # moments taken to 2K: the terms from K on stay under the bound the
-        # number of terms K was derived from
-        cauchy_transform(bump_profile, weight, 5.0 + 0.1j)
-        vs, ws, _, gvs, (centre, half, moments) = bump_profile.node_sets[weight][0][:5]
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_tail_bound(self, bump_profile, row):
+        # moments of each integrand row taken to 2K: the terms from K on stay
+        # under the bound the number of terms K was derived from
+        vs, ws, gvs, (centre, half, moments) = quadrature._node_sets(bump_profile)[0][:4]
         rho, k = quadrature._FAR_RHO, quadrature._FAR_TERMS
-        mu = (gvs * ws) @ np.vander((vs - centre) / half, 2 * k, increasing=True)
-        np.testing.assert_allclose(mu[:k], moments[::-1], rtol=0.0,
+        mu = (gvs[row] * ws) @ np.vander((vs - centre) / half, 2 * k, increasing=True)
+        np.testing.assert_allclose(mu[:k], moments[row][::-1], rtol=0.0,
                                    atol=1e-15 * np.abs(mu[0]).max(initial=1.0))
         factor = rho**-k / (1.0 - 1.0 / rho)
         assert factor < 2.0**-53 <= rho**(1 - k) / (1.0 - 1.0 / rho)
-        scale = np.sum(np.abs(gvs * ws))
+        scale = np.sum(np.abs(gvs[row] * ws))
         for t in np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 13)) / rho:
             remainder = abs(t / half * t**k * np.polyval(mu[k:][::-1], t))
             assert remainder <= scale * abs(t) / half * factor
@@ -567,12 +572,12 @@ class TestFarField:
 
 class TestTailCheck:
     def test_exact_zero_by_symmetry_is_not_divergence(self):
-        # v f'(v)/(v - 0) = f'(v) is odd for a symmetric profile, so the
-        # principal value at 0 cancels to rounding level while g(0) = 0; that
-        # zero must come back as a value, not as an error
+        # f' is odd for a symmetric profile, so the residue i pi f'(0) of the
+        # axis value at 0 cancels to rounding level and C[v f'](0) = 0 C(0)
+        # vanishes; that zero must come back as a value, not as an error
         profile = profiles.profile_sum(profiles.maxwellian(0.4, -1.5, 1.0),
                                        profiles.maxwellian(0.4, 1.5, 1.0))
-        assert abs(cauchy_transform(profile, (0.0, 1.0), 0.0)) <= 1e-15
+        assert abs(cauchy_transform(profile, 0.0).imag) <= 1e-15
         # P_0 of the scalar law is -G(0) = lambda0 - kappa C[v f'](0)
         value = pole_free_secular(scalar_law(1.0, 1e-3, profile), 0, 1e-3, 0.0)
         assert value == pytest.approx(1.0, abs=1e-15)
@@ -581,25 +586,25 @@ class TestTailCheck:
 class TestNodeCache:
     def test_values_independent_of_evaluation_order(self, std_maxwellian):
         # two bumps that differ only in eps share every breakpoint, bound and
-        # panel; alternating them and the weights must not leak values
+        # panel; alternating them and the derivative must not leak values
         def bump(eps):
             return profiles.make_bump_on_tail(std_maxwellian, eps=eps, eta=0.5,
                                               c_star=5.0)
 
         sigmas = (4.8 + 0.1j, 5.3, 4.2 - 0.05j, 5.6 + 0.02j)
-        combos = [(eps, weight) for eps in (0.05, 0.2) for weight in ((1.0,), (0.0, 1.0))]
+        combos = [(eps, derivative) for eps in (0.05, 0.2) for derivative in (False, True)]
         alone = {}
-        for eps, weight in combos:
+        for eps, derivative in combos:
             _gauss._cached_panels.cache_clear()
             profile = bump(eps)
-            alone[eps, weight] = [cauchy_transform(profile, weight, s)
-                                  for s in sigmas]
+            alone[eps, derivative] = [cauchy_transform(profile, s, derivative)
+                                      for s in sigmas]
         shared = {eps: bump(eps) for eps in (0.05, 0.2)}
         for _ in range(2):
             for i, sigma in enumerate(sigmas):
-                for eps, weight in combos:
-                    val = cauchy_transform(shared[eps], weight, sigma)
-                    assert val == alone[eps, weight][i]
+                for eps, derivative in combos:
+                    val = cauchy_transform(shared[eps], sigma, derivative)
+                    assert val == alone[eps, derivative][i]
 
     def test_cached_nodes_are_read_only(self):
         nodes, weights = _gauss.panel_nodes(-1.0, 2.0, 4, 12)
@@ -610,16 +615,10 @@ class TestNodeCache:
                 arr[0] = 0.0
 
 
-def resonance_integral(profile, sigma):
-    """(1/sigma) C[v f'](sigma), the velocity-resonance term of the dispersion
-    function; for large |sigma| it behaves like m0/sigma^2 + 2 m1/sigma^3 +
-    3 m2/sigma^4, with m_n the velocity moments of f."""
-    return cauchy_transform(profile, (0.0, 1.0), sigma) / sigma
-
-
 def centred_expansion(profile, sigma, order):
-    """Large-|sigma| expansion of `resonance_integral` for a centred profile
-    (first moment 0): m0/sigma^2, plus 3 m2/sigma^4 at order 4."""
+    """Large-|sigma| expansion of C(sigma), the velocity-resonance term of the
+    dispersion function, m0/sigma^2 + 2 m1/sigma^3 + 3 m2/sigma^4 + ..., for
+    a centred profile (first moment 0): m0/sigma^2, plus 3 m2/sigma^4 at order 4."""
     out = profiles.moment(profile, 0) / sigma**2
     if order == 4:
         out += 3.0 * profiles.moment(profile, 2) / sigma**4
@@ -648,10 +647,10 @@ class TestResonanceIntegral:
     def test_large_sigma_matches_moment_expansion(self, std_maxwellian):
         # F(10) against the dense oracle; the moment expansion misses by the
         # next term 5*m4/sigma^6 = 1.5e-5 (m4 = 3 for the unit Gaussian)
-        val = resonance_integral(std_maxwellian, 10.0)
-        g = profile_integrand(std_maxwellian, "v_df")
+        val = cauchy_transform(std_maxwellian, 10.0)
+        g = profile_integrand(std_maxwellian, "df")
         pv_oracle = dense_line_integral(g, 10.0 + 1e-9j).real
-        assert val.real == pytest.approx(pv_oracle / 10.0, abs=1e-7)
+        assert val.real == pytest.approx(pv_oracle, abs=1e-7)
         asym = centred_expansion(std_maxwellian, 10.0, 4)
         assert asym.real == pytest.approx(0.0103, abs=1e-12)
         assert abs(val - asym) == pytest.approx(5 * 3 / 10.0**6, rel=0.15)
@@ -660,14 +659,14 @@ class TestResonanceIntegral:
         # even profile: value at the mirrored upper-branch point -conj(sigma)
         # is the conjugate of the value at sigma
         for sigma in (0.9 + 0.15j, 1.7 + 0.05j, 0.3 + 0.2j):
-            upper = resonance_integral(std_maxwellian, sigma)
-            mirrored = resonance_integral(std_maxwellian, -np.conj(sigma))
+            upper = cauchy_transform(std_maxwellian, sigma)
+            mirrored = cauchy_transform(std_maxwellian, -np.conj(sigma))
             assert mirrored == pytest.approx(np.conj(upper), abs=1e-12)
 
     def test_purely_imaginary_sigma_gives_real_value(self, std_maxwellian):
-        val = resonance_integral(std_maxwellian, 10.0j)
-        g = profile_integrand(std_maxwellian, "v_df")
-        oracle = dense_line_integral(g, 10.0j) / 10.0j
+        val = cauchy_transform(std_maxwellian, 10.0j)
+        g = profile_integrand(std_maxwellian, "df")
+        oracle = dense_line_integral(g, 10.0j)
         assert abs(val.imag) < 1e-12
         assert val == pytest.approx(oracle, abs=1e-10)
 
@@ -676,16 +675,16 @@ class TestResonanceIntegral:
             dispersion_value(maxwellian_params, std_maxwellian, 0.0)
 
     def test_remainder_order_four(self, std_maxwellian):
-        r10 = abs(resonance_integral(std_maxwellian, 10.0)
+        r10 = abs(cauchy_transform(std_maxwellian, 10.0)
                   - centred_expansion(std_maxwellian, 10.0, 4))
-        r20 = abs(resonance_integral(std_maxwellian, 20.0)
+        r20 = abs(cauchy_transform(std_maxwellian, 20.0)
                   - centred_expansion(std_maxwellian, 20.0, 4))
         assert 50.0 <= r10 / r20 <= 80.0
 
     def test_remainder_order_two(self, std_maxwellian):
-        r10 = abs(resonance_integral(std_maxwellian, 10.0)
+        r10 = abs(cauchy_transform(std_maxwellian, 10.0)
                   - centred_expansion(std_maxwellian, 10.0, 2))
-        r20 = abs(resonance_integral(std_maxwellian, 20.0)
+        r20 = abs(cauchy_transform(std_maxwellian, 20.0)
                   - centred_expansion(std_maxwellian, 20.0, 2))
         assert 12.0 <= r10 / r20 <= 20.0
 
@@ -695,7 +694,7 @@ TWO_STREAM = profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
 ARRAY_WEIGHTS = [(1.0,), (0.0, 1.0), (1.0, 0.0, 1.0)]
 
 
-def branch_points(profile, weight):
+def branch_points(profile):
     """Points on all three branches: a grid over Re sigma in [-8, 8] at nine
     heights within h (the axis and 1e-13 off it among them), h half the
     narrowest width or eta, the bump edge margin above the axis, and points
@@ -705,7 +704,7 @@ def branch_points(profile, weight):
                -0.3 * strip, -0.99 * strip]
     pts = [complex(re, im) for im in heights for re in np.linspace(-8.0, 8.0, 97)]
     if profile.bumps:
-        node, w = bump_node(profile, weight, 5.2)
+        node, w = bump_node(profile, 5.2)
         pts += [4.5 + 0.01j, 5.5 + 1e-4j, 5.52 + 0.01j, 4.48 + 0.2j]
         pts += [complex(node + off, im) for off in (0.0, 1e-14, 1e-10, 0.02 * w, 0.3 * w)
                 for im in (0.0, 1e-8, -1e-8)]
@@ -736,53 +735,50 @@ class TestArrayPath:
     @pytest.mark.parametrize("name", ["std_maxwellian", "two_stream", "bump_profile"])
     def test_cauchy_transform_matches_scalar(self, request, name, weight):
         profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
-        pts = branch_points(profile, weight)
-        scalar = scalar_values(lambda z: cauchy_transform(profile, weight, z), pts)
+        pts = branch_points(profile)
+        scalar = scalar_values(lambda z: weighted_transform(profile, weight, z), pts)
         kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
         assert len(kept) >= 0.9 * len(pts)
         sigma = np.array([z for z, _ in kept]).reshape(-1, 1)
         want = np.array([s for _, s in kept]).reshape(-1, 1)
-        got = cauchy_transform(profile, weight, sigma)
+        got = weighted_transform(profile, weight, sigma)
         assert got.shape == sigma.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
-    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
-    def test_deep_lower_branch_matches_scalar(self, std_maxwellian, weight):
+    def test_deep_lower_branch_matches_scalar(self, std_maxwellian):
         # Gaussian parts have no strip: deep lower points as an array give the
         # scalar values, and one point where exp(-zeta^2) overflows refuses the
         # whole array, as it refuses alone
         for profile in (std_maxwellian, TWO_STREAM):
             deep = [0.5 - 0.6j, 1.0 - 0.26j, 0.3 - 2.9j, -1.5 - 2.5j, 0.7]
-            want = np.array([cauchy_transform(profile, weight, z) for z in deep])
-            got = cauchy_transform(profile, weight, np.array(deep))
+            want = np.array([cauchy_transform(profile, z) for z in deep])
+            got = cauchy_transform(profile, np.array(deep))
             assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
             with pytest.raises(FaddeevaOverflow):
-                cauchy_transform(profile, weight, 1.0 - 40.0j)
+                cauchy_transform(profile, 1.0 - 40.0j)
             with pytest.raises(FaddeevaOverflow):
-                cauchy_transform(profile, weight, np.append(deep, 1.0 - 40.0j))
+                cauchy_transform(profile, np.append(deep, 1.0 - 40.0j))
 
-    @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
-    def test_bump_refusals_match_scalar(self, bump_profile, weight):
+    def test_bump_refusals_match_scalar(self, bump_profile):
         # the edge margin below the axis refuses; one such point among
         # ordinary ones refuses the whole array
-        pts = branch_points(bump_profile, weight) + [4.52 - 0.1j, 5.49 - 0.2j, 4.8 - 0.3j]
-        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z),
+        pts = branch_points(bump_profile) + [4.52 - 0.1j, 5.49 - 0.2j, 4.8 - 0.3j]
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, z),
                                pts)
         refused = [z for z, s in zip(pts, scalar) if s is None]
         assert refused
         fine = np.array([z for z, s in zip(pts, scalar) if s is not None][:5])
         for z in refused:
             with pytest.raises(StripViolation):
-                cauchy_transform(bump_profile, weight, np.append(fine, z))
+                cauchy_transform(bump_profile, np.append(fine, z))
 
-    @pytest.mark.parametrize("weight", BUMP_WEIGHTS)
-    def test_bump_blocks_match_scalar(self, bump_profile, weight):
+    def test_bump_blocks_match_scalar(self, bump_profile):
         # all three branches over Re sigma within 2 of the support (farther out
         # the Maxwellian closed form's own array/scalar ulps dominate), exact
         # node hits and points 1e-10 from a node, the edge margin, outside the
         # support and above eta / 2; then runs of ordinary points one short
         # of, on and one past block boundaries, and an empty array
-        node, w = bump_node(bump_profile, weight, 5.2)
+        node, w = bump_node(bump_profile, 5.2)
         strip = 0.25                # eta / 2
         pts = [complex(re, im) for re in np.linspace(3.0, 7.0, 81)
                for im in (0.99 * strip, 0.3 * strip, 1e-3, 1e-13, 0.0, -1e-13, -1e-3,
@@ -790,9 +786,9 @@ class TestArrayPath:
             complex(node + off, im) for off in (0.0, 1e-10, -1e-10)
             for im in (0.0, 1e-10, -1e-10)] + [
             4.515 + 0.2j, 5.0 + 0.26j, 5.0 + 0.6j, 5.51 - 0.01j, 3.0 - 0.1j, 7.0 + 0.05j]
-        rows = quadrature._BLOCK // bump_profile.node_sets[weight][0][0].size
+        rows = quadrature._BLOCK // quadrature._node_sets(bump_profile)[0][0].size
         ordinary = list(np.linspace(4.55, 5.45, 3 * rows + 1) + 0.05j)
-        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, weight, z),
+        scalar = scalar_values(lambda z: cauchy_transform(bump_profile, z),
                                pts + ordinary)
         kept = [(z, s) for z, s in zip(pts, scalar) if s is not None]
         assert len(kept) >= 0.9 * len(pts)
@@ -801,7 +797,7 @@ class TestArrayPath:
         for run in runs:
             sigma = np.array([z for z, _ in run], dtype=complex)
             want = np.array([s for _, s in run], dtype=complex)
-            got = cauchy_transform(bump_profile, weight, sigma)
+            got = cauchy_transform(bump_profile, sigma)
             assert got.shape == sigma.shape
             assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
 
@@ -816,20 +812,19 @@ class TestArrayPath:
         for deep in (4.52 - 0.1j, 5.49 - 3.0j):
             mixed = np.array([4.8 + 0.05j, 4.8, 8.0 + 0.05j, deep, 4.8 - 0.05j])
             with pytest.raises(StripViolation):
-                cauchy_transform(bump_profile, (0.0, 1.0), mixed)
+                cauchy_transform(bump_profile, mixed)
             with pytest.raises(StripViolation):
-                cauchy_transform(bump_profile, (0.0, 1.0), deep)
+                cauchy_transform(bump_profile, deep)
 
     def test_near_node_points_take_pinned_panels(self, bump_profile, pinned_calls):
-        weight = (0.0, 1.0)
-        node, _ = bump_node(bump_profile, weight, 5.2)
+        node, _ = bump_node(bump_profile, 5.2)
         near = [complex(node + off, im) for off in (0.0, 1e-14, 1e-10)
                 for im in (0.0, 1e-8, -1e-8)]
         ordinary = [4.8 + 0.05j, 4.8, 4.8 - 0.05j, 5.2 + 1e-9j, 3.0, 7.0 - 0.1j]
         points = ordinary[:3] + near + ordinary[3:]
-        cauchy_transform(bump_profile, weight, np.array(points))
+        cauchy_transform(bump_profile, np.array(points))
         for z in points:
-            cauchy_transform(bump_profile, weight, z)
+            cauchy_transform(bump_profile, z)
         assert pinned_calls == near + near
 
     def test_faddeeva_against_scipy_wofz(self):
@@ -854,8 +849,8 @@ class TestArrayPath:
 
     def test_resonance_integral_and_zero_sigma(self, maxwellian_params, std_maxwellian):
         sigma = np.array([0.5 + 0.1j, -2.0, 1.5 - 0.2j])
-        got = resonance_integral(std_maxwellian, sigma)
-        want = [resonance_integral(std_maxwellian, z) for z in sigma]
+        got = cauchy_transform(std_maxwellian, sigma)
+        want = [cauchy_transform(std_maxwellian, z) for z in sigma]
         np.testing.assert_allclose(got, want, rtol=1e-13)
         with pytest.raises(ZeroSigma):
             dispersion_value(maxwellian_params, std_maxwellian, np.append(sigma, 0.0))
@@ -881,9 +876,9 @@ class TestArrayPath:
 class TestTransformDerivative:
     """dC/dsigma, returned with C by one kernel call, against `mpmath.diff` of the
     30-digit transform on all three branches, and the array form against the
-    point form. Gaussian parts differentiate their closed form; a bump term is
-    the transform of g' = (p f_bump')' over its own node set, on every route of
-    `_bump_array`."""
+    point form, each for the polynomial weights a caller builds from C. Gaussian parts differentiate their closed form; a bump term is
+    the transform of its second integrand row f_bump'' on the nodes of the
+    first, on every route of `_bump_array`."""
 
     GAUSSIAN_SIGMAS = [0.5 + 0.3j, -1.7 + 1.0j, 1.3, -0.7, 0.9 - 0.1j, -1.4 - 0.3j]
     # the bump term of the bump_profile fixture (support [4.5, 5.5]): the node sum
@@ -896,8 +891,8 @@ class TestTransformDerivative:
     @staticmethod
     def check(profile, weight, sigmas):
         for sigma in sigmas:
-            value, slope = cauchy_transform(profile, weight, sigma, derivative=True)
-            assert value == cauchy_transform(profile, weight, sigma)
+            value, slope = weighted_transform(profile, weight, sigma, derivative=True)
+            assert value == weighted_transform(profile, weight, sigma)
             want = mp_transform_derivative(profile, weight, sigma)
             assert abs(slope - want) <= 1e-10 * abs(want), sigma
 
@@ -910,25 +905,43 @@ class TestTransformDerivative:
     @pytest.mark.parametrize("weight", [(0.0, 1.0), (1.0,)])
     def test_bump_term_routes_against_mpmath(self, bump_profile, weight, pinned_calls):
         term = profiles.VelocityProfile((), bump_profile.bumps)
-        node, _ = bump_node(term, weight, 5.2)
+        node, _ = bump_node(term, 5.2)
         self.check(term, weight, self.BUMP_SIGMAS + [node + 1e-10])
-        # the edge-margin point and the near-node point took the pinned panels,
-        # for the value and the derivative, then for the value alone
-        assert pinned_calls == [4.51 + 0.01j] * 3 + [complex(node + 1e-10)] * 3
-        field = term.node_sets[(weight, "d")][0][4]
+        # the edge-margin point and the near-node point took the pinned panels
+        # once for the value and the derivative, then once for the value alone
+        assert pinned_calls == [4.51 + 0.01j] * 2 + [complex(node + 1e-10)] * 2
+        field = quadrature._node_sets(term)[0][3]
         assert quadrature._far(np.array([5.0 + 2.0j, 7.0, 7.0 - 0.1j]), field).all()
+
+    def test_one_gate_per_bump_term(self, bump_profile, monkeypatch):
+        # the gate, the near-node test and the far test run once per bump
+        # term for the value and the derivative together, at a point and over
+        # an array
+        calls = []
+        for name in ("_bump_gate", "_near_node", "_far"):
+            func = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, lambda *args, name=name, func=func:
+                                calls.append(name) or func(*args))
+        on_a_bump = profiles.make_bump_on_tail(bump_profile, 0.1, 0.3, 3.0)
+        for profile in (bump_profile, on_a_bump):
+            for sigma in (5.2 + 0.3j, 4.8, 7.0 - 0.1j, 4.51 + 0.01j,
+                          np.array([5.2 + 0.3j, 4.8, 7.0 - 0.1j])):
+                calls.clear()
+                cauchy_transform(profile, sigma, derivative=True)
+                assert sorted(calls) == sorted(["_bump_gate", "_near_node", "_far"]
+                                               * len(profile.bumps))
 
     @pytest.mark.parametrize("weight", ARRAY_WEIGHTS)
     @pytest.mark.parametrize("name", ["std_maxwellian", "two_stream", "bump_profile"])
     def test_array_matches_point(self, request, name, weight):
         profile = TWO_STREAM if name == "two_stream" else request.getfixturevalue(name)
-        pts = branch_points(profile, weight)
-        point = scalar_values(lambda z: cauchy_transform(profile, weight, z, True), pts)
+        pts = branch_points(profile)
+        point = scalar_values(lambda z: weighted_transform(profile, weight, z, True), pts)
         kept = [(z, v) for z, v in zip(pts, point) if v is not None]
         sigma = np.array([z for z, _ in kept]).reshape(-1, 1)
-        got = cauchy_transform(profile, weight, sigma, derivative=True)
+        got = weighted_transform(profile, weight, sigma, derivative=True)
         assert got[0].shape == got[1].shape == sigma.shape
-        assert np.array_equal(got[0], cauchy_transform(profile, weight, sigma))
+        assert np.array_equal(got[0], weighted_transform(profile, weight, sigma))
         # Z - 2 zeta A cancels as 1 + zeta Z does, one power of zeta further:
         # far from a Gaussian part's drift an ulp of w shows 10 times larger
         for part, i, tol in ((got[0], 0, 1e-13), (got[1], 1, 1e-12)):

@@ -47,7 +47,8 @@ the NEW results lie from the OLD ones:
   1e-3 c0. The counts (or the
   exception type) must match exactly; the number of sigma samples of each
   count (the points passed to quadrature.cauchy_transform, which every
-  evaluation goes through) is printed for OLD and NEW.
+  evaluation goes through, read after the profile, or after the polynomial
+  weight in a tree whose kernel takes one) is printed for OLD and NEW.
 - Scalar laws: `scalar_root` on 40 cases (each law built by `scalar_law`),
   three profiles (the Maxwellian, bump-on-tail and two-stream of the D(sigma)
   grid) with three lambda0 each, and the Maxwellian at lambda0 = 600 (whose
@@ -196,9 +197,11 @@ boxes += [("mx root 7e-4 in from the left, 4e-4 up from the bottom", "mx",
           ("mx box with an edge through 0", "mx", Box(0.0, 2.0, -0.05, 0.02)),
           ("mx box inside the pole square", "mx", Box(-5e-4, 5e-4, -2e-4, 5e-4))]
 transform, samples, out = q.cauchy_transform, [0], []
-def counted(profile, weight, sigma, *rest):
-    samples[0] += np.size(sigma)
-    return transform(profile, weight, sigma, *rest)
+def counted(profile, *args):
+    # (profile, sigma, ...), or (profile, weight, sigma, ...) in a tree whose
+    # kernel takes a polynomial weight
+    samples[0] += np.size(args[1] if isinstance(args[0], tuple) else args[0])
+    return transform(profile, *args)
 q.cauchy_transform = counted
 for label, name, box in boxes:
     prof, params = prm[name]
