@@ -173,6 +173,10 @@ class TestClosedFormStep:
         assert rel(traj.tau_hat, np.array([s.tau_hat for s in states])) <= 1e-12
         assert rel(traj.u_hat, np.array([s.u_hat for s in states])) <= 1e-12
         assert rel(traj.final_state.f_hat, states[-1].f_hat) <= 1e-12
+        # sqrt(sum w |f|^2) at every step, inside blocks of steps too
+        weights = modesim._simpson_weights(cfg.nv, cfg.dv)
+        norms = np.sqrt([weights @ np.abs(s.f_hat) ** 2 for s in states])
+        assert rel(traj.kinetic_l2, norms) <= 1e-12
 
     @pytest.mark.parametrize("nsteps", [200, 201])
     def test_bump_eigenmode(self, bump_params, bump_profile, bump_root, nsteps):
@@ -200,6 +204,22 @@ class TestClosedFormStep:
             <= 1e-12
         assert traj.final_state.tau_hat == traj.tau_hat[-1]
         assert rel(traj.final_state.f_hat, scale * states[j].f_hat) <= 1e-12
+
+    def test_generic_state_at_the_cfl_limit(self, maxwellian_params, std_maxwellian):
+        # dt at the CFL bound gives the largest |theta| = |k| dt max|v| (0.091
+        # here), where cutting the block polynomials loses most; a generic complex
+        # state, and 8 m + 5 steps, so that the last five run one at a time
+        k, p = 1.0, maxwellian_params
+        base = default_sim_config(p, std_maxwellian, k, t_final=1.0, nv=256)
+        dt = modesim.cfl_limit(p, base, k)
+        cfg = default_sim_config(p, std_maxwellian, k, t_final=4005 * dt, nv=256,
+                                 dt=dt)
+        rng = np.random.default_rng(5)
+        tau, u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        f = rng.standard_normal(cfg.nv) + 1j * rng.standard_normal(cfg.nv)
+        state = ModeState(k=k, tau_hat=tau, u_hat=u, f_hat=f)
+        assert math.ceil(cfg.t_final / cfg.dt) == 4005
+        self.assert_matches_textbook(p, std_maxwellian, state, cfg)
 
     def test_bump_eigenmode_full_grid(self, bump_params, bump_profile, bump_root):
         # the benchmark's grid: nv = 2048 over the profile support, 1,000 steps
@@ -231,7 +251,7 @@ class TestClosedFormStep:
         cfg = default_sim_config(p, bump_profile, k, t_final=1.0, nv=256)
         dt, grid = cfg.dt, modesim.velocity_grid(cfg)
         w = modesim._simpson_weights(cfg.nv, cfg.dv)
-        moments, step, stream, feeds = modesim._rk4_step_operator(
+        moments, step, stream, feeds, _ = modesim._rk4_step_operator(
             p, bump_profile, cfg, k, dt, np.sqrt(w))
         ikdt = 1j * k * dt
         z = -ikdt * grid
