@@ -7,14 +7,11 @@ For wavenumber k the linearized thick-spray equations reduce to the ODE system
     d f/dt   = -i k v f - i k c0^2 rho0^2 tau f0'(v)
 
 on a uniform velocity grid (composite Simpson for the moment integral, RK4
-in time with each step applied in closed form from the rank-two structure of
-the operator). Full blocks of _BLOCK = 8 steps are applied at once from power
-moments of the block's start state: every grid quantity of a step is a fixed
-weight times a polynomial in theta = -k dt v, and the polynomials are cut above
-theta^_DEGREE, theta^18, which drops less than (8 * 0.1)^19 / 19! * e^0.8 < 3e-19
-of what it truncates, since the CFL check keeps |theta| < 0.1. Fitted rates of
-|tau(t)| are the independent oracle for dispersion roots; normalized-mode runs
-show loss of Sobolev control.
+in time). Each RK4 step is applied in closed form from the rank-two structure
+of the operator, and steps go eight at a time from power moments of the
+block's start state, the last block of a run ending after nsteps mod 8 steps
+when that is not 0. Fitted rates of |tau(t)| are the independent oracle for
+dispersion roots; normalized-mode runs show loss of Sobolev control.
 """
 
 from __future__ import annotations
@@ -221,18 +218,20 @@ def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
     where a linear recursion in tau, u and s_j = <omega z^j, f> gives tau_m, tau', u';
     on unit vectors it is one 6x6 map (tau, u, s_0..s_3) -> (tau', u', beta_0..3),
     sum_m tau_m G_m = sum_p beta_p gamma theta^p (z = i theta, c = i gamma). For
-    g = sqrt(w) f, returns the rows omega z^j / sqrt(w), the map, P(z), the
-    real (nv, 4) columns sqrt(w) gamma theta^p, Fortran-ordered, and theta.
+    g = sqrt(w) f, with omega = i eps / sqrt(w) and phi = sqrt(w) gamma (both
+    real), s_j = <i eps (i theta)^j, g> and the step adds phi sum_p beta_p theta^p
+    to P(z) g. Returns the map, P(z), eps, phi and theta.
     """
     grid = velocity_grid(config)
-    ikdt = 1j * k * dt
-    z = -ikdt * grid
-    c = -ikdt * params.c0**2 * params.rho0**2 * np.real(profiles.eval_df(profile, grid))
+    theta = -k * dt * grid
     alpha0 = profiles.compatibility_alpha(profile, params.kappa)
-    omega = ikdt * params.kappa / (alpha0 * params.rho0) * root_w * grid
-    moments = omega * z ** np.arange(4)[:, None]
+    eps = k * dt * params.kappa / (alpha0 * params.rho0) * root_w * grid
+    phi = -k * dt * params.c0**2 * params.rho0**2 * root_w * np.real(
+        profiles.eval_df(profile, grid))
+    ikdt = 1j * k * dt
     a, b = ikdt / params.rho0, ikdt * params.rho0 * params.c0**2
-    q0, q1, q2 = (moments[:3] @ (root_w * c)).tolist()
+    # q_j = s_j of sqrt(w) c = i phi
+    q0, q1, q2 = (-1j**j * float(eps * theta**j @ phi) for j in range(3))
     tau, u, s0, s1, s2, s3 = np.eye(6, dtype=complex)
     t1, u1 = a * u + s0, b * tau
     t2, u2 = a * u1 + s1 + q0 * tau, b * t1
@@ -242,15 +241,14 @@ def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
                  for m, tm in enumerate((tau, t1, t2, t3)[:4 - p])) for p in range(4)]
     step = np.array((tau + t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0,
                      u + u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0, *betas))
+    z = 1j * theta
     stream = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    feeds = (root_w * c.imag * z.imag ** np.arange(4)[:, None]).T
-    return moments, step, stream, feeds, z.imag
+    return step, stream, eps, phi, theta
 
 
-# integrate() applies _BLOCK steps at once from power moments of the block's
-# start state, with every polynomial in theta cut above theta^_DEGREE. The CFL
-# check keeps |theta| <= |k| dt max|v| < 0.1, and the coefficients of P(i theta)^l
-# are bounded by those of e^(l theta), so the dropped part is below
+# A block of _BLOCK steps cuts every polynomial in theta above theta^_DEGREE. The
+# CFL check keeps |theta| <= |k| dt max|v| < 0.1, and the coefficients of
+# P(i theta)^l are bounded by those of e^(l theta), so the cut drops less than
 # (8 * 0.1)^19 / 19! * e^0.8 < 3e-19 of the magnitudes it truncates.
 _BLOCK = 8
 _DEGREE = 18
@@ -298,17 +296,16 @@ def _hankel(v: np.ndarray, rows: int) -> np.ndarray:
     return h
 
 
-def _block_operator(moments: np.ndarray, step: np.ndarray, stream: np.ndarray,
-                    feeds: np.ndarray, theta: np.ndarray):
+def _block_operator(step: np.ndarray, stream: np.ndarray, eps: np.ndarray,
+                    phi: np.ndarray, theta: np.ndarray, tail: int):
     """Per-run tables that apply _BLOCK steps of _rk4_step_operator at once.
 
     Over a block from g_b, g_(b+j) = P^j g_b + phi R_j(theta) with
     R_(j+1) = P R_j + sum_p beta_(j,p) theta^p and R_0 = 0: the step itself,
-    in the theta-coefficient space of R. The moment rows are i eps (i theta)^j
-    (eps = Im moments[0]) and the feed columns phi theta^p (phi = feeds[:, 0]),
+    in the theta-coefficient space of R. The moment rows are i eps (i theta)^j,
     so the moments of g_(b+j) are fixed combinations of the power moments
     mu_d = <eps theta^d, g_b> and of R_j's coefficients: (tau, u) after each step
-    and the coefficients r of R_B are one linear map of w = (tau_b, u_b, mu_0..D).
+    and the coefficients of each R_j are one linear map of w = (tau_b, u_b, mu_0..D).
     With x = (w, psi_0..psi_D), psi_d = <phi theta^d, g_b>,
 
         |g_(b+j)|^2 = <|P^j|^2, |g_b|^2> + Re(x^H Q_j w),
@@ -321,15 +318,15 @@ def _block_operator(moments: np.ndarray, step: np.ndarray, stream: np.ndarray,
 
     Returns the real Fortran-ordered (nv, 2 D + 5) table of the columns
     eps theta^d, phi theta^d (d <= D), 1, a and a^2; the complex map from w to
-    (tau_1, u_1, .., tau_B, u_B, r, Q_1 w, .., Q_(B-1) w); the real (B-1, 6)
-    weights of <(1, a, a^2), (Re g_b)^2> and <(1, a, a^2), (Im g_b)^2>,
-    interleaved, in |g_(b+j)|^2; and P^B.
+    (tau_1, u_1, .., tau_B, u_B, R_B's coefficients, Q_1 w, .., Q_(B-1) w); the
+    maps from w to the coefficients of R_1..R_B; the real (B-1, 6) weights of
+    <(1, a, a^2), (Re g_b)^2> and <(1, a, a^2), (Im g_b)^2>, interleaved, in
+    |g_(b+j)|^2; and P^B and P^tail, taken in extended precision.
     """
     n, width = _DEGREE + 1, _DEGREE + 3
     coefs, toeplitz = _stream_powers()
     # the small tables first, whose temporaries the table can then reuse
-    phi = feeds[:, 0]
-    weighted, power = np.array([moments[0].imag * phi, phi * phi]), np.ones_like(theta)
+    weighted, power = np.array([eps * phi, phi * phi]), np.ones_like(theta)
     kappa, lam = np.empty((2, n))
     for q in range(n):
         kappa[q], lam[q] = weighted @ power
@@ -343,10 +340,10 @@ def _block_operator(moments: np.ndarray, step: np.ndarray, stream: np.ndarray,
     x = np.zeros((6, width), dtype=np.clongdouble)     # (tau, u, s_0..s_3) over w
     x[0, 0] = x[1, 1] = 1.0
     rho = np.zeros((n, width), dtype=np.clongdouble)
-    rows, forms = [], []
+    rows, forms, remainders = [], [], []
     for j in range(_BLOCK):
         if j:
-            r = rho.astype(complex)
+            r = remainders[-1]
             forms += [_product(r.conj().T, _product(gram, r)),
                       2.0 * _product(toeplitz[j].conj(), r)]
         x[2:] = _product(coupling, rho)
@@ -357,12 +354,14 @@ def _block_operator(moments: np.ndarray, step: np.ndarray, stream: np.ndarray,
         x[:2] = y[:2]
         rho = _times_stream(rho)
         rho[:4] += y[2:]
-    block_map = np.vstack([np.vstack([*rows, rho]).astype(complex), *forms])
+        remainders.append(rho.astype(complex))
+    block_map = np.vstack([np.vstack(rows).astype(complex), remainders[-1], *forms])
     weights = np.repeat([[1, j, j * (j - 1) / 2] for j in range(1, _BLOCK)], 2, axis=1)
-    p_block = (stream.astype(np.clongdouble) ** _BLOCK).astype(complex)
+    stream = stream.astype(np.clongdouble)
+    p_block, p_tail = ((stream ** m).astype(complex) for m in (_BLOCK, tail))
 
     table = np.empty((len(theta), 2 * n + 3), order="F")
-    table[:, 0], table[:, n], table[:, 2 * n] = moments[0].imag, phi, 1.0
+    table[:, 0], table[:, n], table[:, 2 * n] = eps, phi, 1.0
     excess = np.convolve(coefs[1].conj(), coefs[1])[:n].real.astype(float)  # |P|^2
     excess[0] = 0.0
     table[:, 2 * n + 1] = np.polynomial.polynomial.polyval(theta, excess)
@@ -370,22 +369,19 @@ def _block_operator(moments: np.ndarray, step: np.ndarray, stream: np.ndarray,
     for first in (0, n):
         for col in range(first + 1, first + n):
             np.multiply(table[:, col - 1], theta, out=table[:, col])
-    return table, block_map, weights, p_block
+    return table, block_map, np.array(remainders), weights, p_block, p_tail
 
 
 def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
               config: SimConfig) -> Trajectory:
     """Classical RK4 trajectory of the mode system at fixed dt.
 
-    The system is linear and L is free streaming plus a rank-two coupling, so
-    each step is applied in closed form (see _rk4_step_operator). Full blocks of
-    _BLOCK = 8 steps are applied at once from power moments of the block's start
-    state up to theta^_DEGREE, theta^18 (see _block_operator): the grid is read a
-    few times per block, and the cut is below 3e-19 of the magnitudes it drops
-    for any dt the CFL check admits. The last nsteps mod 8 steps, and a block
-    whose tau, u or kinetic norm trips the overflow alarm, run one step at a
-    time, the latter again from the block's start state, so a run overflows at
-    the step where the per-step loop does.
+    Every step goes through the block map of _block_operator, _BLOCK = 8 at a
+    time from the block's start state, which reads the grid a few times per
+    block; the last block ends after nsteps mod 8 steps when that is not 0. A
+    block whose tau, u or kinetic norm trips the overflow alarm looks for its
+    first step where tau, u or max|f| exceeds _OVERFLOW_LIMIT, and the run
+    stops there with that step's state, as the textbook RK4 does.
     """
     k = state0.k
     _check_cfl(params, config, k, CflViolation)
@@ -395,95 +391,94 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
 
     nsteps = max(1, int(math.ceil(config.t_final / config.dt)))
     dt = config.t_final / nsteps
-    # outputs before the operator, whose temporaries then free at the heap top
+    B, n = _BLOCK, _DEGREE + 1
+    # outputs before the operator, whose temporaries then free at the heap top;
+    # the outputs run to the end of the last block, which may end early
     times = np.arange(nsteps + 1) * dt
-    taus, us = np.empty((2, nsteps + 1), dtype=complex)
-    kin = np.empty(nsteps + 1)
+    taus, us = np.empty((2, nsteps + 1 + -nsteps % B), dtype=complex)
+    kin = np.empty(len(taus))
     root_w = np.sqrt(_simpson_weights(config.nv, config.dv))
-    operator = _rk4_step_operator(params, profile, config, k, dt, root_w)
-    moments, step, stream, feeds, _ = operator
+    step, stream, eps, phi, theta = _rk4_step_operator(params, profile, config, k, dt,
+                                                       root_w)
+    table, block_map, remainders, weights, p_block, p_tail = _block_operator(
+        step, stream, eps, phi, theta, nsteps % B)
 
     # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f
     g = state0.f_hat * root_w
     taus[0], us[0] = state0.tau_hat, state0.u_hat
     kin[0] = g.view(float).dot(g.view(float))
+    states = [(v, v.view(float), v.view(float).reshape(-1, 2))
+              for v in (g, np.empty_like(g))]
     feed = np.empty_like(g)
     feed_pairs = feed.view(float).reshape(-1, 2)
+    power_dot, energy_dot = table[:, :2 * n].T.dot, table[:, 2 * n:].T.dot
+    phi_dot, map_dot = table[:, n:2 * n].dot, block_map.dot
+    w = np.zeros(2 * n + 2, dtype=complex)    # (tau_b, u_b, mu, psi)
+    w_head, w_pairs, wr = w[:n + 2], w[2:].view(float).reshape(-1, 2), w.view(float)
+    out = np.empty(len(block_map), dtype=complex)
+    scalars = out[:2 * B]
+    scalars_r, taus_out, us_out = scalars.view(float), scalars[0::2], scalars[1::2]
+    r, r_pairs = out[2 * B:2 * B + n], out[2 * B:2 * B + n].view(float).reshape(-1, 2)
+    forms_dot = out[2 * B + n:].view(float).reshape(B - 1, -1).dot
+    energy = np.empty(6)
+    weights_dot, multiply, add = weights.dot, np.multiply, np.add
     # max|f| > _OVERFLOW_LIMIT forces sum w|f|^2 > min(w) _OVERFLOW_LIMIT^2, so
     # below half that max|f| needs no look
     norm_alarm = 0.5 * float(root_w.min())**2 * _OVERFLOW_LIMIT**2
-    # Two 6-vectors alternate: x = (tau, u, s_0..3) -> y = (tau', u', beta_0..3),
-    # the feed reads the betas, and the next moments overwrite them, so y is the
-    # next x. Bound .dot methods skip np.dot's dispatch.
-    buffers = [(v, v[:2], v[2:], v[2:].view(float).reshape(4, 2))
-               for v in np.empty((2, 6), dtype=complex)]
-    moments_dot, step_dot, feeds_dot = moments.dot, step.dot, feeds.dot
-    multiply, add = np.multiply, np.add
 
-    def one_step_at_a_time(g: np.ndarray, i: int, n: int) -> int:
-        """Steps i+1..i+n of g in place; the step that overflows, else 0."""
-        cur, nxt = buffers
-        cur[1][:] = taus[i], us[i]
-        gr = g.view(float)
-        gr_dot = gr.dot
-        for j in range(i + 1, i + n + 1):
-            (x, _, s, _), (y, head, _, betas) = cur, nxt
-            moments_dot(g, out=s)
-            step_dot(x, out=y)
-            feeds_dot(betas, out=feed_pairs)
-            multiply(g, stream, g)
-            add(g, feed, g)
-            taus[j], us[j] = tau, u = head.tolist()
-            kin[j] = norm2 = gr_dot(gr)
-            if max(abs(tau), abs(u)) > _OVERFLOW_LIMIT or (
-                    norm2 > norm_alarm and np.abs(g / root_w).max() > _OVERFLOW_LIMIT):
-                return j
-            cur, nxt = nxt, cur
-        return 0
+    def first_overflow(g: np.ndarray, i: int, end: int, state: np.ndarray) -> int:
+        """The first of steps i+1..end from g whose tau, u or max|f| exceeds the
+        limit, a non-finite value counting, with its state in ``state``; else 0.
+        g_(i+j) = P^j g + phi R_j(theta) is built only where tau or u does or
+        max|f| may: |P^j| <= 1 for |theta| < 2.8, so max|f_(i+j)| is at most
+        max|f_i| + max|gamma| sum_d |R_(j,d)| max|theta|^d, up to rounding."""
+        coefs = remainders[:end - i] @ w_head
+        reach = abs(g / root_w).max() + abs(phi / root_w).max() * (
+            abs(coefs) @ abs(theta).max() ** np.arange(n))
+        big = ~(abs(scalars).reshape(B, 2).max(axis=1)[:end - i] <= _OVERFLOW_LIMIT)
+        built = np.flatnonzero(big | ~(reach <= _OVERFLOW_LIMIT * (1.0 - 1e-12)))
+        if not len(built):
+            return 0
+        g_built = phi_dot(np.ascontiguousarray(coefs[built].T).view(float)).view(complex)
+        powers = np.cumprod(np.broadcast_to(stream, (built[-1] + 1, len(g))), axis=0)
+        g_built += (powers[built] * g).T
+        over = big[built] | ~(abs(g_built / root_w[:, None]).max(axis=0)
+                              <= _OVERFLOW_LIMIT)
+        if not over.any():
+            return 0
+        first = over.argmax()
+        state[:] = g_built[:, first]
+        kin[i + 1 + built[first]] = state.view(float).dot(state.view(float))
+        return i + 1 + int(built[first])
 
-    blocked = nsteps - nsteps % _BLOCK
     overflow_step = 0
-    if blocked:
-        n, B = _DEGREE + 1, _BLOCK
-        states = [(v, v.view(float), v.view(float).reshape(-1, 2))
-                  for v in (g, np.empty_like(g))]
-        table, block_map, weights, p_block = _block_operator(*operator)
-        power_dot, energy_dot = table[:, :2 * n].T.dot, table[:, 2 * n:].T.dot
-        phi_dot, map_dot = table[:, n:2 * n].dot, block_map.dot
-        w = np.zeros(2 * n + 2, dtype=complex)    # (tau_b, u_b, mu, psi)
-        w_head, w_pairs, wr = w[:n + 2], w[2:].view(float).reshape(-1, 2), w.view(float)
-        out = np.empty(len(block_map), dtype=complex)
-        scalars = out[:2 * B]
-        scalars_r, taus_out, us_out = scalars.view(float), scalars[0::2], scalars[1::2]
-        r_pairs = out[2 * B:2 * B + n].view(float).reshape(-1, 2)
-        forms_dot = out[2 * B + n:].view(float).reshape(B - 1, -1).dot
-        energy = np.empty(6)
-        weights_dot = weights.dot
-        for i in range(0, blocked, B):
-            (g, gr, g_pairs), (g_next, g_next_r, _) = states
-            w[0], w[1] = taus[i], us[i]
-            power_dot(g_pairs, out=w_pairs)
-            multiply(g_pairs, g_pairs, feed_pairs)      # the feed is written later
-            energy_dot(feed_pairs, out=energy.reshape(3, 2))
-            map_dot(w_head, out=out)                    # tau, u, r and the Q_j w
-            taus[i + 1:i + B + 1] = taus_out
-            us[i + 1:i + B + 1] = us_out
-            add(forms_dot(wr), weights_dot(energy), out=kin[i + 1:i + B])
-            phi_dot(r_pairs, out=feed_pairs)
-            multiply(g, p_block, g_next)
-            add(g_next, feed, g_next)
-            kin[i + B] = g_next_r.dot(g_next_r)
-            # sum |tau|^2 + |u|^2 bounds max(|tau|, |u|)^2 from above
-            if (scalars_r.dot(scalars_r) > _OVERFLOW_LIMIT**2
-                    or kin[i + 1:i + B + 1].max() > norm_alarm):
-                overflow_step = one_step_at_a_time(g, i, B)
-                if overflow_step:
-                    break
-            else:
-                states.reverse()
-        g = states[0][0]
-    if not overflow_step:
-        overflow_step = one_step_at_a_time(g, blocked, nsteps - blocked)
+    for i in range(0, nsteps, B):
+        (g, _, g_pairs), (g_next, g_next_r, _) = states
+        w[0], w[1] = taus[i], us[i]
+        power_dot(g_pairs, out=w_pairs)
+        multiply(g_pairs, g_pairs, feed_pairs)      # the feed is written later
+        energy_dot(feed_pairs, out=energy.reshape(3, 2))
+        map_dot(w_head, out=out)                    # tau, u, r and the Q_j w
+        taus[i + 1:i + B + 1] = taus_out
+        us[i + 1:i + B + 1] = us_out
+        add(forms_dot(wr), weights_dot(energy), out=kin[i + 1:i + B])
+        end = i + B
+        if end > nsteps:        # the last block ends after m = nsteps - i steps
+            end = nsteps
+            remainders[end - i - 1].dot(w_head, out=r)
+            p_block = p_tail
+        phi_dot(r_pairs, out=feed_pairs)
+        multiply(g, p_block, g_next)
+        add(g_next, feed, g_next)
+        kin[end] = g_next_r.dot(g_next_r)
+        # sum |tau|^2 + |u|^2 bounds max(|tau|, |u|)^2 from above; NaN trips too
+        if not (scalars_r.dot(scalars_r) <= _OVERFLOW_LIMIT**2
+                and kin[i + 1:end + 1].max() <= norm_alarm):
+            overflow_step = first_overflow(g, i, end, g_next)
+            if overflow_step:
+                break
+        states.reverse()
+    g = g_next if overflow_step else states[0][0]
     n_done = overflow_step or nsteps
     end = n_done + 1
     # in place: a fresh array here would outlive the call above the freed tables
@@ -497,7 +492,11 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
 
 
 def growth_rate(trajectory: Trajectory, fit_window: tuple[float, float]) -> GrowthFit:
-    """Least-squares slope of log|tau(t)| over the window, with its RMS residual."""
+    """Least-squares slope of log|tau(t)| over the window, with its RMS residual.
+
+    The slope is taken from the centred sums in the window's own time
+    s = (t - lo)/(hi - lo), so any time scale from 1e-300 to 1e300 fits alike.
+    """
     lo, hi = fit_window
     mask = (trajectory.times >= lo) & (trajectory.times <= hi)
     if np.count_nonzero(mask) < 50:
@@ -505,13 +504,14 @@ def growth_rate(trajectory: Trajectory, fit_window: tuple[float, float]) -> Grow
     amp = np.abs(trajectory.tau_hat[mask])
     if np.any(amp <= 1e-300):
         raise ValueError("amplitude underflow inside the fit window")
-    t = trajectory.times[mask]
+    s = (trajectory.times[mask] - lo) / (hi - lo)
+    s -= s.mean()
     log_amp = np.log(amp)
-    coeffs = np.polyfit(t, log_amp, 1)
-    fitted = np.polyval(coeffs, t)
-    residual = float(np.sqrt(np.mean((log_amp - fitted) ** 2)))
-    rate = float(coeffs[0])
-    if residual > max(0.1 * abs(rate) * (hi - lo), 1e-6):
+    log_amp -= log_amp.mean()
+    slope = float(s @ log_amp / (s @ s))
+    residual = float(np.sqrt(np.mean((log_amp - slope * s) ** 2)))
+    rate = slope / (hi - lo)
+    if residual > max(0.1 * abs(slope), 1e-6):
         raise DegenerateFit(
             f"fit residual {residual:.3g} too large for slope {rate:.3g}")
     return GrowthFit(rate=rate, residual=residual)
@@ -581,12 +581,10 @@ def sobolev_scaling_experiment(params: SprayParams, profile: VelocityProfile,
             fitted_rate=fit.rate)
         return row, traj
 
-    results = [run_one(k, config) for k, config in zip(k_list, configs)]
-    rows = [row for row, _ in results]
-    trajectories = [traj for _, traj in results]
+    rows, trajectories = zip(*(run_one(k, config) for k, config in zip(k_list, configs)))
     finals = [r.final_l2_norm for r in rows]
-    return ScalingReport(rows=tuple(rows), sigma=sigma,
+    return ScalingReport(rows=rows, sigma=sigma,
                          theta0=min(finals),
                          final_norm_nondecreasing=all(
                              b >= a * (1.0 - 1e-9) for a, b in zip(finals, finals[1:])),
-                         trajectories=tuple(trajectories))
+                         trajectories=trajectories)

@@ -158,18 +158,24 @@ def bump_window_config(params, k, nsteps):
     base = SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=1.0, t_final=1.0,
                      fit_window=(0.2, 0.8))
     dt = 0.9 * modesim.cfl_limit(params, base, k)
-    return SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=dt, t_final=nsteps * dt,
-                     fit_window=(0.0, nsteps * dt))
+    # dt a rounding above t_final / nsteps, so that ceil(t_final / dt) = nsteps
+    return SimConfig(nv=256, v_bounds=(3.0, 7.0), dt=dt * (1.0 + 1e-12),
+                     t_final=nsteps * dt, fit_window=(0.0, nsteps * dt))
 
 
 class TestClosedFormStep:
     """integrate() applies each RK4 step in closed form; rhs is the reference L."""
 
-    @staticmethod
-    def assert_matches_textbook(params, profile, state, cfg):
+    @classmethod
+    def assert_matches_textbook(cls, params, profile, state, cfg):
         traj = integrate(params, profile, state, cfg)
         states = textbook_rk4(params, profile, state, cfg)
         assert len(traj.times) == len(states) >= 200
+        cls.assert_close_to_textbook(traj, states, cfg)
+
+    @staticmethod
+    def assert_close_to_textbook(traj, states, cfg):
+        assert len(traj.times) == len(states)
         assert rel(traj.tau_hat, np.array([s.tau_hat for s in states])) <= 1e-12
         assert rel(traj.u_hat, np.array([s.u_hat for s in states])) <= 1e-12
         assert rel(traj.final_state.f_hat, states[-1].f_hat) <= 1e-12
@@ -180,35 +186,55 @@ class TestClosedFormStep:
 
     @pytest.mark.parametrize("nsteps", [200, 201])
     def test_bump_eigenmode(self, bump_params, bump_profile, bump_root, nsteps):
-        # integrate alternates two buffers, so both step-count parities
+        # integrate alternates two buffers block by block: 25 full blocks, and
+        # 25 and a block of one step
         cfg = bump_window_config(bump_params, 4.0, nsteps)
         state = init_eigenmode(bump_params, bump_profile, bump_root, 4.0, cfg)
         self.assert_matches_textbook(bump_params, bump_profile, state, cfg)
 
-    def test_overflow_on_an_odd_step(self, bump_params, bump_profile, bump_root):
-        # a seed scaled so that the largest of |tau|, |u| and max|f| along the
-        # textbook run first exceeds the overflow limit at step 101: the run
-        # stops there, holding the textbook's state of that step
-        cfg = bump_window_config(bump_params, 4.0, 201)
+    @pytest.mark.parametrize("nsteps", [1, 7, 9])
+    def test_runs_with_a_partial_block(self, bump_params, bump_profile, bump_root,
+                                       nsteps):
+        # a run shorter than one block of eight steps, or one block and one step
+        cfg = bump_window_config(bump_params, 4.0, nsteps)
         state = init_eigenmode(bump_params, bump_profile, bump_root, 4.0, cfg)
+        traj = integrate(bump_params, bump_profile, state, cfg)
         states = textbook_rk4(bump_params, bump_profile, state, cfg)
+        assert len(states) == nsteps + 1
+        self.assert_close_to_textbook(traj, states, cfg)
+
+    @staticmethod
+    def assert_overflows_at(params, profile, root, nsteps, j):
+        # a seed scaled so that the largest of |tau|, |u| and max|f| along the
+        # textbook run first exceeds the overflow limit at step j: the run
+        # stops there, holding the textbook's state of that step
+        cfg = bump_window_config(params, 4.0, nsteps)
+        state = init_eigenmode(params, profile, root, 4.0, cfg)
+        states = textbook_rk4(params, profile, state, cfg)
         peaks = np.array([max(abs(s.tau_hat), abs(s.u_hat), np.abs(s.f_hat).max())
                           for s in states])
-        j = 101
         assert np.all(np.diff(peaks[:j + 1]) > 1e-5 * peaks[1:j + 1])
         scale = 2.0 * modesim._OVERFLOW_LIMIT / (peaks[j - 1] + peaks[j])
-        traj = integrate(bump_params, bump_profile, state.scaled(scale), cfg)
+        traj = integrate(params, profile, state.scaled(scale), cfg)
         assert traj.overflow and len(traj.times) - 1 == j
-        assert traj.final_state.time == traj.times[-1] == j * (cfg.t_final / 201)
+        assert traj.final_state.time == traj.times[-1] == j * (cfg.t_final / nsteps)
         assert rel(traj.tau_hat, scale * np.array([s.tau_hat for s in states[:j + 1]])) \
             <= 1e-12
         assert traj.final_state.tau_hat == traj.tau_hat[-1]
         assert rel(traj.final_state.f_hat, scale * states[j].f_hat) <= 1e-12
 
+    def test_overflow_on_an_odd_step(self, bump_params, bump_profile, bump_root):
+        self.assert_overflows_at(bump_params, bump_profile, bump_root, 201, 101)
+
+    def test_overflow_inside_the_partial_block(self, bump_params, bump_profile,
+                                               bump_root):
+        # 205 = 25 * 8 + 5 steps: the last block runs steps 201..205
+        self.assert_overflows_at(bump_params, bump_profile, bump_root, 205, 203)
+
     def test_generic_state_at_the_cfl_limit(self, maxwellian_params, std_maxwellian):
         # dt at the CFL bound gives the largest |theta| = |k| dt max|v| (0.091
         # here), where cutting the block polynomials loses most; a generic complex
-        # state, and 8 m + 5 steps, so that the last five run one at a time
+        # state, and 8 m + 5 steps, so that the last block ends after five
         k, p = 1.0, maxwellian_params
         base = default_sim_config(p, std_maxwellian, k, t_final=1.0, nv=256)
         dt = modesim.cfl_limit(p, base, k)
@@ -236,23 +262,25 @@ class TestClosedFormStep:
                                   nv=256)
         cfg = default_sim_config(acoustic_params, std_maxwellian, k,
                                  t_final=200 * base.dt, nv=256)
-        # kappa = 0: the moment rows vanish and tau, u never see f
-        moments = modesim._rk4_step_operator(
+        # kappa = 0: the moment weight eps vanishes and tau, u never see f
+        eps = modesim._rk4_step_operator(
             acoustic_params, std_maxwellian, cfg, k, base.dt,
-            np.sqrt(modesim._simpson_weights(cfg.nv, cfg.dv)))[0]
-        assert not np.any(moments)
+            np.sqrt(modesim._simpson_weights(cfg.nv, cfg.dv)))[2]
+        assert not np.any(eps)
         state = acoustic_state(acoustic_params, k, cfg)
         self.assert_matches_textbook(acoustic_params, std_maxwellian, state, cfg)
 
     def test_step_map_matches_recursion(self, bump_params, bump_profile):
-        # one step from random (tau, u, f) through the operator's moment rows,
-        # 6x6 map and real feed columns against the stage recursion written out
+        # one step from random (tau, u, f) through the operator's moments
+        # <i eps (i theta)^j, g>, 6x6 map and feed phi sum_p beta_p theta^p
+        # against the stage recursion written out
         k, p = 4.0, bump_params
         cfg = default_sim_config(p, bump_profile, k, t_final=1.0, nv=256)
         dt, grid = cfg.dt, modesim.velocity_grid(cfg)
         w = modesim._simpson_weights(cfg.nv, cfg.dv)
-        moments, step, stream, feeds, _ = modesim._rk4_step_operator(
+        step, stream, eps, phi, theta = modesim._rk4_step_operator(
             p, bump_profile, cfg, k, dt, np.sqrt(w))
+        assert np.array_equal(theta, -k * dt * grid)
         ikdt = 1j * k * dt
         z = -ikdt * grid
         c = -ikdt * p.c0**2 * p.rho0**2 * np.real(
@@ -275,8 +303,9 @@ class TestClosedFormStep:
             f_next = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) * f + sum(
                 tm * row for tm, row in zip((tau, t1, t2, t3), stage_rows))
             g = np.sqrt(w) * f
-            y = step @ np.array((tau, u, *(moments @ g)))
-            g_next = stream * g + feeds @ y[2:]
+            moments = [1j * eps * (1j * theta)**j @ g for j in range(4)]
+            y = step @ np.array((tau, u, *moments))
+            g_next = stream * g + phi * sum(y[2 + q] * theta**q for q in range(4))
             assert y[0] == pytest.approx(tau + t1 + t2 / 2 + t3 / 6 + t4 / 24,
                                          rel=1e-13)
             assert y[1] == pytest.approx(u + u1 + u2 / 2 + u3 / 6 + u4 / 24,
@@ -428,6 +457,19 @@ class TestIntegrate:
         assert len(traj.times) - 1 == 3042
         assert 0.0 < traj.times[-1] < 4.0
 
+    def test_non_finite_norm_overflows(self, maxwellian_params, std_maxwellian):
+        # f = 1e155 makes sum w |f|^2 inf and the block's norms inf or NaN:
+        # either must trip the overflow alarm, and max|f| stops the run at once
+        cfg = default_sim_config(maxwellian_params, std_maxwellian, 1.0, t_final=1.0,
+                                 nv=256)
+        state = ModeState(k=1.0, tau_hat=0.0, u_hat=0.0,
+                          f_hat=np.full(cfg.nv, 1e155, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(maxwellian_params, std_maxwellian, state, cfg)
+        assert traj.kinetic_l2[0] == math.inf
+        assert traj.overflow
+        assert len(traj.times) - 1 == 1
+
     def test_kinetic_norm_of_states(self, bump_params, bump_profile, bump_root):
         # kinetic_l2 is sqrt(sum w |f|^2) at the initial and the final state
         k = 8.0
@@ -513,6 +555,24 @@ class TestGrowthRate:
         traj = integrate(acoustic_params, std_maxwellian, both, cfg)
         with pytest.raises(DegenerateFit):
             growth_rate(traj, cfg.fit_window)
+
+    def test_any_time_scale(self, capfd):
+        # the same log|tau| on times scaled by 1e-300, 1 and 1e300: the rate
+        # scales with them, and the fit writes nothing to stderr
+        base = np.linspace(0.0, 10.0, 501)
+        log_amp = 0.3 * base + 1e-3 * np.sin(7.0 * base)
+        rates = []
+        for scale in (1e-300, 1.0, 1e300):
+            state = ModeState(k=1.0, tau_hat=1.0, u_hat=0.0, f_hat=np.zeros(4))
+            traj = modesim.Trajectory(
+                k=1.0, times=scale * base, tau_hat=np.exp(log_amp + 0j),
+                u_hat=np.zeros(501), kinetic_l2=np.zeros(501), overflow=False,
+                final_state=state)
+            rates.append(scale * growth_rate(traj, (2.0 * scale, 8.0 * scale)).rate)
+        assert rates[0] == pytest.approx(rates[1], rel=1e-12)
+        assert rates[2] == pytest.approx(rates[1], rel=1e-12)
+        assert rates[1] == pytest.approx(0.3, rel=1e-2)
+        assert capfd.readouterr().err == ""
 
     def test_window_needs_samples(self, acoustic_params, std_maxwellian):
         cfg = default_sim_config(acoustic_params, std_maxwellian, 1.0, t_final=2.0,

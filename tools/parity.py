@@ -28,13 +28,15 @@ the NEW results lie from the OLD ones:
   (6 growth spans, 16,611 steps) and at k = 6 (2 spans, 5,537 steps),
   Maxwellian acoustic runs at kappa = 0 and 0.01 (7,680 steps), a seeded
   generic complex state on the Maxwellian at kappa = 0.01 with dt at the CFL
-  bound (the largest |k| dt max|v|) over 4,005 steps (8 m + 5), and three
-  overflow runs (the first step, and seeds whose max|f| starts at 1e150 / 3
-  and 1e150 / 1.5, stopping at steps 3,042 and 1,123): runs that finish and
-  runs that overflow each come in odd and even step counts. Times, the final
-  state's time and the overflow flag must match exactly; tau, u, kinetic L^2
-  and the final state's f are reported as max |new - old| / max |old|, the
-  fitted rate as a relative difference.
+  bound (the largest |k| dt max|v|) over 4,005 steps (8 m + 5), the k = 4
+  bump eigenmode over 5 steps, and four overflow runs (the first step, seeds
+  whose max|f| starts at 1e150 / 3 and 1e150 / 1.5, stopping at steps 3,042
+  and 1,123, and the first of these cut to 3,045 steps, so that it stops
+  inside its last block of 5): runs that finish and runs that overflow each
+  come in odd and even step counts. Times, the final state's time, the
+  overflow flag and a fit's exception type must match exactly; tau, u,
+  kinetic L^2 and the final state's f must lie within TRAJ_TOL max |old| of
+  OLD's, and the fitted rate within max(TRAJ_TOL |rate|, 1e-15).
 - Profiles: seven profiles built by the public constructors (a Maxwellian, a
   two-stream sum, a bump, a bump on a narrow base, a bump on a two-stream sum,
   a bump on a bump, and a sum holding a bump): f and f' on a real grid (one
@@ -281,12 +283,18 @@ tau, u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
 f = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
 runs["cfl_limit_generic"] = (prm, mx, m.ModeState(k=1.0, tau_hat=tau, u_hat=u, f_hat=f),
                              cfg)
+prm, prof, state, cfg = runs["bump_k4"]
+runs["bump_k4_5steps"] = (prm, prof, state, m.default_sim_config(
+    prm, prof, 4.0, t_final=5 * cfg.dt, nv=2048, dt=cfg.dt))
 cfg = m.default_sim_config(bp, bump, 8.0, t_final=4.0, nv=2048)
 seed = m.init_eigenmode(bp, bump, sigma, 8.0, cfg)
 runs["overflow_step1"] = (bp, bump, seed.scaled(3e148), cfg)
 for name, share in (("overflow_mid", 3.0), ("overflow_odd", 1.5)):
     runs[name] = (bp, bump, seed.scaled(1e150 / (share * np.max(np.abs(seed.f_hat)))),
                   cfg)
+dt = cfg.t_final / math.ceil(cfg.t_final / cfg.dt)
+runs["overflow_last_block"] = runs["overflow_mid"][:3] + (m.default_sim_config(
+    bp, bump, 8.0, t_final=3045 * dt, nv=2048, dt=dt),)
 res = {}
 for name, (prm, prof, state, cfg) in runs.items():
     tr = m.integrate(prm, prof, state, cfg)
@@ -386,6 +394,7 @@ D_TOL = 1e-15          # |dD| / max(1, |D|)
 RATE_TOL = 1e-9        # relative, for c*, gamma and gamma(-c*)
 TRACK_TOL = 1e-14      # relative, for a tracked secular root and a scalar root
 PROFILE_TOL = 1e-15    # relative, for f, f', moments and bump masses of nested profiles
+TRAJ_TOL = 1e-12       # of OLD's largest value, for tau, u, kinetic L^2, final f and rate
 
 
 class Mismatches(list):
@@ -525,21 +534,28 @@ def rate_parity(old_src: str, new_src: str, found: Mismatches) -> None:
 
 def trajectory_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (pickle.loads(run(TRAJECTORIES, src)) for src in (old_src, new_src))
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
-
     for name in old:
         a, b = old[name], new[name]
         for key in ("times", "final_time", "overflow"):
             found.expect(np.array_equal(a[key], b[key]), "trajectories", f"{name} {key}")
+        if len(a["times"]) != len(b["times"]):
+            continue
+        moves = {key: float(np.max(np.abs(a[key] - b[key])) / np.max(np.abs(a[key])))
+                 for key in ("tau", "u", "kin", "f")}
+        for key in moves:
+            move = np.max(np.abs(a[key] - b[key]))
+            found.expect(move <= TRAJ_TOL * np.max(np.abs(a[key])), "trajectories",
+                         f"{name} {key} moved {moves[key]:.1e} of OLD's largest")
         ra, rb = a["rate"], b["rate"]
-        drate = (f"{ra:.6g}, rel {abs(ra - rb) / abs(ra):.1e}, abs {abs(ra - rb):.1e}"
-                 if isinstance(ra, float) else f"{ra} on both: {ra == rb}")
-        print(f"{name:18s} steps {len(a['times']) - 1:6d} overflow {a['overflow']!s:5s} "
-              f"tau {rel(a['tau'], b['tau']):.1e} u {rel(a['u'], b['u']):.1e} "
-              f"kin {rel(a['kin'], b['kin']):.1e} f {rel(a['f'], b['f']):.1e} "
-              f"rate {drate}")
+        if isinstance(ra, float) and isinstance(rb, float):
+            ok = abs(ra - rb) <= max(TRAJ_TOL * abs(ra), 1e-15)
+            drate = f"{ra:.6g}, rel {abs(ra - rb) / abs(ra):.1e}, abs {abs(ra - rb):.1e}"
+        else:
+            ok, drate = ra == rb, f"{ra} -> {rb}"
+        found.expect(ok, "trajectories", f"{name} rate {ra!r} -> {rb!r}")
+        print(f"{name:19s} steps {len(a['times']) - 1:6d} overflow {a['overflow']!s:5s} "
+              + " ".join(f"{key} {move:.1e}" for key, move in moves.items())
+              + f" rate {drate}")
 
 
 def scalar_parity(old_src: str, new_src: str, found: Mismatches) -> None:
