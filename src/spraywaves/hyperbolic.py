@@ -19,7 +19,7 @@ C[v**k f'] from the one transform C = `quadrature.cauchy_transform`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -47,6 +47,8 @@ class SystemCoupling:
 
     ``phi_coeffs[j]`` is the N-vector coefficient of v**j, so the feedback
     profile phi(v) stays analytic and inherits the distribution's decay.
+    ``eigenpairs`` is `symmetric_eigen` of a_matrix, solved as the system is
+    built: that is the one check of the matrix, so its errors come from here.
     """
 
     a_matrix: np.ndarray
@@ -54,29 +56,21 @@ class SystemCoupling:
     phi_coeffs: tuple[tuple[float, ...], ...]
     kappa: float
     profile: VelocityProfile
+    eigenpairs: list[tuple[float, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "grad_psi", np.asarray(self.grad_psi, dtype=float))
         n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("a_matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
-            raise ValueError("a_matrix must be symmetric to 1e-12")
         if self.grad_psi.shape != (n,):
             raise ValueError("grad_psi must have length N")
         if any(len(c) != n for c in self.phi_coeffs):
             raise ValueError("each phi coefficient must have length N")
         if not (math.isfinite(self.kappa) and all(
-                np.isfinite(x).all() for x in (a, self.grad_psi, self.phi_coeffs))):
-            raise ValueError("kappa, a_matrix, grad_psi and phi_coeffs must be finite")
-
-    @cached_property
-    def eigenpairs(self) -> list[tuple[float, np.ndarray]]:
-        """symmetric_eigen(a_matrix), solved once per system."""
-        return symmetric_eigen(self.a_matrix)
+                np.isfinite(x).all() for x in (self.grad_psi, self.phi_coeffs))):
+            raise ValueError("kappa, grad_psi and phi_coeffs must be finite")
+        object.__setattr__(self, "eigenpairs", symmetric_eigen(a))
 
     @cached_property
     def modal_table(self) -> tuple[list[float], dict[int, list[float]]]:
@@ -131,22 +125,24 @@ def symmetric_eigen(a_matrix) -> list[tuple[float, np.ndarray]]:
     """Deterministic eigen-decomposition of a symmetric matrix.
 
     LAPACK symmetric solver; eigenvalues ascending, eigenvector sign fixed so
-    the first component above 1e-12 is positive. Rejects spectra with gaps
-    below 1e-8 (strict hyperbolicity is assumed throughout).
+    the first component above 1e-12 is positive. Refuses a matrix that is not
+    finite, square and symmetric (ValueError), and spectra with gaps below 1e-8
+    (strict hyperbolicity is assumed throughout); NaN trips every test.
     """
     a = np.array(np.atleast_2d(a_matrix), dtype=float)
     n = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(a))))
-    if a.shape != (n, n) or np.max(np.abs(a - a.T)) > 1e-12 * scale:
-        raise ValueError("symmetric_eigen requires a symmetric square matrix")
+    if (a.shape != (n, n) or not np.isfinite(a).all()
+            or np.max(np.abs(a - a.T)) > 1e-12 * scale):
+        raise ValueError("symmetric_eigen requires a finite, symmetric square matrix")
     eigvals, vecs = np.linalg.eigh(a)
     gaps = np.diff(eigvals)
-    if n > 1 and np.min(gaps) <= _GAP_TOL:
+    if n > 1 and not np.min(gaps) > _GAP_TOL:
         raise DegenerateSpectrum(f"eigenvalue gap {np.min(gaps):.3g} <= {_GAP_TOL:g}")
     # A V by broadcasting: a matrix product (BLAS gemm) adds 0.3 MiB to the peak RSS
     resid = np.linalg.norm((a[:, :, None] * vecs).sum(axis=1) - vecs * eigvals,
                            axis=0).max()
-    if resid > _EIGEN_RESIDUAL * scale:
+    if not resid <= _EIGEN_RESIDUAL * scale:
         raise NonConvergence(f"eigenvector residual {resid:.3g} too large")
     lead = np.argmax(np.abs(vecs) > 1e-12, axis=0)
     flip = vecs[lead, range(n)] < 0
@@ -184,12 +180,13 @@ def _modal_projections(s: SystemCoupling, sigma, derivative: bool = False) -> li
 def stability_necessary_condition(s: SystemCoupling) -> list[ModeVerdict]:
     """Per-mode sign check of q_j; any q_j < 0 fails the necessary condition."""
     psi, phi = s.modal_table
+    # f'(sigma_j) at every eigenvalue from one call, as Python floats
+    slopes = np.real(profiles.eval_df(s.profile, [ev for ev, _ in s.eigenpairs])).tolist()
     verdicts = []
-    for j, (sigma_j, r_j) in enumerate(s.eigenpairs):
+    for j, ((sigma_j, r_j), slope) in enumerate(zip(s.eigenpairs, slopes)):
         psi_proj = psi[j]
         # phi(sigma_j) . r_j = sum_k sigma_j**k Phi_jk
         phi_proj = float(sum(sigma_j**k * col[j] for k, col in phi.items()))
-        slope = float(np.real(profiles.eval_df(s.profile, sigma_j)))
         q_j = psi_proj * phi_proj * slope
         if abs(psi_proj) <= _DECOUPLE_TOL or abs(phi_proj) <= _DECOUPLE_TOL:
             verdict = DECOUPLED

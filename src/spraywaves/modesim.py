@@ -403,10 +403,8 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     table, block_map, remainders, weights, p_block, p_tail = _block_operator(
         step, stream, eps, phi, theta, nsteps % B)
 
-    # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f
     g = state0.f_hat * root_w
     taus[0], us[0] = state0.tau_hat, state0.u_hat
-    kin[0] = g.view(float).dot(g.view(float))
     states = [(v, v.view(float), v.view(float).reshape(-1, 2))
               for v in (g, np.empty_like(g))]
     feed = np.empty_like(g)
@@ -452,32 +450,36 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
         return i + 1 + int(built[first])
 
     overflow_step = 0
-    for i in range(0, nsteps, B):
-        (g, _, g_pairs), (g_next, g_next_r, _) = states
-        w[0], w[1] = taus[i], us[i]
-        power_dot(g_pairs, out=w_pairs)
-        multiply(g_pairs, g_pairs, feed_pairs)      # the feed is written later
-        energy_dot(feed_pairs, out=energy.reshape(3, 2))
-        map_dot(w_head, out=out)                    # tau, u, r and the Q_j w
-        taus[i + 1:i + B + 1] = taus_out
-        us[i + 1:i + B + 1] = us_out
-        add(forms_dot(wr), weights_dot(energy), out=kin[i + 1:i + B])
-        end = i + B
-        if end > nsteps:        # the last block ends after m = nsteps - i steps
-            end = nsteps
-            remainders[end - i - 1].dot(w_head, out=r)
-            p_block = p_tail
-        phi_dot(r_pairs, out=feed_pairs)
-        multiply(g, p_block, g_next)
-        add(g_next, feed, g_next)
-        kin[end] = g_next_r.dot(g_next_r)
-        # sum |tau|^2 + |u|^2 bounds max(|tau|, |u|)^2 from above; NaN trips too
-        if not (scalars_r.dot(scalars_r) <= _OVERFLOW_LIMIT**2
-                and kin[i + 1:end + 1].max() <= norm_alarm):
-            overflow_step = first_overflow(g, i, end, g_next)
-            if overflow_step:
-                break
-        states.reverse()
+    # a state near or past overflow is the alarm's to report, not numpy's
+    with np.errstate(over="ignore", invalid="ignore"):
+        # gr . gr = sum_j w_j |f_j|^2 on the float view gr of g = sqrt(w) f
+        kin[0] = g.view(float).dot(g.view(float))
+        for i in range(0, nsteps, B):
+            (g, _, g_pairs), (g_next, g_next_r, _) = states
+            w[0], w[1] = taus[i], us[i]
+            power_dot(g_pairs, out=w_pairs)
+            multiply(g_pairs, g_pairs, feed_pairs)      # the feed is written later
+            energy_dot(feed_pairs, out=energy.reshape(3, 2))
+            map_dot(w_head, out=out)                    # tau, u, r and the Q_j w
+            taus[i + 1:i + B + 1] = taus_out
+            us[i + 1:i + B + 1] = us_out
+            add(forms_dot(wr), weights_dot(energy), out=kin[i + 1:i + B])
+            end = i + B
+            if end > nsteps:        # the last block ends after m = nsteps - i steps
+                end = nsteps
+                remainders[end - i - 1].dot(w_head, out=r)
+                p_block = p_tail
+            phi_dot(r_pairs, out=feed_pairs)
+            multiply(g, p_block, g_next)
+            add(g_next, feed, g_next)
+            kin[end] = g_next_r.dot(g_next_r)
+            # sum |tau|^2 + |u|^2 bounds max(|tau|, |u|)^2 from above; NaN trips too
+            if not (scalars_r.dot(scalars_r) <= _OVERFLOW_LIMIT**2
+                    and kin[i + 1:end + 1].max() <= norm_alarm):
+                overflow_step = first_overflow(g, i, end, g_next)
+                if overflow_step:
+                    break
+            states.reverse()
     g = g_next if overflow_step else states[0][0]
     n_done = overflow_step or nsteps
     end = n_done + 1

@@ -197,6 +197,7 @@ class TestExitCodes:
         ("stability-check", "system-prop1", {"system": {"kappa": math.nan}}),
         ("stability-check", "system-prop1", {"system": {"A": [[1.0, math.nan],
                                                               [math.nan, 2.0]]}}),
+        ("stability-check", "system-prop1", {"system": {"A": [[1.0, 0.3], [0.0, 2.0]]}}),
         ("stability-check", "system-prop1", {"system": {"grad_psi": [1.0, math.inf]}}),
         ("stability-check", "system-prop1", {"system": {"phi_coeffs": [[math.nan, 0.4]]}}),
         ("stability-check", "scalar-coupling", {"scalar": {"lambda0": math.nan}}),
@@ -302,6 +303,11 @@ class TestExitCodes:
         ("thin-spray", "maxwellian-stable", {"params": {"c0": 1e308}}),
         ("dispersion-scan", "maxwellian-stable", {"scan": {"re": [-3, 1e308, 5]}}),
         ("simulate", "maxwellian-stable", {"params": {"rho0": 1e308}}),
+        # a huge finite value is a numerical failure while computing, not a bad config
+        ("simulate", "bump-unstable", {"sim": {"init": {"sigma": [4.97, 1e300]}}}),
+        ("landau-compare", "maxwellian-stable", {"landau": {"im_sigma": 1e300}}),
+        ("roots", "bump-unstable", {"region": {"im_max": 1e300}}),
+        ("dispersion-scan", "maxwellian-stable", {"scan": {"im": [-1e300, 0.2, 5]}}),
     ])
     def test_overflow_exits_3(self, tmp_path, capsys, command, scenario, override):
         cfgfile = tmp_path / "c.json"
@@ -1197,6 +1203,16 @@ class TestStabilityCheckCommand:
         modes = read_json(out / "stability_check.json")["modes"]
         assert modes[1]["tracked_sigma"] == pytest.approx([1.99999997200202,
                                                            3.3921626e-8], abs=1e-13)
+
+    def test_degenerate_matrix_exits_3(self, tmp_path, capsys):
+        # A is solved as the system is built, inside the config read: a degenerate
+        # spectrum is still a numerical failure, not a bad config
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"system": {"A": [[1.0, 0.0], [0.0, 1.0]]}}))
+        assert main(["stability-check", "--scenario", "system-prop1", "--config",
+                     str(cfgfile), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["exit_code"]) == ("DegenerateSpectrum", 3)
 
     def test_requires_block(self, tmp_path, capsys):
         cfg = {"profile": {"kind": "maxwellian"}}

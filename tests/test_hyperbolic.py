@@ -189,6 +189,15 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError):
             symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_rejected(self, bad, where):
+        # a comparison with NaN is false: each entry is refused, none solved
+        a = np.array([[1.0, 0.2], [0.2, 3.0]])
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            symmetric_eigen(a)
+
 
 class TestSecularFunction:
     def test_uncoupled_identity(self, fixture_systems):
@@ -231,6 +240,12 @@ class TestSystemCoupling:
                        "phi_coeffs": ((math.nan, 1.0),), "kappa": math.nan}[field]
         with pytest.raises(ValueError, match="finite"):
             SystemCoupling(**args)
+
+    def test_degenerate_spectrum_at_construction(self, std_maxwellian):
+        # the matrix is solved as the system is built, not at first use
+        with pytest.raises(DegenerateSpectrum):
+            SystemCoupling(np.eye(2), np.array([1.0, 0.5]), ((1.0, 1.0),), 1e-4,
+                           std_maxwellian)
 
 
 class TestTrackSecularRoot:
@@ -371,6 +386,41 @@ class TestNecessaryCondition:
                     tracked = track_secular_root(si, v.j, kappa)
                     assert abs(tracked.imag - kappa * v.imag_rate) <= \
                         0.1 * kappa * abs(v.imag_rate) + 1e-12
+
+    @pytest.mark.parametrize("profile", [
+        profiles.maxwellian(), profiles.make_bump_on_tail(profiles.maxwellian(), 0.05,
+                                                          0.5, 5.0),
+        profiles.profile_sum(profiles.maxwellian(0.5, -2.0, 0.6),
+                             profiles.maxwellian(0.5, 2.0, 0.6))],
+        ids=["maxwellian", "bump", "two-stream"])
+    def test_one_slope_call(self, profile, monkeypatch):
+        # f' at every eigenvalue comes from one eval_df call, and q_j, imag_rate
+        # and the verdict equal those of one call per eigenvalue bit for bit: on
+        # seeded 1 x 1 to 7 x 7 systems with 1 to 3 phi rows, spread over the
+        # profile, on the bump's support edges and on a quadratic-phi system
+        rng = np.random.default_rng(11)
+        systems = [TestModeMatrixOracle.seeded_system(25, profile, rows=3),
+                   SystemCoupling(np.diag([4.5, 4.51, 5.0, 5.49, 5.5]), np.ones(5),
+                                  ((1.0,) * 5, (0.5,) * 5), 1e-3, profile)]
+        for n in range(1, 8):
+            for shift in (-2.0, 0.0, 2.0, 5.0):
+                raw = rng.normal(size=(n, n))
+                systems.append(SystemCoupling(
+                    0.75 * (raw + raw.T) / math.sqrt(n) + shift * np.eye(n),
+                    rng.normal(size=n), tuple(map(tuple, rng.normal(size=(1 + n % 3, n)))),
+                    1e-3, profile))
+        eval_df, calls = profiles.eval_df, []
+        one_call = lambda prof, v: calls.append(v) or eval_df(prof, v)
+        per_mode = lambda prof, v: np.array([eval_df(prof, x) for x in v])
+        for system in systems:
+            results = []
+            for patch in (one_call, per_mode):
+                monkeypatch.setattr(profiles, "eval_df", patch)
+                results.append([(v.q_j.hex(), v.imag_rate.hex(), v.verdict)
+                                for v in stability_necessary_condition(system)])
+            assert results[0] == results[1]
+            assert len(calls) == 1
+            calls.clear()
 
     def test_unstable_modes_grow(self, fixture_systems):
         for system in fixture_systems:
