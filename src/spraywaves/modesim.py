@@ -7,11 +7,13 @@ For wavenumber k the linearized thick-spray equations reduce to the ODE system
     d f/dt   = -i k v f - i k c0^2 rho0^2 tau f0'(v)
 
 on a uniform velocity grid (composite Simpson for the moment integral, RK4
-in time). Each RK4 step is applied in closed form from the rank-two structure
-of the operator, and steps go eight at a time from power moments of the
-block's start state, the last block of a run ending after nsteps mod 8 steps
-when that is not 0. Fitted rates of |tau(t)| are the independent oracle for
-dispersion roots; normalized-mode runs show loss of Sobolev control.
+in time). From a block's start state g_b (g = sqrt(w) f) every later g is
+A(theta) g_b + phi R(theta), theta = -k dt v, so one linear map dt L acts on
+the lifted state (tau, u, A, R), and RK4 is the textbook
+P(dt L) = sum_(m<=4) (dt L)^m / m! on it, eight steps a block, the last block
+of a run ending after nsteps mod 8 steps when that is not 0. Fitted rates of
+|tau(t)| are the independent oracle for dispersion roots; normalized-mode
+runs show loss of Sobolev control.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class SimConfig:
     def __post_init__(self):
         if not MIN_NV <= self.nv <= MAX_NV:
             raise ValueError(f"nv must lie in [{MIN_NV}, {MAX_NV}]")
-        if self.v_bounds[0] >= self.v_bounds[1]:
-            raise ValueError("empty velocity interval")
+        if not -math.inf < self.v_bounds[0] < self.v_bounds[1] < math.inf:
+            raise ValueError("v_bounds must be a finite, nonempty velocity interval")
         if not (self.dt > 0 and self.t_final > 0):
             raise ValueError("dt and t_final must be positive")
         steps = self.t_final / self.dt
@@ -209,43 +211,6 @@ def init_eigenmode(params: SprayParams, profile: VelocityProfile, sigma: complex
                      u_hat=-params.rho0 * params.c0**2 / sigma, f_hat=f_hat)
 
 
-def _rk4_step_operator(params: SprayParams, profile: VelocityProfile,
-                       config: SimConfig, k: float, dt: float, root_w: np.ndarray):
-    """Per-run pieces of one RK4 step y <- P(dt L) y, P(x) = sum_{j<=4} x^j / j!.
-
-    dt L maps (tau, u, f) to (a u + <omega, f>, b tau, z f + tau c), z = -i k dt v.
-    The step is f <- P(z) f + sum_m tau_m G_m, G_m = sum_{j=m+1..4} z^(j-1-m) c / j!,
-    where a linear recursion in tau, u and s_j = <omega z^j, f> gives tau_m, tau', u';
-    on unit vectors it is one 6x6 map (tau, u, s_0..s_3) -> (tau', u', beta_0..3),
-    sum_m tau_m G_m = sum_p beta_p gamma theta^p (z = i theta, c = i gamma). For
-    g = sqrt(w) f, with omega = i eps / sqrt(w) and phi = sqrt(w) gamma (both
-    real), s_j = <i eps (i theta)^j, g> and the step adds phi sum_p beta_p theta^p
-    to P(z) g. Returns the map, P(z), eps, phi and theta.
-    """
-    grid = velocity_grid(config)
-    theta = -k * dt * grid
-    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
-    eps = k * dt * params.kappa / (alpha0 * params.rho0) * root_w * grid
-    phi = -k * dt * params.c0**2 * params.rho0**2 * root_w * np.real(
-        profiles.eval_df(profile, grid))
-    ikdt = 1j * k * dt
-    a, b = ikdt / params.rho0, ikdt * params.rho0 * params.c0**2
-    # q_j = s_j of sqrt(w) c = i phi
-    q0, q1, q2 = (-1j**j * float(eps * theta**j @ phi) for j in range(3))
-    tau, u, s0, s1, s2, s3 = np.eye(6, dtype=complex)
-    t1, u1 = a * u + s0, b * tau
-    t2, u2 = a * u1 + s1 + q0 * tau, b * t1
-    t3, u3 = a * u2 + s2 + q1 * tau + q0 * t1, b * t2
-    t4, u4 = a * u3 + s3 + q2 * tau + q1 * t1 + q0 * t2, b * t3
-    betas = [sum(1j ** (p + 1) / math.factorial(p + m + 1) * tm
-                 for m, tm in enumerate((tau, t1, t2, t3)[:4 - p])) for p in range(4)]
-    step = np.array((tau + t1 + t2 / 2.0 + t3 / 6.0 + t4 / 24.0,
-                     u + u1 + u2 / 2.0 + u3 / 6.0 + u4 / 24.0, *betas))
-    z = 1j * theta
-    stream = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    return step, stream, eps, phi, theta
-
-
 # A block of _BLOCK steps cuts every polynomial in theta above theta^_DEGREE. The
 # CFL check keeps |theta| <= |k| dt max|v| < 0.1, and the coefficients of
 # P(i theta)^l are bounded by those of e^(l theta), so the cut drops less than
@@ -254,111 +219,100 @@ _BLOCK = 8
 _DEGREE = 18
 
 
-# the theta-coefficients of P(i theta), in the working precision of the block algebra
-_TAYLOR = [np.clongdouble(1j**j) / math.factorial(j) for j in range(5)]
-
-
-def _times_stream(c: np.ndarray) -> np.ndarray:
-    """P(i theta) times the polynomials whose theta-coefficients are the rows of
-    c, cut above theta^_DEGREE."""
-    out = _TAYLOR[0] * c
-    for j in range(1, 5):
-        out[j:] += _TAYLOR[j] * c[:-j]
-    return out
-
-
-@lru_cache(maxsize=1)
-def _stream_powers() -> tuple[np.ndarray, np.ndarray]:
-    """The theta-coefficients of P(i theta)^l, l = 0.._BLOCK, cut above
-    theta^_DEGREE, in extended precision, and in double precision the products
-    with them in coefficient space, the lower Toeplitz T[l][n, p] = [theta^(n-p)] P^l."""
-    powers = [np.eye(_DEGREE + 1, dtype=np.clongdouble)]
-    for _ in range(_BLOCK):
-        powers.append(_times_stream(powers[-1]))
-    toeplitz = np.array(powers)
-    coefs, toeplitz = toeplitz[:, :, 0].copy(), toeplitz.astype(complex)
-    coefs.flags.writeable = toeplitz.flags.writeable = False
-    return coefs, toeplitz
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of the small block-table matrices, by einsum: BLAS has no extended
-    precision, and its complex matrix product would leave about 0.3 MiB of its
-    work buffer resident."""
+    """a @ b of the small block-table matrices, by einsum: BLAS's complex matrix
+    product would leave about 0.3 MiB of its work buffer resident."""
     return np.einsum("ij,jk->ik", a, b)
 
 
-def _hankel(v: np.ndarray, rows: int) -> np.ndarray:
-    """H[i, q] = v[i + q], zero past the end of v."""
-    h = np.zeros((rows, len(v)), dtype=v.dtype)
-    for i in range(rows):
-        h[i, :len(v) - i] = v[i:]
-    return h
+def _block_operator(params: SprayParams, profile: VelocityProfile, config: SimConfig,
+                    k: float, dt: float, root_w: np.ndarray, tail: int):
+    """Per-run tables that apply _BLOCK RK4 steps at once from a block's start state.
 
+    On g = sqrt(w) f and theta = -k dt v, dt L maps (tau, u, g) to
+    (a u + i <eps, g>, b tau, i theta g + i tau phi), eps and phi real. From a
+    block's start state g_b, every later g is A(theta) g_b + phi R(theta), so dt L
+    acts on the lifted state (tau, u, A, R), each polynomial cut above theta^D:
 
-def _block_operator(step: np.ndarray, stream: np.ndarray, eps: np.ndarray,
-                    phi: np.ndarray, theta: np.ndarray, tail: int):
-    """Per-run tables that apply _BLOCK steps of _rk4_step_operator at once.
+        tau <- a u + i sum_d A_d mu_d + i sum_q R_q <eps phi, theta^q>,
+        u <- b tau,  A <- i theta A,  R <- i theta R + i tau,
 
-    Over a block from g_b, g_(b+j) = P^j g_b + phi R_j(theta) with
-    R_(j+1) = P R_j + sum_p beta_(j,p) theta^p and R_0 = 0: the step itself,
-    in the theta-coefficient space of R. The moment rows are i eps (i theta)^j,
-    so the moments of g_(b+j) are fixed combinations of the power moments
-    mu_d = <eps theta^d, g_b> and of R_j's coefficients: (tau, u) after each step
-    and the coefficients of each R_j are one linear map of w = (tau_b, u_b, mu_0..D).
-    With x = (w, psi_0..psi_D), psi_d = <phi theta^d, g_b>,
+    mu_d = <eps theta^d, g_b>, D = _DEGREE. tau, u and R's coefficients are rows
+    over w = (tau_b, u_b, mu_0..D), and A's coefficients, which do not depend on
+    the data, sit in the mu columns of one more row. One step is
+    P(dt L) = sum_(m<=4) (dt L)^m / m!, applied _BLOCK times in extended precision;
+    after j steps A = P(i theta)^j. With x = (w, psi_0..psi_D),
+    psi_d = <phi theta^d, g_b>,
 
         |g_(b+j)|^2 = <|P^j|^2, |g_b|^2> + Re(x^H Q_j w),
         Q_j w = (rho^H Lambda rho w, 2 conj(T_j) rho w),
 
     rho the map from w to R_j's coefficients, T_j the product with P^j and
-    Lambda[q, q'] = <phi^2, theta^(q + q')>. With a = |P|^2 - 1, which is
-    -theta^6/72 + theta^8/576 < 1.4e-8, |P^j|^2 = 1 + j a + j (j-1)/2 a^2 to
-    within 35 a^3 < 1e-22.
+    Lambda[q, q'] = <phi^2, theta^(q + q')>. With e = |P|^2 - 1, which is
+    -theta^6/72 + theta^8/576 < 1.4e-8, |P^j|^2 = 1 + j e + j (j-1)/2 e^2 to
+    within 35 e^3 < 1e-22.
 
     Returns the real Fortran-ordered (nv, 2 D + 5) table of the columns
-    eps theta^d, phi theta^d (d <= D), 1, a and a^2; the complex map from w to
+    eps theta^d, phi theta^d (d <= D), 1, e and e^2; the complex map from w to
     (tau_1, u_1, .., tau_B, u_B, R_B's coefficients, Q_1 w, .., Q_(B-1) w); the
     maps from w to the coefficients of R_1..R_B; the real (B-1, 6) weights of
-    <(1, a, a^2), (Re g_b)^2> and <(1, a, a^2), (Im g_b)^2>, interleaved, in
-    |g_(b+j)|^2; and P^B and P^tail, taken in extended precision.
+    <(1, e, e^2), (Re g_b)^2> and <(1, e, e^2), (Im g_b)^2>, interleaved, in
+    |g_(b+j)|^2; P^B, P^tail and P on the grid, from A after B, tail and 1
+    steps; and theta.
     """
     n, width = _DEGREE + 1, _DEGREE + 3
-    coefs, toeplitz = _stream_powers()
+    grid = velocity_grid(config)
+    theta = -k * dt * grid
+    alpha0 = profiles.compatibility_alpha(profile, params.kappa)
+    eps = k * dt * params.kappa / (alpha0 * params.rho0) * root_w * grid
+    phi = -k * dt * params.c0**2 * params.rho0**2 * root_w * np.real(
+        profiles.eval_df(profile, grid))
     # the small tables first, whose temporaries the table can then reuse
     weighted, power = np.array([eps * phi, phi * phi]), np.ones_like(theta)
     kappa, lam = np.empty((2, n))
     for q in range(n):
         kappa[q], lam[q] = weighted @ power
         power *= theta
-    rot = 1j ** np.arange(1, 5)
-    coupling = rot[:, None] * _hankel(kappa, 4)   # moments of phi theta^q
-    gram = _hankel(lam, n)
-    # tau, u and R's coefficients carry from step to step: extended precision
-    # keeps a block within a rounding of eight steps
-    step = step.astype(np.clongdouble)
-    x = np.zeros((6, width), dtype=np.clongdouble)     # (tau, u, s_0..s_3) over w
-    x[0, 0] = x[1, 1] = 1.0
-    rho = np.zeros((n, width), dtype=np.clongdouble)
-    rows, forms, remainders = [], [], []
-    for j in range(_BLOCK):
-        if j:
-            r = remainders[-1]
+    gram = np.array([np.append(lam[q:], np.zeros(q)) for q in range(n)])  # cut at D
+
+    # dt L / m in extended precision: the lifted state carries from step to
+    # step, and a block stays within a rounding of eight steps
+    ikdt, i = 1j * k * dt, np.clongdouble(1j)
+    a = np.clongdouble(ikdt / params.rho0)
+    b = np.clongdouble(ikdt * params.rho0 * params.c0**2)
+    scaled = [(a / m, b / m, i / m, i * kappa / m) for m in range(1, 5)]
+
+    def dt_l(x: np.ndarray, m: int) -> np.ndarray:
+        """dt L / m on the lifted state's rows A, tau, R_0..D and u."""
+        a_m, b_m, i_m, kappa_m = scaled[m - 1]
+        y = np.zeros_like(x)
+        np.multiply(x[0, 2:-1], i_m, out=y[0, 3:])
+        y[1] = a_m * x[-1] + i_m * x[0] + kappa_m @ x[2:-1]
+        np.multiply(x[1:-2], i_m, out=y[2:-1])
+        np.multiply(x[1], b_m, out=y[-1])
+        return y
+
+    x = np.zeros((n + 3, width), dtype=np.clongdouble)
+    x[0, 2] = x[1, 0] = x[-1, 1] = 1.0      # A = 1, tau = tau_b, u = u_b, R = 0
+    rows, forms, remainders, coefs = [], [], [], [x[0, 2:]]
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    for j in range(1, _BLOCK + 1):
+        term = x
+        for m in range(1, 5):
+            term = dt_l(term, m)            # (dt L)^m x / m!
+            x = x + term
+        r = x[2:-1].astype(complex)
+        rows.append(x[[1, -1]])
+        remainders.append(r)
+        coefs.append(x[0, 2:])
+        if j < _BLOCK:
+            toeplitz = np.tril(coefs[j][lag]).astype(complex)    # T_j[n, p] = A_(n-p)
             forms += [_product(r.conj().T, _product(gram, r)),
-                      2.0 * _product(toeplitz[j].conj(), r)]
-        x[2:] = _product(coupling, rho)
-        for i in range(4):
-            x[2 + i, 2 + i:] += rot[i] * coefs[j, :n - i]
-        y = _product(step, x)
-        rows.append(y[:2])
-        x[:2] = y[:2]
-        rho = _times_stream(rho)
-        rho[:4] += y[2:]
-        remainders.append(rho.astype(complex))
+                      2.0 * _product(toeplitz.conj(), r)]
     block_map = np.vstack([np.vstack(rows).astype(complex), remainders[-1], *forms])
     weights = np.repeat([[1, j, j * (j - 1) / 2] for j in range(1, _BLOCK)], 2, axis=1)
-    stream = stream.astype(np.clongdouble)
-    p_block, p_tail = ((stream ** m).astype(complex) for m in (_BLOCK, tail))
+    p_block, p_tail, stream = (np.polynomial.polynomial.polyval(
+        theta, np.trim_zeros(coefs[m], "b").astype(complex)) for m in (_BLOCK, tail, 1))
 
     table = np.empty((len(theta), 2 * n + 3), order="F")
     table[:, 0], table[:, n], table[:, 2 * n] = eps, phi, 1.0
@@ -369,16 +323,17 @@ def _block_operator(step: np.ndarray, stream: np.ndarray, eps: np.ndarray,
     for first in (0, n):
         for col in range(first + 1, first + n):
             np.multiply(table[:, col - 1], theta, out=table[:, col])
-    return table, block_map, np.array(remainders), weights, p_block, p_tail
+    return table, block_map, np.array(remainders), weights, p_block, p_tail, stream, theta
 
 
 def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
               config: SimConfig) -> Trajectory:
     """Classical RK4 trajectory of the mode system at fixed dt.
 
-    Every step goes through the block map of _block_operator, _BLOCK = 8 at a
-    time from the block's start state, which reads the grid a few times per
-    block; the last block ends after nsteps mod 8 steps when that is not 0. A
+    Each block of _BLOCK = 8 steps is one product of _block_operator's map, RK4
+    on the lifted state, with (tau, u) and the power moments of the block's
+    start state, so the grid is read a few times per block; the last block ends
+    after nsteps mod 8 steps when that is not 0. A
     block whose tau, u or kinetic norm trips the overflow alarm looks for its
     first step where tau, u or max|f| exceeds _OVERFLOW_LIMIT, and the run
     stops there with that step's state, as the textbook RK4 does.
@@ -398,10 +353,9 @@ def integrate(params: SprayParams, profile: VelocityProfile, state0: ModeState,
     taus, us = np.empty((2, nsteps + 1 + -nsteps % B), dtype=complex)
     kin = np.empty(len(taus))
     root_w = np.sqrt(_simpson_weights(config.nv, config.dv))
-    step, stream, eps, phi, theta = _rk4_step_operator(params, profile, config, k, dt,
-                                                       root_w)
-    table, block_map, remainders, weights, p_block, p_tail = _block_operator(
-        step, stream, eps, phi, theta, nsteps % B)
+    table, block_map, remainders, weights, p_block, p_tail, stream, theta = \
+        _block_operator(params, profile, config, k, dt, root_w, nsteps % B)
+    phi = table[:, n]
 
     g = state0.f_hat * root_w
     taus[0], us[0] = state0.tau_hat, state0.u_hat

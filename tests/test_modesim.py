@@ -31,6 +31,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(nv=256, v_bounds=(-10, 10), dt=1e-3, t_final=1.0,
                       fit_window=(0.8, 0.2))
+        for bounds in ((10, -10), (1, 1), (math.nan, 10), (-10, math.nan),
+                       (-math.inf, math.inf), (-math.inf, 10), (-10, math.inf)):
+            with pytest.raises(ValueError):
+                SimConfig(nv=256, v_bounds=bounds, dt=1e-3, t_final=1.0,
+                          fit_window=(0.2, 0.8))
 
     def test_work_caps(self):
         # nv up to MAX_NV and ceil(t_final/dt) * nv up to MAX_WORK; the arrays
@@ -263,24 +268,25 @@ class TestClosedFormStep:
                                   nv=256)
         cfg = default_sim_config(acoustic_params, std_maxwellian, k,
                                  t_final=200 * base.dt, nv=256)
-        # kappa = 0: the moment weight eps vanishes and tau, u never see f
-        eps = modesim._rk4_step_operator(
+        # kappa = 0: the table's columns eps theta^d vanish and tau, u never see f
+        table = modesim._block_operator(
             acoustic_params, std_maxwellian, cfg, k, base.dt,
-            np.sqrt(modesim._simpson_weights(cfg.nv, cfg.dv)))[2]
-        assert not np.any(eps)
+            np.sqrt(modesim._simpson_weights(cfg.nv, cfg.dv)), 0)[0]
+        assert not np.any(table[:, :modesim._DEGREE + 1])
         state = acoustic_state(acoustic_params, k, cfg)
         self.assert_matches_textbook(acoustic_params, std_maxwellian, state, cfg)
 
     def test_step_map_matches_recursion(self, bump_params, bump_profile):
-        # one step from random (tau, u, f) through the operator's moments
-        # <i eps (i theta)^j, g>, 6x6 map and feed phi sum_p beta_p theta^p
-        # against the stage recursion written out
+        # the first step of the block operator from random (tau, u, f), through
+        # the table's power moments mu_d = <eps theta^d, g>, the map's tau_1, u_1
+        # rows and R_1, against the stage recursion written out
         k, p = 4.0, bump_params
         cfg = default_sim_config(p, bump_profile, k, t_final=1.0, nv=256)
         dt, grid = cfg.dt, modesim.velocity_grid(cfg)
         w = modesim._simpson_weights(cfg.nv, cfg.dv)
-        step, stream, eps, phi, theta = modesim._rk4_step_operator(
-            p, bump_profile, cfg, k, dt, np.sqrt(w))
+        n = modesim._DEGREE + 1
+        table, block_map, remainders, _, _, _, stream, theta = \
+            modesim._block_operator(p, bump_profile, cfg, k, dt, np.sqrt(w), 0)
         assert np.array_equal(theta, -k * dt * grid)
         ikdt = 1j * k * dt
         z = -ikdt * grid
@@ -304,15 +310,31 @@ class TestClosedFormStep:
             f_next = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) * f + sum(
                 tm * row for tm, row in zip((tau, t1, t2, t3), stage_rows))
             g = np.sqrt(w) * f
-            moments = [1j * eps * (1j * theta)**j @ g for j in range(4)]
-            y = step @ np.array((tau, u, *moments))
-            g_next = stream * g + phi * sum(y[2 + q] * theta**q for q in range(4))
-            assert y[0] == pytest.approx(tau + t1 + t2 / 2 + t3 / 6 + t4 / 24,
-                                         rel=1e-13)
-            assert y[1] == pytest.approx(u + u1 + u2 / 2 + u3 / 6 + u4 / 24,
-                                         rel=1e-13)
+            x = np.concatenate(((tau, u), table[:, :n].T @ g))
+            r1 = remainders[0] @ x
+            g_next = stream * g + table[:, n] * sum(r1[q] * theta**q for q in range(n))
+            assert block_map[0] @ x == pytest.approx(
+                tau + t1 + t2 / 2 + t3 / 6 + t4 / 24, rel=1e-13, abs=0.0)
+            assert block_map[1] @ x == pytest.approx(
+                u + u1 + u2 / 2 + u3 / 6 + u4 / 24, rel=1e-13, abs=0.0)
             assert np.max(np.abs(g_next / np.sqrt(w) - f_next)) <= \
                 1e-13 * np.max(np.abs(f_next))
+
+    @pytest.mark.parametrize("k, nv", [(1.0, 256), (2.0, 2048)])
+    def test_rk4_dissipation_at_kappa0(self, acoustic_params, std_maxwellian, k, nv):
+        # at kappa = 0 tau, u follow the acoustic eigenvalue i k c0, and |tau|
+        # decays at RK4's own rate log|P(i x)| / dt, x = k c0 dt, where
+        # |P(i x)|^2 = (1 - x^2/2 + x^4/24)^2 + (x - x^3/6)^2 = 1 - x^6/72 + x^8/576:
+        # about -2.5e-13, so the block tables must round no more than once a block
+        cfg = default_sim_config(acoustic_params, std_maxwellian, k,
+                                 t_final=20.0 * math.pi, nv=nv)
+        traj = integrate(acoustic_params, std_maxwellian,
+                         acoustic_state(acoustic_params, k, cfg), cfg)
+        dt = traj.times[1]
+        x = k * acoustic_params.c0 * dt
+        exact = 0.5 * math.log1p(-x**6 / 72 + x**8 / 576) / dt
+        rate = growth_rate(traj, cfg.fit_window).rate
+        assert rate == pytest.approx(exact, rel=3e-3, abs=0.0)
 
 
 class TestInitEigenmode:

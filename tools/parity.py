@@ -40,7 +40,10 @@ the NEW results lie from the OLD ones:
   rounding of OLD's fit in its window, eps sum |s_i l_i| / sum s_i^2 / (hi -
   lo) for l = log|tau| before centring and s the centred window time (the
   window of `overflow_odd` keeps 57 samples at log|tau| near 341, where r is
-  1.1e-11 of the rate; elsewhere r is at most 3.5e-13 of it).
+  1.1e-11 of the rate; elsewhere r is at most 3.5e-13 of it). The rate of
+  `acoustic_kappa0` is RK4's own dissipation, log|P(i dt)| / dt at k = c0 = 1,
+  known in closed form: a move past that bound passes there when NEW lies no
+  further from it than OLD, and both distances are printed.
 - Profiles: seven profiles built by the public constructors (a Maxwellian, a
   two-stream sum, a bump, a bump on a narrow base, a bump on a two-stream sum,
   a bump on a bump, and a sum holding a bump): f and f' on a real grid (one
@@ -569,6 +572,12 @@ def fit_rounding(traj: dict) -> float:
     return float(np.finfo(float).eps * np.abs(s * log_tau).sum() / (s @ s) / (hi - lo))
 
 
+def rk4_acoustic_rate(dt: float) -> float:
+    """log|P(i x)| / dt, x = k c0 dt = dt: the rate at which RK4 damps the
+    acoustic mode at kappa = 0, from |P(i x)|^2 = 1 - x^6/72 + x^8/576."""
+    return float(0.5 * np.log1p(-dt**6 / 72 + dt**8 / 576) / dt)
+
+
 def trajectory_parity(old_src: str, new_src: str, found: Mismatches) -> None:
     old, new = (pickle.loads(run(TRAJECTORIES, src)) for src in (old_src, new_src))
     for name in old:
@@ -587,6 +596,11 @@ def trajectory_parity(old_src: str, new_src: str, found: Mismatches) -> None:
         if isinstance(ra, float) and isinstance(rb, float):
             ok = abs(ra - rb) <= max(TRAJ_TOL * abs(ra), 1e-15, fit_rounding(a))
             drate = f"{ra:.6g}, rel {abs(ra - rb) / abs(ra):.1e}, abs {abs(ra - rb):.1e}"
+            if name == "acoustic_kappa0":
+                exact = rk4_acoustic_rate(a["times"][1])
+                ok = ok or abs(rb - exact) <= abs(ra - exact)
+                drate += (f", from exact {exact:.6g}: OLD {abs(ra - exact):.1e}, "
+                          f"NEW {abs(rb - exact):.1e}")
         else:
             ok, drate = ra == rb, f"{ra} -> {rb}"
         found.expect(ok, "trajectories", f"{name} rate {ra!r} -> {rb!r}")
