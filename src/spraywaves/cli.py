@@ -4,20 +4,22 @@
 the result: every number of the file is a finite double (NaN, Infinity and
 literals that overflow are refused as the file is parsed, and integers stay
 ints), every block (and `sim.init`) is a JSON object, `null` stands for an
-absent `quadrature` or `region` only, and `output_dir` is a string. Each
-handler then reads its whole config inside one `_reading` block before it
-evaluates anything, each number through `_num`, which takes a JSON number only
-(an int or float: not a bool, nor a string such as "2.5" or "inf"). `_reading`
-turns the validation errors of the library constructors (KeyError, IndexError,
-TypeError, ValueError, InvalidBump, VacuumViolation) into `ConfigError`; the
-value rules themselves live in those constructors, not in a schema table here.
+absent `quadrature` or `region` only, `output_dir` is a string, and `quadrature`
+restates the fixed quadrature. Each handler then reads its whole config inside
+one `_reading` block before it evaluates anything, each number through `_num`,
+which takes a JSON number only (an int or float: not a bool, nor a string such
+as "2.5" or "inf"). `_reading` turns the validation errors of the library
+constructors (KeyError, IndexError, TypeError, ValueError, InvalidBump,
+VacuumViolation), and an OSError, into `ConfigError`; the value rules
+themselves live in those constructors, not in a schema table here.
 An error raised while computing is therefore never reported as a config error,
 but for one case: an eigenmode asked of a box (given or default) that holds no root.
 The spray's `params` are c0, rho0 and kappa: the volume fraction
 alpha0 = 1 - kappa m0 follows from the profile, so a `params.alpha0` is
 refused, as is a nonzero `u0`.
 
-Exit codes: 0 success, 2 config validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 config validation failure (an unreadable config file
+and an unusable output directory included), 3 numerical failure.
 Machine-readable error JSON goes to stderr in both failure cases.
 """
 
@@ -69,10 +71,14 @@ class ConfigError(Exception):
 
 @contextmanager
 def _reading(what: str):
-    """Report a validation error raised while reading ``what`` as a ConfigError;
-    also usable as a decorator."""
+    """Report a validation error raised while reading ``what`` as a ConfigError,
+    and an OSError (the I/O inside one is the config file's read and the output
+    directory's creation) by its reason in lower case; also a decorator."""
     try:
         yield
+    except OSError as err:
+        reason = (err.strerror or str(err)).lower()
+        raise ConfigError(f"invalid {what}: {reason}") from err
     except _CONFIG_ERRORS as err:
         detail = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ConfigError(f"invalid {what}: {detail}") from err
@@ -173,9 +179,7 @@ def build_system(d: dict, profile: VelocityProfile | None) -> SystemCoupling:
 
 def _read_spray(cfg: dict) -> tuple[VelocityProfile, SprayParams]:
     profile = build_profile(cfg["profile"])
-    params = build_params(cfg["params"], profile)
-    check_quadrature(cfg.get("quadrature"))
-    return profile, params
+    return profile, build_params(cfg["params"], profile)
 
 
 _GRID_MAX_POINTS = 1000      # per grid axis; bundled grids use at most 61
@@ -197,10 +201,10 @@ def _grid_axis(spec, default) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _create(path: Path):
-    """``path`` opened for writing as a new file. An old file there is unlinked
-    first: truncating a written file in place can stall its close for tens of
-    milliseconds (ext4 flushes replaced data on close, auto_da_alloc)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """``path``, in the output directory `run` made, opened for writing as a new
+    file. An old file there is unlinked first: truncating a written file in
+    place can stall its close for tens of milliseconds (ext4 flushes replaced
+    data on close, auto_da_alloc)."""
     path.unlink(missing_ok=True)
     return path.open("w", encoding="utf-8")
 
@@ -298,7 +302,6 @@ def _root_near(params, profile, center: float, seed):
 def run_thin_spray(cfg: dict, out_dir: Path) -> dict:
     with _reading("thin-spray config"):
         profile = build_profile(cfg["profile"])
-        check_quadrature(cfg.get("quadrature"))
         sweep = cfg.get("sweep", {}).get("kappa_values")
         if sweep is not None and not sweep:
             raise ConfigError(f"sweep.kappa_values must list a kappa, got {sweep!r}")
@@ -451,9 +454,9 @@ def run_illposed_demo(cfg: dict, out_dir: Path) -> dict:
                "sigma": [report.sigma.real, report.sigma.imag]}
     outputs = [_write_table(out_dir / "illposed_demo.csv", head, columns, ","),
                _write_json(out_dir / "illposed_summary.json", summary)]
-    outputs += [_write_table(out_dir / f"growth_k{traj.k:g}.dat", ["#", "t", "abs_tau"],
-                             [traj.times, np.abs(traj.tau_hat)], " ")
-                for traj in report.trajectories]
+    outputs += [_write_table(out_dir / f"growth_k{t.k:g}.dat", ["#", "t", "abs_tau"],
+                             [t.times, np.hypot(t.tau_hat.real, t.tau_hat.imag)], " ")
+                for t in report.trajectories]
     return {"outputs": outputs, "summary": summary}
 
 
@@ -461,7 +464,6 @@ def run_stability_check(cfg: dict, out_dir: Path) -> dict:
     lambda0 = None
     with _reading("stability-check config"):
         profile = build_profile(cfg["profile"]) if "profile" in cfg else None
-        check_quadrature(cfg.get("quadrature"))
         if ("system" in cfg) == ("scalar" in cfg):
             raise ConfigError("stability-check needs one of the 'system' and 'scalar' "
                               "config blocks, not both or neither")
@@ -546,13 +548,8 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
         cfg = _deep_merge(cfg, SCENARIOS[scenario])
         cfg["seed_scenario"] = scenario
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file {config_path} does not exist")
-        if path.is_dir():
-            raise ConfigError(f"config file {config_path} is a directory")
-        with _reading("config file"):
-            file_cfg = json.loads(path.read_text(encoding="utf-8"),
+        with _reading(f"config file {config_path}"):
+            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"),
                                   parse_int=lambda text: _num(int(text), int),
                                   parse_float=lambda text: _num(float(text)),
                                   parse_constant=lambda text: _num(float(text)))
@@ -580,6 +577,8 @@ def load_config(command: str, scenario: str | None, config_path: str | None,
         raise ConfigError("no profile configured (use --scenario or --config)")
     if command != "stability-check" and "params" not in cfg:
         raise ConfigError("no params configured (use --scenario or --config)")
+    with _reading("quadrature config"):
+        check_quadrature(cfg.get("quadrature"))
     return cfg
 
 
@@ -589,18 +588,19 @@ def run(cfg: dict, quiet: bool = False) -> int:
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
     out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _reading(f"output_dir {out_dir}"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
         result = _HANDLERS[command](cfg, out_dir)
         captured = [str(w.message) for w in wlist]
+    echo = {k: v for k, v in cfg.items() if k != "output_dir"}
     manifest = {
         "command": command,
         "scenario": cfg.get("seed_scenario"),
-        "config": {k: v for k, v in sorted(cfg.items()) if k != "output_dir"},
+        "config": echo,
         "config_sha256": hashlib.sha256(
-            json.dumps({k: v for k, v in cfg.items() if k != "output_dir"},
-                       sort_keys=True).encode()).hexdigest(),
+            json.dumps(echo, sort_keys=True).encode()).hexdigest(),
         "versions": {"spraywaves": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "defaults": DEFAULTS_TABLE,
@@ -631,16 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spraywaves",
         description="Wave-stability analysis for kinetic-fluid (thick spray) models.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", metavar="PATH", default=None,
-                         help="JSON run configuration")
-        cmd.add_argument("--scenario", metavar="NAME", default=None,
-                         help=f"bundled scenario, one of {sorted(SCENARIOS)}")
-        cmd.add_argument("--out", metavar="DIR", default=None,
-                         help="output directory (default: 'out')")
-        cmd.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help=f"one of {', '.join(COMMANDS)}")
+    parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    parser.add_argument("--scenario", metavar="NAME",
+                        help=f"bundled scenario, one of {sorted(SCENARIOS)}")
+    parser.add_argument("--out", metavar="DIR", help="output directory (default: 'out')")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -45,7 +46,7 @@ class TestConfigBuilders:
         with pytest.raises(ConfigError):
             build_profile({"kind": "maxwellian", "width": -1.0})
 
-    def test_quadrature_keys(self):
+    def test_quadrature_keys(self, tmp_path):
         # the block may restate the fixed quadrature; L and window of older
         # configs are checked, noted, then ignored
         quad = {"L": 14.0, "nodes": 256, "axis_tolerance": 1e-12, "window": 0.5}
@@ -58,6 +59,12 @@ class TestConfigBuilders:
                                   ("axis_tolerance", 1e-13, "1e-12")):
             with pytest.raises(ValueError, match=f"quadrature.{key} is fixed at {fixed}"):
                 check_quadrature({**quad, key: value})
+        # load_config makes the one check, for every command
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"quadrature": {"nodes": 128}}))
+        for command in cli.COMMANDS:
+            with pytest.raises(ConfigError, match="quadrature.nodes is fixed at 256"):
+                cli.load_config(command, "maxwellian-stable", str(cfgfile), None)
         note = "quadrature keys L, window are ignored"
         assert any(n.startswith(note) for n in _config_notes({"quadrature": quad}))
         assert not any("ignored" in n for n in _config_notes(SCENARIOS["bump-unstable"]))
@@ -108,6 +115,42 @@ class TestExitCodes:
         assert main(["roots", "--config", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "is a directory" in err["error"]["message"]
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the config file's read is its only check; a missing file, and files
+        # that exist but fail to read (root reads a mode-000 file, so the
+        # kernel's /proc/self/mem and a patched read_text stand in)
+        cfgfile = tmp_path / "c.json"
+        for path in (tmp_path / "missing.json", "/proc/self/mem"):
+            assert main(["roots", "--config", str(path)]) == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+            assert err["message"].startswith(f"invalid config file {path}: ")
+        assert err["message"].endswith("input/output error")
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        cfgfile.write_text("{}")
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert main(["roots", "--config", str(cfgfile)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == f"invalid config file {cfgfile}: permission denied"
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_output_path_not_a_directory_exits_2(self, tmp_path, capsys, under):
+        # --out naming a regular file, or a path under one, is a config error
+        # raised before anything is computed, and the file is left as it was
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        assert main(["roots", "--scenario", "maxwellian-stable", "--out", str(out),
+                     "--quiet"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+        assert err["message"].startswith(f"invalid output_dir {out}: ")
+        assert err["message"] == err["message"].lower()
+        assert blocker.read_text() == "kept"
 
     def test_command_mismatch_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
@@ -533,11 +576,14 @@ class TestTableWriter:
             rows = _read_table(out / name, *TABLES[name])
             assert rows or name == "root_locus_minus.dat"
         if command == "illposed-demo":
+            # |tau| is Python's abs(complex), as in final_l2_norm, to the last bit
             rows = _read_table(out / "growth_k16.dat", *TABLES["growth_k16.dat"])
             traj = _fake_scaling_experiment(None, None, k_list=[8.0, 16.0])
             assert [[float(c) for c in row] for row in rows] == [
-                [t, a] for t, a in zip(traj.trajectories[1].times,
-                                       np.abs(traj.trajectories[1].tau_hat))]
+                [t, abs(z)] for t, z in zip(traj.trajectories[1].times,
+                                            traj.trajectories[1].tau_hat.tolist())]
+            demo = _read_table(out / "illposed_demo.csv", *TABLES["illposed_demo.csv"])
+            assert rows[-1][1] == demo[1][3]
 
 
 class TestRootsCommand:
@@ -1085,7 +1131,7 @@ class TestSimulateCommand:
         times, abs_tau = ([[float(r.split(",")[col]) for r in rows[k]] for k in rows]
                           for col in (0, 3))
         assert times[0] == times[1] and times[0][-1] == pytest.approx(20.0 * math.pi)
-        assert abs_tau[0] == pytest.approx(abs_tau[1], rel=1e-12)
+        assert abs_tau[0] == pytest.approx(abs_tau[1], rel=1e-12, abs=0.0)
 
     def test_negative_k_eigenmode_decays(self, tmp_path):
         # k Im sigma < 0: the eigenmode decays at k Im sigma = -8 x 0.0602, and the
@@ -1337,8 +1383,11 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "run", lambda config, quiet: seen.append((config, quiet)))
         main(["roots", "--scenario", "maxwellian-stable", "--quiet"])
         main(["simulate", "--config", "c.json", "--out", "o"])
+        # options may come before the command, as after it
+        main(["--out", "o", "--quiet", "thin-spray", "--scenario", "thin-spray-sweep"])
         assert seen == [(("roots", "maxwellian-stable", None, None), True),
-                        (("simulate", None, "c.json", "o"), False)]
+                        (("simulate", None, "c.json", "o"), False),
+                        (("thin-spray", "thin-spray-sweep", None, "o"), True)]
         assert cli.build_parser() is cli.build_parser()
 
     def test_console_script_version(self):

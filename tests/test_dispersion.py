@@ -77,7 +77,7 @@ class TestDispersionValue:
         want = 2.0 / sigma**3 - pref * (dc / sigma - c / sigma**2)
         value, slope = dispersion_value(maxwellian_params, std_maxwellian, sigma, True)
         assert value == dispersion_value(maxwellian_params, std_maxwellian, sigma)
-        assert slope == pytest.approx(want, rel=1e-12)
+        assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_reflection_symmetry(self, maxwellian_params, std_maxwellian):
         rng = np.random.default_rng(11)
@@ -93,7 +93,7 @@ class TestDispersionOnTheAxis:
         di_plus = dispersion_value(maxwellian_params, std_maxwellian, 1.0).imag
         di_minus = dispersion_value(maxwellian_params, std_maxwellian, -1.0).imag
         assert di_plus > 0.0          # f'(c0) < 0 on the decaying side
-        assert di_minus == pytest.approx(-di_plus, rel=1e-12)
+        assert di_minus == pytest.approx(-di_plus, rel=1e-12, abs=0.0)
 
     def test_imag_vanishes_at_large_sigma(self, maxwellian_params, std_maxwellian):
         d_imag = dispersion_value(maxwellian_params, std_maxwellian, 12.0).imag

@@ -76,7 +76,8 @@ class TestScalarDispersion:
         omega = 0.8
         val = p0(c, omega)
         slope = profiles.eval_df(std_maxwellian, omega).real
-        assert val.imag == pytest.approx(-math.pi * kappa * omega * slope, rel=1e-10)
+        assert val.imag == pytest.approx(-math.pi * kappa * omega * slope, rel=1e-10,
+                                         abs=0.0)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_plemelj_continuity(self, std_maxwellian, eps):
@@ -144,7 +145,7 @@ class TestScalarLeading:
     def test_gaussian_arithmetic(self, std_maxwellian):
         c = scalar_law(1.0, 1e-3, std_maxwellian)
         expected = math.pi * 1e-3 * 0.24197072451914337
-        assert leading_imag(c) == pytest.approx(expected, rel=1e-12)
+        assert leading_imag(c) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert leading_imag(c) == pytest.approx(7.602e-4, rel=1e-3)
 
     def test_sign_flips_with_kappa(self, std_maxwellian):
@@ -373,7 +374,7 @@ class TestNecessaryCondition:
             phi_proj = sum(v.sigma_j**k * float(np.dot(c, -v.r_j))
                            for k, c in enumerate(passing.phi_coeffs))
             slope = float(np.real(profiles.eval_df(passing.profile, v.sigma_j)))
-            assert psi_proj * phi_proj * slope == pytest.approx(v.q_j, rel=1e-12)
+            assert psi_proj * phi_proj * slope == pytest.approx(v.q_j, rel=1e-12, abs=0.0)
 
     def test_perturbation_consistency(self, fixture_systems):
         for system in fixture_systems:

@@ -29,7 +29,8 @@ class TestMaxwellian:
     def test_derivative_at_peak_and_slope(self, std_maxwellian):
         assert eval_df(std_maxwellian, 0.0) == pytest.approx(0.0, abs=1e-15)
         expected = -1.0 * eval_f(std_maxwellian, 1.0).real
-        assert eval_df(std_maxwellian, 1.0).real == pytest.approx(expected, rel=1e-13)
+        assert eval_df(std_maxwellian, 1.0).real == pytest.approx(expected, rel=1e-13,
+                                                                  abs=0.0)
         assert eval_df(std_maxwellian, 1.0).real == pytest.approx(-0.2419707, abs=1e-7)
 
     def test_complex_step_consistency(self, std_maxwellian):
@@ -59,7 +60,7 @@ class TestMaxwellian:
         # E[v^n] of N(1, 3^2) times the mass 2: 1, 1, 10, 28, 298, 1306, 14716
         p = maxwellian(mass=2.0, width=3.0, drift=1.0)
         for n, raw in enumerate((1, 1, 10, 28, 298, 1306, 14716)):
-            assert moment(p, n) == pytest.approx(2.0 * raw, rel=1e-14)
+            assert moment(p, n) == pytest.approx(2.0 * raw, rel=1e-14, abs=0.0)
 
     def test_no_strip_until_the_exponential_overflows(self, std_maxwellian):
         # a Gaussian part is entire: off the axis f is the plain exponential
@@ -139,7 +140,7 @@ class TestBumpOnTail:
         base = maxwellian(mass=2.0)
         nested = make_bump_on_tail(make_bump_on_tail(base, 0.05, 0.5, 5.0), 0.1, 0.3, 3.0)
         assert [b.mass for b in nested.bumps] == pytest.approx(
-            [(1 - 0.1) * 0.05 * 2.0, 0.1 * 2.0], rel=1e-15)
+            [(1 - 0.1) * 0.05 * 2.0, 0.1 * 2.0], rel=1e-15, abs=0.0)
         assert [(b.eta, b.c_star) for b in nested.bumps] == [(0.5, 5.0), (0.3, 3.0)]
 
     def test_invalid_parameters(self, std_maxwellian):
@@ -182,7 +183,7 @@ class TestBumpOnTail:
     def test_bump_shape_constants(self):
         # normalization frozen against a 30-digit mpmath evaluation
         c, m1g, m2g = profiles._bump_constants()
-        assert c == pytest.approx(1.9447863754628564, rel=1e-13)
+        assert c == pytest.approx(1.9447863754628564, rel=1e-13, abs=0.0)
         # g'(0) = 2 C / e > 0
         assert 2 * c / math.e > 0
         w = np.linspace(-0.999, 0.999, 501)

@@ -88,7 +88,7 @@ class TestClassifyBranch:
 class TestDawsonOracle:
     def test_series_matches_frozen_values(self):
         for x, expected in DAWSON.items():
-            assert dawson_series(x) == pytest.approx(expected, rel=1e-14)
+            assert dawson_series(x) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("x0", [0.5, 1.0, 2.0])
     def test_pv_of_unit_gaussian(self, x0):
@@ -206,7 +206,7 @@ class TestCauchyTransform:
             # lower branch: the conjugate of the upper value plus the residue
             oracle = oracle.conjugate() + 2j * math.pi * g(np.array([sigma]))[0]
         val = weighted_transform(profile, weight, sigma)
-        assert val == pytest.approx(oracle, rel=1e-12)
+        assert val == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestStripContract:
@@ -228,7 +228,7 @@ class TestStripContract:
     @pytest.mark.parametrize("sigma", [1.0 + 0.6j, -2.0 + 3.0j])
     def test_maxwellian_upper_branch_returns(self, std_maxwellian, sigma):
         val = cauchy_transform(std_maxwellian, sigma)
-        assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12)
+        assert val == pytest.approx(maxwellian_closed_form(sigma), rel=1e-12, abs=0.0)
 
     def test_maxwellian_sum_has_no_strip(self):
         parts = [(0.5, -2.0, 0.6), (0.5, 2.0, 1.0)]
@@ -263,7 +263,8 @@ class TestStripContract:
         oracle = sum(dense_line_integral(g, sigma, lo, hi, epsabs=0.0, epsrel=1e-13,
                                          limit=2000)
                      for lo, hi in zip(edges[:-1], edges[1:]))
-        assert cauchy_transform(bump_profile, sigma) == pytest.approx(oracle, rel=1e-12)
+        assert cauchy_transform(bump_profile, sigma) == pytest.approx(oracle, rel=1e-12,
+                                                                      abs=0.0)
 
 
 class TestBumpLowerBranchOracle:
@@ -333,7 +334,7 @@ class TestFaddeevaKernel:
         t = scale * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
         f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
         a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
-        assert _L == pytest.approx(scale, rel=1e-15)
+        assert _L == pytest.approx(scale, rel=1e-15, abs=0.0)
         np.testing.assert_allclose(_coefficients(), a[n:0:-1], rtol=1e-15, atol=5e-15)
 
 
