@@ -254,7 +254,7 @@ def run_dispersion_scan(cfg: dict, out_dir: Path) -> dict:
     values[live] = dispersion.dispersion_value(params, profile, sigma[live])
     columns = [sigma.real, sigma.imag, values.real, values.imag]
     heat = [c[live] for c in columns]
-    heat.append(list(map(math.hypot, heat[2].tolist(), heat[3].tolist())))
+    heat.append(np.hypot(heat[2], heat[3]))
     return {"outputs": [
         _write_table(out_dir / "dispersion_scan.csv",
                      ["re_sigma", "im_sigma", "re_D", "im_D", "branch"],

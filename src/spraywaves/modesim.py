@@ -311,14 +311,14 @@ def _block_operator(params: SprayParams, profile: VelocityProfile, config: SimCo
                       2.0 * _product(toeplitz.conj(), r)]
     block_map = np.vstack([np.vstack(rows).astype(complex), remainders[-1], *forms])
     weights = np.repeat([[1, j, j * (j - 1) / 2] for j in range(1, _BLOCK)], 2, axis=1)
-    p_block, p_tail, stream = (np.polynomial.polynomial.polyval(
-        theta, np.trim_zeros(coefs[m], "b").astype(complex)) for m in (_BLOCK, tail, 1))
+    p_block, p_tail, stream = (np.polyval(np.trim_zeros(coefs[m], "b")[::-1].astype(complex),
+                                          theta) for m in (_BLOCK, tail, 1))
 
     table = np.empty((len(theta), 2 * n + 3), order="F")
     table[:, 0], table[:, n], table[:, 2 * n] = eps, phi, 1.0
     excess = np.convolve(coefs[1].conj(), coefs[1])[:n].real.astype(float)  # |P|^2
     excess[0] = 0.0
-    table[:, 2 * n + 1] = np.polynomial.polynomial.polyval(theta, excess)
+    table[:, 2 * n + 1] = np.polyval(excess[::-1], theta)
     np.multiply(table[:, 2 * n + 1], table[:, 2 * n + 1], out=table[:, 2 * n + 2])
     for first in (0, n):
         for col in range(first + 1, first + n):

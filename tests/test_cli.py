@@ -554,7 +554,7 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("command,scenario,override", [
         ("dispersion-scan", "maxwellian-stable",
-         {"scan": {"re": [-1.0, 1.0, 11], "im": [-0.1, 0.1, 3]}}),
+         {"scan": {"re": [-1.0, 1.0, 101], "im": [-0.1, 0.1, 11]}}),
         ("landau-compare", "maxwellian-stable", {"landau": {"re": [-1.0, 1.0, 9]}}),
         ("thin-spray", "thin-spray-sweep", {"sweep": {"kappa_values": [2e-3, 1e-3]}}),
         ("simulate", "maxwellian-stable", {"sim": {"periods": 2.0}}),
@@ -575,6 +575,11 @@ class TestTableWriter:
         for name in tables:
             rows = _read_table(out / name, *TABLES[name])
             assert rows or name == "root_locus_minus.dat"
+        if command == "dispersion-scan":
+            # |D| is Python's abs(complex) of the printed parts, to the last bit
+            rows = _read_table(out / "scan_heatmap.dat", *TABLES["scan_heatmap.dat"])
+            assert [float(r[4]) for r in rows] == [
+                abs(complex(float(r[2]), float(r[3]))) for r in rows]
         if command == "illposed-demo":
             # |tau| is Python's abs(complex), as in final_l2_norm, to the last bit
             rows = _read_table(out / "growth_k16.dat", *TABLES["growth_k16.dat"])
@@ -1395,3 +1400,29 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "spraywaves" in proc.stdout
+
+    def test_a_run_imports_no_optional_module(self, tmp_path):
+        # one run of each kind, in a fresh interpreter, imports numpy's core only:
+        # no numpy.polynomial (Gauss-Legendre rules come from the recurrence),
+        # and neither scipy nor mpmath, which back the tests alone
+        cfgfile = tmp_path / "sim.json"
+        cfgfile.write_text(json.dumps({"sim": {"nv": 256, "periods": 2.0}}))
+        code = (
+            "import sys\n"
+            "from spraywaves import cli, profiles\n"
+            "from spraywaves.scenarios import SCENARIOS\n"
+            "out, cfg = sys.argv[1], sys.argv[2]\n"
+            "for args in (['roots', '--scenario', 'bump-unstable'],\n"
+            "             ['simulate', '--scenario', 'maxwellian-stable', '--config', cfg],\n"
+            "             ['stability-check', '--scenario', 'system-prop1']):\n"
+            "    assert cli.main([*args, '--out', out, '--quiet']) == 0, args\n"
+            "bump = cli.build_profile(SCENARIOS['bump-unstable']['profile'])\n"
+            "profiles.moment(bump, 2)\n"
+            "print(sorted(m for m in ('numpy.polynomial', 'scipy', 'mpmath')\n"
+            "             if m in sys.modules))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"),
+                               str(cfgfile)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -614,6 +615,44 @@ class TestNodeCache:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def mp_gauss_legendre(order):
+    """40-digit Gauss-Legendre nodes (ascending) and weights: Newton on mp.legendre."""
+    with mp.workdps(40):
+        nodes, weights = [], []
+        for k in range(order, 0, -1):
+            x = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
+            for _ in range(50):
+                dp = order * (x * mp.legendre(order, x) - mp.legendre(order - 1, x)) / (x * x - 1)
+                step = mp.legendre(order, x) / dp
+                x -= step
+                if abs(step) < mp.mpf(10) ** -38:
+                    break
+            dp = order * (x * mp.legendre(order, x) - mp.legendre(order - 1, x)) / (x * x - 1)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+class TestGaussRule:
+    def test_layout_orders(self):
+        # a segment asks for 64 to NODES nodes: its panels take every even
+        # order from 10 to 24 and no other
+        orders = {_gauss.layout(length, scale, nodes)[1] for length in (0.01, 1.0, 40.0)
+                  for scale in (1e-3, 0.05, 1.0) for nodes in range(64, quadrature.NODES + 1)}
+        assert orders == set(range(10, 26, 2))
+
+    @pytest.mark.parametrize("order", range(10, 26, 2))
+    def test_against_mpmath(self, order):
+        # leggauss is off by up to 1.1e-16 (nodes) and 1.2e-13 (weights, order
+        # 24); the weight 2 / (n P_(n-1) P_n') at the same nodes by 1.5e-13
+        x, w = _gauss._rule(order)
+        ref_x, ref_w = mp_gauss_legendre(order)
+        assert max(abs(float(a - b)) for a, b in zip(x.tolist(), ref_x)) <= 2.3e-16
+        assert max(abs(float((a - b) / b)) for a, b in zip(w.tolist(), ref_w)) <= 2e-14
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-15
 
 
 def centred_expansion(profile, sigma, order):
